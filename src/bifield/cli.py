@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -51,13 +50,7 @@ from .currents import (
     jm_classical_electrostatic,
     jm_classical_jacobi_term,
 )
-from .errors import (
-    ConfigError,
-    DomainViolation,
-    FieldError,
-    InversionFailure,
-    SingularPoint,
-)
+from .errors import ConfigError, DomainViolation, FieldError, SingularPoint
 from .models import ModelParams
 from .observables import (
     QuadratureSpec,
@@ -481,19 +474,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _eval_points(points: np.ndarray, fn, threads: int) -> list:
-    """Apply fn to each point, optionally across a thread pool.
-
-    Results come back in grid order either way; only the evaluation is
-    concurrent, writing stays single-threaded in the caller.
-    """
-    pts = [np.array(p) for p in points]
-    if threads <= 1:
-        return [fn(p) for p in pts]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, pts))
-
-
 def _emit_table(out_dir: Path, name: str, fmt: str, header, rows,
                 head: dict, extra: dict) -> list:
     """Write a field table plus its JSON report, return written paths."""
@@ -518,26 +498,49 @@ def _emit_table(out_dir: Path, name: str, fmt: str, header, rows,
     return written
 
 
-def _emit_failures(out_dir: Path, name: str, head: dict, failures: list) -> Path:
+def _emit_failures(out_dir: Path, name: str, head: dict, failures: list) -> Optional[Path]:
+    """Write <name>.errors.json, or remove it when there are no failures so
+    that a clean rerun leaves no errors file from an earlier run behind."""
+    path = out_dir / f"{name}.errors.json"
+    if not failures:
+        path.unlink(missing_ok=True)
+        return None
     payload = dict(head)
     payload["command"] = name
     payload["n_failures"] = len(failures)
     payload["failures"] = failures
-    path = out_dir / f"{name}.errors.json"
     _write_json(path, payload)
     return path
 
 
-def _partition(results: list):
+def _grid_command(cfg: RunConfig, args, name: str, columns, row_at) -> int:
+    """Evaluate row_at on every grid point and write the table, its report
+    and the errors file.
+
+    A SingularPoint skips the point; any other FieldError is recorded with
+    its location and type, and the command exits 2 after writing the rows
+    that did evaluate.
+    """
     rows, skipped, failures = [], 0, []
-    for res in results:
-        if res[0] == "row":
-            rows.append(res[1])
-        elif res[0] == "skip":
+    for x in grid_points(cfg):
+        try:
+            rows.append(row_at(x))
+        except SingularPoint:
             skipped += 1
-        else:
-            failures.append(res[1])
-    return rows, skipped, failures
+        except FieldError as exc:
+            failures.append({"at": [float(v) for v in x],
+                             "error": type(exc).__name__, "detail": str(exc)})
+    head = _report_head(cfg, args.effective_seed)
+    extra = {"command": name, "n_skipped": skipped}
+    written = _emit_table(args.out_dir, name, args.effective_format,
+                          columns, rows, head, extra)
+    for path in written:
+        print(f"wrote {path}")
+    path = _emit_failures(args.out_dir, name, head, failures)
+    if failures:
+        print(f"{len(failures)} grid point(s) failed, see {path}", file=sys.stderr)
+        return EXIT_NUMERIC
+    return EXIT_OK
 
 
 # -- subcommands -------------------------------------------------------------
@@ -548,33 +551,15 @@ def _cmd_sample(cfg: RunConfig, args) -> int:
         raise ConfigError("sample requires a charges section")
     params, charges = cfg.model, cfg.charges
 
-    def one(x):
-        try:
-            e, h, _ = dyonic_eh(
-                params, displacement_field(charges, x), magnetic_field(charges, x)
-            )
-            j_m = current_at(params, charges, x).j_m
-            dens = hamiltonian_at(params, charges, x)
-        except SingularPoint:
-            return ("skip",)
-        except (InversionFailure, DomainViolation) as exc:
-            return ("fail", {"at": [float(v) for v in x],
-                             "error": type(exc).__name__, "detail": str(exc)})
-        return ("row", (*x, *e, *h, *j_m, dens))
+    def row_at(x):
+        e, h, _ = dyonic_eh(
+            params, displacement_field(charges, x), magnetic_field(charges, x)
+        )
+        j_m = current_at(params, charges, x).j_m
+        dens = hamiltonian_at(params, charges, x)
+        return (*x, *e, *h, *j_m, dens)
 
-    results = _eval_points(grid_points(cfg), one, args.threads)
-    rows, skipped, failures = _partition(results)
-    head = _report_head(cfg, args.effective_seed)
-    extra = {"command": "sample", "n_skipped": skipped}
-    written = _emit_table(args.out_dir, "sample", args.effective_format,
-                          SAMPLE_COLUMNS, rows, head, extra)
-    for path in written:
-        print(f"wrote {path}")
-    if failures:
-        path = _emit_failures(args.out_dir, "sample", head, failures)
-        print(f"{len(failures)} grid point(s) failed, see {path}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _grid_command(cfg, args, "sample", SAMPLE_COLUMNS, row_at)
 
 
 def _cmd_current(cfg: RunConfig, args) -> int:
@@ -582,29 +567,11 @@ def _cmd_current(cfg: RunConfig, args) -> int:
         raise ConfigError("current requires a charges section")
     params, charges = cfg.model, cfg.charges
 
-    def one(x):
-        try:
-            sample = current_at(params, charges, x)
-        except SingularPoint:
-            return ("skip",)
-        except (InversionFailure, DomainViolation) as exc:
-            return ("fail", {"at": [float(v) for v in x],
-                             "error": type(exc).__name__, "detail": str(exc)})
-        return ("row", (*x, *sample.j_e, *sample.j_m, sample.method))
+    def row_at(x):
+        sample = current_at(params, charges, x)
+        return (*x, *sample.j_e, *sample.j_m, sample.method)
 
-    results = _eval_points(grid_points(cfg), one, args.threads)
-    rows, skipped, failures = _partition(results)
-    head = _report_head(cfg, args.effective_seed)
-    extra = {"command": "current", "n_skipped": skipped}
-    written = _emit_table(args.out_dir, "current", args.effective_format,
-                          CURRENT_COLUMNS, rows, head, extra)
-    for path in written:
-        print(f"wrote {path}")
-    if failures:
-        path = _emit_failures(args.out_dir, "current", head, failures)
-        print(f"{len(failures)} grid point(s) failed, see {path}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _grid_command(cfg, args, "current", CURRENT_COLUMNS, row_at)
 
 
 def _cmd_continuous(cfg: RunConfig, args) -> int:
@@ -613,35 +580,19 @@ def _cmd_continuous(cfg: RunConfig, args) -> int:
     params, src, quad = cfg.model, cfg.source, cfg.quadrature
     electric_only = src.rho_m is None
 
-    def one(x):
-        try:
-            st = continuous_fields(src, params, x, quad)
-            if electric_only:
-                j_m = -curl_formula_continuous(src, params, x, quad)
-            else:
-                j_m = -fd_curl(
-                    lambda y: continuous_fields(src, params, y, quad).e,
-                    x, step=src.width / 10.0, richardson=True,
-                )
-            dens = energy_density(params, st)
-        except (InversionFailure, DomainViolation, FieldError) as exc:
-            return ("fail", {"at": [float(v) for v in x],
-                             "error": type(exc).__name__, "detail": str(exc)})
-        return ("row", (*x, *st.e, *st.h, *j_m, dens))
+    def row_at(x):
+        st = continuous_fields(src, params, x, quad)
+        if electric_only:
+            j_m = -curl_formula_continuous(src, params, x, quad)
+        else:
+            j_m = -fd_curl(
+                lambda y: continuous_fields(src, params, y, quad).e,
+                x, step=src.width / 10.0, richardson=True,
+            )
+        dens = energy_density(params, st)
+        return (*x, *st.e, *st.h, *j_m, dens)
 
-    results = _eval_points(grid_points(cfg), one, args.threads)
-    rows, skipped, failures = _partition(results)
-    head = _report_head(cfg, args.effective_seed)
-    extra = {"command": "continuous", "n_skipped": skipped}
-    written = _emit_table(args.out_dir, "continuous", args.effective_format,
-                          SAMPLE_COLUMNS, rows, head, extra)
-    for path in written:
-        print(f"wrote {path}")
-    if failures:
-        path = _emit_failures(args.out_dir, "continuous", head, failures)
-        print(f"{len(failures)} grid point(s) failed, see {path}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _grid_command(cfg, args, "continuous", SAMPLE_COLUMNS, row_at)
 
 
 def _cmd_charge(cfg: RunConfig, args) -> int:
@@ -683,6 +634,7 @@ def _cmd_charge(cfg: RunConfig, args) -> int:
                               [{"error": type(exc).__name__, "detail": str(exc)}])
         print(f"charge computation failed, see {path}", file=sys.stderr)
         return EXIT_NUMERIC
+    _emit_failures(args.out_dir, "charge", head, [])
 
     payload = dict(head)
     payload.update({
@@ -716,6 +668,7 @@ def _cmd_energy(cfg: RunConfig, args) -> int:
                               [{"error": type(exc).__name__, "detail": str(exc)}])
         print(f"energy integration failed, see {path}", file=sys.stderr)
         return EXIT_NUMERIC
+    _emit_failures(args.out_dir, "energy", head, [])
     payload = dict(head)
     payload.update({
         "command": "energy",
@@ -827,14 +780,9 @@ def _electric_pair() -> ChargeConfig:
     ])
 
 
-def _verify_curl_electric(rng) -> dict:
-    cfg = _electric_pair()
-    beta = 1.0
-    params = ModelParams.classical(beta=beta)
-
-    def e_field(y):
-        return electrostatic_e(params, displacement_field(cfg, y))
-
+def _verify_curl(rng, name: str, cfg: ChargeConfig, field, current, sign: float) -> dict:
+    """FD curl of a classical (beta = 1) field against sign * its closed-form
+    current at 12 random points clear of the charges."""
     res = []
     k = 0
     while len(res) < 12 and k < 200:
@@ -842,11 +790,19 @@ def _verify_curl_electric(rng) -> dict:
         x = rng.uniform(-2.0, 2.0, 3)
         if cfg.min_distance(x) < 0.4:
             continue
-        j_m = jm_classical_electrostatic(cfg, beta, x)
-        curl = fd_curl(e_field, x, richardson=True)
-        res.append(float(np.max(np.abs(curl + j_m)))
-                   / max(1.0, float(np.max(np.abs(j_m)))))
-    return _suite("electrostatic_curl_match", 1e-5, res)
+        j = current(cfg, 1.0, x)
+        curl = fd_curl(field, x, richardson=True)
+        res.append(float(np.max(np.abs(curl - sign * j)))
+                   / max(1.0, float(np.max(np.abs(j)))))
+    return _suite(name, 1e-5, res)
+
+
+def _verify_curl_electric(rng) -> dict:
+    cfg = _electric_pair()
+    params = ModelParams.classical(beta=1.0)
+    return _verify_curl(rng, "electrostatic_curl_match", cfg,
+                        lambda y: electrostatic_e(params, displacement_field(cfg, y)),
+                        jm_classical_electrostatic, -1.0)
 
 
 def _verify_curl_magnetic(rng) -> dict:
@@ -854,24 +810,10 @@ def _verify_curl_magnetic(rng) -> dict:
         ((1.0, 0.0, 0.0), 0.0, 1.0),
         ((-1.0, 0.0, 0.0), 0.0, 2.0),
     ])
-    beta = 1.0
-    params = ModelParams.classical(beta=beta)
-
-    def h_field(y):
-        return magnetostatic_h(params, magnetic_field(cfg, y))
-
-    res = []
-    k = 0
-    while len(res) < 12 and k < 200:
-        k += 1
-        x = rng.uniform(-2.0, 2.0, 3)
-        if cfg.min_distance(x) < 0.4:
-            continue
-        j_e = je_classical_magnetostatic(cfg, beta, x)
-        curl = fd_curl(h_field, x, richardson=True)
-        res.append(float(np.max(np.abs(curl - j_e)))
-                   / max(1.0, float(np.max(np.abs(j_e)))))
-    return _suite("magnetostatic_curl_match", 1e-5, res)
+    params = ModelParams.classical(beta=1.0)
+    return _verify_curl(rng, "magnetostatic_curl_match", cfg,
+                        lambda y: magnetostatic_h(params, magnetic_field(cfg, y)),
+                        je_classical_magnetostatic, 1.0)
 
 
 def _verify_single_null(rng) -> dict:
@@ -1065,7 +1007,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid evaluation")
+                        help="accepted for compatibility; grids are evaluated "
+                             "in one thread")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="override the config output format")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -1085,7 +1028,6 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         elif args.command != "verify":
             raise ConfigError(f"{args.command} requires --config")
-        args.threads = max(1, args.threads)
         args.effective_seed = args.seed if args.seed is not None else (
             cfg.seed if cfg is not None else 0
         )

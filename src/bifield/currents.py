@@ -42,6 +42,7 @@ __all__ = [
     "jm_generic_electrostatic",
     "je_generic_magnetostatic",
     "grad_field_square",
+    "eh_field",
     "fd_curl",
     "fd_div",
     "fd_step",
@@ -314,7 +315,11 @@ def fd_step(x, scale: float = 1e-4) -> float:
 
 
 def _fd_jacobian(field: Callable, x: np.ndarray, h: float) -> np.ndarray:
-    """J[i, j] = dF_i/dx_j by second-order central differences."""
+    """J[..., i, j] = dF_i/dx_j by second-order central differences.
+
+    field returns an array of shape (..., 3); each leading index is a
+    separate vector field, differenced on the same six stencil nodes.
+    """
     cols = []
     for axis in range(3):
         step = np.zeros(3)
@@ -322,7 +327,7 @@ def _fd_jacobian(field: Callable, x: np.ndarray, h: float) -> np.ndarray:
         fp = np.asarray(field(x + step), dtype=float)
         fm = np.asarray(field(x - step), dtype=float)
         cols.append((fp - fm) / (2.0 * h))
-    return np.column_stack(cols)
+    return np.stack(cols, axis=-1)
 
 
 def fd_curl(field: Callable, x, step: Optional[float] = None, richardson: bool = False) -> np.ndarray:
@@ -330,15 +335,18 @@ def fd_curl(field: Callable, x, step: Optional[float] = None, richardson: bool =
 
     Second-order central differences with half-width step (default
     1e-4 * max(1, |x|)). With richardson=True the two-step extrapolation
-    (4 c(h/2) - c(h)) / 3 removes the leading error term. Raises whatever
-    the field raises on stencil nodes (e.g. SingularPoint near a charge).
+    (4 c(h/2) - c(h)) / 3 removes the leading error term. A field of shape
+    (..., 3) gives curls of the same shape, one per leading index. Raises
+    whatever the field raises on stencil nodes (e.g. SingularPoint near a
+    charge).
     """
     x = as_vec3(x)
     h = fd_step(x) if step is None else float(step)
 
     def curl_at(hh: float) -> np.ndarray:
         j = _fd_jacobian(field, x, hh)
-        return np.array([j[2, 1] - j[1, 2], j[0, 2] - j[2, 0], j[1, 0] - j[0, 1]])
+        return np.stack([j[..., 2, 1] - j[..., 1, 2], j[..., 0, 2] - j[..., 2, 0],
+                         j[..., 1, 0] - j[..., 0, 1]], axis=-1)
 
     if not richardson:
         return curl_at(h)
@@ -356,6 +364,19 @@ def fd_div(field: Callable, x, step: Optional[float] = None, richardson: bool = 
     if not richardson:
         return div_at(h)
     return (4.0 * div_at(0.5 * h) - div_at(h)) / 3.0
+
+
+def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
+    """The field y -> stack(E, H), shape (2, 3), with one inversion per point.
+
+    fd_curl of it gives curl E and curl H from the same stencil nodes.
+    """
+
+    def field(y):
+        e, h, _ = dyonic_eh(params, displacement_field(cfg, y), magnetic_field(cfg, y))
+        return np.stack((e, h))
+
+    return field
 
 
 def stencil_is_clear(cfg: ChargeConfig, x, step: float) -> bool:
@@ -398,15 +419,8 @@ def current_at(params: ModelParams, cfg: ChargeConfig, x) -> CurrentSample:
         je = je_classical_dyonic_k0(cfg, params.beta, x)
         return CurrentSample(j_e=je, j_m=jm, at=x)
 
-    def e_field(y):
-        return dyonic_eh(params, displacement_field(cfg, y), magnetic_field(cfg, y))[0]
-
-    def h_field(y):
-        return dyonic_eh(params, displacement_field(cfg, y), magnetic_field(cfg, y))[1]
-
     h = fd_step(x)
     if not stencil_is_clear(cfg, x, h):
         raise SingularPoint("finite-difference stencil enters a charge exclusion ball")
-    jm = -fd_curl(e_field, x, step=h, richardson=True)
-    je = fd_curl(h_field, x, step=h, richardson=True)
-    return CurrentSample(j_e=je, j_m=jm, at=x, method="fd")
+    curl_e, curl_h = fd_curl(eh_field(params, cfg), x, step=h, richardson=True)
+    return CurrentSample(j_e=curl_h, j_m=-curl_e, at=x, method="fd")

@@ -47,6 +47,16 @@ def pair_config(shape=(5, 5, 5)):
     }
 
 
+def failing_config():
+    # quadratic model with |B| = 1 = 1/sqrt(alpha) at the single probe point:
+    # f' vanishes there and the inversion gives up
+    return {
+        "model": {"kind": "quadratic", "alpha": 1.0},
+        "charges": [{"pos": [0.0, 0.0, 0.0], "q": 1e-5, "g": 4.0 * math.pi}],
+        "grid": {"lo": [1.0, 0.0, 0.0], "hi": [1.0, 0.0, 0.0], "shape": [1, 1, 1]},
+    }
+
+
 def write_config(tmp_path, data, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -261,23 +271,26 @@ class TestSampleCommand:
         report = json.loads((tmp_path / "sample.report.json").read_text())
         assert report["seed"] == 99
 
-    def test_numeric_failure_aggregates_locations(self, tmp_path):
-        # quadratic model with |B| = 1 = 1/sqrt(alpha) at the probe point:
-        # f' vanishes there and the inversion gives up
-        data = {
-            "model": {"kind": "quadratic", "alpha": 1.0},
-            "charges": [{"pos": [0.0, 0.0, 0.0], "q": 1e-5,
-                         "g": 4.0 * math.pi}],
-            "grid": {"lo": [1.0, 0.0, 0.0], "hi": [1.0, 0.0, 0.0],
-                     "shape": [1, 1, 1]},
-        }
-        path = write_config(tmp_path, data)
-        rc = main(["sample", "--config", str(path), "--out-dir", str(tmp_path)])
+    @pytest.mark.parametrize("command", ["sample", "current"])
+    def test_numeric_failure_aggregates_locations(self, tmp_path, command):
+        path = write_config(tmp_path, failing_config())
+        rc = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
         assert rc == EXIT_NUMERIC
-        errors = json.loads((tmp_path / "sample.errors.json").read_text())
+        errors = json.loads((tmp_path / f"{command}.errors.json").read_text())
         assert errors["n_failures"] == 1
         assert errors["failures"][0]["at"] == [1.0, 0.0, 0.0]
         assert errors["failures"][0]["error"] in ("InversionFailure", "DomainViolation")
+
+    def test_clean_rerun_removes_stale_errors_file(self, tmp_path):
+        out = tmp_path / "out"
+        failing = write_config(tmp_path, failing_config(), name="fail.json")
+        clean = write_config(tmp_path, pair_config(shape=(2, 2, 2)), name="clean.json")
+        assert main(["sample", "--config", str(failing), "--out-dir", str(out)]) == EXIT_NUMERIC
+        assert (out / "sample.errors.json").exists()
+        assert main(["sample", "--config", str(clean), "--out-dir", str(out)]) == EXIT_OK
+        assert not (out / "sample.errors.json").exists()
+        report = json.loads((out / "sample.report.json").read_text())
+        assert report["config_sha256"] == config_digest(load_config(clean))
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["sample", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG

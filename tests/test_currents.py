@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bifield import ChargeConfig, ModelParams
+from bifield import currents
 from bifield.constitutive import dyonic_eh, electrostatic_e, magnetostatic_h
 from bifield.currents import (
     CurrentSample,
@@ -363,6 +364,16 @@ class TestFiniteDifferenceOracles:
         assert abs(plain[2] - 3.0) > 1e-7
         assert abs(extrap[2] - 3.0) <= 1e-9
 
+    @pytest.mark.parametrize("richardson", [False, True])
+    def test_stacked_field_matches_per_field_curls(self, richardson):
+        f = lambda y: np.array([y[1] * y[2] ** 2, np.sin(y[0]), y[0] * y[1]])
+        g = lambda y: np.array([np.exp(y[2]), y[0] ** 3, -y[1] * y[2]])
+        x = np.array([0.4, -0.7, 0.2])
+        stacked = fd_curl(lambda y: np.stack((f(y), g(y))), x, step=1e-3, richardson=richardson)
+        assert stacked.shape == (2, 3)
+        assert np.array_equal(stacked[0], fd_curl(f, x, step=1e-3, richardson=richardson))
+        assert np.array_equal(stacked[1], fd_curl(g, x, step=1e-3, richardson=richardson))
+
     def test_default_step_scales_with_position(self):
         assert fd_step((0.0, 0.0, 0.0)) == 1e-4
         assert fd_step((200.0, 0.0, 0.0)) == pytest.approx(2e-2)
@@ -405,6 +416,35 @@ class TestDispatcher:
         s = current_at(ModelParams.classical(beta=BETA, kappa=0.8), cfg, (0.0, 1.0, 0.0))
         assert s.method == "fd"
         assert np.all(np.isfinite(s.j_m)) and np.all(np.isfinite(s.j_e))
+
+    def test_fd_route_inverts_once_per_stencil_node(self, monkeypatch):
+        params = ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5)
+        cfg = ChargeConfig.build(
+            [((1.0, 0.0, 0.0), 1.0, 0.4), ((-1.0, 0.5, 0.0), -2.0, 1.0)]
+        )
+        x = np.array([0.2, 1.1, -0.3])
+        calls = []
+
+        def counting_eh(*args, **kwargs):
+            calls.append(1)
+            return dyonic_eh(*args, **kwargs)
+
+        monkeypatch.setattr(currents, "dyonic_eh", counting_eh)
+        s = current_at(params, cfg, x)
+        monkeypatch.undo()
+        # two Richardson steps, six stencil nodes each, one inversion per node
+        assert s.method == "fd" and len(calls) == 12
+
+        # reference: separate curls of E-only and H-only fields
+        def e_field(y):
+            return dyonic_eh(params, displacement_field(cfg, y), magnetic_field(cfg, y))[0]
+
+        def h_field(y):
+            return dyonic_eh(params, displacement_field(cfg, y), magnetic_field(cfg, y))[1]
+
+        h = fd_step(x)
+        assert np.array_equal(s.j_m, -fd_curl(e_field, x, step=h, richardson=True))
+        assert np.array_equal(s.j_e, fd_curl(h_field, x, step=h, richardson=True))
 
     def test_fd_route_consistent_with_analytic_at_tiny_kappa(self):
         cfg = ChargeConfig.build(
