@@ -45,6 +45,7 @@ from .continuous import (
 )
 from .currents import (
     current_at,
+    eh_field,
     fd_curl,
     je_classical_magnetostatic,
     jm_classical_electrostatic,
@@ -608,27 +609,13 @@ def _cmd_charge(cfg: RunConfig, args) -> int:
     else:
         radii = [quad.far_radius * 2.0**k for k in range(4)]
 
-    center = charges.centroid
-
-    def e_field(y):
-        return dyonic_eh(params, displacement_field(charges, y),
-                         magnetic_field(charges, y))[0]
-
-    def h_field(y):
-        return dyonic_eh(params, displacement_field(charges, y),
-                         magnetic_field(charges, y))[1]
-
+    eh = eh_field(params, charges)
     head = _report_head(cfg, args.effective_seed)
     try:
         free = free_charge_with_inner_spheres(charges, params, quad)
-        ladder = [
-            {
-                "radius": float(r),
-                "e_flux": flux_charge(e_field, r, quad, center=center),
-                "h_flux": flux_charge(h_field, r, quad, center=center),
-            }
-            for r in radii
-        ]
+        fluxes = [flux_charge(eh, r, quad, center=charges.centroid) for r in radii]
+        ladder = [{"radius": float(r), "e_flux": float(e), "h_flux": float(h)}
+                  for r, (e, h) in zip(radii, fluxes)]
     except FieldError as exc:
         path = _emit_failures(args.out_dir, "charge", head,
                               [{"error": type(exc).__name__, "detail": str(exc)}])

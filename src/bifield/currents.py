@@ -7,15 +7,18 @@ the Coulomb terms and static current densities appear:
     curl E = -j_m        (induced magnetic current density)
     curl H = +j_e        (induced electric current density)
 
-This module evaluates the closed-form triple sums for j_m and j_e in the
-classical square-root model, their generalization to an arbitrary response
-function, and the kappa = 0 dyonic composition. Finite-difference curl and
-divergence operators are provided as independent oracles; every analytic
-current here is cross-checked against them in the test suite.
+Every closed form here follows from E = phi(D^2) D with curl D = 0:
+curl E = phi'(D^2) grad(D^2) x D, a scalar prefactor times one cross
+product. The module evaluates it for the classical square-root model, for
+an arbitrary response function, and for the kappa = 0 dyonic composition,
+taking D and grad(D^2) (or B and grad(B^2)) from one O(n) Coulomb kernel in
+sources. Finite-difference curl and divergence operators are provided as
+independent oracles; the test suite checks every analytic current against
+them and against the term-by-term triple sums over the charges.
 
-All sums are accumulated with math.fsum per component so that exact
-cancellations (single center, collinear geometry, the vector identity
-a x (b+c) + b x (c+a) + c x (a+b) = 0) survive at the 1e-12 level.
+jm_classical_jacobi_term alone keeps a math.fsum triple loop: it is the
+floating-point witness of the cyclic identity
+a x (b+c) + b x (c+a) + c x (a+b) = 0, which the factored form would hide.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ import numpy as np
 
 from .errors import SingularPoint
 from .models import ModelParams, CLASSICAL
-from .sources import ChargeConfig, as_vec3, displacement_field, magnetic_field
+from .sources import ChargeConfig, _coulomb_gradient, as_vec3, displacement_field, magnetic_field
 from .constitutive import dyonic_eh, electrostatic_e
 
 __all__ = [
     "CurrentSample",
     "jm_classical_electrostatic",
-    "jm_classical_electrostatic_pair",
     "jm_classical_jacobi_term",
     "je_classical_magnetostatic",
     "jm_classical_dyonic_k0",
@@ -81,84 +83,39 @@ def _offsets(cfg: ChargeConfig, x) -> tuple[np.ndarray, np.ndarray]:
     return rs, norms
 
 
-def _curl_triple_sum(weights: np.ndarray, rs: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """sum_{ijk} c_i c_j c_k (r_j . r_k) r_i x (r_j/|r_j|^2 + r_k/|r_k|^2).
+def _field_and_gradient(cfg: ChargeConfig, weights: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+    """F and grad(F^2) of one Coulomb superposition at the point x."""
+    f, grad = _coulomb_gradient(cfg, weights, as_vec3(x)[None, :])
+    return f[0], grad[0]
 
-    with c_i = w_i / |r_i|^3. This is the angular structure shared by every
-    single-species current; prefactors are applied by the callers.
+
+def _classical_curl(beta: float, f: np.ndarray, grad_f2: np.ndarray) -> np.ndarray:
+    """beta / (2 (1 + beta F^2)^{3/2}) grad(F^2) x F, which is minus the curl
+    of F / sqrt(1 + beta F^2) for a curl-free F."""
+    return beta / (2.0 * (1.0 + beta * float(f @ f)) ** 1.5) * np.cross(grad_f2, f)
+
+
+def _dyonic_k0_curl(beta: float, a: np.ndarray, grad_a2: np.ndarray,
+                    b: np.ndarray, grad_b2: np.ndarray) -> np.ndarray:
+    """Minus the curl of sqrt((1 + beta B^2)/(1 + beta A^2)) A, by the product rule:
+
+        sqrt(1 + beta B^2) * _classical_curl(A)
+        + beta / (2 sqrt(1 + beta A^2) sqrt(1 + beta B^2)) A x grad(B^2)
     """
-    n = len(weights)
-    c = weights / norms**3
-    u = rs / norms[:, None] ** 2
-    parts = ([], [], [])
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                scale = c[i] * c[j] * c[k] * float(rs[j] @ rs[k])
-                vec = np.cross(rs[i], u[j] + u[k])
-                for comp in range(3):
-                    parts[comp].append(scale * vec[comp])
-    return np.array([math.fsum(p) for p in parts])
-
-
-def _mixed_triple_sum(wa: np.ndarray, wb: np.ndarray, rs: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """sum_{ijk} a_i b_j b_k r_i x [(r_j + r_k) - 3 (r_j . r_k)(r_j/|r_j|^2 + r_k/|r_k|^2)].
-
-    with a_i = wa_i / |r_i|^3, b_j = wb_j / |r_j|^3. This is A x grad(F_B^2)
-    written out for two Coulomb superpositions A and F_B; the (r_j + r_k)
-    part no longer cancels because the species weights differ.
-    """
-    n = len(norms)
-    a = wa / norms**3
-    b = wb / norms**3
-    u = rs / norms[:, None] ** 2
-    parts = ([], [], [])
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                inner = (rs[j] + rs[k]) - 3.0 * float(rs[j] @ rs[k]) * (u[j] + u[k])
-                vec = a[i] * b[j] * b[k] * np.cross(rs[i], inner)
-                for comp in range(3):
-                    parts[comp].append(vec[comp])
-    return np.array([math.fsum(p) for p in parts])
+    root_a = math.sqrt(1.0 + beta * float(a @ a))
+    root_b = math.sqrt(1.0 + beta * float(b @ b))
+    mixed = beta / (2.0 * root_a * root_b) * np.cross(a, grad_b2)
+    return root_b * _classical_curl(beta, a, grad_a2) + mixed
 
 
 def jm_classical_electrostatic(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
     """Magnetic current density of the classical multicentered electric field.
 
-    j_m = 3 beta / (2 (4 pi)^3 (1 + beta D^2)^{3/2}) * triple sum, and
-    curl E = -j_m for E = D / sqrt(1 + beta D^2). Uses the electric charges
-    only; exactly zero for a single center.
+    j_m = beta / (2 (1 + beta D^2)^{3/2}) grad(D^2) x D, and curl E = -j_m
+    for E = D / sqrt(1 + beta D^2). Uses the electric charges only; zero for
+    a single center, where grad(D^2) is parallel to D.
     """
-    rs, norms = _offsets(cfg, x)
-    d = displacement_field(cfg, x)
-    d2 = float(d @ d)
-    pref = 3.0 * beta / (2.0 * _FOUR_PI**3 * (1.0 + beta * d2) ** 1.5)
-    return pref * _curl_triple_sum(cfg.qs, rs, norms)
-
-
-def jm_classical_electrostatic_pair(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
-    """Dedicated two-center closed form of jm_classical_electrostatic.
-
-    j_m = 3 beta q1 q2 / ((4 pi)^3 (1+beta D^2)^{3/2} |r1|^3 |r2|^3)
-          * [ (r1.r2)/(|r1|^2 |r2|^2) (q1/|r1| - q2/|r2|)
-              + q2/|r2|^3 - q1/|r1|^3 ] (r1 x r2)
-    """
-    if len(cfg) != 2:
-        raise ValueError("pair formula requires exactly two charges")
-    rs, norms = _offsets(cfg, x)
-    q1, q2 = cfg.qs
-    r1, r2 = rs
-    n1, n2 = norms
-    d = displacement_field(cfg, x)
-    d2 = float(d @ d)
-    pref = 3.0 * beta * q1 * q2 / (_FOUR_PI**3 * (1.0 + beta * d2) ** 1.5 * n1**3 * n2**3)
-    bracket = (
-        float(r1 @ r2) / (n1**2 * n2**2) * (q1 / n1 - q2 / n2)
-        + q2 / n2**3
-        - q1 / n1**3
-    )
-    return pref * bracket * np.cross(r1, r2)
+    return _classical_curl(beta, *_field_and_gradient(cfg, cfg.qs, x))
 
 
 def jm_classical_jacobi_term(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
@@ -189,14 +146,10 @@ def jm_classical_jacobi_term(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
 def je_classical_magnetostatic(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
     """Electric current density of the classical multicentered magnetic field.
 
-    curl H = j_e for H = B / sqrt(1 + beta B^2); same triple sum as the
-    electric case with g_i in place of q_i and the opposite overall sign.
+    curl H = j_e for H = B / sqrt(1 + beta B^2); the electric formula with
+    B in place of D and the opposite overall sign.
     """
-    rs, norms = _offsets(cfg, x)
-    b = magnetic_field(cfg, x)
-    b2 = float(b @ b)
-    pref = -3.0 * beta / (2.0 * _FOUR_PI**3 * (1.0 + beta * b2) ** 1.5)
-    return pref * _curl_triple_sum(cfg.gs, rs, norms)
+    return -_classical_curl(beta, *_field_and_gradient(cfg, cfg.gs, x))
 
 
 def jm_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
@@ -205,22 +158,13 @@ def jm_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
     E = sqrt((1+beta B^2)/(1+beta D^2)) D, and
 
         j_m = sqrt(1 + beta B^2) * j_m(electric part)
-              + beta / (2 (4 pi)^3 sqrt(1+beta D^2) sqrt(1+beta B^2))
-                * sum_{ijk} q_i g_j g_k r_i x [(r_j + r_k)
-                      - 3 (r_j . r_k)(r_j/|r_j|^2 + r_k/|r_k|^2)] / (...)
+              + beta / (2 sqrt(1+beta D^2) sqrt(1+beta B^2)) D x grad(B^2)
 
-    The second term is D/sqrt(1+beta D^2) x grad sqrt(1+beta B^2) written
-    out; it vanishes when all g_i = 0, recovering the electrostatic current.
+    The second term is D/sqrt(1+beta D^2) x grad sqrt(1+beta B^2); it
+    vanishes when all g_i = 0, recovering the electrostatic current exactly.
     """
-    rs, norms = _offsets(cfg, x)
-    d = displacement_field(cfg, x)
-    b = magnetic_field(cfg, x)
-    d2 = float(d @ d)
-    b2 = float(b @ b)
-    jm2 = jm_classical_electrostatic(cfg, beta, x)
-    pref3 = beta / (2.0 * _FOUR_PI**3 * math.sqrt(1.0 + beta * d2) * math.sqrt(1.0 + beta * b2))
-    jm3 = pref3 * _mixed_triple_sum(cfg.qs, cfg.gs, rs, norms)
-    return math.sqrt(1.0 + beta * b2) * jm2 + jm3
+    return _dyonic_k0_curl(beta, *_field_and_gradient(cfg, cfg.qs, x),
+                           *_field_and_gradient(cfg, cfg.gs, x))
 
 
 def je_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
@@ -229,22 +173,13 @@ def je_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
     H = sqrt((1+beta D^2)/(1+beta B^2)) B, so by the product rule
 
         j_e = sqrt(1 + beta D^2) * j_e(magnetic part)
-              - beta / (2 (4 pi)^3 sqrt(1+beta B^2) sqrt(1+beta D^2))
-                * sum_{ijk} g_i q_j q_k r_i x [(r_j + r_k)
-                      - 3 (r_j . r_k)(r_j/|r_j|^2 + r_k/|r_k|^2)] / (...)
+              - beta / (2 sqrt(1+beta B^2) sqrt(1+beta D^2)) B x grad(D^2)
 
     This is the electric-magnetic mirror of jm_classical_dyonic_k0; the
     relative sign flips because j_e = +curl H while j_m = -curl E.
     """
-    rs, norms = _offsets(cfg, x)
-    d = displacement_field(cfg, x)
-    b = magnetic_field(cfg, x)
-    d2 = float(d @ d)
-    b2 = float(b @ b)
-    je2 = je_classical_magnetostatic(cfg, beta, x)
-    pref3 = beta / (2.0 * _FOUR_PI**3 * math.sqrt(1.0 + beta * d2) * math.sqrt(1.0 + beta * b2))
-    je3 = pref3 * _mixed_triple_sum(cfg.gs, cfg.qs, rs, norms)
-    return math.sqrt(1.0 + beta * d2) * je2 - je3
+    return -_dyonic_k0_curl(beta, *_field_and_gradient(cfg, cfg.gs, x),
+                            *_field_and_gradient(cfg, cfg.qs, x))
 
 
 def jm_generic_electrostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.ndarray:
@@ -252,15 +187,14 @@ def jm_generic_electrostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.nd
 
     With h = h(D^2) the solution of (f'(h/2))^2 h = D^2 (so h = E^2),
 
-        j_m = 3 f''(h/2) h'(D^2) / (2 (4 pi)^3 f'(h/2)^2) * triple sum
+        j_m = f''(h/2) h'(D^2) / (2 f'(h/2)^2) grad(D^2) x D
 
     where h' comes from differentiating the inversion identity implicitly:
     h' = 1 / (f'(h/2) [f''(h/2) h + f'(h/2)]). Differencing the root finder
     instead would be noise-dominated. curl E = -j_m. Linear electrodynamics
     (f'' = 0) gives zero identically.
     """
-    rs, norms = _offsets(cfg, x)
-    d = displacement_field(cfg, x)
+    d, grad = _field_and_gradient(cfg, cfg.qs, x)
     e = electrostatic_e(params, d)
     h = float(e @ e)
     fp = params.f_prime(0.5 * h)
@@ -268,28 +202,12 @@ def jm_generic_electrostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.nd
     if fpp == 0.0:
         return np.zeros(3)
     hprime = 1.0 / (fp * (fpp * h + fp))
-    pref = 3.0 * fpp * hprime / (2.0 * _FOUR_PI**3 * fp**2)
-    return pref * _curl_triple_sum(cfg.qs, rs, norms)
+    return fpp * hprime / (2.0 * fp**2) * np.cross(grad, d)
 
 
 def grad_field_square(cfg: ChargeConfig, x, which: str = "magnetic") -> np.ndarray:
-    """Analytic gradient of D^2 or B^2 for a Coulomb superposition.
-
-    grad(F^2) = (4 pi)^{-2} sum_{jk} w_j w_k [ (r_j + r_k)
-                 - 3 (r_j . r_k)(r_j/|r_j|^2 + r_k/|r_k|^2) ] / (|r_j|^3 |r_k|^3)
-    """
-    rs, norms = _offsets(cfg, x)
-    weights = cfg.gs if which == "magnetic" else cfg.qs
-    c = weights / norms**3
-    u = rs / norms[:, None] ** 2
-    n = len(cfg)
-    parts = ([], [], [])
-    for j in range(n):
-        for k in range(n):
-            vec = c[j] * c[k] * ((rs[j] + rs[k]) - 3.0 * float(rs[j] @ rs[k]) * (u[j] + u[k]))
-            for comp in range(3):
-                parts[comp].append(vec[comp])
-    return np.array([math.fsum(p) for p in parts]) / _FOUR_PI**2
+    """Analytic gradient of D^2 or B^2 for a Coulomb superposition."""
+    return _field_and_gradient(cfg, cfg.gs if which == "magnetic" else cfg.qs, x)[1]
 
 
 def je_generic_magnetostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.ndarray:
@@ -299,13 +217,11 @@ def je_generic_magnetostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.nd
     Vanishes for a single center (B parallel to grad B^2) and for linear
     electrodynamics.
     """
-    x = cfg.check_regular(x)
-    b = magnetic_field(cfg, x)
-    b2 = float(b @ b)
-    fpp = params.f_double_prime(-0.5 * b2)
+    b, grad = _field_and_gradient(cfg, cfg.gs, x)
+    fpp = params.f_double_prime(-0.5 * float(b @ b))
     if fpp == 0.0:
         return np.zeros(3)
-    return 0.5 * fpp * np.cross(b, grad_field_square(cfg, x, which="magnetic"))
+    return 0.5 * fpp * np.cross(b, grad)
 
 
 def fd_step(x, scale: float = 1e-4) -> float:

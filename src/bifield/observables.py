@@ -24,8 +24,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, QuadratureError, SingularPoint
 from .models import ModelParams, CLASSICAL
-from .sources import ChargeConfig, as_vec3, displacement_field, magnetic_field
-from .constitutive import FieldState, dyonic_eh, state_from_db
+from .sources import ChargeConfig, _batch_coulomb, as_vec3, displacement_field, magnetic_field
+from .constitutive import FieldState, state_from_db
 from .currents import current_at, eh_field, fd_curl, fd_div, fd_step, stencil_is_clear
 
 __all__ = [
@@ -165,14 +165,6 @@ def classical_energy_density(beta: float, kappa: float, d, b) -> np.ndarray:
     r1 = np.sqrt((1.0 + beta * b2) * (1.0 + k2 * b2))
     r2 = np.sqrt(1.0 + beta * d2 + k2 * b2 + beta * k2 * bxd2)
     return (b2 * r1 * r2 + (1.0 + beta * b2) * (d2 + k2 * bxd2)) / (r1 * (r1 + r2))
-
-
-def _batch_coulomb(cfg: ChargeConfig, weights: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    rs = pts[:, None, :] - cfg.positions[None, :, :]
-    dist = np.linalg.norm(rs, axis=-1)
-    if np.any(dist <= cfg.exclusion_radius):
-        raise SingularPoint("batch evaluation point inside a charge exclusion ball")
-    return np.einsum("j,ij,ijk->ik", weights / (4.0 * math.pi), dist**-3, rs)
 
 
 def hamiltonian_on_points(params: ModelParams, cfg: ChargeConfig, pts) -> np.ndarray:
@@ -425,23 +417,37 @@ def total_energy(cfg: ChargeConfig, params: ModelParams, quad: QuadratureSpec) -
 # -- flux charges --------------------------------------------------------------
 
 
-def flux_charge(field: Callable, R: float, quad: QuadratureSpec, center=(0.0, 0.0, 0.0)) -> float:
+def flux_charge(field: Callable, R: float, quad: QuadratureSpec,
+                center=(0.0, 0.0, 0.0)) -> float | np.ndarray:
     """Flux of a vector field through the sphere of radius R.
 
     Product Gauss rule in cos(theta) times a uniform rule in phi, doubled
-    until two successive levels agree to rel_tol. Raises QuadratureError if
-    max_subdivisions doublings do not converge.
+    until two successive levels agree to rel_tol. A field of shape (..., 3)
+    gives an array of fluxes of shape (...), one per leading index, each
+    kept from the level at which it converged; a (3,) field gives a float.
+    Raises QuadratureError if max_subdivisions doublings do not converge.
     """
     center = as_vec3(center)
     n_mu, n_phi = 8, 16
-    prev = None
+    prev = flux = done = None
     for _ in range(quad.max_subdivisions + 1):
         dirs, w_ang = _sphere_rule(n_mu, n_phi)
-        pts = center[None, :] + R * dirs
-        vals = np.array([float(np.asarray(field(p)) @ dirs[k]) for k, p in enumerate(pts)])
-        cur = R**2 * float(w_ang @ vals)
-        if prev is not None and abs(cur - prev) <= quad.rel_tol * max(abs(cur), quad.abs_tol):
-            return cur
+        vals = [np.asarray(field(p), dtype=float) for p in center[None, :] + R * dirs]
+        shape = vals[0].shape[:-1]
+        rows = np.array(vals).reshape(len(dirs), -1, 3)
+        # each field's normal component is its own 3-term dot: an (m, 3) @ (3,)
+        # product can differ from it in the last bit
+        normal = np.array([[float(v @ d) for v, d in zip(rows[:, m], dirs)]
+                           for m in range(rows.shape[1])])
+        cur = np.array([R**2 * float(w_ang @ row) for row in normal])
+        if prev is None:
+            flux, done = cur.copy(), np.zeros(len(cur), dtype=bool)
+        else:
+            fresh = ~done & (np.abs(cur - prev) <= quad.rel_tol * np.maximum(np.abs(cur), quad.abs_tol))
+            flux[fresh] = cur[fresh]
+            done |= fresh
+            if np.all(done):
+                return float(flux[0]) if shape == () else flux.reshape(shape)
         prev = cur
         n_mu *= 2
         n_phi *= 2
@@ -456,23 +462,15 @@ def free_charge_with_inner_spheres(cfg: ChargeConfig, params: ModelParams,
     The inner spheres capture the point-like singular content of E and H
     (for classical kappa = 0 dyons, |g_i| sgn(q_i) and |q_i| sgn(g_i)), so
     q_free reproduces sum(q_i) - sum(|g_i| sgn(q_i)) and g_free its mirror.
+    E and H share one inversion per sphere node.
     """
     quad.validate_for(cfg)
-
-    def e_field(y):
-        return dyonic_eh(params, displacement_field(cfg, y), magnetic_field(cfg, y))[0]
-
-    def h_field(y):
-        return dyonic_eh(params, displacement_field(cfg, y), magnetic_field(cfg, y))[1]
-
-    center = cfg.centroid
-    r_outer = quad.far_radius
-    r_inner = 2.0 * quad.exclusion
-    q_free = flux_charge(e_field, r_outer, quad, center=center)
-    g_free = flux_charge(h_field, r_outer, quad, center=center)
+    eh = eh_field(params, cfg)
+    q_free, g_free = flux_charge(eh, quad.far_radius, quad, center=cfg.centroid)
     for pos in cfg.positions:
-        q_free -= flux_charge(e_field, r_inner, quad, center=pos)
-        g_free -= flux_charge(h_field, r_inner, quad, center=pos)
+        q_inner, g_inner = flux_charge(eh, 2.0 * quad.exclusion, quad, center=pos)
+        q_free -= q_inner
+        g_free -= g_inner
     return {"q_free": float(q_free), "g_free": float(g_free)}
 
 

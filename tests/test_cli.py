@@ -14,9 +14,13 @@ import pytest
 from bifield import (
     ModelParams,
     ChargeConfig,
+    currents,
     displacement_field,
+    dyonic_eh,
     electrostatic_e,
+    flux_charge,
     hamiltonian_at,
+    magnetic_field,
 )
 from bifield.cli import (
     EXIT_CONFIG,
@@ -349,6 +353,45 @@ class TestChargeCommand:
         assert len(lines) == 5
         report = json.loads((tmp_path / "charge.report.json").read_text())
         assert report["q_free"] == pytest.approx(3.0, abs=1e-4)
+
+    def test_sphere_nodes_invert_once(self, tmp_path, monkeypatch):
+        # logarithmic unit charge off the origin, rel_tol 1e-5, --R 50: six
+        # sphere quadratures (outer, inner, four ladder radii), each stopping
+        # at its 16x32 level, i.e. 128 + 512 nodes and one inversion per node
+        data = {
+            "model": {"kind": "logarithmic", "beta": 1.0, "kappa": 0.0},
+            "charges": [{"pos": [0.023643249400513433, 0.9009273926518706,
+                                 -0.7116807745607325], "q": 1.0}],
+            "quadrature": {"rel_tol": 1e-5},
+        }
+        path = write_config(tmp_path, data)
+        calls = []
+
+        def counting_eh(*args, **kwargs):
+            calls.append(1)
+            return dyonic_eh(*args, **kwargs)
+
+        monkeypatch.setattr(currents, "dyonic_eh", counting_eh)
+        rc = main(["charge", "--config", str(path), "--out-dir", str(tmp_path),
+                   "--R", "50", "--format", "json"])
+        monkeypatch.undo()
+        assert rc == EXIT_OK and len(calls) == 6 * (128 + 512)
+
+        # reference: separate quadratures of E-only and H-only fields
+        cfg = parse_config(data)
+        params, charges = cfg.model, cfg.charges
+
+        def e_field(y):
+            return dyonic_eh(params, displacement_field(charges, y), magnetic_field(charges, y))[0]
+
+        def h_field(y):
+            return dyonic_eh(params, displacement_field(charges, y), magnetic_field(charges, y))[1]
+
+        report = json.loads((tmp_path / "charge.json").read_text())
+        for rung in report["flux_ladder"]:
+            r, center = rung["radius"], charges.centroid
+            assert rung["e_flux"] == flux_charge(e_field, r, cfg.quadrature, center=center)
+            assert rung["h_flux"] == flux_charge(h_field, r, cfg.quadrature, center=center)
 
     def test_bad_radius_rejected(self, tmp_path):
         path = write_config(tmp_path, pair_config())

@@ -21,13 +21,15 @@ from bifield.currents import (
     je_generic_magnetostatic,
     jm_classical_dyonic_k0,
     jm_classical_electrostatic,
-    jm_classical_electrostatic_pair,
     jm_classical_jacobi_term,
     jm_generic_electrostatic,
     stencil_is_clear,
 )
 from bifield.errors import SingularPoint
 from bifield.sources import displacement_field, magnetic_field
+
+import triple_sums
+from triple_sums import jm_classical_electrostatic_pair
 
 BETA = 1.0
 FD_TOL = 1e-5
@@ -328,6 +330,46 @@ class TestGenericMagnetostatic:
         )
         grad = grad_field_square(cfg, x, which="magnetic")
         assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
+
+
+class TestFactoredFormsMatchTripleSums:
+    """The O(n) factored currents against the term-by-term fsum oracle."""
+
+    MODELS = (ModelParams.logarithmic(beta=0.4), ModelParams.exponential(beta=0.7),
+              ModelParams.fractional_power(beta=0.8, p=3.0))
+
+    @staticmethod
+    def assert_close(got, ref):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_configurations(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(4):
+            cfg = random_config(rng, n, electric=True, magnetic=True)
+            x = far_point(rng, cfg, min_dist=0.2)
+            beta = float(rng.uniform(0.2, 2.0))
+            params = self.MODELS[int(rng.integers(len(self.MODELS)))]
+            for name in ("jm_classical_electrostatic", "je_classical_magnetostatic",
+                         "jm_classical_dyonic_k0", "je_classical_dyonic_k0"):
+                self.assert_close(getattr(currents, name)(cfg, beta, x),
+                                  getattr(triple_sums, name)(cfg, beta, x))
+            for name in ("jm_generic_electrostatic", "je_generic_magnetostatic"):
+                self.assert_close(getattr(currents, name)(params, cfg, x),
+                                  getattr(triple_sums, name)(params, cfg, x))
+            for which in ("electric", "magnetic"):
+                self.assert_close(grad_field_square(cfg, x, which=which),
+                                  triple_sums.grad_field_square(cfg, x, which=which))
+
+    def test_thirty_two_centres(self):
+        rng = np.random.default_rng(332)
+        cfg = random_config(rng, 32, electric=True, magnetic=True, spread=2.0)
+        x = far_point(rng, cfg, min_dist=0.2)
+        # the dyonic oracle runs both the single-species and the mixed triple sum
+        self.assert_close(jm_classical_dyonic_k0(cfg, BETA, x),
+                          triple_sums.jm_classical_dyonic_k0(cfg, BETA, x))
+        self.assert_close(grad_field_square(cfg, x, which="electric"),
+                          triple_sums.grad_field_square(cfg, x, which="electric"))
 
 
 class TestFiniteDifferenceOracles:

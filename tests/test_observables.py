@@ -345,6 +345,26 @@ class TestFluxCharge:
         with pytest.raises(QuadratureError):
             flux_charge(lambda y: rng.normal(size=3), 3.0, quad)
 
+    def test_stacked_field_keeps_each_level(self):
+        # a centred charge converges at the first doubling, an off-centre
+        # one needs two more: each stacked flux equals its own quadrature
+        centred = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 0.0)])
+        off = ChargeConfig.build([((0.0, 0.3, 0.6), -2.0, 0.0)])
+        quad = QuadratureSpec()
+        calls = []
+
+        def stacked(y):
+            calls.append(1)
+            return np.stack((displacement_field(centred, y), displacement_field(off, y)))
+
+        flux = flux_charge(stacked, 1.0, quad)
+        assert flux.shape == (2,)
+        assert flux[0] == flux_charge(lambda y: displacement_field(centred, y), 1.0, quad)
+        assert flux[1] == flux_charge(lambda y: displacement_field(off, y), 1.0, quad)
+        assert flux[0] == 1.0 and flux[1] != -2.0
+        # levels of 8x16, 16x32 and 32x64 nodes, each field value computed once
+        assert len(calls) == 128 + 512 + 2048
+
 
 class TestFreeCharge:
     def test_electric_only_charge_unchanged(self):

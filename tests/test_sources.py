@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from bifield.currents import current_at, jm_classical_electrostatic
 from bifield.errors import SingularPoint
+from bifield.models import ModelParams
+from bifield.observables import hamiltonian_at
 from bifield.sources import (
     ChargeConfig,
     PointCharge,
@@ -112,6 +115,21 @@ class TestExclusion:
         with pytest.raises(SingularPoint):
             displacement_field(cfg, (0.05, 0, 0))
         displacement_field(cfg, (0.2, 0, 0))  # fine
+
+    def test_exclusion_boundary_is_regular_everywhere(self):
+        # strictly inside the ball is singular, the sphere itself is not, in
+        # the pointwise, batched and current paths alike
+        cfg = ChargeConfig.build([((0, 0, 0), 1.0, 0.0), ((2, 0, 0), -1.0, 0.0)],
+                                 exclusion_radius=0.5)
+        params = ModelParams.classical(beta=1.0)
+        on, inside = np.array([0.5, 0.0, 0.0]), np.array([0.4999, 0.0, 0.0])
+        for fn in (lambda x: displacement_field(cfg, x),
+                   lambda x: hamiltonian_at(params, cfg, x),
+                   lambda x: current_at(params, cfg, x).j_m,
+                   lambda x: jm_classical_electrostatic(cfg, 1.0, x)):
+            assert np.all(np.isfinite(fn(on)))
+            with pytest.raises(SingularPoint):
+                fn(inside)
 
 
 class TestFarField:

@@ -1,0 +1,229 @@
+"""Term-by-term reference for the closed-form currents.
+
+The induced currents written out as fsum-accumulated sums over charge pairs
+and triples, O(n^3) per point. bifield.currents evaluates the same
+quantities in factored form (a prefactor times grad(F^2) x F from one O(n)
+Coulomb kernel); the tests hold the two against each other. The two-centre
+closed form of the electrostatic current is kept here as a third, fully
+explicit reference.
+"""
+
+import math
+
+import numpy as np
+
+from bifield.constitutive import electrostatic_e
+from bifield.models import ModelParams
+from bifield.sources import ChargeConfig, displacement_field, magnetic_field
+
+_FOUR_PI = 4.0 * math.pi
+
+
+def _offsets(cfg: ChargeConfig, x) -> tuple[np.ndarray, np.ndarray]:
+    """Displacements r_i = x - x_i and their norms, singularity-checked."""
+    x = cfg.check_regular(x)
+    rs = x[None, :] - cfg.positions
+    norms = np.linalg.norm(rs, axis=1)
+    return rs, norms
+
+
+def _curl_triple_sum(weights: np.ndarray, rs: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """sum_{ijk} c_i c_j c_k (r_j . r_k) r_i x (r_j/|r_j|^2 + r_k/|r_k|^2).
+
+    with c_i = w_i / |r_i|^3. This is the angular structure shared by every
+    single-species current; prefactors are applied by the callers.
+    """
+    n = len(weights)
+    c = weights / norms**3
+    u = rs / norms[:, None] ** 2
+    parts = ([], [], [])
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                scale = c[i] * c[j] * c[k] * float(rs[j] @ rs[k])
+                vec = np.cross(rs[i], u[j] + u[k])
+                for comp in range(3):
+                    parts[comp].append(scale * vec[comp])
+    return np.array([math.fsum(p) for p in parts])
+
+
+def _mixed_triple_sum(wa: np.ndarray, wb: np.ndarray, rs: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """sum_{ijk} a_i b_j b_k r_i x [(r_j + r_k) - 3 (r_j . r_k)(r_j/|r_j|^2 + r_k/|r_k|^2)].
+
+    with a_i = wa_i / |r_i|^3, b_j = wb_j / |r_j|^3. This is A x grad(F_B^2)
+    written out for two Coulomb superpositions A and F_B; the (r_j + r_k)
+    part no longer cancels because the species weights differ.
+    """
+    n = len(norms)
+    a = wa / norms**3
+    b = wb / norms**3
+    u = rs / norms[:, None] ** 2
+    parts = ([], [], [])
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                inner = (rs[j] + rs[k]) - 3.0 * float(rs[j] @ rs[k]) * (u[j] + u[k])
+                vec = a[i] * b[j] * b[k] * np.cross(rs[i], inner)
+                for comp in range(3):
+                    parts[comp].append(vec[comp])
+    return np.array([math.fsum(p) for p in parts])
+
+
+def jm_classical_electrostatic(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
+    """Magnetic current density of the classical multicentered electric field.
+
+    j_m = 3 beta / (2 (4 pi)^3 (1 + beta D^2)^{3/2}) * triple sum, and
+    curl E = -j_m for E = D / sqrt(1 + beta D^2). Uses the electric charges
+    only; exactly zero for a single center.
+    """
+    rs, norms = _offsets(cfg, x)
+    d = displacement_field(cfg, x)
+    d2 = float(d @ d)
+    pref = 3.0 * beta / (2.0 * _FOUR_PI**3 * (1.0 + beta * d2) ** 1.5)
+    return pref * _curl_triple_sum(cfg.qs, rs, norms)
+
+
+def jm_classical_electrostatic_pair(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
+    """Dedicated two-center closed form of jm_classical_electrostatic.
+
+    j_m = 3 beta q1 q2 / ((4 pi)^3 (1+beta D^2)^{3/2} |r1|^3 |r2|^3)
+          * [ (r1.r2)/(|r1|^2 |r2|^2) (q1/|r1| - q2/|r2|)
+              + q2/|r2|^3 - q1/|r1|^3 ] (r1 x r2)
+    """
+    if len(cfg) != 2:
+        raise ValueError("pair formula requires exactly two charges")
+    rs, norms = _offsets(cfg, x)
+    q1, q2 = cfg.qs
+    r1, r2 = rs
+    n1, n2 = norms
+    d = displacement_field(cfg, x)
+    d2 = float(d @ d)
+    pref = 3.0 * beta * q1 * q2 / (_FOUR_PI**3 * (1.0 + beta * d2) ** 1.5 * n1**3 * n2**3)
+    bracket = (
+        float(r1 @ r2) / (n1**2 * n2**2) * (q1 / n1 - q2 / n2)
+        + q2 / n2**3
+        - q1 / n1**3
+    )
+    return pref * bracket * np.cross(r1, r2)
+
+
+def je_classical_magnetostatic(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
+    """Electric current density of the classical multicentered magnetic field.
+
+    curl H = j_e for H = B / sqrt(1 + beta B^2); same triple sum as the
+    electric case with g_i in place of q_i and the opposite overall sign.
+    """
+    rs, norms = _offsets(cfg, x)
+    b = magnetic_field(cfg, x)
+    b2 = float(b @ b)
+    pref = -3.0 * beta / (2.0 * _FOUR_PI**3 * (1.0 + beta * b2) ** 1.5)
+    return pref * _curl_triple_sum(cfg.gs, rs, norms)
+
+
+def jm_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
+    """Magnetic current density for the classical kappa = 0 dyonic solution.
+
+    E = sqrt((1+beta B^2)/(1+beta D^2)) D, and
+
+        j_m = sqrt(1 + beta B^2) * j_m(electric part)
+              + beta / (2 (4 pi)^3 sqrt(1+beta D^2) sqrt(1+beta B^2))
+                * sum_{ijk} q_i g_j g_k r_i x [(r_j + r_k)
+                      - 3 (r_j . r_k)(r_j/|r_j|^2 + r_k/|r_k|^2)] / (...)
+
+    The second term is D/sqrt(1+beta D^2) x grad sqrt(1+beta B^2) written
+    out; it vanishes when all g_i = 0, recovering the electrostatic current.
+    """
+    rs, norms = _offsets(cfg, x)
+    d = displacement_field(cfg, x)
+    b = magnetic_field(cfg, x)
+    d2 = float(d @ d)
+    b2 = float(b @ b)
+    jm2 = jm_classical_electrostatic(cfg, beta, x)
+    pref3 = beta / (2.0 * _FOUR_PI**3 * math.sqrt(1.0 + beta * d2) * math.sqrt(1.0 + beta * b2))
+    jm3 = pref3 * _mixed_triple_sum(cfg.qs, cfg.gs, rs, norms)
+    return math.sqrt(1.0 + beta * b2) * jm2 + jm3
+
+
+def je_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
+    """Electric current density for the classical kappa = 0 dyonic solution.
+
+    H = sqrt((1+beta D^2)/(1+beta B^2)) B, so by the product rule
+
+        j_e = sqrt(1 + beta D^2) * j_e(magnetic part)
+              - beta / (2 (4 pi)^3 sqrt(1+beta B^2) sqrt(1+beta D^2))
+                * sum_{ijk} g_i q_j q_k r_i x [(r_j + r_k)
+                      - 3 (r_j . r_k)(r_j/|r_j|^2 + r_k/|r_k|^2)] / (...)
+
+    This is the electric-magnetic mirror of jm_classical_dyonic_k0; the
+    relative sign flips because j_e = +curl H while j_m = -curl E.
+    """
+    rs, norms = _offsets(cfg, x)
+    d = displacement_field(cfg, x)
+    b = magnetic_field(cfg, x)
+    d2 = float(d @ d)
+    b2 = float(b @ b)
+    je2 = je_classical_magnetostatic(cfg, beta, x)
+    pref3 = beta / (2.0 * _FOUR_PI**3 * math.sqrt(1.0 + beta * d2) * math.sqrt(1.0 + beta * b2))
+    je3 = pref3 * _mixed_triple_sum(cfg.gs, cfg.qs, rs, norms)
+    return math.sqrt(1.0 + beta * d2) * je2 - je3
+
+
+def jm_generic_electrostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.ndarray:
+    """Magnetic current density of the electrostatic solution for any model.
+
+    With h = h(D^2) the solution of (f'(h/2))^2 h = D^2 (so h = E^2),
+
+        j_m = 3 f''(h/2) h'(D^2) / (2 (4 pi)^3 f'(h/2)^2) * triple sum
+
+    where h' comes from differentiating the inversion identity implicitly:
+    h' = 1 / (f'(h/2) [f''(h/2) h + f'(h/2)]). Differencing the root finder
+    instead would be noise-dominated. curl E = -j_m. Linear electrodynamics
+    (f'' = 0) gives zero identically.
+    """
+    rs, norms = _offsets(cfg, x)
+    d = displacement_field(cfg, x)
+    e = electrostatic_e(params, d)
+    h = float(e @ e)
+    fp = params.f_prime(0.5 * h)
+    fpp = params.f_double_prime(0.5 * h)
+    if fpp == 0.0:
+        return np.zeros(3)
+    hprime = 1.0 / (fp * (fpp * h + fp))
+    pref = 3.0 * fpp * hprime / (2.0 * _FOUR_PI**3 * fp**2)
+    return pref * _curl_triple_sum(cfg.qs, rs, norms)
+
+
+def grad_field_square(cfg: ChargeConfig, x, which: str = "magnetic") -> np.ndarray:
+    """Analytic gradient of D^2 or B^2 for a Coulomb superposition.
+
+    grad(F^2) = (4 pi)^{-2} sum_{jk} w_j w_k [ (r_j + r_k)
+                 - 3 (r_j . r_k)(r_j/|r_j|^2 + r_k/|r_k|^2) ] / (|r_j|^3 |r_k|^3)
+    """
+    rs, norms = _offsets(cfg, x)
+    weights = cfg.gs if which == "magnetic" else cfg.qs
+    c = weights / norms**3
+    u = rs / norms[:, None] ** 2
+    n = len(cfg)
+    parts = ([], [], [])
+    for j in range(n):
+        for k in range(n):
+            vec = c[j] * c[k] * ((rs[j] + rs[k]) - 3.0 * float(rs[j] @ rs[k]) * (u[j] + u[k]))
+            for comp in range(3):
+                parts[comp].append(vec[comp])
+    return np.array([math.fsum(p) for p in parts]) / _FOUR_PI**2
+
+
+def je_generic_magnetostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.ndarray:
+    """Electric current density of the magnetostatic solution for any model.
+
+    j_e = (1/2) f''(-B^2/2) B x grad(B^2), which is curl of H = f'(-B^2/2) B.
+    Vanishes for a single center (B parallel to grad B^2) and for linear
+    electrodynamics.
+    """
+    x = cfg.check_regular(x)
+    b = magnetic_field(cfg, x)
+    b2 = float(b @ b)
+    fpp = params.f_double_prime(-0.5 * b2)
+    if fpp == 0.0:
+        return np.zeros(3)
+    return 0.5 * fpp * np.cross(b, grad_field_square(cfg, x, which="magnetic"))
