@@ -18,6 +18,10 @@ plus one post-hoc direction check.
 kappa = 0 is dispatched to dedicated closed forms rather than taking limits
 numerically; D = 0 is routed to the magnetostatic branch (exact for every
 model), which the logarithmic closed form needs.
+
+dyonic_eh inverts one point; dyonic_eh_rows inverts an (N, 3) batch, in
+array arithmetic for the logarithmic model and through dyonic_eh row by row
+for the others.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainViolation, InversionFailure
+from .errors import DomainViolation, FieldError, InversionFailure
 from .models import (
     CLASSICAL,
     EXPONENTIAL,
@@ -413,3 +417,137 @@ def round_trip_residual(params: ModelParams, d, b) -> float:
     return max(
         float(np.linalg.norm(st.d - d)), float(np.linalg.norm(st.h - h))
     ) / scale
+
+
+# ---------------------------------------------------------------------------
+# batched inversion
+# ---------------------------------------------------------------------------
+
+
+def rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, 3) arrays, taken by matmul like the
+    scalar path's u[i] @ v[i] so that both round alike (an einsum or a sum
+    can differ in the last bit)."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _logarithmic_rows(params, d, b, failures):
+    """The logarithmic branches of dyonic_eh as array arithmetic, expression
+    by expression: electrostatic_e for B = 0, magnetostatic_h for D = 0,
+    _logarithmic_k0 or _logarithmic_k otherwise, then the direction check.
+    Failing rows get the 1-based index of their exception in failures."""
+    beta = params.beta
+    k2 = params.kappa**2
+    d2 = rowdot(d, d)
+    b2 = rowdot(b, b)
+    e = np.zeros_like(d)
+    h = np.zeros_like(b)
+    s = np.empty(len(d))
+    code = np.zeros(len(d), dtype=np.int64)
+
+    elec = b2 == 0.0
+    if elec.any():
+        de = d[elec]
+        e[elec] = 2.0 * de / (1.0 + np.sqrt(1.0 + 2.0 * beta * d2[elec]))[:, None]
+        s[elec] = 0.5 * rowdot(e[elec], e[elec])
+
+    mag = ~elec & (d2 == 0.0)
+    if mag.any():
+        h[mag] = (1.0 / (1.0 - beta * (-0.5 * b2[mag])))[:, None] * b[mag]
+        s[mag] = -0.5 * b2[mag]
+
+    dyon = ~(elec | mag)
+    if not dyon.any():
+        return e, h, s, code
+    dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
+    if params.kappa == 0.0:
+        two_pb = 2.0 + beta * b2y
+        root = np.sqrt(1.0 + beta * d2y * two_pb)
+        one_m = two_pb / (1.0 + root)
+        ey = one_m[:, None] * dd
+        hy = bb / one_m[:, None]
+        sy = (1.0 - one_m) / beta
+        proj = dd
+    else:
+        bd = rowdot(bb, dd)
+        bxd = np.cross(bb, dd)
+        bxd2 = rowdot(bxd, bxd)
+        eta = bd * bd / (d2y + k2 * (2.0 + k2 * b2y) * bxd2)
+        opk = 1.0 + k2 * b2y
+        one_pk = 1.0 + k2 * eta
+        c = 1.0 + 0.5 * beta * b2y
+        m = 1.0 + k2 * (2.0 + k2 * b2y) * eta
+        chi = m / (beta * d2y * one_pk)
+        a = 2.0 * c * c / (beta * one_pk * (c + chi + np.sqrt(chi * (2.0 * c + chi))))
+        sy = 0.5 * (one_pk * a - b2y)
+        one_m = 1.0 - beta * sy
+        proj = dd - (k2 * bd / opk)[:, None] * bb
+        ey = one_m[:, None] * proj
+        eb = one_m * bd / opk
+        hy = (bb - (k2 * eb)[:, None] * ey) / one_m[:, None]
+    e[dyon], h[dyon], s[dyon] = ey, hy, sy
+
+    code_y = np.zeros(len(dd), dtype=np.int64)
+    left = one_m <= 0.0
+    if left.any():
+        failures.append(DomainViolation(
+            "logarithmic inversion left its domain: 1-beta*s <= 0"))
+        code_y[left] = len(failures)
+    dot = rowdot(ey, proj)
+    if (dot < 0.0).any():
+        norms = np.linalg.norm(ey, axis=1) * np.linalg.norm(proj, axis=1)
+        wrong = (code_y == 0) & (dot < -1e-12 * (norms + 1e-300))
+        if wrong.any():
+            failures.append(InversionFailure(
+                "direction match violated: E.(D - k^2 (B.D) B/(1+k^2 B^2)) < 0"))
+            code_y[wrong] = len(failures)
+    code[dyon] = code_y
+    return e, h, s, code
+
+
+def _scalar_rows(params, d, b, failures):
+    """dyonic_eh row by row; failing rows get the 1-based index of their
+    exception in failures."""
+    e = np.zeros_like(d)
+    h = np.zeros_like(b)
+    s = np.zeros(len(d))
+    code = np.zeros(len(d), dtype=np.int64)
+    for i in range(len(d)):
+        try:
+            e[i], h[i], aux = dyonic_eh(params, d[i], b[i])
+        except FieldError as exc:
+            failures.append(exc)
+            code[i] = len(failures)
+            continue
+        s[i] = aux.s
+    return e, h, s, code
+
+
+def dyonic_eh_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Invert the constitutive map on rows: D, B of shape (N, 3) -> E, H, s.
+
+    Returns E and H of shape (N, 3) and the invariant s of shape (N,). The
+    logarithmic model runs as array arithmetic copied from the scalar
+    branches; every other model calls dyonic_eh row by row. Fails loudly:
+    if any row fails or yields a non-finite value, raises the class the
+    scalar path raises for the first such row (DomainViolation for a
+    non-finite one), naming that row and the number of failing rows.
+    """
+    d = np.asarray(d, dtype=float).reshape(-1, 3)
+    b = np.asarray(b, dtype=float).reshape(-1, 3)
+    failures: list = []
+    rows = _logarithmic_rows if params.kind == LOGARITHMIC else _scalar_rows
+    with np.errstate(all="ignore"):
+        e, h, s, code = rows(params, d, b, failures)
+    finite = np.isfinite(e).all(axis=1) & np.isfinite(h).all(axis=1) & np.isfinite(s)
+    if not finite[code == 0].all():
+        failures.append(DomainViolation("inversion gave a non-finite field"))
+        code[(code == 0) & ~finite] = len(failures)
+    bad = np.flatnonzero(code)
+    if len(bad):
+        i = int(bad[0])
+        first = failures[code[i] - 1]
+        raise type(first)(
+            f"{len(bad)} of {len(d)} rows failed; first row {i} "
+            f"(D={d[i].tolist()}, B={b[i].tolist()}): {first}") from first
+    return e, h, s

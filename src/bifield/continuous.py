@@ -25,8 +25,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad as _quad1d
-from scipy.interpolate import RegularGridInterpolator
 
 from .constitutive import FieldState, electrostatic_e, state_from_db
 from .currents import fd_div
@@ -206,8 +204,11 @@ def bump_source(total=1.0, radius=1.0, center=(0.0, 0.0, 0.0),
     R = float(radius)
     if not (R > 0.0 and math.isfinite(R)):
         raise ConfigError("radius must be positive and finite")
+    # imported here so that loading the package does not pay for scipy
+    from scipy.integrate import quad
+
     c = np.asarray(center, dtype=float)
-    shape_integral, _ = _quad1d(
+    shape_integral, _ = quad(
         lambda t: t * t * math.exp(-1.0 / (1.0 - t * t)), 0.0, 1.0)
     amp = total / (_FOUR_PI * R**3 * shape_integral)
 
@@ -267,6 +268,8 @@ def gridded_source(lattice_path, sidecar_path=None, magnetic: bool = False,
             f"lattice holds {data.size} values, sidecar promises {nx * ny * nz}")
     cube = data.reshape(nx, ny, nz)
     axes = tuple(origin[k] + spacing[k] * np.arange(dims[k]) for k in range(3))
+    from scipy.interpolate import RegularGridInterpolator
+
     interp = RegularGridInterpolator(axes, cube, method="linear",
                                      bounds_error=False, fill_value=0.0)
 

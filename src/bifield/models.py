@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import DomainViolation
 
 CLASSICAL = "classical"
@@ -222,6 +224,49 @@ class ModelParams:
         if self.kind == QUADRATIC:
             return 2.0 * self.alpha
         return self.f_double_prime_custom(s)
+
+    def f_and_prime_rows(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """f(s) and f'(s) for an array of invariants, element by element.
+
+        Built-in kinds use the scalar formulas as array arithmetic; custom
+        models call their scalar callables per row. Raises DomainViolation,
+        naming the first offending row and the number of them, if any s is
+        non-finite or outside the model domain.
+        """
+        s = np.asarray(s, dtype=float)
+        b = self.beta
+        ok = np.isfinite(s)
+        if self.kind == CLASSICAL:
+            ok &= 2.0 * b * s < 1.0
+        elif self.kind == LOGARITHMIC:
+            ok &= b * s < 1.0
+        elif self.kind == FRACTIONAL_POWER and not _is_integral(self.p):
+            ok &= 1.0 + b * s / self.p > 0.0
+        elif self.kind == CUSTOM:
+            ok &= (self.s_min < s) & (s < self.s_max)
+        if not ok.all():
+            bad = np.flatnonzero(~ok)
+            raise DomainViolation(
+                f"s outside domain of {self.kind} model in {len(bad)} of {s.size} "
+                f"rows; first row {int(bad[0])}: s={float(s.flat[bad[0]])!r}")
+        if self.kind == CLASSICAL:
+            root = np.sqrt(1.0 - 2.0 * b * s)
+            return (1.0 - root) / b, 1.0 / root
+        if self.kind == LOGARITHMIC:
+            return -np.log1p(-b * s) / b, 1.0 / (1.0 - b * s)
+        if self.kind == EXPONENTIAL:
+            return np.expm1(b * s) / b, np.exp(b * s)
+        if self.kind == FRACTIONAL_POWER:
+            base = 1.0 + b * s / self.p
+            if _is_integral(self.p):
+                n = int(round(self.p))
+                return (base**n - 1.0) / b, base ** (n - 1)
+            return (base**self.p - 1.0) / b, base ** (self.p - 1.0)
+        if self.kind == QUADRATIC:
+            return s + self.alpha * s * s, 1.0 + 2.0 * self.alpha * s
+        f = np.array([self.f_custom(float(v)) for v in s.flat]).reshape(s.shape)
+        fp = np.array([self.f_prime_custom(float(v)) for v in s.flat]).reshape(s.shape)
+        return f, fp
 
     def _fpow(self, s: float, order: int) -> float:
         """(1 + beta s / p)^(p - order), exact for negative base and integer p."""

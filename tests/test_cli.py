@@ -7,10 +7,15 @@ determinism across reruns and thread counts, and the verify command.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bifield
 from bifield import (
     ModelParams,
     ChargeConfig,
@@ -65,6 +70,16 @@ def write_config(tmp_path, data, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the smooth sources that use it, not by the package
+    src = str(Path(bifield.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, bifield.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfigParsing:

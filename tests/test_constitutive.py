@@ -5,6 +5,7 @@ import pytest
 
 from bifield.constitutive import (
     dyonic_eh,
+    dyonic_eh_rows,
     electrostatic_e,
     forward_fields,
     magnetostatic_h,
@@ -297,3 +298,63 @@ class TestFieldState:
         m = ModelParams.exponential(beta=0.5)
         st = forward_fields(m, (0.1, 0.0, 0.0), (0.0, 0.2, 0.0))
         assert st.s == pytest.approx(0.5 * (0.01 - 0.04))
+
+
+class TestRows:
+    """dyonic_eh_rows against the scalar branches it batches."""
+
+    def test_matches_scalar_on_mixed_rows(self):
+        rng = np.random.default_rng(8)
+        rows = [random_db(rng) for _ in range(30)]
+        d = np.array([r[0] for r in rows])
+        b = np.array([r[1] for r in rows])
+        b[:5] = 0.0   # electric rows
+        d[5:10] = 0.0  # magnetic rows
+        d[10] = b[10] = 0.0
+        for kappa in (0.0, 0.5):
+            for name, m, _ in all_params(kappa):
+                e, h, s = dyonic_eh_rows(m, d, b)
+                for i in range(len(d)):
+                    e_ref, h_ref, aux = dyonic_eh(m, d[i], b[i])
+                    np.testing.assert_allclose(e[i], e_ref, rtol=1e-12, atol=1e-15, err_msg=name)
+                    np.testing.assert_allclose(h[i], h_ref, rtol=1e-12, atol=1e-15, err_msg=name)
+                    assert abs(s[i] - aux.s) <= 1e-12 * max(1.0, abs(aux.s)), name
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_static_rows_match_static_branches(self, kappa):
+        rng = np.random.default_rng(9)
+        v = rng.normal(size=(40, 3)) * 10.0 ** rng.uniform(-3, 3, size=(40, 1))
+        zero = np.zeros_like(v)
+        for name, m, _ in all_params(kappa):
+            e, h, _ = dyonic_eh_rows(m, v, zero)
+            for row, ref in zip(e, (electrostatic_e(m, x) for x in v)):
+                assert np.linalg.norm(row - ref) <= 1e-15 * np.linalg.norm(ref), name
+            assert not np.any(h)
+            e, h, _ = dyonic_eh_rows(m, zero, v)
+            for row, ref in zip(h, (magnetostatic_h(m, x) for x in v)):
+                assert np.linalg.norm(row - ref) <= 1e-15 * np.linalg.norm(ref), name
+            assert not np.any(e)
+
+    def test_logarithmic_saturation_through_rows(self):
+        # acceptance check 07's draws and gate, one batch
+        rng = np.random.default_rng(107)
+        m = ModelParams.logarithmic(beta=0.5)
+        cap = math.sqrt(2.0 / 0.5)
+        d = rng.normal(size=(1000, 3)) * 10.0 ** rng.uniform(-2, 8, size=(1000, 1))
+        e, _, _ = dyonic_eh_rows(m, d, np.zeros_like(d))
+        norms = np.linalg.norm(e, axis=1)
+        assert np.max(np.linalg.norm(d, axis=1)) > 1e8
+        assert np.all(norms <= cap * (1.0 + 1e-15))
+        assert np.max(norms) > cap * (1.0 - 1e-7)
+
+    def test_failures_raise_the_scalar_class(self):
+        m = ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5)
+        d = np.array([[0.1, 0.0, 0.0], [30.0, 0.0, 0.0], [40.0, 0.0, 0.0]])
+        b = np.array([[0.0, 0.1, 0.0], [12.0, 0.0, 0.0], [16.0, 0.0, 0.0]])
+        with pytest.raises(InversionFailure):
+            dyonic_eh(m, d[1], b[1])
+        with pytest.raises(InversionFailure, match=r"2 of 3 rows failed; first row 1"):
+            dyonic_eh_rows(m, d, b)
+        for m in (ModelParams.logarithmic(beta=1.0), ModelParams.logarithmic(beta=1.0, kappa=0.5)):
+            with pytest.raises(DomainViolation, match=r"1 of 2 rows failed; first row 1"):
+                dyonic_eh_rows(m, d[:2], np.array([[0.0, 0.1, 0.0], [math.nan, 0.0, 1.0]]))

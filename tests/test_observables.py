@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bifield.errors import ConfigError, QuadratureError, SingularPoint
+from bifield import constitutive
+from bifield.errors import (
+    ConfigError, DomainViolation, InversionFailure, QuadratureError, SingularPoint,
+)
 from bifield.models import ModelParams
-from bifield.sources import ChargeConfig, displacement_field
-from bifield.constitutive import FieldState, state_from_db
+from bifield.sources import ChargeConfig, displacement_field, magnetic_field
+from bifield.constitutive import FieldState, dyonic_eh, state_from_db
 from bifield.observables import (
     EnergyReport,
     QuadratureSpec,
@@ -60,6 +63,20 @@ def three_charges():
         ((-1.0, 0.5, 0.0), -2.0, 0.0),
         ((0.0, -1.0, 0.3), 0.5, 0.0),
     ])
+
+
+def all_kinds(kappa):
+    return {
+        "classical": ModelParams.classical(1.0, kappa=kappa),
+        "logarithmic": ModelParams.logarithmic(0.5, kappa=kappa),
+        "exponential": ModelParams.exponential(0.5, kappa=kappa),
+        "quadratic": ModelParams.quadratic(0.3, kappa=kappa),
+        "fractional_power": ModelParams.fractional_power(0.5, 3.0, kappa=kappa),
+        # the exponential model at beta = 1/2, solved by the generic inversion
+        "custom": ModelParams.custom(lambda s: 2.0 * math.expm1(0.5 * s),
+                                     lambda s: math.exp(0.5 * s),
+                                     lambda s: 0.5 * math.exp(0.5 * s), kappa=kappa),
+    }
 
 
 def coarse_quad(cfg, rel_tol=1e-5, max_subdivisions=4):
@@ -178,16 +195,63 @@ class TestEnergyDensity:
         assert abs(h * r**2 - DYON_K1_PLATEAU) <= 1e-2 * DYON_K1_PLATEAU
 
     def test_batch_matches_pointwise(self):
-        cfg = three_charges()
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(20, 3)) * 4.0
-        pts = pts[np.min(np.linalg.norm(
-            pts[:, None, :] - cfg.positions[None, :, :], axis=-1), axis=1) > 0.3]
-        for params in [ModelParams.classical(1.0, kappa=0.5),
-                       ModelParams.logarithmic(0.5)]:
-            batch = hamiltonian_on_points(params, cfg, pts)
-            for i, x in enumerate(pts):
-                assert abs(batch[i] - hamiltonian_at(params, cfg, x)) <= 1e-12 * max(1.0, abs(batch[i]))
+        # the batched densities against the scalar inversion and density, for
+        # every kind, kappa in {0, 0.5}, electric, magnetic and dyonic charges
+        base = three_charges()
+        charge_sets = {"electric": (base.qs, 0.0 * base.qs),
+                       "magnetic": (0.0 * base.qs, base.qs),
+                       "dyonic": (base.qs, 0.7 * base.qs - 0.2)}
+        for charges, (q, g) in charge_sets.items():
+            cfg = ChargeConfig.build(zip(base.positions, q, g))
+            rng = np.random.default_rng(3)
+            pts = rng.normal(size=(20, 3)) * 4.0
+            pts = pts[np.min(np.linalg.norm(
+                pts[:, None, :] - cfg.positions[None, :, :], axis=-1), axis=1) > 0.3]
+            for kappa in (0.0, 0.5):
+                for kind, params in all_kinds(kappa).items():
+                    batch = hamiltonian_on_points(params, cfg, pts)
+                    for i, x in enumerate(pts):
+                        state = state_from_db(params, displacement_field(cfg, x),
+                                              magnetic_field(cfg, x))
+                        ref = energy_density(params, state)
+                        assert abs(batch[i] - ref) <= 1e-12 * max(1.0, abs(ref)), \
+                            (kind, kappa, charges, i)
+
+    def test_batch_failure_names_first_row_and_count(self):
+        # the fractional-power kappa = 0.5 dyon pair of current-dyon-fd: next
+        # to each centre |B|^2 passes the domain edge and the inversion fails
+        cfg = ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.4), ((-1.0, 0.5, 0.0), -2.0, 1.0)])
+        params = ModelParams.fractional_power(1.0, 1.5, kappa=0.5)
+        pts = np.array([[3.0, 0.0, 0.0], [1.05, 0.0, 0.0], [-1.0, 0.55, 0.0]])
+        with pytest.raises(InversionFailure, match=r"2 of 3 rows failed; first row 1"):
+            hamiltonian_on_points(params, cfg, pts)
+        assert np.all(np.isfinite(hamiltonian_on_points(params, cfg, pts[:1])))
+
+    @pytest.mark.parametrize("params", [ModelParams.logarithmic(1.0),
+                                        ModelParams.logarithmic(1.0, kappa=0.5),
+                                        ModelParams.classical(1.0)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_batch_rejects_non_finite_points(self, params, bad):
+        cfg = single_charge(q=1.0, g=0.4)
+        with pytest.raises(DomainViolation):
+            hamiltonian_on_points(params, cfg, np.array([[bad, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+
+    def test_logarithmic_energy_makes_no_scalar_inversions(self, monkeypatch):
+        calls = []
+
+        def counting_eh(*args, **kwargs):
+            calls.append(1)
+            return dyonic_eh(*args, **kwargs)
+
+        monkeypatch.setattr(constitutive, "dyonic_eh", counting_eh)
+        # the counter sees the per-row path of the other models
+        hamiltonian_on_points(ModelParams.exponential(1.0), single_charge(), np.ones((5, 3)))
+        assert len(calls) == 5
+        calls.clear()
+        cfg = single_charge(q=1.0, g=0.5)
+        report = total_energy(cfg, ModelParams.logarithmic(1.0, kappa=0.5),
+                              coarse_quad(cfg, rel_tol=1e-3, max_subdivisions=2))
+        assert report.value > 0.0 and calls == []
 
     def test_batch_rejects_singular_points(self):
         cfg = three_charges()
