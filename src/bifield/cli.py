@@ -470,9 +470,16 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
 
 
+def _finite_or_none(v) -> Optional[float]:
+    """A float for JSON, or None (null) when it is NaN or infinite."""
+    v = float(v)
+    return v if math.isfinite(v) else None
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        # a non-finite number fails loudly instead of writing invalid JSON
+        fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _emit_table(out_dir: Path, name: str, fmt: str, header, rows,
@@ -551,11 +558,10 @@ def _cmd_sample(cfg: RunConfig, args) -> int:
     if cfg.charges is None:
         raise ConfigError("sample requires a charges section")
     params, charges = cfg.model, cfg.charges
+    eh = eh_field(params, charges)
 
     def row_at(x):
-        e, h, _ = dyonic_eh(
-            params, displacement_field(charges, x), magnetic_field(charges, x)
-        )
+        e, h = eh(x)
         j_m = current_at(params, charges, x).j_m
         dens = hamiltonian_at(params, charges, x)
         return (*x, *e, *h, *j_m, dens)
@@ -661,9 +667,7 @@ def _cmd_energy(cfg: RunConfig, args) -> int:
         "command": "energy",
         "value": report.value,
         "converged": report.converged,
-        "near_charge_exponents": [
-            None if e is None else float(e) for e in report.near_charge_exponents
-        ],
+        "near_charge_exponents": [_finite_or_none(e) for e in report.near_charge_exponents],
         "parts": {
             k: [float(x) for x in v] if isinstance(v, (list, tuple)) else float(v)
             for k, v in report.parts.items()
@@ -680,10 +684,12 @@ def _cmd_energy(cfg: RunConfig, args) -> int:
 
 
 def _suite(name: str, tol: float, residuals) -> dict:
-    worst = max(float(r) for r in residuals)
+    res = [float(r) for r in residuals]
+    # max() skips a NaN that is not first; a NaN residual fails the suite
+    worst = math.nan if any(map(math.isnan, res)) else max(res)
     return {
         "name": name,
-        "max_residual": worst,
+        "max_residual": _finite_or_none(worst),
         "tolerance": tol,
         "passed": bool(worst <= tol),
         "n_checks": len(residuals),
@@ -936,7 +942,9 @@ def _cmd_verify(cfg: Optional[RunConfig], args) -> int:
         suite = fn(rng)
         suites.append(suite)
         status = "ok  " if suite["passed"] else "FAIL"
-        print(f"{status} {suite['name']:<28} max {suite['max_residual']:.3e} "
+        worst = suite["max_residual"]
+        shown = "non-finite" if worst is None else f"{worst:.3e}"
+        print(f"{status} {suite['name']:<28} max {shown} "
               f"tol {suite['tolerance']:.1e} ({suite['n_checks']} checks)")
     all_passed = all(s["passed"] for s in suites)
     payload = _report_head(cfg, args.effective_seed)

@@ -54,18 +54,13 @@ class AuxScalars:
     """Scalar invariants reconstructed alongside an inversion.
 
     a = E^2, b = (E.B)^2 (= eta * a when eta is defined), s the Lorentz
-    invariant, w the Lambert value (exponential model only), r1/r2/denom the
-    classical dyonic radicals.
+    invariant.
     """
 
     a: float
     b: float
     s: float
     eta: Optional[float] = None
-    w: Optional[float] = None
-    r1: Optional[float] = None
-    r2: Optional[float] = None
-    denom: Optional[float] = None
 
     def __post_init__(self):
         if self.a < 0.0 or self.b < 0.0:
@@ -230,9 +225,7 @@ def _classical_k(params, d, b, d2, b2, bd, bxd2, eta):
     eb = f * bd / opk
     h = (b - k2 * eb * e) / f
     s = (d2 - b2 + k2 * (bxd2 - b2 * b2)) / (2.0 * r2 * r2)
-    return e, h, AuxScalars(
-        a=float(e @ e), b=eb * eb, s=s, eta=eta, r1=r1, r2=r2, denom=r1 * opk * r2
-    )
+    return e, h, AuxScalars(a=float(e @ e), b=eb * eb, s=s, eta=eta)
 
 
 def _logarithmic_k0(params, d, b, d2, b2):
@@ -285,7 +278,7 @@ def _exponential(params, d, b, d2, b2, bd, bxd2, eta):
     eb = em * bd / opk
     h = ep * (b - k2 * eb * e)
     s = 0.5 * (w / beta - b2)
-    return e, h, AuxScalars(a=float(e @ e), b=eb * eb, s=s, eta=eta, w=w)
+    return e, h, AuxScalars(a=float(e @ e), b=eb * eb, s=s, eta=eta)
 
 
 def _quadratic(params, d, b, d2, b2, bd, bxd2, eta):

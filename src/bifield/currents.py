@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import SingularPoint
 from .models import ModelParams, CLASSICAL
-from .sources import ChargeConfig, _coulomb_gradient, as_vec3, displacement_field, magnetic_field
+from .sources import (ChargeConfig, _batch_coulomb, _coulomb_gradient, _coulomb_offsets,
+                      _db_weights, _superpose, as_vec3)
 from .constitutive import dyonic_eh, electrostatic_e
 
 __all__ = [
@@ -75,18 +76,11 @@ class CurrentSample:
             raise ValueError("current sample has non-finite components")
 
 
-def _offsets(cfg: ChargeConfig, x) -> tuple[np.ndarray, np.ndarray]:
-    """Displacements r_i = x - x_i and their norms, singularity-checked."""
-    x = cfg.check_regular(x)
-    rs = x[None, :] - cfg.positions
-    norms = np.linalg.norm(rs, axis=1)
-    return rs, norms
-
-
 def _field_and_gradient(cfg: ChargeConfig, weights: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
-    """F and grad(F^2) of one Coulomb superposition at the point x."""
+    """F and grad(F^2) of one Coulomb superposition at the point x; weights
+    of shape (m, n) give m of each, from one offsets pass."""
     f, grad = _coulomb_gradient(cfg, weights, as_vec3(x)[None, :])
-    return f[0], grad[0]
+    return f[..., 0, :], grad[..., 0, :]
 
 
 def _classical_curl(beta: float, f: np.ndarray, grad_f2: np.ndarray) -> np.ndarray:
@@ -127,8 +121,9 @@ def jm_classical_jacobi_term(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
     Identically zero by a x (b+c) + b x (c+a) + c x (a+b) = 0; evaluated
     term by term here as a floating-point witness of that cancellation.
     """
-    rs, norms = _offsets(cfg, x)
-    d = displacement_field(cfg, x)
+    rs, norms = _coulomb_offsets(cfg, as_vec3(x)[None, :])
+    d = _superpose(cfg.qs, rs, norms)[0]
+    rs, norms = rs[0], norms[0]
     d2 = float(d @ d)
     c = cfg.qs / norms**3
     n = len(cfg)
@@ -163,8 +158,8 @@ def jm_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
     The second term is D/sqrt(1+beta D^2) x grad sqrt(1+beta B^2); it
     vanishes when all g_i = 0, recovering the electrostatic current exactly.
     """
-    return _dyonic_k0_curl(beta, *_field_and_gradient(cfg, cfg.qs, x),
-                           *_field_and_gradient(cfg, cfg.gs, x))
+    (d, b), (grad_d2, grad_b2) = _field_and_gradient(cfg, _db_weights(cfg), x)
+    return _dyonic_k0_curl(beta, d, grad_d2, b, grad_b2)
 
 
 def je_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
@@ -178,8 +173,8 @@ def je_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
     This is the electric-magnetic mirror of jm_classical_dyonic_k0; the
     relative sign flips because j_e = +curl H while j_m = -curl E.
     """
-    return -_dyonic_k0_curl(beta, *_field_and_gradient(cfg, cfg.gs, x),
-                            *_field_and_gradient(cfg, cfg.qs, x))
+    (d, b), (grad_d2, grad_b2) = _field_and_gradient(cfg, _db_weights(cfg), x)
+    return -_dyonic_k0_curl(beta, b, grad_b2, d, grad_d2)
 
 
 def jm_generic_electrostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.ndarray:
@@ -269,27 +264,30 @@ def fd_curl(field: Callable, x, step: Optional[float] = None, richardson: bool =
     return (4.0 * curl_at(0.5 * h) - curl_at(h)) / 3.0
 
 
-def fd_div(field: Callable, x, step: Optional[float] = None, richardson: bool = False) -> float:
-    """Finite-difference divergence of a vector field at x."""
+def fd_div(field: Callable, x, step: Optional[float] = None, richardson: bool = False) -> float | np.ndarray:
+    """Finite-difference divergence of a vector field at x; a field of shape
+    (..., 3) gives one divergence per leading index, a (3,) field a float."""
     x = as_vec3(x)
     h = fd_step(x) if step is None else float(step)
 
-    def div_at(hh: float) -> float:
-        return float(np.trace(_fd_jacobian(field, x, hh)))
+    def div_at(hh: float) -> np.ndarray:
+        return np.trace(_fd_jacobian(field, x, hh), axis1=-2, axis2=-1)
 
-    if not richardson:
-        return div_at(h)
-    return (4.0 * div_at(0.5 * h) - div_at(h)) / 3.0
+    div = div_at(h) if not richardson else (4.0 * div_at(0.5 * h) - div_at(h)) / 3.0
+    return float(div) if np.ndim(div) == 0 else div
 
 
 def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
-    """The field y -> stack(E, H), shape (2, 3), with one inversion per point.
+    """The field y -> stack(E, H), shape (2, 3), with one Coulomb pass and
+    one inversion per point.
 
     fd_curl of it gives curl E and curl H from the same stencil nodes.
     """
+    weights = _db_weights(cfg)
 
     def field(y):
-        e, h, _ = dyonic_eh(params, displacement_field(cfg, y), magnetic_field(cfg, y))
+        d, b = _batch_coulomb(cfg, weights, as_vec3(y)[None, :])[:, 0]
+        e, h, _ = dyonic_eh(params, d, b)
         return np.stack((e, h))
 
     return field
@@ -312,7 +310,7 @@ def current_at(params: ModelParams, cfg: ChargeConfig, x) -> CurrentSample:
     are measured as finite-difference curls of the inverted E and H fields
     and tagged method="fd".
     """
-    x = cfg.check_regular(x)
+    x = as_vec3(x)
     electric_only = bool(np.all(cfg.gs == 0.0))
     magnetic_only = bool(np.all(cfg.qs == 0.0))
 

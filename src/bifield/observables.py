@@ -25,7 +25,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, DomainViolation, QuadratureError, SingularPoint
 from .models import ModelParams, CLASSICAL
-from .sources import ChargeConfig, _batch_coulomb, as_vec3, displacement_field, magnetic_field
+from .sources import ChargeConfig, _batch_coulomb, _db_weights, as_vec3
 from .constitutive import FieldState, dyonic_eh_rows, rowdot
 from .currents import current_at, eh_field, fd_curl, fd_div, fd_step, stencil_is_clear
 
@@ -178,8 +178,7 @@ def hamiltonian_on_points(params: ModelParams, cfg: ChargeConfig, pts) -> np.nda
     (InversionFailure or DomainViolation), never a NaN.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    d = _batch_coulomb(cfg, cfg.qs, pts)
-    b = _batch_coulomb(cfg, cfg.gs, pts)
+    d, b = _batch_coulomb(cfg, _db_weights(cfg), pts)
     if params.kind == CLASSICAL:
         out = classical_energy_density(params.beta, params.kappa, d, b)
     else:
@@ -198,8 +197,7 @@ def hamiltonian_on_points(params: ModelParams, cfg: ChargeConfig, pts) -> np.nda
 
 
 def hamiltonian_at(params: ModelParams, cfg: ChargeConfig, x) -> float:
-    x = cfg.check_regular(x)
-    return float(hamiltonian_on_points(params, cfg, x[None, :])[0])
+    return float(hamiltonian_on_points(params, cfg, as_vec3(x)[None, :])[0])
 
 
 # -- quadrature building blocks ----------------------------------------------
@@ -448,10 +446,9 @@ def flux_charge(field: Callable, R: float, quad: QuadratureSpec,
         vals = [np.asarray(field(p), dtype=float) for p in center[None, :] + R * dirs]
         shape = vals[0].shape[:-1]
         rows = np.array(vals).reshape(len(dirs), -1, 3)
-        # each field's normal component is its own 3-term dot: an (m, 3) @ (3,)
-        # product can differ from it in the last bit
-        normal = np.array([[float(v @ d) for v, d in zip(rows[:, m], dirs)]
-                           for m in range(rows.shape[1])])
+        # rowdot rounds each normal component like a scalar 3-term dot, so a
+        # stacked field keeps the bits of separate ones
+        normal = np.array([rowdot(rows[:, m], dirs) for m in range(rows.shape[1])])
         cur = np.array([R**2 * float(w_ang @ row) for row in normal])
         if prev is None:
             flux, done = cur.copy(), np.zeros(len(cur), dtype=bool)
@@ -498,12 +495,10 @@ def residual_suite(cfg: ChargeConfig, params: ModelParams, grid) -> ResidualRepo
     where closed forms exist. Points whose FD stencil would enter a charge
     exclusion ball are skipped and counted.
     """
+    weights = _db_weights(cfg)
 
-    def d_field(y):
-        return displacement_field(cfg, y)
-
-    def b_field(y):
-        return magnetic_field(cfg, y)
+    def db_field(y):
+        return _batch_coulomb(cfg, weights, as_vec3(y)[None, :])[:, 0]
 
     eh = eh_field(params, cfg)
 
@@ -521,12 +516,14 @@ def residual_suite(cfg: ChargeConfig, params: ModelParams, grid) -> ResidualRepo
         if sample.method == "fd":
             method = "fd"
         curl_e, curl_h = fd_curl(eh, x, step=h)
+        div_d, div_b = fd_div(db_field, x, step=h)
+        curl_d, curl_b = fd_curl(db_field, x, step=h)
         point = {
             "at": [float(v) for v in x],
-            "div_d": abs(fd_div(d_field, x, step=h)),
-            "curl_d": float(np.max(np.abs(fd_curl(d_field, x, step=h)))),
-            "div_b": abs(fd_div(b_field, x, step=h)),
-            "curl_b": float(np.max(np.abs(fd_curl(b_field, x, step=h)))),
+            "div_d": abs(float(div_d)),
+            "curl_d": float(np.max(np.abs(curl_d))),
+            "div_b": abs(float(div_b)),
+            "curl_b": float(np.max(np.abs(curl_b))),
             "curl_e_jm": float(np.max(np.abs(curl_e + sample.j_m))),
             "curl_h_je": float(np.max(np.abs(curl_h - sample.j_e))),
         }

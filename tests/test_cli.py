@@ -27,6 +27,7 @@ from bifield import (
     hamiltonian_at,
     magnetic_field,
 )
+from bifield import cli
 from bifield.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -42,6 +43,15 @@ from bifield.errors import ConfigError
 
 SAMPLE_HEADER = "x,y,z,Ex,Ey,Ez,Hx,Hy,Hz,jm_x,jm_y,jm_z,energy_density"
 CURRENT_HEADER = "x,y,z,je_x,je_y,je_z,jm_x,jm_y,jm_z,method"
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+def read_report(path: Path) -> dict:
+    """A JSON report, parsed strictly: NaN or Infinity fails the test."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 def pair_config(shape=(5, 5, 5)):
@@ -243,7 +253,7 @@ class TestSampleCommand:
         assert lines[0] == SAMPLE_HEADER
         # 5^3 grid, two points land exactly on charges and are skipped
         assert len(lines) == 1 + 123
-        report = json.loads((tmp_path / "sample.report.json").read_text())
+        report = read_report(tmp_path / "sample.report.json")
         assert report["n_rows"] == 123
         assert report["n_skipped"] == 2
         assert report["seed"] == 7
@@ -267,7 +277,7 @@ class TestSampleCommand:
         rc = main(["sample", "--config", str(path), "--out-dir", str(tmp_path),
                    "--format", "json"])
         assert rc == EXIT_OK
-        report = json.loads((tmp_path / "sample.json").read_text())
+        report = read_report(tmp_path / "sample.json")
         assert report["columns"] == SAMPLE_HEADER.split(",")
         assert report["n_rows"] == len(report["rows"])
         assert all(len(row) == 13 for row in report["rows"])
@@ -287,7 +297,7 @@ class TestSampleCommand:
         rc = main(["sample", "--config", str(path), "--out-dir", str(tmp_path),
                    "--seed", "99"])
         assert rc == EXIT_OK
-        report = json.loads((tmp_path / "sample.report.json").read_text())
+        report = read_report(tmp_path / "sample.report.json")
         assert report["seed"] == 99
 
     @pytest.mark.parametrize("command", ["sample", "current"])
@@ -295,7 +305,7 @@ class TestSampleCommand:
         path = write_config(tmp_path, failing_config())
         rc = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
         assert rc == EXIT_NUMERIC
-        errors = json.loads((tmp_path / f"{command}.errors.json").read_text())
+        errors = read_report(tmp_path / f"{command}.errors.json")
         assert errors["n_failures"] == 1
         assert errors["failures"][0]["at"] == [1.0, 0.0, 0.0]
         assert errors["failures"][0]["error"] in ("InversionFailure", "DomainViolation")
@@ -308,7 +318,7 @@ class TestSampleCommand:
         assert (out / "sample.errors.json").exists()
         assert main(["sample", "--config", str(clean), "--out-dir", str(out)]) == EXIT_OK
         assert not (out / "sample.errors.json").exists()
-        report = json.loads((out / "sample.report.json").read_text())
+        report = read_report(out / "sample.report.json")
         assert report["config_sha256"] == config_digest(load_config(clean))
 
     def test_missing_config_is_config_error(self, tmp_path):
@@ -348,7 +358,7 @@ class TestChargeCommand:
         rc = main(["charge", "--config", str(path), "--out-dir", str(tmp_path),
                    "--R", "20", "--format", "json"])
         assert rc == EXIT_OK
-        report = json.loads((tmp_path / "charge.json").read_text())
+        report = read_report(tmp_path / "charge.json")
         assert report["q_free"] == pytest.approx(3.0, abs=1e-4)
         assert report["g_free"] == pytest.approx(0.0, abs=1e-6)
         radii = [entry["radius"] for entry in report["flux_ladder"]]
@@ -366,7 +376,7 @@ class TestChargeCommand:
         lines = (tmp_path / "flux_ladder.csv").read_text().splitlines()
         assert lines[0] == "radius,e_flux,h_flux"
         assert len(lines) == 5
-        report = json.loads((tmp_path / "charge.report.json").read_text())
+        report = read_report(tmp_path / "charge.report.json")
         assert report["q_free"] == pytest.approx(3.0, abs=1e-4)
 
     def test_sphere_nodes_invert_once(self, tmp_path, monkeypatch):
@@ -402,7 +412,7 @@ class TestChargeCommand:
         def h_field(y):
             return dyonic_eh(params, displacement_field(charges, y), magnetic_field(charges, y))[1]
 
-        report = json.loads((tmp_path / "charge.json").read_text())
+        report = read_report(tmp_path / "charge.json")
         for rung in report["flux_ladder"]:
             r, center = rung["radius"], charges.centroid
             assert rung["e_flux"] == flux_charge(e_field, r, cfg.quadrature, center=center)
@@ -424,11 +434,44 @@ class TestEnergyCommand:
         path = write_config(tmp_path, data)
         rc = main(["energy", "--config", str(path), "--out-dir", str(tmp_path)])
         assert rc == EXIT_OK
-        report = json.loads((tmp_path / "energy.json").read_text())
+        report = read_report(tmp_path / "energy.json")
         assert report["converged"] is True
         assert report["value"] == pytest.approx(0.34868320668436725, rel=1e-4)
         assert report["near_charge_exponents"][0] == pytest.approx(-2.0, abs=0.05)
         assert set(report["parts"]) == {"balls", "shell", "tail", "far_radius_used"}
+
+    def test_failed_probe_writes_null(self, tmp_path):
+        # the near-charge probe radii of a 1e-6 ball fall inside the exclusion
+        # ball, so the exponent is NaN; the report must stay valid JSON
+        data = {
+            "model": {"kind": "classical", "beta": 1.0},
+            "charges": [{"pos": [0.0, 0.0, 0.0], "q": 1.0}],
+            "quadrature": {"ball_radius": 1e-6, "rel_tol": 1e-4},
+        }
+        path = write_config(tmp_path, data)
+        rc = main(["energy", "--config", str(path), "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        report = read_report(tmp_path / "energy.json")
+        assert report["near_charge_exponents"] == [None]
+        assert math.isfinite(report["value"])
+
+
+class TestStrictJson:
+    def test_non_finite_value_is_not_written(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "bad.json", {"x": float("nan")})
+
+    def test_non_finite_suite_residual_is_null(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_VERIFY_SUITES", (
+            lambda rng: cli._suite("diverged", 1e-4, [0.5, math.inf]),
+            lambda rng: cli._suite("nan_last", 1e-4, [1e-5, math.nan]),
+        ))
+        rc = main(["verify", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_NUMERIC
+        for suite in read_report(tmp_path / "verify.json")["suites"]:
+            assert suite["max_residual"] is None and suite["passed"] is False
+        out = capsys.readouterr().out
+        assert "FAIL diverged" in out and "FAIL nan_last" in out
 
 
 class TestContinuousCommand:
@@ -443,7 +486,7 @@ class TestContinuousCommand:
         rc = main(["continuous", "--config", str(path), "--out-dir",
                    str(tmp_path), "--format", "json"])
         assert rc == EXIT_OK
-        report = json.loads((tmp_path / "continuous.json").read_text())
+        report = read_report(tmp_path / "continuous.json")
         assert report["columns"] == SAMPLE_HEADER.split(",")
         row = report["rows"][0]
         from bifield import continuous_fields, gaussian_source
@@ -484,7 +527,7 @@ class TestVerifyCommand:
     def test_all_suites_pass(self, tmp_path):
         rc = main(["verify", "--out-dir", str(tmp_path), "--seed", "11"])
         assert rc == EXIT_OK
-        report = json.loads((tmp_path / "verify.json").read_text())
+        report = read_report(tmp_path / "verify.json")
         assert report["all_passed"] is True
         assert len(report["suites"]) == 15
         for suite in report["suites"]:
@@ -500,7 +543,7 @@ class TestVerifyCommand:
         # smoke: seed comes from the flag, hash is null without a config
         rc = main(["verify", "--out-dir", str(tmp_path), "--seed", "3"])
         assert rc == EXIT_OK
-        report = json.loads((tmp_path / "verify.json").read_text())
+        report = read_report(tmp_path / "verify.json")
         assert report["config_sha256"] is None
         assert report["seed"] == 3
 

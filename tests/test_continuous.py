@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from bifield import continuous
+from bifield.constitutive import state_from_db
 from bifield.errors import ConfigError, QuadratureError
 from bifield.models import ModelParams
 from bifield.observables import QuadratureSpec
@@ -375,6 +377,22 @@ class TestResidualSuite:
         assert out["max_rho_e"] > 0.1
         assert out["max_residual_e"] <= 1e-3 * out["max_rho_e"]
         assert out["max_residual_m"] == 0.0
+
+    def test_stencil_nodes_invert_once(self, monkeypatch):
+        # D and B's flux fields are one stacked field: the two Richardson
+        # stencils have 12 nodes per point, each inverted once
+        src = offset_pair()
+        params = ModelParams.classical(1.0)
+        expected = continuous_residual_suite(src, params, self.GRID[:2])
+        calls = []
+
+        def counting_state(*args, **kwargs):
+            calls.append(1)
+            return state_from_db(*args, **kwargs)
+
+        monkeypatch.setattr(continuous, "state_from_db", counting_state)
+        assert continuous_residual_suite(src, params, self.GRID[:2]) == expected
+        assert len(calls) == 2 * 12
 
     def test_dyonic_source_satisfies_both_laws(self):
         e_src = gaussian_source(total=2.0, sigma=1.0, center=(-0.5, 0.0, 0.0))

@@ -10,12 +10,25 @@ from bifield.observables import hamiltonian_at
 from bifield.sources import (
     ChargeConfig,
     PointCharge,
+    _batch_coulomb,
+    _coulomb_gradient,
+    _db_weights,
     displacement_field,
     magnetic_field,
     scalar_potential,
 )
 
+from triple_sums import _coulomb_potential_sum, _coulomb_sum
+
 FOUR_PI = 4.0 * math.pi
+EPS = np.finfo(float).eps
+
+
+def random_config(rng, n):
+    return ChargeConfig.build([
+        (rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        for _ in range(n)
+    ])
 
 
 def two_center():
@@ -94,6 +107,65 @@ class TestExactCancellation:
         )
 
 
+class TestKernelAgainstFsumOracle:
+    """The einsum kernel against the correctly rounded fsum sums.
+
+    The two round each term in the same number of steps but take |r| by
+    different numpy routes (a dot against a reduction), which differ by an
+    ulp in about one term in eight. Over 24000 random configurations with
+    n = 1..8 they stay within 4.8 eps sum_i |t_i|; the gate is 8 eps.
+    """
+
+    @staticmethod
+    def bound(cfg, weights, x, power):
+        r = np.abs(x[None, :] - cfg.positions)
+        dist = np.linalg.norm(r, axis=1)
+        if power == 3:
+            scale = np.sum(np.abs(weights)[:, None] * r / (FOUR_PI * dist[:, None] ** 3), axis=0)
+        else:
+            scale = np.sum(np.abs(weights) / (FOUR_PI * dist))
+        return 8.0 * EPS * scale
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_fields_and_potential(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(40):
+            cfg = random_config(rng, n)
+            pts = rng.uniform(-3.0, 3.0, size=(8, 3))
+            stacked = _batch_coulomb(cfg, _db_weights(cfg), pts)
+            for i, x in enumerate(pts):
+                for k, (w, field) in enumerate(((cfg.qs, displacement_field),
+                                                (cfg.gs, magnetic_field))):
+                    ref = _coulomb_sum(cfg, w, x)
+                    tol = self.bound(cfg, w, x, 3)
+                    assert np.all(np.abs(field(cfg, x) - ref) <= tol)
+                    assert np.all(np.abs(stacked[k, i] - ref) <= tol)
+                for w, kind in ((cfg.qs, "electric"), (cfg.gs, "magnetic")):
+                    ref = _coulomb_potential_sum(cfg, w, x)
+                    got = scalar_potential(cfg, x, kind).value
+                    assert abs(got - ref) <= self.bound(cfg, w, x, 1)
+
+
+class TestStackedWeights:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_bit_equal_to_separate_calls(self, n):
+        rng = np.random.default_rng(200 + n)
+        cfg = random_config(rng, n)
+        pts = rng.uniform(-3.0, 3.0, size=(500, 3))
+        weights = np.stack((cfg.qs, cfg.gs, rng.uniform(-2.0, 2.0, n)))
+        fields = _batch_coulomb(cfg, weights, pts)
+        f, grad = _coulomb_gradient(cfg, weights, pts)
+        assert fields.shape == f.shape == grad.shape == (3, 500, 3)
+        for k, w in enumerate(weights):
+            np.testing.assert_array_equal(fields[k], _batch_coulomb(cfg, w, pts))
+            f1, grad1 = _coulomb_gradient(cfg, w, pts)
+            np.testing.assert_array_equal(f[k], f1)
+            np.testing.assert_array_equal(grad[k], grad1)
+        # a single point is the one-row batch
+        np.testing.assert_array_equal(displacement_field(cfg, pts[7]), fields[0, 7])
+        np.testing.assert_array_equal(magnetic_field(cfg, pts[7]), fields[1, 7])
+
+
 class TestExclusion:
     def test_singular_point_raises(self):
         cfg = two_center()
@@ -101,6 +173,16 @@ class TestExclusion:
             displacement_field(cfg, (0.0, 0.0, 1e-12))
         with pytest.raises(SingularPoint):
             scalar_potential(cfg, (1.0, 1e-11, 0.0))
+
+    def test_batched_singular_point_names_point_and_charge(self):
+        cfg = two_center()
+        pts = np.array([[0.5, 0.5, 0.0], [1.0, 2e-10, 0.0], [0.0, 1e-10, 0.0]])
+        with pytest.raises(SingularPoint) as info:
+            _batch_coulomb(cfg, cfg.qs, pts)
+        msg = str(info.value)
+        assert str(pts[1].tolist()) in msg and "charge 1" in msg
+        with pytest.raises(SingularPoint, match="charge 0"):
+            cfg.check_regular(pts[2])
 
     def test_default_exclusion_radius(self):
         cfg = two_center()

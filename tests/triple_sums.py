@@ -6,17 +6,52 @@ quantities in factored form (a prefactor times grad(F^2) x F from one O(n)
 Coulomb kernel); the tests hold the two against each other. The two-centre
 closed form of the electrostatic current is kept here as a third, fully
 explicit reference.
+
+The Coulomb fields themselves are fsum-accumulated too (_coulomb_sum and
+_coulomb_potential_sum): the correctly rounded reference for the einsum
+kernel in bifield.sources, and the D and B every sum here is built from.
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from bifield.constitutive import electrostatic_e
 from bifield.models import ModelParams
-from bifield.sources import ChargeConfig, displacement_field, magnetic_field
+from bifield.sources import FOUR_PI, ChargeConfig
 
 _FOUR_PI = 4.0 * math.pi
+
+
+def _coulomb_sum(cfg: ChargeConfig, weights: Sequence[float], x) -> np.ndarray:
+    """sum_i w_i (x - x_i) / (4 pi |x - x_i|^3), fsum-accumulated per component."""
+    x = cfg.check_regular(x)
+    terms = []
+    for c, w in zip(cfg.charges, weights):
+        r = x - c.position
+        rn = float(np.linalg.norm(r))
+        terms.append(w / (FOUR_PI * rn**3) * r)
+    return np.array(
+        [math.fsum(t[k] for t in terms) for k in range(3)]
+    )
+
+
+def _coulomb_potential_sum(cfg: ChargeConfig, weights: Sequence[float], x) -> float:
+    """sum_i w_i / (4 pi |x - x_i|), fsum-accumulated."""
+    x = cfg.check_regular(x)
+    return math.fsum(
+        w / (FOUR_PI * float(np.linalg.norm(x - c.position)))
+        for c, w in zip(cfg.charges, weights)
+    )
+
+
+def displacement_field(cfg: ChargeConfig, x) -> np.ndarray:
+    return _coulomb_sum(cfg, cfg.qs, x)
+
+
+def magnetic_field(cfg: ChargeConfig, x) -> np.ndarray:
+    return _coulomb_sum(cfg, cfg.gs, x)
 
 
 def _offsets(cfg: ChargeConfig, x) -> tuple[np.ndarray, np.ndarray]:
