@@ -906,13 +906,13 @@ def _verify_newton(rng) -> dict:
 
 
 def _verify_radial_curl(rng) -> dict:
-    src = gaussian_source(total=2.0, sigma=0.8)
     params = ModelParams.classical(beta=1.5)
     res = []
-    for x in ((0.7, 0.2, -0.4), (1.5, -1.0, 0.3)):
-        res.append(float(np.max(np.abs(
-            curl_formula_continuous(src, params, np.array(x))
-        ))))
+    for src in (gaussian_source(total=2.0, sigma=0.8), bump_source(total=2.0, radius=1.5)):
+        for x in ((0.7, 0.2, -0.4), (1.5, -1.0, 0.3)):
+            res.append(float(np.max(np.abs(
+                curl_formula_continuous(src, params, np.array(x))
+            ))))
     return _suite("radial_curl_free", 1e-6, res)
 
 

@@ -9,17 +9,20 @@ has a closed form in the Hessian of u.
 
 Built-in shapes: a Gaussian, an offset two-Gaussian mixture, a compactly
 supported bump, and a gridded density ingested from a lattice file. The
-Gaussians carry analytic potential gradients; the others go through
-fourth-order finite differences of the potential with a step tied to the
-source width, since quadrature noise in u, not truncation, dominates there.
+first three are sums of radial parts, whose gradient and Hessian follow
+exactly from Gauss's law: D = Q(r) r_vec / (4 pi r^3) with Q(r) the charge
+enclosed by the sphere of radius r. A gridded density goes through
+fourth-order finite differences of the quadrature potential with a step
+tied to the source width, since quadrature noise in u, not truncation,
+dominates there.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -35,6 +38,7 @@ from .sources import as_vec3
 
 __all__ = [
     "ContinuousSource",
+    "RadialPart",
     "gaussian_source",
     "two_gaussian_source",
     "bump_source",
@@ -77,6 +81,38 @@ def _check_decay(rho: Callable, gamma: float, start_radius: float, label: str) -
 
 
 @dataclass(frozen=True, eq=False)
+class RadialPart:
+    """One spherically symmetric piece of a density, solved by Gauss's law.
+
+    coef(r) is the enclosed charge over 4 pi r^3, Q(r) / (4 pi r^3), for
+    r = |x - center|: it is the part's field as D = coef(r) (x - center).
+    Declaring the ratio rather than Q keeps it finite at r = 0, where it is
+    rho(center)/3. profile(d2) is the density at squared distance d2 from
+    the centre, vectorized over arrays of d2.
+    """
+
+    center: np.ndarray
+    coef: Callable
+    profile: Callable
+
+
+def _radial_density(parts) -> Callable:
+    """The density of a sum of radial parts, for points of shape (..., 3)."""
+    def rho(pts):
+        pts = np.asarray(pts, dtype=float)
+        total = None
+        for part in parts:
+            term = part.profile(np.sum((pts - part.center) ** 2, axis=-1))
+            total = term if total is None else total + term
+        return total
+
+    return rho
+
+
+_NEWTON_MEMO_SIZE = 262144
+
+
+@dataclass(frozen=True, eq=False)
 class ContinuousSource:
     """A continuous charge distribution with controlled decay.
 
@@ -86,8 +122,9 @@ class ContinuousSource:
     rejected because the total charge integral would not converge.
     support_radius bounds (around center) where the density is numerically
     relevant, width is the smallest feature scale (it sets finite-difference
-    steps), and grad_u / grad_v are optional analytic gradients of the
-    Newton potentials of rho_e / rho_m.
+    steps). radial_e / radial_m, when not empty, are the RadialParts whose
+    densities sum to rho_e / rho_m; their fields then come from Gauss's law
+    instead of the Newton-potential quadrature.
     """
 
     rho_e: Optional[Callable] = None
@@ -98,8 +135,11 @@ class ContinuousSource:
     support_radius: float = 1.0
     center: tuple = (0.0, 0.0, 0.0)
     width: float = 1.0
-    grad_u: Optional[Callable] = None
-    grad_v: Optional[Callable] = None
+    radial_e: tuple = ()
+    radial_m: tuple = ()
+    # newton_potential values of this source, least recently used first
+    _newton_memo: OrderedDict = field(default_factory=OrderedDict, init=False,
+                                      repr=False)
 
     def __post_init__(self):
         if self.rho_e is None and self.rho_m is None:
@@ -121,38 +161,33 @@ class ContinuousSource:
 # -- built-in source shapes ----------------------------------------------------
 
 
-def _gaussian_density(total: float, sigma: float, center) -> Callable:
-    c = np.asarray(center, dtype=float)
+def _radial_source(parts, total: float, magnetic: bool, **common) -> ContinuousSource:
+    rho = _radial_density(parts)
+    if magnetic:
+        return ContinuousSource(rho_m=rho, total_g=total, radial_m=parts, **common)
+    return ContinuousSource(rho_e=rho, total_q=total, radial_e=parts, **common)
+
+
+def _gaussian_part(total: float, sigma: float, center) -> RadialPart:
+    """Gaussian of integral `total`: its enclosed charge is
+    Q[erf(t/sqrt2) - sqrt(2/pi) t e^{-t^2/2}] with t = r/sigma."""
     amp = total / ((2.0 * math.pi) ** 1.5 * sigma**3)
 
-    def rho(pts):
-        pts = np.asarray(pts, dtype=float)
-        d2 = np.sum((pts - c) ** 2, axis=-1)
-        return amp * np.exp(-0.5 * d2 / sigma**2)
-
-    return rho
-
-
-def _gaussian_gradient(total: float, sigma: float, center) -> Callable:
-    """Analytic grad of the Newton potential of a Gaussian: the enclosed
-    charge Q[erf(t/sqrt2) - sqrt(2/pi) t e^{-t^2/2}] over 4 pi r^2, radial."""
-    c = np.asarray(center, dtype=float)
-
-    def grad(x):
-        rv = as_vec3(x) - c
-        r = float(np.linalg.norm(rv))
+    def coef(r):
         t = r / sigma
         if t < 1e-2:
             # series of Q_enc/(4 pi r^3) avoids the erf cancellation
-            coef = (total * math.sqrt(2.0 / math.pi)
+            return (total * math.sqrt(2.0 / math.pi)
                     / (3.0 * _FOUR_PI * sigma**3)
                     * (1.0 - 0.3 * t * t + 3.0 * t**4 / 56.0))
-            return coef * rv
         enclosed = total * (math.erf(t / math.sqrt(2.0))
                             - math.sqrt(2.0 / math.pi) * t * math.exp(-0.5 * t * t))
-        return enclosed / (_FOUR_PI * r**3) * rv
+        return enclosed / (_FOUR_PI * r**3)
 
-    return grad
+    def profile(d2):
+        return amp * np.exp(-0.5 * d2 / sigma**2)
+
+    return RadialPart(np.asarray(center, dtype=float), coef, profile)
 
 
 def gaussian_source(total=1.0, sigma=1.0, center=(0.0, 0.0, 0.0),
@@ -160,13 +195,10 @@ def gaussian_source(total=1.0, sigma=1.0, center=(0.0, 0.0, 0.0),
     """Gaussian density of integral `total` and width sigma."""
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise ConfigError("sigma must be positive and finite")
-    rho = _gaussian_density(total, sigma, center)
-    grad = _gaussian_gradient(total, sigma, center)
-    common = dict(gamma=gamma, support_radius=8.0 * sigma,
-                  center=tuple(float(v) for v in center), width=float(sigma))
-    if magnetic:
-        return ContinuousSource(rho_m=rho, total_g=total, grad_v=grad, **common)
-    return ContinuousSource(rho_e=rho, total_q=total, grad_u=grad, **common)
+    return _radial_source(
+        (_gaussian_part(total, sigma, center),), total, magnetic,
+        gamma=gamma, support_radius=8.0 * sigma,
+        center=tuple(float(v) for v in center), width=float(sigma))
 
 
 def two_gaussian_source(q1=1.0, sigma1=1.0, center1=(0.0, 0.0, 0.0),
@@ -175,27 +207,46 @@ def two_gaussian_source(q1=1.0, sigma1=1.0, center1=(0.0, 0.0, 0.0),
     """Mixture of two offset Gaussians; nonradial, so E is non-conservative."""
     if not (sigma1 > 0.0 and sigma2 > 0.0):
         raise ConfigError("widths must be positive")
-    rho1 = _gaussian_density(q1, sigma1, center1)
-    rho2 = _gaussian_density(q2, sigma2, center2)
-    grad1 = _gaussian_gradient(q1, sigma1, center1)
-    grad2 = _gaussian_gradient(q2, sigma2, center2)
-
-    def rho(pts):
-        return rho1(pts) + rho2(pts)
-
-    def grad(x):
-        return grad1(x) + grad2(x)
-
     c1 = np.asarray(center1, dtype=float)
     c2 = np.asarray(center2, dtype=float)
     mid = 0.5 * (c1 + c2)
     support = max(float(np.linalg.norm(c1 - mid)) + 8.0 * sigma1,
                   float(np.linalg.norm(c2 - mid)) + 8.0 * sigma2)
-    common = dict(gamma=gamma, support_radius=support,
-                  center=tuple(float(v) for v in mid), width=float(min(sigma1, sigma2)))
-    if magnetic:
-        return ContinuousSource(rho_m=rho, total_g=q1 + q2, grad_v=grad, **common)
-    return ContinuousSource(rho_e=rho, total_q=q1 + q2, grad_u=grad, **common)
+    parts = (_gaussian_part(q1, sigma1, center1), _gaussian_part(q2, sigma2, center2))
+    return _radial_source(
+        parts, q1 + q2, magnetic, gamma=gamma, support_radius=support,
+        center=tuple(float(v) for v in mid), width=float(min(sigma1, sigma2)))
+
+
+def _bump_part(total: float, R: float, center) -> RadialPart:
+    """Bump of integral `total`: Q(r) = total S(min(1, r/R)) / S(1) with
+    S(t) = int_0^t s^2 e^{-1/(1-s^2)} ds."""
+    # S(t) = t^3 sum_i w_i e^{-1/(1-(t u_i)^2)} on 64 Gauss-Legendre nodes
+    # u_i in (0, 1); it matches an adaptive quadrature to ~2e-14 for every t
+    nodes, weights = leggauss(64)
+    u = 0.5 * (1.0 + nodes)
+    w = 0.5 * weights * u**2
+
+    def shape_mean(t):
+        # S(t) / t^3, finite at t = 0
+        return float(w @ np.exp(-1.0 / (1.0 - (t * u) ** 2)))
+
+    amp = total / (_FOUR_PI * R**3 * shape_mean(1.0))
+
+    def coef(r):
+        t = r / R
+        if t >= 1.0:
+            return total / (_FOUR_PI * r**3)
+        return amp * shape_mean(t)
+
+    def profile(d2):
+        t2 = np.atleast_1d(np.asarray(d2, dtype=float) / (R * R))
+        out = np.zeros_like(t2)
+        inside = t2 < 1.0
+        out[inside] = amp * np.exp(-1.0 / (1.0 - t2[inside]))
+        return out.reshape(np.shape(d2))
+
+    return RadialPart(np.asarray(center, dtype=float), coef, profile)
 
 
 def bump_source(total=1.0, radius=1.0, center=(0.0, 0.0, 0.0),
@@ -204,29 +255,10 @@ def bump_source(total=1.0, radius=1.0, center=(0.0, 0.0, 0.0),
     R = float(radius)
     if not (R > 0.0 and math.isfinite(R)):
         raise ConfigError("radius must be positive and finite")
-    # imported here so that loading the package does not pay for scipy
-    from scipy.integrate import quad
-
-    c = np.asarray(center, dtype=float)
-    shape_integral, _ = quad(
-        lambda t: t * t * math.exp(-1.0 / (1.0 - t * t)), 0.0, 1.0)
-    amp = total / (_FOUR_PI * R**3 * shape_integral)
-
-    def rho(pts):
-        pts = np.asarray(pts, dtype=float)
-        t2 = np.sum((pts - c) ** 2, axis=-1) / (R * R)
-        scalar = t2.ndim == 0
-        t2a = np.atleast_1d(t2)
-        out = np.zeros_like(t2a)
-        inside = t2a < 1.0
-        out[inside] = amp * np.exp(-1.0 / (1.0 - t2a[inside]))
-        return float(out[0]) if scalar else out.reshape(t2.shape)
-
-    common = dict(gamma=gamma, support_radius=R,
-                  center=tuple(float(v) for v in center), width=R / 3.0)
-    if magnetic:
-        return ContinuousSource(rho_m=rho, total_g=total, **common)
-    return ContinuousSource(rho_e=rho, total_q=total, **common)
+    return _radial_source(
+        (_bump_part(total, R, center),), total, magnetic,
+        gamma=gamma, support_radius=R,
+        center=tuple(float(v) for v in center), width=R / 3.0)
 
 
 def gridded_source(lattice_path, sidecar_path=None, magnetic: bool = False,
@@ -311,8 +343,8 @@ def merge_sources(electric: ContinuousSource, magnetic: ContinuousSource) -> Con
         support_radius=support,
         center=tuple(float(v) for v in mid),
         width=min(electric.width, magnetic.width),
-        grad_u=electric.grad_u,
-        grad_v=magnetic.grad_v,
+        radial_e=electric.radial_e,
+        radial_m=magnetic.radial_m,
     )
 
 
@@ -395,41 +427,67 @@ def _newton_impl(src: ContinuousSource, which: str, x: np.ndarray,
         f"Newton potential quadrature did not stabilize at x={tuple(x)!r}")
 
 
-@lru_cache(maxsize=262144)
-def _newton_cached(src, which, xt, quad) -> float:
-    return _newton_impl(src, which, np.array(xt), quad)
-
-
 def newton_potential(src: ContinuousSource, x, quad: QuadratureSpec = None,
                      which: str = "electric") -> float:
     """Newton potential u(x) = -(1/4 pi) integral of rho(y)/|x-y|.
 
     Adaptive product quadrature in spherical coordinates centered at x (the
     kernel singularity cancels against the volume jacobian) or at the source
-    when x lies outside its support. O(1/|x|) far away. Values are cached,
-    which makes repeated stencil evaluations cheap.
+    when x lies outside its support. O(1/|x|) far away. The source keeps
+    its last 262144 values, which makes repeated stencil evaluations cheap
+    and frees them with the source. It is the production route for gridded
+    densities and the reference for the Gauss's-law fields of radial ones.
     """
     if which not in ("electric", "magnetic"):
         raise ValueError("which must be 'electric' or 'magnetic'")
     x = as_vec3(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("evaluation point must be finite")
-    return _newton_cached(src, which, (float(x[0]), float(x[1]), float(x[2])),
-                          quad if quad is not None else _DEFAULT_QUAD)
+    quad = quad if quad is not None else _DEFAULT_QUAD
+    key = (which, (float(x[0]), float(x[1]), float(x[2])), quad)
+    memo = src._newton_memo
+    if key in memo:
+        memo.move_to_end(key)
+        return memo[key]
+    value = _newton_impl(src, which, np.array(key[1]), quad)
+    memo[key] = value
+    if len(memo) > _NEWTON_MEMO_SIZE:
+        memo.popitem(last=False)
+    return value
+
+
+def _gauss_law(parts, x: np.ndarray):
+    """D = sum_k coef_k(r_k) r_k and its Jacobian, the exact Hessian of u,
+    sum_k [coef_k I + (rho_k - 3 coef_k) r_k r_k^T / r_k^2], with
+    r_k = x - center_k. At a centre the Hessian term is rho_k / 3 I."""
+    d = hess = None
+    for part in parts:
+        rv = x - part.center
+        r = float(np.linalg.norm(rv))
+        coef = part.coef(r)
+        if r == 0.0:
+            h = float(part.profile(0.0)) / 3.0 * np.eye(3)
+        else:
+            rho = float(part.profile(r * r))
+            h = coef * np.eye(3) + ((rho - 3.0 * coef) / (r * r)) * np.outer(rv, rv)
+        d = coef * rv if d is None else d + coef * rv
+        hess = h if hess is None else hess + h
+    return d, hess
 
 
 def potential_gradient(src: ContinuousSource, x, quad: QuadratureSpec = None,
                        which: str = "electric") -> np.ndarray:
     """D (which='electric') or B (which='magnetic') at x: the gradient of
-    the Newton potential, analytic when the source carries one, otherwise
-    fourth-order central differences with step width/20."""
-    analytic = src.grad_u if which == "electric" else src.grad_v
-    if analytic is not None:
-        return np.asarray(analytic(x), dtype=float)
+    the Newton potential, exact by Gauss's law when the source has radial
+    parts, otherwise fourth-order central differences of newton_potential
+    with step width/20."""
+    x = as_vec3(x)
+    parts = src.radial_e if which == "electric" else src.radial_m
+    if parts:
+        return _gauss_law(parts, x)[0]
     rho = src.rho_e if which == "electric" else src.rho_m
     if rho is None:
         return np.zeros(3)
-    x = as_vec3(x)
     h = src.width / 20.0
     grad = np.empty(3)
     for k in range(3):
@@ -457,38 +515,28 @@ def continuous_fields(src: ContinuousSource, params: ModelParams, x,
 
 def _potential_hessian(src: ContinuousSource, x: np.ndarray,
                        quad: QuadratureSpec, which: str) -> np.ndarray:
-    analytic = src.grad_u if which == "electric" else src.grad_v
-    if analytic is not None:
-        h = src.width / 20.0
-        cols = []
-        for k in range(3):
-            step = np.zeros(3)
-            step[k] = h
-            cols.append((-np.asarray(analytic(x + 2.0 * step), dtype=float)
-                         + 8.0 * np.asarray(analytic(x + step), dtype=float)
-                         - 8.0 * np.asarray(analytic(x - step), dtype=float)
-                         + np.asarray(analytic(x - 2.0 * step), dtype=float)) / (12.0 * h))
-        hess = np.column_stack(cols)
-    else:
-        # second differences of u; a larger step keeps quadrature noise down
-        h = src.width / 10.0
-        u0 = newton_potential(src, x, quad, which)
-        hess = np.empty((3, 3))
-        for i in range(3):
-            ei = np.zeros(3)
-            ei[i] = h
-            hess[i, i] = (newton_potential(src, x + ei, quad, which) - 2.0 * u0
-                          + newton_potential(src, x - ei, quad, which)) / (h * h)
-            for j in range(i + 1, 3):
-                ej = np.zeros(3)
-                ej[j] = h
-                mixed = (newton_potential(src, x + ei + ej, quad, which)
-                         - newton_potential(src, x + ei - ej, quad, which)
-                         - newton_potential(src, x - ei + ej, quad, which)
-                         + newton_potential(src, x - ei - ej, quad, which)) / (4.0 * h * h)
-                hess[i, j] = mixed
-                hess[j, i] = mixed
-    return 0.5 * (hess + hess.T)
+    parts = src.radial_e if which == "electric" else src.radial_m
+    if parts:
+        return _gauss_law(parts, x)[1]
+    # second differences of u; a larger step keeps quadrature noise down
+    h = src.width / 10.0
+    u0 = newton_potential(src, x, quad, which)
+    hess = np.empty((3, 3))
+    for i in range(3):
+        ei = np.zeros(3)
+        ei[i] = h
+        hess[i, i] = (newton_potential(src, x + ei, quad, which) - 2.0 * u0
+                      + newton_potential(src, x - ei, quad, which)) / (h * h)
+        for j in range(i + 1, 3):
+            ej = np.zeros(3)
+            ej[j] = h
+            mixed = (newton_potential(src, x + ei + ej, quad, which)
+                     - newton_potential(src, x + ei - ej, quad, which)
+                     - newton_potential(src, x - ei + ej, quad, which)
+                     + newton_potential(src, x - ei - ej, quad, which)) / (4.0 * h * h)
+            hess[i, j] = mixed
+            hess[j, i] = mixed
+    return hess
 
 
 def curl_formula_continuous(src: ContinuousSource, params: ModelParams, x,
@@ -524,8 +572,8 @@ def continuous_residual_suite(src: ContinuousSource, params: ModelParams,
     D = f'(s)(E + kappa^2 (E.B) B) and B = H/f'(s) + kappa^2 (E.B) E, as one
     stacked field with one inversion per stencil node, and their FD
     divergences are compared against rho_e and rho_m. Intended for
-    sources with analytic gradients; with FD gradients the quadrature noise
-    in u dominates the budget.
+    sources with radial parts; with FD gradients the quadrature noise in u
+    dominates the budget.
     """
     quad = quad if quad is not None else _DEFAULT_QUAD
     k2 = params.kappa**2

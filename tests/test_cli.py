@@ -82,14 +82,22 @@ def write_config(tmp_path, data, name="run.json"):
     return path
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the smooth sources that use it, not by the package
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # scipy is imported by the gridded source, not by the package or by the
+    # radial sources: checked after the import and after loading a bump
+    bump = {"model": {"kind": "classical"},
+            "continuous": {"shape": "bump", "total": 2.0, "radius": 1.5}}
+    path = write_config(tmp_path, bump)
     src = str(Path(bifield.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, bifield.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, bifield.cli\n"
+            "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy())\n"
+            f"bifield.cli.load_config({str(path)!r})\n"
+            "print(scipy())\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]
 
 
 class TestConfigParsing:

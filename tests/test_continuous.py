@@ -3,14 +3,19 @@ the conservativeness dichotomy, and the lattice ingester.
 
 Radial reference values come from 1D radial quadrature (scipy) of the same
 densities, frozen here. The Gaussian potential has the closed form
--Q erf(r / (sqrt2 sigma)) / (4 pi r), used directly.
+-Q erf(r / (sqrt2 sigma)) / (4 pi r), used directly. The Gauss's-law fields
+of radial sources are checked against finite differences of the spherical
+Newton-potential quadrature, the route gridded sources take.
 """
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 from scipy.special import erf
 
 from bifield import continuous
@@ -19,8 +24,11 @@ from bifield.errors import ConfigError, QuadratureError
 from bifield.models import ModelParams
 from bifield.observables import QuadratureSpec
 from bifield.currents import fd_curl
+from bifield.cli import main
 from bifield.continuous import (
     ContinuousSource,
+    _gauss_law,
+    _potential_hessian,
     bump_source,
     continuous_fields,
     continuous_residual_suite,
@@ -41,6 +49,43 @@ BUMP_U_ONE = -0.1542888389262224
 
 def gaussian_potential(total, sigma, r):
     return -total * erf(r / (math.sqrt(2.0) * sigma)) / (4.0 * math.pi * r)
+
+
+def bare(src):
+    """The same electric density with its radial parts stripped off, so its
+    fields go through finite differences of the Newton potential."""
+    return ContinuousSource(rho_e=src.rho_e, gamma=src.gamma, total_q=src.total_q,
+                            support_radius=src.support_radius, center=src.center,
+                            width=src.width)
+
+
+# fourth-order central stencils: first derivative, second derivative
+FD1 = {-2: 1.0 / 12.0, -1: -8.0 / 12.0, 1: 8.0 / 12.0, 2: -1.0 / 12.0}
+FD2 = {-2: -1.0 / 12.0, -1: 16.0 / 12.0, 0: -30.0 / 12.0, 1: 16.0 / 12.0, 2: -1.0 / 12.0}
+
+
+def fd_hessian(u, x, h):
+    """Fourth-order FD Hessian of a scalar function u at x."""
+    e = np.eye(3) * h
+    hess = np.empty((3, 3))
+    for i in range(3):
+        hess[i, i] = sum(c * u(x + a * e[i]) for a, c in FD2.items()) / h**2
+        for j in range(i + 1, 3):
+            hess[i, j] = hess[j, i] = sum(
+                ca * cb * u(x + a * e[i] + b * e[j])
+                for a, ca in FD1.items() for b, cb in FD1.items()) / h**2
+    return hess
+
+
+def fd_jacobian(g, x, h):
+    """Fourth-order FD Jacobian of a vector function g at x, column k = d/dx_k."""
+    e = np.eye(3) * h
+    return np.column_stack([sum(c * g(x + a * e[k]) for a, c in FD1.items()) / h
+                            for k in range(3)])
+
+
+def bump_shape(t):
+    return t * t * math.exp(-1.0 / (1.0 - t * t)) if t < 1.0 else 0.0
 
 
 def offset_pair():
@@ -82,11 +127,13 @@ class TestContinuousSource:
         assert src.total_q == 1.7
         assert src.total_g == 0.0
         assert src.rho_m is None
-        assert src.grad_u is not None
+        assert len(src.radial_e) == 1 and src.radial_m == ()
+        assert np.array_equal(src.radial_e[0].center, [0.3, -0.2, 0.1])
         assert src.width == 0.8
         msrc = gaussian_source(total=0.5, magnetic=True)
         assert msrc.rho_e is None
         assert msrc.total_g == 0.5
+        assert len(msrc.radial_m) == 1 and msrc.radial_e == ()
 
     def test_gaussian_density_normalization(self):
         # radial quadrature of 4 pi r^2 rho reproduces the total
@@ -223,10 +270,8 @@ class TestPotentialGradient:
     def test_fd_route_matches_analytic_route(self):
         # same density with the analytic gradient stripped off
         src = gaussian_source(total=1.0, sigma=1.0)
-        bare = ContinuousSource(rho_e=src.rho_e, gamma=6.0, total_q=1.0,
-                                support_radius=src.support_radius, width=1.0)
         x = (0.8, -0.3, 0.5)
-        g_fd = potential_gradient(bare, x)
+        g_fd = potential_gradient(bare(src), x)
         g_an = potential_gradient(src, x)
         # quadrature noise at rel_tol 1e-6 bounds the FD route near 1e-7
         assert np.max(np.abs(g_fd - g_an)) <= 1e-7
@@ -234,6 +279,157 @@ class TestPotentialGradient:
     def test_missing_density_gradient_is_zero(self):
         src = gaussian_source()
         assert np.all(potential_gradient(src, (1.0, 1.0, 1.0), which="magnetic") == 0.0)
+
+
+class TestGaussLaw:
+    """The Gauss's-law kernel of radial parts against the quadrature route."""
+
+    BUMP = dict(total=2.0, radius=1.5, center=(0.2, 0.0, 0.0))
+
+    @pytest.mark.parametrize("offset, h", [
+        ((0.4, 0.3, -0.2), 0.05),     # interior, r = 0.54
+        ((1.45, 0.1, 0.0), 0.025),    # near the edge, r = 1.45 of R = 1.5
+        ((3.3, -1.0, 0.5), 0.05),     # exterior, past support + width
+    ])
+    def test_bump_matches_newton_quadrature(self, offset, h):
+        src = bump_source(**self.BUMP)
+        x = np.array(self.BUMP["center"]) + np.array(offset)
+        d, hess = _gauss_law(src.radial_e, x)
+        ref = bare(src)
+        d_fd = potential_gradient(ref, x)
+        h_fd = fd_hessian(lambda y: newton_potential(ref, y), x, h)
+        assert np.max(np.abs(d_fd - d)) <= 1e-6 * np.max(np.abs(d))
+        assert np.max(np.abs(h_fd - hess)) <= 1e-4 * np.max(np.abs(hess))
+        # the public routes read the kernel
+        assert np.array_equal(potential_gradient(src, x), d)
+        assert np.array_equal(_potential_hessian(src, x, None, "electric"), hess)
+
+    def test_bump_enclosed_charge_matches_adaptive_quadrature(self):
+        total, R = 2.0, 1.5
+        part = bump_source(total=total, radius=R).radial_e[0]
+        full, _ = scipy_quad(bump_shape, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+        for r in (1e-3, 0.1, 0.5, 0.9, 1.2, 1.4, 1.49, 1.4999):
+            enclosed = part.coef(r) * 4.0 * math.pi * r**3
+            ref = total * scipy_quad(bump_shape, 0.0, r / R, epsabs=0.0,
+                                     epsrel=1e-13, limit=200)[0] / full
+            assert abs(enclosed - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("shape", ["bump", "gaussian"])
+    def test_centre_is_explicit(self, shape):
+        c = np.array([0.2, -0.1, 0.3])
+        src = (bump_source(total=2.0, radius=1.5, center=c) if shape == "bump"
+               else gaussian_source(total=2.0, sigma=0.8, center=c))
+        d, hess = _gauss_law(src.radial_e, c)
+        assert np.all(d == 0.0)
+        assert np.array_equal(hess, float(src.rho_e(c)) / 3.0 * np.eye(3))
+        # the limit r -> 0 meets the centre value
+        _, near = _gauss_law(src.radial_e, c + np.array([1e-7, 0.0, 0.0]))
+        assert np.max(np.abs(near - hess)) <= 1e-12 * np.max(np.abs(hess))
+
+    def test_bump_is_exactly_coulomb_from_its_edge(self):
+        total, R = 2.0, 1.5
+        c = np.array([0.2, 0.0, 0.0])
+        src = bump_source(total=total, radius=R, center=c)
+        for r in (R, math.nextafter(R, 2.0), 1.0000001 * R, 4.0):
+            # an axis offset, so that |x - c| is exactly r
+            rv = np.array([0.0, r, 0.0])
+            d, hess = _gauss_law(src.radial_e, c + rv)
+            coef = total / (4.0 * math.pi * r**3)
+            assert np.array_equal(d, coef * rv)
+            rhat = rv / r
+            coulomb = coef * (np.eye(3) - 3.0 * np.outer(rhat, rhat))
+            assert np.max(np.abs(hess - coulomb)) <= 1e-15 * coef
+        # just inside, the rule's S(t)/S(1) meets Coulomb continuously
+        r = R * (1.0 - 1e-12)
+        part = src.radial_e[0]
+        assert abs(part.coef(r) / (total / (4.0 * math.pi * r**3)) - 1.0) <= 1e-12
+
+    def test_gaussian_series_seam(self):
+        sigma = 0.8
+        part = gaussian_source(total=3.0, sigma=sigma).radial_e[0]
+        below, at = math.nextafter(1e-2 * sigma, 0.0), 1e-2 * sigma
+        assert abs(part.coef(below) / part.coef(at) - 1.0) <= 1e-11
+        x_below = np.array([below, 0.0, 0.0])
+        x_at = np.array([at, 0.0, 0.0])
+        _, h_below = _gauss_law((part,), x_below)
+        _, h_at = _gauss_law((part,), x_at)
+        assert np.max(np.abs(h_below - h_at)) <= 1e-11 * np.max(np.abs(h_at))
+
+    def test_two_gaussian_hessian_matches_fd_of_gradient(self):
+        src = offset_pair()
+        for x in [(0.0, 0.8, 0.3), (-1.0, 0.05, 0.0), (2.5, -0.7, 1.1)]:
+            x = np.array(x)
+            _, hess = _gauss_law(src.radial_e, x)
+            jac = fd_jacobian(lambda y: potential_gradient(src, y), x, 1e-3)
+            assert np.max(np.abs(jac - hess)) <= 1e-10 * np.max(np.abs(hess))
+
+    @pytest.mark.parametrize("shape", ["bump", "two_gaussian"])
+    def test_hessian_trace_is_density(self, shape):
+        # div D = rho at every point, inside and outside the support
+        src = bump_source(**self.BUMP) if shape == "bump" else offset_pair()
+        rng = np.random.default_rng(3)
+        for x in rng.uniform(-2.5, 2.5, (20, 3)):
+            _, hess = _gauss_law(src.radial_e, x)
+            rho = float(src.rho_e(x))
+            assert np.array_equal(hess, hess.T)
+            assert abs(np.trace(hess) - rho) <= 1e-14 * max(1.0, np.max(np.abs(hess)))
+
+
+class TestNewtonMemo:
+    def test_source_is_freed_with_its_values(self):
+        src = gaussian_source(total=1.0, sigma=1.0)
+        newton_potential(src, (1.0, 0.0, 0.0))
+        ref = weakref.ref(src)
+        del src
+        gc.collect()
+        assert ref() is None
+
+    def test_memo_is_bounded_least_recent_first(self, monkeypatch):
+        monkeypatch.setattr(continuous, "_NEWTON_MEMO_SIZE", 2)
+        src = gaussian_source(total=1.0, sigma=1.0)
+        calls = []
+        impl = continuous._newton_impl
+
+        def counting(*args):
+            calls.append(args[2].tolist())
+            return impl(*args)
+
+        monkeypatch.setattr(continuous, "_newton_impl", counting)
+        a, b, c = (3.0, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 0.0, 3.0)
+        first = newton_potential(src, a)
+        newton_potential(src, b)
+        assert newton_potential(src, a) == first      # a is now the most recent
+        newton_potential(src, c)                      # evicts b
+        newton_potential(src, a)
+        newton_potential(src, b)
+        assert calls == [list(a), list(b), list(c), list(b)]
+        assert len(src._newton_memo) == 2
+
+    def test_gridded_run_reuses_stencil_values(self, tmp_path, monkeypatch):
+        # per point: 12 gradient nodes, then the Hessian's centre and its 12
+        # mixed nodes; its 6 axis nodes are the gradient's +-2h nodes
+        n, lo, sp = 9, -2.0, 0.5
+        ax = lo + sp * np.arange(n)
+        pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
+        gaussian_source().rho_e(pts).astype("<f8").tofile(tmp_path / "rho.dat")
+        (tmp_path / "rho.dat.json").write_text(json.dumps(
+            {"dims": [n] * 3, "spacing": [sp] * 3, "origin": [lo] * 3}))
+        cfg = {"model": {"kind": "classical"},
+               "continuous": {"shape": "gridded", "lattice": "rho.dat"},
+               "quadrature": {"rel_tol": 0.05, "max_subdivisions": 1},
+               "grid": {"lo": [0.5, 0.2, 0.1], "hi": [1.5, 0.2, 0.1], "shape": [2, 1, 1]}}
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        calls = []
+        impl = continuous._newton_impl
+
+        def counting(*args):
+            calls.append(1)
+            return impl(*args)
+
+        monkeypatch.setattr(continuous, "_newton_impl", counting)
+        assert main(["continuous", "--config", str(tmp_path / "run.json"),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == 2 * 25
 
 
 class TestContinuousFields:
@@ -289,8 +485,12 @@ class TestContinuousFields:
                 assert np.max(np.abs(fd_curl(e_field, np.array(pt)))) <= 1e-6
                 assert np.max(np.abs(fd_curl(h_field, np.array(pt)))) <= 1e-6
 
-    def test_bump_fd_route_stays_conservative(self):
+    @pytest.mark.parametrize("route", ["gauss_law", "newton_fd"])
+    def test_bump_fd_route_stays_conservative(self, route):
+        # newton_fd is the finite-difference route gridded sources take
         src = bump_source(total=2.0, radius=1.5, center=(0.2, 0.0, 0.0))
+        if route == "newton_fd":
+            src = bare(src)
         params = ModelParams.classical(1.0)
 
         def e_field(y):
