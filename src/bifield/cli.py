@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -29,6 +30,7 @@ from . import __version__
 from .constitutive import (
     dyonic_eh,
     electrostatic_e,
+    invert_rows,
     magnetostatic_h,
     round_trip_residual,
 )
@@ -45,28 +47,34 @@ from .continuous import (
 )
 from .currents import (
     current_at,
+    current_rows,
     eh_field,
     fd_curl,
     je_classical_magnetostatic,
     jm_classical_electrostatic,
     jm_classical_jacobi_term,
 )
-from .errors import ConfigError, DomainViolation, FieldError, SingularPoint
-from .models import ModelParams
+from .errors import ConfigError, DomainViolation, FieldError, SingularPoint, merge_failures
+from .models import CLASSICAL, ModelParams
 from .observables import (
     QuadratureSpec,
+    density_rows,
     energy_density,
     flux_charge,
     free_charge_with_inner_spheres,
-    hamiltonian_at,
+    hamiltonian_on_points,
     total_energy,
 )
-from .sources import ChargeConfig, displacement_field, magnetic_field
+from .sources import (ChargeConfig, _batch_coulomb, _db_weights, displacement_field,
+                      magnetic_field, mark_singular)
 from .specfn import lambert_w, smallest_positive_cubic_root
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
+
+# grid points per rows_at call; bounds the memory of a grid command
+GRID_CHUNK = 4096
 
 SAMPLE_COLUMNS = (
     "x", "y", "z",
@@ -521,25 +529,34 @@ def _emit_failures(out_dir: Path, name: str, head: dict, failures: list) -> Opti
     return path
 
 
-def _grid_command(cfg: RunConfig, args, name: str, columns, row_at) -> int:
-    """Evaluate row_at on every grid point and write the table, its report
-    and the errors file.
+def _grid_command(cfg: RunConfig, args, name: str, columns, rows_at) -> int:
+    """Evaluate the grid in chunks of GRID_CHUNK points and write the table,
+    its report and the errors file.
 
-    A SingularPoint skips the point; any other FieldError is recorded with
-    its location and type, and the command exits 2 after writing the rows
-    that did evaluate.
+    rows_at(pts) returns a row of cells per point, a failure code per point
+    and the list of exceptions the codes index (see errors.fail_rows). A
+    SingularPoint skips the point; any other failure is recorded with its
+    location and type, and the command exits 2 after writing the rows that
+    did evaluate. The report counts both, failures by error type.
     """
     rows, skipped, failures = [], 0, []
-    for x in grid_points(cfg):
-        try:
-            rows.append(row_at(x))
-        except SingularPoint:
-            skipped += 1
-        except FieldError as exc:
-            failures.append({"at": [float(v) for v in x],
-                             "error": type(exc).__name__, "detail": str(exc)})
+    pts = grid_points(cfg)
+    for start in range(0, len(pts), GRID_CHUNK):
+        chunk = pts[start:start + GRID_CHUNK]
+        cells, code, errors = rows_at(chunk)
+        for x, row, k in zip(chunk, cells, code.tolist()):
+            if not k:
+                rows.append(row)
+            elif isinstance(errors[k - 1], SingularPoint):
+                skipped += 1
+            else:
+                exc = errors[k - 1]
+                failures.append({"at": [float(v) for v in x],
+                                 "error": type(exc).__name__, "detail": str(exc)})
     head = _report_head(cfg, args.effective_seed)
-    extra = {"command": name, "n_skipped": skipped}
+    by_error = Counter(f["error"] for f in failures)
+    extra = {"command": name, "n_skipped": skipped, "n_failed": len(failures),
+             "failures_by_error": dict(sorted(by_error.items()))}
     written = _emit_table(args.out_dir, name, args.effective_format,
                           columns, rows, head, extra)
     for path in written:
@@ -558,15 +575,46 @@ def _cmd_sample(cfg: RunConfig, args) -> int:
     if cfg.charges is None:
         raise ConfigError("sample requires a charges section")
     params, charges = cfg.model, cfg.charges
-    eh = eh_field(params, charges)
+    weights = _db_weights(charges)
 
-    def row_at(x):
-        e, h = eh(x)
-        j_m = current_at(params, charges, x).j_m
-        dens = hamiltonian_at(params, charges, x)
-        return (*x, *e, *h, *j_m, dens)
+    def rows_at(pts):
+        # one inversion per point feeds E, H and the density; a point fails
+        # with its first failure in the order inversion, current, density
+        code = np.zeros(len(pts), dtype=np.int64)
+        errors: list = []
+        idx = mark_singular(charges, pts, code, errors)
+        d, b = _batch_coulomb(charges, weights, pts[idx])
+        e, h, s, inv_code, inv_errors = invert_rows(params, d, b)
+        merge_failures(code, errors, idx, inv_code, inv_errors)
+        cur = current_rows(params, charges, pts)
+        merge_failures(code, errors, np.arange(len(pts)), cur.code, cur.errors)
+        ok = code[idx] == 0
+        if params.kind != CLASSICAL:
+            ok &= params.domain_rows(s)
+        dens = np.full(len(idx), np.nan)
+        dens[ok] = density_rows(params, d[ok], b[ok], e[ok], s[ok])
+        for j in np.flatnonzero((code[idx] == 0) & ~np.isfinite(dens)):
+            errors.append(_density_failure(params, charges, pts[idx[j]]))
+            code[idx[j]] = len(errors)
+        values = np.zeros((len(pts), 13))
+        values[:, 0:3] = pts
+        values[idx, 3:6] = e
+        values[idx, 6:9] = h
+        values[:, 9:12] = cur.j_m
+        values[idx, 12] = dens
+        return values.tolist(), code, errors
 
-    return _grid_command(cfg, args, "sample", SAMPLE_COLUMNS, row_at)
+    return _grid_command(cfg, args, "sample", SAMPLE_COLUMNS, rows_at)
+
+
+def _density_failure(params: ModelParams, charges: ChargeConfig, x: np.ndarray) -> FieldError:
+    """The failure of the energy density at x alone, as hamiltonian_on_points
+    raises it."""
+    try:
+        hamiltonian_on_points(params, charges, x[None, :])
+    except FieldError as exc:
+        return exc
+    return DomainViolation(f"energy density at x={x.tolist()} failed only in a batch")
 
 
 def _cmd_current(cfg: RunConfig, args) -> int:
@@ -574,11 +622,29 @@ def _cmd_current(cfg: RunConfig, args) -> int:
         raise ConfigError("current requires a charges section")
     params, charges = cfg.model, cfg.charges
 
-    def row_at(x):
-        sample = current_at(params, charges, x)
-        return (*x, *sample.j_e, *sample.j_m, sample.method)
+    def rows_at(pts):
+        cur = current_rows(params, charges, pts)
+        cells = np.column_stack((pts, cur.j_e, cur.j_m)).tolist()
+        return [row + [cur.method] for row in cells], cur.code, cur.errors
 
-    return _grid_command(cfg, args, "current", CURRENT_COLUMNS, row_at)
+    return _grid_command(cfg, args, "current", CURRENT_COLUMNS, rows_at)
+
+
+def _per_point(row_at):
+    """rows_at for a command that evaluates one point at a time."""
+
+    def rows_at(pts):
+        cells, code, errors = [], np.zeros(len(pts), dtype=np.int64), []
+        for i, x in enumerate(pts):
+            try:
+                cells.append(row_at(x))
+            except FieldError as exc:
+                cells.append(None)
+                errors.append(exc)
+                code[i] = len(errors)
+        return cells, code, errors
+
+    return rows_at
 
 
 def _cmd_continuous(cfg: RunConfig, args) -> int:
@@ -599,7 +665,7 @@ def _cmd_continuous(cfg: RunConfig, args) -> int:
         dens = energy_density(params, st)
         return (*x, *st.e, *st.h, *j_m, dens)
 
-    return _grid_command(cfg, args, "continuous", SAMPLE_COLUMNS, row_at)
+    return _grid_command(cfg, args, "continuous", SAMPLE_COLUMNS, _per_point(row_at))
 
 
 def _cmd_charge(cfg: RunConfig, args) -> int:

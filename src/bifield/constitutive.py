@@ -19,9 +19,13 @@ kappa = 0 is dispatched to dedicated closed forms rather than taking limits
 numerically; D = 0 is routed to the magnetostatic branch (exact for every
 model), which the logarithmic closed form needs.
 
-dyonic_eh inverts one point; dyonic_eh_rows inverts an (N, 3) batch, in
-array arithmetic for the logarithmic model and through dyonic_eh row by row
-for the others.
+dyonic_eh inverts one point; dyonic_eh_rows inverts an (N, 3) batch. The
+classical, logarithmic and fractional-power models run there as array
+arithmetic copied from the scalar branches (the fractional power through a
+masked monotone solve that follows invert_monotone row by row); the
+exponential, quadratic and custom models call dyonic_eh row by row.
+invert_rows is its non-raising core: a failure code per row and the list of
+exceptions, each the one dyonic_eh raises for that row.
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainViolation, FieldError, InversionFailure
+from .errors import DomainViolation, FieldError, InversionFailure, fail_rows
 from .models import (
     CLASSICAL,
     EXPONENTIAL,
+    FRACTIONAL_POWER,
     LOGARITHMIC,
     QUADRATIC,
     ModelParams,
@@ -145,7 +150,8 @@ def _electrostatic_a(params: ModelParams, d2: float) -> float:
         return smallest_positive_cubic_root(1.0 / al, d2 / al**2)
 
     def g(a: float) -> float:
-        return params.f_prime(0.5 * a) ** 2 * a
+        fp = params.f_prime(0.5 * a)
+        return fp * fp * a
 
     def dg(a: float) -> float:
         fp = params.f_prime(0.5 * a)
@@ -309,8 +315,8 @@ def _generic(params, d, b, d2, b2, bd, bxd2, eta):
     t = (d2 + k2 * bxd2) / opk
 
     def g(a: float) -> float:
-        s_a = 0.5 * (one_pk * a - b2)
-        return params.f_prime(s_a) ** 2 * one_pk * a
+        fp = params.f_prime(0.5 * (one_pk * a - b2))
+        return fp * fp * one_pk * a
 
     def dg(a: float) -> float:
         s_a = 0.5 * (one_pk * a - b2)
@@ -424,35 +430,109 @@ def rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _logarithmic_rows(params, d, b, failures):
-    """The logarithmic branches of dyonic_eh as array arithmetic, expression
-    by expression: electrostatic_e for B = 0, magnetostatic_h for D = 0,
-    _logarithmic_k0 or _logarithmic_k otherwise, then the direction check.
-    Failing rows get the 1-based index of their exception in failures."""
-    beta = params.beta
-    k2 = params.kappa**2
+def _split_rows(d, b):
+    """d2, b2, zeroed E, H, s and code arrays, and the rows dyonic_eh sends
+    to electrostatic_e (B = 0, D != 0), to magnetostatic_h (D = 0, B != 0)
+    and to a dyonic branch, as index arrays. Rows with D = B = 0 keep
+    E = H = 0 and s = 0."""
     d2 = rowdot(d, d)
     b2 = rowdot(b, b)
-    e = np.zeros_like(d)
-    h = np.zeros_like(b)
-    s = np.empty(len(d))
-    code = np.zeros(len(d), dtype=np.int64)
+    n = len(d)
+    elec = np.flatnonzero((b2 == 0.0) & (d2 != 0.0))
+    mag = np.flatnonzero((d2 == 0.0) & (b2 != 0.0))
+    dyon = np.flatnonzero((d2 != 0.0) & (b2 != 0.0))
+    return (d2, b2, np.zeros_like(d), np.zeros_like(b), np.zeros(n),
+            np.zeros(n, dtype=np.int64), elec, mag, dyon)
 
-    elec = b2 == 0.0
-    if elec.any():
-        de = d[elec]
-        e[elec] = 2.0 * de / (1.0 + np.sqrt(1.0 + 2.0 * beta * d2[elec]))[:, None]
-        s[elec] = 0.5 * rowdot(e[elec], e[elec])
 
-    mag = ~elec & (d2 == 0.0)
-    if mag.any():
-        h[mag] = (1.0 / (1.0 - beta * (-0.5 * b2[mag])))[:, None] * b[mag]
-        s[mag] = -0.5 * b2[mag]
+def _prime_rows(params, s, idx, code, errors, label):
+    """f'(s) on the rows idx as f_prime gives it, failing a row outside the
+    model domain or, with DomainViolation "<label> = f' inside guard band",
+    inside the FPRIME_GUARD band. Failed rows get NaN."""
+    ok = params.domain_rows(s)
+    fail_rows(code, errors, ~ok, lambda j: params.domain_error(s[j]), idx)
+    fp = np.full(len(s), np.nan)
+    fp[ok] = params.derivative_rows(s[ok], 1)
+    fail_rows(code, errors, ok & (np.abs(fp) < FPRIME_GUARD), lambda j: DomainViolation(
+        f"{label} = {float(fp[j])!r} inside guard band"), idx)
+    return fp
 
-    dyon = ~(elec | mag)
-    if not dyon.any():
-        return e, h, s, code
+
+def _magnetostatic_rows(params, b, b2, idx, h, s, code, errors):
+    """magnetostatic_h on the rows idx: H = f'(-B^2/2) B, failing outside
+    the model domain as f_prime does."""
+    sm = -0.5 * b2[idx]
+    s[idx] = sm
+    ok = params.domain_rows(sm)
+    fail_rows(code, errors, ~ok, lambda j: params.domain_error(sm[j]), idx)
+    h[idx[ok]] = params.derivative_rows(sm[ok], 1)[:, None] * b[idx[ok]]
+
+
+def _dyon_setup(params, d, b, d2, b2):
+    """The scalars dyonic_eh forms before its branches, on rows: B.D,
+    |B x D|^2, eta, 1 + kappa^2 B^2 and the direction-check projection
+    D - kappa^2 (B.D) B / (1 + kappa^2 B^2)."""
+    k2 = params.kappa**2
+    bd = rowdot(b, d)
+    bxd = np.cross(b, d)
+    bxd2 = rowdot(bxd, bxd)
+    eta = bd * bd / (d2 + k2 * (2.0 + k2 * b2) * bxd2)
+    opk = 1.0 + k2 * b2
+    proj = d - (k2 * bd / opk)[:, None] * b
+    return bd, bxd2, eta, opk, proj
+
+
+def _direction_rows(e, proj, idx, code, errors):
+    """dyonic_eh's direction check on the rows idx."""
+    dot = rowdot(e, proj)
+    norms = np.sqrt(rowdot(e, e)) * np.sqrt(rowdot(proj, proj))
+    fail_rows(code, errors, dot < -1e-12 * (norms + 1e-300), lambda j: InversionFailure(
+        f"direction match violated: E.(D - k^2 (B.D) B/(1+k^2 B^2)) = {float(dot[j])!r}"),
+        idx)
+
+
+def _classical_rows(params, d, b, errors):
+    """The classical branches of dyonic_eh as array arithmetic, expression
+    by expression: electrostatic_e, magnetostatic_h, _classical_k0 or
+    _classical_k, then the direction check."""
+    beta = params.beta
+    k2 = params.kappa**2
+    d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
+    e[elec] = d[elec] / np.sqrt(1.0 + beta * d2[elec])[:, None]
+    s[elec] = 0.5 * rowdot(e[elec], e[elec])
+    _magnetostatic_rows(params, b, b2, mag, h, s, code, errors)
     dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
+    bd, bxd2, _, opk, proj = _dyon_setup(params, dd, bb, d2y, b2y)
+    if params.kappa == 0.0:
+        f = np.sqrt((1.0 + beta * b2y) / (1.0 + beta * d2y))
+        e[dyon] = f[:, None] * dd
+        h[dyon] = bb / f[:, None]
+        s[dyon] = (d2y - b2y) / (2.0 * (1.0 + beta * d2y))
+    else:
+        r1 = np.sqrt((1.0 + beta * b2y) * opk)
+        r2 = np.sqrt(1.0 + beta * d2y + k2 * b2y + beta * k2 * bxd2)
+        f = r1 / r2
+        ey = f[:, None] * proj
+        eb = f * bd / opk
+        e[dyon] = ey
+        h[dyon] = (bb - (k2 * eb)[:, None] * ey) / f[:, None]
+        s[dyon] = (d2y - b2y + k2 * (bxd2 - b2y * b2y)) / (2.0 * r2 * r2)
+    _direction_rows(e[dyon], proj, dyon, code, errors)
+    return e, h, s, code
+
+
+def _logarithmic_rows(params, d, b, errors):
+    """The logarithmic branches of dyonic_eh as array arithmetic, expression
+    by expression: electrostatic_e for B = 0, magnetostatic_h for D = 0,
+    _logarithmic_k0 or _logarithmic_k otherwise, then the direction check."""
+    beta = params.beta
+    k2 = params.kappa**2
+    d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
+    e[elec] = 2.0 * d[elec] / (1.0 + np.sqrt(1.0 + 2.0 * beta * d2[elec]))[:, None]
+    s[elec] = 0.5 * rowdot(e[elec], e[elec])
+    _magnetostatic_rows(params, b, b2, mag, h, s, code, errors)
+    dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
+    bd, _, eta, opk, proj = _dyon_setup(params, dd, bb, d2y, b2y)
     if params.kappa == 0.0:
         two_pb = 2.0 + beta * b2y
         root = np.sqrt(1.0 + beta * d2y * two_pb)
@@ -460,13 +540,7 @@ def _logarithmic_rows(params, d, b, failures):
         ey = one_m[:, None] * dd
         hy = bb / one_m[:, None]
         sy = (1.0 - one_m) / beta
-        proj = dd
     else:
-        bd = rowdot(bb, dd)
-        bxd = np.cross(bb, dd)
-        bxd2 = rowdot(bxd, bxd)
-        eta = bd * bd / (d2y + k2 * (2.0 + k2 * b2y) * bxd2)
-        opk = 1.0 + k2 * b2y
         one_pk = 1.0 + k2 * eta
         c = 1.0 + 0.5 * beta * b2y
         m = 1.0 + k2 * (2.0 + k2 * b2y) * eta
@@ -474,28 +548,153 @@ def _logarithmic_rows(params, d, b, failures):
         a = 2.0 * c * c / (beta * one_pk * (c + chi + np.sqrt(chi * (2.0 * c + chi))))
         sy = 0.5 * (one_pk * a - b2y)
         one_m = 1.0 - beta * sy
-        proj = dd - (k2 * bd / opk)[:, None] * bb
         ey = one_m[:, None] * proj
         eb = one_m * bd / opk
         hy = (bb - (k2 * eb)[:, None] * ey) / one_m[:, None]
+        fail_rows(code, errors, one_m <= 0.0, lambda j: DomainViolation(
+            f"logarithmic inversion left its domain: 1-beta*s={float(one_m[j])!r}"), dyon)
     e[dyon], h[dyon], s[dyon] = ey, hy, sy
-
-    code_y = np.zeros(len(dd), dtype=np.int64)
-    left = one_m <= 0.0
-    if left.any():
-        failures.append(DomainViolation(
-            "logarithmic inversion left its domain: 1-beta*s <= 0"))
-        code_y[left] = len(failures)
-    dot = rowdot(ey, proj)
-    if (dot < 0.0).any():
-        norms = np.linalg.norm(ey, axis=1) * np.linalg.norm(proj, axis=1)
-        wrong = (code_y == 0) & (dot < -1e-12 * (norms + 1e-300))
-        if wrong.any():
-            failures.append(InversionFailure(
-                "direction match violated: E.(D - k^2 (B.D) B/(1+k^2 B^2)) < 0"))
-            code_y[wrong] = len(failures)
-    code[dyon] = code_y
+    _direction_rows(ey, proj, dyon, code, errors)
     return e, h, s, code
+
+
+def _monotone_rows(params, t, one_pk, b2):
+    """The monotone solve of _generic on rows: g(a) = f'(s_a)^2 one_pk a = t
+    with s_a = (one_pk a - b2)/2 (one_pk = 1, b2 = 0 is _electrostatic_a's).
+
+    Each row runs the scalar iterates and stops at its own test. The bracket
+    [0, hi] doubles from max(1, t) until g(hi) >= t, at most 200 times. Then
+    invert_monotone(g, t, 0, hi, deriv=dg) runs: its flo == 0 and fhi == 0
+    exits, its best-residual tracking, Newton steps kept only strictly
+    inside the bracket, and its 1e-12 residual and 1e-17 width stops. Its
+    bracket test cannot fail here (flo = -t < 0 <= fhi), and g increases.
+
+    Returns a (NaN where unsolved), the mask of rows whose s_a left the
+    model domain with the s_a at which they did, and the mask of rows whose
+    bracket never closed.
+    """
+    n = len(t)
+    a_out = np.full(n, np.nan)
+    lost = np.zeros(n, dtype=bool)
+    lost_s = np.full(n, np.nan)
+
+    def g(rows, a):
+        """Drop the rows whose s_a leaves the domain; return the others with
+        their a, s_a, f'(s_a) and g(a) - t."""
+        s_a = 0.5 * (one_pk[rows] * a - b2[rows])
+        ok = params.domain_rows(s_a)
+        lost[rows[~ok]] = True
+        lost_s[rows[~ok]] = s_a[~ok]
+        rows, a, s_a = rows[ok], a[ok], s_a[ok]
+        fp = params.derivative_rows(s_a, 1)
+        return rows, a, s_a, fp, fp * fp * one_pk[rows] * a - t[rows]
+
+    hi = np.where(t > 1.0, t, 1.0)
+    rows = np.arange(n)
+    closed = np.zeros(n, dtype=bool)
+    for _ in range(200):
+        rows, _, _, _, fhi = g(rows, hi[rows])
+        closed[rows[fhi >= 0.0]] = True
+        rows = rows[~(fhi >= 0.0)]
+        hi[rows] *= 2.0
+        if not len(rows):
+            break
+    unbracketed = np.zeros(n, dtype=bool)
+    unbracketed[rows] = True
+
+    rows, _, _, _, flo = g(np.flatnonzero(closed), np.zeros(int(closed.sum())))
+    a_out[rows[flo == 0.0]] = 0.0
+    rows = rows[flo != 0.0]
+    rows, _, _, _, fhi = g(rows, hi[rows])
+    a_out[rows[fhi == 0.0]] = hi[rows[fhi == 0.0]]
+    rows = rows[fhi != 0.0]
+
+    tol = 1e-12 * np.where(np.abs(t[rows]) > 1.0, np.abs(t[rows]), 1.0)
+    lo = np.zeros(len(rows))
+    hi = hi[rows]
+    a = 0.5 * (lo + hi)
+    best = a.copy()
+    best_res = np.full(len(rows), np.inf)
+    for _ in range(200):
+        if not len(rows):
+            break
+        kept, a, s_a, fp, fa = g(rows, a)
+        if len(kept) < len(rows):
+            ok = np.isin(rows, kept)
+            tol, lo, hi, best, best_res = (v[ok] for v in (tol, lo, hi, best, best_res))
+            rows = kept
+        res = np.abs(fa)
+        better = res < best_res
+        best = np.where(better, a, best)
+        best_res = np.where(better, res, best_res)
+        done = res <= tol
+        a_out[rows[done]] = a[done]
+        up = fa > 0.0
+        hi = np.where(up, a, hi)
+        lo = np.where(up, lo, a)
+        opk = one_pk[rows]
+        da = opk * fp * (fp + params.derivative_rows(s_a, 2) * opk * a)
+        step = a - fa / da
+        newton = (da != 0.0) & np.isfinite(da) & (lo < step) & (step < hi)
+        a = np.where(newton, step, 0.5 * (lo + hi))
+        narrow = ~done & (hi - lo <= 1e-17 * np.where(np.abs(hi) > 1.0, np.abs(hi), 1.0))
+        a_out[rows[narrow]] = best[narrow]
+        go = ~(done | narrow)
+        rows, a, tol, lo, hi, best, best_res = (
+            v[go] for v in (rows, a, tol, lo, hi, best, best_res))
+    a_out[rows] = best
+    return a_out, lost, lost_s, unbracketed
+
+
+def _generic_rows(params, d, b, errors):
+    """The branches dyonic_eh takes for a model without a closed form, as
+    array arithmetic: electrostatic_e through _electrostatic_a's solve,
+    magnetostatic_h, and _generic, then the direction check. Each failing
+    row gets the exception the scalar path raises for it. Exact for a model
+    whose derivative_rows round like its scalar f' and f''; the fractional
+    power is the one built-in kind routed here."""
+    k2 = params.kappa**2
+    d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
+
+    # electrostatic_e: _electrostatic_a raises DomainViolation unwrapped
+    t = d2[elec]
+    a, lost, lost_s, unbracketed = _monotone_rows(params, t, np.ones(len(t)),
+                                                  np.zeros(len(t)))
+    fail_rows(code, errors, lost, lambda j: params.domain_error(lost_s[j]), elec)
+    fail_rows(code, errors, unbracketed, lambda j: InversionFailure(
+        f"electrostatic bracket expansion failed at D^2={float(t[j])!r}"), elec)
+    fp = _prime_rows(params, 0.5 * a, elec, code, errors, "f'(a/2)")
+    e[elec] = d[elec] / fp[:, None]
+    s[elec] = 0.5 * rowdot(e[elec], e[elec])
+
+    _magnetostatic_rows(params, b, b2, mag, h, s, code, errors)
+
+    # _generic turns a DomainViolation inside its solve into InversionFailure
+    dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
+    bd, bxd2, eta, opk, proj = _dyon_setup(params, dd, bb, d2y, b2y)
+    one_pk = 1.0 + k2 * eta
+    t = (d2y + k2 * bxd2) / opk
+    a, lost, _, unbracketed = _monotone_rows(params, t, one_pk, b2y)
+    fail_rows(code, errors, lost, lambda j: InversionFailure(
+        f"target {float(t[j])!r} unreachable inside the model domain"), dyon)
+    fail_rows(code, errors, unbracketed, lambda j: InversionFailure(
+        f"bracket expansion failed at target {float(t[j])!r}"), dyon)
+    sy = 0.5 * (one_pk * a - b2y)
+    fp = _prime_rows(params, sy, dyon, code, errors, "f'(s)")
+    ey = proj / fp[:, None]
+    eb = bd / (fp * opk)
+    e[dyon] = ey
+    h[dyon] = fp[:, None] * (bb - (k2 * eb)[:, None] * ey)
+    s[dyon] = sy
+    _direction_rows(ey, proj, dyon, code, errors)
+    return e, h, s, code
+
+
+_ROW_KERNELS = {
+    CLASSICAL: _classical_rows,
+    LOGARITHMIC: _logarithmic_rows,
+    FRACTIONAL_POWER: _generic_rows,
+}
 
 
 def _scalar_rows(params, d, b, failures):
@@ -516,30 +715,44 @@ def _scalar_rows(params, d, b, failures):
     return e, h, s, code
 
 
+def invert_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                     np.ndarray, list]:
+    """The non-raising core of dyonic_eh_rows: E, H, s, code, errors.
+
+    code[i] is 0 for a row that inverted to finite values and k > 0 when
+    errors[k - 1] is its failure: the exception dyonic_eh raises for that
+    row alone, or DomainViolation for a non-finite result. A failed row's
+    E, H and s are meaningless.
+    """
+    d = np.asarray(d, dtype=float).reshape(-1, 3)
+    b = np.asarray(b, dtype=float).reshape(-1, 3)
+    errors: list = []
+    rows = _ROW_KERNELS.get(params.kind, _scalar_rows)
+    with np.errstate(all="ignore"):
+        e, h, s, code = rows(params, d, b, errors)
+    finite = np.isfinite(e).all(axis=1) & np.isfinite(h).all(axis=1) & np.isfinite(s)
+    fail_rows(code, errors, ~finite, DomainViolation("inversion gave a non-finite field"))
+    return e, h, s, code, errors
+
+
 def dyonic_eh_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Invert the constitutive map on rows: D, B of shape (N, 3) -> E, H, s.
 
     Returns E and H of shape (N, 3) and the invariant s of shape (N,). The
-    logarithmic model runs as array arithmetic copied from the scalar
-    branches; every other model calls dyonic_eh row by row. Fails loudly:
-    if any row fails or yields a non-finite value, raises the class the
-    scalar path raises for the first such row (DomainViolation for a
-    non-finite one), naming that row and the number of failing rows.
+    classical, logarithmic and fractional-power models run as array
+    arithmetic copied from the scalar branches and round like them; every
+    other model calls dyonic_eh row by row. Fails loudly: if any row fails
+    or yields a non-finite value, raises the class the scalar path raises
+    for the first such row (DomainViolation for a non-finite one), naming
+    that row and the number of failing rows.
     """
     d = np.asarray(d, dtype=float).reshape(-1, 3)
     b = np.asarray(b, dtype=float).reshape(-1, 3)
-    failures: list = []
-    rows = _logarithmic_rows if params.kind == LOGARITHMIC else _scalar_rows
-    with np.errstate(all="ignore"):
-        e, h, s, code = rows(params, d, b, failures)
-    finite = np.isfinite(e).all(axis=1) & np.isfinite(h).all(axis=1) & np.isfinite(s)
-    if not finite[code == 0].all():
-        failures.append(DomainViolation("inversion gave a non-finite field"))
-        code[(code == 0) & ~finite] = len(failures)
+    e, h, s, code, errors = invert_rows(params, d, b)
     bad = np.flatnonzero(code)
     if len(bad):
         i = int(bad[0])
-        first = failures[code[i] - 1]
+        first = errors[code[i] - 1]
         raise type(first)(
             f"{len(bad)} of {len(d)} rows failed; first row {i} "
             f"(D={d[i].tolist()}, B={b[i].tolist()}): {first}") from first

@@ -16,6 +16,12 @@ sources. Finite-difference curl and divergence operators are provided as
 independent oracles; the test suite checks every analytic current against
 them and against the term-by-term triple sums over the charges.
 
+current_rows evaluates N points at once: the closed forms as array
+arithmetic, and the finite-difference route by stacking the 12 stencil
+nodes of every point into one Coulomb pass and one constitutive rows call.
+The per-point functions (current_at and the closed forms) are one-row calls
+of the same arithmetic.
+
 jm_classical_jacobi_term alone keeps a math.fsum triple loop: it is the
 floating-point witness of the cyclic identity
 a x (b+c) + b x (c+a) + c x (a+b) = 0, which the factored form would hide.
@@ -29,11 +35,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SingularPoint
+from .errors import DomainViolation, SingularPoint, fail_rows, merge_failures
 from .models import ModelParams, CLASSICAL
 from .sources import (ChargeConfig, _batch_coulomb, _coulomb_gradient, _coulomb_offsets,
-                      _db_weights, _superpose, as_vec3)
-from .constitutive import dyonic_eh, electrostatic_e
+                      _db_weights, _superpose, as_vec3, mark_singular)
+from .constitutive import dyonic_eh, invert_rows, rowdot
 
 __all__ = [
     "CurrentSample",
@@ -50,6 +56,8 @@ __all__ = [
     "fd_div",
     "fd_step",
     "stencil_is_clear",
+    "CurrentRows",
+    "current_rows",
     "current_at",
 ]
 
@@ -76,30 +84,95 @@ class CurrentSample:
             raise ValueError("current sample has non-finite components")
 
 
+@dataclass(frozen=True)
+class CurrentRows:
+    """Current densities at N points.
+
+    j_e and j_m have shape (N, 3); method is the route every point took
+    ("analytic" or "fd"). code[i] = 0 when point i evaluated, else k > 0
+    with errors[k - 1] the exception current_at raises at that point alone
+    (a SingularPoint marks a point to skip). A failed point's currents are
+    meaningless.
+    """
+
+    j_e: np.ndarray
+    j_m: np.ndarray
+    method: str
+    code: np.ndarray
+    errors: list
+
+
 def _field_and_gradient(cfg: ChargeConfig, weights: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
-    """F and grad(F^2) of one Coulomb superposition at the point x; weights
-    of shape (m, n) give m of each, from one offsets pass."""
-    f, grad = _coulomb_gradient(cfg, weights, as_vec3(x)[None, :])
-    return f[..., 0, :], grad[..., 0, :]
+    """F and grad(F^2) of one Coulomb superposition at the point x, as
+    one-row arrays; weights of shape (m, n) give m of each."""
+    return _coulomb_gradient(cfg, weights, as_vec3(x)[None, :])
+
+
+def _one_row(j: np.ndarray, code: np.ndarray, errors: list) -> np.ndarray:
+    """The single row of a one-point batch, or its failure raised."""
+    if code[0]:
+        raise errors[code[0] - 1]
+    return j[0]
 
 
 def _classical_curl(beta: float, f: np.ndarray, grad_f2: np.ndarray) -> np.ndarray:
-    """beta / (2 (1 + beta F^2)^{3/2}) grad(F^2) x F, which is minus the curl
-    of F / sqrt(1 + beta F^2) for a curl-free F."""
-    return beta / (2.0 * (1.0 + beta * float(f @ f)) ** 1.5) * np.cross(grad_f2, f)
+    """beta / (2 (1 + beta F^2)^{3/2}) grad(F^2) x F on rows, which is minus
+    the curl of F / sqrt(1 + beta F^2) for a curl-free F."""
+    pref = beta / (2.0 * np.power(1.0 + beta * rowdot(f, f), 1.5))
+    return pref[:, None] * np.cross(grad_f2, f)
 
 
 def _dyonic_k0_curl(beta: float, a: np.ndarray, grad_a2: np.ndarray,
                     b: np.ndarray, grad_b2: np.ndarray) -> np.ndarray:
-    """Minus the curl of sqrt((1 + beta B^2)/(1 + beta A^2)) A, by the product rule:
+    """Minus the curl of sqrt((1 + beta B^2)/(1 + beta A^2)) A on rows, by the
+    product rule:
 
         sqrt(1 + beta B^2) * _classical_curl(A)
         + beta / (2 sqrt(1 + beta A^2) sqrt(1 + beta B^2)) A x grad(B^2)
     """
-    root_a = math.sqrt(1.0 + beta * float(a @ a))
-    root_b = math.sqrt(1.0 + beta * float(b @ b))
-    mixed = beta / (2.0 * root_a * root_b) * np.cross(a, grad_b2)
-    return root_b * _classical_curl(beta, a, grad_a2) + mixed
+    root_a = np.sqrt(1.0 + beta * rowdot(a, a))
+    root_b = np.sqrt(1.0 + beta * rowdot(b, b))
+    mixed = (beta / (2.0 * root_a * root_b))[:, None] * np.cross(a, grad_b2)
+    return root_b[:, None] * _classical_curl(beta, a, grad_a2) + mixed
+
+
+def _generic_electric_curl(params: ModelParams, d: np.ndarray, grad: np.ndarray):
+    """jm_generic_electrostatic on rows: (j_m, code, errors).
+
+    E comes from the constitutive rows kernel at B = 0 (electrostatic_e);
+    f' and f'' at h/2 = E^2/2 fail outside the model domain as f_prime does.
+    """
+    e, _, _, code, errors = invert_rows(params, d, np.zeros_like(d))
+    with np.errstate(all="ignore"):
+        h = rowdot(e, e)
+        s = 0.5 * h
+        ok = params.domain_rows(s)
+        fail_rows(code, errors, ~ok, lambda j: params.domain_error(s[j]))
+        fp = params.derivative_rows(s[ok], 1)
+        fpp = params.derivative_rows(s[ok], 2)
+        hprime = 1.0 / (fp * (fpp * h[ok] + fp))
+        pref = fpp * hprime / (2.0 * fp * fp)
+        # linear electrodynamics (f'' = 0) gives exactly zero
+        rows = np.flatnonzero(ok)[fpp != 0.0]
+        jm = np.zeros_like(d)
+        jm[rows] = pref[fpp != 0.0, None] * np.cross(grad[rows], d[rows])
+    return jm, code, errors
+
+
+def _generic_magnetic_curl(params: ModelParams, b: np.ndarray, grad: np.ndarray):
+    """je_generic_magnetostatic on rows: (j_e, code, errors), with f'' at
+    -B^2/2 failing outside the model domain as f_double_prime does."""
+    code = np.zeros(len(b), dtype=np.int64)
+    errors: list = []
+    s = -0.5 * rowdot(b, b)
+    ok = params.domain_rows(s)
+    fail_rows(code, errors, ~ok, lambda j: params.domain_error(s[j]))
+    with np.errstate(all="ignore"):
+        fpp = params.derivative_rows(s[ok], 2)
+        rows = np.flatnonzero(ok)[fpp != 0.0]
+        je = np.zeros_like(b)
+        je[rows] = (0.5 * fpp[fpp != 0.0])[:, None] * np.cross(b[rows], grad[rows])
+    return je, code, errors
 
 
 def jm_classical_electrostatic(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
@@ -109,7 +182,7 @@ def jm_classical_electrostatic(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
     for E = D / sqrt(1 + beta D^2). Uses the electric charges only; zero for
     a single center, where grad(D^2) is parallel to D.
     """
-    return _classical_curl(beta, *_field_and_gradient(cfg, cfg.qs, x))
+    return _classical_curl(beta, *_field_and_gradient(cfg, cfg.qs, x))[0]
 
 
 def jm_classical_jacobi_term(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
@@ -144,7 +217,7 @@ def je_classical_magnetostatic(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
     curl H = j_e for H = B / sqrt(1 + beta B^2); the electric formula with
     B in place of D and the opposite overall sign.
     """
-    return -_classical_curl(beta, *_field_and_gradient(cfg, cfg.gs, x))
+    return -_classical_curl(beta, *_field_and_gradient(cfg, cfg.gs, x))[0]
 
 
 def jm_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
@@ -159,7 +232,7 @@ def jm_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
     vanishes when all g_i = 0, recovering the electrostatic current exactly.
     """
     (d, b), (grad_d2, grad_b2) = _field_and_gradient(cfg, _db_weights(cfg), x)
-    return _dyonic_k0_curl(beta, d, grad_d2, b, grad_b2)
+    return _dyonic_k0_curl(beta, d, grad_d2, b, grad_b2)[0]
 
 
 def je_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
@@ -174,7 +247,7 @@ def je_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
     relative sign flips because j_e = +curl H while j_m = -curl E.
     """
     (d, b), (grad_d2, grad_b2) = _field_and_gradient(cfg, _db_weights(cfg), x)
-    return -_dyonic_k0_curl(beta, b, grad_b2, d, grad_d2)
+    return -_dyonic_k0_curl(beta, b, grad_b2, d, grad_d2)[0]
 
 
 def jm_generic_electrostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.ndarray:
@@ -189,20 +262,12 @@ def jm_generic_electrostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.nd
     instead would be noise-dominated. curl E = -j_m. Linear electrodynamics
     (f'' = 0) gives zero identically.
     """
-    d, grad = _field_and_gradient(cfg, cfg.qs, x)
-    e = electrostatic_e(params, d)
-    h = float(e @ e)
-    fp = params.f_prime(0.5 * h)
-    fpp = params.f_double_prime(0.5 * h)
-    if fpp == 0.0:
-        return np.zeros(3)
-    hprime = 1.0 / (fp * (fpp * h + fp))
-    return fpp * hprime / (2.0 * fp**2) * np.cross(grad, d)
+    return _one_row(*_generic_electric_curl(params, *_field_and_gradient(cfg, cfg.qs, x)))
 
 
 def grad_field_square(cfg: ChargeConfig, x, which: str = "magnetic") -> np.ndarray:
     """Analytic gradient of D^2 or B^2 for a Coulomb superposition."""
-    return _field_and_gradient(cfg, cfg.gs if which == "magnetic" else cfg.qs, x)[1]
+    return _field_and_gradient(cfg, cfg.gs if which == "magnetic" else cfg.qs, x)[1][0]
 
 
 def je_generic_magnetostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.ndarray:
@@ -212,11 +277,7 @@ def je_generic_magnetostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.nd
     Vanishes for a single center (B parallel to grad B^2) and for linear
     electrodynamics.
     """
-    b, grad = _field_and_gradient(cfg, cfg.gs, x)
-    fpp = params.f_double_prime(-0.5 * float(b @ b))
-    if fpp == 0.0:
-        return np.zeros(3)
-    return 0.5 * fpp * np.cross(b, grad)
+    return _one_row(*_generic_magnetic_curl(params, *_field_and_gradient(cfg, cfg.gs, x)))
 
 
 def fd_step(x, scale: float = 1e-4) -> float:
@@ -293,12 +354,110 @@ def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
     return field
 
 
+def _fd_step_rows(pts: np.ndarray) -> np.ndarray:
+    """fd_step at each row of pts."""
+    return 1e-4 * np.maximum(1.0, np.sqrt(rowdot(pts, pts)))
+
+
+def _stencil_clear(cfg: ChargeConfig, pts: np.ndarray, step) -> np.ndarray:
+    """stencil_is_clear at each row of pts, distances rounded like the
+    scalar min_distance."""
+    r = (pts[:, None, :] - cfg.positions[None, :, :]).reshape(-1, 3)
+    dist = np.sqrt(rowdot(r, r)).reshape(len(pts), -1)
+    return dist.min(axis=1) > step + cfg.exclusion_radius
+
+
 def stencil_is_clear(cfg: ChargeConfig, x, step: float) -> bool:
     """True when every node of the 6-point stencil stays outside the
     charge exclusion balls. Sweeps skip points that fail this, so the FD
     oracles are never contaminated by near-singular values."""
-    x = as_vec3(x)
-    return cfg.min_distance(x) > step + cfg.exclusion_radius
+    return bool(_stencil_clear(cfg, as_vec3(x)[None, :], step)[0])
+
+
+def _fd_rows(params: ModelParams, cfg: ChargeConfig, pts: np.ndarray,
+             j_e: np.ndarray, j_m: np.ndarray, code: np.ndarray, errors: list) -> None:
+    """The finite-difference route of current_rows.
+
+    Stacks the 12 stencil nodes of every point in fd_curl's order (h/2
+    first, then h; +x, -x, +y, -y, +z, -z), evaluates D and B in one
+    Coulomb pass and E and H in one invert_rows call, and forms the
+    Richardson curl with fd_curl's arithmetic. A point whose stencil
+    enters an exclusion ball is a SingularPoint; one whose nodes fail takes
+    the failure of its first failing node.
+    """
+    h = _fd_step_rows(pts)
+    clear = _stencil_clear(cfg, pts, h)
+    fail_rows(code, errors, ~clear,
+              SingularPoint("finite-difference stencil enters a charge exclusion ball"))
+    idx = np.flatnonzero(clear)
+    x = pts[idx]
+    hs = np.stack((0.5 * h[idx], h[idx]), axis=1)
+    steps = np.zeros((len(idx), 2, 3, 3))
+    steps[:, :, [0, 1, 2], [0, 1, 2]] = hs[:, :, None]
+    x = x[:, None, None, :]
+    nodes = np.stack((x + steps, x - steps), axis=3)  # point, h, axis, sign, xyz
+    d, b = _batch_coulomb(cfg, _db_weights(cfg), nodes.reshape(-1, 3))
+    e, h_node, _, node_code, node_errors = invert_rows(params, d, b)
+    node_code = node_code.reshape(len(idx), 12)
+    first = node_code[np.arange(len(idx)), np.argmax(node_code != 0, axis=1)]
+    merge_failures(code, errors, idx, first, node_errors)
+    f = np.stack((e, h_node), axis=1).reshape(len(idx), 2, 3, 2, 2, 3)
+    # dfdx[p, k, j, w, i] = d(E or H)_i / dx_j at step k, as _fd_jacobian forms it
+    dfdx = (f[:, :, :, 0] - f[:, :, :, 1]) / (2.0 * hs)[:, :, None, None, None]
+    curl = np.stack((dfdx[:, :, 1, :, 2] - dfdx[:, :, 2, :, 1],
+                     dfdx[:, :, 2, :, 0] - dfdx[:, :, 0, :, 2],
+                     dfdx[:, :, 0, :, 1] - dfdx[:, :, 1, :, 0]), axis=-1)
+    curl = (4.0 * curl[:, 0] - curl[:, 1]) / 3.0
+    j_e[idx] = curl[:, 1]
+    j_m[idx] = -curl[:, 0]
+
+
+def current_rows(params: ModelParams, cfg: ChargeConfig, pts) -> CurrentRows:
+    """Evaluate (j_e, j_m) at points of shape (N, 3), choosing the route as
+    current_at does; every row is what current_at gives at that point.
+
+    The closed forms run on all points at once; the finite-difference route
+    inverts the stencil nodes of all points in one rows call. Never raises
+    for a point: failures and points to skip come back as codes.
+    """
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    n = len(pts)
+    j_e = np.zeros((n, 3))
+    j_m = np.zeros((n, 3))
+    code = np.zeros(n, dtype=np.int64)
+    errors: list = []
+    electric_only = bool(np.all(cfg.gs == 0.0))
+    magnetic_only = bool(np.all(cfg.qs == 0.0))
+    classical = params.kind == CLASSICAL
+    with np.errstate(all="ignore"):
+        if electric_only or magnetic_only or (classical and params.kappa == 0.0):
+            method = "analytic"
+            idx = mark_singular(cfg, pts, code, errors)
+            x = pts[idx]
+            if electric_only:
+                d, grad = _coulomb_gradient(cfg, cfg.qs, x)
+                if classical:
+                    j_m[idx] = _classical_curl(params.beta, d, grad)
+                else:
+                    j_m[idx], sub_code, sub_errors = _generic_electric_curl(params, d, grad)
+                    merge_failures(code, errors, idx, sub_code, sub_errors)
+            elif magnetic_only:
+                b, grad = _coulomb_gradient(cfg, cfg.gs, x)
+                if classical:
+                    j_e[idx] = -_classical_curl(params.beta, b, grad)
+                else:
+                    j_e[idx], sub_code, sub_errors = _generic_magnetic_curl(params, b, grad)
+                    merge_failures(code, errors, idx, sub_code, sub_errors)
+            else:
+                (d, b), (grad_d2, grad_b2) = _coulomb_gradient(cfg, _db_weights(cfg), x)
+                j_m[idx] = _dyonic_k0_curl(params.beta, d, grad_d2, b, grad_b2)
+                j_e[idx] = -_dyonic_k0_curl(params.beta, b, grad_b2, d, grad_d2)
+        else:
+            method = "fd"
+            _fd_rows(params, cfg, pts, j_e, j_m, code, errors)
+        finite = np.isfinite(j_e).all(axis=1) & np.isfinite(j_m).all(axis=1)
+    fail_rows(code, errors, ~finite, DomainViolation("current has non-finite components"))
+    return CurrentRows(j_e=j_e, j_m=j_m, method=method, code=code, errors=errors)
 
 
 def current_at(params: ModelParams, cfg: ChargeConfig, x) -> CurrentSample:
@@ -308,33 +467,12 @@ def current_at(params: ModelParams, cfg: ChargeConfig, x) -> CurrentSample:
     kappa = 0 dyonic case use the closed forms. Mixed configurations in any
     other model (or kappa > 0) have no derived closed form, so the currents
     are measured as finite-difference curls of the inverted E and H fields
-    and tagged method="fd".
+    and tagged method="fd". A one-row call of current_rows; raises the
+    point's failure (SingularPoint inside an exclusion ball or when the FD
+    stencil would enter one).
     """
     x = as_vec3(x)
-    electric_only = bool(np.all(cfg.gs == 0.0))
-    magnetic_only = bool(np.all(cfg.qs == 0.0))
-
-    if electric_only:
-        if params.kind == CLASSICAL:
-            jm = jm_classical_electrostatic(cfg, params.beta, x)
-        else:
-            jm = jm_generic_electrostatic(params, cfg, x)
-        return CurrentSample(j_e=np.zeros(3), j_m=jm, at=x)
-
-    if magnetic_only:
-        if params.kind == CLASSICAL:
-            je = je_classical_magnetostatic(cfg, params.beta, x)
-        else:
-            je = je_generic_magnetostatic(params, cfg, x)
-        return CurrentSample(j_e=je, j_m=np.zeros(3), at=x)
-
-    if params.kind == CLASSICAL and params.kappa == 0.0:
-        jm = jm_classical_dyonic_k0(cfg, params.beta, x)
-        je = je_classical_dyonic_k0(cfg, params.beta, x)
-        return CurrentSample(j_e=je, j_m=jm, at=x)
-
-    h = fd_step(x)
-    if not stencil_is_clear(cfg, x, h):
-        raise SingularPoint("finite-difference stencil enters a charge exclusion ball")
-    curl_e, curl_h = fd_curl(eh_field(params, cfg), x, step=h, richardson=True)
-    return CurrentSample(j_e=curl_h, j_m=-curl_e, at=x, method="fd")
+    rows = current_rows(params, cfg, x[None, :])
+    if rows.code[0]:
+        raise rows.errors[rows.code[0] - 1]
+    return CurrentSample(j_e=rows.j_e[0], j_m=rows.j_m[0], at=x, method=rows.method)

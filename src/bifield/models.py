@@ -225,14 +225,8 @@ class ModelParams:
             return 2.0 * self.alpha
         return self.f_double_prime_custom(s)
 
-    def f_and_prime_rows(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """f(s) and f'(s) for an array of invariants, element by element.
-
-        Built-in kinds use the scalar formulas as array arithmetic; custom
-        models call their scalar callables per row. Raises DomainViolation,
-        naming the first offending row and the number of them, if any s is
-        non-finite or outside the model domain.
-        """
+    def domain_rows(self, s) -> np.ndarray:
+        """The in_domain test on an array of invariants, element by element."""
         s = np.asarray(s, dtype=float)
         b = self.beta
         ok = np.isfinite(s)
@@ -244,39 +238,91 @@ class ModelParams:
             ok &= 1.0 + b * s / self.p > 0.0
         elif self.kind == CUSTOM:
             ok &= (self.s_min < s) & (s < self.s_max)
+        return ok
+
+    def domain_error(self, s: float) -> DomainViolation:
+        """The DomainViolation that f, f' and f'' raise at s."""
+        return DomainViolation(f"s={float(s)!r} outside domain of {self.kind} model")
+
+    def _require_rows(self, s) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        ok = self.domain_rows(s)
         if not ok.all():
             bad = np.flatnonzero(~ok)
             raise DomainViolation(
                 f"s outside domain of {self.kind} model in {len(bad)} of {s.size} "
                 f"rows; first row {int(bad[0])}: s={float(s.flat[bad[0]])!r}")
+        return s
+
+    def f_and_prime_rows(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """f(s) and f'(s) for an array of invariants, element by element.
+
+        Built-in kinds use the scalar formulas as array arithmetic; custom
+        models call their scalar callables per row. Raises DomainViolation,
+        naming the first offending row and the number of them, if any s is
+        non-finite or outside the model domain.
+        """
+        s = self._require_rows(s)
+        return self.derivative_rows(s, 0), self.derivative_rows(s, 1)
+
+    def f_double_prime_rows(self, s) -> np.ndarray:
+        """f''(s) for an array of invariants; fails like f_and_prime_rows."""
+        return self.derivative_rows(self._require_rows(s), 2)
+
+    def derivative_rows(self, s, order: int) -> np.ndarray:
+        """f (order 0), f' (1) or f'' (2) on an array of invariants, with no
+        domain check: callers pass rows that domain_rows accepts."""
+        s = np.asarray(s, dtype=float)
+        b = self.beta
         if self.kind == CLASSICAL:
+            if order == 2:
+                return b / np.power(1.0 - 2.0 * b * s, 1.5)
             root = np.sqrt(1.0 - 2.0 * b * s)
-            return (1.0 - root) / b, 1.0 / root
+            return (1.0 - root) / b if order == 0 else 1.0 / root
         if self.kind == LOGARITHMIC:
-            return -np.log1p(-b * s) / b, 1.0 / (1.0 - b * s)
+            if order == 0:
+                return -np.log1p(-b * s) / b
+            return 1.0 / (1.0 - b * s) if order == 1 else b / (1.0 - b * s) ** 2
         if self.kind == EXPONENTIAL:
-            return np.expm1(b * s) / b, np.exp(b * s)
+            if order == 0:
+                return np.expm1(b * s) / b
+            return np.exp(b * s) if order == 1 else b * np.exp(b * s)
         if self.kind == FRACTIONAL_POWER:
-            base = 1.0 + b * s / self.p
-            if _is_integral(self.p):
-                n = int(round(self.p))
-                return (base**n - 1.0) / b, base ** (n - 1)
-            return (base**self.p - 1.0) / b, base ** (self.p - 1.0)
+            if order == 0:
+                return (self.power_rows(s, 0) - 1.0) / b
+            if order == 1:
+                return self.power_rows(s, 1)
+            if self.p == 1.0:
+                return np.zeros_like(s)
+            return b * (self.p - 1.0) / self.p * self.power_rows(s, 2)
         if self.kind == QUADRATIC:
-            return s + self.alpha * s * s, 1.0 + 2.0 * self.alpha * s
-        f = np.array([self.f_custom(float(v)) for v in s.flat]).reshape(s.shape)
-        fp = np.array([self.f_prime_custom(float(v)) for v in s.flat]).reshape(s.shape)
-        return f, fp
+            if order == 0:
+                return s + self.alpha * s * s
+            return 1.0 + 2.0 * self.alpha * s if order == 1 else np.full_like(s, 2.0 * self.alpha)
+        fn = (self.f_custom, self.f_prime_custom, self.f_double_prime_custom)[order]
+        return np.array([fn(float(v)) for v in s.flat]).reshape(s.shape)
+
+    def power_rows(self, s, order: int) -> np.ndarray:
+        """(1 + beta s / p)^(p - order) on an array, through numpy's power.
+
+        The scalar _fpow takes the same operation, so both round alike
+        (Python's pow and numpy's SIMD power differ in the last bit on a few
+        percent of inputs). A non-integer power of a nonpositive base is NaN
+        here; domain_rows excludes those rows.
+        """
+        base = 1.0 + self.beta * np.asarray(s, dtype=float) / self.p
+        expo = self.p - order
+        if _is_integral(self.p):
+            expo = float(round(expo))
+        return np.power(base, expo)
 
     def _fpow(self, s: float, order: int) -> float:
         """(1 + beta s / p)^(p - order), exact for negative base and integer p."""
         base = 1.0 + self.beta * s / self.p
-        expo = self.p - order
-        if _is_integral(self.p):
-            return base ** int(round(expo))
         # non-integer power of a nonpositive base would be complex
-        if base <= 0.0:
+        if base <= 0.0 and not _is_integral(self.p):
             raise DomainViolation(
                 f"fractional power p={self.p!r} undefined at 1 + beta*s/p = {base!r}"
             )
-        return base**expo
+        with np.errstate(over="ignore"):
+            return float(self.power_rows(s, order))

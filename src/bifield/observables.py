@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -27,7 +27,7 @@ from .errors import ConfigError, DomainViolation, QuadratureError, SingularPoint
 from .models import ModelParams, CLASSICAL
 from .sources import ChargeConfig, _batch_coulomb, _db_weights, as_vec3
 from .constitutive import FieldState, dyonic_eh_rows, rowdot
-from .currents import current_at, eh_field, fd_curl, fd_div, fd_step, stencil_is_clear
+from .currents import _fd_step_rows, _stencil_clear, current_rows, eh_field, fd_curl, fd_div
 
 __all__ = [
     "QuadratureSpec",
@@ -37,6 +37,7 @@ __all__ = [
     "classical_energy_density",
     "hamiltonian_at",
     "hamiltonian_on_points",
+    "density_rows",
     "total_energy",
     "flux_charge",
     "free_charge_with_inner_spheres",
@@ -168,6 +169,21 @@ def classical_energy_density(beta: float, kappa: float, d, b) -> np.ndarray:
     return (b2 * r1 * r2 + (1.0 + beta * b2) * (d2 + k2 * bxd2)) / (r1 * (r1 + r2))
 
 
+def density_rows(params: ModelParams, d: np.ndarray, b: np.ndarray,
+                 e: Optional[np.ndarray], s: Optional[np.ndarray]) -> np.ndarray:
+    """Energy density of inverted rows: the classical closed form in (D, B)
+    (e and s unused), else H = f'(s)(E^2 + kappa^2 (E.B)^2) - f(s) as arrays.
+    Non-finite where it overflows; raises DomainViolation, as
+    f_and_prime_rows does, if an s lies outside the model domain."""
+    if params.kind == CLASSICAL:
+        return classical_energy_density(params.beta, params.kappa, d, b)
+    eb = rowdot(e, b)
+    # an overflow surfaces as a non-finite density, which callers reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, fp = params.f_and_prime_rows(s)
+        return fp * (rowdot(e, e) + params.kappa**2 * eb * eb) - f
+
+
 def hamiltonian_on_points(params: ModelParams, cfg: ChargeConfig, pts) -> np.ndarray:
     """Energy density of the multicentered solution at points of shape (N, 3).
 
@@ -179,15 +195,10 @@ def hamiltonian_on_points(params: ModelParams, cfg: ChargeConfig, pts) -> np.nda
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     d, b = _batch_coulomb(cfg, _db_weights(cfg), pts)
-    if params.kind == CLASSICAL:
-        out = classical_energy_density(params.beta, params.kappa, d, b)
-    else:
+    e = s = None
+    if params.kind != CLASSICAL:
         e, _, s = dyonic_eh_rows(params, d, b)
-        eb = rowdot(e, b)
-        # an overflow surfaces as the non-finite density rejected below
-        with np.errstate(over="ignore", invalid="ignore"):
-            f, fp = params.f_and_prime_rows(s)
-            out = fp * (rowdot(e, e) + params.kappa**2 * eb * eb) - f
+    out = density_rows(params, d, b, e, s)
     if not np.isfinite(out).all():
         bad = np.flatnonzero(~np.isfinite(out))
         raise DomainViolation(
@@ -501,20 +512,19 @@ def residual_suite(cfg: ChargeConfig, params: ModelParams, grid) -> ResidualRepo
         return _batch_coulomb(cfg, weights, as_vec3(y)[None, :])[:, 0]
 
     eh = eh_field(params, cfg)
+    pts = np.atleast_2d(np.asarray(grid, dtype=float))
+    steps = _fd_step_rows(pts)
+    clear = _stencil_clear(cfg, pts, steps)
+    currents = current_rows(params, cfg, pts[clear])
 
     maxima = dict(div_d=0.0, curl_d=0.0, div_b=0.0, curl_b=0.0, curl_e_jm=0.0, curl_h_je=0.0)
     details = []
     method = "analytic"
-    n_eval = 0
-    n_skip = 0
-    for x in np.atleast_2d(np.asarray(grid, dtype=float)):
-        h = fd_step(x)
-        if not stencil_is_clear(cfg, x, h):
-            n_skip += 1
-            continue
-        sample = current_at(params, cfg, x)
-        if sample.method == "fd":
-            method = "fd"
+    for k, (x, h) in enumerate(zip(pts[clear], steps[clear])):
+        if currents.code[k]:
+            raise currents.errors[currents.code[k] - 1]
+        method = currents.method
+        j_e, j_m = currents.j_e[k], currents.j_m[k]
         curl_e, curl_h = fd_curl(eh, x, step=h)
         div_d, div_b = fd_div(db_field, x, step=h)
         curl_d, curl_b = fd_curl(db_field, x, step=h)
@@ -524,10 +534,9 @@ def residual_suite(cfg: ChargeConfig, params: ModelParams, grid) -> ResidualRepo
             "curl_d": float(np.max(np.abs(curl_d))),
             "div_b": abs(float(div_b)),
             "curl_b": float(np.max(np.abs(curl_b))),
-            "curl_e_jm": float(np.max(np.abs(curl_e + sample.j_m))),
-            "curl_h_je": float(np.max(np.abs(curl_h - sample.j_e))),
+            "curl_e_jm": float(np.max(np.abs(curl_e + j_m))),
+            "curl_h_je": float(np.max(np.abs(curl_h - j_e))),
         }
-        n_eval += 1
         details.append(point)
         for key in maxima:
             maxima[key] = max(maxima[key], point[key])
@@ -539,7 +548,7 @@ def residual_suite(cfg: ChargeConfig, params: ModelParams, grid) -> ResidualRepo
         max_curl_e_plus_jm=maxima["curl_e_jm"],
         max_curl_h_minus_je=maxima["curl_h_je"],
         current_method=method,
-        n_evaluated=n_eval,
-        n_skipped=n_skip,
+        n_evaluated=len(details),
+        n_skipped=int(np.count_nonzero(~clear)),
         details=tuple(details),
     )

@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import SingularPoint
+from .errors import SingularPoint, fail_rows
 
 FOUR_PI = 4.0 * math.pi
 
@@ -152,22 +152,39 @@ class ChargeConfig:
         return x
 
 
-def _coulomb_offsets(cfg: ChargeConfig, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _coulomb_offsets(cfg: ChargeConfig, pts: np.ndarray, mask: bool = False):
     """r_ij = pts_i - x_j and |r_ij| for points of shape (N, 3).
 
     The one exclusion rule: a point strictly inside a ball raises
     SingularPoint naming the point and the charge; the sphere is regular.
+    With mask=True nothing is raised and the (N, n) mask of points inside
+    balls comes third.
     """
     rs = pts[:, None, :] - cfg.positions[None, :, :]
     dist = np.linalg.norm(rs, axis=-1)
     inside = dist < cfg.exclusion_radius
+    if mask:
+        return rs, dist, inside
     if np.any(inside):
         i, j = np.argwhere(inside)[0]
-        raise SingularPoint(
-            f"point {pts[i].tolist()} within exclusion radius "
-            f"{cfg.exclusion_radius!r} of charge {j}"
-        )
+        raise _singular(cfg, pts[i], j)
     return rs, dist
+
+
+def _singular(cfg: ChargeConfig, x: np.ndarray, j) -> SingularPoint:
+    return SingularPoint(
+        f"point {x.tolist()} within exclusion radius {cfg.exclusion_radius!r} of charge {j}"
+    )
+
+
+def mark_singular(cfg: ChargeConfig, pts: np.ndarray, code: np.ndarray, errors: list) -> np.ndarray:
+    """Fail each point strictly inside an exclusion ball with the
+    SingularPoint _coulomb_offsets raises for it alone (see errors.fail_rows
+    for code and errors); returns the indices of the other points."""
+    inside = _coulomb_offsets(cfg, pts, mask=True)[2]
+    bad = inside.any(axis=1)
+    fail_rows(code, errors, bad, lambda i: _singular(cfg, pts[i], int(np.argmax(inside[i]))))
+    return np.flatnonzero(~bad)
 
 
 def _superpose(weights: np.ndarray, rs: np.ndarray, dist: np.ndarray) -> np.ndarray:

@@ -76,6 +76,20 @@ def failing_config():
     }
 
 
+def fd_dyon_config(shape=(5, 5, 5)):
+    # fractional-power dyons 0.07 off two grid nodes, whose inversions leave
+    # the model domain there, and a third centre on a node, which is skipped
+    return {
+        "model": {"kind": "fractional_power", "beta": 1.0, "p": 1.5, "kappa": 0.5},
+        "charges": [
+            {"pos": [1.07, 0.03, -0.02], "q": 1.0, "g": 0.4},
+            {"pos": [-0.95, 0.04, 0.02], "q": -2.0, "g": 1.0},
+            {"pos": [0.0, 2.0, 0.0], "q": 0.5, "g": 0.2},
+        ],
+        "grid": {"lo": [-2, -2, -2], "hi": [2, 2, 2], "shape": list(shape)},
+    }
+
+
 def write_config(tmp_path, data, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -343,6 +357,68 @@ class TestSampleCommand:
                 "continuous": {"shape": "gaussian"}}
         path = write_config(tmp_path, data)
         assert main(["sample", "--config", str(path)]) == EXIT_CONFIG
+
+
+class TestGridChunks:
+    """_grid_command evaluates the grid in chunks of cli.GRID_CHUNK points."""
+
+    @pytest.mark.parametrize("command, data", [
+        ("sample", fd_dyon_config()),
+        ("current", fd_dyon_config()),
+        ("sample", pair_config()),
+        ("current", pair_config()),
+        ("continuous", {"model": {"kind": "classical", "beta": 1.0},
+                        "continuous": {"shape": "bump", "total": 2.0, "radius": 1.0},
+                        "grid": {"lo": [-2, -0.5, -0.5], "hi": [2, 0.5, 0.5],
+                                 "shape": [3, 2, 2]}}),
+    ], ids=["sample-fd", "current-fd", "sample-analytic", "current-analytic", "continuous"])
+    def test_chunk_size_leaves_outputs_unchanged(self, tmp_path, monkeypatch, command, data):
+        path = write_config(tmp_path, data)
+        default = cli.GRID_CHUNK
+        runs = {}
+        for chunk in (default, 7, 1):
+            monkeypatch.setattr(cli, "GRID_CHUNK", chunk)
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"{chunk}-{fmt}"
+                main([command, "--config", str(path), "--out-dir", str(out), "--format", fmt])
+            runs[chunk] = {f"{p.parent.name.split('-')[1]}/{p.name}": p.read_bytes()
+                           for p in tmp_path.glob(f"{chunk}-*/*")}
+        assert runs[1] == runs[7] == runs[default]
+        if data["model"]["kind"] == "fractional_power":
+            assert f"csv/{command}.errors.json" in runs[1]
+
+    def test_fd_current_makes_one_rows_call_per_chunk(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, fd_dyon_config(shape=(9, 9, 9)))
+        calls = []
+        invert_rows = currents.invert_rows
+
+        def counting_rows(params, d, b):
+            calls.append(len(d))
+            return invert_rows(params, d, b)
+
+        monkeypatch.setattr(currents, "invert_rows", counting_rows)
+        assert main(["current", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_NUMERIC
+        report = read_report(tmp_path / "current.report.json")
+        assert len(calls) == 1
+        assert calls[0] == 12 * (report["n_rows"] + report["n_failed"])
+        calls.clear()
+        monkeypatch.setattr(cli, "GRID_CHUNK", 100)
+        assert main(["current", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_NUMERIC
+        assert len(calls) == 8  # ceil(729 / 100)
+
+    def test_report_counts_failures_by_error(self, tmp_path):
+        path = write_config(tmp_path, fd_dyon_config())
+        for command in ("sample", "current"):
+            assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_NUMERIC
+            report = read_report(tmp_path / f"{command}.report.json")
+            errors = read_report(tmp_path / f"{command}.errors.json")
+            assert (report["n_rows"], report["n_skipped"], report["n_failed"]) == (122, 1, 2)
+            assert report["failures_by_error"] == {"InversionFailure": 2}
+            assert errors["n_failures"] == 2
+        path = write_config(tmp_path, pair_config(shape=(2, 2, 2)), name="clean.json")
+        assert main(["sample", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
+        report = read_report(tmp_path / "sample.report.json")
+        assert (report["n_failed"], report["failures_by_error"]) == (0, {})
 
 
 class TestCurrentCommand:

@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from bifield import constitutive
 from bifield.constitutive import (
     dyonic_eh,
     dyonic_eh_rows,
     electrostatic_e,
+    invert_rows,
     forward_fields,
     magnetostatic_h,
     medium_matrix,
     round_trip_residual,
     state_from_db,
 )
-from bifield.errors import DomainViolation, InversionFailure
+from bifield.errors import DomainViolation, FieldError, InversionFailure
 from bifield.models import ModelParams
 
 CLOSED_FORM_TOL = 1e-9
@@ -358,3 +360,109 @@ class TestRows:
         for m in (ModelParams.logarithmic(beta=1.0), ModelParams.logarithmic(beta=1.0, kappa=0.5)):
             with pytest.raises(DomainViolation, match=r"1 of 2 rows failed; first row 1"):
                 dyonic_eh_rows(m, d[:2], np.array([[0.0, 0.1, 0.0], [math.nan, 0.0, 1.0]]))
+
+
+def oracle_rows(rng, n=240):
+    """Rows from weak to strong fields, with blocks of B = 0, D = 0 and
+    D = B = 0 rows."""
+    d = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3.0, 1.5, size=(n, 1))
+    b = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3.0, 1.5, size=(n, 1))
+    b[:30] = 0.0
+    d[30:60] = 0.0
+    d[60:63] = b[60:63] = 0.0
+    return d, b
+
+
+ARRAY_KERNEL_MODELS = [
+    pytest.param(ModelParams.fractional_power(beta=1.0, p=1.5), id="frac1.5-k0"),
+    pytest.param(ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5), id="frac1.5-k0.5"),
+    pytest.param(ModelParams.fractional_power(beta=0.7, p=3.0), id="frac3-k0"),
+    pytest.param(ModelParams.fractional_power(beta=0.7, p=3.0, kappa=0.5), id="frac3-k0.5"),
+    pytest.param(ModelParams.fractional_power(beta=2.0, p=1.0), id="frac1-k0"),
+    pytest.param(ModelParams.fractional_power(beta=2.0, p=1.0, kappa=0.5), id="frac1-k0.5"),
+    pytest.param(ModelParams.classical(beta=1.3), id="classical-k0"),
+    pytest.param(ModelParams.classical(beta=1.3, kappa=0.8), id="classical-k0.8"),
+    pytest.param(ModelParams.logarithmic(beta=0.8, kappa=0.5), id="logarithmic-k0.5"),
+]
+
+
+class TestRowKernelsAgainstScalar:
+    """invert_rows and dyonic_eh_rows against dyonic_eh, the scalar oracle,
+    row by row: the array kernels round like it, bit for bit, and fail
+    each row with its class and message."""
+
+    @pytest.mark.parametrize("m", ARRAY_KERNEL_MODELS)
+    def test_every_row_matches_the_scalar_path(self, m):
+        d, b = oracle_rows(np.random.default_rng(31))
+        e, h, s, code, errors = invert_rows(m, d, b)
+        first = None
+        for i in range(len(d)):
+            try:
+                e_ref, h_ref, aux = dyonic_eh(m, d[i], b[i])
+            except FieldError as exc:
+                assert code[i], i
+                got = errors[code[i] - 1]
+                assert (type(got), str(got)) == (type(exc), str(exc)), i
+                first = (i, exc) if first is None else first
+                continue
+            assert code[i] == 0, (i, errors[code[i] - 1])
+            assert np.array_equal(e[i], e_ref) and np.array_equal(h[i], h_ref), i
+            assert s[i] == aux.s, i
+        if first is None:
+            dyonic_eh_rows(m, d, b)
+            return
+        i, exc = first
+        with pytest.raises(type(exc)) as info:
+            dyonic_eh_rows(m, d, b)
+        assert str(info.value).startswith(
+            f"{np.count_nonzero(code)} of {len(d)} rows failed; first row {i} ")
+        assert str(info.value).endswith(str(exc))
+
+    def test_fractional_domain_edge_failures_are_pinned(self):
+        # p = 1.5: |B|^2 >= 2p/beta puts s = -B^2/2 outside the domain
+        m = ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5)
+        d = np.array([[0.3, 0.1, 0.0], [0.5, 0.0, 0.2], [0.0, 0.0, 0.0], [0.2, 0.2, 0.2]])
+        b = np.array([[0.1, 0.4, 0.0], [2.0, 0.5, 0.0], [0.0, 1.9, 0.0], [0.0, 0.0, 3.0]])
+        _, _, _, code, errors = invert_rows(m, d, b)
+        assert code[0] == 0
+        failed = {i: errors[code[i] - 1] for i in np.flatnonzero(code)}
+        assert sorted(failed) == [1, 2, 3]
+        assert type(failed[1]) is InversionFailure
+        assert str(failed[1]).endswith(" unreachable inside the model domain")
+        assert type(failed[2]) is DomainViolation  # D = 0: magnetostatic_h's f'
+        assert str(failed[2]) == "s=-1.805 outside domain of fractional_power model"
+        with pytest.raises(InversionFailure, match=r"^3 of 4 rows failed; first row 1 "):
+            dyonic_eh_rows(m, d, b)
+
+    def test_maxwell_limit_is_exact(self):
+        d, b = oracle_rows(np.random.default_rng(32))
+        e, h, _ = dyonic_eh_rows(ModelParams.fractional_power(beta=3.0, p=1.0), d, b)
+        assert np.array_equal(e, d) and np.array_equal(h, b)
+
+    def test_solver_exits_follow_invert_monotone(self):
+        # f' jumps from 1 to 1.5 at s = 0.01, so targets between g = 0.02
+        # and g = 0.045 have no root: Newton steps leave the bracket, which
+        # collapses onto the jump, and the width stop (below a = 0.0625 a
+        # bracket of adjacent floats passes it) or the iteration cap returns
+        # the best iterate. The array solve must take the scalar exits on
+        # every row.
+        def fp(s):
+            return 1.0 if s < 0.01 else 1.5
+
+        def f(s):
+            return s if s < 0.01 else 0.01 + 1.5 * (s - 0.01)
+
+        m = ModelParams.custom(f, fp, lambda s: 0.0, kappa=0.5)
+        rng = np.random.default_rng(33)
+        n = 300
+        d = rng.normal(size=(n, 3)) * rng.uniform(0.05, 0.6, size=(n, 1))
+        b = rng.normal(size=(n, 3)) * rng.uniform(0.0, 0.2, size=(n, 1))
+        b[:100] = 0.0
+        errors: list = []
+        with np.errstate(all="ignore"):
+            e, h, s, code = constitutive._generic_rows(m, d, b, errors)
+        for i in range(n):
+            e_ref, h_ref, aux = dyonic_eh(m, d[i], b[i])
+            assert code[i] == 0
+            assert np.array_equal(e[i], e_ref) and np.array_equal(h[i], h_ref), i
+            assert s[i] == aux.s, i

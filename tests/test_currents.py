@@ -12,6 +12,8 @@ from bifield.constitutive import dyonic_eh, electrostatic_e, magnetostatic_h
 from bifield.currents import (
     CurrentSample,
     current_at,
+    current_rows,
+    eh_field,
     fd_curl,
     fd_div,
     fd_step,
@@ -25,7 +27,7 @@ from bifield.currents import (
     jm_generic_electrostatic,
     stencil_is_clear,
 )
-from bifield.errors import SingularPoint
+from bifield.errors import FieldError, SingularPoint
 from bifield.sources import displacement_field, magnetic_field
 
 import triple_sums
@@ -466,16 +468,17 @@ class TestDispatcher:
         )
         x = np.array([0.2, 1.1, -0.3])
         calls = []
+        invert_rows = currents.invert_rows
 
-        def counting_eh(*args, **kwargs):
-            calls.append(1)
-            return dyonic_eh(*args, **kwargs)
+        def counting_rows(params, d, b):
+            calls.append(len(d))
+            return invert_rows(params, d, b)
 
-        monkeypatch.setattr(currents, "dyonic_eh", counting_eh)
+        monkeypatch.setattr(currents, "invert_rows", counting_rows)
         s = current_at(params, cfg, x)
         monkeypatch.undo()
-        # two Richardson steps, six stencil nodes each, one inversion per node
-        assert s.method == "fd" and len(calls) == 12
+        # two Richardson steps, six stencil nodes each, one row per node, one call
+        assert s.method == "fd" and calls == [12]
 
         # reference: separate curls of E-only and H-only fields
         def e_field(y):
@@ -536,3 +539,67 @@ class TestResidualIdentityAcrossModels:
             je = je_generic_magnetostatic(params, cfg_m, x)
             assert np.max(np.abs(fd_curl(e_field, x) + jm)) <= FD_TOL
             assert np.max(np.abs(fd_curl(h_field, x) - je)) <= FD_TOL
+
+
+class TestCurrentRows:
+    """current_rows on many points at once against the per-point routes."""
+
+    @staticmethod
+    def points(cfg, rng, n=60):
+        pts = rng.uniform(-2.0, 2.0, size=(n, 3))
+        pts[:3] = cfg.positions[0] + np.array([[0.0, 0.0, 0.0], [5e-5, 0.0, 0.0], [0.02, 0.0, 0.0]])
+        return pts
+
+    def test_fd_rows_match_scalar_fd_curls(self):
+        # the 12 stacked stencil nodes of every point against fd_curl of the
+        # scalar inversion, bit for bit; the domain edge near each centre
+        # makes some points fail, the first three probe the exclusion rules
+        params = ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5)
+        cfg = ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.4), ((-1.0, 0.5, 0.0), -2.0, 1.0)])
+        pts = self.points(cfg, np.random.default_rng(41))
+        pts[3:6] = cfg.positions[1] + np.array([[0.0, 0.1, 0.0], [0.15, 0.0, 0.0], [0.0, 0.0, -0.2]])
+        rows = current_rows(params, cfg, pts)
+        assert rows.method == "fd"
+        eh = eh_field(params, cfg)
+        outcomes = set()
+        for i, x in enumerate(pts):
+            h = fd_step(x)
+            if not stencil_is_clear(cfg, x, h):
+                assert isinstance(rows.errors[rows.code[i] - 1], SingularPoint), i
+                outcomes.add("skip")
+                continue
+            try:
+                curl_e, curl_h = fd_curl(eh, x, step=h, richardson=True)
+            except FieldError as exc:
+                got = rows.errors[rows.code[i] - 1]
+                assert (type(got), str(got)) == (type(exc), str(exc)), i
+                outcomes.add("fail")
+                continue
+            assert rows.code[i] == 0, i
+            assert np.array_equal(rows.j_m[i], -curl_e) and np.array_equal(rows.j_e[i], curl_h), i
+            outcomes.add("ok")
+        assert outcomes == {"skip", "fail", "ok"}
+
+    @pytest.mark.parametrize("params, cfg", [
+        (ModelParams.classical(beta=BETA), pair_config()),
+        (ModelParams.logarithmic(beta=0.5), pair_config()),
+        (ModelParams.fractional_power(beta=1.0, p=1.5), pair_config(magnetic=True)),
+        (ModelParams.exponential(beta=0.7), pair_config(magnetic=True)),
+        (ModelParams.classical(beta=BETA), ChargeConfig.build(
+            [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)])),
+    ], ids=["classical-electric", "log-electric", "fractional-magnetic",
+            "exponential-magnetic", "classical-dyonic"])
+    def test_closed_form_rows_match_pointwise_calls(self, params, cfg):
+        pts = self.points(cfg, np.random.default_rng(42))
+        rows = current_rows(params, cfg, pts)
+        assert rows.method == "analytic"
+        assert isinstance(rows.errors[rows.code[0] - 1], SingularPoint)
+        for i, x in enumerate(pts):
+            try:
+                s = current_at(params, cfg, x)
+            except FieldError as exc:
+                got = rows.errors[rows.code[i] - 1]
+                assert (type(got), str(got)) == (type(exc), str(exc)), i
+                continue
+            assert rows.code[i] == 0, i
+            assert np.array_equal(rows.j_e[i], s.j_e) and np.array_equal(rows.j_m[i], s.j_m), i

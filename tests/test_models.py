@@ -183,3 +183,35 @@ def test_classical_fprime_matches_fd_property(s):
         return
     fd = (m.f(s + h) - m.f(s - h)) / (2 * h)
     assert fd == pytest.approx(m.f_prime(s), rel=2e-6)
+
+
+class TestRows:
+    """The array model functions against the scalar ones."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.0])
+    def test_fractional_power_rounds_like_the_scalar(self, p):
+        # one numpy power serves both paths, so they agree bit for bit
+        m = ModelParams.fractional_power(beta=0.9, p=p)
+        s = np.random.default_rng(51).uniform(-1.5, 20.0, 4000)
+        s = s[m.domain_rows(s)]
+        f, fp = m.f_and_prime_rows(s)
+        fpp = m.f_double_prime_rows(s)
+        assert np.array_equal(f, [m.f(v) for v in s])
+        assert np.array_equal(fp, [m.f_prime(v) for v in s])
+        assert np.array_equal(fpp, [m.f_double_prime(v) for v in s])
+        if p == 1.0:
+            assert np.all(fp == 1.0) and np.all(fpp == 0.0)
+
+    @pytest.mark.parametrize("kind", ["classical", "logarithmic", "exponential",
+                                      "fractional_power", "quadratic"])
+    def test_domain_and_derivatives_match_the_scalar(self, kind):
+        m = make(kind)
+        rng = np.random.default_rng(52)
+        s = np.concatenate([rng.uniform(-3.0, 3.0, 400), [np.nan, np.inf]])
+        ok = m.domain_rows(s)
+        assert list(ok) == [m.in_domain(v) for v in s]
+        with pytest.raises(DomainViolation, match=r"first row \d+: s="):
+            m.f_double_prime_rows(s)
+        np.testing.assert_allclose(m.f_double_prime_rows(s[ok]),
+                                   [m.f_double_prime(v) for v in s[ok]], rtol=4e-16)
+        assert str(m.domain_error(-2.5)) == f"s=-2.5 outside domain of {kind} model"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bifield import constitutive
+from bifield import constitutive, observables
 from bifield.errors import (
     ConfigError, DomainViolation, InversionFailure, QuadratureError, SingularPoint,
 )
@@ -546,3 +546,22 @@ class TestResidualSuite:
         report = residual_suite(cfg, params, grid)
         assert report.n_skipped == 1
         assert report.n_evaluated == 1
+
+    def test_currents_come_from_one_rows_call(self, monkeypatch):
+        cfg = single_charge(q=1.0, g=1.0)
+        params = ModelParams.classical(1.0, kappa=1.0)
+        grid = [[1.0, 0.5, 0.3], [-0.8, 1.1, 0.2], [1e-6, 0.0, 0.0]]
+        calls = []
+        current_rows = observables.current_rows
+
+        def counting_rows(params, cfg, pts):
+            calls.append(len(pts))
+            return current_rows(params, cfg, pts)
+
+        monkeypatch.setattr(observables, "current_rows", counting_rows)
+        report = residual_suite(cfg, params, grid)
+        # the point inside the stencil clearance is skipped before the call
+        assert calls == [2]
+        assert (report.n_evaluated, report.n_skipped) == (2, 1)
+        assert report.current_method == "fd"
+        assert report.max_curl_e_plus_jm <= 1e-6
