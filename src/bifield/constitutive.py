@@ -566,8 +566,9 @@ def _monotone_rows(params, t, one_pk, b2):
     [0, hi] doubles from max(1, t) until g(hi) >= t, at most 200 times. Then
     invert_monotone(g, t, 0, hi, deriv=dg) runs: its flo == 0 and fhi == 0
     exits, its best-residual tracking, Newton steps kept only strictly
-    inside the bracket, and its 1e-12 residual and 1e-17 width stops. Its
-    bracket test cannot fail here (flo = -t < 0 <= fhi), and g increases.
+    inside the bracket, its 1e-12 residual stop and its stop once no float
+    lies strictly inside the bracket. Its bracket test cannot fail here
+    (flo = -t < 0 <= fhi), and g increases.
 
     Returns a (NaN where unsolved), the mask of rows whose s_a left the
     model domain with the s_a at which they did, and the mask of rows whose
@@ -637,7 +638,7 @@ def _monotone_rows(params, t, one_pk, b2):
         step = a - fa / da
         newton = (da != 0.0) & np.isfinite(da) & (lo < step) & (step < hi)
         a = np.where(newton, step, 0.5 * (lo + hi))
-        narrow = ~done & (hi - lo <= 1e-17 * np.where(np.abs(hi) > 1.0, np.abs(hi), 1.0))
+        narrow = ~done & (np.nextafter(lo, hi) >= hi)
         a_out[rows[narrow]] = best[narrow]
         go = ~(done | narrow)
         rows, a, tol, lo, hi, best, best_res = (

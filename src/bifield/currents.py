@@ -39,7 +39,7 @@ from .errors import DomainViolation, SingularPoint, fail_rows, merge_failures
 from .models import ModelParams, CLASSICAL
 from .sources import (ChargeConfig, _batch_coulomb, _coulomb_gradient, _coulomb_offsets,
                       _db_weights, _superpose, as_vec3, mark_singular)
-from .constitutive import dyonic_eh, invert_rows, rowdot
+from .constitutive import invert_rows, rowdot
 
 __all__ = [
     "CurrentSample",
@@ -339,17 +339,25 @@ def fd_div(field: Callable, x, step: Optional[float] = None, richardson: bool = 
 
 
 def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
-    """The field y -> stack(E, H), shape (2, 3), with one Coulomb pass and
-    one inversion per point.
-
-    fd_curl of it gives curl E and curl H from the same stencil nodes.
+    """The field y -> stack(E, H), (..., 3) -> (..., 2, 3), from one Coulomb
+    pass and one invert_rows call; fd_curl of it gives curl E and curl H
+    from the same stencil nodes. Raises the failure of the first failing
+    point in row order, the one dyonic_eh raises there (DomainViolation for
+    a non-finite inversion).
     """
     weights = _db_weights(cfg)
 
     def field(y):
-        d, b = _batch_coulomb(cfg, weights, as_vec3(y)[None, :])[:, 0]
-        e, h, _ = dyonic_eh(params, d, b)
-        return np.stack((e, h))
+        pts = np.reshape(y, (-1, 3))
+        code = np.zeros(len(pts), dtype=np.int64)
+        errors: list = []
+        idx = mark_singular(cfg, pts, code, errors)
+        d, b = _batch_coulomb(cfg, weights, pts[idx])
+        e, h, _, sub_code, sub_errors = invert_rows(params, d, b)
+        merge_failures(code, errors, idx, sub_code, sub_errors)
+        if code.any():
+            raise errors[code[np.argmax(code != 0)] - 1]
+        return np.stack((e, h), axis=1).reshape(np.shape(y)[:-1] + (2, 3))
 
     return field
 

@@ -55,6 +55,7 @@ _BALL_ANGULAR = (16, 32)       # (mu nodes, phi nodes) for per-charge balls
 _SHELL_ANGULAR = (12, 24)      # base rule for the bounded shell, doubled adaptively
 _RADIAL_NODES_PER_DECADE = 8
 _MAX_TAIL_DOUBLINGS = 24
+_FLUX_CHUNK = 32768            # sphere nodes per field call, which bounds memory
 
 
 @dataclass(frozen=True)
@@ -444,19 +445,21 @@ def flux_charge(field: Callable, R: float, quad: QuadratureSpec,
     """Flux of a vector field through the sphere of radius R.
 
     Product Gauss rule in cos(theta) times a uniform rule in phi, doubled
-    until two successive levels agree to rel_tol. A field of shape (..., 3)
-    gives an array of fluxes of shape (...), one per leading index, each
-    kept from the level at which it converged; a (3,) field gives a float.
-    Raises QuadratureError if max_subdivisions doublings do not converge.
+    until two successive levels agree to rel_tol. field is a rows field,
+    (M, 3) -> (M, ..., 3), called once per level on its nodes (per chunk of
+    _FLUX_CHUNK nodes on finer levels). The fluxes have shape (...), one per
+    stacked component, each kept from the level at which it converged;
+    (M, 3) values give a float. Raises QuadratureError if max_subdivisions
+    doublings do not converge.
     """
     center = as_vec3(center)
     n_mu, n_phi = 8, 16
     prev = flux = done = None
     for _ in range(quad.max_subdivisions + 1):
         dirs, w_ang = _sphere_rule(n_mu, n_phi)
-        vals = [np.asarray(field(p), dtype=float) for p in center[None, :] + R * dirs]
-        shape = vals[0].shape[:-1]
-        rows = np.array(vals).reshape(len(dirs), -1, 3)
+        chunks = np.split(dirs, range(_FLUX_CHUNK, len(dirs), _FLUX_CHUNK))
+        vals = np.concatenate([np.asarray(field(center + R * d), dtype=float) for d in chunks])
+        rows = vals.reshape(len(dirs), -1, 3)
         # rowdot rounds each normal component like a scalar 3-term dot, so a
         # stacked field keeps the bits of separate ones
         normal = np.array([rowdot(rows[:, m], dirs) for m in range(rows.shape[1])])
@@ -468,10 +471,9 @@ def flux_charge(field: Callable, R: float, quad: QuadratureSpec,
             flux[fresh] = cur[fresh]
             done |= fresh
             if np.all(done):
-                return float(flux[0]) if shape == () else flux.reshape(shape)
+                return float(flux[0]) if vals.ndim == 2 else flux.reshape(vals.shape[1:-1])
         prev = cur
-        n_mu *= 2
-        n_phi *= 2
+        n_mu, n_phi = 2 * n_mu, 2 * n_phi
     raise QuadratureError(f"flux quadrature did not stabilize at R={R!r}")
 
 
@@ -483,16 +485,13 @@ def free_charge_with_inner_spheres(cfg: ChargeConfig, params: ModelParams,
     The inner spheres capture the point-like singular content of E and H
     (for classical kappa = 0 dyons, |g_i| sgn(q_i) and |q_i| sgn(g_i)), so
     q_free reproduces sum(q_i) - sum(|g_i| sgn(q_i)) and g_free its mirror.
-    E and H share one inversion per sphere node.
     """
     quad.validate_for(cfg)
     eh = eh_field(params, cfg)
-    q_free, g_free = flux_charge(eh, quad.far_radius, quad, center=cfg.centroid)
+    free = flux_charge(eh, quad.far_radius, quad, center=cfg.centroid)
     for pos in cfg.positions:
-        q_inner, g_inner = flux_charge(eh, 2.0 * quad.exclusion, quad, center=pos)
-        q_free -= q_inner
-        g_free -= g_inner
-    return {"q_free": float(q_free), "g_free": float(g_free)}
+        free = free - flux_charge(eh, 2.0 * quad.exclusion, quad, center=pos)
+    return {"q_free": float(free[0]), "g_free": float(free[1])}
 
 
 # -- residual suite ------------------------------------------------------------

@@ -111,23 +111,18 @@ class ChargeConfig:
     def gs(self) -> np.ndarray:
         return np.array([c.g for c in self.charges])
 
+    def _pair_distances(self) -> list:
+        pos = self.positions
+        return [float(np.linalg.norm(pos[i] - pos[j]))
+                for i in range(len(pos)) for j in range(i + 1, len(pos))]
+
     @property
     def diameter(self) -> float:
-        pos = self.positions
-        d = 0.0
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                d = max(d, float(np.linalg.norm(pos[i] - pos[j])))
-        return d
+        return max(self._pair_distances(), default=0.0)
 
     @property
     def min_separation(self) -> float:
-        pos = self.positions
-        d = math.inf
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                d = min(d, float(np.linalg.norm(pos[i] - pos[j])))
-        return d
+        return min(self._pair_distances(), default=math.inf)
 
     @property
     def centroid(self) -> np.ndarray:

@@ -237,6 +237,6 @@ def invert_monotone(
                 if lo < step < hi:
                     a_next = step
         a = a_next if a_next is not None else 0.5 * (lo + hi)
-        if hi - lo <= 1e-17 * max(1.0, abs(hi)):
+        if math.nextafter(lo, hi) >= hi:  # no float left strictly inside
             break
     return best

@@ -40,6 +40,8 @@ from bifield.currents import jm_classical_jacobi_term
 from bifield.observables import default_probe_radii
 from bifield.specfn import lambert_w, smallest_positive_cubic_root
 
+from triple_sums import pointwise
+
 # frozen references, shared with the module test files:
 # scipy radial quadrature of the single-unit-charge energy (beta = 1) and
 # the closed-form flux of E through R = 10 for the same charge
@@ -193,7 +195,7 @@ def test_04_flux_charges():
     def e_triple(y):
         return electrostatic_e(params, displacement_field(triple, y))
 
-    got = flux_charge(e_triple, 50.0, quad, center=triple.centroid)
+    got = flux_charge(pointwise(e_triple), 50.0, quad, center=triple.centroid)
     rel = abs(got - (-0.5)) / 0.5
 
     single = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 0.0)])
@@ -203,7 +205,7 @@ def test_04_flux_charges():
         return electrostatic_e(params, displacement_field(single, y))
 
     R = 10.0
-    flux = flux_charge(e_single, R, squad)
+    flux = flux_charge(pointwise(e_single), R, squad)
     exact = 1.0 / math.sqrt(1.0 + 1.0 / (16.0 * math.pi**2 * R**4))
     err = abs(flux - exact)
 

@@ -28,6 +28,7 @@ from bifield import (
     magnetic_field,
 )
 from bifield import cli
+from bifield.constitutive import invert_rows
 from bifield.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -40,6 +41,8 @@ from bifield.cli import (
     serialize_config,
 )
 from bifield.errors import ConfigError
+
+from triple_sums import pointwise
 
 SAMPLE_HEADER = "x,y,z,Ex,Ey,Ez,Hx,Hy,Hz,jm_x,jm_y,jm_z,energy_density"
 CURRENT_HEADER = "x,y,z,je_x,je_y,je_z,jm_x,jm_y,jm_z,method"
@@ -466,7 +469,8 @@ class TestChargeCommand:
     def test_sphere_nodes_invert_once(self, tmp_path, monkeypatch):
         # logarithmic unit charge off the origin, rel_tol 1e-5, --R 50: six
         # sphere quadratures (outer, inner, four ladder radii), each stopping
-        # at its 16x32 level, i.e. 128 + 512 nodes and one inversion per node
+        # at its 16x32 level, i.e. one inversion call per sphere and level
+        # on its 128 or 512 nodes
         data = {
             "model": {"kind": "logarithmic", "beta": 1.0, "kappa": 0.0},
             "charges": [{"pos": [0.023643249400513433, 0.9009273926518706,
@@ -476,15 +480,15 @@ class TestChargeCommand:
         path = write_config(tmp_path, data)
         calls = []
 
-        def counting_eh(*args, **kwargs):
-            calls.append(1)
-            return dyonic_eh(*args, **kwargs)
+        def counting_rows(params, d, b):
+            calls.append(len(d))
+            return invert_rows(params, d, b)
 
-        monkeypatch.setattr(currents, "dyonic_eh", counting_eh)
+        monkeypatch.setattr(currents, "invert_rows", counting_rows)
         rc = main(["charge", "--config", str(path), "--out-dir", str(tmp_path),
                    "--R", "50", "--format", "json"])
         monkeypatch.undo()
-        assert rc == EXIT_OK and len(calls) == 6 * (128 + 512)
+        assert rc == EXIT_OK and calls == [128, 512] * 6
 
         # reference: separate quadratures of E-only and H-only fields
         cfg = parse_config(data)
@@ -499,8 +503,8 @@ class TestChargeCommand:
         report = read_report(tmp_path / "charge.json")
         for rung in report["flux_ladder"]:
             r, center = rung["radius"], charges.centroid
-            assert rung["e_flux"] == flux_charge(e_field, r, cfg.quadrature, center=center)
-            assert rung["h_flux"] == flux_charge(h_field, r, cfg.quadrature, center=center)
+            assert rung["e_flux"] == flux_charge(pointwise(e_field), r, cfg.quadrature, center=center)
+            assert rung["h_flux"] == flux_charge(pointwise(h_field), r, cfg.quadrature, center=center)
 
     def test_bad_radius_rejected(self, tmp_path):
         path = write_config(tmp_path, pair_config())

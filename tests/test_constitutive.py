@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bifield import constitutive
+from bifield import constitutive, specfn
 from bifield.constitutive import (
     dyonic_eh,
     dyonic_eh_rows,
@@ -439,30 +439,66 @@ class TestRowKernelsAgainstScalar:
         e, h, _ = dyonic_eh_rows(ModelParams.fractional_power(beta=3.0, p=1.0), d, b)
         assert np.array_equal(e, d) and np.array_equal(h, b)
 
-    def test_solver_exits_follow_invert_monotone(self):
+    def test_solver_exits_follow_invert_monotone(self, monkeypatch):
         # f' jumps from 1 to 1.5 at s = 0.01, so targets between g = 0.02
         # and g = 0.045 have no root: Newton steps leave the bracket, which
-        # collapses onto the jump, and the width stop (below a = 0.0625 a
-        # bracket of adjacent floats passes it) or the iteration cap returns
-        # the best iterate. The array solve must take the scalar exits on
-        # every row.
+        # collapses onto the jump, and the stop once no float lies inside
+        # the bracket returns the best iterate. A jump from 1 to 1e33 at
+        # s = 2e-6 under targets |D|^2 ~ 1e60 leaves the bisection ~217
+        # halvings short of the jump, so the iteration cap returns it. The
+        # array solve must take the scalar exits on every row.
         def fp(s):
             return 1.0 if s < 0.01 else 1.5
 
         def f(s):
             return s if s < 0.01 else 0.01 + 1.5 * (s - 0.01)
 
-        m = ModelParams.custom(f, fp, lambda s: 0.0, kappa=0.5)
+        def fp_steep(s):
+            return 1.0 if s < 2e-6 else 1e33
+
+        def f_steep(s):
+            return s if s < 2e-6 else 2e-6 + 1e33 * (s - 2e-6)
+
         rng = np.random.default_rng(33)
         n = 300
         d = rng.normal(size=(n, 3)) * rng.uniform(0.05, 0.6, size=(n, 1))
         b = rng.normal(size=(n, 3)) * rng.uniform(0.0, 0.2, size=(n, 1))
         b[:100] = 0.0
-        errors: list = []
-        with np.errstate(all="ignore"):
-            e, h, s, code = constitutive._generic_rows(m, d, b, errors)
-        for i in range(n):
-            e_ref, h_ref, aux = dyonic_eh(m, d[i], b[i])
-            assert code[i] == 0
-            assert np.array_equal(e[i], e_ref) and np.array_equal(h[i], h_ref), i
-            assert s[i] == aux.s, i
+        steep_d = rng.normal(size=(20, 3)) * 1e30
+        counts = []  # g evaluations of each scalar solve
+        newton_steps = []  # f'' calls, one per step, of each array solve
+
+        def counted_solve(g, *args, **kwargs):
+            counts.append(0)
+
+            def g_counted(a):
+                counts[-1] += 1
+                return g(a)
+
+            return specfn.invert_monotone(g_counted, *args, **kwargs)
+
+        derivative_rows = ModelParams.derivative_rows
+
+        def counted_derivative(self, s, order):
+            newton_steps[-1] += order == 2
+            return derivative_rows(self, s, order)
+
+        monkeypatch.setattr(constitutive, "invert_monotone", counted_solve)
+        monkeypatch.setattr(ModelParams, "derivative_rows", counted_derivative)
+        for m, d, b in ((ModelParams.custom(f, fp, lambda s: 0.0, kappa=0.5), d, b),
+                        (ModelParams.custom(f_steep, fp_steep, lambda s: 0.0, kappa=0.5),
+                         steep_d, np.zeros_like(steep_d))):
+            errors: list = []
+            newton_steps.append(0)
+            with np.errstate(all="ignore"):
+                e, h, s, code = constitutive._generic_rows(m, d, b, errors)
+            for i in range(len(d)):
+                e_ref, h_ref, aux = dyonic_eh(m, d[i], b[i])
+                assert code[i] == 0
+                assert np.array_equal(e[i], e_ref) and np.array_equal(h[i], h_ref), i
+                assert s[i] == aux.s, i
+        # flo, fhi and the 200 capped steps make 202 evaluations
+        assert 202 in counts and any(50 < c < 202 for c in counts)
+        # the array solves stop with the scalar ones: on the first model
+        # none of them runs to the cap, on the second one does
+        assert newton_steps[0] < 200 and newton_steps[1] == 200

@@ -7,6 +7,7 @@ model. FD and flux tolerances follow the oracle error budgets.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from bifield import constitutive, observables
 from bifield.errors import (
-    ConfigError, DomainViolation, InversionFailure, QuadratureError, SingularPoint,
+    ConfigError, DomainViolation, FieldError, InversionFailure, QuadratureError, SingularPoint,
 )
 from bifield.models import ModelParams
 from bifield.sources import ChargeConfig, displacement_field, magnetic_field
 from bifield.constitutive import FieldState, dyonic_eh, state_from_db
+from bifield.currents import eh_field
 from bifield.observables import (
     EnergyReport,
     QuadratureSpec,
@@ -33,6 +35,8 @@ from bifield.observables import (
     residual_suite,
     total_energy,
 )
+
+from triple_sums import eh_pointwise, flux_charge_pointwise, pointwise
 
 # scipy.integrate.quad of 4 pi r^2 H(D(r)) over (0, inf), classical model,
 # beta = 1, single unit charge: H = D^2 / (1 + sqrt(1 + D^2))
@@ -360,7 +364,7 @@ class TestFluxCharge:
             d = displacement_field(cfg, y)
             return d / math.sqrt(1.0 + float(d @ d))
 
-        val = flux_charge(e_field, 10.0, quad)
+        val = flux_charge(pointwise(e_field), 10.0, quad)
         assert abs(val - SINGLE_FLUX_R10) <= 1e-10
         # E is slightly below D in magnitude, so the flux undershoots the charge
         assert val < 1.0
@@ -369,7 +373,7 @@ class TestFluxCharge:
         cfg = three_charges()
         quad = QuadratureSpec(far_radius=100.0)
         for R in (10.0, 50.0):
-            val = flux_charge(lambda y: displacement_field(cfg, y), R, quad)
+            val = flux_charge(pointwise(lambda y: displacement_field(cfg, y)), R, quad)
             assert abs(val - cfg.total_q) <= 1e-10 * max(1.0, abs(cfg.total_q))
 
     def test_three_charge_e_flux_approaches_total(self):
@@ -381,7 +385,7 @@ class TestFluxCharge:
             d = displacement_field(cfg, y)
             return d / math.sqrt(1.0 + float(d @ d))
 
-        val = flux_charge(e_field, 50.0, quad)
+        val = flux_charge(pointwise(e_field), 50.0, quad)
         assert abs(val - (-0.5)) <= 1e-4
 
     def test_flux_ladder_monotone_toward_total_charge(self):
@@ -392,14 +396,14 @@ class TestFluxCharge:
             d = displacement_field(cfg, y)
             return d / math.sqrt(1.0 + float(d @ d))
 
-        errs = [abs(flux_charge(e_field, R, quad) - cfg.total_q)
+        errs = [abs(flux_charge(pointwise(e_field), R, quad) - cfg.total_q)
                 for R in quad.flux_radii]
         assert all(b < a for a, b in zip(errs[:-1], errs[1:]))
 
     def test_off_center_sphere_same_charge(self):
         cfg = single_charge()
         quad = QuadratureSpec()
-        val = flux_charge(lambda y: displacement_field(cfg, y), 5.0, quad,
+        val = flux_charge(pointwise(lambda y: displacement_field(cfg, y)), 5.0, quad,
                           center=(1.0, -2.0, 0.5))
         assert abs(val - 1.0) <= 1e-9
 
@@ -407,7 +411,7 @@ class TestFluxCharge:
         rng = np.random.default_rng(0)
         quad = QuadratureSpec(rel_tol=1e-12, max_subdivisions=2)
         with pytest.raises(QuadratureError):
-            flux_charge(lambda y: rng.normal(size=3), 3.0, quad)
+            flux_charge(pointwise(lambda y: rng.normal(size=3)), 3.0, quad)
 
     def test_stacked_field_keeps_each_level(self):
         # a centred charge converges at the first doubling, an off-centre
@@ -418,16 +422,110 @@ class TestFluxCharge:
         calls = []
 
         def stacked(y):
-            calls.append(1)
             return np.stack((displacement_field(centred, y), displacement_field(off, y)))
 
-        flux = flux_charge(stacked, 1.0, quad)
+        def counted(pts):
+            calls.append(len(pts))
+            return pointwise(stacked)(pts)
+
+        flux = flux_charge(counted, 1.0, quad)
         assert flux.shape == (2,)
-        assert flux[0] == flux_charge(lambda y: displacement_field(centred, y), 1.0, quad)
-        assert flux[1] == flux_charge(lambda y: displacement_field(off, y), 1.0, quad)
+        assert flux[0] == flux_charge(pointwise(lambda y: displacement_field(centred, y)), 1.0, quad)
+        assert flux[1] == flux_charge(pointwise(lambda y: displacement_field(off, y)), 1.0, quad)
         assert flux[0] == 1.0 and flux[1] != -2.0
-        # levels of 8x16, 16x32 and 32x64 nodes, each field value computed once
-        assert len(calls) == 128 + 512 + 2048
+        # levels of 8x16, 16x32 and 32x64 nodes, one rows call per level
+        assert calls == [128, 512, 2048]
+
+
+def flux_outcome(flux, field, R, quad, center):
+    """The flux, or the class and message of what the quadrature raised."""
+    try:
+        return flux(field, R, quad, center=center)
+    except (FieldError, QuadratureError) as exc:
+        return type(exc), str(exc)
+
+
+class TestFluxRowsAgainstPointwise:
+    """flux_charge on the rows field eh_field against the per-node oracle
+    flux_charge_pointwise on eh_pointwise, bit for bit."""
+
+    dyon = ChargeConfig.build([
+        ((1.0, 0.0, 0.0), 1.0, 0.5),
+        ((-1.0, 0.5, 0.0), -2.0, 1.0),
+        ((0.0, -1.0, 0.3), 0.5, -0.7),
+    ])
+
+    @pytest.mark.parametrize("params", [
+        ModelParams.classical(beta=1.0, kappa=0.6),
+        ModelParams.logarithmic(beta=1.0),
+        ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5),
+        ModelParams.exponential(beta=1.0),
+    ], ids=["classical-k0.6", "logarithmic", "fractional", "exponential"])
+    def test_three_centre_dyon(self, params):
+        cfg = self.dyon
+        quad = QuadratureSpec.for_config(cfg)
+        eh, oracle = eh_field(params, cfg), eh_pointwise(params, cfg)
+        spheres = [(50.0, cfg.centroid), (2.0, cfg.centroid),
+                   (0.05, cfg.positions[0]), (4.0, (0.5, 0.2, -0.3))]
+        for R, center in spheres:
+            got = flux_outcome(flux_charge, eh, R, quad, center)
+            want = flux_outcome(flux_charge_pointwise, oracle, R, quad, center)
+            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, R
+
+    def test_stacked_components_converge_at_own_levels(self):
+        # E and H of the dyon next to the D of a centred unit charge, which
+        # converges at the first doubling; each keeps its own level
+        params = ModelParams.classical(beta=1.0, kappa=0.6)
+        centred = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 0.0)])
+        quad = QuadratureSpec(rel_tol=1e-9)
+        eh = eh_field(params, self.dyon)
+        levels = []
+
+        def stacked(pts):
+            levels.append(len(pts))
+            return np.concatenate((eh(pts), pointwise(
+                lambda y: displacement_field(centred, y))(pts)[:, None]), axis=1)
+
+        flux = flux_charge(stacked, 3.0, quad)
+        oracle = eh_pointwise(params, self.dyon)
+        assert np.array_equal(flux[:2], flux_charge_pointwise(oracle, 3.0, quad))
+        assert flux[2] == flux_charge_pointwise(lambda y: displacement_field(centred, y), 3.0, quad)
+        assert flux[2] == 1.0 and len(levels) > 2
+
+    def test_chunked_levels_keep_the_bits(self, monkeypatch):
+        eh = eh_field(ModelParams.logarithmic(beta=1.0), self.dyon)
+        quad = QuadratureSpec.for_config(self.dyon)
+        whole = flux_charge(eh, 2.0, quad)
+        calls = []
+
+        def counted(pts):
+            calls.append(len(pts))
+            return eh(pts)
+
+        monkeypatch.setattr(observables, "_FLUX_CHUNK", 100)
+        assert np.array_equal(flux_charge(counted, 2.0, quad), whole)
+        assert calls[:3] == [100, 28, 100] and max(calls) == 100
+
+    def test_failing_inner_sphere_raises_the_oracle_failure(self):
+        # a magnetic charge in the p = 1.5 fractional model: close to it the
+        # electrostatic target is unreachable inside the model domain
+        params = ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5)
+        cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 1.0), ((2.0, 0.0, 0.0), -1.0, 0.0)])
+        quad = QuadratureSpec.for_config(cfg)
+        R, center = 2.0 * quad.exclusion, cfg.positions[0]
+        got = flux_outcome(flux_charge, eh_field(params, cfg), R, quad, center)
+        want = flux_outcome(flux_charge_pointwise, eh_pointwise(params, cfg), R, quad, center)
+        assert got == want and want[0] is InversionFailure
+        with pytest.raises(InversionFailure, match=re.escape(want[1])):
+            free_charge_with_inner_spheres(cfg, params, quad)
+
+    def test_non_finite_node_fails_loudly(self):
+        # E = D / sqrt(1 + D^2) is inf / inf once D overflows: the node
+        # fails as DomainViolation instead of a NaN flux that never settles
+        params = ModelParams.classical(beta=1.0)
+        cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 1e308, 0.0)])
+        with pytest.raises(DomainViolation, match="^inversion gave a non-finite field$"):
+            flux_charge(eh_field(params, cfg), 0.1, QuadratureSpec(max_subdivisions=2))
 
 
 class TestFreeCharge:

@@ -128,6 +128,21 @@ class TestInvertMonotone:
     def test_endpoint_hit(self):
         assert invert_monotone(lambda a: a, 0.0, 0.0, 1.0) == 0.0
 
+    def test_rootless_target_stops_when_bracket_closes(self):
+        # g jumps over the target at a = 3, above 0.0625, where a bracket of
+        # adjacent floats is wider than 1e-17 of its end: once no float lies
+        # inside [lo, hi] the solve returns its best iterate instead of
+        # running on to the 200-step cap (202 evaluations)
+        calls = []
+
+        def g(a):
+            calls.append(a)
+            return a if a < 3.0 else a + 1.0
+
+        root = invert_monotone(g, 3.5, 0.0, 8.0, deriv=lambda a: 1.0)
+        assert root in (3.0, math.nextafter(3.0, 0.0))
+        assert len(calls) < 80
+
     @given(st.floats(min_value=0.01, max_value=1e6))
     @settings(max_examples=200, deadline=None)
     def test_residual_property(self, target):

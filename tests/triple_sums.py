@@ -10,16 +10,24 @@ explicit reference.
 The Coulomb fields themselves are fsum-accumulated too (_coulomb_sum and
 _coulomb_potential_sum): the correctly rounded reference for the einsum
 kernel in bifield.sources, and the D and B every sum here is built from.
+
+flux_charge_pointwise is the sphere-flux quadrature calling its field once
+per node, the reference for bifield.observables.flux_charge, which calls a
+rows field once per refinement level; pointwise turns a per-point field
+into such a rows field. eh_pointwise is E and H from one scalar dyonic_eh
+call per point, the reference for bifield.currents.eh_field.
 """
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from bifield.constitutive import electrostatic_e
+from bifield.constitutive import dyonic_eh, electrostatic_e, rowdot
+from bifield.errors import QuadratureError
 from bifield.models import ModelParams
-from bifield.sources import FOUR_PI, ChargeConfig
+from bifield.observables import QuadratureSpec, _sphere_rule
+from bifield.sources import FOUR_PI, ChargeConfig, _batch_coulomb, _db_weights, as_vec3
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -262,3 +270,51 @@ def je_generic_magnetostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.nd
     if fpp == 0.0:
         return np.zeros(3)
     return 0.5 * fpp * np.cross(b, grad_field_square(cfg, x, which="magnetic"))
+
+
+def eh_pointwise(params: ModelParams, cfg: ChargeConfig) -> Callable:
+    """The field y (3,) -> stack(E, H), one Coulomb pass and one dyonic_eh
+    call per point."""
+    weights = _db_weights(cfg)
+
+    def field(y):
+        d, b = _batch_coulomb(cfg, weights, as_vec3(y)[None, :])[:, 0]
+        e, h, _ = dyonic_eh(params, d, b)
+        return np.stack((e, h))
+
+    return field
+
+
+def pointwise(field: Callable) -> Callable:
+    """The rows field pts (M, 3) -> (M, ..., 3) of a per-point field."""
+    return lambda pts: np.array([field(y) for y in pts])
+
+
+def flux_charge_pointwise(field: Callable, R: float, quad: QuadratureSpec,
+                          center=(0.0, 0.0, 0.0)) -> float | np.ndarray:
+    """flux_charge with a per-point field y (3,) -> (..., 3), called once
+    per sphere node."""
+    center = as_vec3(center)
+    n_mu, n_phi = 8, 16
+    prev = flux = done = None
+    for _ in range(quad.max_subdivisions + 1):
+        dirs, w_ang = _sphere_rule(n_mu, n_phi)
+        vals = [np.asarray(field(p), dtype=float) for p in center[None, :] + R * dirs]
+        shape = vals[0].shape[:-1]
+        rows = np.array(vals).reshape(len(dirs), -1, 3)
+        # rowdot rounds each normal component like a scalar 3-term dot, so a
+        # stacked field keeps the bits of separate ones
+        normal = np.array([rowdot(rows[:, m], dirs) for m in range(rows.shape[1])])
+        cur = np.array([R**2 * float(w_ang @ row) for row in normal])
+        if prev is None:
+            flux, done = cur.copy(), np.zeros(len(cur), dtype=bool)
+        else:
+            fresh = ~done & (np.abs(cur - prev) <= quad.rel_tol * np.maximum(np.abs(cur), quad.abs_tol))
+            flux[fresh] = cur[fresh]
+            done |= fresh
+            if np.all(done):
+                return float(flux[0]) if shape == () else flux.reshape(shape)
+        prev = cur
+        n_mu *= 2
+        n_phi *= 2
+    raise QuadratureError(f"flux quadrature did not stabilize at R={R!r}")
