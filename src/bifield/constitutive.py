@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainViolation, FieldError, InversionFailure, fail_rows
+from .errors import DomainViolation, FieldError, InversionFailure, fail_rows, merge_failures
 from .models import (
     CLASSICAL,
     EXPONENTIAL,
@@ -433,14 +433,15 @@ def rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _split_rows(d, b):
     """d2, b2, zeroed E, H, s and code arrays, and the rows dyonic_eh sends
     to electrostatic_e (B = 0, D != 0), to magnetostatic_h (D = 0, B != 0)
-    and to a dyonic branch, as index arrays. Rows with D = B = 0 keep
-    E = H = 0 and s = 0."""
+    and to a dyonic branch: None for a branch with no rows, the full slice
+    for one with every row (so that indexing takes views), else an index
+    array. Rows with D = B = 0 keep E = H = 0 and s = 0."""
     d2 = rowdot(d, d)
     b2 = rowdot(b, b)
     n = len(d)
-    elec = np.flatnonzero((b2 == 0.0) & (d2 != 0.0))
-    mag = np.flatnonzero((d2 == 0.0) & (b2 != 0.0))
-    dyon = np.flatnonzero((d2 != 0.0) & (b2 != 0.0))
+    elec, mag, dyon = (None if not m.any() else slice(None) if m.all() else np.flatnonzero(m)
+                       for m in ((b2 == 0.0) & (d2 != 0.0), (d2 == 0.0) & (b2 != 0.0),
+                                 (d2 != 0.0) & (b2 != 0.0)))
     return (d2, b2, np.zeros_like(d), np.zeros_like(b), np.zeros(n),
             np.zeros(n, dtype=np.int64), elec, mag, dyon)
 
@@ -461,11 +462,14 @@ def _prime_rows(params, s, idx, code, errors, label):
 def _magnetostatic_rows(params, b, b2, idx, h, s, code, errors):
     """magnetostatic_h on the rows idx: H = f'(-B^2/2) B, failing outside
     the model domain as f_prime does."""
+    if idx is None:
+        return
     sm = -0.5 * b2[idx]
     s[idx] = sm
     ok = params.domain_rows(sm)
     fail_rows(code, errors, ~ok, lambda j: params.domain_error(sm[j]), idx)
-    h[idx[ok]] = params.derivative_rows(sm[ok], 1)[:, None] * b[idx[ok]]
+    rows = idx if ok.all() else np.arange(len(h))[idx][ok]
+    h[rows] = params.derivative_rows(sm[ok], 1)[:, None] * b[rows]
 
 
 def _dyon_setup(params, d, b, d2, b2):
@@ -498,9 +502,12 @@ def _classical_rows(params, d, b, errors):
     beta = params.beta
     k2 = params.kappa**2
     d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
-    e[elec] = d[elec] / np.sqrt(1.0 + beta * d2[elec])[:, None]
-    s[elec] = 0.5 * rowdot(e[elec], e[elec])
+    if elec is not None:
+        ee = d[elec] / np.sqrt(1.0 + beta * d2[elec])[:, None]
+        e[elec], s[elec] = ee, 0.5 * rowdot(ee, ee)
     _magnetostatic_rows(params, b, b2, mag, h, s, code, errors)
+    if dyon is None:
+        return e, h, s, code
     dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
     bd, bxd2, _, opk, proj = _dyon_setup(params, dd, bb, d2y, b2y)
     if params.kappa == 0.0:
@@ -528,9 +535,12 @@ def _logarithmic_rows(params, d, b, errors):
     beta = params.beta
     k2 = params.kappa**2
     d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
-    e[elec] = 2.0 * d[elec] / (1.0 + np.sqrt(1.0 + 2.0 * beta * d2[elec]))[:, None]
-    s[elec] = 0.5 * rowdot(e[elec], e[elec])
+    if elec is not None:
+        ee = 2.0 * d[elec] / (1.0 + np.sqrt(1.0 + 2.0 * beta * d2[elec]))[:, None]
+        e[elec], s[elec] = ee, 0.5 * rowdot(ee, ee)
     _magnetostatic_rows(params, b, b2, mag, h, s, code, errors)
+    if dyon is None:
+        return e, h, s, code
     dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
     bd, _, eta, opk, proj = _dyon_setup(params, dd, bb, d2y, b2y)
     if params.kappa == 0.0:
@@ -658,17 +668,20 @@ def _generic_rows(params, d, b, errors):
     d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
 
     # electrostatic_e: _electrostatic_a raises DomainViolation unwrapped
-    t = d2[elec]
-    a, lost, lost_s, unbracketed = _monotone_rows(params, t, np.ones(len(t)),
-                                                  np.zeros(len(t)))
-    fail_rows(code, errors, lost, lambda j: params.domain_error(lost_s[j]), elec)
-    fail_rows(code, errors, unbracketed, lambda j: InversionFailure(
-        f"electrostatic bracket expansion failed at D^2={float(t[j])!r}"), elec)
-    fp = _prime_rows(params, 0.5 * a, elec, code, errors, "f'(a/2)")
-    e[elec] = d[elec] / fp[:, None]
-    s[elec] = 0.5 * rowdot(e[elec], e[elec])
+    if elec is not None:
+        t = d2[elec]
+        a, lost, lost_s, unbracketed = _monotone_rows(params, t, np.ones(len(t)),
+                                                      np.zeros(len(t)))
+        fail_rows(code, errors, lost, lambda j: params.domain_error(lost_s[j]), elec)
+        fail_rows(code, errors, unbracketed, lambda j: InversionFailure(
+            f"electrostatic bracket expansion failed at D^2={float(t[j])!r}"), elec)
+        fp = _prime_rows(params, 0.5 * a, elec, code, errors, "f'(a/2)")
+        ee = d[elec] / fp[:, None]
+        e[elec], s[elec] = ee, 0.5 * rowdot(ee, ee)
 
     _magnetostatic_rows(params, b, b2, mag, h, s, code, errors)
+    if dyon is None:
+        return e, h, s, code
 
     # _generic turns a DomainViolation inside its solve into InversionFailure
     dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
@@ -721,18 +734,28 @@ def invert_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.n
     """The non-raising core of dyonic_eh_rows: E, H, s, code, errors.
 
     code[i] is 0 for a row that inverted to finite values and k > 0 when
-    errors[k - 1] is its failure: the exception dyonic_eh raises for that
-    row alone, or DomainViolation for a non-finite result. A failed row's
-    E, H and s are meaningless.
+    errors[k - 1] is its failure: DomainViolation for a non-finite D or B
+    (such rows reach no model branch), the exception dyonic_eh raises for
+    that row alone, or DomainViolation for a non-finite result. A failed
+    row's E, H and s are meaningless.
     """
     d = np.asarray(d, dtype=float).reshape(-1, 3)
     b = np.asarray(b, dtype=float).reshape(-1, 3)
-    errors: list = []
+    if not (np.isfinite(d).all() and np.isfinite(b).all()):
+        ok = np.isfinite(d).all(axis=1) & np.isfinite(b).all(axis=1)
+        e, h, s = np.zeros_like(d), np.zeros_like(b), np.zeros(len(d))
+        code = (~ok).astype(np.int64)
+        errors = [DomainViolation("non-finite D or B (an overflowed or undefined Coulomb field)")]
+        e[ok], h[ok], s[ok], sub_code, sub_errors = invert_rows(params, d[ok], b[ok])
+        merge_failures(code, errors, np.flatnonzero(ok), sub_code, sub_errors)
+        return e, h, s, code, errors
+    errors = []
     rows = _ROW_KERNELS.get(params.kind, _scalar_rows)
     with np.errstate(all="ignore"):
         e, h, s, code = rows(params, d, b, errors)
-    finite = np.isfinite(e).all(axis=1) & np.isfinite(h).all(axis=1) & np.isfinite(s)
-    fail_rows(code, errors, ~finite, DomainViolation("inversion gave a non-finite field"))
+    if not (np.isfinite(e).all() and np.isfinite(h).all() and np.isfinite(s).all()):
+        finite = np.isfinite(e).all(axis=1) & np.isfinite(h).all(axis=1) & np.isfinite(s)
+        fail_rows(code, errors, ~finite, DomainViolation("inversion gave a non-finite field"))
     return e, h, s, code, errors
 
 

@@ -27,13 +27,12 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .constitutive import FieldState, electrostatic_e, state_from_db
 from .currents import fd_div
 from .errors import ConfigError, QuadratureError
 from .models import ModelParams
-from .observables import QuadratureSpec, _sphere_rule
+from .observables import QuadratureSpec, _gauss, _panel_nodes, _sphere_rule
 from .sources import as_vec3
 
 __all__ = [
@@ -223,7 +222,7 @@ def _bump_part(total: float, R: float, center) -> RadialPart:
     S(t) = int_0^t s^2 e^{-1/(1-s^2)} ds."""
     # S(t) = t^3 sum_i w_i e^{-1/(1-(t u_i)^2)} on 64 Gauss-Legendre nodes
     # u_i in (0, 1); it matches an adaptive quadrature to ~2e-14 for every t
-    nodes, weights = leggauss(64)
+    nodes, weights = _gauss(64)
     u = 0.5 * (1.0 + nodes)
     w = 0.5 * weights * u**2
 
@@ -349,17 +348,6 @@ def merge_sources(electric: ContinuousSource, magnetic: ContinuousSource) -> Con
 
 
 # -- Newton potential ----------------------------------------------------------
-
-
-def _panel_nodes(r_lo: float, r_hi: float, n_panels: int, nodes: int):
-    base_t, base_w = leggauss(nodes)
-    edges = np.linspace(r_lo, r_hi, n_panels + 1)
-    rs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        rs.append(mid + half * base_t)
-        ws.append(base_w * half)
-    return np.concatenate(rs), np.concatenate(ws)
 
 
 # cap on points materialized at once by a quadrature level, keeps the peak

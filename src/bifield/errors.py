@@ -54,9 +54,9 @@ def fail_rows(code: np.ndarray, errors: list, bad, make, idx=None) -> None:
     """Fail the rows where the boolean mask bad holds and that have not
     failed yet. make(j) builds the exception of local row j; a shared
     exception instance may be passed instead. idx maps local rows to rows
-    of code (the identity when None)."""
+    of code: an index array, or None or the full slice for the identity."""
     local = np.flatnonzero(bad)
-    rows = local if idx is None else np.asarray(idx)[local]
+    rows = local if idx is None or isinstance(idx, slice) else np.asarray(idx)[local]
     fresh = code[rows] == 0
     local, rows = local[fresh], rows[fresh]
     if isinstance(make, BaseException):

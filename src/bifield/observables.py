@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -215,9 +216,31 @@ def hamiltonian_at(params: ModelParams, cfg: ChargeConfig, x) -> float:
 # -- quadrature building blocks ----------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(n), built once per process and shared read-only. Only 1-D
+    rules are kept: sphere rules reach millions of nodes on flux levels."""
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _panel_nodes(r_lo: float, r_hi: float, n_panels: int, nodes: int):
+    """The nodes-point Gauss-Legendre rule on each of n_panels equal panels
+    of [r_lo, r_hi]: nodes and weights, concatenated."""
+    base_t, base_w = _gauss(nodes)
+    edges = np.linspace(r_lo, r_hi, n_panels + 1)
+    rs, ws = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        rs.append(mid + half * base_t)
+        ws.append(base_w * half)
+    return np.concatenate(rs), np.concatenate(ws)
+
+
 def _sphere_rule(n_mu: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions and weights with sum(weights) = 4 pi."""
-    mu, w_mu = leggauss(n_mu)
+    mu, w_mu = _gauss(n_mu)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     sin_th = np.sqrt(np.maximum(1.0 - mu**2, 0.0))
     dirs = np.empty((n_mu * n_phi, 3))
@@ -234,25 +257,14 @@ def _log_radial_rule(r_lo: float, r_hi: float, nodes_per_decade: int) -> tuple[n
     uniformly across many orders of magnitude in r."""
     t_lo, t_hi = math.log(r_lo), math.log(r_hi)
     decades = (t_hi - t_lo) / math.log(10.0)
-    n_panels = max(1, math.ceil(decades))
-    n_nodes = max(4, nodes_per_decade)
-    base_t, base_w = leggauss(n_nodes)
-    edges = np.linspace(t_lo, t_hi, n_panels + 1)
-    rs, ws = [], []
-    for a, t_b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + t_b), 0.5 * (t_b - a)
-        t = mid + half * base_t
-        r = np.exp(t)
-        rs.append(r)
-        ws.append(base_w * half * r**3)
-    return np.concatenate(rs), np.concatenate(ws)
+    t, w = _panel_nodes(t_lo, t_hi, max(1, math.ceil(decades)), max(4, nodes_per_decade))
+    r = np.exp(t)
+    return r, w * r**3
 
 
 def _linear_radial_rule(r_lo: float, r_hi: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    base_t, base_w = leggauss(max(4, n_nodes))
-    mid, half = 0.5 * (r_lo + r_hi), 0.5 * (r_hi - r_lo)
-    r = mid + half * base_t
-    return r, base_w * half * r**2
+    r, w = _panel_nodes(r_lo, r_hi, 1, max(4, n_nodes))
+    return r, w * r**2
 
 
 def _annulus_energy(params, cfg, center, r_lo, r_hi, dirs, w_ang, nodes_per_decade) -> float:
@@ -331,7 +343,9 @@ def _shell_energy_once(params, cfg, quad, r_lo, r_hi, n_mu, n_phi, radial_factor
         dist = np.linalg.norm(flat[:, None, :] - cfg.positions[None, :, :], axis=-1)
         outside = np.all(dist > quad.ball_radius, axis=1)
         h = np.zeros(len(flat))
-        if np.any(outside):
+        if outside.all():
+            h = hamiltonian_on_points(params, cfg, flat)
+        elif outside.any():
             h[outside] = hamiltonian_on_points(params, cfg, flat[outside])
         total += float(np.einsum("r,a,ra->", wr, w_ang, h.reshape(len(rs), len(dirs))))
     return total

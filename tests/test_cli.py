@@ -5,6 +5,7 @@ layout, exit code semantics (0 success, 1 config error, 2 numeric failure),
 determinism across reruns and thread counts, and the verify command.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -542,6 +543,33 @@ class TestEnergyCommand:
         report = read_report(tmp_path / "energy.json")
         assert report["near_charge_exponents"] == [None]
         assert math.isfinite(report["value"])
+
+
+# energy.json of two runs, pinned byte for byte: any change to the
+# arithmetic of the energy integrand shows here, not only in the benchmark
+GOLDEN_ENERGY = [
+    pytest.param({  # perfbench's energy-log input for seed 21
+        "model": {"kind": "logarithmic", "beta": 1.0, "kappa": 0.0},
+        "charges": [{"pos": [0.5622351776349419, 0.21169405914193606, 0.4196023808168503],
+                     "q": 1.0}],
+        "quadrature": {"rel_tol": 1e-05},
+    }, "c1d0c0a213e8163f4faf0e2354d513a672929fc93906bd1d967b43961f004d39", id="energy-log-seed21"),
+    pytest.param({
+        "model": {"kind": "classical", "beta": 1.0, "kappa": 0.6},
+        "charges": [{"pos": [1.0, 0.0, 0.0], "q": 1.0, "g": 0.5},
+                    {"pos": [-1.0, 0.5, 0.0], "q": -2.0, "g": 1.0},
+                    {"pos": [0.0, -1.0, 0.3], "q": 0.5, "g": -0.7}],
+        "quadrature": {"rel_tol": 1e-2, "max_subdivisions": 3},
+    }, "c049910fe934a001bc293b529b18c86fbdebe0dccb35a4bc409f330499233898",
+        id="three-centre-classical-dyon-k0.6"),
+]
+
+
+@pytest.mark.parametrize("data, sha256", GOLDEN_ENERGY)
+def test_energy_json_bytes_are_pinned(tmp_path, data, sha256):
+    path = write_config(tmp_path, data)
+    assert main(["energy", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / "energy.json").read_bytes()).hexdigest() == sha256
 
 
 class TestStrictJson:

@@ -502,3 +502,78 @@ class TestRowKernelsAgainstScalar:
         # the array solves stop with the scalar ones: on the first model
         # none of them runs to the cap, on the second one does
         assert newton_steps[0] < 200 and newton_steps[1] == 200
+
+
+VIEW_MODELS = [
+    pytest.param(ModelParams.classical(beta=1.0), id="classical-k0"),
+    pytest.param(ModelParams.classical(beta=1.0, kappa=0.6), id="classical-k0.6"),
+    pytest.param(ModelParams.logarithmic(beta=1.0), id="logarithmic-k0"),
+    pytest.param(ModelParams.logarithmic(beta=1.0, kappa=0.5), id="logarithmic-k0.5"),
+    pytest.param(ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5), id="frac1.5-k0.5"),
+]
+
+
+def scalar_outcome(m, d, b):
+    """What the rows API owes one row: E, H, s from dyonic_eh, or the class
+    and message of its failure (DomainViolation for a non-finite result)."""
+    try:
+        with np.errstate(all="ignore"):  # the overflowing rows
+            e, h, aux = dyonic_eh(m, d, b)
+    except FieldError as exc:
+        return type(exc), str(exc)
+    if not (np.isfinite(e).all() and np.isfinite(h).all() and math.isfinite(aux.s)):
+        return DomainViolation, "inversion gave a non-finite field"
+    return e, h, aux.s
+
+
+class TestBranchViews:
+    """A batch whose rows all take one branch (B = 0, D = 0 or dyonic) is
+    worked on through views, not index arrays. Its rows must come out as
+    they do inside a mixed batch and from dyonic_eh, bit for bit, and each
+    failing row must keep its own index."""
+
+    @pytest.mark.parametrize("m", VIEW_MODELS)
+    def test_full_branches_match_mixed_batch_and_scalar(self, m):
+        rng = np.random.default_rng(41)
+
+        def vectors():
+            return rng.normal(size=(40, 3)) * 10.0 ** rng.uniform(-2.0, 1.0, size=(40, 1))
+
+        zero = np.zeros((40, 3))
+        batches = {"electric": (vectors(), zero), "magnetic": (zero, vectors()),
+                   "dyonic": (vectors(), vectors())}
+        for d, b in batches.values():
+            # row 7 overflows |D|^2 or |B|^2: a failure inside a full branch
+            # for the magnetic and dyonic batches of every model
+            for v in (d, b):
+                if v.any():
+                    v[7] *= 1e155
+        mixed_d = np.concatenate([d for d, _ in batches.values()] + [zero[:1]])
+        mixed_b = np.concatenate([b for _, b in batches.values()] + [zero[:1]])
+        order = rng.permutation(len(mixed_d))
+        me, mh, ms, mcode, merrors = invert_rows(m, mixed_d[order], mixed_b[order])
+        at = np.argsort(order)  # row k of the concatenation sits at at[k]
+
+        for k, (name, (d, b)) in enumerate(batches.items()):
+            e, h, s, code, errors = invert_rows(m, d, b)
+            rows = at[40 * k:40 * (k + 1)]
+            assert np.array_equal(e, me[rows], equal_nan=True), name
+            assert np.array_equal(h, mh[rows], equal_nan=True), name
+            assert np.array_equal(s, ms[rows], equal_nan=True), name
+            assert np.array_equal(code != 0, mcode[rows] != 0), name
+            for i in np.flatnonzero(code):
+                got, ref = errors[code[i] - 1], merrors[mcode[rows[i]] - 1]
+                assert (type(got), str(got)) == (type(ref), str(ref)), (name, i)
+            for i in range(len(d)):
+                want = scalar_outcome(m, d[i], b[i])
+                if code[i]:
+                    got = errors[code[i] - 1]
+                    assert (type(got), str(got)) == want, (name, i)
+                else:
+                    assert len(want) == 3 and np.array_equal(e[i], want[0]), (name, i)
+                    assert np.array_equal(h[i], want[1]) and s[i] == want[2], (name, i)
+            if name != "electric":
+                assert code[7], name
+                first = int(np.flatnonzero(code)[0])
+                with pytest.raises(FieldError, match=rf"rows failed; first row {first} "):
+                    dyonic_eh_rows(m, d, b)

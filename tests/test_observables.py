@@ -6,6 +6,7 @@ closed-form density, frozen here, and from exact identities of the classical
 model. FD and flux tolerances follow the oracle error budgets.
 """
 
+import json
 import math
 import re
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bifield import constitutive, observables
+from bifield import cli, constitutive, observables
 from bifield.errors import (
     ConfigError, DomainViolation, FieldError, InversionFailure, QuadratureError, SingularPoint,
 )
@@ -36,7 +37,7 @@ from bifield.observables import (
     total_energy,
 )
 
-from triple_sums import eh_pointwise, flux_charge_pointwise, pointwise
+from triple_sums import _shell_energy_once, eh_pointwise, flux_charge_pointwise, pointwise
 
 # scipy.integrate.quad of 4 pi r^2 H(D(r)) over (0, inf), classical model,
 # beta = 1, single unit charge: H = D^2 / (1 + sqrt(1 + D^2))
@@ -354,6 +355,84 @@ class TestTotalEnergy:
             total_energy(cfg, params, QuadratureSpec(ball_radius=0.9, far_radius=50.0))
 
 
+SHELL_CASES = [
+    pytest.param(ChargeConfig.build([((0.5622351776349419, 0.21169405914193606,
+                                       0.4196023808168503), 1.0, 0.0)]),
+                 ModelParams.logarithmic(beta=1.0), id="single-logarithmic"),
+] + [
+    pytest.param(ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.5, 0.0), -2.0, 1.0),
+                                     ((0.0, -1.0, 0.3), 0.5, -0.7)]), params, id=name)
+    for name, params in (("dyon3-classical-k0.6", ModelParams.classical(beta=1.0, kappa=0.6)),
+                         ("dyon3-logarithmic-k0.5", ModelParams.logarithmic(beta=1.0, kappa=0.5)),
+                         ("dyon3-fractional-p3", ModelParams.fractional_power(beta=0.7, p=3.0)))
+]
+
+
+class TestShellAgainstOracle:
+    """_shell_energy_once passes a segment whole when no ball masks any of
+    its nodes; the oracle in triple_sums gathers the unmasked nodes of every
+    segment. Both must give the same bits."""
+
+    @pytest.mark.parametrize("cfg, params", SHELL_CASES)
+    def test_levels_match_the_oracle(self, cfg, params):
+        quad = QuadratureSpec.for_config(cfg, rel_tol=1e-2, max_subdivisions=3)
+        # one charge: every node lies outside its ball; several: the interior
+        # segments are masked, the far extension is not
+        r_lo = quad.ball_radius if len(cfg) == 1 else 0.0
+        for lo, hi in ((r_lo, quad.far_radius), (quad.far_radius, 2.0 * quad.far_radius)):
+            for n_mu, n_phi, factor in ((12, 24, 1), (24, 48, 2)):
+                args = (params, cfg, quad, lo, hi, n_mu, n_phi, factor)
+                assert observables._shell_energy_once(*args) == _shell_energy_once(*args)
+
+    @pytest.mark.parametrize("cfg, params", SHELL_CASES)
+    def test_energy_report_matches_the_oracle(self, cfg, params, monkeypatch):
+        quad = QuadratureSpec.for_config(cfg, rel_tol=1e-5 if len(cfg) == 1 else 1e-2,
+                                         max_subdivisions=3)
+        got = total_energy(cfg, params, quad)
+        monkeypatch.setattr(observables, "_shell_energy_once", _shell_energy_once)
+        # repr keeps every bit and compares NaN exponents as equal
+        assert repr(got) == repr(total_energy(cfg, params, quad))
+
+
+class TestGaussRule:
+    """The memoized 1-D Gauss-Legendre rule."""
+
+    def test_rule_is_numpys_and_read_only(self):
+        for n in (4, 8, 12, 16, 64, 256):
+            nodes, weights = observables._gauss(n)
+            ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+            assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+            for a in (nodes, weights):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+
+    def test_charge_caches_only_one_dimensional_rules(self, tmp_path, monkeypatch):
+        built = []
+
+        def leggauss(n):
+            built.append(n)
+            return np.polynomial.legendre.leggauss(n)
+
+        monkeypatch.setattr(observables, "leggauss", leggauss)
+        observables._gauss.cache_clear()
+        data = {"model": {"kind": "logarithmic", "beta": 1.0},
+                "charges": [{"pos": [0.3, 0.1, -0.2], "q": 1.0}]}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["charge", "--config", str(path), "--out-dir", str(tmp_path),
+                         "--R", "50"]) == cli.EXIT_OK
+        info = observables._gauss.cache_info()
+        assert built and sorted(set(built)) == sorted(built)
+        assert info.misses == info.currsize == len(built)
+        for n in built:
+            rule = observables._gauss(n)
+            assert [a.shape for a in rule] == [(n,), (n,)]
+        assert observables._gauss.cache_info().hits == info.hits + len(built)
+        # the sphere rule reaches millions of nodes and stays uncached
+        assert not hasattr(observables._sphere_rule, "cache_info")
+        assert not hasattr(observables._sphere_rule, "__wrapped__")
+
+
 class TestFluxCharge:
     def test_single_charge_flux_frozen_value(self):
         cfg = single_charge()
@@ -520,12 +599,18 @@ class TestFluxRowsAgainstPointwise:
             free_charge_with_inner_spheres(cfg, params, quad)
 
     def test_non_finite_node_fails_loudly(self):
-        # E = D / sqrt(1 + D^2) is inf / inf once D overflows: the node
-        # fails as DomainViolation instead of a NaN flux that never settles
-        params = ModelParams.classical(beta=1.0)
+        # D overflows at R = 0.1 around a q = 1e308 charge: the node fails
+        # before any model branch sees it, with one class and message in
+        # every model, instead of a NaN flux that never settles
         cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 1e308, 0.0)])
-        with pytest.raises(DomainViolation, match="^inversion gave a non-finite field$"):
-            flux_charge(eh_field(params, cfg), 0.1, QuadratureSpec(max_subdivisions=2))
+        for params in (ModelParams.classical(beta=1.0), ModelParams.logarithmic(beta=1.0),
+                       ModelParams.exponential(beta=1.0),
+                       ModelParams.fractional_power(beta=1.0, p=1.5)):
+            with pytest.raises(DomainViolation) as info:
+                flux_charge(eh_field(params, cfg), 0.1, QuadratureSpec(max_subdivisions=2))
+            assert type(info.value) is DomainViolation, params.kind
+            assert str(info.value) == (
+                "non-finite D or B (an overflowed or undefined Coulomb field)"), params.kind
 
 
 class TestFreeCharge:
