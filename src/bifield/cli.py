@@ -36,6 +36,7 @@ from .constitutive import (
 )
 from .continuous import (
     ContinuousSource,
+    _curl_formula_at_state,
     bump_source,
     continuous_fields,
     curl_formula_continuous,
@@ -656,7 +657,8 @@ def _cmd_continuous(cfg: RunConfig, args) -> int:
     def row_at(x):
         st = continuous_fields(src, params, x, quad)
         if electric_only:
-            j_m = -curl_formula_continuous(src, params, x, quad)
+            # the state holds grad u and its E: no second gradient or inversion
+            j_m = -_curl_formula_at_state(src, params, x, quad, st.d, st.e)
         else:
             j_m = -fd_curl(
                 lambda y: continuous_fields(src, params, y, quad).e,

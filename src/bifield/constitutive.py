@@ -12,20 +12,20 @@ every model the inverse has the shape
 
     E = (positive scalar) * (D - kappa^2 (B.D) B / (1 + kappa^2 B^2)),
 
-so branch selection reduces to scalar root choices (centralized in specfn)
-plus one post-hoc direction check.
+so branch selection reduces to scalar root choices (Lambert W and the cubic
+in specfn) plus one post-hoc direction check.
 
 kappa = 0 is dispatched to dedicated closed forms rather than taking limits
 numerically; D = 0 is routed to the magnetostatic branch (exact for every
 model), which the logarithmic closed form needs.
 
-dyonic_eh inverts one point; dyonic_eh_rows inverts an (N, 3) batch. The
-classical, logarithmic and fractional-power models run there as array
-arithmetic copied from the scalar branches (the fractional power through a
-masked monotone solve that follows invert_monotone row by row); the
-exponential, quadratic and custom models call dyonic_eh row by row.
-invert_rows is its non-raising core: a failure code per row and the list of
-exceptions, each the one dyonic_eh raises for that row.
+invert_rows is the one place any model is inverted. It takes D and B of
+shape (N, 3), runs the rows kernel of the model kind (array arithmetic
+whose branches are row masks; Lambert W and the cubic from specfn's array
+kernels; a masked Newton/bisection for the fractional power and custom
+models) and returns a failure code per row with the list of exceptions.
+dyonic_eh_rows is its raising form; dyonic_eh, electrostatic_e and
+magnetostatic_h are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainViolation, FieldError, InversionFailure, fail_rows, merge_failures
+from .errors import DomainViolation, InversionFailure, fail_rows, merge_failures
 from .models import (
     CLASSICAL,
+    CUSTOM,
     EXPONENTIAL,
     FRACTIONAL_POWER,
     LOGARITHMIC,
@@ -46,7 +47,7 @@ from .models import (
     ModelParams,
 )
 from .sources import as_vec3
-from .specfn import invert_monotone, lambert_w, lambert_w_from_log, smallest_positive_cubic_root
+from .specfn import lambert_w_from_log_rows, lambert_w_rows, smallest_positive_cubic_root_rows
 
 # inversions divide by f'(s); inside this band the state is rejected
 FPRIME_GUARD = 1e-8
@@ -58,8 +59,9 @@ _ZERO3 = np.zeros(3)
 class AuxScalars:
     """Scalar invariants reconstructed alongside an inversion.
 
-    a = E^2, b = (E.B)^2 (= eta * a when eta is defined), s the Lorentz
-    invariant.
+    a = E^2, b = (E.B)^2, s the Lorentz invariant, and at a point with
+    D != 0 and B != 0 eta = (B.D)^2 / (D^2 + kappa^2 (2 + kappa^2 B^2)
+    |B x D|^2), for which b = eta * a.
     """
 
     a: float
@@ -129,42 +131,16 @@ def medium_matrix(params: ModelParams, e, b) -> MediumMatrix:
 
 
 # ---------------------------------------------------------------------------
-# electrostatic / magnetostatic branches
+# one point: one-row calls of invert_rows
 # ---------------------------------------------------------------------------
 
 
-def _electrostatic_a(params: ModelParams, d2: float) -> float:
-    """Solve (f'(a/2))^2 a = D^2 for a = E^2 >= 0."""
-    if d2 == 0.0:
-        return 0.0
-    beta = params.beta
-    if params.kind == CLASSICAL:
-        return d2 / (1.0 + beta * d2)
-    if params.kind == LOGARITHMIC:
-        # E = 2D / (1 + sqrt(1 + 2 beta D^2))
-        return 4.0 * d2 / (1.0 + math.sqrt(1.0 + 2.0 * beta * d2)) ** 2
-    if params.kind == EXPONENTIAL:
-        return lambert_w(beta * d2) / beta
-    if params.kind == QUADRATIC:
-        al = params.alpha
-        return smallest_positive_cubic_root(1.0 / al, d2 / al**2)
-
-    def g(a: float) -> float:
-        fp = params.f_prime(0.5 * a)
-        return fp * fp * a
-
-    def dg(a: float) -> float:
-        fp = params.f_prime(0.5 * a)
-        return fp * (fp + params.f_double_prime(0.5 * a) * a)
-
-    hi = max(1.0, d2)
-    for _ in range(200):
-        if g(hi) >= d2:
-            break
-        hi *= 2.0
-    else:
-        raise InversionFailure(f"electrostatic bracket expansion failed at D^2={d2!r}")
-    return invert_monotone(g, d2, 0.0, hi, deriv=dg)
+def _one_row(params: ModelParams, d: np.ndarray, b: np.ndarray):
+    """E, H and s at one point from invert_rows; raises the row's failure."""
+    e, h, s, code, errors = invert_rows(params, d[None, :], b[None, :])
+    if code[0]:
+        raise errors[code[0] - 1]
+    return e[0], h[0], float(s[0])
 
 
 def electrostatic_e(params: ModelParams, d) -> np.ndarray:
@@ -174,22 +150,7 @@ def electrostatic_e(params: ModelParams, d) -> np.ndarray:
     |D| -> inf (a = E^2 approaches the bound and f'(a/2) the domain edge,
     so E = D / f'(a/2) is not evaluated literally there).
     """
-    d = as_vec3(d)
-    d2 = float(d @ d)
-    if d2 == 0.0:
-        return _ZERO3.copy()
-    beta = params.beta
-    if params.kind == CLASSICAL:
-        return d / math.sqrt(1.0 + beta * d2)
-    if params.kind == LOGARITHMIC:
-        return 2.0 * d / (1.0 + math.sqrt(1.0 + 2.0 * beta * d2))
-    if params.kind == EXPONENTIAL:
-        return d * math.exp(-0.5 * lambert_w(beta * d2))
-    a = _electrostatic_a(params, d2)
-    fp = params.f_prime(0.5 * a)
-    if abs(fp) < FPRIME_GUARD:
-        raise DomainViolation(f"f'(a/2) = {fp!r} inside guard band")
-    return d / fp
+    return _one_row(params, as_vec3(d), _ZERO3)[0]
 
 
 def magnetostatic_h(params: ModelParams, b) -> np.ndarray:
@@ -198,152 +159,7 @@ def magnetostatic_h(params: ModelParams, b) -> np.ndarray:
     Forward evaluation only; a zero of f' (quadratic model at B^2 = 1/alpha)
     legitimately returns H = 0 here.
     """
-    b = as_vec3(b)
-    b2 = float(b @ b)
-    if b2 == 0.0:
-        return _ZERO3.copy()
-    return params.f_prime(-0.5 * b2) * b
-
-
-# ---------------------------------------------------------------------------
-# dyonic branches
-# ---------------------------------------------------------------------------
-
-
-def _classical_k0(params, d, b, d2, b2):
-    beta = params.beta
-    f = math.sqrt((1.0 + beta * b2) / (1.0 + beta * d2))
-    e = f * d
-    h = b / f
-    s = (d2 - b2) / (2.0 * (1.0 + beta * d2))
-    eb = f * float(b @ d)
-    return e, h, AuxScalars(a=float(e @ e), b=eb * eb, s=s)
-
-
-def _classical_k(params, d, b, d2, b2, bd, bxd2, eta):
-    beta = params.beta
-    k2 = params.kappa**2
-    opk = 1.0 + k2 * b2
-    r1 = math.sqrt((1.0 + beta * b2) * opk)
-    r2 = math.sqrt(1.0 + beta * d2 + k2 * b2 + beta * k2 * bxd2)
-    f = r1 / r2  # = sqrt(1 - 2 beta s)
-    e = f * (d - k2 * bd / opk * b)
-    eb = f * bd / opk
-    h = (b - k2 * eb * e) / f
-    s = (d2 - b2 + k2 * (bxd2 - b2 * b2)) / (2.0 * r2 * r2)
-    return e, h, AuxScalars(a=float(e @ e), b=eb * eb, s=s, eta=eta)
-
-
-def _logarithmic_k0(params, d, b, d2, b2):
-    beta = params.beta
-    two_pb = 2.0 + beta * b2
-    root = math.sqrt(1.0 + beta * d2 * two_pb)
-    one_m = two_pb / (1.0 + root)  # = 1 - beta s, always in (0, 2]
-    e = one_m * d
-    h = b / one_m
-    s = (1.0 - one_m) / beta
-    eb = one_m * float(b @ d)
-    return e, h, AuxScalars(a=float(e @ e), b=eb * eb, s=s)
-
-
-def _logarithmic_k(params, d, b, d2, b2, bd, bxd2, eta):
-    beta = params.beta
-    k2 = params.kappa**2
-    opk = 1.0 + k2 * b2
-    one_pk = 1.0 + k2 * eta
-    c = 1.0 + 0.5 * beta * b2
-    m = 1.0 + k2 * (2.0 + k2 * b2) * eta
-    chi = m / (beta * d2 * one_pk)
-    # smaller root of A^2 a^2 - (2AC + m/D^2) a + C^2 = 0, A = beta*one_pk/2,
-    # written in conjugate form so it stays stable as D -> 0
-    a = 2.0 * c * c / (beta * one_pk * (c + chi + math.sqrt(chi * (2.0 * c + chi))))
-    s = 0.5 * (one_pk * a - b2)
-    one_m = 1.0 - beta * s
-    if one_m <= 0.0:
-        raise DomainViolation(f"logarithmic inversion left its domain: 1-beta*s={one_m!r}")
-    e = one_m * (d - k2 * bd / opk * b)
-    eb = one_m * bd / opk
-    h = (b - k2 * eb * e) / one_m
-    return e, h, AuxScalars(a=float(e @ e), b=eb * eb, s=s, eta=eta)
-
-
-def _exponential(params, d, b, d2, b2, bd, bxd2, eta):
-    beta = params.beta
-    k2 = params.kappa**2
-    opk = 1.0 + k2 * b2
-    ratio = (d2 + k2 * bxd2) / opk
-    ln_arg = math.log(beta) + beta * b2 + math.log(ratio)
-    if ln_arg <= 700.0:
-        w = lambert_w(math.exp(ln_arg))
-    else:
-        w = lambert_w_from_log(ln_arg)
-    # beta*s = (w - beta B^2)/2; exponents combined to dodge overflow
-    em = math.exp(0.5 * (beta * b2 - w))  # e^{-beta s}
-    ep = math.exp(0.5 * (w - beta * b2))  # e^{+beta s} = f'(s)
-    e = em * (d - k2 * bd / opk * b)
-    eb = em * bd / opk
-    h = ep * (b - k2 * eb * e)
-    s = 0.5 * (w / beta - b2)
-    return e, h, AuxScalars(a=float(e @ e), b=eb * eb, s=s, eta=eta)
-
-
-def _quadratic(params, d, b, d2, b2, bd, bxd2, eta):
-    al = params.alpha
-    k2 = params.kappa**2
-    opk = 1.0 + k2 * b2
-    one_pk = 1.0 + k2 * eta
-    m = 1.0 + k2 * (2.0 + k2 * b2) * eta
-    gamma = (1.0 - al * b2) / (al * one_pk)
-    sigma2 = d2 / ((al * one_pk) ** 2 * m)
-    a = smallest_positive_cubic_root(gamma, sigma2)
-    s = 0.5 * (one_pk * a - b2)
-    fp = 1.0 + 2.0 * al * s
-    if abs(fp) < FPRIME_GUARD:
-        raise DomainViolation(
-            f"quadratic inversion inside the f' guard band: f'(s) = {fp!r}"
-        )
-    e = (d - k2 * bd / opk * b) / fp
-    eb = bd / (fp * opk)
-    h = fp * (b - k2 * eb * e)
-    return e, h, AuxScalars(a=float(e @ e), b=eb * eb, s=s, eta=eta)
-
-
-def _generic(params, d, b, d2, b2, bd, bxd2, eta):
-    k2 = params.kappa**2
-    opk = 1.0 + k2 * b2
-    one_pk = 1.0 + k2 * eta
-    t = (d2 + k2 * bxd2) / opk
-
-    def g(a: float) -> float:
-        fp = params.f_prime(0.5 * (one_pk * a - b2))
-        return fp * fp * one_pk * a
-
-    def dg(a: float) -> float:
-        s_a = 0.5 * (one_pk * a - b2)
-        fp = params.f_prime(s_a)
-        return one_pk * fp * (fp + params.f_double_prime(s_a) * one_pk * a)
-
-    hi = max(1.0, t)
-    try:
-        for _ in range(200):
-            if g(hi) >= t:
-                break
-            hi *= 2.0
-        else:
-            raise InversionFailure(f"bracket expansion failed at target {t!r}")
-        a = invert_monotone(g, t, 0.0, hi, deriv=dg)
-    except DomainViolation as exc:
-        raise InversionFailure(
-            f"target {t!r} unreachable inside the model domain"
-        ) from exc
-    s = 0.5 * (one_pk * a - b2)
-    fp = params.f_prime(s)
-    if abs(fp) < FPRIME_GUARD:
-        raise DomainViolation(f"f'(s) = {fp!r} inside guard band")
-    e = (d - k2 * bd / opk * b) / fp
-    eb = bd / (fp * opk)
-    h = fp * (b - k2 * eb * e)
-    return e, h, AuxScalars(a=float(e @ e), b=eb * eb, s=s, eta=eta)
+    return _one_row(params, _ZERO3, as_vec3(b))[1]
 
 
 def dyonic_eh(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, AuxScalars]:
@@ -352,50 +168,18 @@ def dyonic_eh(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, AuxSca
     Returns (E, H, aux). The inversion is exact up to scalar root solves;
     the returned E always satisfies the direction match
     E . (D - kappa^2 (B.D) B / (1 + kappa^2 B^2)) >= 0, else InversionFailure.
+    Raises the exception invert_rows records for the point.
     """
     d = as_vec3(d)
     b = as_vec3(b)
+    e, h, s = _one_row(params, d, b)
     d2 = float(d @ d)
     b2 = float(b @ b)
-
-    if b2 == 0.0:
-        e = electrostatic_e(params, d)
-        aux = AuxScalars(a=float(e @ e), b=0.0, s=0.5 * float(e @ e))
-        return e, _ZERO3.copy(), aux
-    if d2 == 0.0:
-        h = magnetostatic_h(params, b)
-        return _ZERO3.copy(), h, AuxScalars(a=0.0, b=0.0, s=-0.5 * b2)
-
-    bd = float(b @ d)
-    bxd = np.cross(b, d)
-    bxd2 = float(bxd @ bxd)
-    k2 = params.kappa**2
-    eta = bd * bd / (d2 + k2 * (2.0 + k2 * b2) * bxd2)
-
-    if params.kind == CLASSICAL:
-        if params.kappa == 0.0:
-            e, h, aux = _classical_k0(params, d, b, d2, b2)
-        else:
-            e, h, aux = _classical_k(params, d, b, d2, b2, bd, bxd2, eta)
-    elif params.kind == LOGARITHMIC:
-        if params.kappa == 0.0:
-            e, h, aux = _logarithmic_k0(params, d, b, d2, b2)
-        else:
-            e, h, aux = _logarithmic_k(params, d, b, d2, b2, bd, bxd2, eta)
-    elif params.kind == EXPONENTIAL:
-        e, h, aux = _exponential(params, d, b, d2, b2, bd, bxd2, eta)
-    elif params.kind == QUADRATIC:
-        e, h, aux = _quadratic(params, d, b, d2, b2, bd, bxd2, eta)
-    else:
-        e, h, aux = _generic(params, d, b, d2, b2, bd, bxd2, eta)
-
-    proj = d - k2 * bd / (1.0 + k2 * b2) * b
-    dot = float(e @ proj)
-    if dot < -1e-12 * (float(np.linalg.norm(e)) * float(np.linalg.norm(proj)) + 1e-300):
-        raise InversionFailure(
-            f"direction match violated: E.(D - k^2 (B.D) B/(1+k^2 B^2)) = {dot!r}"
-        )
-    return e, h, aux
+    eta = None
+    if d2 != 0.0 and b2 != 0.0:
+        eta = float(_dyon_setup(params, d[None], b[None], np.array([d2]), np.array([b2]))[2][0])
+    eb = float(e @ b)
+    return e, h, AuxScalars(a=float(e @ e), b=eb * eb, s=s, eta=eta)
 
 
 def state_from_db(params: ModelParams, d, b) -> FieldState:
@@ -424,26 +208,29 @@ def round_trip_residual(params: ModelParams, d, b) -> float:
 
 
 def rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (N, 3) arrays, taken by matmul like the
-    scalar path's u[i] @ v[i] so that both round alike (an einsum or a sum
+    """Row-wise dot products of two (N, 3) arrays, taken by matmul so that
+    each rounds like the 3-vector product u[i] @ v[i] (an einsum or a sum
     can differ in the last bit)."""
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def _split_rows(d, b):
-    """d2, b2, zeroed E, H, s and code arrays, and the rows dyonic_eh sends
-    to electrostatic_e (B = 0, D != 0), to magnetostatic_h (D = 0, B != 0)
-    and to a dyonic branch: None for a branch with no rows, the full slice
+    """d2, b2, zeroed E, H, s and code arrays, and the rows of the electric
+    branch (B = 0, D != 0), of the magnetic branch (D = 0, B != 0) and of
+    the dyonic branch: None for a branch with no rows, the full slice
     for one with every row (so that indexing takes views), else an index
     array. Rows with D = B = 0 keep E = H = 0 and s = 0."""
     d2 = rowdot(d, d)
     b2 = rowdot(b, b)
     n = len(d)
-    elec, mag, dyon = (None if not m.any() else slice(None) if m.all() else np.flatnonzero(m)
-                       for m in ((b2 == 0.0) & (d2 != 0.0), (d2 == 0.0) & (b2 != 0.0),
-                                 (d2 != 0.0) & (b2 != 0.0)))
+
+    def rows(mask):
+        k = np.count_nonzero(mask)
+        return None if k == 0 else slice(None) if k == n else np.flatnonzero(mask)
+
+    d0, b0 = d2 == 0.0, b2 == 0.0
     return (d2, b2, np.zeros_like(d), np.zeros_like(b), np.zeros(n),
-            np.zeros(n, dtype=np.int64), elec, mag, dyon)
+            np.zeros(n, dtype=np.int64), rows(b0 & ~d0), rows(d0 & ~b0), rows(~(d0 | b0)))
 
 
 def _prime_rows(params, s, idx, code, errors, label):
@@ -460,8 +247,9 @@ def _prime_rows(params, s, idx, code, errors, label):
 
 
 def _magnetostatic_rows(params, b, b2, idx, h, s, code, errors):
-    """magnetostatic_h on the rows idx: H = f'(-B^2/2) B, failing outside
-    the model domain as f_prime does."""
+    """The magnetic branch on the rows idx: H = f'(-B^2/2) B, failing
+    outside the model domain as f_prime does. A zero of f' (quadratic model
+    at B^2 = 1/alpha) legitimately gives H = 0."""
     if idx is None:
         return
     sm = -0.5 * b2[idx]
@@ -473,12 +261,16 @@ def _magnetostatic_rows(params, b, b2, idx, h, s, code, errors):
 
 
 def _dyon_setup(params, d, b, d2, b2):
-    """The scalars dyonic_eh forms before its branches, on rows: B.D,
-    |B x D|^2, eta, 1 + kappa^2 B^2 and the direction-check projection
+    """The scalars every dyonic branch starts from, on rows: B.D,
+    |B x D|^2, eta = (B.D)^2 / (D^2 + kappa^2 (2 + kappa^2 B^2) |B x D|^2),
+    1 + kappa^2 B^2 and the direction-check projection
     D - kappa^2 (B.D) B / (1 + kappa^2 B^2)."""
     k2 = params.kappa**2
     bd = rowdot(b, d)
-    bxd = np.cross(b, d)
+    # B x D as np.cross forms it, without its per-call axis handling
+    bxd = np.empty_like(d)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        bxd[:, i] = b[:, j] * d[:, k] - b[:, k] * d[:, j]
     bxd2 = rowdot(bxd, bxd)
     eta = bd * bd / (d2 + k2 * (2.0 + k2 * b2) * bxd2)
     opk = 1.0 + k2 * b2
@@ -487,7 +279,8 @@ def _dyon_setup(params, d, b, d2, b2):
 
 
 def _direction_rows(e, proj, idx, code, errors):
-    """dyonic_eh's direction check on the rows idx."""
+    """The direction check on the rows idx: E.(D - kappa^2 (B.D) B /
+    (1 + kappa^2 B^2)) below -1e-12 of the norms fails the row."""
     dot = rowdot(e, proj)
     norms = np.sqrt(rowdot(e, e)) * np.sqrt(rowdot(proj, proj))
     fail_rows(code, errors, dot < -1e-12 * (norms + 1e-300), lambda j: InversionFailure(
@@ -496,9 +289,10 @@ def _direction_rows(e, proj, idx, code, errors):
 
 
 def _classical_rows(params, d, b, errors):
-    """The classical branches of dyonic_eh as array arithmetic, expression
-    by expression: electrostatic_e, magnetostatic_h, _classical_k0 or
-    _classical_k, then the direction check."""
+    """The classical branches as array arithmetic: E = D/sqrt(1 + beta D^2)
+    for B = 0, the magnetic branch for D = 0, otherwise the kappa = 0 closed
+    form E = f D, H = B/f with f = sqrt((1 + beta B^2)/(1 + beta D^2)) or the
+    kappa > 0 one with f = sqrt(1 - 2 beta s); then the direction check."""
     beta = params.beta
     k2 = params.kappa**2
     d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
@@ -529,9 +323,12 @@ def _classical_rows(params, d, b, errors):
 
 
 def _logarithmic_rows(params, d, b, errors):
-    """The logarithmic branches of dyonic_eh as array arithmetic, expression
-    by expression: electrostatic_e for B = 0, magnetostatic_h for D = 0,
-    _logarithmic_k0 or _logarithmic_k otherwise, then the direction check."""
+    """The logarithmic branches as array arithmetic: E = 2D/(1 + sqrt(1 +
+    2 beta D^2)) for B = 0, the magnetic branch for D = 0, otherwise
+    1 - beta s in closed form (for kappa > 0 through the smaller root of a
+    quadratic in a = E^2, in conjugate form so it stays stable as D -> 0,
+    failing a row whose 1 - beta s is not positive); then the direction
+    check."""
     beta = params.beta
     k2 = params.kappa**2
     d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
@@ -569,16 +366,18 @@ def _logarithmic_rows(params, d, b, errors):
 
 
 def _monotone_rows(params, t, one_pk, b2):
-    """The monotone solve of _generic on rows: g(a) = f'(s_a)^2 one_pk a = t
-    with s_a = (one_pk a - b2)/2 (one_pk = 1, b2 = 0 is _electrostatic_a's).
+    """Solve g(a) = f'(s_a)^2 one_pk a = t on rows, with
+    s_a = (one_pk a - b2)/2 (one_pk = 1, b2 = 0 for the electric branch).
 
-    Each row runs the scalar iterates and stops at its own test. The bracket
-    [0, hi] doubles from max(1, t) until g(hi) >= t, at most 200 times. Then
-    invert_monotone(g, t, 0, hi, deriv=dg) runs: its flo == 0 and fhi == 0
-    exits, its best-residual tracking, Newton steps kept only strictly
-    inside the bracket, its 1e-12 residual stop and its stop once no float
-    lies strictly inside the bracket. Its bracket test cannot fail here
-    (flo = -t < 0 <= fhi), and g increases.
+    A bracketed Newton/bisection in which each row runs its own iterates
+    and stops at its own test. The bracket [0, hi] doubles from max(1, t)
+    until g(hi) >= t, at most 200 times. A row with g(0) = t or g(hi) = t
+    returns that end. Otherwise at most 200 steps from the midpoint: each
+    halves the bracket on the sign of g(a) - t and takes the Newton step
+    when it lands strictly inside the bracket, else the midpoint; a row
+    stops at |g(a) - t| <= 1e-12 max(1, |t|), or with the iterate of least
+    residual once no float lies strictly inside its bracket or the steps
+    run out. g increases, and g(0) - t = -t < 0 <= g(hi) - t.
 
     Returns a (NaN where unsolved), the mask of rows whose s_a left the
     model domain with the s_a at which they did, and the mask of rows whose
@@ -658,16 +457,17 @@ def _monotone_rows(params, t, one_pk, b2):
 
 
 def _generic_rows(params, d, b, errors):
-    """The branches dyonic_eh takes for a model without a closed form, as
-    array arithmetic: electrostatic_e through _electrostatic_a's solve,
-    magnetostatic_h, and _generic, then the direction check. Each failing
-    row gets the exception the scalar path raises for it. Exact for a model
-    whose derivative_rows round like its scalar f' and f''; the fractional
-    power is the one built-in kind routed here."""
+    """The branches of a model without a closed form (the fractional power
+    and custom kinds): for B = 0, E = D/f'(a/2) with a = E^2 from the
+    monotone solve of f'(a/2)^2 a = D^2; the magnetic branch for D = 0;
+    otherwise a from f'(s_a)^2 (1 + kappa^2 eta) a = t, failing a row whose
+    f'(s) falls inside the guard band; then the direction check. Rounds
+    like a point evaluation with the scalar f' and f'' when derivative_rows
+    rounds like them, as for these two kinds."""
     k2 = params.kappa**2
     d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
 
-    # electrostatic_e: _electrostatic_a raises DomainViolation unwrapped
+    # a solve that leaves the model domain fails with the domain's own error
     if elec is not None:
         t = d2[elec]
         a, lost, lost_s, unbracketed = _monotone_rows(params, t, np.ones(len(t)),
@@ -683,7 +483,7 @@ def _generic_rows(params, d, b, errors):
     if dyon is None:
         return e, h, s, code
 
-    # _generic turns a DomainViolation inside its solve into InversionFailure
+    # here a solve that leaves the model domain is an InversionFailure
     dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
     bd, bxd2, eta, opk, proj = _dyon_setup(params, dd, bb, d2y, b2y)
     one_pk = 1.0 + k2 * eta
@@ -704,29 +504,84 @@ def _generic_rows(params, d, b, errors):
     return e, h, s, code
 
 
+def _exponential_rows(params, d, b, errors):
+    """The exponential branches as array arithmetic: E = D e^{-W/2} with
+    W = W(beta D^2) for B = 0, magnetostatic_h for D = 0, and otherwise
+    beta s = (W - beta B^2)/2 with W the Lambert W of
+    beta e^{beta B^2} (D^2 + kappa^2 |B x D|^2)/(1 + kappa^2 B^2), taken
+    from its logarithm where that exceeds 700; then the direction check."""
+    beta = params.beta
+    k2 = params.kappa**2
+    d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
+    if elec is not None:
+        ee = d[elec] * np.exp(-0.5 * lambert_w_rows(beta * d2[elec]))[:, None]
+        e[elec], s[elec] = ee, 0.5 * rowdot(ee, ee)
+    _magnetostatic_rows(params, b, b2, mag, h, s, code, errors)
+    if dyon is None:
+        return e, h, s, code
+    dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
+    bd, bxd2, _, opk, proj = _dyon_setup(params, dd, bb, d2y, b2y)
+    ln_arg = math.log(beta) + beta * b2y + np.log((d2y + k2 * bxd2) / opk)
+    small = ln_arg <= 700.0
+    w = np.empty_like(ln_arg)
+    w[small] = lambert_w_rows(np.exp(ln_arg[small]))
+    w[~small] = lambert_w_from_log_rows(ln_arg[~small])
+    # beta*s = (w - beta B^2)/2; exponents combined to dodge overflow
+    em = np.exp(0.5 * (beta * b2y - w))  # e^{-beta s}
+    ep = np.exp(0.5 * (w - beta * b2y))  # e^{+beta s} = f'(s)
+    ey = em[:, None] * proj
+    eb = em * bd / opk
+    e[dyon] = ey
+    h[dyon] = ep[:, None] * (bb - (k2 * eb)[:, None] * ey)
+    s[dyon] = 0.5 * (w / beta - b2y)
+    _direction_rows(ey, proj, dyon, code, errors)
+    return e, h, s, code
+
+
+def _quadratic_rows(params, d, b, errors):
+    """The quadratic branches as array arithmetic: for B = 0, E = D/f'(a/2)
+    with a = E^2 the smallest root of (1/alpha + a)^2 a = D^2/alpha^2;
+    magnetostatic_h for D = 0; otherwise a from the normalized cubic
+    (gamma + a)^2 a = sigma2, failing a row whose f'(s) falls inside the
+    guard band; then the direction check."""
+    al = params.alpha
+    k2 = params.kappa**2
+    d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
+    if elec is not None:
+        a = smallest_positive_cubic_root_rows(1.0 / al, d2[elec] / al**2)
+        fp = _prime_rows(params, 0.5 * a, elec, code, errors, "f'(a/2)")
+        ee = d[elec] / fp[:, None]
+        e[elec], s[elec] = ee, 0.5 * rowdot(ee, ee)
+    _magnetostatic_rows(params, b, b2, mag, h, s, code, errors)
+    if dyon is None:
+        return e, h, s, code
+    dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
+    bd, _, eta, opk, proj = _dyon_setup(params, dd, bb, d2y, b2y)
+    one_pk = 1.0 + k2 * eta
+    m = 1.0 + k2 * (2.0 + k2 * b2y) * eta
+    gamma = (1.0 - al * b2y) / (al * one_pk)
+    sigma2 = d2y / ((al * one_pk) ** 2 * m)
+    sy = 0.5 * (one_pk * smallest_positive_cubic_root_rows(gamma, sigma2) - b2y)
+    fp = 1.0 + 2.0 * al * sy
+    fail_rows(code, errors, np.abs(fp) < FPRIME_GUARD, lambda j: DomainViolation(
+        f"quadratic inversion inside the f' guard band: f'(s) = {float(fp[j])!r}"), dyon)
+    ey = proj / fp[:, None]
+    eb = bd / (fp * opk)
+    e[dyon] = ey
+    h[dyon] = fp[:, None] * (bb - (k2 * eb)[:, None] * ey)
+    s[dyon] = sy
+    _direction_rows(ey, proj, dyon, code, errors)
+    return e, h, s, code
+
+
 _ROW_KERNELS = {
     CLASSICAL: _classical_rows,
     LOGARITHMIC: _logarithmic_rows,
+    EXPONENTIAL: _exponential_rows,
     FRACTIONAL_POWER: _generic_rows,
+    QUADRATIC: _quadratic_rows,
+    CUSTOM: _generic_rows,
 }
-
-
-def _scalar_rows(params, d, b, failures):
-    """dyonic_eh row by row; failing rows get the 1-based index of their
-    exception in failures."""
-    e = np.zeros_like(d)
-    h = np.zeros_like(b)
-    s = np.zeros(len(d))
-    code = np.zeros(len(d), dtype=np.int64)
-    for i in range(len(d)):
-        try:
-            e[i], h[i], aux = dyonic_eh(params, d[i], b[i])
-        except FieldError as exc:
-            failures.append(exc)
-            code[i] = len(failures)
-            continue
-        s[i] = aux.s
-    return e, h, s, code
 
 
 def invert_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -735,9 +590,9 @@ def invert_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.n
 
     code[i] is 0 for a row that inverted to finite values and k > 0 when
     errors[k - 1] is its failure: DomainViolation for a non-finite D or B
-    (such rows reach no model branch), the exception dyonic_eh raises for
-    that row alone, or DomainViolation for a non-finite result. A failed
-    row's E, H and s are meaningless.
+    (such rows reach no model branch), the failure of its model branch
+    (the same whatever else is in the batch), or DomainViolation for a
+    non-finite result. A failed row's E, H and s are meaningless.
     """
     d = np.asarray(d, dtype=float).reshape(-1, 3)
     b = np.asarray(b, dtype=float).reshape(-1, 3)
@@ -750,7 +605,7 @@ def invert_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.n
         merge_failures(code, errors, np.flatnonzero(ok), sub_code, sub_errors)
         return e, h, s, code, errors
     errors = []
-    rows = _ROW_KERNELS.get(params.kind, _scalar_rows)
+    rows = _ROW_KERNELS[params.kind]
     with np.errstate(all="ignore"):
         e, h, s, code = rows(params, d, b, errors)
     if not (np.isfinite(e).all() and np.isfinite(h).all() and np.isfinite(s).all()):
@@ -762,13 +617,10 @@ def invert_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.n
 def dyonic_eh_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Invert the constitutive map on rows: D, B of shape (N, 3) -> E, H, s.
 
-    Returns E and H of shape (N, 3) and the invariant s of shape (N,). The
-    classical, logarithmic and fractional-power models run as array
-    arithmetic copied from the scalar branches and round like them; every
-    other model calls dyonic_eh row by row. Fails loudly: if any row fails
-    or yields a non-finite value, raises the class the scalar path raises
-    for the first such row (DomainViolation for a non-finite one), naming
-    that row and the number of failing rows.
+    Returns E and H of shape (N, 3) and the invariant s of shape (N,).
+    Fails loudly: if any row fails or yields a non-finite value, raises the
+    class of the first such row's failure (DomainViolation for a non-finite
+    one), naming that row and the number of failing rows.
     """
     d = np.asarray(d, dtype=float).reshape(-1, 3)
     b = np.asarray(b, dtype=float).reshape(-1, 3)

@@ -541,7 +541,13 @@ def curl_formula_continuous(src: ContinuousSource, params: ModelParams, x,
     x = as_vec3(x)
     quad = quad if quad is not None else _DEFAULT_QUAD
     g = potential_gradient(src, x, quad, "electric")
-    e_vec = electrostatic_e(params, g)
+    return _curl_formula_at_state(src, params, x, quad, g, electrostatic_e(params, g))
+
+
+def _curl_formula_at_state(src: ContinuousSource, params: ModelParams, x: np.ndarray,
+                          quad: QuadratureSpec, g: np.ndarray, e_vec: np.ndarray) -> np.ndarray:
+    """curl_formula_continuous at x where grad u = g and E = e_vec are
+    already known (a continuous_fields state of an electric source)."""
     a = float(e_vec @ e_vec)
     fp = params.f_prime(0.5 * a)
     fpp = params.f_double_prime(0.5 * a)

@@ -173,7 +173,7 @@ class ModelParams:
     def _require(self, s: float) -> float:
         s = float(s)
         if not self.in_domain(s):
-            raise DomainViolation(f"s={s!r} outside domain of {self.kind} model")
+            raise self.domain_error(s)
         return s
 
     # -- model functions ----------------------------------------------------

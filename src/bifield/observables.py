@@ -351,8 +351,12 @@ def _shell_energy_once(params, cfg, quad, r_lo, r_hi, n_mu, n_phi, radial_factor
     return total
 
 
-def _shell_energy(params, cfg, quad, r_lo, r_hi) -> float:
-    """Bounded-shell integral, refined until two successive orders agree."""
+def _shell_energy(params, cfg, quad, r_lo, r_hi, rest: float) -> tuple[float, bool]:
+    """Bounded-shell integral, refined until two successive orders agree
+    within rel_tol of the energy they add to: rest, the energy accumulated
+    outside this shell, plus the shell (the far tail is held to the same
+    measure). Returns the value and whether they agreed; if they never do,
+    the last level and False."""
     n_mu, n_phi = _SHELL_ANGULAR
     prev = _shell_energy_once(params, cfg, quad, r_lo, r_hi, n_mu, n_phi, 1)
     for level in range(1, quad.max_subdivisions + 1):
@@ -360,10 +364,10 @@ def _shell_energy(params, cfg, quad, r_lo, r_hi) -> float:
         cur = _shell_energy_once(
             params, cfg, quad, r_lo, r_hi, scale * n_mu, scale * n_phi, scale
         )
-        if abs(cur - prev) <= quad.rel_tol * max(abs(cur), quad.abs_tol):
-            return cur
+        if abs(cur - prev) <= quad.rel_tol * max(abs(rest + cur), quad.abs_tol):
+            return cur, True
         prev = cur
-    return prev
+    return prev, False
 
 
 def default_probe_radii(ball_radius: float) -> np.ndarray:
@@ -400,6 +404,8 @@ def total_energy(cfg: ChargeConfig, params: ModelParams, quad: QuadratureSpec) -
     below rel_tol of the accumulated value. Divergent ball integrals are
     reported with converged=False and the fitted near-charge exponent;
     the value is then the truncated accumulation, not an extrapolation.
+    A shell whose refinements never agree within max_subdivisions also
+    gives converged=False, with its last level in the value.
     """
     quad.validate_for(cfg)
     balls = []
@@ -421,7 +427,8 @@ def total_energy(cfg: ChargeConfig, params: ModelParams, quad: QuadratureSpec) -
     # is the charge itself); with several charges it covers the whole
     # interior with the balls masked out
     r_start = quad.ball_radius if len(cfg) == 1 else 0.0
-    shell = _shell_energy(params, cfg, quad, r_start, quad.far_radius)
+    shell, ok = _shell_energy(params, cfg, quad, r_start, quad.far_radius, sum(balls))
+    converged = converged and ok
 
     q_tot, g_tot = cfg.total_q, cfg.total_g
     r_far = quad.far_radius
@@ -431,7 +438,10 @@ def total_energy(cfg: ChargeConfig, params: ModelParams, quad: QuadratureSpec) -
         accumulated = sum(balls) + shell + extensions + tail
         if tail <= quad.rel_tol * max(abs(accumulated), quad.abs_tol):
             break
-        extensions += _shell_energy(params, cfg, quad, r_far, 2.0 * r_far)
+        extension, ok = _shell_energy(params, cfg, quad, r_far, 2.0 * r_far,
+                                      sum(balls) + shell + extensions)
+        extensions += extension
+        converged = converged and ok
         r_far *= 2.0
         tail = (q_tot**2 + g_tot**2) / (8.0 * math.pi * r_far)
     else:

@@ -249,14 +249,17 @@ class TestEnergyDensity:
             return dyonic_eh(*args, **kwargs)
 
         monkeypatch.setattr(constitutive, "dyonic_eh", counting_eh)
-        # the counter sees the per-row path of the other models
-        hamiltonian_on_points(ModelParams.exponential(1.0), single_charge(), np.ones((5, 3)))
-        assert len(calls) == 5
+        # the counter sees a point inversion
+        constitutive.dyonic_eh(ModelParams.exponential(1.0), np.ones(3), np.ones(3))
+        assert len(calls) == 1
         calls.clear()
-        cfg = single_charge(q=1.0, g=0.5)
-        report = total_energy(cfg, ModelParams.logarithmic(1.0, kappa=0.5),
-                              coarse_quad(cfg, rel_tol=1e-3, max_subdivisions=2))
-        assert report.value > 0.0 and calls == []
+        dyon = single_charge(q=1.0, g=0.5)
+        # the quadratic dyon leaves the single-root branch next to its centre
+        for cfg, params in ((dyon, ModelParams.logarithmic(1.0, kappa=0.5)),
+                            (dyon, ModelParams.exponential(1.0, kappa=0.5)),
+                            (single_charge(), ModelParams.quadratic(0.5, kappa=0.5))):
+            report = total_energy(cfg, params, coarse_quad(cfg, rel_tol=1e-3, max_subdivisions=2))
+            assert report.value > 0.0 and calls == [], params.kind
 
     def test_batch_rejects_singular_points(self):
         cfg = three_charges()
@@ -292,6 +295,23 @@ class TestEnergyDensity:
 
 
 class TestTotalEnergy:
+    def test_unconverged_shell_is_reported(self, monkeypatch):
+        # levels 1, 2, 3 of every shell alternate between 1 and 2 and never
+        # agree; each shell keeps its last level, 1, as before
+        def oscillating(params, cfg, quad, r_lo, r_hi, n_mu, n_phi, radial_factor):
+            factors.append(radial_factor)
+            return 1.0 if radial_factor % 2 else 2.0
+
+        cfg = single_charge()
+        quad = coarse_quad(cfg, rel_tol=1e-3, max_subdivisions=2)
+        factors = []
+        monkeypatch.setattr(observables, "_shell_energy_once", oscillating)
+        report = total_energy(cfg, ModelParams.classical(1.0), quad)
+        assert report.converged is False
+        assert factors == [1, 2, 3] * factors.count(1)
+        assert report.parts["shell"] == float(factors.count(1))
+        assert report.value == sum(report.parts["balls"]) + report.parts["shell"] + report.parts["tail"]
+
     def test_single_electric_matches_radial_oracle(self):
         cfg = single_charge()
         params = ModelParams.classical(1.0)

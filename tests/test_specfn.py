@@ -6,13 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
+from bifield import specfn
 from bifield.errors import BracketFailure, NegativeArgument
 from bifield.specfn import (
-    invert_monotone,
     lambert_w,
     lambert_w_from_log,
+    lambert_w_from_log_rows,
+    lambert_w_rows,
     smallest_positive_cubic_root,
+    smallest_positive_cubic_root_rows,
 )
+
+import scalar_inversions as scalar
+from scalar_inversions import invert_monotone
 
 # Newton iteration on w e^w = 1, run to convergence beforehand and frozen.
 W_OF_ONE = 0.5671432904097838
@@ -149,3 +155,58 @@ class TestInvertMonotone:
         g = lambda a: a * math.exp(min(a, 50.0)) if a < 50 else a * math.exp(50.0)
         root = invert_monotone(g, target, 0.0, 60.0)
         assert abs(g(root) - target) <= 1e-12 * max(1.0, target)
+
+
+class TestArrayKernelsAgainstScalar:
+    """The array kernels against the scalar algorithms of the test oracle,
+    element by element. numpy's exp, log and pow differ from the math
+    module's in the last bit on a few percent of inputs, so the converged
+    W agrees to a few ulps; the cubic's closed form magnifies such a change
+    by up to 1e6 before a polish that stops at a 1e-12 residual."""
+
+    def test_lambert_w_rows(self):
+        rng = np.random.default_rng(11)
+        # every seed branch, their edges, and the ln-argument path past 1e308
+        x = np.concatenate([[0.0, 5e-324, 0.25, np.nextafter(0.25, 1.0), 3.0,
+                             np.nextafter(3.0, 4.0), 1e308, 1.5e308, 1.7e308],
+                            np.logspace(-300.0, 308.0, 2000), rng.uniform(0.0, 5.0, 1000)])
+        w = lambert_w_rows(x)
+        ref = np.array([scalar.lambert_w(v) for v in x])
+        assert np.all(np.abs(w - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
+        assert lambert_w_rows(x.reshape(-1, 3)).shape == (len(x) // 3, 3)
+
+    def test_lambert_w_from_log_rows(self):
+        rng = np.random.default_rng(12)
+        log_x = np.concatenate([rng.uniform(-800.0, 5.0, 500), np.logspace(0.0, 15.0, 1000)])
+        w = lambert_w_from_log_rows(log_x)
+        ref = np.array([scalar.lambert_w_from_log(v) for v in log_x])
+        assert np.all(np.abs(w - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
+
+    def test_cubic_rows(self):
+        rng = np.random.default_rng(13)
+        # closed form, three real roots (gamma < 0, small sigma2) and the
+        # cancelling cube-root difference (gamma > 0, tiny sigma2)
+        gamma = np.concatenate([rng.uniform(-30.0, 30.0, 4000), rng.uniform(0.1, 10.0, 1000),
+                                [0.0, 0.0, 5.0, -5.0]])
+        sigma2 = np.concatenate([rng.uniform(0.0, 100.0, 4000),
+                                 10.0 ** rng.uniform(-30.0, -8.0, 1000), [0.0, 1.0, 0.0, 0.0]])
+        a = smallest_positive_cubic_root_rows(gamma, sigma2)
+        ref = np.array([scalar.smallest_positive_cubic_root(g, s) for g, s in zip(gamma, sigma2)])
+        assert np.all(np.abs(a - ref) <= 1e-12 * np.maximum(1.0, ref))
+        assert np.all(np.abs((gamma + a) ** 2 * a - sigma2) <= 1e-10 * np.maximum(1.0, sigma2))
+
+    @pytest.mark.parametrize("name, args", [
+        ("lambert_w", (-0.1,)), ("lambert_w", (math.nan,)),
+        ("smallest_positive_cubic_root", (1.0, -1.0))])
+    def test_one_element_failures_match_scalar(self, name, args):
+        with pytest.raises(Exception) as got:
+            getattr(specfn, name)(*args)
+        with pytest.raises(Exception) as ref:
+            getattr(scalar, name)(*args)
+        assert (type(got.value), str(got.value)) == (type(ref.value), str(ref.value))
+
+    def test_rows_failures_name_the_first_element(self):
+        with pytest.raises(NegativeArgument, match=r"^lambert_w: negative argument -2\.0$"):
+            lambert_w_rows([1.0, -2.0, -3.0])
+        with pytest.raises(ValueError, match=r"^sigma2 must be >= 0, got -1\.0$"):
+            smallest_positive_cubic_root_rows([1.0, 2.0], [0.5, -1.0])

@@ -14,8 +14,9 @@ kernel in bifield.sources, and the D and B every sum here is built from.
 flux_charge_pointwise is the sphere-flux quadrature calling its field once
 per node, the reference for bifield.observables.flux_charge, which calls a
 rows field once per refinement level; pointwise turns a per-point field
-into such a rows field. eh_pointwise is E and H from one scalar dyonic_eh
-call per point, the reference for bifield.currents.eh_field.
+into such a rows field. eh_pointwise is E and H from one call per point of
+the scalar oracle's dyonic_eh (scalar_inversions), the reference for
+bifield.currents.eh_field.
 
 _shell_energy_once is the bounded-shell quadrature level that gathers the
 nodes outside the per-charge balls on every segment, the reference for
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from bifield.constitutive import dyonic_eh, electrostatic_e, rowdot
+from bifield.constitutive import rowdot
 from bifield.errors import QuadratureError
 from bifield.models import ModelParams
 from bifield.observables import (
@@ -41,6 +42,7 @@ from bifield.observables import (
     hamiltonian_on_points,
 )
 from bifield.sources import FOUR_PI, ChargeConfig, _batch_coulomb, _db_weights, as_vec3
+from scalar_inversions import dyonic_eh, electrostatic_e
 
 _FOUR_PI = 4.0 * math.pi
 
