@@ -27,27 +27,20 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .constitutive import (
-    dyonic_eh,
-    electrostatic_e,
-    invert_rows,
-    magnetostatic_h,
-    round_trip_residual,
-)
+from .constitutive import electrostatic_e, forward_fields, invert_rows, magnetostatic_h, rowdot
 from .continuous import (
     ContinuousSource,
-    _curl_formula_at_state,
     bump_source,
-    continuous_fields,
     curl_formula_continuous,
     gaussian_source,
     gridded_source,
+    jm_rows,
     merge_sources,
     newton_potential,
+    state_rows,
     two_gaussian_source,
 )
 from .currents import (
-    current_at,
     current_rows,
     eh_field,
     fd_curl,
@@ -55,12 +48,12 @@ from .currents import (
     jm_classical_electrostatic,
     jm_classical_jacobi_term,
 )
-from .errors import ConfigError, DomainViolation, FieldError, SingularPoint, merge_failures
+from .errors import (ConfigError, DomainViolation, FieldError, SingularPoint, fail_rows,
+                     merge_failures, raise_first)
 from .models import CLASSICAL, ModelParams
 from .observables import (
     QuadratureSpec,
     density_rows,
-    energy_density,
     flux_charge,
     free_charge_with_inner_spheres,
     hamiltonian_on_points,
@@ -68,7 +61,7 @@ from .observables import (
 )
 from .sources import (ChargeConfig, _batch_coulomb, _db_weights, displacement_field,
                       magnetic_field, mark_singular)
-from .specfn import lambert_w, smallest_positive_cubic_root
+from .specfn import lambert_w_rows, smallest_positive_cubic_root_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -631,43 +624,24 @@ def _cmd_current(cfg: RunConfig, args) -> int:
     return _grid_command(cfg, args, "current", CURRENT_COLUMNS, rows_at)
 
 
-def _per_point(row_at):
-    """rows_at for a command that evaluates one point at a time."""
-
-    def rows_at(pts):
-        cells, code, errors = [], np.zeros(len(pts), dtype=np.int64), []
-        for i, x in enumerate(pts):
-            try:
-                cells.append(row_at(x))
-            except FieldError as exc:
-                cells.append(None)
-                errors.append(exc)
-                code[i] = len(errors)
-        return cells, code, errors
-
-    return rows_at
-
-
 def _cmd_continuous(cfg: RunConfig, args) -> int:
     if cfg.source is None:
         raise ConfigError("continuous requires a continuous section")
     params, src, quad = cfg.model, cfg.source, cfg.quadrature
-    electric_only = src.rho_m is None
 
-    def row_at(x):
-        st = continuous_fields(src, params, x, quad)
-        if electric_only:
-            # the state holds grad u and its E: no second gradient or inversion
-            j_m = -_curl_formula_at_state(src, params, x, quad, st.d, st.e)
-        else:
-            j_m = -fd_curl(
-                lambda y: continuous_fields(src, params, y, quad).e,
-                x, step=src.width / 10.0, richardson=True,
-            )
-        dens = energy_density(params, st)
-        return (*x, *st.e, *st.h, *j_m, dens)
+    def rows_at(pts):
+        # a point fails with its first failure: fields, current, density
+        d, b, e, h, s, hess, code, errors = state_rows(src, params, pts, quad)
+        j_m = jm_rows(src, params, pts, quad, d, e, hess, code, errors)
+        fail_rows(code, errors, (code == 0) & ~params.domain_rows(s),
+                  lambda j: params.domain_error(s[j]))
+        ok = code == 0
+        dens = np.zeros(len(pts))
+        dens[ok] = density_rows(params, d[ok], b[ok], e[ok], s[ok])
+        fail_rows(code, errors, ~np.isfinite(dens), DomainViolation("non-finite energy density"))
+        return np.column_stack((pts, e, h, j_m, dens)).tolist(), code, errors
 
-    return _grid_command(cfg, args, "continuous", SAMPLE_COLUMNS, _per_point(row_at))
+    return _grid_command(cfg, args, "continuous", SAMPLE_COLUMNS, rows_at)
 
 
 def _cmd_charge(cfg: RunConfig, args) -> int:
@@ -765,33 +739,20 @@ def _suite(name: str, tol: float, residuals) -> dict:
 
 
 def _verify_lambert(rng) -> dict:
-    xs = np.concatenate([
-        np.logspace(-12, 12, 200),
-        rng.uniform(1e-6, 1e6, 200),
-    ])
-    res = [abs(lambert_w(x) * math.exp(lambert_w(x)) - x) / x for x in xs]
-    return _suite("lambert_identity", 1e-13, res)
+    xs = np.concatenate([np.logspace(-12, 12, 200), rng.uniform(1e-6, 1e6, 200)])
+    w = lambert_w_rows(xs)
+    return _suite("lambert_identity", 1e-13, np.abs(w * np.exp(w) - xs) / xs)
 
 
 def _verify_cubic(rng) -> dict:
-    res = []
-    for _ in range(400):
-        gamma = rng.uniform(-20.0, 20.0)
-        sigma2 = rng.uniform(0.0, 50.0)
-        a = smallest_positive_cubic_root(gamma, sigma2)
-        res.append(abs((gamma + a) ** 2 * a - sigma2) / max(1.0, sigma2))
-    return _suite("cubic_residual", 1e-10, res)
-
-
-def _dyon_pair() -> ChargeConfig:
-    return ChargeConfig.build([
-        ((1.0, 0.0, 0.0), 1.0, 0.4),
-        ((-1.0, 0.5, 0.0), -2.0, 1.0),
-    ])
+    gamma, sigma2 = rng.uniform((-20.0, 0.0), (20.0, 50.0), size=(400, 2)).T
+    a = smallest_positive_cubic_root_rows(gamma, sigma2)
+    return _suite("cubic_residual", 1e-10,
+                  np.abs((gamma + a) ** 2 * a - sigma2) / np.maximum(1.0, sigma2))
 
 
 def _verify_round_trip(rng) -> dict:
-    cfg = _dyon_pair()
+    cfg = ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.4), ((-1.0, 0.5, 0.0), -2.0, 1.0)])
     kinds = [
         ModelParams.classical(beta=1.3),
         ModelParams.logarithmic(beta=0.8),
@@ -801,18 +762,22 @@ def _verify_round_trip(rng) -> dict:
     ]
     res = []
     pts = rng.uniform(-3.0, 3.0, size=(40, 3))
+    pts = pts[[cfg.min_distance(x) >= 0.3 for x in pts]]
+    d, b = _batch_coulomb(cfg, _db_weights(cfg), pts)
+    scale = np.maximum(np.sqrt(np.maximum(rowdot(d, d), rowdot(b, b))), 1e-30)
     for base in kinds:
         for kappa in (0.0, 0.5, 1.0):
             params = dataclasses.replace(base, kappa=kappa)
-            for x in pts:
-                if cfg.min_distance(x) < 0.3:
-                    continue
-                d = displacement_field(cfg, x)
-                b = magnetic_field(cfg, x)
-                try:
-                    res.append(round_trip_residual(params, d, b))
-                except DomainViolation:
-                    continue  # quadratic domain holes are legitimate
+            e, h, _, code, errors = invert_rows(params, d, b)
+            for i, k in enumerate(code.tolist()):
+                if k:
+                    if isinstance(errors[k - 1], DomainViolation):
+                        continue  # quadratic domain holes are legitimate
+                    raise errors[k - 1]
+                # the scalar forward map checks the rows inversion
+                st = forward_fields(params, e[i], b[i])
+                res.append(max(float(np.linalg.norm(st.d - d[i])),
+                               float(np.linalg.norm(st.h - h[i]))) / scale[i])
     return _suite("constitutive_round_trip", 1e-7, res)
 
 
@@ -920,41 +885,36 @@ def _verify_saturation(rng) -> dict:
     res = []
     dirs = rng.standard_normal((5, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    d = (np.logspace(0.0, 8.0, 15)[:, None, None] * dirs).reshape(-1, 3)
     for beta in (0.5, 2.0):
         for params, bound in (
             (ModelParams.classical(beta=beta), 1.0 / math.sqrt(beta)),
             (ModelParams.logarithmic(beta=beta), math.sqrt(2.0 / beta)),
         ):
-            for mag in np.logspace(0.0, 8.0, 15):
-                for u in dirs:
-                    e = electrostatic_e(params, mag * u)
-                    # float saturation may round onto the bound itself
-                    res.append((float(np.linalg.norm(e)) - bound) / bound)
+            e, _, _, code, errors = invert_rows(params, d, np.zeros_like(d))
+            raise_first(code, errors)
+            # float saturation may round onto the bound itself
+            res.extend((np.sqrt(rowdot(e, e)) - bound) / bound)
     return _suite("saturation_bounds", 1e-15, res)
 
 
 def _verify_maxwell_fields(rng) -> dict:
     params = ModelParams.fractional_power(beta=3.0, p=1.0)
-    res = []
-    for _ in range(30):
-        d = rng.uniform(-5.0, 5.0, 3)
-        b = rng.uniform(-5.0, 5.0, 3)
-        e, h, _ = dyonic_eh(params, d, b)
-        res.append(float(max(np.max(np.abs(e - d)), np.max(np.abs(h - b)))))
-    return _suite("maxwell_limit_fields", 0.0, res)
+    d, b = np.split(rng.uniform(-5.0, 5.0, size=(30, 6)), 2, axis=1)
+    e, h, _, code, errors = invert_rows(params, d, b)
+    raise_first(code, errors)
+    return _suite("maxwell_limit_fields", 0.0,
+                  np.maximum(np.max(np.abs(e - d), axis=1), np.max(np.abs(h - b), axis=1)))
 
 
 def _verify_maxwell_currents(rng) -> dict:
     params = ModelParams.fractional_power(beta=2.0, p=1.0)
     cfg = _electric_pair()
-    res = []
-    for _ in range(5):
-        x = rng.uniform(-2.0, 2.0, 3)
-        if cfg.min_distance(x) < 0.4:
-            continue
-        sample = current_at(params, cfg, x)
-        res.append(float(max(np.max(np.abs(sample.j_e)), np.max(np.abs(sample.j_m)))))
-    return _suite("maxwell_limit_currents", 1e-12, res)
+    pts = rng.uniform(-2.0, 2.0, size=(5, 3))
+    cur = current_rows(params, cfg, pts[[cfg.min_distance(x) >= 0.4 for x in pts]])
+    raise_first(cur.code, cur.errors)
+    return _suite("maxwell_limit_currents", 1e-12,
+                  np.maximum(np.max(np.abs(cur.j_e), axis=1), np.max(np.abs(cur.j_m), axis=1)))
 
 
 def _verify_newton(rng) -> dict:

@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainViolation, InversionFailure, fail_rows, merge_failures
+from .errors import DomainViolation, InversionFailure, fail_rows, merge_failures, raise_first
 from .models import (
     CLASSICAL,
     CUSTOM,
@@ -138,8 +138,7 @@ def medium_matrix(params: ModelParams, e, b) -> MediumMatrix:
 def _one_row(params: ModelParams, d: np.ndarray, b: np.ndarray):
     """E, H and s at one point from invert_rows; raises the row's failure."""
     e, h, s, code, errors = invert_rows(params, d[None, :], b[None, :])
-    if code[0]:
-        raise errors[code[0] - 1]
+    raise_first(code, errors)
     return e[0], h[0], float(s[0])
 
 
@@ -214,6 +213,14 @@ def rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
+def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v over the last axis as np.cross forms it, with less overhead."""
+    out = np.empty_like(u)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        out[..., i] = u[..., j] * v[..., k] - u[..., k] * v[..., j]
+    return out
+
+
 def _split_rows(d, b):
     """d2, b2, zeroed E, H, s and code arrays, and the rows of the electric
     branch (B = 0, D != 0), of the magnetic branch (D = 0, B != 0) and of
@@ -267,10 +274,7 @@ def _dyon_setup(params, d, b, d2, b2):
     D - kappa^2 (B.D) B / (1 + kappa^2 B^2)."""
     k2 = params.kappa**2
     bd = rowdot(b, d)
-    # B x D as np.cross forms it, without its per-call axis handling
-    bxd = np.empty_like(d)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        bxd[:, i] = b[:, j] * d[:, k] - b[:, k] * d[:, j]
+    bxd = cross_rows(b, d)
     bxd2 = rowdot(bxd, bxd)
     eta = bd * bd / (d2 + k2 * (2.0 + k2 * b2) * bxd2)
     opk = 1.0 + k2 * b2

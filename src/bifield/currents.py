@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainViolation, SingularPoint, fail_rows, merge_failures
+from .errors import DomainViolation, SingularPoint, fail_rows, merge_failures, raise_first
 from .models import ModelParams, CLASSICAL
 from .sources import (ChargeConfig, _batch_coulomb, _coulomb_gradient, _coulomb_offsets,
                       _db_weights, _superpose, as_vec3, mark_singular)
@@ -110,8 +110,7 @@ def _field_and_gradient(cfg: ChargeConfig, weights: np.ndarray, x) -> tuple[np.n
 
 def _one_row(j: np.ndarray, code: np.ndarray, errors: list) -> np.ndarray:
     """The single row of a one-point batch, or its failure raised."""
-    if code[0]:
-        raise errors[code[0] - 1]
+    raise_first(code, errors)
     return j[0]
 
 
@@ -355,8 +354,7 @@ def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
         d, b = _batch_coulomb(cfg, weights, pts[idx])
         e, h, _, sub_code, sub_errors = invert_rows(params, d, b)
         merge_failures(code, errors, idx, sub_code, sub_errors)
-        if code.any():
-            raise errors[code[np.argmax(code != 0)] - 1]
+        raise_first(code, errors)
         return np.stack((e, h), axis=1).reshape(np.shape(y)[:-1] + (2, 3))
 
     return field
@@ -382,42 +380,37 @@ def stencil_is_clear(cfg: ChargeConfig, x, step: float) -> bool:
     return bool(_stencil_clear(cfg, as_vec3(x)[None, :], step)[0])
 
 
-def _fd_rows(params: ModelParams, cfg: ChargeConfig, pts: np.ndarray,
-             j_e: np.ndarray, j_m: np.ndarray, code: np.ndarray, errors: list) -> None:
-    """The finite-difference route of current_rows.
+def _fd_rows(params: ModelParams, db_rows: Callable, pts: np.ndarray, h: np.ndarray):
+    """Richardson FD curls of E and H at points of shape (N, 3) with stencil
+    half-widths h of shape (N,): (curl E, curl H, code, errors).
 
     Stacks the 12 stencil nodes of every point in fd_curl's order (h/2
-    first, then h; +x, -x, +y, -y, +z, -z), evaluates D and B in one
-    Coulomb pass and E and H in one invert_rows call, and forms the
-    Richardson curl with fd_curl's arithmetic. A point whose stencil
-    enters an exclusion ball is a SingularPoint; one whose nodes fail takes
-    the failure of its first failing node.
+    first, then h; +x, -x, +y, -y, +z, -z), takes D and B there from one
+    db_rows(nodes, code, errors) call, which fails nodes in (code, errors),
+    and E and H from one invert_rows call, and forms the curl with fd_curl's
+    arithmetic. A point takes the failure of its first failing node.
     """
-    h = _fd_step_rows(pts)
-    clear = _stencil_clear(cfg, pts, h)
-    fail_rows(code, errors, ~clear,
-              SingularPoint("finite-difference stencil enters a charge exclusion ball"))
-    idx = np.flatnonzero(clear)
-    x = pts[idx]
-    hs = np.stack((0.5 * h[idx], h[idx]), axis=1)
-    steps = np.zeros((len(idx), 2, 3, 3))
+    n = len(pts)
+    hs = np.stack((0.5 * h, h), axis=1)
+    steps = np.zeros((n, 2, 3, 3))
     steps[:, :, [0, 1, 2], [0, 1, 2]] = hs[:, :, None]
-    x = x[:, None, None, :]
-    nodes = np.stack((x + steps, x - steps), axis=3)  # point, h, axis, sign, xyz
-    d, b = _batch_coulomb(cfg, _db_weights(cfg), nodes.reshape(-1, 3))
-    e, h_node, _, node_code, node_errors = invert_rows(params, d, b)
-    node_code = node_code.reshape(len(idx), 12)
-    first = node_code[np.arange(len(idx)), np.argmax(node_code != 0, axis=1)]
-    merge_failures(code, errors, idx, first, node_errors)
-    f = np.stack((e, h_node), axis=1).reshape(len(idx), 2, 3, 2, 2, 3)
+    x = pts[:, None, None, :]
+    nodes = np.stack((x + steps, x - steps), axis=3).reshape(-1, 3)  # point, h, axis, sign
+    node_code = np.zeros(len(nodes), dtype=np.int64)
+    errors: list = []
+    d, b = db_rows(nodes, node_code, errors)
+    e, h_node, _, inv_code, inv_errors = invert_rows(params, d, b)
+    merge_failures(node_code, errors, np.arange(len(nodes)), inv_code, inv_errors)
+    node_code = node_code.reshape(n, 12)
+    code = node_code[np.arange(n), np.argmax(node_code != 0, axis=1)]
+    f = np.stack((e, h_node), axis=1).reshape(n, 2, 3, 2, 2, 3)
     # dfdx[p, k, j, w, i] = d(E or H)_i / dx_j at step k, as _fd_jacobian forms it
     dfdx = (f[:, :, :, 0] - f[:, :, :, 1]) / (2.0 * hs)[:, :, None, None, None]
     curl = np.stack((dfdx[:, :, 1, :, 2] - dfdx[:, :, 2, :, 1],
                      dfdx[:, :, 2, :, 0] - dfdx[:, :, 0, :, 2],
                      dfdx[:, :, 0, :, 1] - dfdx[:, :, 1, :, 0]), axis=-1)
     curl = (4.0 * curl[:, 0] - curl[:, 1]) / 3.0
-    j_e[idx] = curl[:, 1]
-    j_m[idx] = -curl[:, 0]
+    return curl[:, 0], curl[:, 1], code, errors
 
 
 def current_rows(params: ModelParams, cfg: ChargeConfig, pts) -> CurrentRows:
@@ -461,8 +454,19 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts) -> CurrentRows:
                 j_m[idx] = _dyonic_k0_curl(params.beta, d, grad_d2, b, grad_b2)
                 j_e[idx] = -_dyonic_k0_curl(params.beta, b, grad_b2, d, grad_d2)
         else:
+            # a stencil entering an exclusion ball skips its point
             method = "fd"
-            _fd_rows(params, cfg, pts, j_e, j_m, code, errors)
+            h = _fd_step_rows(pts)
+            clear = _stencil_clear(cfg, pts, h)
+            fail_rows(code, errors, ~clear,
+                      SingularPoint("finite-difference stencil enters a charge exclusion ball"))
+            idx = np.flatnonzero(clear)
+            weights = _db_weights(cfg)
+            curl_e, curl_h, sub_code, sub_errors = _fd_rows(
+                params, lambda nodes, *_: _batch_coulomb(cfg, weights, nodes), pts[idx], h[idx])
+            merge_failures(code, errors, idx, sub_code, sub_errors)
+            j_e[idx] = curl_h
+            j_m[idx] = -curl_e
         finite = np.isfinite(j_e).all(axis=1) & np.isfinite(j_m).all(axis=1)
     fail_rows(code, errors, ~finite, DomainViolation("current has non-finite components"))
     return CurrentRows(j_e=j_e, j_m=j_m, method=method, code=code, errors=errors)
@@ -481,6 +485,5 @@ def current_at(params: ModelParams, cfg: ChargeConfig, x) -> CurrentSample:
     """
     x = as_vec3(x)
     rows = current_rows(params, cfg, x[None, :])
-    if rows.code[0]:
-        raise rows.errors[rows.code[0] - 1]
+    raise_first(rows.code, rows.errors)
     return CurrentSample(j_e=rows.j_e[0], j_m=rows.j_m[0], at=x, method=rows.method)

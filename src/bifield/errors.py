@@ -8,7 +8,8 @@ cannot silently produce plausible-looking numbers.
 Batched kernels keep that contract per row: they return a code array (0 for
 a row that evaluated, k for errors[k - 1]) next to the list of exceptions,
 each exception the one the scalar path raises for that row alone.
-fail_rows and merge_failures build and combine such pairs.
+fail_rows and merge_failures build and combine such pairs; raise_first
+turns one back into the raising contract.
 """
 
 import numpy as np
@@ -77,3 +78,9 @@ def merge_failures(code: np.ndarray, errors: list, rows: np.ndarray,
     errors.extend(sub_errors)
     hit = (sub_code != 0) & (code[rows] == 0)
     code[rows[hit]] = sub_code[hit] + base
+
+
+def raise_first(code: np.ndarray, errors: list) -> None:
+    """Raise the failure of the first failed row, if any row failed."""
+    if code.any():
+        raise errors[code[np.argmax(code != 0)] - 1]

@@ -27,14 +27,13 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConfigError, DomainViolation, QuadratureError, SingularPoint
 from .models import ModelParams, CLASSICAL
 from .sources import ChargeConfig, _batch_coulomb, _db_weights, as_vec3
-from .constitutive import FieldState, dyonic_eh_rows, rowdot
+from .constitutive import cross_rows, dyonic_eh_rows, rowdot
 from .currents import _fd_step_rows, _stencil_clear, current_rows, eh_field, fd_curl, fd_div
 
 __all__ = [
     "QuadratureSpec",
     "EnergyReport",
     "ResidualReport",
-    "energy_density",
     "classical_energy_density",
     "hamiltonian_at",
     "hamiltonian_on_points",
@@ -139,32 +138,21 @@ class ResidualReport:
 # -- energy densities --------------------------------------------------------
 
 
-def energy_density(params: ModelParams, state: FieldState) -> float:
-    """Hamiltonian energy density H = f'(s)(E^2 + kappa^2 (E.B)^2) - f(s).
-
-    Nonnegative on the f'(s) > 0 branch of every built-in model with
-    kappa >= 0; raises DomainViolation outside the model domain.
-    """
-    e2 = float(state.e @ state.e)
-    eb = float(state.e @ state.b)
-    k2 = params.kappa**2
-    return params.f_prime(state.s) * (e2 + k2 * eb * eb) - params.f(state.s)
-
-
 def classical_energy_density(beta: float, kappa: float, d, b) -> np.ndarray:
     """Closed-form classical density from (D, B), vectorized.
 
     H = (B^2 R1 R2 + (1 + beta B^2)(D^2 + kappa^2 |BxD|^2)) / (R1 (R1 + R2))
     with R1 = sqrt((1+beta B^2)(1+kappa^2 B^2)) and
     R2 = sqrt(1 + beta D^2 + kappa^2 B^2 + beta kappa^2 |BxD|^2). Accepts
-    arrays of shape (..., 3) and returns shape (...).
+    arrays of shape (..., 3) and returns shape (...). |BxD|^2 comes from the
+    cross product: D^2 B^2 - (B.D)^2 cancels near a dyon's centre.
     """
     d = np.asarray(d, dtype=float)
     b = np.asarray(b, dtype=float)
     d2 = np.sum(d * d, axis=-1)
     b2 = np.sum(b * b, axis=-1)
-    bd = np.sum(b * d, axis=-1)
-    bxd2 = np.maximum(d2 * b2 - bd * bd, 0.0)
+    bxd = cross_rows(b, d)
+    bxd2 = np.sum(bxd * bxd, axis=-1)
     k2 = kappa**2
     r1 = np.sqrt((1.0 + beta * b2) * (1.0 + k2 * b2))
     r2 = np.sqrt(1.0 + beta * d2 + k2 * b2 + beta * k2 * bxd2)

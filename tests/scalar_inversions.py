@@ -10,7 +10,9 @@ module, as the oracle the tests hold the kernels against:
   _classical_k0 ... _generic and _electrostatic_a;
 * lambert_w, lambert_w_from_log and _halley_w; smallest_positive_cubic_root
   and _cubic_newton; invert_monotone, the bracketed Newton/bisection behind
-  the models without a closed form.
+  the models without a closed form;
+* energy_density, the model-generic Hamiltonian density of one state, the
+  reference for bifield.observables.density_rows.
 
 The classical, logarithmic, fractional-power and custom kernels round like
 these bodies bit for bit. The exponential and quadratic ones take numpy's
@@ -554,3 +556,16 @@ def dyonic_eh(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, AuxSca
             f"direction match violated: E.(D - k^2 (B.D) B/(1+k^2 B^2)) = {dot!r}"
         )
     return e, h, aux
+
+
+def energy_density(params: ModelParams, state) -> float:
+    """Hamiltonian energy density H = f'(s)(E^2 + kappa^2 (E.B)^2) - f(s) of
+    a state with fields e, b and invariant s.
+
+    Nonnegative on the f'(s) > 0 branch of every built-in model with
+    kappa >= 0; raises DomainViolation outside the model domain.
+    """
+    e2 = float(state.e @ state.e)
+    eb = float(state.e @ state.b)
+    k2 = params.kappa**2
+    return params.f_prime(state.s) * (e2 + k2 * eb * eb) - params.f(state.s)

@@ -28,8 +28,9 @@ from bifield import (
     hamiltonian_at,
     magnetic_field,
 )
-from bifield import cli
+from bifield import cli, continuous
 from bifield.constitutive import invert_rows
+from bifield.observables import density_rows
 from bifield.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -43,6 +44,7 @@ from bifield.cli import (
 )
 from bifield.errors import ConfigError
 
+from continuous_pointwise import State, continuous_pointwise
 from triple_sums import pointwise
 
 SAMPLE_HEADER = "x,y,z,Ex,Ey,Ez,Hx,Hy,Hz,jm_x,jm_y,jm_z,energy_density"
@@ -92,6 +94,44 @@ def fd_dyon_config(shape=(5, 5, 5)):
         ],
         "grid": {"lo": [-2, -2, -2], "hi": [2, 2, 2], "shape": list(shape)},
     }
+
+
+def write_lattice(tmp_path, n=9, lo=-2.0, sp=0.5):
+    """A unit Gaussian sampled on an n^3 lattice, as rho.dat and its sidecar."""
+    ax = lo + sp * np.arange(n)
+    pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
+    bifield.gaussian_source().rho_e(pts).astype("<f8").tofile(tmp_path / "rho.dat")
+    (tmp_path / "rho.dat.json").write_text(json.dumps(
+        {"dims": [n] * 3, "spacing": [sp] * 3, "origin": [lo] * 3}))
+
+
+def gridded_config(rel_tol=0.05, lo=(0.5, -0.3, 0.1), hi=(1.5, 0.2, 0.1), shape=(2, 1, 1)):
+    # the lattice of write_lattice; a loose rel_tol keeps the quadrature cheap
+    return {"model": {"kind": "classical"},
+            "continuous": {"shape": "gridded", "lattice": "rho.dat"},
+            "quadrature": {"rel_tol": rel_tol, "max_subdivisions": 1},
+            "grid": {"lo": list(lo), "hi": list(hi), "shape": list(shape)}}
+
+
+def dyonic_source_config(shape=(3, 3, 2)):
+    return {
+        "model": {"kind": "logarithmic", "beta": 0.8, "kappa": 0.5},
+        "continuous": {
+            "shape": "dyonic",
+            "electric": {"shape": "gaussian", "total": 2.0, "sigma": 0.7,
+                         "center": [0.3, 0.0, 0.0]},
+            "magnetic": {"shape": "gaussian", "total": 1.5, "sigma": 0.9,
+                         "center": [-0.2, 0.1, 0.0]},
+        },
+        "grid": {"lo": [-0.5, -0.5, -0.2], "hi": [0.5, 0.5, 0.2], "shape": list(shape)},
+    }
+
+
+def continuous_config(shape, model=None, grid=((-2, -0.5, -0.5), (2, 0.5, 0.5), (3, 2, 2)),
+                      **section):
+    return {"model": model or {"kind": "classical", "beta": 1.0},
+            "continuous": dict(shape=shape, **section),
+            "grid": {"lo": list(grid[0]), "hi": list(grid[1]), "shape": list(grid[2])}}
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -371,12 +411,13 @@ class TestGridChunks:
         ("current", fd_dyon_config()),
         ("sample", pair_config()),
         ("current", pair_config()),
-        ("continuous", {"model": {"kind": "classical", "beta": 1.0},
-                        "continuous": {"shape": "bump", "total": 2.0, "radius": 1.0},
-                        "grid": {"lo": [-2, -0.5, -0.5], "hi": [2, 0.5, 0.5],
-                                 "shape": [3, 2, 2]}}),
-    ], ids=["sample-fd", "current-fd", "sample-analytic", "current-analytic", "continuous"])
+        ("continuous", continuous_config("bump", total=2.0, radius=1.0)),
+        ("continuous", dyonic_source_config()),
+        ("continuous", gridded_config()),
+    ], ids=["sample-fd", "current-fd", "sample-analytic", "current-analytic", "continuous",
+            "continuous-dyonic", "continuous-gridded"])
     def test_chunk_size_leaves_outputs_unchanged(self, tmp_path, monkeypatch, command, data):
+        write_lattice(tmp_path)
         path = write_config(tmp_path, data)
         default = cli.GRID_CHUNK
         runs = {}
@@ -388,6 +429,7 @@ class TestGridChunks:
             runs[chunk] = {f"{p.parent.name.split('-')[1]}/{p.name}": p.read_bytes()
                            for p in tmp_path.glob(f"{chunk}-*/*")}
         assert runs[1] == runs[7] == runs[default]
+        assert f"csv/{command}.csv" in runs[1]
         if data["model"]["kind"] == "fractional_power":
             assert f"csv/{command}.errors.json" in runs[1]
 
@@ -560,7 +602,7 @@ GOLDEN_ENERGY = [
                     {"pos": [-1.0, 0.5, 0.0], "q": -2.0, "g": 1.0},
                     {"pos": [0.0, -1.0, 0.3], "q": 0.5, "g": -0.7}],
         "quadrature": {"rel_tol": 1e-2, "max_subdivisions": 3},
-    }, "c049910fe934a001bc293b529b18c86fbdebe0dccb35a4bc409f330499233898",
+    }, "ad7b27275040f7e860e469bf4d035e5c554608f1537fe64f37a60ad87ba6d462",
         id="three-centre-classical-dyon-k0.6"),
 ]
 
@@ -637,6 +679,81 @@ class TestContinuousCommand:
     def test_charges_only_config_rejected(self, tmp_path):
         path = write_config(tmp_path, pair_config())
         assert main(["continuous", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("data", [
+        continuous_config("gaussian", model={"kind": "classical", "beta": 1.5}, total=2.0,
+                          sigma=0.8, grid=((-1, -1, -1), (1, 1, 1), (3, 3, 3))),
+        continuous_config("two_gaussian", q1=8.0, sigma1=0.6, center1=[-1.0, 0.0, 0.0],
+                          q2=6.0, sigma2=0.8, center2=[1.2, 0.4, 0.0],
+                          grid=((-1.5, -0.5, -0.8), (1.5, 0.8, 0.3), (4, 3, 3))),
+        continuous_config("bump", total=2.0, radius=1.0),
+        dyonic_source_config(),
+        gridded_config(),
+    ], ids=["gaussian", "two-gaussian", "bump", "log-dyonic-pair", "gridded"])
+    def test_rows_match_pointwise_reference(self, tmp_path, data):
+        # E, H and a dyonic source's FD j_m bit for bit; an electric
+        # source's j_m to the last bit of f'' (Python's pow against numpy's)
+        write_lattice(tmp_path)
+        path = write_config(tmp_path, data)
+        assert main(["continuous", "--config", str(path), "--out-dir", str(tmp_path),
+                     "--format", "json"]) == EXIT_OK
+        got = np.array(read_report(tmp_path / "continuous.json")["rows"])
+        cfg = load_config(path)
+        src, params, quad = cfg.source, cfg.model, cfg.quadrature
+        want = np.array([continuous_pointwise(src, params, x, quad) for x in grid_points(cfg)])
+        assert np.array_equal(got[:, :9], want[:, :9])
+        jm_got, jm_want = got[:, 9:12], want[:, 9:12]
+        if src.rho_m is None:
+            assert np.max(np.abs(jm_got - jm_want)) <= 1e-15 * np.max(np.abs(jm_want))
+        else:
+            assert np.array_equal(jm_got, jm_want)
+        states = [State(src, params, x, quad) for x in grid_points(cfg)]
+        d, b, e = (np.array([getattr(st, k) for st in states]) for k in "dbe")
+        s = np.array([st.s for st in states])
+        assert np.array_equal(got[:, 12], density_rows(params, d, b, e, s))
+        assert np.max(np.abs(got[:, 12] - want[:, 12])) <= 1e-12 * np.max(np.abs(want[:, 12]))
+
+    def test_failing_points_are_recorded(self, tmp_path):
+        # the quadrature cannot reach rel_tol 5e-3 in two levels near the
+        # lattice: three points fail, the far one evaluates
+        write_lattice(tmp_path)
+        data = gridded_config(rel_tol=5e-3, lo=(0.0, 0.2, 0.1), hi=(6.0, 0.2, 0.1),
+                              shape=(4, 1, 1))
+        path = write_config(tmp_path, data)
+        assert main(["continuous", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_NUMERIC
+        report = read_report(tmp_path / "continuous.report.json")
+        assert (report["n_rows"], report["n_failed"]) == (1, 3)
+        assert report["failures_by_error"] == {"QuadratureError": 3}
+        failures = read_report(tmp_path / "continuous.errors.json")["failures"]
+        cfg = load_config(path)
+        for f, x in zip(failures, grid_points(cfg)[:3]):
+            assert f["at"] == x.tolist() and f["error"] == "QuadratureError"
+            with pytest.raises(bifield.errors.QuadratureError) as exc:
+                continuous_pointwise(cfg.source, cfg.model, x, cfg.quadrature)
+            assert f["detail"] == str(exc.value)
+        rows = (tmp_path / "continuous.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("6,0.20000000000000001,0.10000000000000001,")
+
+    @pytest.mark.parametrize("data, stencil", [
+        (continuous_config("two_gaussian", q1=8.0, center1=[-1.0, 0.0, 0.0],
+                           grid=((-1, -1, -1), (1, 1, 1), (3, 3, 2))), False),
+        (dyonic_source_config(), True),
+    ], ids=["electric", "dyonic"])
+    def test_one_inversion_per_chunk(self, tmp_path, monkeypatch, data, stencil):
+        # the points of a chunk invert in one call, and a dyonic source's
+        # 12 stencil nodes per point in one more
+        calls = {continuous: [], currents: []}
+        for module in calls:
+            def counting(params, d, b, module=module, rows=module.invert_rows):
+                calls[module].append(len(d))
+                return rows(params, d, b)
+
+            monkeypatch.setattr(module, "invert_rows", counting)
+        monkeypatch.setattr(cli, "GRID_CHUNK", 7)
+        path = write_config(tmp_path, data)
+        assert main(["continuous", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert calls[continuous] == [7, 7, 4]
+        assert calls[currents] == ([12 * 7, 12 * 7, 12 * 4] if stencil else [])
 
 
 class TestVerifyCommand:

@@ -692,23 +692,49 @@ class TestBranchViews:
                     dyonic_eh_rows(m, d, b)
 
 
-def test_oracle_independence():
-    """The scalar oracle shares no code with the kernels it checks: from
-    bifield it imports only ModelParams (for its scalar f, f', f''), the
-    model kind names, as_vec3 and the exception classes."""
-    tree = ast.parse(Path(scalar_inversions.__file__).read_text())
+def _imports(path) -> list:
+    """(module, name) of every import in the file at path; name is None for
+    a plain import."""
     imported = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(Path(path).read_text())):
         if isinstance(node, ast.Import):
             imported += [(alias.name, None) for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported += [("." * node.level + (node.module or ""), alias.name)
                          for alias in node.names]
+    return imported
+
+
+def test_oracle_independence():
+    """The scalar oracle shares no code with the kernels it checks: from
+    bifield it imports only ModelParams (for its scalar f, f', f''), the
+    model kind names, as_vec3 and the exception classes. Its energy_density
+    is the reference for observables.density_rows."""
     allowed = {("bifield.models", "ModelParams"), ("bifield.sources", "as_vec3")}
     allowed |= {("bifield.models", name) for name, value in vars(models).items()
                 if isinstance(value, str) and value in models.KINDS}
-    package = [(module, name) for module, name in imported
+    package = [(module, name) for module, name in _imports(scalar_inversions.__file__)
                if module.startswith(("bifield", "."))]
     assert ("bifield.models", "ModelParams") in package
     for module, name in package:
         assert module == "bifield.errors" or (module, name) in allowed, (module, name)
+
+
+def test_continuous_oracle_independence():
+    """continuous_pointwise, the per-point reference of the continuous
+    command, reaches none of the rows code it checks (invert_rows,
+    density_rows, currents._fd_rows, the continuous rows functions): from
+    bifield it imports only the Newton-potential quadrature and the
+    per-point fd_curl, and its inversion and density are scalar_inversions'."""
+    path = Path(scalar_inversions.__file__).with_name("continuous_pointwise.py")
+    imported = _imports(path)
+    package = [(module, name) for module, name in imported if module.startswith(("bifield", "."))]
+    assert sorted(package) == [("bifield.continuous", "newton_potential"),
+                               ("bifield.currents", "fd_curl")]
+    local = {module for module, _ in imported} - {"numpy"} - {m for m, _ in package}
+    assert local == {"scalar_inversions"}
+    rows_code = {"invert_rows", "dyonic_eh_rows", "density_rows", "_fd_rows", "_gauss_law",
+                 "state_rows", "curl_rows", "jm_rows", "_gradient_rows", "_db_rows"}
+    attributes = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute)}
+    assert not attributes & rows_code

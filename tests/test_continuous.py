@@ -19,7 +19,6 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import erf
 
 from bifield import continuous
-from bifield.constitutive import state_from_db
 from bifield.errors import ConfigError, QuadratureError
 from bifield.models import ModelParams
 from bifield.observables import QuadratureSpec
@@ -28,7 +27,6 @@ from bifield.cli import main
 from bifield.continuous import (
     ContinuousSource,
     _gauss_law,
-    _potential_hessian,
     bump_source,
     continuous_fields,
     continuous_residual_suite,
@@ -82,6 +80,12 @@ def fd_jacobian(g, x, h):
     e = np.eye(3) * h
     return np.column_stack([sum(c * g(x + a * e[k]) for a, c in FD1.items()) / h
                             for k in range(3)])
+
+
+def gauss_law(parts, x):
+    """D and the Hessian of u at one point, from the rows kernel."""
+    d, hess = _gauss_law(parts, np.asarray(x, dtype=float)[None, :])
+    return d[0], hess[0]
 
 
 def bump_shape(t):
@@ -294,7 +298,7 @@ class TestGaussLaw:
     def test_bump_matches_newton_quadrature(self, offset, h):
         src = bump_source(**self.BUMP)
         x = np.array(self.BUMP["center"]) + np.array(offset)
-        d, hess = _gauss_law(src.radial_e, x)
+        d, hess = gauss_law(src.radial_e, x)
         ref = bare(src)
         d_fd = potential_gradient(ref, x)
         h_fd = fd_hessian(lambda y: newton_potential(ref, y), x, h)
@@ -302,7 +306,6 @@ class TestGaussLaw:
         assert np.max(np.abs(h_fd - hess)) <= 1e-4 * np.max(np.abs(hess))
         # the public routes read the kernel
         assert np.array_equal(potential_gradient(src, x), d)
-        assert np.array_equal(_potential_hessian(src, x, None, "electric"), hess)
 
     def test_bump_enclosed_charge_matches_adaptive_quadrature(self):
         total, R = 2.0, 1.5
@@ -319,11 +322,11 @@ class TestGaussLaw:
         c = np.array([0.2, -0.1, 0.3])
         src = (bump_source(total=2.0, radius=1.5, center=c) if shape == "bump"
                else gaussian_source(total=2.0, sigma=0.8, center=c))
-        d, hess = _gauss_law(src.radial_e, c)
+        d, hess = gauss_law(src.radial_e, c)
         assert np.all(d == 0.0)
         assert np.array_equal(hess, float(src.rho_e(c)) / 3.0 * np.eye(3))
         # the limit r -> 0 meets the centre value
-        _, near = _gauss_law(src.radial_e, c + np.array([1e-7, 0.0, 0.0]))
+        _, near = gauss_law(src.radial_e, c + np.array([1e-7, 0.0, 0.0]))
         assert np.max(np.abs(near - hess)) <= 1e-12 * np.max(np.abs(hess))
 
     def test_bump_is_exactly_coulomb_from_its_edge(self):
@@ -333,7 +336,7 @@ class TestGaussLaw:
         for r in (R, math.nextafter(R, 2.0), 1.0000001 * R, 4.0):
             # an axis offset, so that |x - c| is exactly r
             rv = np.array([0.0, r, 0.0])
-            d, hess = _gauss_law(src.radial_e, c + rv)
+            d, hess = gauss_law(src.radial_e, c + rv)
             coef = total / (4.0 * math.pi * r**3)
             assert np.array_equal(d, coef * rv)
             rhat = rv / r
@@ -351,15 +354,15 @@ class TestGaussLaw:
         assert abs(part.coef(below) / part.coef(at) - 1.0) <= 1e-11
         x_below = np.array([below, 0.0, 0.0])
         x_at = np.array([at, 0.0, 0.0])
-        _, h_below = _gauss_law((part,), x_below)
-        _, h_at = _gauss_law((part,), x_at)
+        _, h_below = gauss_law((part,), x_below)
+        _, h_at = gauss_law((part,), x_at)
         assert np.max(np.abs(h_below - h_at)) <= 1e-11 * np.max(np.abs(h_at))
 
     def test_two_gaussian_hessian_matches_fd_of_gradient(self):
         src = offset_pair()
         for x in [(0.0, 0.8, 0.3), (-1.0, 0.05, 0.0), (2.5, -0.7, 1.1)]:
             x = np.array(x)
-            _, hess = _gauss_law(src.radial_e, x)
+            _, hess = gauss_law(src.radial_e, x)
             jac = fd_jacobian(lambda y: potential_gradient(src, y), x, 1e-3)
             assert np.max(np.abs(jac - hess)) <= 1e-10 * np.max(np.abs(hess))
 
@@ -369,7 +372,7 @@ class TestGaussLaw:
         src = bump_source(**self.BUMP) if shape == "bump" else offset_pair()
         rng = np.random.default_rng(3)
         for x in rng.uniform(-2.5, 2.5, (20, 3)):
-            _, hess = _gauss_law(src.radial_e, x)
+            _, hess = gauss_law(src.radial_e, x)
             rho = float(src.rho_e(x))
             assert np.array_equal(hess, hess.T)
             assert abs(np.trace(hess) - rho) <= 1e-14 * max(1.0, np.max(np.abs(hess)))
@@ -584,19 +587,20 @@ class TestResidualSuite:
 
     def test_stencil_nodes_invert_once(self, monkeypatch):
         # D and B's flux fields are one stacked field: the two Richardson
-        # stencils have 12 nodes per point, each inverted once
+        # stencils have 12 nodes per point, all inverted in one call
         src = offset_pair()
         params = ModelParams.classical(1.0)
         expected = continuous_residual_suite(src, params, self.GRID[:2])
         calls = []
+        invert_rows = continuous.invert_rows
 
-        def counting_state(*args, **kwargs):
-            calls.append(1)
-            return state_from_db(*args, **kwargs)
+        def counting_rows(params, d, b):
+            calls.append(len(d))
+            return invert_rows(params, d, b)
 
-        monkeypatch.setattr(continuous, "state_from_db", counting_state)
+        monkeypatch.setattr(continuous, "invert_rows", counting_rows)
         assert continuous_residual_suite(src, params, self.GRID[:2]) == expected
-        assert len(calls) == 2 * 12
+        assert calls == [2 * 12]
 
     def test_dyonic_source_satisfies_both_laws(self):
         e_src = gaussian_source(total=2.0, sigma=1.0, center=(-0.5, 0.0, 0.0))

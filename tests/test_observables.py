@@ -28,7 +28,6 @@ from bifield.observables import (
     classical_energy_density,
     default_probe_radii,
     divergence_exponent_probe,
-    energy_density,
     flux_charge,
     free_charge_with_inner_spheres,
     hamiltonian_at,
@@ -37,6 +36,7 @@ from bifield.observables import (
     total_energy,
 )
 
+from scalar_inversions import energy_density
 from triple_sums import _shell_energy_once, eh_pointwise, flux_charge_pointwise, pointwise
 
 # scipy.integrate.quad of 4 pi r^2 H(D(r)) over (0, inf), classical model,
@@ -157,6 +157,39 @@ class TestEnergyDensity:
                 generic = energy_density(params, state)
                 closed = float(classical_energy_density(1.0, kappa, d, b))
                 assert abs(generic - closed) <= 1e-10 * max(1.0, abs(closed))
+
+    def test_classical_density_keeps_its_plateau_next_to_a_dyon(self):
+        # kappa > 0: H r^2 tends to a constant toward a centre. |B x D|^2 from
+        # D^2 B^2 - (B.D)^2 cancelled there, where D and B are near parallel,
+        # and H r^2 reached 4.7e5 at r = 1e-8 on the ball nodes (0.1385 at 1e-2)
+        cfg = ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.5, 0.0), -2.0, 1.0),
+                                  ((0.0, -1.0, 0.3), 0.5, -0.7)])
+        params = ModelParams.classical(1.0, kappa=0.6)
+        dirs, _ = observables._sphere_rule(*observables._BALL_ANGULAR)
+
+        def plateau(r):
+            return r * r * hamiltonian_on_points(params, cfg, cfg.positions[0] + r * dirs).max()
+
+        assert abs(plateau(1e-8) / plateau(1e-2) - 1.0) <= 1e-2
+
+    def test_classical_density_bits_without_a_cross_term(self):
+        # with kappa = 0 or B = 0 the |B x D|^2 term drops out: the cross
+        # product leaves those rows as the difference form gave them
+        rng = np.random.default_rng(5)
+        d = rng.normal(size=(200, 3)) * 3.0
+        b = rng.normal(size=(200, 3)) * 3.0
+        b[100:] = 0.0
+        for kappa in (0.0, 0.6):
+            keep = np.arange(200) >= (0 if kappa == 0.0 else 100)
+            d2, b2 = np.sum(d * d, axis=-1), np.sum(b * b, axis=-1)
+            bd = np.sum(b * d, axis=-1)
+            bxd2 = np.maximum(d2 * b2 - bd * bd, 0.0)
+            r1 = np.sqrt((1.0 + b2) * (1.0 + kappa**2 * b2))
+            r2 = np.sqrt(1.0 + d2 + kappa**2 * b2 + kappa**2 * bxd2)
+            ref = (b2 * r1 * r2 + (1.0 + b2) * (d2 + kappa**2 * bxd2)) / (r1 * (r1 + r2))
+            got = classical_energy_density(1.0, kappa, d, b)
+            assert np.array_equal(got[keep], ref[keep])
+            assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
     def test_logarithmic_electrostatic_closed_form(self):
         # H = E^2 / (1 - beta E^2 / 2) + ln(1 - beta E^2 / 2) / beta
