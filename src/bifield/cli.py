@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -458,18 +459,17 @@ def _report_head(cfg: Optional[RunConfig], seed: int) -> dict:
     }
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    return format(float(v), ".17g")
-
-
 def _write_csv(path: Path, header, rows) -> None:
+    """Numbers as '%.17g' (the bytes of format(float(v), '.17g')), text
+    columns as they are; the column kinds come from the first row, and the
+    whole body is formatted by one '%' over the flattened cells."""
     # '.' decimal separator and '\n' line endings regardless of platform
+    body = ""
+    if rows:
+        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
+        body = (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + body)
 
 
 def _finite_or_none(v) -> Optional[float]:

@@ -115,6 +115,11 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class EnergyReport:
+    """A total energy and its parts: "balls" (one integral per charge),
+    "shell" (the bounded shell plus its doublings), "tail" (the monopole
+    remainder (Q^2 + G^2)/(8 pi R) beyond R = "far_radius_used"). The tail
+    is not small in general; the doublings stop once it is accurate."""
+
     value: float
     converged: bool
     near_charge_exponents: tuple
@@ -315,8 +320,13 @@ def _shell_segments(cfg: ChargeConfig, quad: QuadratureSpec, r_lo: float, r_hi: 
 
 
 def _shell_energy_once(params, cfg, quad, r_lo, r_hi, n_mu, n_phi, radial_factor) -> float:
+    """One level of the shell quadrature, with the ball nodes masked out. A
+    segment starting beyond every ball (inner radius at least the farthest
+    charge's distance from the centroid plus ball_radius) has no node in a
+    ball and is passed whole without building the node-charge distances."""
     center = cfg.centroid
     dirs, w_ang = _sphere_rule(n_mu, n_phi)
+    clear_of_balls = float(np.max(np.linalg.norm(cfg.positions - center, axis=1))) + quad.ball_radius
     total = 0.0
     nodes = _RADIAL_NODES_PER_DECADE * radial_factor
     for a, b in _shell_segments(cfg, quad, r_lo, r_hi):
@@ -328,13 +338,16 @@ def _shell_energy_once(params, cfg, quad, r_lo, r_hi, n_mu, n_phi, radial_factor
             rs, wr = _log_radial_rule(a, b, nodes)
         pts = center[None, None, :] + rs[:, None, None] * dirs[None, :, :]
         flat = pts.reshape(-1, 3)
-        dist = np.linalg.norm(flat[:, None, :] - cfg.positions[None, :, :], axis=-1)
-        outside = np.all(dist > quad.ball_radius, axis=1)
-        h = np.zeros(len(flat))
-        if outside.all():
+        if a >= clear_of_balls:
             h = hamiltonian_on_points(params, cfg, flat)
-        elif outside.any():
-            h[outside] = hamiltonian_on_points(params, cfg, flat[outside])
+        else:
+            dist = np.linalg.norm(flat[:, None, :] - cfg.positions[None, :, :], axis=-1)
+            outside = np.all(dist > quad.ball_radius, axis=1)
+            h = np.zeros(len(flat))
+            if outside.all():
+                h = hamiltonian_on_points(params, cfg, flat)
+            elif outside.any():
+                h[outside] = hamiltonian_on_points(params, cfg, flat[outside])
         total += float(np.einsum("r,a,ra->", wr, w_ang, h.reshape(len(rs), len(dirs))))
     return total
 
@@ -387,9 +400,16 @@ def total_energy(cfg: ChargeConfig, params: ModelParams, quad: QuadratureSpec) -
     """Total field energy, decomposed as per-charge balls + bounded shell
     + analytic monopole far tail.
 
-    The tail uses the leading Coulombic 1/r^4 density, (Q^2 + G^2)/(8 pi R);
-    R is doubled (and the uncovered shell integrated) until the tail is
-    below rel_tol of the accumulated value. Divergent ball integrals are
+    The tail beyond R is the monopole term (Q^2 + G^2)/(8 pi R) of the
+    leading Coulombic 1/r^4 density. It is exact to leading order, so what
+    is tested is its error, not its size: each doubling integrates the shell
+    [R, 2R] and compares it with the monopole's share (Q^2 + G^2)/(16 pi R).
+    Once they agree within rel_tol of the accumulated value, the tail takes
+    over at 2R; what it leaves out falls as R^-3 per doubling (the dipole
+    term), so the rest is below 1/7 of the last deviation. At least one
+    doubling is made, so a neutral configuration, whose tail is 0, still
+    integrates its dipole shell. After _MAX_TAIL_DOUBLINGS without agreement
+    the report has converged=False. Divergent ball integrals are
     reported with converged=False and the fitted near-charge exponent;
     the value is then the truncated accumulation, not an extrapolation.
     A shell whose refinements never agree within max_subdivisions also
@@ -418,20 +438,21 @@ def total_energy(cfg: ChargeConfig, params: ModelParams, quad: QuadratureSpec) -
     shell, ok = _shell_energy(params, cfg, quad, r_start, quad.far_radius, sum(balls))
     converged = converged and ok
 
-    q_tot, g_tot = cfg.total_q, cfg.total_g
+    # the tail beyond R is monopole / R, half of it in [R, 2R]
+    monopole = (cfg.total_q**2 + cfg.total_g**2) / (8.0 * math.pi)
     r_far = quad.far_radius
     extensions = 0.0
-    tail = (q_tot**2 + g_tot**2) / (8.0 * math.pi * r_far)
     for _ in range(_MAX_TAIL_DOUBLINGS):
-        accumulated = sum(balls) + shell + extensions + tail
-        if tail <= quad.rel_tol * max(abs(accumulated), quad.abs_tol):
-            break
         extension, ok = _shell_energy(params, cfg, quad, r_far, 2.0 * r_far,
                                       sum(balls) + shell + extensions)
         extensions += extension
         converged = converged and ok
+        deviation = extension - monopole / (2.0 * r_far)
         r_far *= 2.0
-        tail = (q_tot**2 + g_tot**2) / (8.0 * math.pi * r_far)
+        tail = monopole / r_far
+        accumulated = sum(balls) + shell + extensions + tail
+        if abs(deviation) <= quad.rel_tol * max(abs(accumulated), quad.abs_tol):
+            break
     else:
         converged = False
 

@@ -28,7 +28,7 @@ from bifield import (
     hamiltonian_at,
     magnetic_field,
 )
-from bifield import cli, continuous
+from bifield import cli, continuous, observables
 from bifield.constitutive import invert_rows
 from bifield.observables import density_rows
 from bifield.cli import (
@@ -595,14 +595,14 @@ GOLDEN_ENERGY = [
         "charges": [{"pos": [0.5622351776349419, 0.21169405914193606, 0.4196023808168503],
                      "q": 1.0}],
         "quadrature": {"rel_tol": 1e-05},
-    }, "c1d0c0a213e8163f4faf0e2354d513a672929fc93906bd1d967b43961f004d39", id="energy-log-seed21"),
+    }, "73ddf35efaf14eb2cb278484db435aa1e13af3d68460ce074243fc91cc1b593d", id="energy-log-seed21"),
     pytest.param({
         "model": {"kind": "classical", "beta": 1.0, "kappa": 0.6},
         "charges": [{"pos": [1.0, 0.0, 0.0], "q": 1.0, "g": 0.5},
                     {"pos": [-1.0, 0.5, 0.0], "q": -2.0, "g": 1.0},
                     {"pos": [0.0, -1.0, 0.3], "q": 0.5, "g": -0.7}],
         "quadrature": {"rel_tol": 1e-2, "max_subdivisions": 3},
-    }, "ad7b27275040f7e860e469bf4d035e5c554608f1537fe64f37a60ad87ba6d462",
+    }, "6907b1c2127f1f8d0f5e5844da682b1ebd5fc656eb8ed2f751184819e4902460",
         id="three-centre-classical-dyon-k0.6"),
 ]
 
@@ -612,6 +612,41 @@ def test_energy_json_bytes_are_pinned(tmp_path, data, sha256):
     path = write_config(tmp_path, data)
     assert main(["energy", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
     assert hashlib.sha256((tmp_path / "energy.json").read_bytes()).hexdigest() == sha256
+
+
+def log_charge_energy(q: float, beta: float) -> float:
+    """1-D radial integral of the logarithmic density of one charge,
+    H = 2 D^2 / (1 + R) - log1p((R - 1) / 2) / beta, R = sqrt(1 + 2 beta D^2)."""
+    from scipy.integrate import quad
+
+    def integrand(r):
+        d = q / (4.0 * math.pi * r * r)
+        big_r = math.sqrt(1.0 + 2.0 * beta * d * d)
+        r_minus_1 = 2.0 * beta * d * d / (1.0 + big_r)   # R - 1 without cancellation
+        return 4.0 * math.pi * r * r * (2.0 * d * d / (1.0 + big_r) - math.log1p(0.5 * r_minus_1) / beta)
+
+    edges = [0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, math.inf]
+    return sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+def test_energy_log_stops_after_one_doubling(tmp_path, monkeypatch):
+    # the monopole tail of one charge is exact to leading order, so one
+    # doubling [R, 2R] shows it accurate: two levels of the shell and two of
+    # the doubling
+    data = GOLDEN_ENERGY[0].values[0]
+    calls = []
+    once = observables._shell_energy_once
+    monkeypatch.setattr(observables, "_shell_energy_once",
+                        lambda *args: calls.append(args[3:5]) or once(*args))
+    path = write_config(tmp_path, data)
+    assert main(["energy", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
+    report = read_report(tmp_path / "energy.json")
+    assert len(calls) == 4
+    assert report["converged"] is True
+    assert report["parts"]["far_radius_used"] == 2.0 * calls[0][1]
+    ref = log_charge_energy(data["charges"][0]["q"], data["model"]["beta"])
+    assert abs(report["value"] - ref) <= data["quadrature"]["rel_tol"] * ref
 
 
 class TestStrictJson:
@@ -630,6 +665,24 @@ class TestStrictJson:
             assert suite["max_residual"] is None and suite["passed"] is False
         out = capsys.readouterr().out
         assert "FAIL diverged" in out and "FAIL nan_last" in out
+
+
+class TestCsvCells:
+    def test_bytes_match_per_cell_format(self, tmp_path):
+        cells = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
+                 0.1, -1.0 / 3.0, 2.0**53 + 2.0, 1e-310, 123456789.0]
+        rows = [[v, cells[-1 - k], np.float64(v), k, "closed_form" if k % 2 else "fd"]
+                for k, v in enumerate(cells)]
+        header = ("a", "b", "c", "n", "method")
+        cli._write_csv(tmp_path / "t.csv", header, rows)
+        reference = ",".join(header) + "\n" + "".join(
+            ",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row) + "\n"
+            for row in rows)
+        assert (tmp_path / "t.csv").read_bytes() == reference.encode()
+
+    def test_header_only_table(self, tmp_path):
+        cli._write_csv(tmp_path / "t.csv", ("x", "y"), [])
+        assert (tmp_path / "t.csv").read_bytes() == b"x,y\n"
 
 
 class TestContinuousCommand:

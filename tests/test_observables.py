@@ -401,6 +401,20 @@ class TestTotalEnergy:
         assert report.value > 0.0
         assert abs(report.near_charge_exponents[0] + 2.0) < 0.1
 
+    def test_neutral_pair_integrates_its_dipole_shell(self):
+        # the monopole tail of a neutral pair is 0 at every radius; what is
+        # left beyond R is the dipole energy p^2 / (12 pi R^3), p = 2, which
+        # at the configured far radius is ~1e-4 of the value
+        cfg = pair_config(sep=2.0, q2=-1.0)
+        quad = QuadratureSpec.for_config(cfg, rel_tol=5e-5)
+        report = total_energy(cfg, ModelParams.classical(1.0), quad)
+        assert report.converged
+        r_used = report.parts["far_radius_used"]
+        assert r_used > quad.far_radius
+        assert report.parts["tail"] == 0.0
+        dipole_rest = 4.0 / (12.0 * math.pi * r_used**3)
+        assert dipole_rest <= quad.rel_tol * report.value
+
     def test_validate_runs_before_integration(self):
         cfg = pair_config(sep=1.0)
         params = ModelParams.classical(1.0)
