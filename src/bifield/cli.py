@@ -44,6 +44,7 @@ from .continuous import (
 from .currents import (
     current_rows,
     eh_field,
+    eh_rows,
     fd_curl,
     je_classical_magnetostatic,
     jm_classical_electrostatic,
@@ -57,11 +58,10 @@ from .observables import (
     density_rows,
     flux_charge,
     free_charge_with_inner_spheres,
-    hamiltonian_on_points,
     total_energy,
 )
 from .sources import (ChargeConfig, _batch_coulomb, _db_weights, displacement_field,
-                      magnetic_field, mark_singular)
+                      magnetic_field)
 from .specfn import lambert_w_rows, smallest_positive_cubic_root_rows
 
 EXIT_OK = 0
@@ -96,10 +96,16 @@ _MODEL_KEYS = {
     "fractional_power": ("beta", "p", "kappa"),
     "quadratic": ("alpha", "kappa"),
 }
-_QUAD_KEYS = (
-    "rel_tol", "abs_tol", "max_subdivisions",
-    "ball_radius", "far_radius", "exclusion", "flux_radii",
-)
+_QUAD_KEYS = tuple(f.name for f in dataclasses.fields(QuadratureSpec))
+# radial source shapes: constructor and the keys it takes, with their
+# defaults in a config (a list default is a 3-vector)
+_SHAPES = {
+    "gaussian": (gaussian_source, {"total": 1.0, "sigma": 1.0, "center": [0.0, 0.0, 0.0]}),
+    "two_gaussian": (two_gaussian_source, {
+        "q1": 1.0, "sigma1": 1.0, "center1": [0.0, 0.0, 0.0],
+        "q2": 1.0, "sigma2": 1.0, "center2": [0.0, 0.0, 0.0]}),
+    "bump": (bump_source, {"total": 1.0, "radius": 1.0, "center": [0.0, 0.0, 0.0]}),
+}
 _TOP_KEYS = ("model", "charges", "continuous", "quadrature", "grid", "output", "seed")
 
 
@@ -199,35 +205,13 @@ def _normalize_source_section(sec: dict, nested: bool = False) -> dict:
     sec = _require_mapping(sec, "continuous")
     shape = sec.get("shape")
     common = ("shape", "gamma") + (() if nested else ("magnetic",))
-    if shape == "gaussian":
-        _reject_unknown(sec, common + ("total", "sigma", "center"), "continuous (gaussian)")
-        norm = {
-            "shape": "gaussian",
-            "total": _as_float(sec.get("total", 1.0), "total"),
-            "sigma": _as_float(sec.get("sigma", 1.0), "sigma"),
-            "center": _as_vec3(sec.get("center", [0.0, 0.0, 0.0]), "center"),
-        }
-    elif shape == "two_gaussian":
-        _reject_unknown(
-            sec,
-            common + ("q1", "sigma1", "center1", "q2", "sigma2", "center2"),
-            "continuous (two_gaussian)",
-        )
-        norm = {"shape": "two_gaussian"}
-        for tag in ("1", "2"):
-            norm["q" + tag] = _as_float(sec.get("q" + tag, 1.0), "q" + tag)
-            norm["sigma" + tag] = _as_float(sec.get("sigma" + tag, 1.0), "sigma" + tag)
-            norm["center" + tag] = _as_vec3(
-                sec.get("center" + tag, [0.0, 0.0, 0.0]), "center" + tag
-            )
-    elif shape == "bump":
-        _reject_unknown(sec, common + ("total", "radius", "center"), "continuous (bump)")
-        norm = {
-            "shape": "bump",
-            "total": _as_float(sec.get("total", 1.0), "total"),
-            "radius": _as_float(sec.get("radius", 1.0), "radius"),
-            "center": _as_vec3(sec.get("center", [0.0, 0.0, 0.0]), "center"),
-        }
+    if isinstance(shape, str) and shape in _SHAPES:
+        defaults = _SHAPES[shape][1]
+        _reject_unknown(sec, common + tuple(defaults), f"continuous ({shape})")
+        norm = {"shape": shape}
+        for key, default in defaults.items():
+            parse = _as_vec3 if isinstance(default, list) else _as_float
+            norm[key] = parse(sec.get(key, default), key)
     elif shape == "gridded":
         _reject_unknown(sec, common + ("lattice", "sidecar"), "continuous (gridded)")
         if "lattice" not in sec:
@@ -262,22 +246,10 @@ def _normalize_source_section(sec: dict, nested: bool = False) -> dict:
 def _source_from_norm(norm: dict, base_dir: Path, magnetic: bool = False) -> ContinuousSource:
     shape = norm["shape"]
     magnetic = norm.get("magnetic", magnetic)
-    if shape == "gaussian":
-        return gaussian_source(
-            total=norm["total"], sigma=norm["sigma"], center=norm["center"],
-            magnetic=magnetic, gamma=norm["gamma"],
-        )
-    if shape == "two_gaussian":
-        return two_gaussian_source(
-            q1=norm["q1"], sigma1=norm["sigma1"], center1=norm["center1"],
-            q2=norm["q2"], sigma2=norm["sigma2"], center2=norm["center2"],
-            magnetic=magnetic, gamma=norm["gamma"],
-        )
-    if shape == "bump":
-        return bump_source(
-            total=norm["total"], radius=norm["radius"], center=norm["center"],
-            magnetic=magnetic, gamma=norm["gamma"],
-        )
+    if shape in _SHAPES:
+        make, defaults = _SHAPES[shape]
+        return make(**{key: norm[key] for key in defaults}, magnetic=magnetic,
+                    gamma=norm["gamma"])
     if shape == "gridded":
         lattice = Path(norm["lattice"])
         if not lattice.is_absolute():
@@ -320,15 +292,7 @@ def _quad_from_section(sec, charges: Optional[ChargeConfig]) -> QuadratureSpec:
 
 
 def _quad_section(quad: QuadratureSpec) -> dict:
-    return {
-        "rel_tol": quad.rel_tol,
-        "abs_tol": quad.abs_tol,
-        "max_subdivisions": quad.max_subdivisions,
-        "ball_radius": quad.ball_radius,
-        "far_radius": quad.far_radius,
-        "exclusion": quad.exclusion,
-        "flux_radii": [float(r) for r in quad.flux_radii],
-    }
+    return dict(dataclasses.asdict(quad), flux_radii=[float(r) for r in quad.flux_radii])
 
 
 def _grid_from_section(sec) -> tuple:
@@ -565,50 +529,35 @@ def _grid_command(cfg: RunConfig, args, name: str, columns, rows_at) -> int:
 # -- subcommands -------------------------------------------------------------
 
 
+def _field_rows(params: ModelParams, pts, d, b, e, h, s, j_m, code, errors):
+    """The SAMPLE_COLUMNS cells of rows_at from the inverted state and j_m
+    at points of shape (N, 3), failing the rows whose density fails: a
+    non-classical s outside the model domain, or a non-finite density. The
+    classical density is the closed form in (D, B), which stays accurate
+    next to a charge, where 2 beta s from the inversion rounds onto 1."""
+    if params.kind != CLASSICAL:
+        fail_rows(code, errors, (code == 0) & ~params.domain_rows(s),
+                  lambda j: params.domain_error(s[j]))
+    ok = code == 0
+    dens = np.zeros(len(pts))
+    dens[ok] = density_rows(params, d[ok], b[ok], e[ok], s[ok])
+    fail_rows(code, errors, ~np.isfinite(dens), DomainViolation("non-finite energy density"))
+    return np.column_stack((pts, e, h, j_m, dens)).tolist(), code, errors
+
+
 def _cmd_sample(cfg: RunConfig, args) -> int:
     if cfg.charges is None:
         raise ConfigError("sample requires a charges section")
     params, charges = cfg.model, cfg.charges
-    weights = _db_weights(charges)
 
     def rows_at(pts):
-        # one inversion per point feeds E, H and the density; a point fails
-        # with its first failure in the order inversion, current, density
-        code = np.zeros(len(pts), dtype=np.int64)
-        errors: list = []
-        idx = mark_singular(charges, pts, code, errors)
-        d, b = _batch_coulomb(charges, weights, pts[idx])
-        e, h, s, inv_code, inv_errors = invert_rows(params, d, b)
-        merge_failures(code, errors, idx, inv_code, inv_errors)
+        # a point fails with its first failure: fields, current, density
+        d, b, e, h, s, code, errors = eh_rows(params, charges, pts)
         cur = current_rows(params, charges, pts)
         merge_failures(code, errors, np.arange(len(pts)), cur.code, cur.errors)
-        ok = code[idx] == 0
-        if params.kind != CLASSICAL:
-            ok &= params.domain_rows(s)
-        dens = np.full(len(idx), np.nan)
-        dens[ok] = density_rows(params, d[ok], b[ok], e[ok], s[ok])
-        for j in np.flatnonzero((code[idx] == 0) & ~np.isfinite(dens)):
-            errors.append(_density_failure(params, charges, pts[idx[j]]))
-            code[idx[j]] = len(errors)
-        values = np.zeros((len(pts), 13))
-        values[:, 0:3] = pts
-        values[idx, 3:6] = e
-        values[idx, 6:9] = h
-        values[:, 9:12] = cur.j_m
-        values[idx, 12] = dens
-        return values.tolist(), code, errors
+        return _field_rows(params, pts, d, b, e, h, s, cur.j_m, code, errors)
 
     return _grid_command(cfg, args, "sample", SAMPLE_COLUMNS, rows_at)
-
-
-def _density_failure(params: ModelParams, charges: ChargeConfig, x: np.ndarray) -> FieldError:
-    """The failure of the energy density at x alone, as hamiltonian_on_points
-    raises it."""
-    try:
-        hamiltonian_on_points(params, charges, x[None, :])
-    except FieldError as exc:
-        return exc
-    return DomainViolation(f"energy density at x={x.tolist()} failed only in a batch")
 
 
 def _cmd_current(cfg: RunConfig, args) -> int:
@@ -633,13 +582,7 @@ def _cmd_continuous(cfg: RunConfig, args) -> int:
         # a point fails with its first failure: fields, current, density
         d, b, e, h, s, hess, code, errors = state_rows(src, params, pts, quad)
         j_m = jm_rows(src, params, pts, quad, d, e, hess, code, errors)
-        fail_rows(code, errors, (code == 0) & ~params.domain_rows(s),
-                  lambda j: params.domain_error(s[j]))
-        ok = code == 0
-        dens = np.zeros(len(pts))
-        dens[ok] = density_rows(params, d[ok], b[ok], e[ok], s[ok])
-        fail_rows(code, errors, ~np.isfinite(dens), DomainViolation("non-finite energy density"))
-        return np.column_stack((pts, e, h, j_m, dens)).tolist(), code, errors
+        return _field_rows(params, pts, d, b, e, h, s, j_m, code, errors)
 
     return _grid_command(cfg, args, "continuous", SAMPLE_COLUMNS, rows_at)
 

@@ -29,9 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constitutive import FieldState, cross_rows, invert_rows, rowdot
-from .currents import _fd_rows
-from .errors import ConfigError, QuadratureError, fail_rows, merge_failures, raise_first
+from .constitutive import FieldState, invert_rows, rowdot
+from .currents import _fd_rows, _generic_electric_curl
+from .errors import ConfigError, QuadratureError, merge_failures, raise_first
 from .models import ModelParams
 from .observables import QuadratureSpec, _gauss, _panel_nodes, _sphere_rule
 from .sources import as_vec3
@@ -555,35 +555,26 @@ def jm_rows(src: ContinuousSource, params: ModelParams, pts: np.ndarray,
             code: np.ndarray, errors: list) -> np.ndarray:
     """j_m = -curl E at the rows of pts that have not failed, from their
     state_rows fields; failures go into (code, errors). An electric source
-    takes curl_formula_continuous (_fd_hessian per row without radial
-    parts), any other the Richardson FD curl of E with step width/10 from
-    currents._fd_rows, which inverts all stencil nodes in one call."""
-    curl = np.zeros_like(pts)
+    takes currents._generic_electric_curl with grad(D^2) = 2 H_u D
+    (_fd_hessian per row without radial parts), any other the Richardson FD
+    curl of E with step width/10 from currents._fd_rows, which inverts all
+    stencil nodes in one call."""
+    j_m = np.zeros_like(pts)
+    rows = np.flatnonzero(code == 0)
     if src.rho_m is not None:
-        rows = np.flatnonzero(code == 0)
-        curl[rows], _, sub_code, sub_errors = _fd_rows(
+        curl_e, _, sub_code, sub_errors = _fd_rows(
             params, lambda y, *fails: _db_rows(src, y, quad, *fails)[:2], pts[rows],
             np.full(len(rows), src.width / 10.0))
         merge_failures(code, errors, rows, sub_code, sub_errors)
-        return -curl
-    a = rowdot(e, e)
-    s = 0.5 * a
-    fail_rows(code, errors, (code == 0) & ~params.domain_rows(s),
-              lambda j: params.domain_error(s[j]))
-    rows = np.flatnonzero(code == 0)
-    fp = params.derivative_rows(s[rows], 1)
-    fpp = params.derivative_rows(s[rows], 2)
-    # linear electrodynamics (f'' = 0) gives exactly zero
-    live = fpp != 0.0
+        j_m[rows] = -curl_e
+        return j_m
     if hess is None:
-        hess = _each_row(lambda x: _fd_hessian(src, x, quad), pts, rows[live],
-                         code, errors, (3, 3))
-        live &= code[rows] == 0
-    rows, fp, fpp = rows[live], fp[live], fpp[live]
-    hprime = 1.0 / (fp * (fpp * a[rows] + fp))
+        hess = _each_row(lambda x: _fd_hessian(src, x, quad), pts, rows, code, errors, (3, 3))
+        rows = np.flatnonzero(code == 0)
     g = d[rows]
-    curl[rows] = (fpp * hprime / fp**2)[:, None] * cross_rows(g, (hess[rows] @ g[:, :, None])[:, :, 0])
-    return -curl
+    grad = 2.0 * (hess[rows] @ g[:, :, None])[:, :, 0]
+    j_m[rows] = _generic_electric_curl(params, g, e[rows], grad, code, errors, rows)
+    return j_m
 
 
 def curl_formula_continuous(src: ContinuousSource, params: ModelParams, x,

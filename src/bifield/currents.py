@@ -51,6 +51,7 @@ __all__ = [
     "jm_generic_electrostatic",
     "je_generic_magnetostatic",
     "grad_field_square",
+    "eh_rows",
     "eh_field",
     "fd_curl",
     "fd_div",
@@ -135,18 +136,18 @@ def _dyonic_k0_curl(beta: float, a: np.ndarray, grad_a2: np.ndarray,
     return root_b[:, None] * _classical_curl(beta, a, grad_a2) + mixed
 
 
-def _generic_electric_curl(params: ModelParams, d: np.ndarray, grad: np.ndarray):
-    """jm_generic_electrostatic on rows: (j_m, code, errors).
-
-    E comes from the constitutive rows kernel at B = 0 (electrostatic_e);
-    f' and f'' at h/2 = E^2/2 fail outside the model domain as f_prime does.
+def _generic_electric_curl(params: ModelParams, d: np.ndarray, e: np.ndarray,
+                           grad: np.ndarray, code: np.ndarray, errors: list, idx) -> np.ndarray:
+    """jm_generic_electrostatic on rows: j_m from D, the caller's E and
+    grad(D^2). f' and f'' at h/2 = E^2/2 fail outside the model domain as
+    f_prime does; the failures go into (code, errors) at the rows idx (see
+    errors.fail_rows).
     """
-    e, _, _, code, errors = invert_rows(params, d, np.zeros_like(d))
     with np.errstate(all="ignore"):
         h = rowdot(e, e)
         s = 0.5 * h
         ok = params.domain_rows(s)
-        fail_rows(code, errors, ~ok, lambda j: params.domain_error(s[j]))
+        fail_rows(code, errors, ~ok, lambda j: params.domain_error(s[j]), idx)
         fp = params.derivative_rows(s[ok], 1)
         fpp = params.derivative_rows(s[ok], 2)
         hprime = 1.0 / (fp * (fpp * h[ok] + fp))
@@ -155,7 +156,7 @@ def _generic_electric_curl(params: ModelParams, d: np.ndarray, grad: np.ndarray)
         rows = np.flatnonzero(ok)[fpp != 0.0]
         jm = np.zeros_like(d)
         jm[rows] = pref[fpp != 0.0, None] * np.cross(grad[rows], d[rows])
-    return jm, code, errors
+    return jm
 
 
 def _generic_magnetic_curl(params: ModelParams, b: np.ndarray, grad: np.ndarray):
@@ -261,7 +262,9 @@ def jm_generic_electrostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.nd
     instead would be noise-dominated. curl E = -j_m. Linear electrodynamics
     (f'' = 0) gives zero identically.
     """
-    return _one_row(*_generic_electric_curl(params, *_field_and_gradient(cfg, cfg.qs, x)))
+    d, grad = _field_and_gradient(cfg, cfg.qs, x)
+    e, _, _, code, errors = invert_rows(params, d, np.zeros_like(d))
+    return _one_row(_generic_electric_curl(params, d, e, grad, code, errors, None), code, errors)
 
 
 def grad_field_square(cfg: ChargeConfig, x, which: str = "magnetic") -> np.ndarray:
@@ -337,23 +340,32 @@ def fd_div(field: Callable, x, step: Optional[float] = None, richardson: bool = 
     return float(div) if np.ndim(div) == 0 else div
 
 
-def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
-    """The field y -> stack(E, H), (..., 3) -> (..., 2, 3), from one Coulomb
-    pass and one invert_rows call; fd_curl of it gives curl E and curl H
-    from the same stencil nodes. Raises the failure of the first failing
-    point in row order, the one dyonic_eh raises there (DomainViolation for
-    a non-finite inversion).
+def eh_rows(params: ModelParams, cfg: ChargeConfig, pts):
+    """The inverted state of the multicentred solution at points of shape
+    (N, 3): (D, B, E, H, s, code, errors), from one Coulomb pass over the
+    regular rows and one invert_rows call over all rows. A row inside an
+    exclusion ball carries D = B = 0 and keeps its SingularPoint; a point
+    fails with its first failure in the order singular, inversion.
     """
-    weights = _db_weights(cfg)
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    code = np.zeros(len(pts), dtype=np.int64)
+    errors: list = []
+    idx = mark_singular(cfg, pts, code, errors)
+    d, b = np.zeros_like(pts), np.zeros_like(pts)
+    d[idx], b[idx] = _batch_coulomb(cfg, _db_weights(cfg), pts[idx])
+    e, h, s, inv_code, inv_errors = invert_rows(params, d, b)
+    merge_failures(code, errors, np.arange(len(pts)), inv_code, inv_errors)
+    return d, b, e, h, s, code, errors
 
+
+def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
+    """The field y -> stack(E, H), (..., 3) -> (..., 2, 3), from one eh_rows
+    call; fd_curl of it gives curl E and curl H from the same stencil
+    nodes. Raises the failure of the first failing point in row order, the
+    one dyonic_eh raises there (DomainViolation for a non-finite inversion).
+    """
     def field(y):
-        pts = np.reshape(y, (-1, 3))
-        code = np.zeros(len(pts), dtype=np.int64)
-        errors: list = []
-        idx = mark_singular(cfg, pts, code, errors)
-        d, b = _batch_coulomb(cfg, weights, pts[idx])
-        e, h, _, sub_code, sub_errors = invert_rows(params, d, b)
-        merge_failures(code, errors, idx, sub_code, sub_errors)
+        _, _, e, h, _, code, errors = eh_rows(params, cfg, y)
         raise_first(code, errors)
         return np.stack((e, h), axis=1).reshape(np.shape(y)[:-1] + (2, 3))
 
@@ -440,8 +452,9 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts) -> CurrentRows:
                 if classical:
                     j_m[idx] = _classical_curl(params.beta, d, grad)
                 else:
-                    j_m[idx], sub_code, sub_errors = _generic_electric_curl(params, d, grad)
+                    e, _, _, sub_code, sub_errors = invert_rows(params, d, np.zeros_like(d))
                     merge_failures(code, errors, idx, sub_code, sub_errors)
+                    j_m[idx] = _generic_electric_curl(params, d, e, grad, code, errors, idx)
             elif magnetic_only:
                 b, grad = _coulomb_gradient(cfg, cfg.gs, x)
                 if classical:

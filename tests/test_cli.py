@@ -467,6 +467,44 @@ class TestGridChunks:
         assert (report["n_failed"], report["failures_by_error"]) == (0, {})
 
 
+class TestFieldRows:
+    """sample and continuous build their rows in one place, cli._field_rows."""
+
+    @pytest.mark.parametrize("command, data", [
+        ("sample", pair_config(shape=(2, 2, 2))),
+        ("continuous", continuous_config("bump", total=2.0, radius=1.0,
+                                         grid=((-2, -2, -2), (2, 2, 2), (2, 2, 2)))),
+    ])
+    def test_one_density_failure_rule(self, tmp_path, monkeypatch, command, data):
+        density = cli.density_rows
+
+        def first_row_infinite(*args):
+            out = density(*args)
+            out[0] = np.inf
+            return out
+
+        monkeypatch.setattr(cli, "density_rows", first_row_infinite)
+        path = write_config(tmp_path, data)
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_NUMERIC
+        failures = read_report(tmp_path / f"{command}.errors.json")["failures"]
+        assert [(f["at"], f["error"], f["detail"]) for f in failures] == [
+            ([-2.0, -2.0, -2.0], "DomainViolation", "non-finite energy density")]
+
+    def test_classical_density_next_to_a_centre(self, tmp_path):
+        # 2 beta s rounds onto 1 here, so a domain test on s would fail the
+        # point; the classical closed form in D gives its density
+        data = pair_config(shape=(1, 1, 1))
+        data["grid"].update(lo=[1.0 + 1e-5, 0.0, 0.0], hi=[1.0 + 1e-5, 0.0, 0.0])
+        path = write_config(tmp_path, data)
+        assert main(["sample", "--config", str(path), "--out-dir", str(tmp_path),
+                     "--format", "json"]) == EXIT_OK
+        row = read_report(tmp_path / "sample.json")["rows"][0]
+        cfg = load_config(path)
+        d = displacement_field(cfg.charges, np.array(row[:3]))
+        d2 = float(d @ d)
+        assert abs(row[12] / (d2 / (1.0 + math.sqrt(1.0 + d2))) - 1.0) <= 4e-16
+
+
 class TestCurrentCommand:
     def test_csv_layout(self, tmp_path):
         path = write_config(tmp_path, pair_config(shape=(3, 3, 3)))

@@ -1,0 +1,84 @@
+"""Import hygiene of the package, checked on its syntax trees.
+
+No module in src/bifield imports a name it never uses (a name listed in the
+module's __all__ counts as used: it is re-exported), and every module-level
+private function is referenced somewhere in src/ or tests/ outside its own
+body. A refactor that moves work elsewhere fails here if it leaves the old
+import or helper behind.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import bifield
+
+PACKAGE = Path(bifield.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = Path(__file__).parent
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree: ast.Module) -> set:
+    """The strings of a module-level __all__ list."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _used_names(node: ast.AST) -> set:
+    """Every identifier read or written in node, and every attribute name."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    used = _used_names(tree) | _exported(tree)
+    assert sorted(set(bound) - used) == []
+
+
+def _private_functions():
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                yield path.name, node.name
+
+
+def _references() -> set:
+    """Names referenced in src/ and tests/, a top-level function's
+    references to itself (recursion) left out; imported names count."""
+    refs = set()
+    for path in MODULES + sorted(TESTS.glob("*.py")):
+        for node in _tree(path).body:
+            names = _used_names(node)
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            if isinstance(node, ast.FunctionDef):
+                names.discard(node.name)
+            refs |= names
+    return refs
+
+
+def test_private_functions_are_referenced():
+    refs = _references()
+    dead = [f"{module}:{name}" for module, name in _private_functions() if name not in refs]
+    assert dead == []

@@ -21,12 +21,13 @@ from bifield.errors import (
 from bifield.models import ModelParams
 from bifield.sources import ChargeConfig, displacement_field, magnetic_field
 from bifield.constitutive import FieldState, dyonic_eh, state_from_db
-from bifield.currents import eh_field
+from bifield.currents import eh_field, eh_rows
 from bifield.observables import (
     EnergyReport,
     QuadratureSpec,
     classical_energy_density,
     default_probe_radii,
+    density_rows,
     divergence_exponent_probe,
     flux_charge,
     free_charge_with_inner_spheres,
@@ -190,6 +191,20 @@ class TestEnergyDensity:
             got = classical_energy_density(1.0, kappa, d, b)
             assert np.array_equal(got[keep], ref[keep])
             assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+    def test_classical_density_stays_closed_form_next_to_a_charge(self):
+        # 1e-5 from a unit charge D^2 exceeds 2^53, so E^2 = D^2 / (1 + D^2)
+        # and 2 beta s from the inversion round onto 1: the generic
+        # f'(s) E^2 - f(s) is infinite there, the closed form in D is not
+        params = ModelParams.classical(1.0)
+        r = np.array([1e-5, 1e-6, 1e-7, 1e-8])
+        pts = np.column_stack((r, np.zeros(4), np.zeros(4)))
+        d, b, e, _, s, code, _ = eh_rows(params, single_charge(), pts)
+        assert not code.any()
+        d2 = np.sum(d * d, axis=1)
+        ref = d2 / (1.0 + np.sqrt(1.0 + d2))
+        assert np.max(np.abs(density_rows(params, d, b, e, s) / ref - 1.0)) <= 4e-16
+        assert np.array_equal(2.0 * s, np.ones(4))
 
     def test_logarithmic_electrostatic_closed_form(self):
         # H = E^2 / (1 - beta E^2 / 2) + ln(1 - beta E^2 / 2) / beta
