@@ -155,6 +155,15 @@ def _as_float(val, name: str) -> float:
     return out
 
 
+def _as_int(val, name: str) -> int:
+    """An int, or a float with an integral value (JSON 2.0) as an int; a
+    bool, a string or a fractional number is a ConfigError."""
+    if isinstance(val, bool) or not (isinstance(val, (int, np.integer))
+                                     or isinstance(val, float) and val.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {val!r}")
+    return int(val)
+
+
 def _as_vec3(val, name: str) -> list:
     if not isinstance(val, (list, tuple)) or len(val) != 3:
         raise ConfigError(f"{name} must be a list of three numbers")
@@ -239,7 +248,10 @@ def _normalize_source_section(sec: dict, nested: bool = False) -> dict:
         )
     norm["gamma"] = _as_float(sec.get("gamma", 6.0), "gamma")
     if not nested:
-        norm["magnetic"] = bool(sec.get("magnetic", False))
+        magnetic = sec.get("magnetic", False)
+        if not isinstance(magnetic, bool):
+            raise ConfigError(f"continuous.magnetic must be true or false, got {magnetic!r}")
+        norm["magnetic"] = magnetic
     return norm
 
 
@@ -282,10 +294,7 @@ def _quad_from_section(sec, charges: Optional[ChargeConfig]) -> QuadratureSpec:
                 raise ConfigError("quadrature.flux_radii must be a list")
             overrides[key] = tuple(_as_float(v, "flux_radii entry") for v in sec[key])
         elif key == "max_subdivisions":
-            try:
-                overrides[key] = int(sec[key])
-            except (TypeError, ValueError):
-                raise ConfigError("quadrature.max_subdivisions must be an integer") from None
+            overrides[key] = _as_int(sec[key], "quadrature.max_subdivisions")
         else:
             overrides[key] = _as_float(sec[key], f"quadrature.{key}")
     return dataclasses.replace(base, **overrides)
@@ -305,10 +314,7 @@ def _grid_from_section(sec) -> tuple:
     shape = sec.get("shape", [9, 9, 9])
     if not isinstance(shape, (list, tuple)) or len(shape) != 3:
         raise ConfigError("grid.shape must be a list of three integers")
-    try:
-        shape = [int(n) for n in shape]
-    except (TypeError, ValueError):
-        raise ConfigError("grid.shape must be a list of three integers") from None
+    shape = [_as_int(n, "grid.shape entry") for n in shape]
     if any(n < 1 for n in shape):
         raise ConfigError("grid.shape entries must be at least 1")
     for i in range(3):

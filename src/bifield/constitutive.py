@@ -20,10 +20,13 @@ numerically; D = 0 is routed to the magnetostatic branch (exact for every
 model), which the logarithmic closed form needs.
 
 invert_rows is the one place any model is inverted. It takes D and B of
-shape (N, 3), runs the rows kernel of the model kind (array arithmetic
-whose branches are row masks; Lambert W and the cubic from specfn's array
-kernels; a masked Newton/bisection for the fractional power and custom
-models) and returns a failure code per row with the list of exceptions.
+shape (N, 3) and owns the branch skeleton: the split into electric,
+magnetic, dyonic and D = B = 0 rows, the magnetic branch (the same in every
+model), the direction check and the non-finite check. A model kind owns
+only its electric and dyonic formulas (_ROW_KERNELS): array arithmetic
+whose branches are row masks, Lambert W and the cubic from specfn's array
+kernels, a masked Newton/bisection for the fractional power and custom
+models. invert_rows returns a failure code per row with the exceptions.
 dyonic_eh_rows is its raising form; dyonic_eh, electrostatic_e and
 magnetostatic_h are one-row calls of it.
 """
@@ -221,23 +224,11 @@ def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_rows(d, b):
-    """d2, b2, zeroed E, H, s and code arrays, and the rows of the electric
-    branch (B = 0, D != 0), of the magnetic branch (D = 0, B != 0) and of
-    the dyonic branch: None for a branch with no rows, the full slice
-    for one with every row (so that indexing takes views), else an index
-    array. Rows with D = B = 0 keep E = H = 0 and s = 0."""
-    d2 = rowdot(d, d)
-    b2 = rowdot(b, b)
-    n = len(d)
-
-    def rows(mask):
-        k = np.count_nonzero(mask)
-        return None if k == 0 else slice(None) if k == n else np.flatnonzero(mask)
-
-    d0, b0 = d2 == 0.0, b2 == 0.0
-    return (d2, b2, np.zeros_like(d), np.zeros_like(b), np.zeros(n),
-            np.zeros(n, dtype=np.int64), rows(b0 & ~d0), rows(d0 & ~b0), rows(~(d0 | b0)))
+def _branch(mask):
+    """The rows of one branch: None when it has none, the full slice when
+    it has every row (so that indexing takes views), else an index array."""
+    k = np.count_nonzero(mask)
+    return None if k == 0 else slice(None) if k == len(mask) else np.flatnonzero(mask)
 
 
 def _prime_rows(params, s, idx, code, errors, label):
@@ -257,8 +248,6 @@ def _magnetostatic_rows(params, b, b2, idx, h, s, code, errors):
     """The magnetic branch on the rows idx: H = f'(-B^2/2) B, failing
     outside the model domain as f_prime does. A zero of f' (quadratic model
     at B^2 = 1/alpha) legitimately gives H = 0."""
-    if idx is None:
-        return
     sm = -0.5 * b2[idx]
     s[idx] = sm
     ok = params.domain_rows(sm)
@@ -292,81 +281,71 @@ def _direction_rows(e, proj, idx, code, errors):
         idx)
 
 
-def _classical_rows(params, d, b, errors):
-    """The classical branches as array arithmetic: E = D/sqrt(1 + beta D^2)
-    for B = 0, the magnetic branch for D = 0, otherwise the kappa = 0 closed
-    form E = f D, H = B/f with f = sqrt((1 + beta B^2)/(1 + beta D^2)) or the
-    kappa > 0 one with f = sqrt(1 - 2 beta s); then the direction check."""
-    beta = params.beta
-    k2 = params.kappa**2
-    d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
-    if elec is not None:
-        ee = d[elec] / np.sqrt(1.0 + beta * d2[elec])[:, None]
-        e[elec], s[elec] = ee, 0.5 * rowdot(ee, ee)
-    _magnetostatic_rows(params, b, b2, mag, h, s, code, errors)
-    if dyon is None:
-        return e, h, s, code
-    dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
-    bd, bxd2, _, opk, proj = _dyon_setup(params, dd, bb, d2y, b2y)
-    if params.kappa == 0.0:
-        f = np.sqrt((1.0 + beta * b2y) / (1.0 + beta * d2y))
-        e[dyon] = f[:, None] * dd
-        h[dyon] = bb / f[:, None]
-        s[dyon] = (d2y - b2y) / (2.0 * (1.0 + beta * d2y))
-    else:
-        r1 = np.sqrt((1.0 + beta * b2y) * opk)
-        r2 = np.sqrt(1.0 + beta * d2y + k2 * b2y + beta * k2 * bxd2)
-        f = r1 / r2
-        ey = f[:, None] * proj
-        eb = f * bd / opk
-        e[dyon] = ey
-        h[dyon] = (bb - (k2 * eb)[:, None] * ey) / f[:, None]
-        s[dyon] = (d2y - b2y + k2 * (bxd2 - b2y * b2y)) / (2.0 * r2 * r2)
-    _direction_rows(e[dyon], proj, dyon, code, errors)
-    return e, h, s, code
+def _eh_from_prime(params, fp, b, setup):
+    """E = proj / f'(s) and H = f'(s) (B - kappa^2 (E.B) E) on dyonic rows."""
+    bd, _, _, opk, proj = setup
+    e = proj / fp[:, None]
+    eb = bd / (fp * opk)
+    return e, fp[:, None] * (b - (params.kappa**2 * eb)[:, None] * e)
 
 
-def _logarithmic_rows(params, d, b, errors):
-    """The logarithmic branches as array arithmetic: E = 2D/(1 + sqrt(1 +
-    2 beta D^2)) for B = 0, the magnetic branch for D = 0, otherwise
-    1 - beta s in closed form (for kappa > 0 through the smaller root of a
-    quadratic in a = E^2, in conjugate form so it stays stable as D -> 0,
-    failing a row whose 1 - beta s is not positive); then the direction
-    check."""
+# The formulas of each kind, on the rows of their branch (idx maps them to
+# rows of code): electric(params, d, d2, idx, code, errors) -> E for B = 0,
+# dyonic(params, d, b, d2, b2, setup, idx, code, errors) -> (E, H, s).
+
+
+def _classical_electric(params, d, d2, idx, code, errors):
+    """E = D/sqrt(1 + beta D^2)."""
+    return d / np.sqrt(1.0 + params.beta * d2)[:, None]
+
+
+def _classical_dyonic(params, d, b, d2, b2, setup, idx, code, errors):
+    """The kappa = 0 closed form E = f D, H = B/f with
+    f = sqrt((1 + beta B^2)/(1 + beta D^2)), or the kappa > 0 one with
+    f = sqrt(1 - 2 beta s)."""
     beta = params.beta
     k2 = params.kappa**2
-    d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
-    if elec is not None:
-        ee = 2.0 * d[elec] / (1.0 + np.sqrt(1.0 + 2.0 * beta * d2[elec]))[:, None]
-        e[elec], s[elec] = ee, 0.5 * rowdot(ee, ee)
-    _magnetostatic_rows(params, b, b2, mag, h, s, code, errors)
-    if dyon is None:
-        return e, h, s, code
-    dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
-    bd, _, eta, opk, proj = _dyon_setup(params, dd, bb, d2y, b2y)
+    bd, bxd2, _, opk, proj = setup
     if params.kappa == 0.0:
-        two_pb = 2.0 + beta * b2y
-        root = np.sqrt(1.0 + beta * d2y * two_pb)
+        f = np.sqrt((1.0 + beta * b2) / (1.0 + beta * d2))
+        return f[:, None] * d, b / f[:, None], (d2 - b2) / (2.0 * (1.0 + beta * d2))
+    r2 = np.sqrt(1.0 + beta * d2 + k2 * b2 + beta * k2 * bxd2)
+    f = np.sqrt((1.0 + beta * b2) * opk) / r2
+    e = f[:, None] * proj
+    eb = f * bd / opk
+    return (e, (b - (k2 * eb)[:, None] * e) / f[:, None],
+            (d2 - b2 + k2 * (bxd2 - b2 * b2)) / (2.0 * r2 * r2))
+
+
+def _logarithmic_electric(params, d, d2, idx, code, errors):
+    """E = 2D/(1 + sqrt(1 + 2 beta D^2))."""
+    return 2.0 * d / (1.0 + np.sqrt(1.0 + 2.0 * params.beta * d2))[:, None]
+
+
+def _logarithmic_dyonic(params, d, b, d2, b2, setup, idx, code, errors):
+    """1 - beta s in closed form: for kappa > 0 through the smaller root of
+    a quadratic in a = E^2, in conjugate form so it stays stable as D -> 0,
+    failing a row whose 1 - beta s is not positive."""
+    beta = params.beta
+    k2 = params.kappa**2
+    bd, _, eta, opk, proj = setup
+    if params.kappa == 0.0:
+        two_pb = 2.0 + beta * b2
+        root = np.sqrt(1.0 + beta * d2 * two_pb)
         one_m = two_pb / (1.0 + root)
-        ey = one_m[:, None] * dd
-        hy = bb / one_m[:, None]
-        sy = (1.0 - one_m) / beta
-    else:
-        one_pk = 1.0 + k2 * eta
-        c = 1.0 + 0.5 * beta * b2y
-        m = 1.0 + k2 * (2.0 + k2 * b2y) * eta
-        chi = m / (beta * d2y * one_pk)
-        a = 2.0 * c * c / (beta * one_pk * (c + chi + np.sqrt(chi * (2.0 * c + chi))))
-        sy = 0.5 * (one_pk * a - b2y)
-        one_m = 1.0 - beta * sy
-        ey = one_m[:, None] * proj
-        eb = one_m * bd / opk
-        hy = (bb - (k2 * eb)[:, None] * ey) / one_m[:, None]
-        fail_rows(code, errors, one_m <= 0.0, lambda j: DomainViolation(
-            f"logarithmic inversion left its domain: 1-beta*s={float(one_m[j])!r}"), dyon)
-    e[dyon], h[dyon], s[dyon] = ey, hy, sy
-    _direction_rows(ey, proj, dyon, code, errors)
-    return e, h, s, code
+        return one_m[:, None] * d, b / one_m[:, None], (1.0 - one_m) / beta
+    one_pk = 1.0 + k2 * eta
+    c = 1.0 + 0.5 * beta * b2
+    m = 1.0 + k2 * (2.0 + k2 * b2) * eta
+    chi = m / (beta * d2 * one_pk)
+    a = 2.0 * c * c / (beta * one_pk * (c + chi + np.sqrt(chi * (2.0 * c + chi))))
+    s = 0.5 * (one_pk * a - b2)
+    one_m = 1.0 - beta * s
+    e = one_m[:, None] * proj
+    eb = one_m * bd / opk
+    fail_rows(code, errors, one_m <= 0.0, lambda j: DomainViolation(
+        f"logarithmic inversion left its domain: 1-beta*s={float(one_m[j])!r}"), idx)
+    return e, (b - (k2 * eb)[:, None] * e) / one_m[:, None], s
 
 
 def _monotone_rows(params, t, one_pk, b2):
@@ -460,137 +439,105 @@ def _monotone_rows(params, t, one_pk, b2):
     return a_out, lost, lost_s, unbracketed
 
 
-def _generic_rows(params, d, b, errors):
-    """The branches of a model without a closed form (the fractional power
-    and custom kinds): for B = 0, E = D/f'(a/2) with a = E^2 from the
-    monotone solve of f'(a/2)^2 a = D^2; the magnetic branch for D = 0;
-    otherwise a from f'(s_a)^2 (1 + kappa^2 eta) a = t, failing a row whose
-    f'(s) falls inside the guard band; then the direction check. Rounds
-    like a point evaluation with the scalar f' and f'' when derivative_rows
-    rounds like them, as for these two kinds."""
-    k2 = params.kappa**2
-    d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
-
-    # a solve that leaves the model domain fails with the domain's own error
-    if elec is not None:
-        t = d2[elec]
-        a, lost, lost_s, unbracketed = _monotone_rows(params, t, np.ones(len(t)),
-                                                      np.zeros(len(t)))
-        fail_rows(code, errors, lost, lambda j: params.domain_error(lost_s[j]), elec)
-        fail_rows(code, errors, unbracketed, lambda j: InversionFailure(
-            f"electrostatic bracket expansion failed at D^2={float(t[j])!r}"), elec)
-        fp = _prime_rows(params, 0.5 * a, elec, code, errors, "f'(a/2)")
-        ee = d[elec] / fp[:, None]
-        e[elec], s[elec] = ee, 0.5 * rowdot(ee, ee)
-
-    _magnetostatic_rows(params, b, b2, mag, h, s, code, errors)
-    if dyon is None:
-        return e, h, s, code
-
-    # here a solve that leaves the model domain is an InversionFailure
-    dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
-    bd, bxd2, eta, opk, proj = _dyon_setup(params, dd, bb, d2y, b2y)
-    one_pk = 1.0 + k2 * eta
-    t = (d2y + k2 * bxd2) / opk
-    a, lost, _, unbracketed = _monotone_rows(params, t, one_pk, b2y)
-    fail_rows(code, errors, lost, lambda j: InversionFailure(
-        f"target {float(t[j])!r} unreachable inside the model domain"), dyon)
+def _generic_electric(params, d, d2, idx, code, errors):
+    """E = D/f'(a/2) with a = E^2 from the monotone solve of
+    f'(a/2)^2 a = D^2; a solve that leaves the model domain fails with the
+    domain's own error. Both generic formulas give the scalar path's bits
+    when derivative_rows rounds like f' and f''."""
+    a, lost, lost_s, unbracketed = _monotone_rows(params, d2, np.ones(len(d2)),
+                                                  np.zeros(len(d2)))
+    fail_rows(code, errors, lost, lambda j: params.domain_error(lost_s[j]), idx)
     fail_rows(code, errors, unbracketed, lambda j: InversionFailure(
-        f"bracket expansion failed at target {float(t[j])!r}"), dyon)
-    sy = 0.5 * (one_pk * a - b2y)
-    fp = _prime_rows(params, sy, dyon, code, errors, "f'(s)")
-    ey = proj / fp[:, None]
-    eb = bd / (fp * opk)
-    e[dyon] = ey
-    h[dyon] = fp[:, None] * (bb - (k2 * eb)[:, None] * ey)
-    s[dyon] = sy
-    _direction_rows(ey, proj, dyon, code, errors)
-    return e, h, s, code
+        f"electrostatic bracket expansion failed at D^2={float(d2[j])!r}"), idx)
+    return d / _prime_rows(params, 0.5 * a, idx, code, errors, "f'(a/2)")[:, None]
 
 
-def _exponential_rows(params, d, b, errors):
-    """The exponential branches as array arithmetic: E = D e^{-W/2} with
-    W = W(beta D^2) for B = 0, magnetostatic_h for D = 0, and otherwise
-    beta s = (W - beta B^2)/2 with W the Lambert W of
+def _generic_dyonic(params, d, b, d2, b2, setup, idx, code, errors):
+    """a from the monotone solve of f'(s_a)^2 (1 + kappa^2 eta) a = t, where
+    a solve that leaves the model domain is an InversionFailure, failing a
+    row whose f'(s) falls inside the guard band."""
+    k2 = params.kappa**2
+    _, bxd2, eta, opk, _ = setup
+    one_pk = 1.0 + k2 * eta
+    t = (d2 + k2 * bxd2) / opk
+    a, lost, _, unbracketed = _monotone_rows(params, t, one_pk, b2)
+    fail_rows(code, errors, lost, lambda j: InversionFailure(
+        f"target {float(t[j])!r} unreachable inside the model domain"), idx)
+    fail_rows(code, errors, unbracketed, lambda j: InversionFailure(
+        f"bracket expansion failed at target {float(t[j])!r}"), idx)
+    s = 0.5 * (one_pk * a - b2)
+    fp = _prime_rows(params, s, idx, code, errors, "f'(s)")
+    return (*_eh_from_prime(params, fp, b, setup), s)
+
+
+def _exponential_electric(params, d, d2, idx, code, errors):
+    """E = D e^{-W/2} with W = W(beta D^2)."""
+    return d * np.exp(-0.5 * lambert_w_rows(params.beta * d2))[:, None]
+
+
+def _exponential_dyonic(params, d, b, d2, b2, setup, idx, code, errors):
+    """beta s = (W - beta B^2)/2 with W the Lambert W of
     beta e^{beta B^2} (D^2 + kappa^2 |B x D|^2)/(1 + kappa^2 B^2), taken
-    from its logarithm where that exceeds 700; then the direction check."""
+    from its logarithm where that exceeds 700."""
     beta = params.beta
     k2 = params.kappa**2
-    d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
-    if elec is not None:
-        ee = d[elec] * np.exp(-0.5 * lambert_w_rows(beta * d2[elec]))[:, None]
-        e[elec], s[elec] = ee, 0.5 * rowdot(ee, ee)
-    _magnetostatic_rows(params, b, b2, mag, h, s, code, errors)
-    if dyon is None:
-        return e, h, s, code
-    dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
-    bd, bxd2, _, opk, proj = _dyon_setup(params, dd, bb, d2y, b2y)
-    ln_arg = math.log(beta) + beta * b2y + np.log((d2y + k2 * bxd2) / opk)
+    bd, bxd2, _, opk, proj = setup
+    ln_arg = math.log(beta) + beta * b2 + np.log((d2 + k2 * bxd2) / opk)
     small = ln_arg <= 700.0
     w = np.empty_like(ln_arg)
     w[small] = lambert_w_rows(np.exp(ln_arg[small]))
     w[~small] = lambert_w_from_log_rows(ln_arg[~small])
     # beta*s = (w - beta B^2)/2; exponents combined to dodge overflow
-    em = np.exp(0.5 * (beta * b2y - w))  # e^{-beta s}
-    ep = np.exp(0.5 * (w - beta * b2y))  # e^{+beta s} = f'(s)
-    ey = em[:, None] * proj
+    em = np.exp(0.5 * (beta * b2 - w))  # e^{-beta s}
+    ep = np.exp(0.5 * (w - beta * b2))  # e^{+beta s} = f'(s)
+    e = em[:, None] * proj
     eb = em * bd / opk
-    e[dyon] = ey
-    h[dyon] = ep[:, None] * (bb - (k2 * eb)[:, None] * ey)
-    s[dyon] = 0.5 * (w / beta - b2y)
-    _direction_rows(ey, proj, dyon, code, errors)
-    return e, h, s, code
+    return e, ep[:, None] * (b - (k2 * eb)[:, None] * e), 0.5 * (w / beta - b2)
 
 
-def _quadratic_rows(params, d, b, errors):
-    """The quadratic branches as array arithmetic: for B = 0, E = D/f'(a/2)
-    with a = E^2 the smallest root of (1/alpha + a)^2 a = D^2/alpha^2;
-    magnetostatic_h for D = 0; otherwise a from the normalized cubic
-    (gamma + a)^2 a = sigma2, failing a row whose f'(s) falls inside the
-    guard band; then the direction check."""
+def _quadratic_electric(params, d, d2, idx, code, errors):
+    """E = D/f'(a/2) with a = E^2 the smallest root of
+    (1/alpha + a)^2 a = D^2/alpha^2."""
+    al = params.alpha
+    a = smallest_positive_cubic_root_rows(1.0 / al, d2 / al**2)
+    return d / _prime_rows(params, 0.5 * a, idx, code, errors, "f'(a/2)")[:, None]
+
+
+def _quadratic_dyonic(params, d, b, d2, b2, setup, idx, code, errors):
+    """a from the normalized cubic (gamma + a)^2 a = sigma2, failing a row
+    whose f'(s) falls inside the guard band."""
     al = params.alpha
     k2 = params.kappa**2
-    d2, b2, e, h, s, code, elec, mag, dyon = _split_rows(d, b)
-    if elec is not None:
-        a = smallest_positive_cubic_root_rows(1.0 / al, d2[elec] / al**2)
-        fp = _prime_rows(params, 0.5 * a, elec, code, errors, "f'(a/2)")
-        ee = d[elec] / fp[:, None]
-        e[elec], s[elec] = ee, 0.5 * rowdot(ee, ee)
-    _magnetostatic_rows(params, b, b2, mag, h, s, code, errors)
-    if dyon is None:
-        return e, h, s, code
-    dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
-    bd, _, eta, opk, proj = _dyon_setup(params, dd, bb, d2y, b2y)
+    eta = setup[2]
     one_pk = 1.0 + k2 * eta
-    m = 1.0 + k2 * (2.0 + k2 * b2y) * eta
-    gamma = (1.0 - al * b2y) / (al * one_pk)
-    sigma2 = d2y / ((al * one_pk) ** 2 * m)
-    sy = 0.5 * (one_pk * smallest_positive_cubic_root_rows(gamma, sigma2) - b2y)
-    fp = 1.0 + 2.0 * al * sy
+    m = 1.0 + k2 * (2.0 + k2 * b2) * eta
+    gamma = (1.0 - al * b2) / (al * one_pk)
+    sigma2 = d2 / ((al * one_pk) ** 2 * m)
+    s = 0.5 * (one_pk * smallest_positive_cubic_root_rows(gamma, sigma2) - b2)
+    fp = 1.0 + 2.0 * al * s
     fail_rows(code, errors, np.abs(fp) < FPRIME_GUARD, lambda j: DomainViolation(
-        f"quadratic inversion inside the f' guard band: f'(s) = {float(fp[j])!r}"), dyon)
-    ey = proj / fp[:, None]
-    eb = bd / (fp * opk)
-    e[dyon] = ey
-    h[dyon] = fp[:, None] * (bb - (k2 * eb)[:, None] * ey)
-    s[dyon] = sy
-    _direction_rows(ey, proj, dyon, code, errors)
-    return e, h, s, code
+        f"quadratic inversion inside the f' guard band: f'(s) = {float(fp[j])!r}"), idx)
+    return (*_eh_from_prime(params, fp, b, setup), s)
 
 
 _ROW_KERNELS = {
-    CLASSICAL: _classical_rows,
-    LOGARITHMIC: _logarithmic_rows,
-    EXPONENTIAL: _exponential_rows,
-    FRACTIONAL_POWER: _generic_rows,
-    QUADRATIC: _quadratic_rows,
-    CUSTOM: _generic_rows,
+    CLASSICAL: (_classical_electric, _classical_dyonic),
+    LOGARITHMIC: (_logarithmic_electric, _logarithmic_dyonic),
+    EXPONENTIAL: (_exponential_electric, _exponential_dyonic),
+    FRACTIONAL_POWER: (_generic_electric, _generic_dyonic),
+    QUADRATIC: (_quadratic_electric, _quadratic_dyonic),
+    CUSTOM: (_generic_electric, _generic_dyonic),
 }
 
 
 def invert_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                                      np.ndarray, list]:
     """The non-raising core of dyonic_eh_rows: E, H, s, code, errors.
+
+    The model kind supplies its electric and dyonic formulas; this owns the
+    rest: the split into branches, the magnetic branch H = f'(-B^2/2) B,
+    s = E^2/2 on electric rows, the _dyon_setup scalars, the direction and
+    non-finite checks. Rows with D = B = 0 keep E = H = 0 and s = 0.
 
     code[i] is 0 for a row that inverted to finite values and k > 0 when
     errors[k - 1] is its failure: DomainViolation for a non-finite D or B
@@ -608,10 +555,24 @@ def invert_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.n
         e[ok], h[ok], s[ok], sub_code, sub_errors = invert_rows(params, d[ok], b[ok])
         merge_failures(code, errors, np.flatnonzero(ok), sub_code, sub_errors)
         return e, h, s, code, errors
+    electric, dyonic = _ROW_KERNELS[params.kind]
+    e, h, s = np.zeros_like(d), np.zeros_like(b), np.zeros(len(d))
+    code = np.zeros(len(d), dtype=np.int64)
     errors = []
-    rows = _ROW_KERNELS[params.kind]
     with np.errstate(all="ignore"):
-        e, h, s, code = rows(params, d, b, errors)
+        d2, b2 = rowdot(d, d), rowdot(b, b)
+        d0, b0 = d2 == 0.0, b2 == 0.0
+        elec, mag, dyon = _branch(b0 & ~d0), _branch(d0 & ~b0), _branch(~(d0 | b0))
+        if elec is not None:
+            ee = electric(params, d[elec], d2[elec], elec, code, errors)
+            e[elec], s[elec] = ee, 0.5 * rowdot(ee, ee)
+        if mag is not None:
+            _magnetostatic_rows(params, b, b2, mag, h, s, code, errors)
+        if dyon is not None:
+            dd, bb, d2y, b2y = d[dyon], b[dyon], d2[dyon], b2[dyon]
+            setup = _dyon_setup(params, dd, bb, d2y, b2y)
+            e[dyon], h[dyon], s[dyon] = dyonic(params, dd, bb, d2y, b2y, setup, dyon, code, errors)
+            _direction_rows(e[dyon], setup[4], dyon, code, errors)
     if not (np.isfinite(e).all() and np.isfinite(h).all() and np.isfinite(s).all()):
         finite = np.isfinite(e).all(axis=1) & np.isfinite(h).all(axis=1) & np.isfinite(s)
         fail_rows(code, errors, ~finite, DomainViolation("inversion gave a non-finite field"))

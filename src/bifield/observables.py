@@ -83,6 +83,8 @@ class QuadratureSpec:
             raise ConfigError("max_subdivisions must be at least 1")
         if not (0.0 < self.exclusion < self.ball_radius < self.far_radius):
             raise ConfigError("need 0 < exclusion < ball_radius < far_radius")
+        if not all(r > 0.0 and math.isfinite(r) for r in self.flux_radii):
+            raise ConfigError(f"flux_radii must be positive and finite, got {self.flux_radii!r}")
 
     @classmethod
     def for_config(cls, cfg: ChargeConfig, rel_tol: float = 1e-6,

@@ -218,12 +218,25 @@ class TestConfigParsing:
         lambda d: d.update(grid={"shape": [0, 3, 3]}),
         lambda d: d.update(quadrature={"rel_tol": -1.0}),
         lambda d: d.update(quadrature={"cutoff": 1.0}),
+        lambda d: d.update(grid={"shape": [2.5, 2, 2]}),
+        lambda d: d.update(grid={"shape": [True, 2, 2]}),
+        lambda d: d.update(grid={"shape": ["3", 2, 2]}),
+        lambda d: d.update(quadrature={"max_subdivisions": 2.5}),
+        lambda d: d.update(quadrature={"max_subdivisions": True}),
+        lambda d: d.update(continuous={"shape": "gaussian", "magnetic": "false"}),
+        lambda d: d.update(quadrature={"flux_radii": [-20.0]}),
+        lambda d: d.update(quadrature={"flux_radii": [0.0]}),
     ])
     def test_invalid_configs_rejected(self, mutate):
         data = pair_config()
         mutate(data)
         with pytest.raises(ConfigError):
             parse_config(data)
+
+    def test_integral_floats_read_as_integers(self):
+        cfg = parse_config(pair_config(shape=(2.0, 3, 3)))
+        assert cfg.grid_shape == (2, 3, 3)
+        assert config_digest(cfg) == config_digest(parse_config(pair_config(shape=(2, 3, 3))))
 
     def test_charges_or_continuous_required(self):
         with pytest.raises(ConfigError):

@@ -574,10 +574,8 @@ class TestRowKernelsAgainstScalar:
         for m, d, b in ((ModelParams.custom(f, fp, lambda s: 0.0, kappa=0.5), d, b),
                         (ModelParams.custom(f_steep, fp_steep, lambda s: 0.0, kappa=0.5),
                          steep_d, np.zeros_like(steep_d))):
-            errors: list = []
             newton_steps.append(0)
-            with np.errstate(all="ignore"):
-                e, h, s, code = constitutive._generic_rows(m, d, b, errors)
+            e, h, s, code, _ = invert_rows(m, d, b)
             for i in range(len(d)):
                 e_ref, h_ref, aux = scalar_eh(m, d[i], b[i])
                 assert code[i] == 0
@@ -738,3 +736,21 @@ def test_continuous_oracle_independence():
     attributes = {node.attr for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.Attribute)}
     assert not attributes & rows_code
+
+
+def test_invert_rows_owns_the_branch_skeleton():
+    """Every model kind supplies an (electric, dyonic) pair of formulas and
+    nothing else: the magnetic branch and the direction check run only in
+    invert_rows, and the dyonic setup only there and in dyonic_eh (for eta)."""
+    assert set(constitutive._ROW_KERNELS) == set(models.KINDS)
+    for pair in constitutive._ROW_KERNELS.values():
+        assert isinstance(pair, tuple) and len(pair) == 2 and all(map(callable, pair))
+    callers = {"_magnetostatic_rows": set(), "_direction_rows": set(), "_dyon_setup": set()}
+    for node in ast.parse(Path(constitutive.__file__).read_text()).body:
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                    and sub.func.id in callers):
+                callers[sub.func.id].add(getattr(node, "name", None))
+    assert callers == {"_magnetostatic_rows": {"invert_rows"},
+                       "_direction_rows": {"invert_rows"},
+                       "_dyon_setup": {"invert_rows", "dyonic_eh"}}

@@ -1,10 +1,11 @@
 """Import hygiene of the package, checked on its syntax trees.
 
 No module in src/bifield imports a name it never uses (a name listed in the
-module's __all__ counts as used: it is re-exported), and every module-level
-private function is referenced somewhere in src/ or tests/ outside its own
-body. A refactor that moves work elsewhere fails here if it leaves the old
-import or helper behind.
+module's __all__ counts as used: it is re-exported), every name in a
+module's __all__ is defined or imported at module level, and every
+module-level private function is referenced somewhere in src/ or tests/
+outside its own body. A refactor that moves work elsewhere fails here if it
+leaves the old import or helper behind, or an export of a deleted function.
 """
 
 import ast
@@ -54,6 +55,21 @@ def test_no_unused_imports(path):
             bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
     used = _used_names(tree) | _exported(tree)
     assert sorted(set(bound) - used) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exports_are_defined(path):
+    tree = _tree(path)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    assert sorted(_exported(tree) - bound) == []
 
 
 def _private_functions():
