@@ -146,10 +146,11 @@ def _reject_unknown(sec: dict, allowed, name: str) -> None:
 
 
 def _as_float(val, name: str) -> float:
-    try:
-        out = float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {val!r}") from None
+    """A finite JSON number (int or float) as a float; a bool, a string or
+    any other type is a ConfigError."""
+    if isinstance(val, bool) or not isinstance(val, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a number, got {val!r}")
+    out = float(val)
     if not math.isfinite(out):
         raise ConfigError(f"{name} must be finite, got {val!r}")
     return out
@@ -559,7 +560,7 @@ def _cmd_sample(cfg: RunConfig, args) -> int:
     def rows_at(pts):
         # a point fails with its first failure: fields, current, density
         d, b, e, h, s, code, errors = eh_rows(params, charges, pts)
-        cur = current_rows(params, charges, pts)
+        cur = current_rows(params, charges, pts, e)
         merge_failures(code, errors, np.arange(len(pts)), cur.code, cur.errors)
         return _field_rows(params, pts, d, b, e, h, s, cur.j_m, code, errors)
 
@@ -659,10 +660,7 @@ def _cmd_energy(cfg: RunConfig, args) -> int:
         "value": report.value,
         "converged": report.converged,
         "near_charge_exponents": [_finite_or_none(e) for e in report.near_charge_exponents],
-        "parts": {
-            k: [float(x) for x in v] if isinstance(v, (list, tuple)) else float(v)
-            for k, v in report.parts.items()
-        },
+        "parts": report.parts,
     })
     path = args.out_dir / "energy.json"
     _write_json(path, payload)

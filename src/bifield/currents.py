@@ -425,13 +425,16 @@ def _fd_rows(params: ModelParams, db_rows: Callable, pts: np.ndarray, h: np.ndar
     return curl[:, 0], curl[:, 1], code, errors
 
 
-def current_rows(params: ModelParams, cfg: ChargeConfig, pts) -> CurrentRows:
+def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> CurrentRows:
     """Evaluate (j_e, j_m) at points of shape (N, 3), choosing the route as
     current_at does; every row is what current_at gives at that point.
 
     The closed forms run on all points at once; the finite-difference route
     inverts the stencil nodes of all points in one rows call. Never raises
-    for a point: failures and points to skip come back as codes.
+    for a point: failures and points to skip come back as codes. e, the E
+    of eh_rows at the same points, spares a non-classical electric-only
+    configuration its inversion; the failures of that inversion are then
+    the caller's.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     n = len(pts)
@@ -451,6 +454,8 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts) -> CurrentRows:
                 d, grad = _coulomb_gradient(cfg, cfg.qs, x)
                 if classical:
                     j_m[idx] = _classical_curl(params.beta, d, grad)
+                elif e is not None:
+                    j_m[idx] = _generic_electric_curl(params, d, e[idx], grad, code, errors, idx)
                 else:
                     e, _, _, sub_code, sub_errors = invert_rows(params, d, np.zeros_like(d))
                     merge_failures(code, errors, idx, sub_code, sub_errors)

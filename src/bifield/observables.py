@@ -6,9 +6,9 @@ Three families of quantities live here:
   H = f'(s)(E^2 + kappa^2 (E.B)^2) - f(s), evaluated over point arrays from
   one batched inversion, with a vectorized closed form for the classical
   square-root model;
-* singularity-aware quadrature: total energy assembled from per-charge ball
-  integrals (log-spaced radial nodes), a bounded shell, and an analytic
-  monopole far tail, with divergence detected rather than extrapolated;
+* the total energy by one multicentre rule, Becke's fuzzy cells: each
+  centre integrates its smooth share of H on a mapped radial rule that
+  reaches infinity, with divergence detected rather than extrapolated;
 * flux-defined free charges on spheres, the near-charge divergence-exponent
   probe, and a finite-difference residual suite for the static field
   equations.
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, DomainViolation, QuadratureError, SingularPoint
-from .models import ModelParams, CLASSICAL
+from .models import ModelParams, CLASSICAL, QUADRATIC
 from .sources import ChargeConfig, _batch_coulomb, _db_weights, as_vec3
 from .constitutive import cross_rows, dyonic_eh_rows, rowdot
 from .currents import _fd_step_rows, _stencil_clear, current_rows, eh_field, fd_curl, fd_div
@@ -51,21 +51,28 @@ __all__ = [
 _PROBE_RAY = np.array([0.36514837, 0.52827334, 0.76698920])
 _PROBE_RAY = _PROBE_RAY / np.linalg.norm(_PROBE_RAY)
 
-_BALL_ANGULAR = (16, 32)       # (mu nodes, phi nodes) for per-charge balls
-_SHELL_ANGULAR = (12, 24)      # base rule for the bounded shell, doubled adaptively
-_RADIAL_NODES_PER_DECADE = 8
-_MAX_TAIL_DOUBLINGS = 24
-_FLUX_CHUNK = 32768            # sphere nodes per field call, which bounds memory
+_FLUX_CHUNK = 32768            # quadrature nodes per field call, which bounds memory
+# a near-charge slope at or below this makes r^2 H non-integrable; the margin
+# over -3 keeps a logarithmic divergence from passing on a rounding error
+_DIVERGENT_SLOPE = -2.95
+
+
+def _cell_scale(cfg: ChargeConfig) -> float:
+    """45% of the minimum pairwise separation, the scale at which the cells
+    of neighbouring charges meet, or 1 for one charge."""
+    sep = cfg.min_separation
+    return 1.0 if not math.isfinite(sep) else 0.45 * sep
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Geometry and tolerances for the energy and flux quadratures.
 
-    ball_radius r_b bounds the per-charge spherical integrals, exclusion is
-    the inner cutoff of those balls, far_radius R_far is where the analytic
-    tail takes over. Invariants: 0 < exclusion < r_b < min pairwise charge
-    distance / 2 and R_far > configuration diameter.
+    ball_radius r_b caps the scale of the near-charge probe radii,
+    exclusion is the radius of the ball around each centre that the energy
+    integral leaves out, far_radius R_far the radius of the outer flux
+    sphere. Invariants: 0 < exclusion < r_b < min pairwise charge distance / 2
+    and R_far > configuration diameter.
     """
 
     rel_tol: float = 1e-6
@@ -91,11 +98,10 @@ class QuadratureSpec:
                    abs_tol: float = 1e-6, max_subdivisions: int = 8) -> "QuadratureSpec":
         """Pick radii suited to a charge configuration.
 
-        The ball radius takes 45% of the minimum pairwise separation so the
-        shell quadrature only ever sees the smooth outskirts of each charge.
+        The ball radius is _cell_scale(cfg), the radial scale of the
+        energy grid.
         """
-        sep = cfg.min_separation
-        r_b = 1.0 if not math.isfinite(sep) else 0.45 * sep
+        r_b = _cell_scale(cfg)
         r_far = max(4.0 * (cfg.diameter + r_b), 10.0 * r_b)
         return cls(
             rel_tol=rel_tol,
@@ -117,10 +123,10 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """A total energy and its parts: "balls" (one integral per charge),
-    "shell" (the bounded shell plus its doublings), "tail" (the monopole
-    remainder (Q^2 + G^2)/(8 pi R) beyond R = "far_radius_used"). The tail
-    is not small in general; the doublings stop once it is accurate."""
+    """A total energy and its parts: "cells" (each centre's fuzzy-cell
+    integral at the level reported; value is their sum), "levels" (the
+    levels of the rule evaluated) and "nodes" (the density evaluations of
+    all those levels)."""
 
     value: float
     converged: bool
@@ -246,133 +252,6 @@ def _sphere_rule(n_mu: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     return dirs, weights
 
 
-def _log_radial_rule(r_lo: float, r_hi: float, nodes_per_decade: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes in t = ln r; weights include the r^3 jacobian
-    of integral(F r^2 dr) = integral(F r^3 dt). Resolves power-law densities
-    uniformly across many orders of magnitude in r."""
-    t_lo, t_hi = math.log(r_lo), math.log(r_hi)
-    decades = (t_hi - t_lo) / math.log(10.0)
-    t, w = _panel_nodes(t_lo, t_hi, max(1, math.ceil(decades)), max(4, nodes_per_decade))
-    r = np.exp(t)
-    return r, w * r**3
-
-
-def _linear_radial_rule(r_lo: float, r_hi: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    r, w = _panel_nodes(r_lo, r_hi, 1, max(4, n_nodes))
-    return r, w * r**2
-
-
-def _annulus_energy(params, cfg, center, r_lo, r_hi, dirs, w_ang, nodes_per_decade) -> float:
-    rs, wr = _log_radial_rule(r_lo, r_hi, nodes_per_decade)
-    pts = center[None, None, :] + rs[:, None, None] * dirs[None, :, :]
-    h = hamiltonian_on_points(params, cfg, pts.reshape(-1, 3)).reshape(len(rs), len(dirs))
-    return float(np.einsum("r,a,ra->", wr, w_ang, h))
-
-
-def _ball_energy(params, cfg, index: int, quad: QuadratureSpec) -> tuple[float, bool]:
-    """Integral of H over the ball around one charge, marched decade by
-    decade from the ball surface down to the exclusion radius.
-
-    Divergence is detected, never extrapolated. Contributions may grow
-    inward through the Coulombic decades of a large ball (density ~ r^-4)
-    before the nonlinearity caps them, so growth alone is not conclusive;
-    what decides is the innermost decades: a convergent density has them
-    decaying, while the kappa = 0 dyon keeps growing all the way to the
-    cutoff. An accumulated value beyond 1/abs_tol also stops the march
-    with converged=False."""
-    center = cfg.positions[index]
-    dirs, w_ang = _sphere_rule(*_BALL_ANGULAR)
-    n_dec = max(1, math.ceil(math.log10(quad.ball_radius / quad.exclusion)))
-    edges = np.geomspace(quad.ball_radius, quad.exclusion, n_dec + 1)
-    acc = 0.0
-    contribs: list[float] = []
-    converged = True
-    for r_hi, r_lo in zip(edges[:-1], edges[1:]):
-        val = _annulus_energy(params, cfg, center, r_lo, r_hi, dirs, w_ang,
-                              _RADIAL_NODES_PER_DECADE)
-        contribs.append(val)
-        acc += val
-        if acc > 1.0 / quad.abs_tol:
-            converged = False
-            break
-    if converged and len(contribs) >= 3:
-        c1, c2, c3 = contribs[-3:]
-        if (
-            c3 >= 0.999 * c2
-            and c2 >= 0.999 * c1
-            and c3 > quad.rel_tol * max(acc, quad.abs_tol)
-        ):
-            converged = False
-    return acc, converged
-
-
-def _shell_segments(cfg: ChargeConfig, quad: QuadratureSpec, r_lo: float, r_hi: float) -> list:
-    """Radial segments of [r_lo, r_hi] around the centroid, split where
-    spheres start or stop intersecting the per-charge balls, so the only
-    discontinuities of the masked integrand sit on segment boundaries."""
-    center = cfg.centroid
-    cuts = {r_lo, r_hi}
-    for pos in cfg.positions:
-        d = float(np.linalg.norm(pos - center))
-        for c in (d - quad.ball_radius, d + quad.ball_radius):
-            if r_lo < c < r_hi:
-                cuts.add(c)
-    edges = sorted(cuts)
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _shell_energy_once(params, cfg, quad, r_lo, r_hi, n_mu, n_phi, radial_factor) -> float:
-    """One level of the shell quadrature, with the ball nodes masked out. A
-    segment starting beyond every ball (inner radius at least the farthest
-    charge's distance from the centroid plus ball_radius) has no node in a
-    ball and is passed whole without building the node-charge distances."""
-    center = cfg.centroid
-    dirs, w_ang = _sphere_rule(n_mu, n_phi)
-    clear_of_balls = float(np.max(np.linalg.norm(cfg.positions - center, axis=1))) + quad.ball_radius
-    total = 0.0
-    nodes = _RADIAL_NODES_PER_DECADE * radial_factor
-    for a, b in _shell_segments(cfg, quad, r_lo, r_hi):
-        if b - a <= 0.0:
-            continue
-        if a <= 1e-12 * r_hi:
-            rs, wr = _linear_radial_rule(a, b, 2 * nodes)
-        else:
-            rs, wr = _log_radial_rule(a, b, nodes)
-        pts = center[None, None, :] + rs[:, None, None] * dirs[None, :, :]
-        flat = pts.reshape(-1, 3)
-        if a >= clear_of_balls:
-            h = hamiltonian_on_points(params, cfg, flat)
-        else:
-            dist = np.linalg.norm(flat[:, None, :] - cfg.positions[None, :, :], axis=-1)
-            outside = np.all(dist > quad.ball_radius, axis=1)
-            h = np.zeros(len(flat))
-            if outside.all():
-                h = hamiltonian_on_points(params, cfg, flat)
-            elif outside.any():
-                h[outside] = hamiltonian_on_points(params, cfg, flat[outside])
-        total += float(np.einsum("r,a,ra->", wr, w_ang, h.reshape(len(rs), len(dirs))))
-    return total
-
-
-def _shell_energy(params, cfg, quad, r_lo, r_hi, rest: float) -> tuple[float, bool]:
-    """Bounded-shell integral, refined until two successive orders agree
-    within rel_tol of the energy they add to: rest, the energy accumulated
-    outside this shell, plus the shell (the far tail is held to the same
-    measure). Returns the value and whether they agreed; if they never do,
-    the last level and False."""
-    n_mu, n_phi = _SHELL_ANGULAR
-    prev = _shell_energy_once(params, cfg, quad, r_lo, r_hi, n_mu, n_phi, 1)
-    for level in range(1, quad.max_subdivisions + 1):
-        scale = level + 1
-        cur = _shell_energy_once(
-            params, cfg, quad, r_lo, r_hi, scale * n_mu, scale * n_phi, scale
-        )
-        if abs(cur - prev) <= quad.rel_tol * max(abs(rest + cur), quad.abs_tol):
-            return cur, True
-        prev = cur
-    return prev, False
-
-
 def default_probe_radii(ball_radius: float) -> np.ndarray:
     """Log-spaced radii between 1e-2 and 1e-4 ball radii, decreasing."""
     return ball_radius * np.geomspace(1e-2, 1e-4, 7)
@@ -382,9 +261,10 @@ def divergence_exponent_probe(cfg: ChargeConfig, params: ModelParams,
                               charge_index: int, radii: Sequence[float]) -> float:
     """Least-squares slope of log H against log r toward one charge.
 
-    Sampled along a fixed generic ray. A slope near -2 means the ball
-    integral of H converges; near -4 is the signature of the kappa = 0
-    dyon divergence.
+    Sampled along a fixed generic ray. A slope near -2 means the energy
+    integral converges at the charge; -3 or below means it diverges there
+    (total_energy draws the line at _DIVERGENT_SLOPE), and -4 is the
+    signature of the kappa = 0 dyon.
     """
     radii = np.asarray(radii, dtype=float)
     if len(radii) < 2 or np.any(np.diff(radii) >= 0.0):
@@ -398,77 +278,134 @@ def divergence_exponent_probe(cfg: ChargeConfig, params: ModelParams,
     return float(slope)
 
 
-def total_energy(cfg: ChargeConfig, params: ModelParams, quad: QuadratureSpec) -> EnergyReport:
-    """Total field energy, decomposed as per-charge balls + bounded shell
-    + analytic monopole far tail.
+def _becke_orders(level: int) -> tuple[int, int, int]:
+    """(radial, mu, phi) Gauss orders of an energy level: (24, 4, 8) times 1,
+    1.5, 2, 3, 4, 6, ..., growing by 3/2 and 4/3 in turn, so the orders
+    double every two levels and the work of level 8 stays near 3 million
+    nodes per centre."""
+    scale = (2 + level % 2) << (level // 2)
+    return 12 * scale, 2 * scale, 4 * scale
 
-    The tail beyond R is the monopole term (Q^2 + G^2)/(8 pi R) of the
-    leading Coulombic 1/r^4 density. It is exact to leading order, so what
-    is tested is its error, not its size: each doubling integrates the shell
-    [R, 2R] and compares it with the monopole's share (Q^2 + G^2)/(16 pi R).
-    Once they agree within rel_tol of the accumulated value, the tail takes
-    over at 2R; what it leaves out falls as R^-3 per doubling (the dipole
-    term), so the rest is below 1/7 of the last deviation. At least one
-    doubling is made, so a neutral configuration, whose tail is 0, still
-    integrates its dipole shell. After _MAX_TAIL_DOUBLINGS without agreement
-    the report has converged=False. Divergent ball integrals are
-    reported with converged=False and the fitted near-charge exponent;
-    the value is then the truncated accumulation, not an extrapolation.
-    A shell whose refinements never agree within max_subdivisions also
-    gives converged=False, with its last level in the value.
+
+def _radial_rule(n: int, r_m: float, exclusion: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre in x on (-1, 1) mapped onto r > exclusion by
+    r = exclusion + r_m ((1+x)/2)^2 (1+x)/(1-x): Becke's map (1+x)/(1-x)
+    times the factor ((1+x)/2)^alpha of Treutler & Ahlrichs, J. Chem. Phys.
+    102, 346 (1995), with alpha = 2. The far end keeps Becke's form, under
+    which a 1/r^4 density is smooth in x; the factor makes r vanish as
+    (1+x)^3 at a centre, where r^2 H may be a fractional power of r (r^-2/3
+    for the quadratic model). Weights include the jacobian and r^2."""
+    x, w = _gauss(n)
+    g = 0.25 * (1.0 + x) ** 3 / (1.0 - x)
+    r = exclusion + r_m * g
+    return r, w * r_m * g * (3.0 / (1.0 + x) + 1.0 / (1.0 - x)) * r * r
+
+
+def _becke_weights(cfg: ChargeConfig, index: int, pts: np.ndarray, exclusion: float) -> np.ndarray:
+    """Becke's fuzzy-cell weight of centre index at points of shape (N, 3).
+
+    w_i = P_i / sum_j P_j with P_j = prod_{k != j} s(mu_jk), where
+    mu_jk = (|x - x_j| - |x - x_k|) / |x_j - x_k| and s = (1 - p(p(p(mu))))/2,
+    p(mu) = 1.5 mu - 0.5 mu^3. The weights of all centres sum to 1; for one
+    centre w is exactly 1. A point within exclusion of any centre lies
+    outside the domain and gets 0.
+    """
+    if len(cfg) == 1:
+        return np.ones(len(pts))
+    pos = cfg.positions
+    dist = np.linalg.norm(pts[:, None, :] - pos[None, :, :], axis=-1)
+    sep = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    np.fill_diagonal(sep, 1.0)
+    cell = np.ones_like(dist)
+    for k in range(len(cfg)):
+        mu = (dist - dist[:, k:k + 1]) / sep[k]
+        mu[:, k] = -1.0            # s(-1) = 1: centre k has no factor of its own
+        for _ in range(3):
+            mu = 1.5 * mu - 0.5 * mu**3
+        cell *= 0.5 * (1.0 - mu)
+    w = cell[:, index] / cell.sum(axis=1)
+    w[np.any(dist <= exclusion, axis=1)] = 0.0
+    return w
+
+
+def _becke_level(params, cfg: ChargeConfig, quad: QuadratureSpec, level: int) -> tuple[list, int]:
+    """Each centre's integral of w_i H on its level grid, and the number of
+    nodes evaluated. Nodes of zero weight are not evaluated; the others go
+    to hamiltonian_on_points in chunks of at most _FLUX_CHUNK nodes."""
+    n_r, n_mu, n_phi = _becke_orders(level)
+    r, w_r = _radial_rule(n_r, _cell_scale(cfg), quad.exclusion)
+    dirs, w_ang = _sphere_rule(n_mu, n_phi)
+    cells, nodes = [], 0
+    for i, center in enumerate(cfg.positions):
+        cell = 0.0
+        for lo in range(0, n_r * len(dirs), _FLUX_CHUNK):
+            k_r, k_dir = np.divmod(np.arange(lo, min(lo + _FLUX_CHUNK, n_r * len(dirs))), len(dirs))
+            pts = center + r[k_r, None] * dirs[k_dir]
+            w = w_r[k_r] * w_ang[k_dir] * _becke_weights(cfg, i, pts, quad.exclusion)
+            keep = w != 0.0
+            nodes += int(np.count_nonzero(keep))
+            cell += float(w[keep] @ hamiltonian_on_points(params, cfg, pts[keep]))
+        cells.append(cell)
+    return cells, nodes
+
+
+def _near_exponent(cfg: ChargeConfig, params: ModelParams, quad: QuadratureSpec, index: int) -> float:
+    """divergence_exponent_probe at default_probe_radii(r) toward one centre,
+    or NaN if it fails, with r = min(ball_radius, (b (q^2 + g^2))^(1/4)) and
+    b the model's field scale (alpha for the quadratic model, else beta).
+    The centre's own Coulomb field has b D^2 = 1/(16 pi^2) at that r, so
+    the probe radii lie in its nonlinear core however far the neighbours."""
+    b = params.alpha if params.kind == QUADRATIC else params.beta
+    q, g = cfg.qs[index], cfg.gs[index]
+    r = min(quad.ball_radius, (b * (q * q + g * g)) ** 0.25)
+    try:
+        return divergence_exponent_probe(cfg, params, index, default_probe_radii(r))
+    except (QuadratureError, SingularPoint):
+        return math.nan
+
+
+def total_energy(cfg: ChargeConfig, params: ModelParams, quad: QuadratureSpec) -> EnergyReport:
+    """Total field energy over r > exclusion from every centre, by Becke's
+    fuzzy-cell quadrature (J. Chem. Phys. 88, 2547 (1988)).
+
+    The cell weights w_i sum to 1 (_becke_weights), so the energy is the sum
+    over centres of the integral of w_i H on a grid around centre i:
+    _radial_rule with r_m = _cell_scale(cfg), which reaches infinity (there
+    is no far tail), times _sphere_rule. All orders refine together
+    (_becke_orders) until two levels agree within rel_tol max(|E|, abs_tol);
+    after max_subdivisions refinements without agreement the report has
+    converged=False and the last level's value. The orders double every two
+    levels, so level L evaluates about 768 * 8^(L/2) nodes per centre: 3.1
+    million at level 8, 25 million at 10, 201 million at 12.
+
+    Divergence is detected, never extrapolated, from the near_charge_exponents
+    the report carries: the slope of log H against log r toward each centre
+    in its nonlinear core (_near_exponent). At _DIVERGENT_SLOPE (-2.95) or
+    below, r^2 H is not integrable at that centre (the kappa = 0 dyon gives
+    -4, a logarithmic divergence -3), so the energy of the field is infinite
+    whatever the exclusion: the report has converged=False and level 0's
+    value, without refinement. A slope that cannot be fitted (NaN) decides
+    nothing.
     """
     quad.validate_for(cfg)
-    balls = []
-    converged = True
-    for i in range(len(cfg)):
-        val, ok = _ball_energy(params, cfg, i, quad)
-        balls.append(val)
-        converged = converged and ok
+    exponents = tuple(_near_exponent(cfg, params, quad, i) for i in range(len(cfg)))
+    diverges = any(slope <= _DIVERGENT_SLOPE for slope in exponents)
 
-    exponents = []
-    for i in range(len(cfg)):
-        try:
-            exponents.append(divergence_exponent_probe(
-                cfg, params, i, default_probe_radii(quad.ball_radius)))
-        except (QuadratureError, SingularPoint):
-            exponents.append(float("nan"))
-
-    # the shell starts at the ball surface for a single charge (the centroid
-    # is the charge itself); with several charges it covers the whole
-    # interior with the balls masked out
-    r_start = quad.ball_radius if len(cfg) == 1 else 0.0
-    shell, ok = _shell_energy(params, cfg, quad, r_start, quad.far_radius, sum(balls))
-    converged = converged and ok
-
-    # the tail beyond R is monopole / R, half of it in [R, 2R]
-    monopole = (cfg.total_q**2 + cfg.total_g**2) / (8.0 * math.pi)
-    r_far = quad.far_radius
-    extensions = 0.0
-    for _ in range(_MAX_TAIL_DOUBLINGS):
-        extension, ok = _shell_energy(params, cfg, quad, r_far, 2.0 * r_far,
-                                      sum(balls) + shell + extensions)
-        extensions += extension
-        converged = converged and ok
-        deviation = extension - monopole / (2.0 * r_far)
-        r_far *= 2.0
-        tail = monopole / r_far
-        accumulated = sum(balls) + shell + extensions + tail
-        if abs(deviation) <= quad.rel_tol * max(abs(accumulated), quad.abs_tol):
+    cells, nodes = _becke_level(params, cfg, quad, 0)
+    levels, converged = 1, False
+    while not diverges and levels <= quad.max_subdivisions:
+        prev = sum(cells)
+        cells, added = _becke_level(params, cfg, quad, levels)
+        nodes += added
+        levels += 1
+        if abs(sum(cells) - prev) <= quad.rel_tol * max(abs(sum(cells)), quad.abs_tol):
+            converged = True
             break
-    else:
-        converged = False
-
-    value = sum(balls) + shell + extensions + tail
     return EnergyReport(
-        value=float(value),
+        value=sum(cells),
         converged=converged,
-        near_charge_exponents=tuple(exponents),
-        parts={
-            "balls": [float(v) for v in balls],
-            "shell": float(shell + extensions),
-            "tail": float(tail),
-            "far_radius_used": float(r_far),
-        },
+        near_charge_exponents=exponents,
+        parts={"cells": cells, "levels": levels, "nodes": nodes},
     )
 
 

@@ -8,9 +8,6 @@ determinism across reruns and thread counts, and the verify command.
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +25,7 @@ from bifield import (
     hamiltonian_at,
     magnetic_field,
 )
-from bifield import cli, continuous, observables
+from bifield import cli, continuous
 from bifield.constitutive import invert_rows
 from bifield.observables import density_rows
 from bifield.cli import (
@@ -140,24 +137,6 @@ def write_config(tmp_path, data, name="run.json"):
     return path
 
 
-def test_import_leaves_scipy_unloaded(tmp_path):
-    # scipy is imported by the gridded source, not by the package or by the
-    # radial sources: checked after the import and after loading a bump
-    bump = {"model": {"kind": "classical"},
-            "continuous": {"shape": "bump", "total": 2.0, "radius": 1.5}}
-    path = write_config(tmp_path, bump)
-    src = str(Path(bifield.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, bifield.cli\n"
-            "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "print(scipy())\n"
-            f"bifield.cli.load_config({str(path)!r})\n"
-            "print(scipy())\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["[]", "[]"]
-
-
 class TestConfigParsing:
     def test_round_trip_identity(self):
         cfg = parse_config(pair_config())
@@ -226,6 +205,10 @@ class TestConfigParsing:
         lambda d: d.update(continuous={"shape": "gaussian", "magnetic": "false"}),
         lambda d: d.update(quadrature={"flux_radii": [-20.0]}),
         lambda d: d.update(quadrature={"flux_radii": [0.0]}),
+        lambda d: d["model"].update(beta="2", kappa=True),
+        lambda d: d.update(charges=[{"pos": ["1", 0, False], "q": True}]),
+        lambda d: d["model"].update(beta="2"),
+        lambda d: d.update(charges=[{"pos": [1, 0, 0], "q": True}]),
     ])
     def test_invalid_configs_rejected(self, mutate):
         data = pair_config()
@@ -446,6 +429,25 @@ class TestGridChunks:
         if data["model"]["kind"] == "fractional_power":
             assert f"csv/{command}.errors.json" in runs[1]
 
+    def test_electric_sample_inverts_once(self, tmp_path, monkeypatch):
+        # eh_rows inverts every point of a logarithmic pair once, and the
+        # magnetic current reuses its E instead of inverting D again at the
+        # 727 regular points
+        data = pair_config(shape=(9, 9, 9))
+        data["model"] = {"kind": "logarithmic", "beta": 1.0}
+        calls = []
+        invert_rows = currents.invert_rows
+
+        def counting_rows(params, d, b):
+            calls.append(len(d))
+            return invert_rows(params, d, b)
+
+        monkeypatch.setattr(currents, "invert_rows", counting_rows)
+        path = write_config(tmp_path, data)
+        assert main(["sample", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert calls == [729]
+        assert read_report(tmp_path / "sample.report.json")["n_rows"] == 727
+
     def test_fd_current_makes_one_rows_call_per_chunk(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, fd_dyon_config(shape=(9, 9, 9)))
         calls = []
@@ -620,11 +622,14 @@ class TestEnergyCommand:
         assert report["converged"] is True
         assert report["value"] == pytest.approx(0.34868320668436725, rel=1e-4)
         assert report["near_charge_exponents"][0] == pytest.approx(-2.0, abs=0.05)
-        assert set(report["parts"]) == {"balls", "shell", "tail", "far_radius_used"}
+        assert set(report["parts"]) == {"cells", "levels", "nodes"}
+        assert report["value"] == sum(report["parts"]["cells"])
 
     def test_failed_probe_writes_null(self, tmp_path):
         # the near-charge probe radii of a 1e-6 ball fall inside the exclusion
-        # ball, so the exponent is NaN; the report must stay valid JSON
+        # ball, so the exponent is NaN; the report must stay valid JSON. The
+        # energy grid takes its scale from the charges, not from ball_radius,
+        # so the energy is the single charge's as with the default ball
         data = {
             "model": {"kind": "classical", "beta": 1.0},
             "charges": [{"pos": [0.0, 0.0, 0.0], "q": 1.0}],
@@ -635,7 +640,9 @@ class TestEnergyCommand:
         assert rc == EXIT_OK
         report = read_report(tmp_path / "energy.json")
         assert report["near_charge_exponents"] == [None]
-        assert math.isfinite(report["value"])
+        assert report["converged"] is True
+        # the scipy radial integral of the unit classical charge's energy
+        assert abs(report["value"] - 0.34868320668436725) <= 1e-4 * 0.34868320668436725
 
 
 # energy.json of two runs, pinned byte for byte: any change to the
@@ -646,14 +653,14 @@ GOLDEN_ENERGY = [
         "charges": [{"pos": [0.5622351776349419, 0.21169405914193606, 0.4196023808168503],
                      "q": 1.0}],
         "quadrature": {"rel_tol": 1e-05},
-    }, "73ddf35efaf14eb2cb278484db435aa1e13af3d68460ce074243fc91cc1b593d", id="energy-log-seed21"),
+    }, "3b91a6786d0a2af043b1cc6dbff1af7d520f062a2980b6ea052ffea01ecd564c", id="energy-log-seed21"),
     pytest.param({
         "model": {"kind": "classical", "beta": 1.0, "kappa": 0.6},
         "charges": [{"pos": [1.0, 0.0, 0.0], "q": 1.0, "g": 0.5},
                     {"pos": [-1.0, 0.5, 0.0], "q": -2.0, "g": 1.0},
                     {"pos": [0.0, -1.0, 0.3], "q": 0.5, "g": -0.7}],
         "quadrature": {"rel_tol": 1e-2, "max_subdivisions": 3},
-    }, "6907b1c2127f1f8d0f5e5844da682b1ebd5fc656eb8ed2f751184819e4902460",
+    }, "9fe3e101474764cd5135e04056736e761e3e8b31e311ddcdf2ddff4e7c407223",
         id="three-centre-classical-dyon-k0.6"),
 ]
 
@@ -681,23 +688,20 @@ def log_charge_energy(q: float, beta: float) -> float:
                for a, b in zip(edges[:-1], edges[1:]))
 
 
-def test_energy_log_stops_after_one_doubling(tmp_path, monkeypatch):
-    # the monopole tail of one charge is exact to leading order, so one
-    # doubling [R, 2R] shows it accurate: two levels of the shell and two of
-    # the doubling
+def test_energy_log_converges_at_level_one(tmp_path):
+    # r^2 H of one logarithmic charge is smooth in the mapped radial
+    # variable, so levels 0 and 1 (24 and 36 radial nodes on 4x8 and 6x12
+    # directions) already agree within rel_tol; level 1 misses the radial
+    # integral, which starts at r = 0, by the exclusion ball's 1.4e-8
     data = GOLDEN_ENERGY[0].values[0]
-    calls = []
-    once = observables._shell_energy_once
-    monkeypatch.setattr(observables, "_shell_energy_once",
-                        lambda *args: calls.append(args[3:5]) or once(*args))
     path = write_config(tmp_path, data)
     assert main(["energy", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
     report = read_report(tmp_path / "energy.json")
-    assert len(calls) == 4
     assert report["converged"] is True
-    assert report["parts"]["far_radius_used"] == 2.0 * calls[0][1]
+    assert report["parts"]["levels"] == 2
+    assert report["parts"]["nodes"] == 24 * 32 + 36 * 72
     ref = log_charge_energy(data["charges"][0]["q"], data["model"]["beta"])
-    assert abs(report["value"] - ref) <= data["quadrature"]["rel_tol"] * ref
+    assert abs(report["value"] - ref) <= 1e-7 * ref
 
 
 class TestStrictJson:

@@ -6,9 +6,16 @@ module's __all__ is defined or imported at module level, and every
 module-level private function is referenced somewhere in src/ or tests/
 outside its own body. A refactor that moves work elsewhere fails here if it
 leaves the old import or helper behind, or an export of a deleted function.
+
+scipy stays out of the command line's import and its energy command: a
+fresh process pays ~0.7 s to import it, in set-up or in the run.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,3 +105,25 @@ def test_private_functions_are_referenced():
     refs = _references()
     dead = [f"{module}:{name}" for module, name in _private_functions() if name not in refs]
     assert dead == []
+
+
+def test_cli_leaves_scipy_unloaded(tmp_path):
+    # scipy is imported by the gridded source only: not by the package, nor
+    # by loading a radial source, nor by the energy command
+    bump = tmp_path / "bump.json"
+    bump.write_text(json.dumps({"model": {"kind": "classical"},
+                                "continuous": {"shape": "bump", "total": 2.0, "radius": 1.5}}))
+    charge = tmp_path / "charge.json"
+    charge.write_text(json.dumps({"model": {"kind": "logarithmic"},
+                                  "charges": [{"pos": [0.0, 0.0, 0.0], "q": 1.0}]}))
+    code = ("import sys, bifield.cli\n"
+            "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy())\n"
+            f"bifield.cli.load_config({str(bump)!r})\n"
+            "print(scipy())\n"
+            f"bifield.cli.main(['energy', '--config', {str(charge)!r}, '--out-dir', {str(tmp_path)!r}])\n"
+            "print(scipy())\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert [line for line in out.stdout.split() if line.startswith("[")] == ["[]"] * 3

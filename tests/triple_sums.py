@@ -17,11 +17,6 @@ rows field once per refinement level; pointwise turns a per-point field
 into such a rows field. eh_pointwise is E and H from one call per point of
 the scalar oracle's dyonic_eh (scalar_inversions), the reference for
 bifield.currents.eh_field.
-
-_shell_energy_once is the bounded-shell quadrature level that gathers the
-nodes outside the per-charge balls on every segment, the reference for
-bifield.observables._shell_energy_once, which passes a segment whole when
-no ball masks any of its nodes.
 """
 
 import math
@@ -32,15 +27,7 @@ import numpy as np
 from bifield.constitutive import rowdot
 from bifield.errors import QuadratureError
 from bifield.models import ModelParams
-from bifield.observables import (
-    _RADIAL_NODES_PER_DECADE,
-    QuadratureSpec,
-    _linear_radial_rule,
-    _log_radial_rule,
-    _shell_segments,
-    _sphere_rule,
-    hamiltonian_on_points,
-)
+from bifield.observables import QuadratureSpec, _sphere_rule
 from bifield.sources import FOUR_PI, ChargeConfig, _batch_coulomb, _db_weights, as_vec3
 from scalar_inversions import dyonic_eh, electrostatic_e
 
@@ -333,26 +320,3 @@ def flux_charge_pointwise(field: Callable, R: float, quad: QuadratureSpec,
         n_mu *= 2
         n_phi *= 2
     raise QuadratureError(f"flux quadrature did not stabilize at R={R!r}")
-
-
-def _shell_energy_once(params, cfg, quad, r_lo, r_hi, n_mu, n_phi, radial_factor) -> float:
-    center = cfg.centroid
-    dirs, w_ang = _sphere_rule(n_mu, n_phi)
-    total = 0.0
-    nodes = _RADIAL_NODES_PER_DECADE * radial_factor
-    for a, b in _shell_segments(cfg, quad, r_lo, r_hi):
-        if b - a <= 0.0:
-            continue
-        if a <= 1e-12 * r_hi:
-            rs, wr = _linear_radial_rule(a, b, 2 * nodes)
-        else:
-            rs, wr = _log_radial_rule(a, b, nodes)
-        pts = center[None, None, :] + rs[:, None, None] * dirs[None, :, :]
-        flat = pts.reshape(-1, 3)
-        dist = np.linalg.norm(flat[:, None, :] - cfg.positions[None, :, :], axis=-1)
-        outside = np.all(dist > quad.ball_radius, axis=1)
-        h = np.zeros(len(flat))
-        if np.any(outside):
-            h[outside] = hamiltonian_on_points(params, cfg, flat[outside])
-        total += float(np.einsum("r,a,ra->", wr, w_ang, h.reshape(len(rs), len(dirs))))
-    return total
