@@ -607,19 +607,17 @@ def _cmd_charge(cfg: RunConfig, args) -> int:
     else:
         radii = [quad.far_radius * 2.0**k for k in range(4)]
 
-    eh = eh_field(params, charges)
     head = _report_head(cfg, args.effective_seed)
     try:
-        free = free_charge_with_inner_spheres(charges, params, quad)
-        fluxes = [flux_charge(eh, r, quad, center=charges.centroid) for r in radii]
-        ladder = [{"radius": float(r), "e_flux": float(e), "h_flux": float(h)}
-                  for r, (e, h) in zip(radii, fluxes)]
+        free = free_charge_with_inner_spheres(charges, params, quad, radii)
     except FieldError as exc:
         path = _emit_failures(args.out_dir, "charge", head,
                               [{"error": type(exc).__name__, "detail": str(exc)}])
         print(f"charge computation failed, see {path}", file=sys.stderr)
         return EXIT_NUMERIC
     _emit_failures(args.out_dir, "charge", head, [])
+    ladder = [{"radius": float(r), "e_flux": e, "h_flux": h}
+              for r, (e, h) in zip(radii, free["ladder"])]
 
     payload = dict(head)
     payload.update({

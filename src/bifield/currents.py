@@ -342,17 +342,19 @@ def fd_div(field: Callable, x, step: Optional[float] = None, richardson: bool = 
 
 def eh_rows(params: ModelParams, cfg: ChargeConfig, pts):
     """The inverted state of the multicentred solution at points of shape
-    (N, 3): (D, B, E, H, s, code, errors), from one Coulomb pass over the
-    regular rows and one invert_rows call over all rows. A row inside an
+    (N, 3): (D, B, E, H, s, code, errors), from one Coulomb pass (the
+    offsets that decide the exclusion balls also give D and B on the
+    regular rows) and one invert_rows call over all rows. A row inside an
     exclusion ball carries D = B = 0 and keeps its SingularPoint; a point
     fails with its first failure in the order singular, inversion.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     code = np.zeros(len(pts), dtype=np.int64)
     errors: list = []
-    idx = mark_singular(cfg, pts, code, errors)
+    rs, dist, inside = _coulomb_offsets(cfg, pts, mask=True)
+    idx = mark_singular(cfg, pts, code, errors, inside)
     d, b = np.zeros_like(pts), np.zeros_like(pts)
-    d[idx], b[idx] = _batch_coulomb(cfg, _db_weights(cfg), pts[idx])
+    d[idx], b[idx] = _superpose(_db_weights(cfg), rs[idx], dist[idx])
     e, h, s, inv_code, inv_errors = invert_rows(params, d, b)
     merge_failures(code, errors, np.arange(len(pts)), inv_code, inv_errors)
     return d, b, e, h, s, code, errors

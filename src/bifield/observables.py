@@ -40,6 +40,7 @@ __all__ = [
     "density_rows",
     "total_energy",
     "flux_charge",
+    "flux_spheres",
     "free_charge_with_inner_spheres",
     "divergence_exponent_probe",
     "default_probe_radii",
@@ -412,6 +413,93 @@ def total_energy(cfg: ChargeConfig, params: ModelParams, quad: QuadratureSpec) -
 # -- flux charges --------------------------------------------------------------
 
 
+class _FluxSphere:
+    """One sphere's refinement in flux_spheres: its nodes at a level and the
+    level-to-level test, each stacked component kept from the level at
+    which it converged."""
+
+    def __init__(self, center, R):
+        self.center, self.R = as_vec3(center), R
+        self.prev = self.flux = self.done = self.shape = None
+
+    def nodes(self, dirs: np.ndarray) -> np.ndarray:
+        return self.center + self.R * dirs
+
+    def take(self, vals: np.ndarray, dirs: np.ndarray, w_ang: np.ndarray,
+             quad: QuadratureSpec) -> bool:
+        """Add one level's field values at nodes(dirs); True once every
+        component has converged."""
+        rows = vals.reshape(len(dirs), -1, 3)
+        # rowdot rounds each normal component like a scalar 3-term dot, so a
+        # stacked field keeps the bits of separate ones
+        normal = np.array([rowdot(rows[:, m], dirs) for m in range(rows.shape[1])])
+        cur = np.array([self.R**2 * float(w_ang @ row) for row in normal])
+        if self.prev is None:
+            self.flux, self.done = cur.copy(), np.zeros(len(cur), dtype=bool)
+            self.shape = vals.shape[1:-1]
+        else:
+            fresh = ~self.done & (np.abs(cur - self.prev)
+                                  <= quad.rel_tol * np.maximum(np.abs(cur), quad.abs_tol))
+            self.flux[fresh] = cur[fresh]
+            self.done |= fresh
+            if np.all(self.done):
+                return True
+        self.prev = cur
+        return False
+
+    def result(self) -> float | np.ndarray:
+        return float(self.flux[0]) if self.shape == () else self.flux.reshape(self.shape)
+
+
+def _field_on(field: Callable, spheres: list, dirs: np.ndarray) -> np.ndarray:
+    """field at the nodes of each sphere in directions dirs, sphere-major,
+    in chunks of at most _FLUX_CHUNK nodes. A lone sphere's nodes are formed
+    chunk by chunk: its level may hold millions."""
+    if len(spheres) > 1:
+        pts = np.concatenate([s.nodes(dirs) for s in spheres])
+        chunks = (pts[lo:lo + _FLUX_CHUNK] for lo in range(0, len(pts), _FLUX_CHUNK))
+    else:
+        chunks = (spheres[0].nodes(dirs[lo:lo + _FLUX_CHUNK])
+                  for lo in range(0, len(dirs), _FLUX_CHUNK))
+    return np.concatenate([np.asarray(field(c), dtype=float) for c in chunks])
+
+
+def flux_spheres(field: Callable, centres, radii, quad: QuadratureSpec) -> list:
+    """Fluxes of a vector field through K spheres, centres (K, 3) and
+    radii (K,), each as flux_charge computes it alone.
+
+    Levels with fewer nodes per sphere than _FLUX_CHUNK (the 8x16 to 64x128
+    levels) are shared: the nodes of every sphere still refining go through
+    field together, sphere-major and in chunks of at most _FLUX_CHUNK. A
+    sphere leaves once all its components have converged. From the first
+    level that fills a chunk, the spheres left refine one at a time in
+    order, so a sphere that cannot converge raises before any later sphere
+    evaluates a chunk-sized level. Returns one flux (float or array) per
+    sphere. Raises what field raises (at a shared level, for the first
+    failing node in sphere order), or QuadratureError naming the first
+    sphere in order that did not converge within max_subdivisions
+    doublings.
+    """
+    spheres = [_FluxSphere(c, R) for c, R in zip(centres, radii)]
+    live, n_mu, n_phi, level = spheres, 8, 16, 0
+    while live and level <= quad.max_subdivisions and n_mu * n_phi < _FLUX_CHUNK:
+        dirs, w_ang = _sphere_rule(n_mu, n_phi)
+        vals = _field_on(field, live, dirs)
+        live = [s for s, v in zip(live, np.split(vals, len(live)))
+                if not s.take(v, dirs, w_ang, quad)]
+        level, n_mu, n_phi = level + 1, 2 * n_mu, 2 * n_phi
+    for s in live:
+        m, n = n_mu, n_phi
+        for _ in range(level, quad.max_subdivisions + 1):
+            dirs, w_ang = _sphere_rule(m, n)
+            if s.take(_field_on(field, [s], dirs), dirs, w_ang, quad):
+                break
+            m, n = 2 * m, 2 * n
+        else:
+            raise QuadratureError(f"flux quadrature did not stabilize at R={s.R!r}")
+    return [s.result() for s in spheres]
+
+
 def flux_charge(field: Callable, R: float, quad: QuadratureSpec,
                 center=(0.0, 0.0, 0.0)) -> float | np.ndarray:
     """Flux of a vector field through the sphere of radius R.
@@ -422,48 +510,33 @@ def flux_charge(field: Callable, R: float, quad: QuadratureSpec,
     _FLUX_CHUNK nodes on finer levels). The fluxes have shape (...), one per
     stacked component, each kept from the level at which it converged;
     (M, 3) values give a float. Raises QuadratureError if max_subdivisions
-    doublings do not converge.
+    doublings do not converge. The one-sphere case of flux_spheres.
     """
-    center = as_vec3(center)
-    n_mu, n_phi = 8, 16
-    prev = flux = done = None
-    for _ in range(quad.max_subdivisions + 1):
-        dirs, w_ang = _sphere_rule(n_mu, n_phi)
-        chunks = np.split(dirs, range(_FLUX_CHUNK, len(dirs), _FLUX_CHUNK))
-        vals = np.concatenate([np.asarray(field(center + R * d), dtype=float) for d in chunks])
-        rows = vals.reshape(len(dirs), -1, 3)
-        # rowdot rounds each normal component like a scalar 3-term dot, so a
-        # stacked field keeps the bits of separate ones
-        normal = np.array([rowdot(rows[:, m], dirs) for m in range(rows.shape[1])])
-        cur = np.array([R**2 * float(w_ang @ row) for row in normal])
-        if prev is None:
-            flux, done = cur.copy(), np.zeros(len(cur), dtype=bool)
-        else:
-            fresh = ~done & (np.abs(cur - prev) <= quad.rel_tol * np.maximum(np.abs(cur), quad.abs_tol))
-            flux[fresh] = cur[fresh]
-            done |= fresh
-            if np.all(done):
-                return float(flux[0]) if vals.ndim == 2 else flux.reshape(vals.shape[1:-1])
-        prev = cur
-        n_mu, n_phi = 2 * n_mu, 2 * n_phi
-    raise QuadratureError(f"flux quadrature did not stabilize at R={R!r}")
+    return flux_spheres(field, [center], [R], quad)[0]
 
 
 def free_charge_with_inner_spheres(cfg: ChargeConfig, params: ModelParams,
-                                   quad: QuadratureSpec) -> dict:
+                                   quad: QuadratureSpec, ladder_radii: Sequence[float] = ()) -> dict:
     """Free charges as outer flux minus the sum of fluxes through small
     spheres hugging each charge.
 
     The inner spheres capture the point-like singular content of E and H
     (for classical kappa = 0 dyons, |g_i| sgn(q_i) and |q_i| sgn(g_i)), so
     q_free reproduces sum(q_i) - sum(|g_i| sgn(q_i)) and g_free its mirror.
+    The (E, H) fluxes through spheres of ladder_radii about the centroid
+    come as "ladder", from the same flux_spheres call: the outer sphere,
+    the inner spheres in charge order, then the ladder.
     """
     quad.validate_for(cfg)
-    eh = eh_field(params, cfg)
-    free = flux_charge(eh, quad.far_radius, quad, center=cfg.centroid)
-    for pos in cfg.positions:
-        free = free - flux_charge(eh, 2.0 * quad.exclusion, quad, center=pos)
-    return {"q_free": float(free[0]), "g_free": float(free[1])}
+    inner = len(cfg)
+    centres = [cfg.centroid, *cfg.positions] + [cfg.centroid] * len(ladder_radii)
+    radii = [quad.far_radius] + [2.0 * quad.exclusion] * inner + list(ladder_radii)
+    fluxes = flux_spheres(eh_field(params, cfg), centres, radii, quad)
+    free = fluxes[0]
+    for flux in fluxes[1:1 + inner]:
+        free = free - flux
+    return {"q_free": float(free[0]), "g_free": float(free[1]),
+            "ladder": [(float(e), float(h)) for e, h in fluxes[1 + inner:]]}
 
 
 # -- residual suite ------------------------------------------------------------

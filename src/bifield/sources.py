@@ -172,11 +172,15 @@ def _singular(cfg: ChargeConfig, x: np.ndarray, j) -> SingularPoint:
     )
 
 
-def mark_singular(cfg: ChargeConfig, pts: np.ndarray, code: np.ndarray, errors: list) -> np.ndarray:
+def mark_singular(cfg: ChargeConfig, pts: np.ndarray, code: np.ndarray, errors: list,
+                  inside: np.ndarray | None = None) -> np.ndarray:
     """Fail each point strictly inside an exclusion ball with the
     SingularPoint _coulomb_offsets raises for it alone (see errors.fail_rows
-    for code and errors); returns the indices of the other points."""
-    inside = _coulomb_offsets(cfg, pts, mask=True)[2]
+    for code and errors); returns the indices of the other points. inside
+    is the (N, n) mask of _coulomb_offsets(cfg, pts, mask=True) when the
+    caller has it."""
+    if inside is None:
+        inside = _coulomb_offsets(cfg, pts, mask=True)[2]
     bad = inside.any(axis=1)
     fail_rows(code, errors, bad, lambda i: _singular(cfg, pts[i], int(np.argmax(inside[i]))))
     return np.flatnonzero(~bad)

@@ -564,9 +564,9 @@ class TestChargeCommand:
 
     def test_sphere_nodes_invert_once(self, tmp_path, monkeypatch):
         # logarithmic unit charge off the origin, rel_tol 1e-5, --R 50: six
-        # sphere quadratures (outer, inner, four ladder radii), each stopping
-        # at its 16x32 level, i.e. one inversion call per sphere and level
-        # on its 128 or 512 nodes
+        # spheres (outer, inner, four ladder radii), each stopping at its
+        # 16x32 level, share one inversion call per level: 6 x 128 nodes,
+        # then 6 x 512
         data = {
             "model": {"kind": "logarithmic", "beta": 1.0, "kappa": 0.0},
             "charges": [{"pos": [0.023643249400513433, 0.9009273926518706,
@@ -584,7 +584,7 @@ class TestChargeCommand:
         rc = main(["charge", "--config", str(path), "--out-dir", str(tmp_path),
                    "--R", "50", "--format", "json"])
         monkeypatch.undo()
-        assert rc == EXIT_OK and calls == [128, 512] * 6
+        assert rc == EXIT_OK and calls == [768, 3072]
 
         # reference: separate quadratures of E-only and H-only fields
         cfg = parse_config(data)

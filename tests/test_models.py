@@ -59,6 +59,17 @@ class TestFrozenValues:
         assert m.f_prime(1.0) == pytest.approx(2.0, rel=1e-14)
         assert m.f_double_prime(1.0) == pytest.approx(1.0, rel=1e-14)
 
+    def test_fractional_f_does_not_cancel_at_small_s(self):
+        # the power form ((1 + s/2)^2 - 1) rounds 1 + s/2 first and read
+        # f(1e-15) = 8.9e-16 and f(3e-19) = 0; f = s + s^2/4 at p = 2
+        m = ModelParams.fractional_power(beta=1.0, p=2.0)
+        for s in (1e-15, 3e-19):
+            assert m.f(s) == pytest.approx(s + 0.25 * s * s, rel=4e-16)
+            assert m.derivative_rows(np.array([s]), 0)[0] == m.f(s)
+        assert ModelParams.fractional_power(beta=1.0, p=1.5).f(3e-19) == pytest.approx(3e-19, rel=4e-16)
+        # a nonpositive base (integer p only) keeps the power form
+        assert m.f(-3.0) == -0.75 and m.f(-2.0) == -1.0
+
     def test_maxwell_is_p_equal_one(self):
         m = ModelParams.fractional_power(beta=3.0, p=1.0)
         for s in (-2.0, 0.0, 1.7):

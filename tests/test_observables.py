@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bifield import cli, constitutive, observables
+from bifield import cli, constitutive, currents, observables
 from bifield.errors import (
     ConfigError, DomainViolation, FieldError, InversionFailure, QuadratureError, SingularPoint,
 )
@@ -31,6 +31,7 @@ from bifield.observables import (
     density_rows,
     divergence_exponent_probe,
     flux_charge,
+    flux_spheres,
     free_charge_with_inner_spheres,
     hamiltonian_at,
     hamiltonian_on_points,
@@ -357,9 +358,10 @@ def radial_energy_oracle(params, q, g, exclusion):
         r = math.exp(t)
         return 4.0 * math.pi * r**3 * hamiltonian_at(params, cfg, r * ray)
 
-    # full_output: rounding noise in the density (the fractional model's f
-    # cancels far out) stops quad short of 1e-9 with a warning; limit bounds
-    # its evaluations, and moves the sum by ~2e-9 of the value against 200
+    # full_output: rounding noise in the density (E^2 f' - f cancels far
+    # out, where H ~ E^2 / 2) stops quad short of 1e-9 with a warning; limit
+    # bounds its evaluations, and moves the sum by ~2e-9 of the value
+    # against 200
     edges = np.log(np.geomspace(exclusion, 1e12, 21))
     return sum(quad(integrand, a, b, epsabs=1e-11, epsrel=1e-9, limit=10, full_output=1)[0]
                for a, b in zip(edges[:-1], edges[1:]))
@@ -757,6 +759,18 @@ def flux_outcome(flux, field, R, quad, center):
         return type(exc), str(exc)
 
 
+def spheres_outcome(field, spheres, quad):
+    """flux_spheres over (R, center) pairs, or what it raised, as flux_outcome."""
+    try:
+        return flux_spheres(field, [c for _, c in spheres], [R for R, _ in spheres], quad)
+    except (FieldError, QuadratureError) as exc:
+        return type(exc), str(exc)
+
+
+def same_outcome(got, want) -> bool:
+    return np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
 class TestFluxRowsAgainstPointwise:
     """flux_charge on the rows field eh_field against the per-node oracle
     flux_charge_pointwise on eh_pointwise, bit for bit."""
@@ -779,10 +793,23 @@ class TestFluxRowsAgainstPointwise:
         eh, oracle = eh_field(params, cfg), eh_pointwise(params, cfg)
         spheres = [(50.0, cfg.centroid), (2.0, cfg.centroid),
                    (0.05, cfg.positions[0]), (4.0, (0.5, 0.2, -0.3))]
-        for R, center in spheres:
-            got = flux_outcome(flux_charge, eh, R, quad, center)
-            want = flux_outcome(flux_charge_pointwise, oracle, R, quad, center)
-            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, R
+        wants = [flux_outcome(flux_charge_pointwise, oracle, R, quad, center)
+                 for R, center in spheres]
+        for (R, center), want in zip(spheres, wants):
+            assert same_outcome(flux_outcome(flux_charge, eh, R, quad, center), want), R
+        # the four spheres through one flux_spheres call: it raises the
+        # first failure in sphere order, and the spheres that converge keep
+        # the oracle's bits in a call of their own
+        failures = [w for w in wants if isinstance(w, tuple)]
+        got = spheres_outcome(eh, spheres, quad)
+        if failures:
+            assert got == failures[0]
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, wants))
+        ok = [(sphere, w) for sphere, w in zip(spheres, wants) if isinstance(w, np.ndarray)]
+        fluxes = spheres_outcome(eh, [sphere for sphere, _ in ok], quad)
+        assert len(fluxes) == len(ok) >= 3
+        assert all(np.array_equal(g, w) for g, (_, w) in zip(fluxes, ok))
 
     def test_stacked_components_converge_at_own_levels(self):
         # E and H of the dyon next to the D of a centred unit charge, which
@@ -817,6 +844,57 @@ class TestFluxRowsAgainstPointwise:
         monkeypatch.setattr(observables, "_FLUX_CHUNK", 100)
         assert np.array_equal(flux_charge(counted, 2.0, quad), whole)
         assert calls[:3] == [100, 28, 100] and max(calls) == 100
+
+    def test_shared_levels_split_into_chunks(self, monkeypatch):
+        # with 1000-node chunks the 128- and 512-node levels of three
+        # spheres are shared, sphere-major: 384 nodes, then 1536 in two
+        # chunks; the one sphere left after that refines alone, its
+        # 2048-node level in three chunks
+        eh = eh_field(ModelParams.logarithmic(beta=1.0), self.dyon)
+        quad = QuadratureSpec.for_config(self.dyon)
+        spheres = [(2.0, self.dyon.centroid), (0.05, self.dyon.positions[1]),
+                   (4.0, (0.5, 0.2, -0.3))]
+        alone = [flux_charge(eh, R, quad, center=c) for R, c in spheres]
+        calls = []
+
+        def counted(pts):
+            calls.append(len(pts))
+            return eh(pts)
+
+        monkeypatch.setattr(observables, "_FLUX_CHUNK", 1000)
+        fluxes = spheres_outcome(counted, spheres, quad)
+        assert all(np.array_equal(f, a) for f, a in zip(fluxes, alone))
+        assert calls == [384, 1000, 536, 1000, 1000, 48]
+
+    def test_unconverged_sphere_stops_before_later_spheres_refine(self, monkeypatch):
+        # the inner spheres of the classical kappa = 0.6 dyon do not
+        # converge: the first one raises what flux_charge raises for it
+        # alone (the outer sphere before it converges), and no sphere after
+        # it evaluates a level of _FLUX_CHUNK nodes
+        params = ModelParams.classical(beta=1.0, kappa=0.6)
+        quad = dataclasses.replace(QuadratureSpec.for_config(self.dyon), max_subdivisions=5)
+        eh = eh_field(params, self.dyon)
+        R, first = 2.0 * quad.exclusion, self.dyon.positions[0]
+        assert isinstance(flux_charge(eh, quad.far_radius, quad, center=self.dyon.centroid),
+                          np.ndarray)
+        want = flux_outcome(flux_charge, eh, R, quad, first)
+        assert want[0] is QuadratureError
+        calls = []
+
+        def counted(params, cfg, pts):
+            calls.append(np.array(pts))
+            return eh_rows(params, cfg, pts)
+
+        monkeypatch.setattr(currents, "eh_rows", counted)
+        with pytest.raises(QuadratureError, match=re.escape(want[1])):
+            free_charge_with_inner_spheres(self.dyon, params, quad, [20.0, 40.0, 80.0, 160.0])
+        # levels 0-3 of the eight spheres are one call each; from level 4
+        # on, only the first inner sphere is refined
+        sizes = [len(c) for c in calls]
+        assert sizes[:4] == [8 * 128, 8 * 512, 3 * 2048, 3 * 8192]
+        assert sizes[4:] == [32768] * 5
+        for pts in calls[4:]:
+            assert np.allclose(np.linalg.norm(pts - first, axis=1), R, rtol=1e-6, atol=0.0)
 
     def test_failing_inner_sphere_raises_the_oracle_failure(self):
         # a magnetic charge in the p = 1.5 fractional model: close to it the
