@@ -13,16 +13,17 @@ are aggregated with their locations instead of aborting at the first one).
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -934,13 +935,6 @@ def _cmd_verify(cfg: Optional[RunConfig], args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with its own code 2 on usage errors; route them through
-    # the config-error path instead so exit codes keep their meaning
-    def error(self, message):
-        raise ConfigError(message)
-
-
 _COMMANDS = {
     "sample": _cmd_sample,
     "charge": _cmd_charge,
@@ -960,34 +954,121 @@ _HELP = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bifield", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
-    common = _Parser(add_help=False)
-    common.add_argument("--config", type=Path, default=None,
-                        help="JSON run configuration")
-    common.add_argument("--out-dir", type=Path, default=Path("."),
-                        help="directory for outputs (created if missing)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; grids are evaluated "
-                             "in one thread")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="override the config output format")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name, parents=[common], help=_HELP[name])
-        if name == "charge":
-            cmd.add_argument("--R", type=float, default=None,
-                             help="base radius of the flux ladder (R, 2R, 4R, 8R)")
-    return parser
+def _output_format(value: str) -> str:
+    if value not in ("csv", "json"):
+        raise ValueError("expected csv or json")
+    return value
+
+
+# the flags of a command: converter, default and help; the namespace field
+# is the flag without its dashes, '-' read as '_'. --R is charge's alone.
+_OPTIONS = {
+    "--config": (Path, None, "JSON run configuration"),
+    "--out-dir": (Path, Path("."), "directory for outputs (created if missing)"),
+    "--seed": (int, None, "override the config seed"),
+    "--threads": (int, 1, "accepted for compatibility; grids are evaluated in one thread"),
+    "--format": (_output_format, None, "override the config output format: csv or json"),
+    "--R": (float, None, "base radius of the flux ladder (R, 2R, 4R, 8R)"),
+}
+_HELP_FLAGS = ("-h", "--help")
+_TOP_FLAGS = _HELP_FLAGS + ("--version",)
+# a dash token that names no flag is still a value when it reads as a
+# negative number or holds a space
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _field(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _command_flags(command: str) -> tuple:
+    return _HELP_FLAGS + tuple(f for f in _OPTIONS if f != "--R" or command == "charge")
+
+
+def _read_flag(token: str, flags) -> Optional[tuple]:
+    """(flag, value) when token is a flag, None when it is a value. flag is
+    the one of flags that token names whole or by a unique prefix, "" when
+    it names none; value is the text after its '=', or None."""
+    if not token.startswith("-") or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    value = value if eq else None
+    if name in flags:
+        return name, value
+    if token.startswith("--") and len(name) > 2:
+        hits = [f for f in flags if f.startswith(name)]
+        if len(hits) > 1:
+            raise ConfigError(f"ambiguous flag {name}: {', '.join(hits)}")
+        if hits:
+            return hits[0], value
+    if _NEGATIVE.fullmatch(token) or " " in token:
+        return None
+    return "", None
+
+
+def _usage(command: Optional[str]) -> str:
+    """The help text of the command line, or of one command."""
+    rows = [("-h, --help", "show this help and exit")]
+    if command is None:
+        usage, about = "bifield [-h] [--version] COMMAND [FLAGS]", __doc__.splitlines()[0]
+        rows = [*_HELP.items(), *rows, ("--version", "show the version and exit")]
+        tail = ["", "`bifield COMMAND -h` lists the flags of a command."]
+    else:
+        flags = [f"{f} {_field(f).upper()}" for f in _command_flags(command)[len(_HELP_FLAGS):]]
+        usage = f"bifield {command} [-h] " + " ".join(f"[{f}]" for f in flags)
+        about, tail = _HELP[command], []
+        rows += [(f, _OPTIONS[f.split()[0]][2]) for f in flags]
+    return "\n".join([f"usage: {usage}", "", about, ""] + [f"  {a:<20}{b}" for a, b in rows] + tail)
+
+
+def parse_args(argv) -> SimpleNamespace | str:
+    """The namespace of a command line (command, config, out_dir, seed,
+    threads, format, R), or the help or version text to print instead.
+
+    argv[0] is a command, or -h/--help, or --version; the command's flags
+    follow it. A flag is given whole or by a unique prefix, with its value
+    as the next token or after '='; a repeated flag keeps its last value.
+    Help and version and a bad value act where they stand, tokens that are
+    no flag of the command fail at the end. Every rejection is a
+    ConfigError.
+    """
+    args = SimpleNamespace(command=None, **{_field(f): spec[1] for f, spec in _OPTIONS.items()})
+    flags, stray = _TOP_FLAGS, []
+    tokens = iter(argv)
+    for token in tokens:
+        flag, value = _read_flag(token, flags) or (None, None)
+        if flag is None and args.command is None:
+            if token not in _COMMANDS:
+                raise ConfigError(f"unknown command {token!r}, expected one of {', '.join(_COMMANDS)}")
+            args.command, flags = token, _command_flags(token)
+        elif not flag:
+            stray.append(token)
+        elif flag in _TOP_FLAGS:
+            if value is not None:
+                raise ConfigError(f"{flag} takes no value")
+            return f"bifield {__version__}" if flag == "--version" else _usage(args.command)
+        else:
+            if value is None:
+                value = next(tokens, None)
+                if value is None or _read_flag(value, flags) is not None:
+                    raise ConfigError(f"{flag} needs a value")
+            try:
+                setattr(args, _field(flag), _OPTIONS[flag][0](value))
+            except ValueError as exc:
+                raise ConfigError(f"{flag} {value!r}: {exc}") from None
+    if args.command is None:
+        raise ConfigError(f"no command given, expected one of {', '.join(_COMMANDS)}")
+    if stray:
+        raise ConfigError(f"unrecognized arguments: {' '.join(stray)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            print(args)
+            return EXIT_OK
         cfg = None
         if args.config is not None:
             cfg = load_config(args.config)
@@ -999,7 +1080,10 @@ def main(argv=None) -> int:
         args.effective_format = args.format if args.format is not None else (
             cfg.out_format if cfg is not None else "csv"
         )
-        args.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out-dir {args.out_dir}: {exc.strerror or exc}") from None
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -106,7 +106,7 @@ class CurrentRows:
 def _field_and_gradient(cfg: ChargeConfig, weights: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
     """F and grad(F^2) of one Coulomb superposition at the point x, as
     one-row arrays; weights of shape (m, n) give m of each."""
-    return _coulomb_gradient(cfg, weights, as_vec3(x)[None, :])
+    return _coulomb_gradient(weights, *_coulomb_offsets(cfg, as_vec3(x)[None, :]))
 
 
 def _one_row(j: np.ndarray, code: np.ndarray, errors: list) -> np.ndarray:
@@ -450,10 +450,11 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> Current
     with np.errstate(all="ignore"):
         if electric_only or magnetic_only or (classical and params.kappa == 0.0):
             method = "analytic"
-            idx = mark_singular(cfg, pts, code, errors)
-            x = pts[idx]
+            rs, dist, inside = _coulomb_offsets(cfg, pts, mask=True)
+            idx = mark_singular(cfg, pts, code, errors, inside)
+            rs, dist = rs[idx], dist[idx]
             if electric_only:
-                d, grad = _coulomb_gradient(cfg, cfg.qs, x)
+                d, grad = _coulomb_gradient(cfg.qs, rs, dist)
                 if classical:
                     j_m[idx] = _classical_curl(params.beta, d, grad)
                 elif e is not None:
@@ -463,14 +464,14 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> Current
                     merge_failures(code, errors, idx, sub_code, sub_errors)
                     j_m[idx] = _generic_electric_curl(params, d, e, grad, code, errors, idx)
             elif magnetic_only:
-                b, grad = _coulomb_gradient(cfg, cfg.gs, x)
+                b, grad = _coulomb_gradient(cfg.gs, rs, dist)
                 if classical:
                     j_e[idx] = -_classical_curl(params.beta, b, grad)
                 else:
                     j_e[idx], sub_code, sub_errors = _generic_magnetic_curl(params, b, grad)
                     merge_failures(code, errors, idx, sub_code, sub_errors)
             else:
-                (d, b), (grad_d2, grad_b2) = _coulomb_gradient(cfg, _db_weights(cfg), x)
+                (d, b), (grad_d2, grad_b2) = _coulomb_gradient(_db_weights(cfg), rs, dist)
                 j_m[idx] = _dyonic_k0_curl(params.beta, d, grad_d2, b, grad_b2)
                 j_e[idx] = -_dyonic_k0_curl(params.beta, b, grad_b2, d, grad_d2)
         else:

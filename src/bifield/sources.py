@@ -173,14 +173,11 @@ def _singular(cfg: ChargeConfig, x: np.ndarray, j) -> SingularPoint:
 
 
 def mark_singular(cfg: ChargeConfig, pts: np.ndarray, code: np.ndarray, errors: list,
-                  inside: np.ndarray | None = None) -> np.ndarray:
+                  inside: np.ndarray) -> np.ndarray:
     """Fail each point strictly inside an exclusion ball with the
     SingularPoint _coulomb_offsets raises for it alone (see errors.fail_rows
     for code and errors); returns the indices of the other points. inside
-    is the (N, n) mask of _coulomb_offsets(cfg, pts, mask=True) when the
-    caller has it."""
-    if inside is None:
-        inside = _coulomb_offsets(cfg, pts, mask=True)[2]
+    is the (N, n) mask of _coulomb_offsets(cfg, pts, mask=True)."""
     bad = inside.any(axis=1)
     fail_rows(code, errors, bad, lambda i: _singular(cfg, pts[i], int(np.argmax(inside[i]))))
     return np.flatnonzero(~bad)
@@ -225,9 +222,10 @@ def scalar_potential(cfg: ChargeConfig, x, kind: str = "electric") -> Potential:
                      kind=kind)
 
 
-def _coulomb_gradient(cfg: ChargeConfig, weights: np.ndarray,
-                      pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F and grad(F^2) at points of shape (N, 3), in O(n) per point.
+def _coulomb_gradient(weights: np.ndarray, rs: np.ndarray,
+                      dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and grad(F^2) from the offsets rs (N, n, 3) and dist (N, n) of
+    _coulomb_offsets, in O(n) per point.
 
     With c_j = w_j / (4 pi |r_j|^3), F = sum_j c_j r_j has the Jacobian
     sum_j c_j (1 - 3 r_j r_j^T / |r_j|^2), so
@@ -236,7 +234,6 @@ def _coulomb_gradient(cfg: ChargeConfig, weights: np.ndarray,
 
     Weights of shape (m, n) give both of shape (m, N, 3).
     """
-    rs, dist = _coulomb_offsets(cfg, pts)
     f = _superpose(weights, rs, dist)
     c = weights[..., None, :] / FOUR_PI * dist**-3
     proj = c * np.einsum("ijk,...ik->...ij", rs, f) / dist**2

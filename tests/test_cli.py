@@ -41,6 +41,7 @@ from bifield.cli import (
 )
 from bifield.errors import ConfigError
 
+from argparse_cli import build_parser
 from continuous_pointwise import State, continuous_pointwise
 from triple_sums import pointwise
 
@@ -397,6 +398,101 @@ class TestSampleCommand:
                 "continuous": {"shape": "gaussian"}}
         path = write_config(tmp_path, data)
         assert main(["sample", "--config", str(path)]) == EXIT_CONFIG
+
+    def test_out_dir_naming_a_file_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, pair_config(shape=(2, 2, 2)))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        for out_dir in (afile, afile / "sub"):
+            rc = main(["sample", "--config", str(path), "--out-dir", str(out_dir)])
+            assert rc == EXIT_CONFIG
+            assert f"config error: cannot create --out-dir {out_dir}" in capsys.readouterr().err
+
+
+# every form of the grammar, accepted and rejected; paths are never opened
+ARGV_CORPUS = [
+    [], ["bogus"], ["-3"], ["--config", "c", "sample"], ["--bogus", "sample"],
+    ["--version"], ["--vers"], ["--version=1"], ["-h"], ["--help"], ["--he"], ["-h=1"],
+    ["-h", "bogus"], ["bogus", "-h"], ["--bogus", "-h"],
+    ["sample", "-h"], ["charge", "--help"], ["energy", "--h"], ["sample", "--help=x"],
+    ["sample", "-h", "--seed", "x"], ["sample", "--seed", "x", "-h"],
+    ["sample", "--bogus", "-h"], ["sample", "--version"],
+    ["sample"], ["verify"], ["sample", "--config", "c.json"],
+    ["sample", "--config=c.json", "--out-dir=o"], ["current", "--conf", "c.json", "--out", "o"],
+    ["current", "--conf=c.json", "--o=o"], ["continuous", "--out-dir", "a b"],
+    ["sample", "--config", "-"], ["sample", "--config", "-3"], ["sample", "--config", "-x y"],
+    ["sample", "--config", "-x"], ["sample", "--config="], ["sample", "--config", "a=b"],
+    ["sample", "--config=a=b"], ["sample", "--config"], ["sample", "--config", "--seed", "3"],
+    ["energy", "--seed", "3", "--seed", "4"], ["energy", "--seed", "-3"], ["energy", "--seed=-3"],
+    ["energy", "--seed", " 7 "], ["energy", "--seed", "x"], ["energy", "--seed", "1.5"],
+    ["energy", "--seed", "-0.5"], ["energy", "--seed"], ["energy", "--seed="],
+    ["sample", "--threads", "4", "--format", "json"], ["sample", "--t", "2", "--f", "csv"],
+    ["sample", "--threads", "-2"], ["sample", "--format", "xml"], ["sample", "--format", "JSON"],
+    ["sample", "--format="], ["sample", "--format", "json", "--format", "csv"],
+    ["charge", "--R", "50"], ["charge", "--R=2.5e1"], ["charge", "--R", "-1.5"],
+    ["charge", "--R", "-.5"], ["charge", "--R", "-1e3"], ["charge", "--R", "x"],
+    ["charge", "--R", "inf"], ["charge", "--R", "1", "--R", "2"], ["charge", "--R"],
+    ["sample", "--R", "5"], ["verify", "--R=5"], ["energy", "--r", "5"],
+    ["sample", "stray"], ["sample", "--config", "c", "extra"], ["sample", "sample"],
+    ["sample", "--bogus"], ["sample", "-x"], ["sample", "-c", "c"], ["sample", "--=x"],
+    ["sample", "--"], ["sample", "--config", "c", "--"],
+]
+ARGS_FIELDS = ("command", "config", "out_dir", "seed", "threads", "format", "R")
+
+
+def _parse_outcome(argv):
+    """parse_args's outcome: the fields, "rejected", or the text it prints."""
+    try:
+        args = cli.parse_args(argv)
+    except ConfigError:
+        return "rejected"
+    if isinstance(args, str):
+        return args + "\n" if args.startswith("bifield ") else "help"
+    return tuple(getattr(args, f) for f in ARGS_FIELDS)
+
+
+def _oracle_outcome(argv, capsys):
+    """The same outcome from the argparse parser parse_args replaced."""
+    try:
+        args = build_parser().parse_args(argv)
+    except ConfigError:
+        return "rejected"
+    except SystemExit as exc:
+        assert exc.code == 0
+        out = capsys.readouterr().out
+        return out if out.startswith("bifield ") else "help"
+    return tuple(getattr(args, f, None) for f in ARGS_FIELDS)
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+    def test_matches_argparse(self, argv, capsys):
+        assert _parse_outcome(argv) == _oracle_outcome(argv, capsys)
+
+    def test_defaults(self):
+        args = cli.parse_args(["sample"])
+        assert tuple(getattr(args, f) for f in ARGS_FIELDS) == (
+            "sample", None, Path("."), None, 1, None, None)
+
+    def test_ambiguous_prefix_rejected(self):
+        assert cli._read_flag("--seed", ("--seed", "--seeds")) == ("--seed", None)
+        with pytest.raises(ConfigError, match="ambiguous flag --se"):
+            cli._read_flag("--se=1", ("--seed", "--seeds"))
+
+    def test_help_and_version_return(self, capsys):
+        assert main(["--version"]) == EXIT_OK
+        assert capsys.readouterr().out == f"bifield {bifield.__version__}\n"
+        assert main(["-h"]) == EXIT_OK
+        top = capsys.readouterr().out
+        assert all(name in top for name in cli._HELP)
+        for name in cli._HELP:
+            assert main([name, "-h"]) == EXIT_OK
+            text = capsys.readouterr().out
+            assert text.startswith(f"usage: bifield {name} ")
+            for flag in ("-h", "--help", "--config", "--out-dir", "--seed", "--threads",
+                         "--format"):
+                assert flag in text
+            assert ("--R" in text) == (name == "charge")
 
 
 class TestGridChunks:

@@ -8,7 +8,9 @@ outside its own body. A refactor that moves work elsewhere fails here if it
 leaves the old import or helper behind, or an export of a deleted function.
 
 scipy stays out of the command line's import and its energy command: a
-fresh process pays ~0.7 s to import it, in set-up or in the run.
+fresh process pays ~0.7 s to import it, in set-up or in the run. argparse,
+gettext and locale stay out too: building argparse parsers cost a command
+~5 ms, more than some commands' own work.
 """
 
 import ast
@@ -109,7 +111,8 @@ def test_private_functions_are_referenced():
 
 def test_cli_leaves_scipy_unloaded(tmp_path):
     # scipy is imported by the gridded source only: not by the package, nor
-    # by loading a radial source, nor by the energy command
+    # by loading a radial source, nor by the energy command; and the command
+    # line is parsed without argparse and the gettext and locale it loads
     bump = tmp_path / "bump.json"
     bump.write_text(json.dumps({"model": {"kind": "classical"},
                                 "continuous": {"shape": "bump", "total": 2.0, "radius": 1.5}}))
@@ -122,8 +125,9 @@ def test_cli_leaves_scipy_unloaded(tmp_path):
             f"bifield.cli.load_config({str(bump)!r})\n"
             "print(scipy())\n"
             f"bifield.cli.main(['energy', '--config', {str(charge)!r}, '--out-dir', {str(tmp_path)!r}])\n"
-            "print(scipy())\n")
+            "print(scipy())\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert [line for line in out.stdout.split() if line.startswith("[")] == ["[]"] * 3
+    assert [line for line in out.stdout.split() if line.startswith("[")] == ["[]"] * 4

@@ -12,6 +12,7 @@ from bifield.sources import (
     PointCharge,
     _batch_coulomb,
     _coulomb_gradient,
+    _coulomb_offsets,
     _db_weights,
     displacement_field,
     magnetic_field,
@@ -154,11 +155,12 @@ class TestStackedWeights:
         pts = rng.uniform(-3.0, 3.0, size=(500, 3))
         weights = np.stack((cfg.qs, cfg.gs, rng.uniform(-2.0, 2.0, n)))
         fields = _batch_coulomb(cfg, weights, pts)
-        f, grad = _coulomb_gradient(cfg, weights, pts)
+        offsets = _coulomb_offsets(cfg, pts)
+        f, grad = _coulomb_gradient(weights, *offsets)
         assert fields.shape == f.shape == grad.shape == (3, 500, 3)
         for k, w in enumerate(weights):
             np.testing.assert_array_equal(fields[k], _batch_coulomb(cfg, w, pts))
-            f1, grad1 = _coulomb_gradient(cfg, w, pts)
+            f1, grad1 = _coulomb_gradient(w, *offsets)
             np.testing.assert_array_equal(f[k], f1)
             np.testing.assert_array_equal(grad[k], grad1)
         # a single point is the one-row batch
