@@ -440,8 +440,7 @@ def _write_csv(path: Path, header, rows) -> None:
     if rows:
         line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
         body = (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n" + body)
+    _write_text(path, ",".join(header) + "\n" + body)
 
 
 def _finite_or_none(v) -> Optional[float]:
@@ -451,9 +450,20 @@ def _finite_or_none(v) -> Optional[float]:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        # a non-finite number fails loudly instead of writing invalid JSON
-        fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    # a non-finite number fails loudly instead of writing invalid JSON
+    _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+
+
+def _cannot_write(path: Path, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _emit_table(out_dir: Path, name: str, fmt: str, header, rows,
@@ -485,7 +495,10 @@ def _emit_failures(out_dir: Path, name: str, head: dict, failures: list) -> Opti
     that a clean rerun leaves no errors file from an earlier run behind."""
     path = out_dir / f"{name}.errors.json"
     if not failures:
-        path.unlink(missing_ok=True)
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise _cannot_write(path, exc) from None
         return None
     payload = dict(head)
     payload["command"] = name

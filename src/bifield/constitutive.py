@@ -442,8 +442,8 @@ def _monotone_rows(params, t, one_pk, b2):
 def _generic_electric(params, d, d2, idx, code, errors):
     """E = D/f'(a/2) with a = E^2 from the monotone solve of
     f'(a/2)^2 a = D^2; a solve that leaves the model domain fails with the
-    domain's own error. Both generic formulas give the scalar path's bits
-    when derivative_rows rounds like f' and f''."""
+    domain's own error. Both generic formulas give the scalar path's bits:
+    the scalar f' and f'' are one-row calls of derivative_rows."""
     a, lost, lost_s, unbracketed = _monotone_rows(params, d2, np.ones(len(d2)),
                                                   np.zeros(len(d2)))
     fail_rows(code, errors, lost, lambda j: params.domain_error(lost_s[j]), idx)

@@ -437,14 +437,14 @@ def newton_potential(src: ContinuousSource, x, quad: QuadratureSpec = None,
 def _gauss_law(parts, pts: np.ndarray):
     """D = sum_k coef_k(r_k) r_k at points of shape (N, 3) and its Jacobian,
     the exact Hessian of u, sum_k [coef_k I + (rho_k - 3 coef_k) r_k r_k^T
-    / r_k^2] (rho_k / 3 I at a centre), with r_k = x - center_k. coef and
-    profile are called once per row."""
+    / r_k^2] (rho_k / 3 I at a centre), with r_k = x - center_k. coef is
+    called once per row, profile once on all rows."""
     d = hess = None
     for part in parts:
         rv = pts - part.center
         r = np.sqrt(rowdot(rv, rv))
         coef = np.array([part.coef(v) for v in r.tolist()])
-        rho = np.array([float(part.profile(v * v)) for v in r.tolist()])
+        rho = part.profile(r * r)
         centre = r == 0.0
         diag = np.where(centre, rho / 3.0, coef)
         w = np.divide(rho - 3.0 * coef, r * r, out=np.zeros_like(r), where=~centre)

@@ -155,78 +155,33 @@ class ModelParams:
                     f"{fpp(s)!r} vs {fd2!r}"
                 )
 
-    # -- domain ------------------------------------------------------------
+    # -- domain and model functions ---------------------------------------
 
     def in_domain(self, s: float) -> bool:
-        if not math.isfinite(s):
-            return False
-        if self.kind == CLASSICAL:
-            return 2.0 * self.beta * s < 1.0
-        if self.kind == LOGARITHMIC:
-            return self.beta * s < 1.0
-        if self.kind == FRACTIONAL_POWER and not _is_integral(self.p):
-            return 1.0 + self.beta * s / self.p > 0.0
-        if self.kind == CUSTOM:
-            return self.s_min < s < self.s_max
-        return True
-
-    def _require(self, s: float) -> float:
-        s = float(s)
-        if not self.in_domain(s):
-            raise self.domain_error(s)
-        return s
-
-    # -- model functions ----------------------------------------------------
+        return bool(self.domain_rows(float(s)))
 
     def f(self, s: float) -> float:
-        s = self._require(s)
-        b = self.beta
-        if self.kind == CLASSICAL:
-            return (1.0 - math.sqrt(1.0 - 2.0 * b * s)) / b
-        if self.kind == LOGARITHMIC:
-            return -math.log1p(-b * s) / b
-        if self.kind == EXPONENTIAL:
-            return math.expm1(b * s) / b
-        if self.kind == FRACTIONAL_POWER:
-            return float(self._fractional_f_rows(s))
-        if self.kind == QUADRATIC:
-            return s + self.alpha * s * s
-        return self.f_custom(s)
+        return self._one_row(s, 0)
 
     def f_prime(self, s: float) -> float:
-        s = self._require(s)
-        b = self.beta
-        if self.kind == CLASSICAL:
-            return 1.0 / math.sqrt(1.0 - 2.0 * b * s)
-        if self.kind == LOGARITHMIC:
-            return 1.0 / (1.0 - b * s)
-        if self.kind == EXPONENTIAL:
-            return math.exp(b * s)
-        if self.kind == FRACTIONAL_POWER:
-            return self._fpow(s, 1)
-        if self.kind == QUADRATIC:
-            return 1.0 + 2.0 * self.alpha * s
-        return self.f_prime_custom(s)
+        return self._one_row(s, 1)
 
     def f_double_prime(self, s: float) -> float:
-        s = self._require(s)
-        b = self.beta
-        if self.kind == CLASSICAL:
-            return b / (1.0 - 2.0 * b * s) ** 1.5
-        if self.kind == LOGARITHMIC:
-            return b / (1.0 - b * s) ** 2
-        if self.kind == EXPONENTIAL:
-            return b * math.exp(b * s)
-        if self.kind == FRACTIONAL_POWER:
-            if self.p == 1.0:
-                return 0.0
-            return b * (self.p - 1.0) / self.p * self._fpow(s, 2)
-        if self.kind == QUADRATIC:
-            return 2.0 * self.alpha
-        return self.f_double_prime_custom(s)
+        return self._one_row(s, 2)
+
+    def _one_row(self, s: float, order: int) -> float:
+        """derivative_rows on the one-element array [s], so a scalar call
+        gives the bits of a rows call (a 0-d array does not: numpy's 0-d
+        x ** 2 rounds unlike the array's). Raises domain_error(s) outside
+        the domain; past overflow the value is inf."""
+        row = np.array([float(s)])
+        if not self.domain_rows(row)[0]:
+            raise self.domain_error(row[0])
+        with np.errstate(over="ignore"):
+            return float(self.derivative_rows(row, order)[0])
 
     def domain_rows(self, s) -> np.ndarray:
-        """The in_domain test on an array of invariants, element by element."""
+        """The domain test on an array of invariants, element by element."""
         s = np.asarray(s, dtype=float)
         b = self.beta
         ok = np.isfinite(s)
@@ -244,7 +199,12 @@ class ModelParams:
         """The DomainViolation that f, f' and f'' raise at s."""
         return DomainViolation(f"s={float(s)!r} outside domain of {self.kind} model")
 
-    def _require_rows(self, s) -> np.ndarray:
+    def f_and_prime_rows(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """f(s) and f'(s) for an array of invariants, element by element,
+        from derivative_rows. Raises DomainViolation, naming the first
+        offending row and the number of them, if any s is non-finite or
+        outside the model domain.
+        """
         s = np.asarray(s, dtype=float)
         ok = self.domain_rows(s)
         if not ok.all():
@@ -252,22 +212,7 @@ class ModelParams:
             raise DomainViolation(
                 f"s outside domain of {self.kind} model in {len(bad)} of {s.size} "
                 f"rows; first row {int(bad[0])}: s={float(s.flat[bad[0]])!r}")
-        return s
-
-    def f_and_prime_rows(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """f(s) and f'(s) for an array of invariants, element by element.
-
-        Built-in kinds use the scalar formulas as array arithmetic; custom
-        models call their scalar callables per row. Raises DomainViolation,
-        naming the first offending row and the number of them, if any s is
-        non-finite or outside the model domain.
-        """
-        s = self._require_rows(s)
         return self.derivative_rows(s, 0), self.derivative_rows(s, 1)
-
-    def f_double_prime_rows(self, s) -> np.ndarray:
-        """f''(s) for an array of invariants; fails like f_and_prime_rows."""
-        return self.derivative_rows(self._require_rows(s), 2)
 
     def derivative_rows(self, s, order: int) -> np.ndarray:
         """f (order 0), f' (1) or f'' (2) on an array of invariants, with no
@@ -319,25 +264,10 @@ class ModelParams:
 
     def power_rows(self, s, order: int) -> np.ndarray:
         """(1 + beta s / p)^(p - order) on an array, through numpy's power.
-
-        The scalar _fpow takes the same operation, so both round alike
-        (Python's pow and numpy's SIMD power differ in the last bit on a few
-        percent of inputs). A non-integer power of a nonpositive base is NaN
-        here; domain_rows excludes those rows.
-        """
+        A non-integer power of a nonpositive base is NaN here; domain_rows
+        excludes those rows."""
         base = 1.0 + self.beta * np.asarray(s, dtype=float) / self.p
         expo = self.p - order
         if _is_integral(self.p):
             expo = float(round(expo))
         return np.power(base, expo)
-
-    def _fpow(self, s: float, order: int) -> float:
-        """(1 + beta s / p)^(p - order), exact for negative base and integer p."""
-        base = 1.0 + self.beta * s / self.p
-        # non-integer power of a nonpositive base would be complex
-        if base <= 0.0 and not _is_integral(self.p):
-            raise DomainViolation(
-                f"fractional power p={self.p!r} undefined at 1 + beta*s/p = {base!r}"
-            )
-        with np.errstate(over="ignore"):
-            return float(self.power_rows(s, order))

@@ -20,7 +20,8 @@ exp, log and pow, which differ from the math module's in the last bit on a
 few percent of inputs, so they agree to rounding.
 
 The oracle is independent of the code it checks: it imports from bifield
-only ModelParams (for its scalar f, f', f''), the model kind names,
+only ModelParams (for its scalar f, f', f'', which are one-element calls
+of the model table ModelParams.derivative_rows), the model kind names,
 as_vec3 and the exception classes; test_oracle_independence enforces that.
 """
 

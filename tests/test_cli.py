@@ -408,6 +408,18 @@ class TestSampleCommand:
             assert rc == EXIT_CONFIG
             assert f"config error: cannot create --out-dir {out_dir}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["sample.csv", "sample.report.json", "sample.errors.json"])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, name):
+        # an output path that is a directory can be neither written nor removed
+        path = write_config(tmp_path, pair_config(shape=(2, 2, 2)))
+        out = tmp_path / "od"
+        (out / name).mkdir(parents=True)
+        rc = main(["sample", "--config", str(path), "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / name}: ")
+        assert err.count("\n") == 1
+
 
 # every form of the grammar, accepted and rejected; paths are never opened
 ARGV_CORPUS = [

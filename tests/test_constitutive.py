@@ -564,9 +564,10 @@ class TestRowKernelsAgainstScalar:
             return solve(g_counted, *args, **kwargs)
 
         derivative_rows = ModelParams.derivative_rows
+        in_rows_solve = [False]  # the scalar oracle's f'' calls also land here
 
         def counted_derivative(self, s, order):
-            newton_steps[-1] += order == 2
+            newton_steps[-1] += in_rows_solve[0] and order == 2
             return derivative_rows(self, s, order)
 
         monkeypatch.setattr(scalar_inversions, "invert_monotone", counted_solve)
@@ -575,7 +576,9 @@ class TestRowKernelsAgainstScalar:
                         (ModelParams.custom(f_steep, fp_steep, lambda s: 0.0, kappa=0.5),
                          steep_d, np.zeros_like(steep_d))):
             newton_steps.append(0)
+            in_rows_solve[0] = True
             e, h, s, code, _ = invert_rows(m, d, b)
+            in_rows_solve[0] = False
             for i in range(len(d)):
                 e_ref, h_ref, aux = scalar_eh(m, d[i], b[i])
                 assert code[i] == 0

@@ -197,16 +197,15 @@ def test_classical_fprime_matches_fd_property(s):
 
 
 class TestRows:
-    """The array model functions against the scalar ones."""
+    """The scalar model functions are one-element calls of the array ones."""
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.0])
     def test_fractional_power_rounds_like_the_scalar(self, p):
-        # one numpy power serves both paths, so they agree bit for bit
         m = ModelParams.fractional_power(beta=0.9, p=p)
         s = np.random.default_rng(51).uniform(-1.5, 20.0, 4000)
         s = s[m.domain_rows(s)]
         f, fp = m.f_and_prime_rows(s)
-        fpp = m.f_double_prime_rows(s)
+        fpp = m.derivative_rows(s, 2)
         assert np.array_equal(f, [m.f(v) for v in s])
         assert np.array_equal(fp, [m.f_prime(v) for v in s])
         assert np.array_equal(fpp, [m.f_double_prime(v) for v in s])
@@ -214,15 +213,32 @@ class TestRows:
             assert np.all(fp == 1.0) and np.all(fpp == 0.0)
 
     @pytest.mark.parametrize("kind", ["classical", "logarithmic", "exponential",
-                                      "fractional_power", "quadratic"])
+                                      "fractional_power", "frac1.5", "frac3",
+                                      "quadratic", "custom"])
     def test_domain_and_derivatives_match_the_scalar(self, kind):
-        m = make(kind)
+        # one formula table: f, f' and f'' give the rows kernel's bits and
+        # in_domain is domain_rows, at every kind
+        if kind == "custom":
+            m = ModelParams.custom(*TestCustom._valid_triple(), s_min=-2.0, s_max=2.0)
+        elif kind in ("frac1.5", "frac3"):
+            m = ModelParams.fractional_power(beta=0.8, p=float(kind[4:]))
+        else:
+            m = make(kind)
         rng = np.random.default_rng(52)
-        s = np.concatenate([rng.uniform(-3.0, 3.0, 400), [np.nan, np.inf]])
+        s = np.concatenate([rng.uniform(-3.0, 3.0, 2000), [np.nan, np.inf, -np.inf]])
         ok = m.domain_rows(s)
         assert list(ok) == [m.in_domain(v) for v in s]
+        assert ok.sum() > 500
+        for order, scalar in enumerate((m.f, m.f_prime, m.f_double_prime)):
+            rows = m.derivative_rows(s[ok], order)
+            assert np.array_equal(rows, [scalar(v) for v in s[ok]]), order
+            with pytest.raises(DomainViolation):
+                scalar(s[~ok][0])
         with pytest.raises(DomainViolation, match=r"first row \d+: s="):
-            m.f_double_prime_rows(s)
-        np.testing.assert_allclose(m.f_double_prime_rows(s[ok]),
-                                   [m.f_double_prime(v) for v in s[ok]], rtol=4e-16)
-        assert str(m.domain_error(-2.5)) == f"s=-2.5 outside domain of {kind} model"
+            m.f_and_prime_rows(s)
+        assert str(m.domain_error(-2.5)) == f"s=-2.5 outside domain of {m.kind} model"
+
+    def test_exponential_overflow_is_inf(self):
+        m = ModelParams.exponential(1.0)
+        assert m.f_prime(1000.0) == math.inf
+        assert m.f(1000.0) == math.inf and m.f_double_prime(1000.0) == math.inf
