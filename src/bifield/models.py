@@ -174,11 +174,10 @@ class ModelParams:
         gives the bits of a rows call (a 0-d array does not: numpy's 0-d
         x ** 2 rounds unlike the array's). Raises domain_error(s) outside
         the domain; past overflow the value is inf."""
-        row = np.array([float(s)])
-        if not self.domain_rows(row)[0]:
-            raise self.domain_error(row[0])
+        if not self.in_domain(s):
+            raise self.domain_error(s)
         with np.errstate(over="ignore"):
-            return float(self.derivative_rows(row, order)[0])
+            return float(self.derivative_rows(np.array([float(s)]), order)[0])
 
     def domain_rows(self, s) -> np.ndarray:
         """The domain test on an array of invariants, element by element."""

@@ -11,8 +11,8 @@ keeps the per-point evaluation those replaced, one point at a time:
   without them;
 * the scalar inversion (scalar_inversions.dyonic_eh) and the scalar
   energy_density;
-* the closed-form curl of E of an electric source, with the scalar f' and
-  f'', and the nested per-point fd_curl of E otherwise.
+* the closed-form curl of E of an electric source, with the oracle's f'
+  and f'', and the nested per-point fd_curl of E otherwise.
 
 continuous_pointwise(src, params, x, quad) is the command's table row at x,
 or raises the point's failure. Like scalar_inversions it shares no code with
@@ -23,7 +23,7 @@ import numpy as np
 
 from bifield.continuous import newton_potential
 from bifield.currents import fd_curl
-from scalar_inversions import dyonic_eh, energy_density
+from scalar_inversions import dyonic_eh, energy_density, f_double_prime, f_prime
 
 
 def _gauss_law(parts, x: np.ndarray):
@@ -100,8 +100,8 @@ class State:
 def curl_formula(src, params, x, quad, g, e) -> np.ndarray:
     """curl E of an electric source at x, where grad u = g and E = e."""
     a = float(e @ e)
-    fp = params.f_prime(0.5 * a)
-    fpp = params.f_double_prime(0.5 * a)
+    fp = f_prime(params, 0.5 * a)
+    fpp = f_double_prime(params, 0.5 * a)
     if fpp == 0.0:
         return np.zeros(3)
     hprime = 1.0 / (fp * (fpp * a + fp))

@@ -12,7 +12,9 @@ module, as the oracle the tests hold the kernels against:
   and _cubic_newton; invert_monotone, the bracketed Newton/bisection behind
   the models without a closed form;
 * energy_density, the model-generic Hamiltonian density of one state, the
-  reference for bifield.observables.density_rows.
+  reference for bifield.observables.density_rows;
+* in_domain, f, f_prime and f_double_prime, the model table one s at a
+  time, the reference for ModelParams.domain_rows and derivative_rows.
 
 The classical, logarithmic, fractional-power and custom kernels round like
 these bodies bit for bit. The exponential and quadratic ones take numpy's
@@ -20,9 +22,9 @@ exp, log and pow, which differ from the math module's in the last bit on a
 few percent of inputs, so they agree to rounding.
 
 The oracle is independent of the code it checks: it imports from bifield
-only ModelParams (for its scalar f, f', f'', which are one-element calls
-of the model table ModelParams.derivative_rows), the model kind names,
-as_vec3 and the exception classes; test_oracle_independence enforces that.
+only ModelParams (for its parameters, custom callables and domain_error
+message), the model kind names, as_vec3 and the exception classes;
+test_oracle_independence enforces that.
 """
 
 import math
@@ -38,7 +40,15 @@ from bifield.errors import (
     NegativeArgument,
     NoNonnegativeRoot,
 )
-from bifield.models import CLASSICAL, EXPONENTIAL, LOGARITHMIC, QUADRATIC, ModelParams
+from bifield.models import (
+    CLASSICAL,
+    CUSTOM,
+    EXPONENTIAL,
+    FRACTIONAL_POWER,
+    LOGARITHMIC,
+    QUADRATIC,
+    ModelParams,
+)
 from bifield.sources import as_vec3
 
 # inversions divide by f'(s); inside this band the state is rejected
@@ -59,6 +69,99 @@ class AuxScalars:
     b: float
     s: float
     eta: Optional[float] = None
+
+
+# ---------------------------------------------------------------------------
+# model table
+# ---------------------------------------------------------------------------
+
+
+def in_domain(params: ModelParams, s: float) -> bool:
+    if not math.isfinite(s):
+        return False
+    b = params.beta
+    if params.kind == CLASSICAL:
+        return 2.0 * b * s < 1.0
+    if params.kind == LOGARITHMIC:
+        return b * s < 1.0
+    if params.kind == FRACTIONAL_POWER and abs(params.p - round(params.p)) > 1e-9:
+        return 1.0 + b * s / params.p > 0.0
+    if params.kind == CUSTOM:
+        return params.s_min < s < params.s_max
+    return True
+
+
+def _require(params: ModelParams, s: float) -> float:
+    s = float(s)
+    if not in_domain(params, s):
+        raise params.domain_error(s)
+    return s
+
+
+def _fpow(params: ModelParams, s: float, order: int) -> float:
+    """(1 + beta s/p)^(p - order) through numpy's power, as the kernels take
+    it (Python's pow differs from it in the last bit on a few percent of
+    inputs); exact for a negative base and integer p."""
+    expo = params.p - order
+    if abs(params.p - round(params.p)) <= 1e-9:
+        expo = float(round(expo))
+    with np.errstate(over="ignore"):
+        return float(np.power(np.asarray(1.0 + params.beta * s / params.p), expo))
+
+
+def f(params: ModelParams, s: float) -> float:
+    s = _require(params, s)
+    b = params.beta
+    if params.kind == CLASSICAL:
+        return (1.0 - math.sqrt(1.0 - 2.0 * b * s)) / b
+    if params.kind == LOGARITHMIC:
+        return -math.log1p(-b * s) / b
+    if params.kind == EXPONENTIAL:
+        return math.expm1(b * s) / b
+    if params.kind == FRACTIONAL_POWER:
+        x = b * s / params.p
+        if 1.0 + x > 0.0:
+            # the power form cancels at small s
+            with np.errstate(over="ignore"):
+                return float(np.expm1(params.p * np.log1p(np.asarray(x)))) / b
+        return (_fpow(params, s, 0) - 1.0) / b
+    if params.kind == QUADRATIC:
+        return s + params.alpha * s * s
+    return params.f_custom(s)
+
+
+def f_prime(params: ModelParams, s: float) -> float:
+    s = _require(params, s)
+    b = params.beta
+    if params.kind == CLASSICAL:
+        return 1.0 / math.sqrt(1.0 - 2.0 * b * s)
+    if params.kind == LOGARITHMIC:
+        return 1.0 / (1.0 - b * s)
+    if params.kind == EXPONENTIAL:
+        return math.exp(b * s)
+    if params.kind == FRACTIONAL_POWER:
+        return _fpow(params, s, 1)
+    if params.kind == QUADRATIC:
+        return 1.0 + 2.0 * params.alpha * s
+    return params.f_prime_custom(s)
+
+
+def f_double_prime(params: ModelParams, s: float) -> float:
+    s = _require(params, s)
+    b = params.beta
+    if params.kind == CLASSICAL:
+        return b / (1.0 - 2.0 * b * s) ** 1.5
+    if params.kind == LOGARITHMIC:
+        return b / (1.0 - b * s) ** 2
+    if params.kind == EXPONENTIAL:
+        return b * math.exp(b * s)
+    if params.kind == FRACTIONAL_POWER:
+        if params.p == 1.0:
+            return 0.0
+        return b * (params.p - 1.0) / params.p * _fpow(params, s, 2)
+    if params.kind == QUADRATIC:
+        return 2.0 * params.alpha
+    return params.f_double_prime_custom(s)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +414,12 @@ def _electrostatic_a(params: ModelParams, d2: float) -> float:
         return smallest_positive_cubic_root(1.0 / al, d2 / al**2)
 
     def g(a: float) -> float:
-        fp = params.f_prime(0.5 * a)
+        fp = f_prime(params, 0.5 * a)
         return fp * fp * a
 
     def dg(a: float) -> float:
-        fp = params.f_prime(0.5 * a)
-        return fp * (fp + params.f_double_prime(0.5 * a) * a)
+        fp = f_prime(params, 0.5 * a)
+        return fp * (fp + f_double_prime(params, 0.5 * a) * a)
 
     hi = max(1.0, d2)
     for _ in range(200):
@@ -347,7 +450,7 @@ def electrostatic_e(params: ModelParams, d) -> np.ndarray:
     if params.kind == EXPONENTIAL:
         return d * math.exp(-0.5 * lambert_w(beta * d2))
     a = _electrostatic_a(params, d2)
-    fp = params.f_prime(0.5 * a)
+    fp = f_prime(params, 0.5 * a)
     if abs(fp) < FPRIME_GUARD:
         raise DomainViolation(f"f'(a/2) = {fp!r} inside guard band")
     return d / fp
@@ -363,7 +466,7 @@ def magnetostatic_h(params: ModelParams, b) -> np.ndarray:
     b2 = float(b @ b)
     if b2 == 0.0:
         return _ZERO3.copy()
-    return params.f_prime(-0.5 * b2) * b
+    return f_prime(params, -0.5 * b2) * b
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +579,13 @@ def _generic(params, d, b, d2, b2, bd, bxd2, eta):
     t = (d2 + k2 * bxd2) / opk
 
     def g(a: float) -> float:
-        fp = params.f_prime(0.5 * (one_pk * a - b2))
+        fp = f_prime(params, 0.5 * (one_pk * a - b2))
         return fp * fp * one_pk * a
 
     def dg(a: float) -> float:
         s_a = 0.5 * (one_pk * a - b2)
-        fp = params.f_prime(s_a)
-        return one_pk * fp * (fp + params.f_double_prime(s_a) * one_pk * a)
+        fp = f_prime(params, s_a)
+        return one_pk * fp * (fp + f_double_prime(params, s_a) * one_pk * a)
 
     hi = max(1.0, t)
     try:
@@ -498,7 +601,7 @@ def _generic(params, d, b, d2, b2, bd, bxd2, eta):
             f"target {t!r} unreachable inside the model domain"
         ) from exc
     s = 0.5 * (one_pk * a - b2)
-    fp = params.f_prime(s)
+    fp = f_prime(params, s)
     if abs(fp) < FPRIME_GUARD:
         raise DomainViolation(f"f'(s) = {fp!r} inside guard band")
     e = (d - k2 * bd / opk * b) / fp
@@ -569,4 +672,4 @@ def energy_density(params: ModelParams, state) -> float:
     e2 = float(state.e @ state.e)
     eb = float(state.e @ state.b)
     k2 = params.kappa**2
-    return params.f_prime(state.s) * (e2 + k2 * eb * eb) - params.f(state.s)
+    return f_prime(params, state.s) * (e2 + k2 * eb * eb) - f(params, state.s)

@@ -564,10 +564,9 @@ class TestRowKernelsAgainstScalar:
             return solve(g_counted, *args, **kwargs)
 
         derivative_rows = ModelParams.derivative_rows
-        in_rows_solve = [False]  # the scalar oracle's f'' calls also land here
 
         def counted_derivative(self, s, order):
-            newton_steps[-1] += in_rows_solve[0] and order == 2
+            newton_steps[-1] += order == 2
             return derivative_rows(self, s, order)
 
         monkeypatch.setattr(scalar_inversions, "invert_monotone", counted_solve)
@@ -576,9 +575,7 @@ class TestRowKernelsAgainstScalar:
                         (ModelParams.custom(f_steep, fp_steep, lambda s: 0.0, kappa=0.5),
                          steep_d, np.zeros_like(steep_d))):
             newton_steps.append(0)
-            in_rows_solve[0] = True
             e, h, s, code, _ = invert_rows(m, d, b)
-            in_rows_solve[0] = False
             for i in range(len(d)):
                 e_ref, h_ref, aux = scalar_eh(m, d[i], b[i])
                 assert code[i] == 0
@@ -708,8 +705,10 @@ def _imports(path) -> list:
 
 def test_oracle_independence():
     """The scalar oracle shares no code with the kernels it checks: from
-    bifield it imports only ModelParams (for its scalar f, f', f''), the
-    model kind names, as_vec3 and the exception classes. Its energy_density
+    bifield it imports only ModelParams (for its parameters, custom
+    callables and domain_error message), the model kind names, as_vec3 and
+    the exception classes, and it calls none of ModelParams' model
+    functions; its f, f', f'' and domain are its own. Its energy_density
     is the reference for observables.density_rows."""
     allowed = {("bifield.models", "ModelParams"), ("bifield.sources", "as_vec3")}
     allowed |= {("bifield.models", name) for name, value in vars(models).items()
@@ -719,6 +718,12 @@ def test_oracle_independence():
     assert ("bifield.models", "ModelParams") in package
     for module, name in package:
         assert module == "bifield.errors" or (module, name) in allowed, (module, name)
+    model_functions = {"f", "f_prime", "f_double_prime", "in_domain", "domain_rows",
+                       "derivative_rows", "f_and_prime_rows", "power_rows"}
+    attributes = {node.attr for node in ast.walk(ast.parse(Path(scalar_inversions.__file__)
+                                                            .read_text()))
+                  if isinstance(node, ast.Attribute)}
+    assert not attributes & model_functions
 
 
 def test_continuous_oracle_independence():
@@ -726,7 +731,8 @@ def test_continuous_oracle_independence():
     command, reaches none of the rows code it checks (invert_rows,
     density_rows, currents._fd_rows, the continuous rows functions): from
     bifield it imports only the Newton-potential quadrature and the
-    per-point fd_curl, and its inversion and density are scalar_inversions'."""
+    per-point fd_curl, and its inversion, density, f' and f'' are
+    scalar_inversions'."""
     path = Path(scalar_inversions.__file__).with_name("continuous_pointwise.py")
     imported = _imports(path)
     package = [(module, name) for module, name in imported if module.startswith(("bifield", "."))]
@@ -735,7 +741,8 @@ def test_continuous_oracle_independence():
     local = {module for module, _ in imported} - {"numpy"} - {m for m, _ in package}
     assert local == {"scalar_inversions"}
     rows_code = {"invert_rows", "dyonic_eh_rows", "density_rows", "_fd_rows", "_gauss_law",
-                 "state_rows", "curl_rows", "jm_rows", "_gradient_rows", "_db_rows"}
+                 "state_rows", "curl_rows", "jm_rows", "_gradient_rows", "_db_rows",
+                 "f_prime", "f_double_prime", "derivative_rows"}
     attributes = {node.attr for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.Attribute)}
     assert not attributes & rows_code

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from bifield.errors import DomainViolation
 from bifield.models import ModelParams
 
+import scalar_inversions as oracle
+
 ALL_KINDS = ["classical", "logarithmic", "exponential", "fractional_power", "quadratic"]
 
 
@@ -197,45 +199,39 @@ def test_classical_fprime_matches_fd_property(s):
 
 
 class TestRows:
-    """The scalar model functions are one-element calls of the array ones."""
+    """One model table: the scalar model functions are one-element calls of
+    derivative_rows and domain_rows, and those agree with the oracle's own
+    table (scalar_inversions.f, f_prime, f_double_prime, in_domain; math
+    module, one s at a time) to rounding."""
 
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.0])
-    def test_fractional_power_rounds_like_the_scalar(self, p):
-        m = ModelParams.fractional_power(beta=0.9, p=p)
-        s = np.random.default_rng(51).uniform(-1.5, 20.0, 4000)
-        s = s[m.domain_rows(s)]
-        f, fp = m.f_and_prime_rows(s)
-        fpp = m.derivative_rows(s, 2)
-        assert np.array_equal(f, [m.f(v) for v in s])
-        assert np.array_equal(fp, [m.f_prime(v) for v in s])
-        assert np.array_equal(fpp, [m.f_double_prime(v) for v in s])
-        if p == 1.0:
-            assert np.all(fp == 1.0) and np.all(fpp == 0.0)
-
-    @pytest.mark.parametrize("kind", ["classical", "logarithmic", "exponential",
-                                      "fractional_power", "frac1.5", "frac3",
-                                      "quadratic", "custom"])
-    def test_domain_and_derivatives_match_the_scalar(self, kind):
-        # one formula table: f, f' and f'' give the rows kernel's bits and
-        # in_domain is domain_rows, at every kind
-        if kind == "custom":
-            m = ModelParams.custom(*TestCustom._valid_triple(), s_min=-2.0, s_max=2.0)
-        elif kind in ("frac1.5", "frac3"):
-            m = ModelParams.fractional_power(beta=0.8, p=float(kind[4:]))
-        else:
-            m = make(kind)
-        rng = np.random.default_rng(52)
-        s = np.concatenate([rng.uniform(-3.0, 3.0, 2000), [np.nan, np.inf, -np.inf]])
+    @staticmethod
+    def check_table(m, s):
+        s = np.concatenate([s, [np.nan, np.inf, -np.inf]])
         ok = m.domain_rows(s)
-        assert list(ok) == [m.in_domain(v) for v in s]
+        assert list(ok) == [m.in_domain(v) for v in s] == [oracle.in_domain(m, v) for v in s]
         assert ok.sum() > 500
-        for order, scalar in enumerate((m.f, m.f_prime, m.f_double_prime)):
+        for order, (scalar, ref) in enumerate([(m.f, oracle.f), (m.f_prime, oracle.f_prime),
+                                               (m.f_double_prime, oracle.f_double_prime)]):
             rows = m.derivative_rows(s[ok], order)
             assert np.array_equal(rows, [scalar(v) for v in s[ok]]), order
+            np.testing.assert_allclose(rows, [ref(m, v) for v in s[ok]], rtol=4e-16, atol=0)
             with pytest.raises(DomainViolation):
                 scalar(s[~ok][0])
         with pytest.raises(DomainViolation, match=r"first row \d+: s="):
             m.f_and_prime_rows(s)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.0])
+    def test_fractional_power_rounds_like_the_scalar(self, p):
+        m = ModelParams.fractional_power(beta=0.9, p=p)
+        self.check_table(m, np.random.default_rng(51).uniform(-1.5, 20.0, 4000))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS + ["custom"])
+    def test_domain_and_derivatives_match_the_scalar(self, kind):
+        if kind == "custom":
+            m = ModelParams.custom(*TestCustom._valid_triple(), s_min=-2.0, s_max=2.0)
+        else:
+            m = make(kind)
+        self.check_table(m, np.random.default_rng(52).uniform(-3.0, 3.0, 2000))
         assert str(m.domain_error(-2.5)) == f"s=-2.5 outside domain of {m.kind} model"
 
     def test_exponential_overflow_is_inf(self):
