@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constitutive import FieldState, invert_rows, rowdot
-from .currents import _fd_rows, _generic_electric_curl
+from .currents import _fd_rows, _generic_electric_curl, _stencil
 from .errors import ConfigError, QuadratureError, merge_failures, raise_first
 from .models import ModelParams
 from .observables import QuadratureSpec, _gauss, _panel_nodes, _sphere_rule
@@ -607,15 +607,13 @@ def continuous_residual_suite(src: ContinuousSource, params: ModelParams,
     """
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
     hs = np.array([0.5, 1.0]) * (src.width / 10.0)
-    steps = hs[:, None, None] * np.eye(3)
-    nodes = pts[:, None, None, None, :] + np.stack((steps, -steps), axis=2)  # point, h, axis, sign
-    _, b, e, h, s, _, code, errors = state_rows(src, params, nodes.reshape(-1, 3), quad)
+    nodes, jacobian = _stencil(pts, np.broadcast_to(hs, (len(pts), 2)))
+    _, b, e, h, s, _, code, errors = state_rows(src, params, nodes, quad)
     raise_first(code, errors)
     fp = params.f_and_prime_rows(s)[1][:, None]
     keb = (params.kappa**2 * rowdot(e, b))[:, None]
-    flux = np.stack((fp * (e + keb * b), h / fp + keb * e), axis=1).reshape(len(pts), 2, 3, 2, 2, 3)
-    # the divergence is the trace of the Jacobian d flux_i / d x_j at each step
-    div = np.einsum("pkjwj->pkw", flux[:, :, :, 0] - flux[:, :, :, 1]) / (2.0 * hs)[:, None]
+    flux = np.stack((fp * (e + keb * b), h / fp + keb * e), axis=1)
+    div = np.trace(jacobian(flux), axis1=-2, axis2=-1)  # point, step, flux
     div = (4.0 * div[:, 0] - div[:, 1]) / 3.0
     rho = np.stack([np.zeros(len(pts)) if r is None else np.asarray(r(pts), dtype=float)
                     for r in (src.rho_e, src.rho_m)], axis=1)

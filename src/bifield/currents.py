@@ -22,6 +22,10 @@ nodes of every point into one Coulomb pass and one constitutive rows call.
 The per-point functions (current_at and the closed forms) are one-row calls
 of the same arithmetic.
 
+Every central difference in the package gets its nodes and Jacobians from
+_stencil: fd_curl and fd_div (which call a per-point field once per node),
+_fd_rows, and the residual suites of observables and continuous.
+
 jm_classical_jacobi_term alone keeps a math.fsum triple loop: it is the
 floating-point witness of the cyclic identity
 a x (b+c) + b x (c+a) + c x (a+b) = 0, which the factored form would hide.
@@ -282,61 +286,77 @@ def je_generic_magnetostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.nd
     return _one_row(*_generic_magnetic_curl(params, *_field_and_gradient(cfg, cfg.gs, x)))
 
 
-def fd_step(x, scale: float = 1e-4) -> float:
-    """Default stencil half-width: scale * max(1, |x|)."""
-    x = as_vec3(x)
-    return scale * max(1.0, float(np.linalg.norm(x)))
+def _fd_step_rows(pts: np.ndarray) -> np.ndarray:
+    """fd_step at each row of pts."""
+    return 1e-4 * np.maximum(1.0, np.sqrt(rowdot(pts, pts)))
 
 
-def _fd_jacobian(field: Callable, x: np.ndarray, h: float) -> np.ndarray:
-    """J[..., i, j] = dF_i/dx_j by second-order central differences.
+def fd_step(x) -> float:
+    """Default stencil half-width: 1e-4 * max(1, |x|)."""
+    return float(_fd_step_rows(as_vec3(x)[None, :])[0])
 
-    field returns an array of shape (..., 3); each leading index is a
-    separate vector field, differenced on the same six stencil nodes.
+
+def _stencil(pts: np.ndarray, hs: np.ndarray):
+    """The central-difference stencil of points of shape (N, 3) at
+    half-widths of shape (N, K): (nodes, jacobian).
+
+    nodes, of shape (6KN, 3), run point, step, axis (x, y, z), sign (+, -).
+    jacobian maps field values at the nodes, of shape (6KN, ..., 3), to
+    J[p, k, ..., i, j] = (F(x + h e_j) - F(x - h e_j))_i / 2h.
     """
-    cols = []
-    for axis in range(3):
-        step = np.zeros(3)
-        step[axis] = h
-        fp = np.asarray(field(x + step), dtype=float)
-        fm = np.asarray(field(x - step), dtype=float)
-        cols.append((fp - fm) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    n, k = hs.shape
+    steps = np.zeros((n, k, 3, 3))
+    steps[:, :, [0, 1, 2], [0, 1, 2]] = hs[:, :, None]
+    x = pts[:, None, None, :]
+    nodes = np.stack((x + steps, x - steps), axis=3).reshape(-1, 3)
+
+    def jacobian(values) -> np.ndarray:
+        f = np.asarray(values, dtype=float)
+        f = f.reshape((n, k, 3, 2) + f.shape[1:])
+        width = (2.0 * hs).reshape((n, k) + (1,) * (f.ndim - 3))
+        return np.moveaxis((f[:, :, :, 0] - f[:, :, :, 1]) / width, 2, -1)
+
+    return nodes, jacobian
+
+
+def _curl(j: np.ndarray) -> np.ndarray:
+    """The curl (..., 3) of Jacobians J[..., i, j] = dF_i/dx_j."""
+    return np.stack([j[..., 2, 1] - j[..., 1, 2], j[..., 0, 2] - j[..., 2, 0],
+                     j[..., 1, 0] - j[..., 0, 1]], axis=-1)
+
+
+def _jacobians_at(field: Callable, x, step: Optional[float], richardson: bool) -> np.ndarray:
+    """The stencil Jacobians of field at x, shape (K, ..., 3, 3): one step,
+    or the steps h/2 and h with richardson. field is called once per node."""
+    x = as_vec3(x)
+    h = fd_step(x) if step is None else float(step)
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
+    nodes, jacobian = _stencil(x[None, :], np.array([[0.5 * h, h] if richardson else [h]]))
+    return jacobian(np.stack([np.asarray(field(y), dtype=float) for y in nodes]))[0]
 
 
 def fd_curl(field: Callable, x, step: Optional[float] = None, richardson: bool = False) -> np.ndarray:
     """Finite-difference curl of a vector field at x.
 
     Second-order central differences with half-width step (default
-    1e-4 * max(1, |x|)). With richardson=True the two-step extrapolation
+    1e-4 * max(1, |x|); a step that is not positive and finite raises
+    ValueError). With richardson=True the two-step extrapolation
     (4 c(h/2) - c(h)) / 3 removes the leading error term. A field of shape
     (..., 3) gives curls of the same shape, one per leading index. Raises
     whatever the field raises on stencil nodes (e.g. SingularPoint near a
     charge).
     """
-    x = as_vec3(x)
-    h = fd_step(x) if step is None else float(step)
-
-    def curl_at(hh: float) -> np.ndarray:
-        j = _fd_jacobian(field, x, hh)
-        return np.stack([j[..., 2, 1] - j[..., 1, 2], j[..., 0, 2] - j[..., 2, 0],
-                         j[..., 1, 0] - j[..., 0, 1]], axis=-1)
-
-    if not richardson:
-        return curl_at(h)
-    return (4.0 * curl_at(0.5 * h) - curl_at(h)) / 3.0
+    curl = _curl(_jacobians_at(field, x, step, richardson))
+    return (4.0 * curl[0] - curl[1]) / 3.0 if richardson else curl[0]
 
 
 def fd_div(field: Callable, x, step: Optional[float] = None, richardson: bool = False) -> float | np.ndarray:
-    """Finite-difference divergence of a vector field at x; a field of shape
-    (..., 3) gives one divergence per leading index, a (3,) field a float."""
-    x = as_vec3(x)
-    h = fd_step(x) if step is None else float(step)
-
-    def div_at(hh: float) -> np.ndarray:
-        return np.trace(_fd_jacobian(field, x, hh), axis1=-2, axis2=-1)
-
-    div = div_at(h) if not richardson else (4.0 * div_at(0.5 * h) - div_at(h)) / 3.0
+    """Finite-difference divergence of a vector field at x, on fd_curl's
+    stencil; a field of shape (..., 3) gives one divergence per leading
+    index, a (3,) field a float."""
+    div = np.trace(_jacobians_at(field, x, step, richardson), axis1=-2, axis2=-1)
+    div = (4.0 * div[0] - div[1]) / 3.0 if richardson else div[0]
     return float(div) if np.ndim(div) == 0 else div
 
 
@@ -374,16 +394,11 @@ def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
     return field
 
 
-def _fd_step_rows(pts: np.ndarray) -> np.ndarray:
-    """fd_step at each row of pts."""
-    return 1e-4 * np.maximum(1.0, np.sqrt(rowdot(pts, pts)))
-
-
 def _stencil_clear(cfg: ChargeConfig, pts: np.ndarray, step) -> np.ndarray:
     """stencil_is_clear at each row of pts, distances rounded like the
     scalar min_distance."""
     r = (pts[:, None, :] - cfg.positions[None, :, :]).reshape(-1, 3)
-    dist = np.sqrt(rowdot(r, r)).reshape(len(pts), -1)
+    dist = np.sqrt(rowdot(r, r)).reshape(len(pts), len(cfg))
     return dist.min(axis=1) > step + cfg.exclusion_radius
 
 
@@ -405,11 +420,7 @@ def _fd_rows(params: ModelParams, db_rows: Callable, pts: np.ndarray, h: np.ndar
     arithmetic. A point takes the failure of its first failing node.
     """
     n = len(pts)
-    hs = np.stack((0.5 * h, h), axis=1)
-    steps = np.zeros((n, 2, 3, 3))
-    steps[:, :, [0, 1, 2], [0, 1, 2]] = hs[:, :, None]
-    x = pts[:, None, None, :]
-    nodes = np.stack((x + steps, x - steps), axis=3).reshape(-1, 3)  # point, h, axis, sign
+    nodes, jacobian = _stencil(pts, np.stack((0.5 * h, h), axis=1))
     node_code = np.zeros(len(nodes), dtype=np.int64)
     errors: list = []
     d, b = db_rows(nodes, node_code, errors)
@@ -417,12 +428,7 @@ def _fd_rows(params: ModelParams, db_rows: Callable, pts: np.ndarray, h: np.ndar
     merge_failures(node_code, errors, np.arange(len(nodes)), inv_code, inv_errors)
     node_code = node_code.reshape(n, 12)
     code = node_code[np.arange(n), np.argmax(node_code != 0, axis=1)]
-    f = np.stack((e, h_node), axis=1).reshape(n, 2, 3, 2, 2, 3)
-    # dfdx[p, k, j, w, i] = d(E or H)_i / dx_j at step k, as _fd_jacobian forms it
-    dfdx = (f[:, :, :, 0] - f[:, :, :, 1]) / (2.0 * hs)[:, :, None, None, None]
-    curl = np.stack((dfdx[:, :, 1, :, 2] - dfdx[:, :, 2, :, 1],
-                     dfdx[:, :, 2, :, 0] - dfdx[:, :, 0, :, 2],
-                     dfdx[:, :, 0, :, 1] - dfdx[:, :, 1, :, 0]), axis=-1)
+    curl = _curl(jacobian(np.stack((e, h_node), axis=1)))  # point, step, E or H, component
     curl = (4.0 * curl[:, 0] - curl[:, 1]) / 3.0
     return curl[:, 0], curl[:, 1], code, errors
 

@@ -24,11 +24,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, DomainViolation, QuadratureError, SingularPoint
+from .errors import ConfigError, DomainViolation, QuadratureError, SingularPoint, raise_first
 from .models import ModelParams, CLASSICAL, QUADRATIC
 from .sources import ChargeConfig, _batch_coulomb, _db_weights, as_vec3
 from .constitutive import cross_rows, dyonic_eh_rows, rowdot
-from .currents import _fd_step_rows, _stencil_clear, current_rows, eh_field, fd_curl, fd_div
+from .currents import (_curl, _fd_step_rows, _stencil, _stencil_clear, current_rows, eh_field,
+                       eh_rows)
 
 __all__ = [
     "QuadratureSpec",
@@ -548,51 +549,29 @@ def residual_suite(cfg: ChargeConfig, params: ModelParams, grid) -> ResidualRepo
     Reports the max over usable grid points of |div D|, |curl D|, |div B|,
     |curl B|, |curl E + j_m| and |curl H - j_e|, using analytic currents
     where closed forms exist. Points whose FD stencil would enter a charge
-    exclusion ball are skipped and counted.
+    exclusion ball are skipped and counted. The currents come from one
+    current_rows call and D, B, E and H at the stencil nodes of every point
+    from one eh_rows call; a failing current raises before a failing node.
     """
-    weights = _db_weights(cfg)
-
-    def db_field(y):
-        return _batch_coulomb(cfg, weights, as_vec3(y)[None, :])[:, 0]
-
-    eh = eh_field(params, cfg)
-    pts = np.atleast_2d(np.asarray(grid, dtype=float))
+    pts = np.asarray(grid, dtype=float).reshape(-1, 3)
     steps = _fd_step_rows(pts)
     clear = _stencil_clear(cfg, pts, steps)
-    currents = current_rows(params, cfg, pts[clear])
-
-    maxima = dict(div_d=0.0, curl_d=0.0, div_b=0.0, curl_b=0.0, curl_e_jm=0.0, curl_h_je=0.0)
-    details = []
-    method = "analytic"
-    for k, (x, h) in enumerate(zip(pts[clear], steps[clear])):
-        if currents.code[k]:
-            raise currents.errors[currents.code[k] - 1]
-        method = currents.method
-        j_e, j_m = currents.j_e[k], currents.j_m[k]
-        curl_e, curl_h = fd_curl(eh, x, step=h)
-        div_d, div_b = fd_div(db_field, x, step=h)
-        curl_d, curl_b = fd_curl(db_field, x, step=h)
-        point = {
-            "at": [float(v) for v in x],
-            "div_d": abs(float(div_d)),
-            "curl_d": float(np.max(np.abs(curl_d))),
-            "div_b": abs(float(div_b)),
-            "curl_b": float(np.max(np.abs(curl_b))),
-            "curl_e_jm": float(np.max(np.abs(curl_e + j_m))),
-            "curl_h_je": float(np.max(np.abs(curl_h - j_e))),
-        }
-        details.append(point)
-        for key in maxima:
-            maxima[key] = max(maxima[key], point[key])
-    return ResidualReport(
-        max_div_d=maxima["div_d"],
-        max_curl_d=maxima["curl_d"],
-        max_div_b=maxima["div_b"],
-        max_curl_b=maxima["curl_b"],
-        max_curl_e_plus_jm=maxima["curl_e_jm"],
-        max_curl_h_minus_je=maxima["curl_h_je"],
-        current_method=method,
-        n_evaluated=len(details),
-        n_skipped=int(np.count_nonzero(~clear)),
-        details=tuple(details),
-    )
+    x = pts[clear]
+    currents = current_rows(params, cfg, x)
+    raise_first(currents.code, currents.errors)
+    nodes, jacobian = _stencil(x, steps[clear][:, None])
+    d, b, e, h, _, code, errors = eh_rows(params, cfg, nodes)
+    raise_first(code, errors)
+    jac = jacobian(np.stack((d, b, e, h), axis=1))[:, 0]  # point, D B E H, i, j
+    div = np.abs(np.trace(jac[:, :2], axis1=-2, axis2=-1))
+    curl = _curl(jac)
+    curl[:, 2] += currents.j_m
+    curl[:, 3] -= currents.j_e
+    peak = np.abs(curl).max(axis=2)  # curl D, curl B, curl E + j_m, curl H - j_e
+    cols = np.column_stack((div[:, 0], peak[:, 0], div[:, 1], peak[:, 1:]))
+    keys = ("div_d", "curl_d", "div_b", "curl_b", "curl_e_jm", "curl_h_je")
+    details = tuple({"at": p.tolist(), **dict(zip(keys, map(float, row)))}
+                    for p, row in zip(x, cols))
+    return ResidualReport(*map(float, cols.max(axis=0, initial=0.0)),
+                          current_method=currents.method, n_evaluated=len(x),
+                          n_skipped=int(np.count_nonzero(~clear)), details=details)

@@ -732,7 +732,8 @@ def test_continuous_oracle_independence():
     density_rows, currents._fd_rows, the continuous rows functions): from
     bifield it imports only the Newton-potential quadrature and the
     per-point fd_curl, and its inversion, density, f' and f'' are
-    scalar_inversions'."""
+    scalar_inversions'. fd_curl shares currents._stencil with _fd_rows;
+    test_currents holds it bit-equal to a per-axis reference loop."""
     path = Path(scalar_inversions.__file__).with_name("continuous_pointwise.py")
     imported = _imports(path)
     package = [(module, name) for module, name in imported if module.startswith(("bifield", "."))]

@@ -1,6 +1,8 @@
 """Tests for the induced current densities and the FD oracles."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +64,37 @@ def random_config(rng, n, electric=True, magnetic=False, spread=1.5):
             return ChargeConfig.build(entries)
         except Exception:
             continue
+
+
+def reference_jacobian(field, x, h):
+    """J[..., i, j] = dF_i/dx_j by central differences, one axis at a time:
+    the reference of currents._stencil."""
+    cols = []
+    for axis in range(3):
+        step = np.zeros(3)
+        step[axis] = h
+        fp = np.asarray(field(x + step), dtype=float)
+        fm = np.asarray(field(x - step), dtype=float)
+        cols.append((fp - fm) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+def reference_fd(field, x, step=None, richardson=False):
+    """(curl, div) of field at x from reference_jacobian, with fd_curl's
+    default step and Richardson extrapolation."""
+    x = np.asarray(x, dtype=float)
+    h = 1e-4 * max(1.0, float(np.linalg.norm(x))) if step is None else float(step)
+
+    def at(hh):
+        j = reference_jacobian(field, x, hh)
+        curl = np.stack([j[..., 2, 1] - j[..., 1, 2], j[..., 0, 2] - j[..., 2, 0],
+                         j[..., 1, 0] - j[..., 0, 1]], axis=-1)
+        return curl, np.trace(j, axis1=-2, axis2=-1)
+
+    if not richardson:
+        return at(h)
+    (c2, d2), (c1, d1) = at(0.5 * h), at(h)
+    return (4.0 * c2 - c1) / 3.0, (4.0 * d2 - d1) / 3.0
 
 
 def far_point(rng, cfg, min_dist=0.4):
@@ -421,6 +454,49 @@ class TestFiniteDifferenceOracles:
     def test_default_step_scales_with_position(self):
         assert fd_step((0.0, 0.0, 0.0)) == 1e-4
         assert fd_step((200.0, 0.0, 0.0)) == pytest.approx(2e-2)
+        rng = np.random.default_rng(7)
+        for x in rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-2.0, 2.0, (200, 1)):
+            assert fd_step(x) == 1e-4 * max(1.0, float(np.linalg.norm(x)))
+
+    @pytest.mark.parametrize("richardson", [False, True])
+    @pytest.mark.parametrize("step", [None, 3.7e-3])
+    def test_stencil_matches_the_per_axis_reference(self, step, richardson):
+        f = lambda y: np.array([y[1] * y[2] ** 2, np.sin(y[0]), y[0] * y[1] * np.exp(y[2])])
+        g = lambda y: np.stack((f(y), np.array([np.exp(y[2]), y[0] ** 3, -y[1] * y[2]])))
+        rng = np.random.default_rng(8)
+        for x in rng.uniform(-3.0, 3.0, size=(10, 3)):
+            for field in (f, g):
+                curl, div = reference_fd(field, x, step, richardson)
+                got = fd_curl(field, x, step=step, richardson=richardson)
+                assert got.shape == curl.shape and np.array_equal(got, curl)
+                got = fd_div(field, x, step=step, richardson=richardson)
+                assert np.shape(got) == np.shape(div) and np.array_equal(got, div)
+                assert isinstance(got, float) == (field is f)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        f = lambda y: y * y
+        with pytest.raises(ValueError, match="step"):
+            fd_curl(f, (1.0, 2.0, 3.0), step=step)
+        with pytest.raises(ValueError, match="step"):
+            fd_div(f, (1.0, 2.0, 3.0), step=step, richardson=True)
+
+    def test_only_the_fd_users_build_a_stencil(self):
+        """Every central difference in src/ takes its nodes and Jacobians
+        from currents._stencil (the gridded Newton route's corner stencils
+        aside), so no FD user grows its own."""
+        callers = {}
+        for path in Path(currents.__file__).parent.glob("*.py"):
+            for node in ast.parse(path.read_text()).body:
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Call):
+                        func = sub.func
+                        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                        if name in ("_stencil", "_jacobians_at"):
+                            callers.setdefault(name, set()).add(getattr(node, "name", None))
+        assert callers == {"_stencil": {"_jacobians_at", "_fd_rows", "continuous_residual_suite",
+                                        "residual_suite"},
+                           "_jacobians_at": {"fd_curl", "fd_div"}}
 
     def test_stencil_clearance(self):
         cfg = pair_config()
@@ -501,6 +577,19 @@ class TestDispatcher:
         je0 = je_classical_dyonic_k0(cfg, BETA, x)
         assert np.max(np.abs(s.j_m - jm0)) <= 1e-8
         assert np.max(np.abs(s.j_e - je0)) <= 1e-8
+
+    @pytest.mark.parametrize("params, cfg, method", [
+        (ModelParams.logarithmic(beta=1.0), pair_config(), "analytic"),
+        (ModelParams.classical(beta=BETA), ChargeConfig.build(
+            [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]), "analytic"),
+        (ModelParams.logarithmic(beta=1.0), ChargeConfig.build(
+            [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]), "fd"),
+    ], ids=["electric", "classical-dyonic-k0", "fd"])
+    def test_zero_points(self, params, cfg, method):
+        rows = current_rows(params, cfg, np.empty((0, 3)))
+        assert rows.method == method
+        assert rows.j_e.shape == rows.j_m.shape == (0, 3)
+        assert rows.code.shape == (0,) and rows.errors == []
 
     def test_sample_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -22,10 +22,11 @@ from bifield.errors import (
 from bifield.models import ModelParams
 from bifield.sources import ChargeConfig, displacement_field, magnetic_field
 from bifield.constitutive import FieldState, dyonic_eh, state_from_db
-from bifield.currents import eh_field, eh_rows
+from bifield.currents import current_at, eh_field, eh_rows, fd_curl, fd_div, fd_step, stencil_is_clear
 from bifield.observables import (
     EnergyReport,
     QuadratureSpec,
+    ResidualReport,
     classical_energy_density,
     default_probe_radii,
     density_rows,
@@ -989,6 +990,39 @@ class TestExponentProbe:
             divergence_exponent_probe(cfg, params, 0, [1e-4, 1e-5])
 
 
+def residual_pointwise(cfg, params, grid) -> ResidualReport:
+    """residual_suite point by point: fd_curl and fd_div of E, H and of D, B
+    at each point whose stencil is clear, against current_at's currents."""
+    def db(y):
+        return np.stack((displacement_field(cfg, y), magnetic_field(cfg, y)))
+
+    eh = eh_field(params, cfg)
+    details, method, skipped = [], None, 0
+    for x in np.asarray(grid, dtype=float):
+        h = fd_step(x)
+        if not stencil_is_clear(cfg, x, h):
+            skipped += 1
+            continue
+        current = current_at(params, cfg, x)
+        method = current.method
+        curl_e, curl_h = fd_curl(eh, x, step=h)
+        div_d, div_b = fd_div(db, x, step=h)
+        curl_d, curl_b = fd_curl(db, x, step=h)
+        details.append({
+            "at": [float(v) for v in x],
+            "div_d": abs(float(div_d)),
+            "curl_d": float(np.max(np.abs(curl_d))),
+            "div_b": abs(float(div_b)),
+            "curl_b": float(np.max(np.abs(curl_b))),
+            "curl_e_jm": float(np.max(np.abs(curl_e + current.j_m))),
+            "curl_h_je": float(np.max(np.abs(curl_h - current.j_e))),
+        })
+    maxima = [max([0.0] + [p[key] for p in details]) for key in
+              ("div_d", "curl_d", "div_b", "curl_b", "curl_e_jm", "curl_h_je")]
+    return ResidualReport(*maxima, current_method=method, n_evaluated=len(details),
+                          n_skipped=skipped, details=tuple(details))
+
+
 class TestResidualSuite:
     @staticmethod
     def grid_points():
@@ -1033,6 +1067,46 @@ class TestResidualSuite:
         assert report.max_curl_e_plus_jm <= 1e-6
         assert report.max_curl_h_minus_je <= 1e-6
 
+    @pytest.mark.parametrize("params, cfg", [
+        (ModelParams.classical(1.0), pair_config(sep=2.0, q1=1.0, q2=2.0)),
+        (ModelParams.exponential(0.7), pair_config(sep=2.0, q1=1.0, q2=-2.0)),
+        (ModelParams.classical(1.0), pair_config(sep=2.0, g1=0.5, g2=-1.0)),
+        (ModelParams.classical(1.0, kappa=1.0), single_charge(q=1.0, g=1.0)),
+        (ModelParams.logarithmic(0.5, kappa=0.3), pair_config(sep=2.0, q1=1.0, q2=-0.5, g1=0.5)),
+    ], ids=["classical-electric", "exponential-electric", "classical-dyonic-k0", "classical-k1-dyon",
+            "log-dyon-pair"])
+    def test_report_matches_the_pointwise_loop(self, params, cfg):
+        rng = np.random.default_rng(11)
+        grid = np.concatenate([rng.uniform(-2.0, 2.0, size=(12, 3)),
+                               cfg.positions[:1] + [1e-6, 0.0, 0.0]])
+        report = residual_suite(cfg, params, grid)
+        assert report.n_skipped >= 1
+        assert report == residual_pointwise(cfg, params, grid)
+
+    def test_failure_is_the_pointwise_loop_failure(self):
+        params = ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5)
+        cfg = ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.4), ((-1.0, 0.5, 0.0), -2.0, 1.0)])
+        grid = [[0.3, 1.2, -0.4], [-0.85, 0.5, 0.0], [0.5, -1.0, 0.7]]
+        with pytest.raises(FieldError) as want:
+            residual_pointwise(cfg, params, grid)
+        with pytest.raises(FieldError) as got:
+            residual_suite(cfg, params, grid)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    @pytest.mark.parametrize("params", [ModelParams.logarithmic(1.0),
+                                        ModelParams.classical(1.0, kappa=0.5),
+                                        ModelParams.classical(1.0)],
+                             ids=["logarithmic", "classical-kappa", "classical-k0"])
+    def test_all_points_skipped(self, params):
+        cfg = pair_config(sep=2.0, g1=0.5, g2=-1.0)
+        grid = [[1.0 + 1e-6, 0.0, 0.0], [-1.0, 1e-5, 0.0]]
+        report = residual_suite(cfg, params, grid)
+        assert (report.n_evaluated, report.n_skipped, report.details) == (0, 2, ())
+        assert report.current_method == currents.current_rows(params, cfg, grid).method
+        assert [report.max_div_d, report.max_curl_d, report.max_div_b, report.max_curl_b,
+                report.max_curl_e_plus_jm, report.max_curl_h_minus_je] == [0.0] * 6
+        assert residual_suite(cfg, params, []) == dataclasses.replace(report, n_skipped=0)
+
     def test_stencil_too_close_is_skipped(self):
         cfg = pair_config(sep=2.0)
         params = ModelParams.classical(1.0)
@@ -1052,10 +1126,15 @@ class TestResidualSuite:
             calls.append(len(pts))
             return current_rows(params, cfg, pts)
 
+        def counting_eh(params, cfg, pts):
+            calls.append(("eh", len(pts)))
+            return eh_rows(params, cfg, pts)
+
         monkeypatch.setattr(observables, "current_rows", counting_rows)
+        monkeypatch.setattr(observables, "eh_rows", counting_eh)
         report = residual_suite(cfg, params, grid)
-        # the point inside the stencil clearance is skipped before the call
-        assert calls == [2]
+        # the point inside the stencil clearance is skipped before the calls
+        assert calls == [2, ("eh", 12)]
         assert (report.n_evaluated, report.n_skipped) == (2, 1)
         assert report.current_method == "fd"
         assert report.max_curl_e_plus_jm <= 1e-6
