@@ -353,18 +353,21 @@ def _monotone_rows(params, t, one_pk, b2):
     s_a = (one_pk a - b2)/2 (one_pk = 1, b2 = 0 for the electric branch).
 
     A bracketed Newton/bisection in which each row runs its own iterates
-    and stops at its own test. The bracket [0, hi] doubles from max(1, t)
-    until g(hi) >= t, at most 200 times. A row with g(0) = t or g(hi) = t
-    returns that end. Otherwise at most 200 steps from the midpoint: each
-    halves the bracket on the sign of g(a) - t and takes the Newton step
-    when it lands strictly inside the bracket, else the midpoint; a row
-    stops at |g(a) - t| <= 1e-12 max(1, |t|), or with the iterate of least
-    residual once no float lies strictly inside its bracket or the steps
-    run out. g increases, and g(0) - t = -t < 0 <= g(hi) - t.
+    and stops at its own test. The bracket [lo, hi] starts at lo = 0, or,
+    where s_0 = -b2/2 lies below the domain, at the first a whose s_a lies
+    inside (_domain_floor); hi doubles from max(1, t, lo) until
+    g(hi) >= t, at most 200 times. A row with g(lo) = t or g(hi) = t
+    returns that end; a row with g(lo) > t has no root in the domain.
+    Otherwise at most 200 steps from the midpoint: each halves the bracket
+    on the sign of g(a) - t and takes the Newton step when it lands
+    strictly inside the bracket, else the midpoint; a row stops at
+    |g(a) - t| <= 1e-12 max(1, |t|), or with the iterate of least residual
+    once no float lies strictly inside its bracket or the steps run out.
+    g increases, and g(lo) - t < 0 <= g(hi) - t.
 
     Returns a (NaN where unsolved), the mask of rows whose s_a left the
-    model domain with the s_a at which they did, and the mask of rows whose
-    bracket never closed.
+    model domain or whose root lies outside it, with the s_a at which they
+    did, and the mask of rows whose bracket never closed.
     """
     n = len(t)
     a_out = np.full(n, np.nan)
@@ -382,28 +385,35 @@ def _monotone_rows(params, t, one_pk, b2):
         fp = params.derivative_rows(s_a, 1)
         return rows, a, s_a, fp, fp * fp * one_pk[rows] * a - t[rows]
 
-    hi = np.where(t > 1.0, t, 1.0)
+    lo = _domain_floor(params, one_pk, b2)
+    hi = np.maximum(np.where(t > 1.0, t, 1.0), lo)
+    g_hi = np.zeros(n)
     rows = np.arange(n)
     closed = np.zeros(n, dtype=bool)
     for _ in range(200):
         rows, _, _, _, fhi = g(rows, hi[rows])
-        closed[rows[fhi >= 0.0]] = True
-        rows = rows[~(fhi >= 0.0)]
+        up = fhi >= 0.0
+        closed[rows[up]] = True
+        g_hi[rows[up]] = fhi[up]
+        rows = rows[~up]
         hi[rows] *= 2.0
         if not len(rows):
             break
     unbracketed = np.zeros(n, dtype=bool)
     unbracketed[rows] = True
 
-    rows, _, _, _, flo = g(np.flatnonzero(closed), np.zeros(int(closed.sum())))
-    a_out[rows[flo == 0.0]] = 0.0
-    rows = rows[flo != 0.0]
-    rows, _, _, _, fhi = g(rows, hi[rows])
-    a_out[rows[fhi == 0.0]] = hi[rows[fhi == 0.0]]
-    rows = rows[fhi != 0.0]
+    rows, lo, s_lo, _, flo = g(np.flatnonzero(closed), lo[closed])
+    at_lo = flo == 0.0
+    a_out[rows[at_lo]] = lo[at_lo]
+    at_hi = ~at_lo & (g_hi[rows] == 0.0)
+    a_out[rows[at_hi]] = hi[rows[at_hi]]
+    above = ~(at_lo | at_hi) & (flo > 0.0)
+    lost[rows[above]] = True
+    lost_s[rows[above]] = s_lo[above]
+    inner = ~(at_lo | at_hi | above)
+    rows, lo = rows[inner], lo[inner]
 
     tol = 1e-12 * np.where(np.abs(t[rows]) > 1.0, np.abs(t[rows]), 1.0)
-    lo = np.zeros(len(rows))
     hi = hi[rows]
     a = 0.5 * (lo + hi)
     best = a.copy()
@@ -437,6 +447,26 @@ def _monotone_rows(params, t, one_pk, b2):
             v[go] for v in (rows, a, tol, lo, hi, best, best_res))
     a_out[rows] = best
     return a_out, lost, lost_s, unbracketed
+
+
+def _domain_floor(params, one_pk, b2):
+    """The least a >= 0, to a float, whose s_a = (one_pk a - b2)/2 lies in
+    the model domain: 0 where s_0 = -b2/2 does, else the in-domain end of
+    at most 200 bisections of [0, b2/one_pk] on the domain test. The
+    domain is an interval around s = 0, which s_a reaches at b2/one_pk, and
+    s_a increases with a, so s_a lies below the domain left of the floor."""
+    lo = np.zeros(len(b2))
+    rows = np.flatnonzero(~params.domain_rows(0.5 * (one_pk * lo - b2)))
+    below, inside = lo[rows], b2[rows] / one_pk[rows]
+    for _ in range(200):
+        if not np.any(np.nextafter(below, inside) < inside):
+            break
+        mid = 0.5 * (below + inside)
+        ok = params.domain_rows(0.5 * (one_pk[rows] * mid - b2[rows]))
+        inside = np.where(ok, mid, inside)
+        below = np.where(ok, below, mid)
+    lo[rows] = inside
+    return lo
 
 
 def _generic_electric(params, d, d2, idx, code, errors):

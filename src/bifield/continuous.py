@@ -605,7 +605,7 @@ def continuous_residual_suite(src: ContinuousSource, params: ModelParams,
     against rho_e and rho_m. Intended for sources with radial parts; with FD
     gradients the quadrature noise in u dominates the budget.
     """
-    pts = np.atleast_2d(np.asarray(grid, dtype=float))
+    pts = np.asarray(grid, dtype=float).reshape(-1, 3)
     hs = np.array([0.5, 1.0]) * (src.width / 10.0)
     nodes, jacobian = _stencil(pts, np.broadcast_to(hs, (len(pts), 2)))
     _, b, e, h, s, _, code, errors = state_rows(src, params, nodes, quad)
@@ -617,6 +617,6 @@ def continuous_residual_suite(src: ContinuousSource, params: ModelParams,
     div = (4.0 * div[:, 0] - div[:, 1]) / 3.0
     rho = np.stack([np.zeros(len(pts)) if r is None else np.asarray(r(pts), dtype=float)
                     for r in (src.rho_e, src.rho_m)], axis=1)
-    res, peak = np.abs(div - rho).max(axis=0), np.abs(rho).max(axis=0)
+    res, peak = np.abs(div - rho).max(axis=0, initial=0.0), np.abs(rho).max(axis=0, initial=0.0)
     return {"max_residual_e": float(res[0]), "max_residual_m": float(res[1]),
             "max_rho_e": float(peak[0]), "max_rho_m": float(peak[1]), "n_points": len(pts)}

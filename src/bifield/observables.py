@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, DomainViolation, QuadratureError, SingularPoint, raise_first
 from .models import ModelParams, CLASSICAL, QUADRATIC
@@ -221,9 +220,25 @@ def hamiltonian_at(params: ModelParams, cfg: ChargeConfig, x) -> float:
 
 @lru_cache(maxsize=64)
 def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """leggauss(n), built once per process and shared read-only. Only 1-D
-    rules are kept: sphere rules reach millions of nodes on flux levels."""
-    nodes, weights = leggauss(n)
+    """The n-point Gauss-Legendre rule on [-1, 1] by Golub & Welsch, Math.
+    Comp. 23, 221 (1969): the nodes are the eigenvalues of the symmetric
+    Jacobi matrix with off-diagonal k/sqrt(4k^2 - 1), k = 1..n-1, and the
+    weights 2 v_0^2 from the first components of its unit eigenvectors.
+    Nodes are made exactly odd and weights exactly even (a mirror pair's
+    null field depends on it), and the weights are scaled to sum to 2 (a
+    centred charge's flux is then 1 to rounding). One eigh per rule; at
+    n = 2048, a flux sphere's eighth level, it takes longer than numpy's
+    leggauss (1.4 s against 0.7 s on a 2-core x86-64 VM).
+
+    Built once per process and shared read-only. Only 1-D rules are kept:
+    sphere rules reach millions of nodes on flux levels."""
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, -1), UPLO="L")
+    weights = 2.0 * vectors[0] ** 2
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 0.5 * (weights + weights[::-1])
+    weights *= 2.0 / weights.sum()
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -276,8 +291,9 @@ def divergence_exponent_probe(cfg: ChargeConfig, params: ModelParams,
     h = hamiltonian_on_points(params, cfg, pts)
     if np.any(h <= 0.0):
         raise QuadratureError("energy density not positive along the probe ray")
-    slope = np.polyfit(np.log(radii), np.log(h), 1)[0]
-    return float(slope)
+    x, y = np.log(radii), np.log(h)
+    x = x - x.mean()
+    return float(x @ (y - y.mean()) / (x @ x))
 
 
 def _becke_orders(level: int) -> tuple[int, int, int]:

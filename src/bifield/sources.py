@@ -8,10 +8,10 @@ The multicenter ansatz prescribes
 both gradients of superposed Coulomb potentials, hence curl-free away from
 the centers with delta-function divergences q_i, g_i. One kernel serves one
 point and N points alike: _coulomb_offsets forms r_i = x - x_i and |r_i| and
-applies the exclusion rule, and _superpose sums over the centers with an
-einsum; weights of shape (m, n) give m fields (D and B) from one offsets
-pass, each bit-equal to its own call. The einsum is not correctly rounded:
-against the math.fsum sums kept in the tests it stays within
+applies the exclusion rule, and _superpose adds the centers one by one
+(_centre_sum); weights of shape (m, n) give m fields (D and B) from one
+offsets pass, each bit-equal to its own call. The sum is not correctly
+rounded: against the math.fsum sums kept in the tests it stays within
 4.8 eps sum_i |term_i| over 24000 random configurations with n = 1..8 (the
 tests gate 8 eps), and a mirror pair's midpoint field stays exactly zero.
 """
@@ -183,10 +183,27 @@ def mark_singular(cfg: ChargeConfig, pts: np.ndarray, code: np.ndarray, errors: 
     return np.flatnonzero(~bad)
 
 
+def _centre_sum(c: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """sum_j c_ij r_ij for c of shape (..., N, n) and rs (N, n, 3), giving
+    (..., N, 3). The terms c_ij r_ij are added onto zeros in centre order,
+    the order of numpy's einsum over j, so the bits and signed zeros are
+    the einsum's; a loop over the few centres is faster than einsum's
+    generic sum-of-products loop. Like the einsum it is silent on overflow
+    and on invalid values."""
+    out = np.zeros(c.shape[:-1] + (3,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(rs.shape[1]):
+            out += c[..., j, None] * rs[:, j]
+    return out
+
+
 def _superpose(weights: np.ndarray, rs: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """sum_j w_j r_ij / (4 pi |r_ij|^3); weights (n,) give (N, 3), weights
-    (m, n) give (m, N, 3)."""
-    return np.einsum("...j,ij,ijk->...ik", weights / FOUR_PI, dist**-3, rs)
+    (m, n) give (m, N, 3). The product w_j/(4 pi) |r_ij|^-3 may overflow
+    silently, as in the sum: the callers check D and B for non-finite rows."""
+    w, inv3 = weights[..., None, :] / FOUR_PI, dist**-3
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _centre_sum(w * inv3, rs)
 
 
 def _batch_coulomb(cfg: ChargeConfig, weights: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -234,8 +251,8 @@ def _coulomb_gradient(weights: np.ndarray, rs: np.ndarray,
 
     Weights of shape (m, n) give both of shape (m, N, 3).
     """
-    f = _superpose(weights, rs, dist)
     c = weights[..., None, :] / FOUR_PI * dist**-3
+    f = _centre_sum(c, rs)
     proj = c * np.einsum("ijk,...ik->...ij", rs, f) / dist**2
-    grad = 2.0 * np.sum(c, axis=-1)[..., None] * f - 6.0 * np.einsum("...ij,ijk->...ik", proj, rs)
+    grad = 2.0 * np.sum(c, axis=-1)[..., None] * f - 6.0 * _centre_sum(proj, rs)
     return f, grad

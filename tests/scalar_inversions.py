@@ -572,6 +572,23 @@ def _quadratic(params, d, b, d2, b2, bd, bxd2, eta):
     return e, h, AuxScalars(a=float(e @ e), b=eb * eb, s=s, eta=eta)
 
 
+def _domain_floor(params, one_pk, b2):
+    """The least a >= 0, to a float, with s_a = (one_pk a - b2)/2 in the
+    domain: 0 if s_0 is, else bisect [0, b2/one_pk], where s_a = 0."""
+    below, inside = 0.0, b2 / one_pk
+    if in_domain(params, 0.5 * (one_pk * below - b2)):
+        return below
+    for _ in range(200):
+        if math.nextafter(below, inside) >= inside:
+            break
+        mid = 0.5 * (below + inside)
+        if in_domain(params, 0.5 * (one_pk * mid - b2)):
+            inside = mid
+        else:
+            below = mid
+    return inside
+
+
 def _generic(params, d, b, d2, b2, bd, bxd2, eta):
     k2 = params.kappa**2
     opk = 1.0 + k2 * b2
@@ -587,7 +604,8 @@ def _generic(params, d, b, d2, b2, bd, bxd2, eta):
         fp = f_prime(params, s_a)
         return one_pk * fp * (fp + f_double_prime(params, s_a) * one_pk * a)
 
-    hi = max(1.0, t)
+    lo = _domain_floor(params, one_pk, b2)
+    hi = max(1.0, t, lo)
     try:
         for _ in range(200):
             if g(hi) >= t:
@@ -595,8 +613,8 @@ def _generic(params, d, b, d2, b2, bd, bxd2, eta):
             hi *= 2.0
         else:
             raise InversionFailure(f"bracket expansion failed at target {t!r}")
-        a = invert_monotone(g, t, 0.0, hi, deriv=dg)
-    except DomainViolation as exc:
+        a = invert_monotone(g, t, lo, hi, deriv=dg)
+    except (DomainViolation, BracketFailure) as exc:
         raise InversionFailure(
             f"target {t!r} unreachable inside the model domain"
         ) from exc

@@ -81,10 +81,12 @@ def failing_config():
 
 
 def fd_dyon_config(shape=(5, 5, 5)):
-    # fractional-power dyons 0.07 off two grid nodes, whose inversions leave
-    # the model domain there, and a third centre on a node, which is skipped
+    # quadratic-model dyons 0.07 off two grid nodes, where |B|^2 > 1/alpha:
+    # there the cubic's smallest positive root has f' = 1 + 2 alpha s < 0
+    # and the inversions fail their direction check; a third centre sits on
+    # a node, which is skipped
     return {
-        "model": {"kind": "fractional_power", "beta": 1.0, "p": 1.5, "kappa": 0.5},
+        "model": {"kind": "quadratic", "alpha": 1.0, "kappa": 0.5},
         "charges": [
             {"pos": [1.07, 0.03, -0.02], "q": 1.0, "g": 0.4},
             {"pos": [-0.95, 0.04, 0.02], "q": -2.0, "g": 1.0},
@@ -534,7 +536,7 @@ class TestGridChunks:
                            for p in tmp_path.glob(f"{chunk}-*/*")}
         assert runs[1] == runs[7] == runs[default]
         assert f"csv/{command}.csv" in runs[1]
-        if data["model"]["kind"] == "fractional_power":
+        if data["model"]["kind"] == "quadratic":
             assert f"csv/{command}.errors.json" in runs[1]
 
     def test_electric_sample_inverts_once(self, tmp_path, monkeypatch):
@@ -754,21 +756,22 @@ class TestEnergyCommand:
 
 
 # energy.json of two runs, pinned byte for byte: any change to the
-# arithmetic of the energy integrand shows here, not only in the benchmark
+# arithmetic of the energy integrand or of its Gauss-Legendre rules shows
+# here, not only in the benchmark
 GOLDEN_ENERGY = [
     pytest.param({  # perfbench's energy-log input for seed 21
         "model": {"kind": "logarithmic", "beta": 1.0, "kappa": 0.0},
         "charges": [{"pos": [0.5622351776349419, 0.21169405914193606, 0.4196023808168503],
                      "q": 1.0}],
         "quadrature": {"rel_tol": 1e-05},
-    }, "3b91a6786d0a2af043b1cc6dbff1af7d520f062a2980b6ea052ffea01ecd564c", id="energy-log-seed21"),
+    }, "4c2e0389be70c2a954338f4e9e4fe75bf4a0821abcbe68f80ad6bd1194690c2b", id="energy-log-seed21"),
     pytest.param({
         "model": {"kind": "classical", "beta": 1.0, "kappa": 0.6},
         "charges": [{"pos": [1.0, 0.0, 0.0], "q": 1.0, "g": 0.5},
                     {"pos": [-1.0, 0.5, 0.0], "q": -2.0, "g": 1.0},
                     {"pos": [0.0, -1.0, 0.3], "q": 0.5, "g": -0.7}],
         "quadrature": {"rel_tol": 1e-2, "max_subdivisions": 3},
-    }, "9fe3e101474764cd5135e04056736e761e3e8b31e311ddcdf2ddff4e7c407223",
+    }, "49fc8c3774c4b72b1cfa0a36b381709e0e3390bc7a9b17fe0b78f208bfe2e8f3",
         id="three-centre-classical-dyon-k0.6"),
 ]
 

@@ -358,10 +358,13 @@ class TestRows:
         assert np.max(norms) > cap * (1.0 - 1e-7)
 
     def test_failures_raise_the_scalar_class(self):
-        m = ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5)
-        d = np.array([[0.1, 0.0, 0.0], [30.0, 0.0, 0.0], [40.0, 0.0, 0.0]])
-        b = np.array([[0.0, 0.1, 0.0], [12.0, 0.0, 0.0], [16.0, 0.0, 0.0]])
-        with pytest.raises(InversionFailure):
+        # Maxwell's f restricted to s > -1/2: g(a) = (1 + kappa^2 eta) a
+        # starts at B^2 - 1 on the domain's edge, above the targets of rows
+        # 1 and 2, so their roots lie outside the domain
+        m = ModelParams.custom(lambda s: s, lambda s: 1.0, lambda s: 0.0, kappa=0.5, s_min=-0.5)
+        d = np.array([[0.1, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0]])
+        b = np.array([[0.0, 0.1, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+        with pytest.raises(InversionFailure, match=r" unreachable inside the model domain$"):
             dyonic_eh(m, d[1], b[1])
         with pytest.raises(InversionFailure, match=r"2 of 3 rows failed; first row 1"):
             dyonic_eh_rows(m, d, b)
@@ -508,15 +511,25 @@ class TestRowKernelsAgainstScalar:
         m = ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5)
         d = np.array([[0.3, 0.1, 0.0], [0.5, 0.0, 0.2], [0.0, 0.0, 0.0], [0.2, 0.2, 0.2]])
         b = np.array([[0.1, 0.4, 0.0], [2.0, 0.5, 0.0], [0.0, 1.9, 0.0], [0.0, 0.0, 3.0]])
-        _, _, _, code, errors = invert_rows(m, d, b)
-        assert code[0] == 0
+        # rows 1 and 3 have roots inside the domain: their brackets start
+        # at the first a whose s_a lies in it, not at a = 0
+        e, h, s, code, errors = invert_rows(m, d, b)
         failed = {i: errors[code[i] - 1] for i in np.flatnonzero(code)}
-        assert sorted(failed) == [1, 2, 3]
-        assert type(failed[1]) is InversionFailure
-        assert str(failed[1]).endswith(" unreachable inside the model domain")
+        assert sorted(failed) == [2]
         assert type(failed[2]) is DomainViolation  # D = 0: magnetostatic_h's f'
         assert str(failed[2]) == "s=-1.805 outside domain of fractional_power model"
-        with pytest.raises(InversionFailure, match=r"^3 of 4 rows failed; first row 1 "):
+        for i in (0, 1, 3):
+            # row 3's s lies 0.02 above the edge, where f' = (1 + s/p)^0.5
+            # turns the solve's 1e-13 in s into 5e-13 in D
+            st = forward_fields(m, e[i], b[i])
+            assert np.allclose(st.d, d[i], rtol=0.0, atol=1e-11)
+            assert np.allclose(st.h, h[i], rtol=0.0, atol=1e-11)
+            assert abs(st.s - s[i]) <= 1e-12
+            e_ref, h_ref, aux = scalar_eh(m, d[i], b[i])
+            assert np.array_equal(e[i], e_ref) and np.array_equal(h[i], h_ref)
+            assert s[i] == aux.s
+            assert m.in_domain(-0.5 * float(b[i] @ b[i])) == (i == 0)
+        with pytest.raises(DomainViolation, match=r"^1 of 4 rows failed; first row 2 "):
             dyonic_eh_rows(m, d, b)
 
     def test_maxwell_limit_is_exact(self):

@@ -585,6 +585,12 @@ class TestResidualSuite:
         assert out["max_residual_e"] <= 1e-3 * out["max_rho_e"]
         assert out["max_residual_m"] == 0.0
 
+    @pytest.mark.parametrize("grid", [np.empty((0, 3)), []], ids=["array", "list"])
+    def test_zero_points_give_an_empty_report(self, grid):
+        out = continuous_residual_suite(gaussian_source(1.0, 0.8), ModelParams.classical(1.0), grid)
+        assert out == {"max_residual_e": 0.0, "max_residual_m": 0.0,
+                       "max_rho_e": 0.0, "max_rho_m": 0.0, "n_points": 0}
+
     def test_stencil_nodes_invert_once(self, monkeypatch):
         # D and B's flux fields are one stacked field: the two Richardson
         # stencils have 12 nodes per point, all inverted in one call

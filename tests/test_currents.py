@@ -641,9 +641,10 @@ class TestCurrentRows:
 
     def test_fd_rows_match_scalar_fd_curls(self):
         # the 12 stacked stencil nodes of every point against fd_curl of the
-        # scalar inversion, bit for bit; the domain edge near each centre
-        # makes some points fail, the first three probe the exclusion rules
-        params = ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5)
+        # scalar inversion, bit for bit; near each centre the quadratic
+        # model's cubic root has f' = 1 + 2 alpha s < 0 at some stencil
+        # nodes, which fail; the first three points probe the exclusion rules
+        params = ModelParams.quadratic(1.0, kappa=0.5)
         cfg = ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.4), ((-1.0, 0.5, 0.0), -2.0, 1.0)])
         pts = self.points(cfg, np.random.default_rng(41))
         pts[3:6] = cfg.positions[1] + np.array([[0.0, 0.1, 0.0], [0.15, 0.0, 0.0], [0.0, 0.0, -0.2]])

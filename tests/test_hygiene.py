@@ -109,6 +109,27 @@ def test_private_functions_are_referenced():
     assert dead == []
 
 
+def test_cli_import_and_rules_leave_numpy_polynomial_unloaded(tmp_path):
+    # the Gauss-Legendre rules come from one eigh each: importing the command
+    # line and building the rules of an energy and a charge run load neither
+    # numpy.polynomial nor scipy
+    charge = tmp_path / "charge.json"
+    charge.write_text(json.dumps({"model": {"kind": "logarithmic"},
+                                  "charges": [{"pos": [0.0, 0.0, 0.0], "q": 1.0}]}))
+    code = ("import sys, bifield.cli\n"
+            "def loaded(): return sorted(m for m in sys.modules\n"
+            "                            if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial'))\n"
+            "print(loaded())\n"
+            f"for cmd in ('energy', 'charge'): bifield.cli.main([cmd, '--config', {str(charge)!r}, "
+            f"'--out-dir', {str(tmp_path)!r}])\n"
+            "print(loaded())\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert [line for line in out.stdout.splitlines() if line.startswith("[")] == ["[]", "[]"]
+    assert (tmp_path / "energy.json").exists() and (tmp_path / "charge.report.json").exists()
+
+
 def test_cli_leaves_scipy_unloaded(tmp_path):
     # scipy is imported by the gridded source only: not by the package, nor
     # by loading a radial source, nor by the energy command; and the command

@@ -11,6 +11,7 @@ import json
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +57,7 @@ DYON_K1_PLATEAU = 0.11253953951963827
 # flux of E through R = 10 for the single unit charge at beta = 1:
 # 4 pi R^2 E(R) with E = D / sqrt(1 + D^2), D = 1 / (4 pi R^2)
 SINGLE_FLUX_R10 = 0.9999996833714514
+EPS = np.finfo(float).eps
 
 
 def single_charge(q=1.0, g=0.0):
@@ -275,10 +277,11 @@ class TestEnergyDensity:
                             (kind, kappa, charges, i)
 
     def test_batch_failure_names_first_row_and_count(self):
-        # the fractional-power kappa = 0.5 dyon pair of current-dyon-fd: next
-        # to each centre |B|^2 passes the domain edge and the inversion fails
+        # the dyon pair of current-dyon-fd in the quadratic model: next to
+        # each centre |B|^2 > 1/alpha, where the cubic's smallest positive
+        # root has f' = 1 + 2 alpha s < 0 and fails the direction check
         cfg = ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.4), ((-1.0, 0.5, 0.0), -2.0, 1.0)])
-        params = ModelParams.fractional_power(1.0, 1.5, kappa=0.5)
+        params = ModelParams.quadratic(1.0, kappa=0.5)
         pts = np.array([[3.0, 0.0, 0.0], [1.05, 0.0, 0.0], [-1.0, 0.55, 0.0]])
         with pytest.raises(InversionFailure, match=r"2 of 3 rows failed; first row 1"):
             hamiltonian_on_points(params, cfg, pts)
@@ -630,40 +633,65 @@ class TestAgainstShellReference:
         assert not total_energy(cfg, params, quad).converged
 
 
+def mp_gauss_legendre(n: int, dps: int = 40):
+    """The positive nodes of the n-point Gauss-Legendre rule, descending,
+    and their weights, as mpmath numbers: Newton on the three-term
+    recurrence for P_n from Tricomi's estimate, w = 2/((1 - x^2) P_n'(x)^2)."""
+    with mpmath.workdps(dps):
+        nodes, weights = [], []
+        for i in range(1, n // 2 + 1):
+            x = mpmath.cos(mpmath.pi * (4 * i - 1) / (4 * n + 2)) * (1 - mpmath.mpf(n - 1) / (8 * n**3))
+            for _ in range(20):
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(2, n + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                dp = n * (p0 - x * p1) / (1 - x * x)
+                step = p1 / dp
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** (5 - dps):
+                    break
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        return nodes, weights
+
+
 class TestGaussRule:
     """The memoized 1-D Gauss-Legendre rule."""
 
-    def test_rule_is_numpys_and_read_only(self):
-        for n in (4, 8, 12, 16, 64, 256):
+    def test_rule_matches_a_forty_digit_rule_and_is_read_only(self):
+        # the eigenvector weights lose ~3e-17 n^2 relative at the ends of
+        # the rule (2.05e-12 at n = 256), numpy's leggauss ~3e-16 n^2
+        for n in (1, 2, 4, 5, 8, 24, 35, 36, 64, 128, 256):
             nodes, weights = observables._gauss(n)
-            ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
-            assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+            assert nodes.shape == weights.shape == (n,)
+            assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+            assert np.all(np.diff(nodes) > 0.0)
+            ref_nodes, ref_weights = mp_gauss_legendre(n)
+            top = slice(n - 1, (n - 1) // 2, -1)  # the positive half, descending
+            assert max((abs(float(x - r)) for x, r in zip(nodes[top], ref_nodes)), default=0.0) <= 4e-16
+            assert max((abs(float(w / r - 1)) for w, r in zip(weights[top], ref_weights)),
+                       default=0.0) <= 1e-16 * n * n
+            if n % 2:
+                assert nodes[n // 2] == 0.0
+                assert abs(weights[n // 2] - (2.0 - 2.0 * math.fsum(weights[top]))) <= 1e-15
             for a in (nodes, weights):
                 with pytest.raises(ValueError):
                     a[0] = 0.0
 
-    def test_charge_caches_only_one_dimensional_rules(self, tmp_path, monkeypatch):
-        built = []
-
-        def leggauss(n):
-            built.append(n)
-            return np.polynomial.legendre.leggauss(n)
-
-        monkeypatch.setattr(observables, "leggauss", leggauss)
+    def test_charge_caches_only_one_dimensional_rules(self, tmp_path):
         observables._gauss.cache_clear()
         data = {"model": {"kind": "logarithmic", "beta": 1.0},
                 "charges": [{"pos": [0.3, 0.1, -0.2], "q": 1.0}]}
         path = tmp_path / "run.json"
         path.write_text(json.dumps(data))
-        assert cli.main(["charge", "--config", str(path), "--out-dir", str(tmp_path),
-                         "--R", "50"]) == cli.EXIT_OK
+        argv = ["charge", "--config", str(path), "--out-dir", str(tmp_path), "--R", "50"]
+        assert cli.main(argv) == cli.EXIT_OK
         info = observables._gauss.cache_info()
-        assert built and sorted(set(built)) == sorted(built)
-        assert info.misses == info.currsize == len(built)
-        for n in built:
-            rule = observables._gauss(n)
-            assert [a.shape for a in rule] == [(n,), (n,)]
-        assert observables._gauss.cache_info().hits == info.hits + len(built)
+        # each order was built once and kept
+        assert 0 < info.misses == info.currsize < info.maxsize
+        assert cli.main(argv) == cli.EXIT_OK
+        again = observables._gauss.cache_info()
+        assert again.misses == info.misses and again.hits > info.hits
         # the sphere rule reaches millions of nodes and stays uncached
         assert not hasattr(observables._sphere_rule, "cache_info")
         assert not hasattr(observables._sphere_rule, "__wrapped__")
@@ -747,7 +775,8 @@ class TestFluxCharge:
         assert flux.shape == (2,)
         assert flux[0] == flux_charge(pointwise(lambda y: displacement_field(centred, y)), 1.0, quad)
         assert flux[1] == flux_charge(pointwise(lambda y: displacement_field(off, y)), 1.0, quad)
-        assert flux[0] == 1.0 and flux[1] != -2.0
+        # the centred charge's flux is 1 to the rounding of the rule
+        assert abs(flux[0] - 1.0) <= 4 * EPS and flux[1] != -2.0
         # levels of 8x16, 16x32 and 32x64 nodes, one rows call per level
         assert calls == [128, 512, 2048]
 
@@ -796,8 +825,20 @@ class TestFluxRowsAgainstPointwise:
                    (0.05, cfg.positions[0]), (4.0, (0.5, 0.2, -0.3))]
         wants = [flux_outcome(flux_charge_pointwise, oracle, R, quad, center)
                  for R, center in spheres]
+        # the oracle's exponential inversion takes the math module's exp and
+        # log, which round unlike numpy's on a few percent of inputs (see
+        # scalar_inversions): its E and H differ from the rows' at ~9% of
+        # the nodes, by up to 2.3e-14 of the largest, and its fluxes agree
+        # to that; the other models' fluxes agree bit for bit
+        if params.kind == "exponential":
+            def same(got, want):
+                if isinstance(want, tuple):
+                    return got == want
+                return np.allclose(got, want, rtol=5e-14, atol=0.0)
+        else:
+            same = same_outcome
         for (R, center), want in zip(spheres, wants):
-            assert same_outcome(flux_outcome(flux_charge, eh, R, quad, center), want), R
+            assert same(flux_outcome(flux_charge, eh, R, quad, center), want), R
         # the four spheres through one flux_spheres call: it raises the
         # first failure in sphere order, and the spheres that converge keep
         # the oracle's bits in a call of their own
@@ -806,11 +847,11 @@ class TestFluxRowsAgainstPointwise:
         if failures:
             assert got == failures[0]
         else:
-            assert all(np.array_equal(g, w) for g, w in zip(got, wants))
+            assert all(same(g, w) for g, w in zip(got, wants))
         ok = [(sphere, w) for sphere, w in zip(spheres, wants) if isinstance(w, np.ndarray)]
         fluxes = spheres_outcome(eh, [sphere for sphere, _ in ok], quad)
         assert len(fluxes) == len(ok) >= 3
-        assert all(np.array_equal(g, w) for g, (_, w) in zip(fluxes, ok))
+        assert all(same(g, w) for g, (_, w) in zip(fluxes, ok))
 
     def test_stacked_components_converge_at_own_levels(self):
         # E and H of the dyon next to the D of a centred unit charge, which
@@ -830,7 +871,7 @@ class TestFluxRowsAgainstPointwise:
         oracle = eh_pointwise(params, self.dyon)
         assert np.array_equal(flux[:2], flux_charge_pointwise(oracle, 3.0, quad))
         assert flux[2] == flux_charge_pointwise(lambda y: displacement_field(centred, y), 3.0, quad)
-        assert flux[2] == 1.0 and len(levels) > 2
+        assert abs(flux[2] - 1.0) <= 4 * EPS and len(levels) > 2
 
     def test_chunked_levels_keep_the_bits(self, monkeypatch):
         eh = eh_field(ModelParams.logarithmic(beta=1.0), self.dyon)
@@ -1084,7 +1125,7 @@ class TestResidualSuite:
         assert report == residual_pointwise(cfg, params, grid)
 
     def test_failure_is_the_pointwise_loop_failure(self):
-        params = ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5)
+        params = ModelParams.quadratic(1.0, kappa=0.5)
         cfg = ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.4), ((-1.0, 0.5, 0.0), -2.0, 1.0)])
         grid = [[0.3, 1.2, -0.4], [-0.85, 0.5, 0.0], [0.5, -1.0, 0.7]]
         with pytest.raises(FieldError) as want:

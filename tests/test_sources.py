@@ -109,7 +109,7 @@ class TestExactCancellation:
 
 
 class TestKernelAgainstFsumOracle:
-    """The einsum kernel against the correctly rounded fsum sums.
+    """The Coulomb kernel against the correctly rounded fsum sums.
 
     The two round each term in the same number of steps but take |r| by
     different numpy routes (a dot against a reduction), which differ by an
@@ -166,6 +166,29 @@ class TestStackedWeights:
         # a single point is the one-row batch
         np.testing.assert_array_equal(displacement_field(cfg, pts[7]), fields[0, 7])
         np.testing.assert_array_equal(magnetic_field(cfg, pts[7]), fields[1, 7])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_centre_sums_are_the_einsums_bits(self, n):
+        # the centre-by-centre sums against numpy's einsum over the centres,
+        # signed zeros included: points on the axes of mirror pairs and
+        # centres of zero weight give zero terms of either sign
+        rng = np.random.default_rng(300 + n)
+        cfg = random_config(rng, n)
+        pos = cfg.positions
+        pts = np.concatenate((rng.uniform(-3.0, 3.0, size=(400, 3)), 0.5 * (pos + pos[::-1])[:n // 2],
+                              np.where(rng.random((40, 3)) < 0.5, 0.0, rng.normal(size=(40, 3)))))
+        weights = np.stack((cfg.qs, cfg.gs, np.where(rng.random(n) < 0.3, 0.0, -cfg.qs)))
+        rs, dist = _coulomb_offsets(cfg, pts)
+        for w in (weights, weights[0], weights[2]):
+            f, grad = _coulomb_gradient(w, rs, dist)
+            ref = np.einsum("...j,ij,ijk->...ik", w / FOUR_PI, dist**-3, rs)
+            c = w[..., None, :] / FOUR_PI * dist**-3
+            proj = c * np.einsum("ijk,...ik->...ij", rs, ref) / dist**2
+            ref_grad = 2.0 * np.sum(c, axis=-1)[..., None] * ref - 6.0 * np.einsum(
+                "...ij,ijk->...ik", proj, rs)
+            for got, want in ((_batch_coulomb(cfg, w, pts), ref), (f, ref), (grad, ref_grad)):
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestExclusion:
