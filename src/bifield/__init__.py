@@ -7,35 +7,26 @@ carry, and integrates field energies and fluxes.
 """
 
 from .constitutive import (
-    AuxScalars,
     FieldState,
-    MediumMatrix,
-    dyonic_eh,
     dyonic_eh_rows,
     electrostatic_e,
     forward_fields,
     invert_rows,
     magnetostatic_h,
-    medium_matrix,
-    round_trip_residual,
-    state_from_db,
 )
 from .continuous import (
     ContinuousSource,
     RadialPart,
     bump_source,
-    continuous_fields,
     continuous_residual_suite,
     curl_formula_continuous,
     gaussian_source,
     gridded_source,
     merge_sources,
     newton_potential,
-    potential_gradient,
     two_gaussian_source,
 )
 from .errors import (
-    BracketFailure,
     ConfigError,
     DomainViolation,
     FieldError,
@@ -47,17 +38,11 @@ from .errors import (
 )
 from .currents import (
     CurrentRows,
-    CurrentSample,
-    current_at,
     current_rows,
     fd_curl,
     fd_div,
-    je_classical_dyonic_k0,
     je_classical_magnetostatic,
-    je_generic_magnetostatic,
-    jm_classical_dyonic_k0,
     jm_classical_electrostatic,
-    jm_generic_electrostatic,
 )
 from .models import ModelParams
 from .observables import (
@@ -67,40 +52,32 @@ from .observables import (
     divergence_exponent_probe,
     flux_charge,
     free_charge_with_inner_spheres,
-    hamiltonian_at,
     residual_suite,
     total_energy,
 )
 from .sources import (
     ChargeConfig,
     PointCharge,
-    Potential,
     displacement_field,
     magnetic_field,
-    scalar_potential,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxScalars",
-    "BracketFailure",
     "ChargeConfig",
     "ConfigError",
     "ContinuousSource",
     "CurrentRows",
-    "CurrentSample",
     "DomainViolation",
     "EnergyReport",
     "FieldError",
     "FieldState",
     "InversionFailure",
-    "MediumMatrix",
     "ModelParams",
     "NegativeArgument",
     "NoNonnegativeRoot",
     "PointCharge",
-    "Potential",
     "QuadratureError",
     "QuadratureSpec",
     "RadialPart",
@@ -108,14 +85,11 @@ __all__ = [
     "SingularPoint",
     "__version__",
     "bump_source",
-    "continuous_fields",
     "continuous_residual_suite",
     "curl_formula_continuous",
-    "current_at",
     "current_rows",
     "displacement_field",
     "divergence_exponent_probe",
-    "dyonic_eh",
     "dyonic_eh_rows",
     "electrostatic_e",
     "fd_curl",
@@ -125,24 +99,14 @@ __all__ = [
     "free_charge_with_inner_spheres",
     "gaussian_source",
     "gridded_source",
-    "hamiltonian_at",
     "invert_rows",
-    "je_classical_dyonic_k0",
     "je_classical_magnetostatic",
-    "je_generic_magnetostatic",
-    "jm_classical_dyonic_k0",
     "jm_classical_electrostatic",
-    "jm_generic_electrostatic",
     "magnetic_field",
     "magnetostatic_h",
-    "medium_matrix",
     "merge_sources",
     "newton_potential",
-    "potential_gradient",
     "residual_suite",
-    "round_trip_residual",
-    "scalar_potential",
-    "state_from_db",
     "total_energy",
     "two_gaussian_source",
 ]

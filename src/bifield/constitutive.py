@@ -27,15 +27,15 @@ only its electric and dyonic formulas (_ROW_KERNELS): array arithmetic
 whose branches are row masks, Lambert W and the cubic from specfn's array
 kernels, a masked Newton/bisection for the fractional power and custom
 models. invert_rows returns a failure code per row with the exceptions.
-dyonic_eh_rows is its raising form; dyonic_eh, electrostatic_e and
-magnetostatic_h are one-row calls of it.
+dyonic_eh_rows is its raising form; electrostatic_e and magnetostatic_h
+are one-row calls of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -59,25 +59,6 @@ _ZERO3 = np.zeros(3)
 
 
 @dataclass(frozen=True)
-class AuxScalars:
-    """Scalar invariants reconstructed alongside an inversion.
-
-    a = E^2, b = (E.B)^2, s the Lorentz invariant, and at a point with
-    D != 0 and B != 0 eta = (B.D)^2 / (D^2 + kappa^2 (2 + kappa^2 B^2)
-    |B x D|^2), for which b = eta * a.
-    """
-
-    a: float
-    b: float
-    s: float
-    eta: Optional[float] = None
-
-    def __post_init__(self):
-        if self.a < 0.0 or self.b < 0.0:
-            raise ValueError("a = E^2 and b = (E.B)^2 must be nonnegative")
-
-
-@dataclass(frozen=True)
 class FieldState:
     """All four fields at one point, plus the invariant s."""
 
@@ -86,25 +67,6 @@ class FieldState:
     d: np.ndarray
     h: np.ndarray
     s: float
-
-
-@dataclass(frozen=True)
-class MediumMatrix:
-    """2x2 block matrix taking (E, H) to (D, B); each block is coeff * I."""
-
-    ee: float
-    eh: float
-    he: float
-    hh: float
-
-    @property
-    def det(self) -> float:
-        return self.ee * self.hh - self.eh * self.he
-
-    def apply(self, e, h) -> Tuple[np.ndarray, np.ndarray]:
-        e = as_vec3(e)
-        h = as_vec3(h)
-        return self.ee * e + self.eh * h, self.he * e + self.hh * h
 
 
 def forward_fields(params: ModelParams, e, b) -> FieldState:
@@ -120,29 +82,16 @@ def forward_fields(params: ModelParams, e, b) -> FieldState:
     return FieldState(e=e, b=b, d=d, h=h, s=s)
 
 
-def medium_matrix(params: ModelParams, e, b) -> MediumMatrix:
-    """Block coefficients of the local medium relation (E, H) -> (D, B)."""
-    e = as_vec3(e)
-    b = as_vec3(b)
-    k2 = params.kappa**2
-    eb = float(e @ b)
-    s = 0.5 * (float(e @ e) - float(b @ b)) + 0.5 * k2 * eb * eb
-    fp = params.f_prime(s)
-    if abs(fp) < FPRIME_GUARD:
-        raise DomainViolation(f"f'(s) = {fp!r} inside guard band; medium matrix singular")
-    return MediumMatrix(ee=fp * (1.0 + k2 * k2 * eb * eb), eh=k2 * eb, he=k2 * eb, hh=1.0 / fp)
-
-
 # ---------------------------------------------------------------------------
 # one point: one-row calls of invert_rows
 # ---------------------------------------------------------------------------
 
 
 def _one_row(params: ModelParams, d: np.ndarray, b: np.ndarray):
-    """E, H and s at one point from invert_rows; raises the row's failure."""
-    e, h, s, code, errors = invert_rows(params, d[None, :], b[None, :])
+    """E and H at one point from invert_rows; raises the row's failure."""
+    e, h, _, code, errors = invert_rows(params, d[None, :], b[None, :])
     raise_first(code, errors)
-    return e[0], h[0], float(s[0])
+    return e[0], h[0]
 
 
 def electrostatic_e(params: ModelParams, d) -> np.ndarray:
@@ -162,46 +111,6 @@ def magnetostatic_h(params: ModelParams, b) -> np.ndarray:
     legitimately returns H = 0 here.
     """
     return _one_row(params, _ZERO3, as_vec3(b))[1]
-
-
-def dyonic_eh(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, AuxScalars]:
-    """Invert the constitutive map at one point: (D, B) -> (E, H).
-
-    Returns (E, H, aux). The inversion is exact up to scalar root solves;
-    the returned E always satisfies the direction match
-    E . (D - kappa^2 (B.D) B / (1 + kappa^2 B^2)) >= 0, else InversionFailure.
-    Raises the exception invert_rows records for the point.
-    """
-    d = as_vec3(d)
-    b = as_vec3(b)
-    e, h, s = _one_row(params, d, b)
-    d2 = float(d @ d)
-    b2 = float(b @ b)
-    eta = None
-    if d2 != 0.0 and b2 != 0.0:
-        eta = float(_dyon_setup(params, d[None], b[None], np.array([d2]), np.array([b2]))[2][0])
-    eb = float(e @ b)
-    return e, h, AuxScalars(a=float(e @ e), b=eb * eb, s=s, eta=eta)
-
-
-def state_from_db(params: ModelParams, d, b) -> FieldState:
-    """Full field state at one point from prescribed (D, B)."""
-    d = as_vec3(d)
-    b = as_vec3(b)
-    e, h, aux = dyonic_eh(params, d, b)
-    return FieldState(e=e, b=b, d=d, h=h, s=aux.s)
-
-
-def round_trip_residual(params: ModelParams, d, b) -> float:
-    """Relative error of the inversion pushed back through the forward map."""
-    d = as_vec3(d)
-    b = as_vec3(b)
-    e, h, _ = dyonic_eh(params, d, b)
-    st = forward_fields(params, e, b)
-    scale = max(float(np.linalg.norm(d)), float(np.linalg.norm(b)), 1e-30)
-    return max(
-        float(np.linalg.norm(st.d - d)), float(np.linalg.norm(st.h - h))
-    ) / scale
 
 
 # ---------------------------------------------------------------------------

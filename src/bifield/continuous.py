@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constitutive import FieldState, invert_rows, rowdot
+from .constitutive import invert_rows, rowdot
 from .currents import _fd_rows, _generic_electric_curl, _stencil
 from .errors import ConfigError, QuadratureError, merge_failures, raise_first
 from .models import ModelParams
@@ -45,9 +45,7 @@ __all__ = [
     "gridded_source",
     "merge_sources",
     "newton_potential",
-    "potential_gradient",
     "state_rows",
-    "continuous_fields",
     "curl_formula_continuous",
     "jm_rows",
     "continuous_residual_suite",
@@ -514,17 +512,6 @@ def _db_rows(src: ContinuousSource, pts: np.ndarray, quad: QuadratureSpec,
     return d, _gradient_rows(src, pts, quad, "magnetic", code, errors)[0], hess
 
 
-def potential_gradient(src: ContinuousSource, x, quad: QuadratureSpec = None,
-                       which: str = "electric") -> np.ndarray:
-    """D (which='electric') or B (which='magnetic') at x, the gradient of the
-    Newton potential: a one-row call of _gradient_rows."""
-    code = np.zeros(1, dtype=np.int64)
-    errors: list = []
-    g = _gradient_rows(src, as_vec3(x)[None, :], quad, which, code, errors)[0]
-    raise_first(code, errors)
-    return g[0]
-
-
 # -- fields and currents -------------------------------------------------------
 
 
@@ -539,15 +526,6 @@ def state_rows(src: ContinuousSource, params: ModelParams, pts: np.ndarray,
     e, h, s, inv_code, inv_errors = invert_rows(params, d, b)
     merge_failures(code, errors, np.arange(len(pts)), inv_code, inv_errors)
     return d, b, e, h, s, hess, code, errors
-
-
-def continuous_fields(src: ContinuousSource, params: ModelParams, x,
-                      quad: QuadratureSpec = None) -> FieldState:
-    """Exact field state of a continuous source: D = grad u, B = grad v and
-    their constitutive inversion E, H. A one-row call of state_rows."""
-    d, b, e, h, s, _, code, errors = state_rows(src, params, as_vec3(x)[None, :], quad)
-    raise_first(code, errors)
-    return FieldState(e=e[0], b=b[0], d=d[0], h=h[0], s=float(s[0]))
 
 
 def jm_rows(src: ContinuousSource, params: ModelParams, pts: np.ndarray,

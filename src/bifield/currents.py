@@ -16,11 +16,12 @@ sources. Finite-difference curl and divergence operators are provided as
 independent oracles; the test suite checks every analytic current against
 them and against the term-by-term triple sums over the charges.
 
-current_rows evaluates N points at once: the closed forms as array
-arithmetic, and the finite-difference route by stacking the 12 stencil
-nodes of every point into one Coulomb pass and one constitutive rows call.
-The per-point functions (current_at and the closed forms) are one-row calls
-of the same arithmetic.
+current_rows is the module's one evaluation of the currents: N points at
+once, the closed forms as array arithmetic, and the finite-difference route
+by stacking the 12 stencil nodes of every point into one Coulomb pass and
+one constitutive rows call. jm_classical_electrostatic and
+je_classical_magnetostatic are one-point calls of the classical closed form,
+kept for the verify suites.
 
 Every central difference in the package gets its nodes and Jacobians from
 _stencil: fd_curl and fd_div (which call a per-point field once per node),
@@ -46,47 +47,19 @@ from .sources import (ChargeConfig, _batch_coulomb, _coulomb_gradient, _coulomb_
 from .constitutive import invert_rows, rowdot
 
 __all__ = [
-    "CurrentSample",
     "jm_classical_electrostatic",
     "jm_classical_jacobi_term",
     "je_classical_magnetostatic",
-    "jm_classical_dyonic_k0",
-    "je_classical_dyonic_k0",
-    "jm_generic_electrostatic",
-    "je_generic_magnetostatic",
-    "grad_field_square",
     "eh_rows",
     "eh_field",
     "fd_curl",
     "fd_div",
     "fd_step",
-    "stencil_is_clear",
     "CurrentRows",
     "current_rows",
-    "current_at",
 ]
 
 _FOUR_PI = 4.0 * math.pi
-
-
-@dataclass(frozen=True)
-class CurrentSample:
-    """Current densities evaluated at one point.
-
-    method records how the values were obtained: "analytic" for the closed
-    forms, "fd" when only the finite-difference curl of the inverted fields
-    is available (mixed dyonic configurations beyond the classical kappa = 0
-    case).
-    """
-
-    j_e: np.ndarray
-    j_m: np.ndarray
-    at: np.ndarray
-    method: str = "analytic"
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.j_e)) and np.all(np.isfinite(self.j_m))):
-            raise ValueError("current sample has non-finite components")
 
 
 @dataclass(frozen=True)
@@ -95,9 +68,9 @@ class CurrentRows:
 
     j_e and j_m have shape (N, 3); method is the route every point took
     ("analytic" or "fd"). code[i] = 0 when point i evaluated, else k > 0
-    with errors[k - 1] the exception current_at raises at that point alone
-    (a SingularPoint marks a point to skip). A failed point's currents are
-    meaningless.
+    with errors[k - 1] the exception a one-point current_rows call records
+    there (a SingularPoint marks a point to skip). A failed point's currents
+    are meaningless.
     """
 
     j_e: np.ndarray
@@ -111,12 +84,6 @@ def _field_and_gradient(cfg: ChargeConfig, weights: np.ndarray, x) -> tuple[np.n
     """F and grad(F^2) of one Coulomb superposition at the point x, as
     one-row arrays; weights of shape (m, n) give m of each."""
     return _coulomb_gradient(weights, *_coulomb_offsets(cfg, as_vec3(x)[None, :]))
-
-
-def _one_row(j: np.ndarray, code: np.ndarray, errors: list) -> np.ndarray:
-    """The single row of a one-point batch, or its failure raised."""
-    raise_first(code, errors)
-    return j[0]
 
 
 def _classical_curl(beta: float, f: np.ndarray, grad_f2: np.ndarray) -> np.ndarray:
@@ -133,6 +100,10 @@ def _dyonic_k0_curl(beta: float, a: np.ndarray, grad_a2: np.ndarray,
 
         sqrt(1 + beta B^2) * _classical_curl(A)
         + beta / (2 sqrt(1 + beta A^2) sqrt(1 + beta B^2)) A x grad(B^2)
+
+    The classical kappa = 0 dyon has j_m = _dyonic_k0_curl(D, B) and, as
+    H = sqrt((1 + beta D^2)/(1 + beta B^2)) B, j_e = -_dyonic_k0_curl(B, D):
+    the sign flips because j_e = +curl H while j_m = -curl E.
     """
     root_a = np.sqrt(1.0 + beta * rowdot(a, a))
     root_b = np.sqrt(1.0 + beta * rowdot(b, b))
@@ -142,8 +113,17 @@ def _dyonic_k0_curl(beta: float, a: np.ndarray, grad_a2: np.ndarray,
 
 def _generic_electric_curl(params: ModelParams, d: np.ndarray, e: np.ndarray,
                            grad: np.ndarray, code: np.ndarray, errors: list, idx) -> np.ndarray:
-    """jm_generic_electrostatic on rows: j_m from D, the caller's E and
-    grad(D^2). f' and f'' at h/2 = E^2/2 fail outside the model domain as
+    """The magnetic current density of the electrostatic solution for any
+    model, on rows: j_m from D, the caller's E and grad(D^2).
+
+    With h = h(D^2) the solution of (f'(h/2))^2 h = D^2 (so h = E^2),
+
+        j_m = f''(h/2) h'(D^2) / (2 f'(h/2)^2) grad(D^2) x D
+
+    where h' comes from differentiating the inversion identity implicitly:
+    h' = 1 / (f'(h/2) [f''(h/2) h + f'(h/2)]). Differencing the root finder
+    instead would be noise-dominated. Linear electrodynamics (f'' = 0) gives
+    zero identically. f' and f'' at h/2 fail outside the model domain as
     f_prime does; the failures go into (code, errors) at the rows idx (see
     errors.fail_rows).
     """
@@ -164,8 +144,10 @@ def _generic_electric_curl(params: ModelParams, d: np.ndarray, e: np.ndarray,
 
 
 def _generic_magnetic_curl(params: ModelParams, b: np.ndarray, grad: np.ndarray):
-    """je_generic_magnetostatic on rows: (j_e, code, errors), with f'' at
-    -B^2/2 failing outside the model domain as f_double_prime does."""
+    """The electric current density of the magnetostatic solution for any
+    model, on rows: j_e = (1/2) f''(-B^2/2) B x grad(B^2), the curl of
+    H = f'(-B^2/2) B. Returns (j_e, code, errors), with f'' at -B^2/2
+    failing outside the model domain as f_double_prime does."""
     code = np.zeros(len(b), dtype=np.int64)
     errors: list = []
     s = -0.5 * rowdot(b, b)
@@ -222,68 +204,6 @@ def je_classical_magnetostatic(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
     B in place of D and the opposite overall sign.
     """
     return -_classical_curl(beta, *_field_and_gradient(cfg, cfg.gs, x))[0]
-
-
-def jm_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
-    """Magnetic current density for the classical kappa = 0 dyonic solution.
-
-    E = sqrt((1+beta B^2)/(1+beta D^2)) D, and
-
-        j_m = sqrt(1 + beta B^2) * j_m(electric part)
-              + beta / (2 sqrt(1+beta D^2) sqrt(1+beta B^2)) D x grad(B^2)
-
-    The second term is D/sqrt(1+beta D^2) x grad sqrt(1+beta B^2); it
-    vanishes when all g_i = 0, recovering the electrostatic current exactly.
-    """
-    (d, b), (grad_d2, grad_b2) = _field_and_gradient(cfg, _db_weights(cfg), x)
-    return _dyonic_k0_curl(beta, d, grad_d2, b, grad_b2)[0]
-
-
-def je_classical_dyonic_k0(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
-    """Electric current density for the classical kappa = 0 dyonic solution.
-
-    H = sqrt((1+beta D^2)/(1+beta B^2)) B, so by the product rule
-
-        j_e = sqrt(1 + beta D^2) * j_e(magnetic part)
-              - beta / (2 sqrt(1+beta B^2) sqrt(1+beta D^2)) B x grad(D^2)
-
-    This is the electric-magnetic mirror of jm_classical_dyonic_k0; the
-    relative sign flips because j_e = +curl H while j_m = -curl E.
-    """
-    (d, b), (grad_d2, grad_b2) = _field_and_gradient(cfg, _db_weights(cfg), x)
-    return -_dyonic_k0_curl(beta, b, grad_b2, d, grad_d2)[0]
-
-
-def jm_generic_electrostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.ndarray:
-    """Magnetic current density of the electrostatic solution for any model.
-
-    With h = h(D^2) the solution of (f'(h/2))^2 h = D^2 (so h = E^2),
-
-        j_m = f''(h/2) h'(D^2) / (2 f'(h/2)^2) grad(D^2) x D
-
-    where h' comes from differentiating the inversion identity implicitly:
-    h' = 1 / (f'(h/2) [f''(h/2) h + f'(h/2)]). Differencing the root finder
-    instead would be noise-dominated. curl E = -j_m. Linear electrodynamics
-    (f'' = 0) gives zero identically.
-    """
-    d, grad = _field_and_gradient(cfg, cfg.qs, x)
-    e, _, _, code, errors = invert_rows(params, d, np.zeros_like(d))
-    return _one_row(_generic_electric_curl(params, d, e, grad, code, errors, None), code, errors)
-
-
-def grad_field_square(cfg: ChargeConfig, x, which: str = "magnetic") -> np.ndarray:
-    """Analytic gradient of D^2 or B^2 for a Coulomb superposition."""
-    return _field_and_gradient(cfg, cfg.gs if which == "magnetic" else cfg.qs, x)[1][0]
-
-
-def je_generic_magnetostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.ndarray:
-    """Electric current density of the magnetostatic solution for any model.
-
-    j_e = (1/2) f''(-B^2/2) B x grad(B^2), which is curl of H = f'(-B^2/2) B.
-    Vanishes for a single center (B parallel to grad B^2) and for linear
-    electrodynamics.
-    """
-    return _one_row(*_generic_magnetic_curl(params, *_field_and_gradient(cfg, cfg.gs, x)))
 
 
 def _fd_step_rows(pts: np.ndarray) -> np.ndarray:
@@ -383,8 +303,8 @@ def eh_rows(params: ModelParams, cfg: ChargeConfig, pts):
 def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
     """The field y -> stack(E, H), (..., 3) -> (..., 2, 3), from one eh_rows
     call; fd_curl of it gives curl E and curl H from the same stencil
-    nodes. Raises the failure of the first failing point in row order, the
-    one dyonic_eh raises there (DomainViolation for a non-finite inversion).
+    nodes. Raises the failure eh_rows records for the first failing point
+    in row order (DomainViolation for a non-finite inversion).
     """
     def field(y):
         _, _, e, h, _, code, errors = eh_rows(params, cfg, y)
@@ -395,18 +315,13 @@ def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
 
 
 def _stencil_clear(cfg: ChargeConfig, pts: np.ndarray, step) -> np.ndarray:
-    """stencil_is_clear at each row of pts, distances rounded like the
-    scalar min_distance."""
+    """True at each row of pts whose 6-point stencil of half-width step stays
+    outside the charge exclusion balls, distances rounded like the scalar
+    min_distance. Sweeps skip the other points, so the FD curls are never
+    contaminated by near-singular values."""
     r = (pts[:, None, :] - cfg.positions[None, :, :]).reshape(-1, 3)
     dist = np.sqrt(rowdot(r, r)).reshape(len(pts), len(cfg))
     return dist.min(axis=1) > step + cfg.exclusion_radius
-
-
-def stencil_is_clear(cfg: ChargeConfig, x, step: float) -> bool:
-    """True when every node of the 6-point stencil stays outside the
-    charge exclusion balls. Sweeps skip points that fail this, so the FD
-    oracles are never contaminated by near-singular values."""
-    return bool(_stencil_clear(cfg, as_vec3(x)[None, :], step)[0])
 
 
 def _fd_rows(params: ModelParams, db_rows: Callable, pts: np.ndarray, h: np.ndarray):
@@ -434,11 +349,16 @@ def _fd_rows(params: ModelParams, db_rows: Callable, pts: np.ndarray, h: np.ndar
 
 
 def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> CurrentRows:
-    """Evaluate (j_e, j_m) at points of shape (N, 3), choosing the route as
-    current_at does; every row is what current_at gives at that point.
+    """Evaluate (j_e, j_m) at points of shape (N, 3), choosing the best
+    available route; every row is what a one-point call gives there.
 
-    The closed forms run on all points at once; the finite-difference route
-    inverts the stencil nodes of all points in one rows call. Never raises
+    Electric-only and magnetic-only configurations and the classical
+    kappa = 0 dyonic case use the closed forms, on all points at once.
+    Mixed configurations in any other model (or kappa > 0) have no derived
+    closed form, so the currents are measured as Richardson FD curls of the
+    inverted E and H (method "fd"): the stencil nodes of all points are
+    inverted in one rows call, and a point whose stencil would enter an
+    exclusion ball fails with SingularPoint. Never raises
     for a point: failures and points to skip come back as codes. e, the E
     of eh_rows at the same points, spares a non-classical electric-only
     configuration its inversion; the failures of that inversion are then
@@ -497,20 +417,3 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> Current
         finite = np.isfinite(j_e).all(axis=1) & np.isfinite(j_m).all(axis=1)
     fail_rows(code, errors, ~finite, DomainViolation("current has non-finite components"))
     return CurrentRows(j_e=j_e, j_m=j_m, method=method, code=code, errors=errors)
-
-
-def current_at(params: ModelParams, cfg: ChargeConfig, x) -> CurrentSample:
-    """Evaluate (j_e, j_m) at x, choosing the best available route.
-
-    Electric-only and magnetic-only configurations and the classical
-    kappa = 0 dyonic case use the closed forms. Mixed configurations in any
-    other model (or kappa > 0) have no derived closed form, so the currents
-    are measured as finite-difference curls of the inverted E and H fields
-    and tagged method="fd". A one-row call of current_rows; raises the
-    point's failure (SingularPoint inside an exclusion ball or when the FD
-    stencil would enter one).
-    """
-    x = as_vec3(x)
-    rows = current_rows(params, cfg, x[None, :])
-    raise_first(rows.code, rows.errors)
-    return CurrentSample(j_e=rows.j_e[0], j_m=rows.j_m[0], at=x, method=rows.method)

@@ -7,7 +7,7 @@ cannot silently produce plausible-looking numbers.
 
 Batched kernels keep that contract per row: they return a code array (0 for
 a row that evaluated, k for errors[k - 1]) next to the list of exceptions,
-each exception the one the scalar path raises for that row alone.
+each exception the one a one-row call records for that row alone.
 fail_rows and merge_failures build and combine such pairs; raise_first
 turns one back into the raising contract.
 """
@@ -33,10 +33,6 @@ class NegativeArgument(FieldError):
 
 class NoNonnegativeRoot(FieldError):
     """Cubic solver found no root a >= 0; cannot occur for sigma2 >= 0."""
-
-
-class BracketFailure(FieldError):
-    """Monotone inversion could not enclose the target value."""
 
 
 class InversionFailure(FieldError):

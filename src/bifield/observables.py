@@ -35,7 +35,6 @@ __all__ = [
     "EnergyReport",
     "ResidualReport",
     "classical_energy_density",
-    "hamiltonian_at",
     "hamiltonian_on_points",
     "density_rows",
     "total_energy",
@@ -197,7 +196,7 @@ def hamiltonian_on_points(params: ModelParams, cfg: ChargeConfig, pts) -> np.nda
     invert, leaves the model domain or gives a non-finite density raises
     (InversionFailure or DomainViolation), never a NaN.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     d, b = _batch_coulomb(cfg, _db_weights(cfg), pts)
     e = s = None
     if params.kind != CLASSICAL:
@@ -209,10 +208,6 @@ def hamiltonian_on_points(params: ModelParams, cfg: ChargeConfig, pts) -> np.nda
             f"non-finite energy density at {len(bad)} of {len(out)} points; "
             f"first at x={pts[bad[0]].tolist()}")
     return out
-
-
-def hamiltonian_at(params: ModelParams, cfg: ChargeConfig, x) -> float:
-    return float(hamiltonian_on_points(params, cfg, as_vec3(x)[None, :])[0])
 
 
 # -- quadrature building blocks ----------------------------------------------

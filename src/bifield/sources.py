@@ -55,14 +55,6 @@ class PointCharge:
 
 
 @dataclass(frozen=True)
-class Potential:
-    """Scalar Coulomb potential value tagged by species."""
-
-    value: float
-    kind: str  # "electric" | "magnetic"
-
-
-@dataclass(frozen=True)
 class ChargeConfig:
     """Immutable list of point charges with a shared exclusion radius.
 
@@ -224,19 +216,6 @@ def displacement_field(cfg: ChargeConfig, x) -> np.ndarray:
 def magnetic_field(cfg: ChargeConfig, x) -> np.ndarray:
     """Prescribed magnetic induction B(x)."""
     return _batch_coulomb(cfg, cfg.gs, as_vec3(x)[None, :])[0]
-
-
-def scalar_potential(cfg: ChargeConfig, x, kind: str = "electric") -> Potential:
-    """Superposed Coulomb potential U(x) = sum_i w_i / (4 pi |x - x_i|).
-
-    D = -grad U_electric and B = -grad U_magnetic.
-    """
-    if kind not in ("electric", "magnetic"):
-        raise ValueError(f"kind must be 'electric' or 'magnetic', got {kind!r}")
-    weights = cfg.qs if kind == "electric" else cfg.gs
-    _, dist = _coulomb_offsets(cfg, as_vec3(x)[None, :])
-    return Potential(value=float(np.einsum("j,j->", weights / FOUR_PI, 1.0 / dist[0])),
-                     kind=kind)
 
 
 def _coulomb_gradient(weights: np.ndarray, rs: np.ndarray,

@@ -1,6 +1,6 @@
 """Special functions used by the constitutive inversions, on arrays.
 
-Two primitives live here, each an array kernel with a one-element form:
+Two primitives live here, each an array kernel:
 
 * :func:`lambert_w_rows` -- principal branch of ``w e^w = x`` on ``x >= 0``,
   element by element, with :func:`lambert_w_from_log_rows` for arguments
@@ -137,16 +137,6 @@ def lambert_w_from_log_rows(log_x) -> np.ndarray:
         return _lambert_w_log(log_x.ravel()).reshape(log_x.shape)
 
 
-def lambert_w(x: float) -> float:
-    """lambert_w_rows of one argument, as a float."""
-    return float(lambert_w_rows(float(x)))
-
-
-def lambert_w_from_log(log_x: float) -> float:
-    """lambert_w_from_log_rows of one argument, as a float."""
-    return float(lambert_w_from_log_rows(float(log_x)))
-
-
 def _cubic(a, gamma):
     return (gamma + a) ** 2 * a
 
@@ -248,8 +238,3 @@ def smallest_positive_cubic_root_rows(gamma, sigma2) -> np.ndarray:
             f"cubic solve returned a={_first(a, neg)!r} for gamma={_first(gamma, neg)!r}, "
             f"sigma2={_first(sigma2, neg)!r}")
     return a
-
-
-def smallest_positive_cubic_root(gamma: float, sigma2: float) -> float:
-    """smallest_positive_cubic_root_rows of one (gamma, sigma2), as a float."""
-    return float(smallest_positive_cubic_root_rows(float(gamma), float(sigma2)))

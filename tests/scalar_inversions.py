@@ -10,7 +10,7 @@ module, as the oracle the tests hold the kernels against:
   _classical_k0 ... _generic and _electrostatic_a;
 * lambert_w, lambert_w_from_log and _halley_w; smallest_positive_cubic_root
   and _cubic_newton; invert_monotone, the bracketed Newton/bisection behind
-  the models without a closed form;
+  the models without a closed form, and the BracketFailure it raises;
 * energy_density, the model-generic Hamiltonian density of one state, the
   reference for bifield.observables.density_rows;
 * in_domain, f, f_prime and f_double_prime, the model table one s at a
@@ -34,8 +34,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from bifield.errors import (
-    BracketFailure,
     DomainViolation,
+    FieldError,
     InversionFailure,
     NegativeArgument,
     NoNonnegativeRoot,
@@ -55,6 +55,10 @@ from bifield.sources import as_vec3
 FPRIME_GUARD = 1e-8
 
 _ZERO3 = np.zeros(3)
+
+
+class BracketFailure(FieldError):
+    """Monotone inversion could not enclose the target value."""
 
 
 @dataclass(frozen=True)

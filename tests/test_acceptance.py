@@ -15,30 +15,31 @@ from bifield import (
     ChargeConfig,
     ModelParams,
     QuadratureSpec,
-    continuous_fields,
     curl_formula_continuous,
-    current_at,
+    current_rows,
     displacement_field,
     divergence_exponent_probe,
-    dyonic_eh,
+    dyonic_eh_rows,
     electrostatic_e,
     fd_curl,
     flux_charge,
+    forward_fields,
     free_charge_with_inner_spheres,
     gaussian_source,
-    hamiltonian_at,
+    invert_rows,
     je_classical_magnetostatic,
     jm_classical_electrostatic,
     magnetic_field,
     magnetostatic_h,
-    medium_matrix,
     newton_potential,
     total_energy,
     two_gaussian_source,
 )
+from bifield.continuous import state_rows
 from bifield.currents import jm_classical_jacobi_term
-from bifield.observables import default_probe_radii
-from bifield.specfn import lambert_w, smallest_positive_cubic_root
+from bifield.errors import raise_first
+from bifield.observables import default_probe_radii, hamiltonian_on_points
+from bifield.specfn import lambert_w_rows, smallest_positive_cubic_root_rows
 
 from triple_sums import pointwise
 
@@ -86,6 +87,9 @@ def test_01_constitutive_round_trip_all_models():
         for x in _sample_points(rng, cfg, 334, box=3.0, clearance=0.25):
             draws.append((displacement_field(cfg, x), magnetic_field(cfg, x)))
     draws = draws[:1000]
+    d, b = (np.array(v) for v in zip(*draws))
+    scale = [max(float(np.linalg.norm(dd)), float(np.linalg.norm(bb)), 1e-30)
+             for dd, bb in draws]
 
     closed_kinds = [
         ModelParams.classical(beta=1.3),
@@ -95,7 +99,6 @@ def test_01_constitutive_round_trip_all_models():
     ]
     iterative_kinds = [ModelParams.fractional_power(beta=1.1, p=1.7)]
 
-    from bifield import round_trip_residual
     import dataclasses
 
     t0 = time.time()
@@ -104,7 +107,13 @@ def test_01_constitutive_round_trip_all_models():
     for base in closed_kinds + iterative_kinds:
         for kappa in (0.0, 0.5, 1.0):
             params = dataclasses.replace(base, kappa=kappa)
-            worst = max(round_trip_residual(params, d, b) for d, b in draws)
+            e, h, _, code, errors = invert_rows(params, d, b)
+            raise_first(code, errors)
+            # the scalar forward map checks the rows inversion
+            states = (forward_fields(params, e[i], b[i]) for i in range(len(draws)))
+            worst = max(max(float(np.linalg.norm(st.d - d[i])),
+                            float(np.linalg.norm(st.h - h[i]))) / scale[i]
+                        for i, st in enumerate(states))
             if base in iterative_kinds:
                 worst_iter = max(worst_iter, worst)
             else:
@@ -238,7 +247,7 @@ def test_06_energy_oracle_and_near_field():
     dyon = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 1.0)])
     k1 = ModelParams.classical(beta=1.0, kappa=1.0)
     r = 1e-3
-    h = hamiltonian_at(k1, dyon, np.array([r, 0.0, 0.0]))
+    h = hamiltonian_on_points(k1, dyon, np.array([r, 0.0, 0.0]))[0]
     plateau_rel = abs(h * r**2 - DYON_K1_PLATEAU) / DYON_K1_PLATEAU
     ok_plateau = plateau_rel <= 1e-2
 
@@ -299,15 +308,14 @@ def _bisect_cubic(gamma: float, sigma2: float) -> float:
 
 def test_08_special_function_contracts():
     xs = np.logspace(-12.0, 12.0, 1000)
-    worst_w = max(abs(lambert_w(x) * math.exp(lambert_w(x)) - x) / x for x in xs)
+    worst_w = max(abs(w * math.exp(w) - x) / x for x, w in zip(xs, lambert_w_rows(xs)))
 
     rng = np.random.default_rng(108)
+    draws = [(rng.uniform(-30.0, 30.0), rng.uniform(0.0, 100.0)) for _ in range(10_000)]
+    roots = smallest_positive_cubic_root_rows(*np.array(draws).T)
     worst_res = 0.0
     worst_gap = 0.0
-    for i in range(10_000):
-        gamma = rng.uniform(-30.0, 30.0)
-        sigma2 = rng.uniform(0.0, 100.0)
-        a = smallest_positive_cubic_root(gamma, sigma2)
+    for i, ((gamma, sigma2), a) in enumerate(zip(draws, roots)):
         worst_res = max(worst_res,
                         abs((gamma + a) ** 2 * a - sigma2) / max(1.0, sigma2))
         if i % 10 == 0 and sigma2 > 0.0:  # oracle on every tenth draw
@@ -321,6 +329,15 @@ def test_08_special_function_contracts():
                  f"gap {worst_gap:.2e} <= 1e-9")
 
 
+def _medium_coefficients(params, e, b):
+    """The blocks (ee, eh, he, hh) of the local medium relation taking
+    (E, H) to (D, B), each block a coefficient times the identity."""
+    k2 = params.kappa**2
+    eb = float(e @ b)
+    fp = params.f_prime(0.5 * (float(e @ e) - float(b @ b)) + 0.5 * k2 * eb * eb)
+    return fp * (1.0 + k2 * k2 * eb * eb), k2 * eb, k2 * eb, 1.0 / fp
+
+
 def test_09_medium_matrix_unimodular():
     rng = np.random.default_rng(109)
     beta = 1.7
@@ -331,7 +348,8 @@ def test_09_medium_matrix_unimodular():
         e = rng.normal(size=3)
         e *= rng.uniform(0.05, 0.95) / (math.sqrt(beta) * np.linalg.norm(e))
         b = rng.normal(size=3) * rng.uniform(0.1, 3.0)
-        worst = max(worst, abs(medium_matrix(params, e, b).det - 1.0))
+        ee, eh, he, hh = _medium_coefficients(params, e, b)
+        worst = max(worst, abs(ee * hh - eh * he - 1.0))
     ok = worst <= 1e-10
     assert _line(ok, "09 medium matrix determinant",
                  f"max |det - 1| {worst:.2e} <= 1e-10 (1000 states, "
@@ -350,7 +368,9 @@ def test_10_continuous_sources():
         worst_u = max(worst_u, abs(u - exact) / abs(exact))
 
     def e_radial(y):
-        return continuous_fields(radial, params, y).e
+        _, _, e, _, _, _, code, errors = state_rows(radial, params, y[None])
+        raise_first(code, errors)
+        return e[0]
 
     worst_curl = max(
         float(np.max(np.abs(fd_curl(e_radial, np.array(pt), richardson=True))))
@@ -361,7 +381,9 @@ def test_10_continuous_sources():
                                  q2=6.0, sigma2=0.8, center2=(1.2, 0.4, 0.0))
 
     def e_offset(y):
-        return continuous_fields(offset, params, y).e
+        _, _, e, _, _, _, code, errors = state_rows(offset, params, y[None])
+        raise_first(code, errors)
+        return e[0]
 
     peak = 0.0
     worst_match = 0.0
@@ -382,26 +404,24 @@ def test_10_continuous_sources():
 def test_11_maxwell_limit():
     params = ModelParams.fractional_power(beta=3.0, p=1.0)
     rng = np.random.default_rng(111)
-    worst_field = 0.0
-    for _ in range(50):
-        d = rng.uniform(-5.0, 5.0, 3)
-        b = rng.uniform(-5.0, 5.0, 3)
-        e, h, _ = dyonic_eh(params, d, b)
-        worst_field = max(worst_field,
-                          float(max(np.max(np.abs(e - d)), np.max(np.abs(h - b)))))
+    draws = np.array([(rng.uniform(-5.0, 5.0, 3), rng.uniform(-5.0, 5.0, 3))
+                      for _ in range(50)])
+    d, b = draws[:, 0], draws[:, 1]
+    e, h, _ = dyonic_eh_rows(params, d, b)
+    worst_field = float(max(np.max(np.abs(e - d)), np.max(np.abs(h - b))))
 
     cfg = _electric_pair()
 
     def e_field(y):
-        return dyonic_eh(params, displacement_field(cfg, y),
-                         magnetic_field(cfg, y))[0]
+        return dyonic_eh_rows(params, displacement_field(cfg, y),
+                              magnetic_field(cfg, y))[0][0]
 
-    worst_j = 0.0
+    pts = _sample_points(rng, cfg, 10)
+    currents = current_rows(params, cfg, pts)
+    raise_first(currents.code, currents.errors)
+    worst_j = float(max(np.max(np.abs(currents.j_e)), np.max(np.abs(currents.j_m))))
     worst_fd = 0.0
-    for x in _sample_points(rng, cfg, 10):
-        sample = current_at(params, cfg, x)
-        worst_j = max(worst_j, float(max(np.max(np.abs(sample.j_e)),
-                                         np.max(np.abs(sample.j_m)))))
+    for x in pts:
         worst_fd = max(worst_fd,
                        float(np.max(np.abs(fd_curl(e_field, x, richardson=True)))))
 

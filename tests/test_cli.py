@@ -19,15 +19,14 @@ from bifield import (
     ChargeConfig,
     currents,
     displacement_field,
-    dyonic_eh,
+    dyonic_eh_rows,
     electrostatic_e,
     flux_charge,
-    hamiltonian_at,
     magnetic_field,
 )
 from bifield import cli, continuous
 from bifield.constitutive import invert_rows
-from bifield.observables import density_rows
+from bifield.observables import density_rows, hamiltonian_on_points
 from bifield.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -335,7 +334,7 @@ class TestSampleCommand:
         e = electrostatic_e(params, displacement_field(charges, np.zeros(3)))
         assert np.allclose(cells[3:6], e, atol=1e-15)
         assert cells[12] == pytest.approx(
-            hamiltonian_at(params, charges, np.zeros(3)), rel=1e-12)
+            hamiltonian_on_points(params, charges, np.zeros(3))[0], rel=1e-12)
 
     def test_json_format(self, tmp_path):
         path = write_config(tmp_path, pair_config(shape=(3, 3, 3)))
@@ -701,10 +700,12 @@ class TestChargeCommand:
         params, charges = cfg.model, cfg.charges
 
         def e_field(y):
-            return dyonic_eh(params, displacement_field(charges, y), magnetic_field(charges, y))[0]
+            return dyonic_eh_rows(params, displacement_field(charges, y),
+                                  magnetic_field(charges, y))[0][0]
 
         def h_field(y):
-            return dyonic_eh(params, displacement_field(charges, y), magnetic_field(charges, y))[1]
+            return dyonic_eh_rows(params, displacement_field(charges, y),
+                                  magnetic_field(charges, y))[1][0]
 
         report = read_report(tmp_path / "charge.json")
         for rung in report["flux_ladder"]:
@@ -866,11 +867,12 @@ class TestContinuousCommand:
         report = read_report(tmp_path / "continuous.json")
         assert report["columns"] == SAMPLE_HEADER.split(",")
         row = report["rows"][0]
-        from bifield import continuous_fields, gaussian_source
+        from bifield import gaussian_source
         src = gaussian_source(total=2.0, sigma=0.8)
-        st = continuous_fields(src, ModelParams.classical(beta=1.5),
-                               np.array([0.9, 0.0, 0.0]))
-        assert row[3:6] == pytest.approx(list(st.e), rel=1e-12)
+        _, _, e, _, _, _, code, _ = continuous.state_rows(
+            src, ModelParams.classical(beta=1.5), np.array([[0.9, 0.0, 0.0]]))
+        assert code.tolist() == [0]
+        assert row[3:6] == pytest.approx(list(e[0]), rel=1e-12)
         # radial gaussian: the induced magnetic current vanishes
         assert max(abs(v) for v in row[9:12]) < 1e-9
 

@@ -28,14 +28,13 @@ from bifield.continuous import (
     ContinuousSource,
     _gauss_law,
     bump_source,
-    continuous_fields,
     continuous_residual_suite,
     curl_formula_continuous,
     gaussian_source,
     gridded_source,
     merge_sources,
     newton_potential,
-    potential_gradient,
+    state_rows,
     two_gaussian_source,
 )
 
@@ -43,6 +42,10 @@ from bifield.continuous import (
 # at r = 0.5 and r = 1.0 from the center, via Q_enc(r)/(4 pi r) + outer shell
 BUMP_U_HALF = -0.2045495239482435
 BUMP_U_ONE = -0.1542888389262224
+
+
+# the model state_rows inverts with when a test reads only D or B off it
+CLASSICAL = ModelParams.classical(1.0)
 
 
 def gaussian_potential(total, sigma, r):
@@ -250,7 +253,7 @@ class TestPotentialGradient:
     def test_analytic_matches_finite_differences(self):
         src = gaussian_source(total=1.0, sigma=1.0)
         x = np.array([1.2, -0.5, 0.8])
-        g = potential_gradient(src, x)
+        g = state_rows(src, CLASSICAL, x[None])[0][0]
         h = 1e-5
         for k in range(3):
             step = np.zeros(3)
@@ -266,23 +269,23 @@ class TestPotentialGradient:
         enclosed = 3.0 * (math.erf(r / math.sqrt(2.0))
                           - math.sqrt(2.0 / math.pi) * r * math.exp(-0.5 * r * r))
         expected = enclosed / (4.0 * math.pi * r**2)
-        g = potential_gradient(src, (r, 0.0, 0.0))
+        g, g0 = state_rows(src, CLASSICAL, np.array([[r, 0.0, 0.0], [0.0, 0.0, 0.0]]))[0]
         assert abs(g[0] - expected) <= 1e-9 * abs(expected)
         assert abs(g[1]) == 0.0 and abs(g[2]) == 0.0
-        assert np.all(potential_gradient(src, (0.0, 0.0, 0.0)) == 0.0)
+        assert np.all(g0 == 0.0)
 
     def test_fd_route_matches_analytic_route(self):
         # same density with the analytic gradient stripped off
         src = gaussian_source(total=1.0, sigma=1.0)
-        x = (0.8, -0.3, 0.5)
-        g_fd = potential_gradient(bare(src), x)
-        g_an = potential_gradient(src, x)
+        x = np.array([[0.8, -0.3, 0.5]])
+        g_fd = state_rows(bare(src), CLASSICAL, x)[0]
+        g_an = state_rows(src, CLASSICAL, x)[0]
         # quadrature noise at rel_tol 1e-6 bounds the FD route near 1e-7
         assert np.max(np.abs(g_fd - g_an)) <= 1e-7
 
     def test_missing_density_gradient_is_zero(self):
         src = gaussian_source()
-        assert np.all(potential_gradient(src, (1.0, 1.0, 1.0), which="magnetic") == 0.0)
+        assert np.all(state_rows(src, CLASSICAL, np.array([[1.0, 1.0, 1.0]]))[1] == 0.0)
 
 
 class TestGaussLaw:
@@ -300,12 +303,12 @@ class TestGaussLaw:
         x = np.array(self.BUMP["center"]) + np.array(offset)
         d, hess = gauss_law(src.radial_e, x)
         ref = bare(src)
-        d_fd = potential_gradient(ref, x)
+        d_fd = state_rows(ref, CLASSICAL, x[None])[0][0]
         h_fd = fd_hessian(lambda y: newton_potential(ref, y), x, h)
         assert np.max(np.abs(d_fd - d)) <= 1e-6 * np.max(np.abs(d))
         assert np.max(np.abs(h_fd - hess)) <= 1e-4 * np.max(np.abs(hess))
         # the public routes read the kernel
-        assert np.array_equal(potential_gradient(src, x), d)
+        assert np.array_equal(state_rows(src, CLASSICAL, x[None])[0][0], d)
 
     def test_bump_enclosed_charge_matches_adaptive_quadrature(self):
         total, R = 2.0, 1.5
@@ -363,7 +366,7 @@ class TestGaussLaw:
         for x in [(0.0, 0.8, 0.3), (-1.0, 0.05, 0.0), (2.5, -0.7, 1.1)]:
             x = np.array(x)
             _, hess = gauss_law(src.radial_e, x)
-            jac = fd_jacobian(lambda y: potential_gradient(src, y), x, 1e-3)
+            jac = fd_jacobian(lambda y: state_rows(src, CLASSICAL, y[None])[0][0], x, 1e-3)
             assert np.max(np.abs(jac - hess)) <= 1e-10 * np.max(np.abs(hess))
 
     @pytest.mark.parametrize("shape", ["bump", "two_gaussian"])
@@ -438,10 +441,11 @@ class TestNewtonMemo:
 class TestContinuousFields:
     def test_electric_only_has_no_magnetic_part(self):
         src = gaussian_source(total=1.0, sigma=1.0)
-        state = continuous_fields(src, ModelParams.classical(1.0), (0.7, 0.1, -0.3))
-        assert np.all(state.b == 0.0)
-        assert np.all(state.h == 0.0)
-        assert np.linalg.norm(state.e) > 0.0
+        _, b, e, h, _, _, code, _ = state_rows(src, CLASSICAL, np.array([[0.7, 0.1, -0.3]]))
+        assert code.tolist() == [0]
+        assert np.all(b == 0.0)
+        assert np.all(h == 0.0)
+        assert np.linalg.norm(e) > 0.0
 
     @pytest.mark.parametrize("params", [
         ModelParams.classical(1.0),
@@ -453,9 +457,11 @@ class TestContinuousFields:
         src = gaussian_source(total=3.0, sigma=1.0)
 
         def e_field(y):
-            return continuous_fields(src, params, y).e
+            return state_rows(src, params, y[None])[2][0]
 
-        for pt in [(0.8, 0.3, -0.2), (2.0, -1.0, 0.5)]:
+        pts = [(0.8, 0.3, -0.2), (2.0, -1.0, 0.5)]
+        assert not state_rows(src, params, np.array(pts))[6].any()
+        for pt in pts:
             curl = fd_curl(e_field, np.array(pt), richardson=True)
             assert np.max(np.abs(curl)) <= 1e-8
 
@@ -464,7 +470,7 @@ class TestContinuousFields:
         params = ModelParams.classical(1.0)
 
         def e_field(y):
-            return continuous_fields(src, params, y).e
+            return state_rows(src, params, y[None])[2][0]
 
         worst = 0.0
         for pt in [(0.0, 0.8, 0.3), (-0.2, 0.6, 0.0), (0.2, 0.3, -0.8)]:
@@ -479,12 +485,14 @@ class TestContinuousFields:
         for params in [ModelParams.classical(1.0, kappa=0.0),
                        ModelParams.logarithmic(0.5, kappa=0.7)]:
             def e_field(y):
-                return continuous_fields(dy, params, y).e
+                return state_rows(dy, params, y[None])[2][0]
 
             def h_field(y):
-                return continuous_fields(dy, params, y).h
+                return state_rows(dy, params, y[None])[3][0]
 
-            for pt in [(0.7, 0.2, -0.4), (1.5, -0.8, 0.3)]:
+            pts = [(0.7, 0.2, -0.4), (1.5, -0.8, 0.3)]
+            assert not state_rows(dy, params, np.array(pts))[6].any()
+            for pt in pts:
                 assert np.max(np.abs(fd_curl(e_field, np.array(pt)))) <= 1e-6
                 assert np.max(np.abs(fd_curl(h_field, np.array(pt)))) <= 1e-6
 
@@ -493,9 +501,11 @@ class TestContinuousFields:
         params = ModelParams.classical(1.0)
 
         def e_field(y):
-            return continuous_fields(src, params, y).e
+            return state_rows(src, params, y[None])[2][0]
 
-        return fd_curl(e_field, np.array([0.8, 0.4, -0.3]), step=0.05)
+        x = np.array([0.8, 0.4, -0.3])
+        assert not state_rows(src, params, x[None])[6].any()
+        return fd_curl(e_field, x, step=0.05)
 
     def test_bump_fd_route_stays_conservative(self):
         src = bump_source(total=2.0, radius=1.5, center=(0.2, 0.0, 0.0))
@@ -510,7 +520,7 @@ class TestContinuousFields:
         src = offset_pair()
         target = src.total_q / (4.0 * math.pi)
         for R in (30.0, 100.0):
-            g = potential_gradient(src, np.array([R, 0.1, 0.0]))
+            g = state_rows(src, CLASSICAL, np.array([[R, 0.1, 0.0]]))[0][0]
             ratio = float(np.linalg.norm(g)) * R * R / target
             assert abs(ratio - 1.0) <= 0.02
 
@@ -521,7 +531,7 @@ class TestCurlFormula:
         params = ModelParams.classical(1.0)
 
         def e_field(y):
-            return continuous_fields(src, params, y).e
+            return state_rows(src, params, y[None])[2][0]
 
         for pt in [(0.0, 0.8, 0.3), (0.5, -0.6, 0.2), (-0.2, 0.6, 0.0)]:
             fd = fd_curl(e_field, np.array(pt), richardson=True)
@@ -538,7 +548,7 @@ class TestCurlFormula:
         beta = 1.0
         params = ModelParams.classical(beta)
         for x in [np.array([0.3, 0.5, -0.2]), np.array([-0.8, 0.1, 0.4])]:
-            g = potential_gradient(src, x)
+            g = state_rows(src, params, x[None])[0][0]
             e_vec = electrostatic_e(params, g)
             a = float(e_vec @ e_vec)
             fp = params.f_prime(0.5 * a)
@@ -566,7 +576,7 @@ class TestCurlFormula:
         src = offset_pair()
 
         def e_field(y):
-            return continuous_fields(src, params, y).e
+            return state_rows(src, params, y[None])[2][0]
 
         pt = (0.0, 0.8, 0.3)
         fd = fd_curl(e_field, np.array(pt), richardson=True)

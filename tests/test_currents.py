@@ -10,26 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from bifield import ChargeConfig, ModelParams
 from bifield import currents
-from bifield.constitutive import dyonic_eh, electrostatic_e, magnetostatic_h
+from bifield.constitutive import dyonic_eh_rows, electrostatic_e, magnetostatic_h
 from bifield.currents import (
-    CurrentSample,
-    current_at,
     current_rows,
     eh_field,
     fd_curl,
     fd_div,
     fd_step,
-    grad_field_square,
-    je_classical_dyonic_k0,
     je_classical_magnetostatic,
-    je_generic_magnetostatic,
-    jm_classical_dyonic_k0,
     jm_classical_electrostatic,
     jm_classical_jacobi_term,
-    jm_generic_electrostatic,
-    stencil_is_clear,
 )
-from bifield.errors import FieldError, SingularPoint
+from bifield.errors import DomainViolation, FieldError, SingularPoint
+from bifield.observables import hamiltonian_on_points
 from bifield.sources import displacement_field, magnetic_field
 
 import triple_sums
@@ -49,6 +42,21 @@ def pair_config(q1=1.0, q2=2.0, magnetic=False):
     a, b = (0.0, q1) if magnetic else (q1, 0.0)
     c, d = (0.0, q2) if magnetic else (q2, 0.0)
     return ChargeConfig.build([((1.0, 0.0, 0.0), a, b), ((-1.0, 0.0, 0.0), c, d)])
+
+
+def one_species(cfg, electric=True):
+    """The electric (or magnetic) charges of cfg alone, at the same places."""
+    return ChargeConfig.build([(c.position, c.q if electric else 0.0, 0.0 if electric else c.g)
+                               for c in cfg.charges])
+
+
+def custom_classical(beta):
+    """The classical Lagrangian as user-supplied callables, which take the
+    generic inversion and the generic current formulas."""
+    return ModelParams.custom(lambda s: (1.0 - math.sqrt(1.0 - 2.0 * beta * s)) / beta,
+                              lambda s: 1.0 / math.sqrt(1.0 - 2.0 * beta * s),
+                              lambda s: beta * (1.0 - 2.0 * beta * s) ** -1.5,
+                              s_max=0.5 / beta)
 
 
 def random_config(rng, n, electric=True, magnetic=False, spread=1.5):
@@ -221,25 +229,32 @@ class TestClassicalMagnetostatic:
 
 
 class TestDyonicKappaZero:
+    # the dispatcher sends a configuration without g (or q) to the
+    # single-species forms, so the reductions are checked on the kernel
     def test_reduces_to_electrostatic_without_g(self):
         cfg = pair_config()
         x = np.array([0.0, 1.0, 0.0])
-        jm_d = jm_classical_dyonic_k0(cfg, BETA, x)
+        d, grad = currents._field_and_gradient(cfg, cfg.qs, x)
+        zero = np.zeros_like(d)
+        jm_d = currents._dyonic_k0_curl(BETA, d, grad, zero, zero)[0]
         jm_e = jm_classical_electrostatic(cfg, BETA, x)
         assert np.max(np.abs(jm_d - jm_e)) == 0.0
 
     def test_reduces_to_magnetostatic_without_q(self):
         cfg = pair_config(magnetic=True)
         x = np.array([0.0, 1.0, 0.0])
-        je_d = je_classical_dyonic_k0(cfg, BETA, x)
+        b, grad = currents._field_and_gradient(cfg, cfg.gs, x)
+        zero = np.zeros_like(b)
+        je_d = -currents._dyonic_k0_curl(BETA, b, grad, zero, zero)[0]
         je_m = je_classical_magnetostatic(cfg, BETA, x)
         assert np.max(np.abs(je_d - je_m)) == 0.0
 
     def test_single_dyon_zero(self):
         cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 0.5)])
-        x = np.array([0.3, 0.4, 0.5])
-        assert np.max(np.abs(jm_classical_dyonic_k0(cfg, BETA, x))) <= 1e-12
-        assert np.max(np.abs(je_classical_dyonic_k0(cfg, BETA, x))) <= 1e-12
+        rows = current_rows(ModelParams.classical(beta=BETA), cfg, (0.3, 0.4, 0.5))
+        assert rows.method == "analytic" and rows.code.tolist() == [0]
+        assert np.max(np.abs(rows.j_m)) <= 1e-12
+        assert np.max(np.abs(rows.j_e)) <= 1e-12
 
     def test_matches_fd_curls(self):
         params = ModelParams.classical(beta=BETA)
@@ -247,35 +262,32 @@ class TestDyonicKappaZero:
             [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]
         )
         rng = np.random.default_rng(19)
-
-        def e_field(y):
-            return dyonic_eh(params, displacement_field(cfg, y), magnetic_field(cfg, y))[0]
-
-        def h_field(y):
-            return dyonic_eh(params, displacement_field(cfg, y), magnetic_field(cfg, y))[1]
-
-        for _ in range(10):
-            x = far_point(rng, cfg)
-            jm = jm_classical_dyonic_k0(cfg, BETA, x)
-            je = je_classical_dyonic_k0(cfg, BETA, x)
-            assert np.max(np.abs(jm + fd_curl(e_field, x))) <= FD_TOL * max(1.0, np.max(np.abs(jm)))
-            assert np.max(np.abs(je - fd_curl(h_field, x))) <= FD_TOL * max(1.0, np.max(np.abs(je)))
+        pts = np.array([far_point(rng, cfg) for _ in range(10)])
+        rows = current_rows(params, cfg, pts)
+        assert rows.method == "analytic" and not rows.code.any()
+        eh = eh_field(params, cfg)
+        for x, jm, je in zip(pts, rows.j_m, rows.j_e):
+            curl_e, curl_h = fd_curl(eh, x)
+            assert np.max(np.abs(jm + curl_e)) <= FD_TOL * max(1.0, np.max(np.abs(jm)))
+            assert np.max(np.abs(je - curl_h)) <= FD_TOL * max(1.0, np.max(np.abs(je)))
 
 
 class TestGenericElectrostatic:
     def test_linear_model_is_conservative(self):
         params = ModelParams.fractional_power(beta=1.0, p=1.0)
         cfg = pair_config()
-        jm = jm_generic_electrostatic(params, cfg, (0.0, 1.0, 0.0))
-        assert np.max(np.abs(jm)) == 0.0
+        rows = current_rows(params, cfg, (0.0, 1.0, 0.0))
+        assert rows.code.tolist() == [0]
+        assert np.max(np.abs(rows.j_m)) == 0.0
 
     def test_classical_params_recover_dedicated_formula(self):
-        params = ModelParams.classical(beta=0.6)
+        params = custom_classical(0.6)
         cfg = pair_config(q1=0.9, q2=-1.4)
         rng = np.random.default_rng(23)
-        for _ in range(15):
-            x = far_point(rng, cfg)
-            jg = jm_generic_electrostatic(params, cfg, x)
+        pts = np.array([far_point(rng, cfg) for _ in range(15)])
+        rows = current_rows(params, cfg, pts)
+        assert not rows.code.any()
+        for x, jg in zip(pts, rows.j_m):
             jc = jm_classical_electrostatic(cfg, 0.6, x)
             assert np.max(np.abs(jg - jc)) <= 1e-9 * max(1.0, np.max(np.abs(jc)))
 
@@ -296,9 +308,10 @@ class TestGenericElectrostatic:
         def e_field(y):
             return electrostatic_e(params, displacement_field(cfg, y))
 
-        for _ in range(6):
-            x = far_point(rng, cfg)
-            jm = jm_generic_electrostatic(params, cfg, x)
+        pts = np.array([far_point(rng, cfg) for _ in range(6)])
+        rows = current_rows(params, cfg, pts)
+        assert rows.method == "analytic" and not rows.code.any()
+        for x, jm in zip(pts, rows.j_m):
             curl = fd_curl(e_field, x)
             assert np.max(np.abs(jm + curl)) <= FD_TOL * max(1.0, np.max(np.abs(jm)))
 
@@ -307,22 +320,25 @@ class TestGenericMagnetostatic:
     def test_single_center_zero(self):
         params = ModelParams.exponential(beta=1.0)
         cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 0.0, 1.7)])
-        je = je_generic_magnetostatic(params, cfg, (0.4, -0.2, 0.6))
-        assert np.max(np.abs(je)) <= 1e-15
+        rows = current_rows(params, cfg, (0.4, -0.2, 0.6))
+        assert rows.code.tolist() == [0]
+        assert np.max(np.abs(rows.j_e)) <= 1e-15
 
     def test_linear_model_zero(self):
         params = ModelParams.fractional_power(beta=1.0, p=1.0)
         cfg = pair_config(magnetic=True)
-        je = je_generic_magnetostatic(params, cfg, (0.0, 1.0, 0.0))
-        assert np.max(np.abs(je)) == 0.0
+        rows = current_rows(params, cfg, (0.0, 1.0, 0.0))
+        assert rows.code.tolist() == [0]
+        assert np.max(np.abs(rows.j_e)) == 0.0
 
     def test_classical_params_recover_dedicated_formula(self):
-        params = ModelParams.classical(beta=BETA)
+        params = custom_classical(BETA)
         cfg = pair_config(magnetic=True)
         rng = np.random.default_rng(31)
-        for _ in range(10):
-            x = far_point(rng, cfg)
-            jg = je_generic_magnetostatic(params, cfg, x)
+        pts = np.array([far_point(rng, cfg) for _ in range(10)])
+        rows = current_rows(params, cfg, pts)
+        assert not rows.code.any()
+        for x, jg in zip(pts, rows.j_e):
             jc = je_classical_magnetostatic(cfg, BETA, x)
             assert np.max(np.abs(jg - jc)) <= 1e-12 * max(1.0, np.max(np.abs(jc)))
 
@@ -342,9 +358,10 @@ class TestGenericMagnetostatic:
         def h_field(y):
             return magnetostatic_h(params, magnetic_field(cfg, y))
 
-        for _ in range(6):
-            x = far_point(rng, cfg)
-            je = je_generic_magnetostatic(params, cfg, x)
+        pts = np.array([far_point(rng, cfg) for _ in range(6)])
+        rows = current_rows(params, cfg, pts)
+        assert rows.method == "analytic" and not rows.code.any()
+        for x, je in zip(pts, rows.j_e):
             curl = fd_curl(h_field, x)
             assert np.max(np.abs(je - curl)) <= FD_TOL * max(1.0, np.max(np.abs(je)))
 
@@ -363,7 +380,7 @@ class TestGenericMagnetostatic:
                 for e in np.eye(3)
             ]
         )
-        grad = grad_field_square(cfg, x, which="magnetic")
+        grad = currents._field_and_gradient(cfg, cfg.gs, x)[1][0]
         assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
 
 
@@ -385,15 +402,18 @@ class TestFactoredFormsMatchTripleSums:
             x = far_point(rng, cfg, min_dist=0.2)
             beta = float(rng.uniform(0.2, 2.0))
             params = self.MODELS[int(rng.integers(len(self.MODELS)))]
-            for name in ("jm_classical_electrostatic", "je_classical_magnetostatic",
-                         "jm_classical_dyonic_k0", "je_classical_dyonic_k0"):
+            for name in ("jm_classical_electrostatic", "je_classical_magnetostatic"):
                 self.assert_close(getattr(currents, name)(cfg, beta, x),
                                   getattr(triple_sums, name)(cfg, beta, x))
-            for name in ("jm_generic_electrostatic", "je_generic_magnetostatic"):
-                self.assert_close(getattr(currents, name)(params, cfg, x),
-                                  getattr(triple_sums, name)(params, cfg, x))
-            for which in ("electric", "magnetic"):
-                self.assert_close(grad_field_square(cfg, x, which=which),
+            dyonic = current_rows(ModelParams.classical(beta=beta), cfg, x)
+            self.assert_close(dyonic.j_m[0], triple_sums.jm_classical_dyonic_k0(cfg, beta, x))
+            self.assert_close(dyonic.j_e[0], triple_sums.je_classical_dyonic_k0(cfg, beta, x))
+            self.assert_close(current_rows(params, one_species(cfg), x).j_m[0],
+                              triple_sums.jm_generic_electrostatic(params, cfg, x))
+            self.assert_close(current_rows(params, one_species(cfg, electric=False), x).j_e[0],
+                              triple_sums.je_generic_magnetostatic(params, cfg, x))
+            for which, weights in (("electric", cfg.qs), ("magnetic", cfg.gs)):
+                self.assert_close(currents._field_and_gradient(cfg, weights, x)[1][0],
                                   triple_sums.grad_field_square(cfg, x, which=which))
 
     def test_thirty_two_centres(self):
@@ -401,9 +421,9 @@ class TestFactoredFormsMatchTripleSums:
         cfg = random_config(rng, 32, electric=True, magnetic=True, spread=2.0)
         x = far_point(rng, cfg, min_dist=0.2)
         # the dyonic oracle runs both the single-species and the mixed triple sum
-        self.assert_close(jm_classical_dyonic_k0(cfg, BETA, x),
+        self.assert_close(current_rows(ModelParams.classical(beta=BETA), cfg, x).j_m[0],
                           triple_sums.jm_classical_dyonic_k0(cfg, BETA, x))
-        self.assert_close(grad_field_square(cfg, x, which="electric"),
+        self.assert_close(currents._field_and_gradient(cfg, cfg.qs, x)[1][0],
                           triple_sums.grad_field_square(cfg, x, which="electric"))
 
 
@@ -500,23 +520,23 @@ class TestFiniteDifferenceOracles:
 
     def test_stencil_clearance(self):
         cfg = pair_config()
-        assert stencil_is_clear(cfg, (0.0, 1.0, 0.0), 0.1)
-        assert not stencil_is_clear(cfg, (1.05, 0.0, 0.0), 0.1)
+        clear = currents._stencil_clear(cfg, np.array([[0.0, 1.0, 0.0], [1.05, 0.0, 0.0]]), 0.1)
+        assert clear.tolist() == [True, False]
 
 
 class TestDispatcher:
     def test_electric_only_routes(self):
         cfg = pair_config()
         for params in (ModelParams.classical(beta=BETA), ModelParams.logarithmic(beta=0.5)):
-            s = current_at(params, cfg, (0.0, 1.0, 0.0))
-            assert s.method == "analytic"
+            s = current_rows(params, cfg, (0.0, 1.0, 0.0))
+            assert s.method == "analytic" and s.code.tolist() == [0]
             assert np.max(np.abs(s.j_e)) == 0.0
             assert np.max(np.abs(s.j_m)) > 0.0
 
     def test_magnetic_only_routes(self):
         cfg = pair_config(magnetic=True)
-        s = current_at(ModelParams.exponential(beta=0.7), cfg, (0.0, 1.0, 0.0))
-        assert s.method == "analytic"
+        s = current_rows(ModelParams.exponential(beta=0.7), cfg, (0.0, 1.0, 0.0))
+        assert s.method == "analytic" and s.code.tolist() == [0]
         assert np.max(np.abs(s.j_m)) == 0.0
         assert np.max(np.abs(s.j_e)) > 0.0
 
@@ -524,8 +544,8 @@ class TestDispatcher:
         cfg = ChargeConfig.build(
             [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]
         )
-        s = current_at(ModelParams.classical(beta=BETA), cfg, (0.0, 1.0, 0.0))
-        assert s.method == "analytic"
+        s = current_rows(ModelParams.classical(beta=BETA), cfg, (0.0, 1.0, 0.0))
+        assert s.method == "analytic" and s.code.tolist() == [0]
         assert np.max(np.abs(s.j_m)) > 0.0
         assert np.max(np.abs(s.j_e)) > 0.0
 
@@ -533,8 +553,8 @@ class TestDispatcher:
         cfg = ChargeConfig.build(
             [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]
         )
-        s = current_at(ModelParams.classical(beta=BETA, kappa=0.8), cfg, (0.0, 1.0, 0.0))
-        assert s.method == "fd"
+        s = current_rows(ModelParams.classical(beta=BETA, kappa=0.8), cfg, (0.0, 1.0, 0.0))
+        assert s.method == "fd" and s.code.tolist() == [0]
         assert np.all(np.isfinite(s.j_m)) and np.all(np.isfinite(s.j_e))
 
     def test_fd_route_inverts_once_per_stencil_node(self, monkeypatch):
@@ -551,32 +571,32 @@ class TestDispatcher:
             return invert_rows(params, d, b)
 
         monkeypatch.setattr(currents, "invert_rows", counting_rows)
-        s = current_at(params, cfg, x)
+        s = current_rows(params, cfg, x)
         monkeypatch.undo()
         # two Richardson steps, six stencil nodes each, one row per node, one call
-        assert s.method == "fd" and calls == [12]
+        assert s.method == "fd" and s.code.tolist() == [0] and calls == [12]
 
         # reference: separate curls of E-only and H-only fields
         def e_field(y):
-            return dyonic_eh(params, displacement_field(cfg, y), magnetic_field(cfg, y))[0]
+            return dyonic_eh_rows(params, displacement_field(cfg, y), magnetic_field(cfg, y))[0][0]
 
         def h_field(y):
-            return dyonic_eh(params, displacement_field(cfg, y), magnetic_field(cfg, y))[1]
+            return dyonic_eh_rows(params, displacement_field(cfg, y), magnetic_field(cfg, y))[1][0]
 
         h = fd_step(x)
-        assert np.array_equal(s.j_m, -fd_curl(e_field, x, step=h, richardson=True))
-        assert np.array_equal(s.j_e, fd_curl(h_field, x, step=h, richardson=True))
+        assert np.array_equal(s.j_m[0], -fd_curl(e_field, x, step=h, richardson=True))
+        assert np.array_equal(s.j_e[0], fd_curl(h_field, x, step=h, richardson=True))
 
     def test_fd_route_consistent_with_analytic_at_tiny_kappa(self):
         cfg = ChargeConfig.build(
             [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]
         )
         x = np.array([0.0, 1.0, 0.0])
-        s = current_at(ModelParams.classical(beta=BETA, kappa=1e-5), cfg, x)
-        jm0 = jm_classical_dyonic_k0(cfg, BETA, x)
-        je0 = je_classical_dyonic_k0(cfg, BETA, x)
-        assert np.max(np.abs(s.j_m - jm0)) <= 1e-8
-        assert np.max(np.abs(s.j_e - je0)) <= 1e-8
+        s = current_rows(ModelParams.classical(beta=BETA, kappa=1e-5), cfg, x)
+        k0 = current_rows(ModelParams.classical(beta=BETA), cfg, x)
+        assert s.method == "fd" and k0.method == "analytic"
+        assert np.max(np.abs(s.j_m - k0.j_m)) <= 1e-8
+        assert np.max(np.abs(s.j_e - k0.j_e)) <= 1e-8
 
     @pytest.mark.parametrize("params, cfg, method", [
         (ModelParams.logarithmic(beta=1.0), pair_config(), "analytic"),
@@ -586,18 +606,23 @@ class TestDispatcher:
             [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]), "fd"),
     ], ids=["electric", "classical-dyonic-k0", "fd"])
     def test_zero_points(self, params, cfg, method):
-        rows = current_rows(params, cfg, np.empty((0, 3)))
-        assert rows.method == method
-        assert rows.j_e.shape == rows.j_m.shape == (0, 3)
-        assert rows.code.shape == (0,) and rows.errors == []
+        # an empty array or list: the currents, and the energy density on the
+        # same rows (closed form and inverted), come out empty
+        for pts in (np.empty((0, 3)), []):
+            rows = current_rows(params, cfg, pts)
+            assert rows.method == method
+            assert rows.j_e.shape == rows.j_m.shape == (0, 3)
+            assert rows.code.shape == (0,) and rows.errors == []
+            assert hamiltonian_on_points(params, cfg, pts).shape == (0,)
 
     def test_sample_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            CurrentSample(
-                j_e=np.array([np.inf, 0.0, 0.0]),
-                j_m=np.zeros(3),
-                at=np.zeros(3),
-            )
+        # the currents of huge charges overflow: the point fails rather than
+        # carrying an inf or NaN
+        cfg = pair_config(q1=1e200, q2=-1e200)
+        rows = current_rows(ModelParams.classical(beta=BETA), cfg, (0.0, 1.0, 0.0))
+        assert rows.code.tolist() == [1]
+        assert isinstance(rows.errors[0], DomainViolation)
+        assert str(rows.errors[0]) == "current has non-finite components"
 
 
 class TestResidualIdentityAcrossModels:
@@ -623,15 +648,16 @@ class TestResidualIdentityAcrossModels:
         def h_field(y):
             return magnetostatic_h(params, magnetic_field(cfg_m, y))
 
-        for x in points:
-            jm = jm_generic_electrostatic(params, cfg_e, x)
-            je = je_generic_magnetostatic(params, cfg_m, x)
+        jms = current_rows(params, cfg_e, points).j_m
+        jes = current_rows(params, cfg_m, points).j_e
+        for x, jm, je in zip(points, jms, jes):
             assert np.max(np.abs(fd_curl(e_field, x) + jm)) <= FD_TOL
             assert np.max(np.abs(fd_curl(h_field, x) - je)) <= FD_TOL
 
 
 class TestCurrentRows:
-    """current_rows on many points at once against the per-point routes."""
+    """current_rows on many points at once against the per-point routes and
+    one-point calls."""
 
     @staticmethod
     def points(cfg, rng, n=60):
@@ -654,7 +680,7 @@ class TestCurrentRows:
         outcomes = set()
         for i, x in enumerate(pts):
             h = fd_step(x)
-            if not stencil_is_clear(cfg, x, h):
+            if not cfg.min_distance(x) > h + cfg.exclusion_radius:
                 assert isinstance(rows.errors[rows.code[i] - 1], SingularPoint), i
                 outcomes.add("skip")
                 continue
@@ -685,11 +711,10 @@ class TestCurrentRows:
         assert rows.method == "analytic"
         assert isinstance(rows.errors[rows.code[0] - 1], SingularPoint)
         for i, x in enumerate(pts):
-            try:
-                s = current_at(params, cfg, x)
-            except FieldError as exc:
-                got = rows.errors[rows.code[i] - 1]
+            s = current_rows(params, cfg, x)
+            if s.code[0]:
+                got, exc = rows.errors[rows.code[i] - 1], s.errors[s.code[0] - 1]
                 assert (type(got), str(got)) == (type(exc), str(exc)), i
                 continue
             assert rows.code[i] == 0, i
-            assert np.array_equal(rows.j_e[i], s.j_e) and np.array_equal(rows.j_m[i], s.j_m), i
+            assert np.array_equal(rows.j_e[i], s.j_e[0]) and np.array_equal(rows.j_m[i], s.j_m[0]), i

@@ -2,10 +2,15 @@
 
 No module in src/bifield imports a name it never uses (a name listed in the
 module's __all__ counts as used: it is re-exported), every name in a
-module's __all__ is defined or imported at module level, and every
+module's __all__ is defined or imported at module level, every
 module-level private function is referenced somewhere in src/ or tests/
-outside its own body. A refactor that moves work elsewhere fails here if it
-leaves the old import or helper behind, or an export of a deleted function.
+outside its own body, and every module-level public function and class is
+referenced somewhere in src/ outside its own body, the __all__ lists and
+__init__.py, or named in UNCALLED_PUBLIC with its reason. A refactor that
+moves work elsewhere fails here if it leaves the old import or helper
+behind, an export of a deleted function, or a public function that only the
+tests call. The package's public names are pinned in PUBLIC_NAMES, so the
+surface grows or shrinks only with that list.
 
 scipy stays out of the command line's import and its energy command: a
 fresh process pays ~0.7 s to import it, in set-up or in the run. argparse,
@@ -28,16 +33,76 @@ PACKAGE = Path(bifield.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 TESTS = Path(__file__).parent
 
+PUBLIC_NAMES = (
+    "ChargeConfig",
+    "ConfigError",
+    "ContinuousSource",
+    "CurrentRows",
+    "DomainViolation",
+    "EnergyReport",
+    "FieldError",
+    "FieldState",
+    "InversionFailure",
+    "ModelParams",
+    "NegativeArgument",
+    "NoNonnegativeRoot",
+    "PointCharge",
+    "QuadratureError",
+    "QuadratureSpec",
+    "RadialPart",
+    "ResidualReport",
+    "SingularPoint",
+    "__version__",
+    "bump_source",
+    "continuous_residual_suite",
+    "curl_formula_continuous",
+    "current_rows",
+    "displacement_field",
+    "divergence_exponent_probe",
+    "dyonic_eh_rows",
+    "electrostatic_e",
+    "fd_curl",
+    "fd_div",
+    "flux_charge",
+    "forward_fields",
+    "free_charge_with_inner_spheres",
+    "gaussian_source",
+    "gridded_source",
+    "invert_rows",
+    "je_classical_magnetostatic",
+    "jm_classical_electrostatic",
+    "magnetic_field",
+    "magnetostatic_h",
+    "merge_sources",
+    "newton_potential",
+    "residual_suite",
+    "total_energy",
+    "two_gaussian_source",
+)
+
+# public functions that no code in src/ calls, each with the reason it stays
+UNCALLED_PUBLIC = {
+    "currents.py:fd_div": "finite-difference oracle, kept until the currents are exact",
+    "observables.py:residual_suite": "finite-difference oracle, kept until the currents are exact",
+    "continuous.py:continuous_residual_suite": "finite-difference oracle, kept until the "
+                                               "currents are exact",
+    "cli.py:serialize_config": "writes a RunConfig back as JSON, the inverse of parse_config",
+}
+
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _is_all(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
+
+
 def _exported(tree: ast.Module) -> set:
     """The strings of a module-level __all__ list."""
     for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+        if _is_all(node):
             return {elt.value for elt in node.value.elts}
     return set()
 
@@ -81,32 +146,50 @@ def test_exports_are_defined(path):
     assert sorted(_exported(tree) - bound) == []
 
 
-def _private_functions():
+def _definitions(public: bool):
+    """(module, name) of every module-level function, and with public every
+    module-level class too, whose name is public or private as asked."""
+    kinds = (ast.FunctionDef, ast.ClassDef) if public else ast.FunctionDef
     for path in MODULES:
         for node in _tree(path).body:
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            if isinstance(node, kinds) and node.name.startswith("_") != public:
                 yield path.name, node.name
 
 
-def _references() -> set:
-    """Names referenced in src/ and tests/, a top-level function's
-    references to itself (recursion) left out; imported names count."""
+def _references(paths) -> set:
+    """Names referenced in the files at paths, leaving out a top-level
+    function's or class's references to itself and the __all__ lists;
+    imported names count."""
     refs = set()
-    for path in MODULES + sorted(TESTS.glob("*.py")):
+    for path in paths:
         for node in _tree(path).body:
+            if _is_all(node):
+                continue
             names = _used_names(node)
             if isinstance(node, ast.ImportFrom):
                 names |= {alias.name for alias in node.names}
-            if isinstance(node, ast.FunctionDef):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(node.name)
             refs |= names
     return refs
 
 
 def test_private_functions_are_referenced():
-    refs = _references()
-    dead = [f"{module}:{name}" for module, name in _private_functions() if name not in refs]
+    refs = _references(MODULES + sorted(TESTS.glob("*.py")))
+    dead = [f"{module}:{name}" for module, name in _definitions(public=False)
+            if name not in refs]
     assert dead == []
+
+
+def test_public_functions_are_referenced_in_src():
+    refs = _references([path for path in MODULES if path.name != "__init__.py"])
+    uncalled = [f"{module}:{name}" for module, name in _definitions(public=True)
+                if name not in refs]
+    assert sorted(uncalled) == sorted(UNCALLED_PUBLIC)
+
+
+def test_public_surface_is_pinned():
+    assert tuple(bifield.__all__) == PUBLIC_NAMES == tuple(sorted(PUBLIC_NAMES))
 
 
 def test_cli_import_and_rules_leave_numpy_polynomial_unloaded(tmp_path):

@@ -19,11 +19,12 @@ from hypothesis import given, settings, strategies as st
 from bifield import cli, constitutive, currents, observables
 from bifield.errors import (
     ConfigError, DomainViolation, FieldError, InversionFailure, QuadratureError, SingularPoint,
+    raise_first,
 )
 from bifield.models import ModelParams
 from bifield.sources import ChargeConfig, displacement_field, magnetic_field
-from bifield.constitutive import FieldState, dyonic_eh, state_from_db
-from bifield.currents import current_at, eh_field, eh_rows, fd_curl, fd_div, fd_step, stencil_is_clear
+from bifield.constitutive import FieldState
+from bifield.currents import current_rows, eh_field, eh_rows, fd_curl, fd_div, fd_step
 from bifield.observables import (
     EnergyReport,
     QuadratureSpec,
@@ -35,12 +36,12 @@ from bifield.observables import (
     flux_charge,
     flux_spheres,
     free_charge_with_inner_spheres,
-    hamiltonian_at,
     hamiltonian_on_points,
     residual_suite,
     total_energy,
 )
 
+from scalar_inversions import dyonic_eh as scalar_eh
 from scalar_inversions import energy_density
 from shell_energy import shell_total_energy
 from triple_sums import eh_pointwise, flux_charge_pointwise, pointwise
@@ -160,8 +161,8 @@ class TestEnergyDensity:
             for _ in range(40):
                 d = rng.normal(size=3) * 2.0
                 b = rng.normal(size=3) * 2.0
-                state = state_from_db(params, d, b)
-                generic = energy_density(params, state)
+                e, h, aux = scalar_eh(params, d, b)
+                generic = energy_density(params, FieldState(e=e, b=b, d=d, h=h, s=aux.s))
                 closed = float(classical_energy_density(1.0, kappa, d, b))
                 assert abs(generic - closed) <= 1e-10 * max(1.0, abs(closed))
 
@@ -218,8 +219,9 @@ class TestEnergyDensity:
         params = ModelParams.logarithmic(beta)
         for dmag in (0.3, 1.0, 4.0):
             d = np.array([0.0, dmag, 0.0])
-            state = state_from_db(params, d, np.zeros(3))
-            e2 = float(state.e @ state.e)
+            e, h, aux = scalar_eh(params, d, np.zeros(3))
+            state = FieldState(e=e, b=np.zeros(3), d=d, h=h, s=aux.s)
+            e2 = float(e @ e)
             u = 1.0 - 0.5 * beta * e2
             expected = e2 / u + math.log(u) / beta
             assert abs(energy_density(params, state) - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -230,8 +232,9 @@ class TestEnergyDensity:
         params = ModelParams.exponential(beta)
         for dmag in (0.2, 1.5, 5.0):
             d = np.array([dmag, 0.0, 0.0])
-            state = state_from_db(params, d, np.zeros(3))
-            e2 = float(state.e @ state.e)
+            e, h, aux = scalar_eh(params, d, np.zeros(3))
+            state = FieldState(e=e, b=np.zeros(3), d=d, h=h, s=aux.s)
+            e2 = float(e @ e)
             expected = (1.0 - math.exp(0.5 * beta * e2) * (1.0 - beta * e2)) / beta
             assert abs(energy_density(params, state) - expected) <= 1e-12 * max(1.0, abs(expected))
 
@@ -241,7 +244,7 @@ class TestEnergyDensity:
         cfg = single_charge(q=1.0, g=1.0)
         r = 1e-3
         x = np.array([r, 0.0, 0.0])
-        h = hamiltonian_at(params, cfg, x)
+        h = hamiltonian_on_points(params, cfg, x)[0]
         assert abs(h * r**4 - DYON_K0_PLATEAU) <= 1e-3 * DYON_K0_PLATEAU
 
     def test_dyon_kappa_one_near_field_plateau(self):
@@ -250,7 +253,7 @@ class TestEnergyDensity:
         cfg = single_charge(q=1.0, g=1.0)
         r = 1e-3
         x = np.array([0.0, r, 0.0])
-        h = hamiltonian_at(params, cfg, x)
+        h = hamiltonian_on_points(params, cfg, x)[0]
         assert abs(h * r**2 - DYON_K1_PLATEAU) <= 1e-2 * DYON_K1_PLATEAU
 
     def test_batch_matches_pointwise(self):
@@ -270,9 +273,9 @@ class TestEnergyDensity:
                 for kind, params in all_kinds(kappa).items():
                     batch = hamiltonian_on_points(params, cfg, pts)
                     for i, x in enumerate(pts):
-                        state = state_from_db(params, displacement_field(cfg, x),
-                                              magnetic_field(cfg, x))
-                        ref = energy_density(params, state)
+                        d, b = displacement_field(cfg, x), magnetic_field(cfg, x)
+                        e, h, aux = scalar_eh(params, d, b)
+                        ref = energy_density(params, FieldState(e=e, b=b, d=d, h=h, s=aux.s))
                         assert abs(batch[i] - ref) <= 1e-12 * max(1.0, abs(ref)), \
                             (kind, kappa, charges, i)
 
@@ -298,14 +301,15 @@ class TestEnergyDensity:
 
     def test_logarithmic_energy_makes_no_scalar_inversions(self, monkeypatch):
         calls = []
+        one_row = constitutive._one_row
 
-        def counting_eh(*args, **kwargs):
+        def counting_one_row(*args):
             calls.append(1)
-            return dyonic_eh(*args, **kwargs)
+            return one_row(*args)
 
-        monkeypatch.setattr(constitutive, "dyonic_eh", counting_eh)
+        monkeypatch.setattr(constitutive, "_one_row", counting_one_row)
         # the counter sees a point inversion
-        constitutive.dyonic_eh(ModelParams.exponential(1.0), np.ones(3), np.ones(3))
+        constitutive.electrostatic_e(ModelParams.exponential(1.0), np.ones(3))
         assert len(calls) == 1
         calls.clear()
         dyon = single_charge(q=1.0, g=0.5)
@@ -360,7 +364,7 @@ def radial_energy_oracle(params, q, g, exclusion):
 
     def integrand(t):
         r = math.exp(t)
-        return 4.0 * math.pi * r**3 * hamiltonian_at(params, cfg, r * ray)
+        return 4.0 * math.pi * r**3 * hamiltonian_on_points(params, cfg, r * ray)[0]
 
     # full_output: rounding noise in the density (E^2 f' - f cancels far
     # out, where H ~ E^2 / 2) stops quad short of 1e-9 with a warning; limit
@@ -1033,7 +1037,8 @@ class TestExponentProbe:
 
 def residual_pointwise(cfg, params, grid) -> ResidualReport:
     """residual_suite point by point: fd_curl and fd_div of E, H and of D, B
-    at each point whose stencil is clear, against current_at's currents."""
+    at each point whose stencil is clear, against one-point current_rows
+    calls."""
     def db(y):
         return np.stack((displacement_field(cfg, y), magnetic_field(cfg, y)))
 
@@ -1041,10 +1046,11 @@ def residual_pointwise(cfg, params, grid) -> ResidualReport:
     details, method, skipped = [], None, 0
     for x in np.asarray(grid, dtype=float):
         h = fd_step(x)
-        if not stencil_is_clear(cfg, x, h):
+        if not cfg.min_distance(x) > h + cfg.exclusion_radius:
             skipped += 1
             continue
-        current = current_at(params, cfg, x)
+        current = current_rows(params, cfg, x)
+        raise_first(current.code, current.errors)
         method = current.method
         curl_e, curl_h = fd_curl(eh, x, step=h)
         div_d, div_b = fd_div(db, x, step=h)
@@ -1055,8 +1061,8 @@ def residual_pointwise(cfg, params, grid) -> ResidualReport:
             "curl_d": float(np.max(np.abs(curl_d))),
             "div_b": abs(float(div_b)),
             "curl_b": float(np.max(np.abs(curl_b))),
-            "curl_e_jm": float(np.max(np.abs(curl_e + current.j_m))),
-            "curl_h_je": float(np.max(np.abs(curl_h - current.j_e))),
+            "curl_e_jm": float(np.max(np.abs(curl_e + current.j_m[0]))),
+            "curl_h_je": float(np.max(np.abs(curl_h - current.j_e[0]))),
         })
     maxima = [max([0.0] + [p[key] for p in details]) for key in
               ("div_d", "curl_d", "div_b", "curl_b", "curl_e_jm", "curl_h_je")]

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bifield.currents import current_at, jm_classical_electrostatic
+from bifield.currents import current_rows, jm_classical_electrostatic
 from bifield.errors import SingularPoint
 from bifield.models import ModelParams
-from bifield.observables import hamiltonian_at
+from bifield.observables import hamiltonian_on_points
 from bifield.sources import (
     ChargeConfig,
     PointCharge,
@@ -16,7 +16,6 @@ from bifield.sources import (
     _db_weights,
     displacement_field,
     magnetic_field,
-    scalar_potential,
 )
 
 from triple_sums import _coulomb_potential_sum, _coulomb_sum
@@ -45,12 +44,12 @@ class TestSingleCharge:
         np.testing.assert_allclose(d, [1.0 / (FOUR_PI * 4.0), 0.0, 0.0], rtol=1e-14)
 
     def test_potential_value(self):
+        # the reference potential the gradient checks below differentiate
         cfg = ChargeConfig.build([((0, 0, 0), 3.0, -1.0)])
-        u = scalar_potential(cfg, (0.0, 2.0, 0.0), "electric")
-        assert u.kind == "electric"
-        assert u.value == pytest.approx(3.0 / (FOUR_PI * 2.0), rel=1e-14)
-        v = scalar_potential(cfg, (0.0, 2.0, 0.0), "magnetic")
-        assert v.value == pytest.approx(-1.0 / (FOUR_PI * 2.0), rel=1e-14)
+        u = _coulomb_potential_sum(cfg, cfg.qs, (0.0, 2.0, 0.0))
+        assert u == pytest.approx(3.0 / (FOUR_PI * 2.0), rel=1e-14)
+        v = _coulomb_potential_sum(cfg, cfg.gs, (0.0, 2.0, 0.0))
+        assert v == pytest.approx(-1.0 / (FOUR_PI * 2.0), rel=1e-14)
 
     def test_magnetic_uses_g(self):
         cfg = ChargeConfig.build([((0, 0, 0), 1.0, -4.0)])
@@ -71,8 +70,8 @@ class TestGradientConsistency:
             for k in range(3):
                 e = np.zeros(3)
                 e[k] = h
-                up = scalar_potential(cfg, x + e, "electric").value
-                dn = scalar_potential(cfg, x - e, "electric").value
+                up = _coulomb_potential_sum(cfg, cfg.qs, x + e)
+                dn = _coulomb_potential_sum(cfg, cfg.qs, x - e)
                 grad[k] = (up - dn) / (2 * h)
             d = displacement_field(cfg, x)
             np.testing.assert_allclose(-grad, d, rtol=1e-7, atol=1e-10)
@@ -85,8 +84,8 @@ class TestGradientConsistency:
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            up = scalar_potential(cfg, x + e, "magnetic").value
-            dn = scalar_potential(cfg, x - e, "magnetic").value
+            up = _coulomb_potential_sum(cfg, cfg.gs, x + e)
+            dn = _coulomb_potential_sum(cfg, cfg.gs, x - e)
             grad[k] = (up - dn) / (2 * h)
         np.testing.assert_allclose(-grad, magnetic_field(cfg, x), rtol=1e-7, atol=1e-10)
 
@@ -118,14 +117,11 @@ class TestKernelAgainstFsumOracle:
     """
 
     @staticmethod
-    def bound(cfg, weights, x, power):
+    def bound(cfg, weights, x):
         r = np.abs(x[None, :] - cfg.positions)
         dist = np.linalg.norm(r, axis=1)
-        if power == 3:
-            scale = np.sum(np.abs(weights)[:, None] * r / (FOUR_PI * dist[:, None] ** 3), axis=0)
-        else:
-            scale = np.sum(np.abs(weights) / (FOUR_PI * dist))
-        return 8.0 * EPS * scale
+        return 8.0 * EPS * np.sum(np.abs(weights)[:, None] * r / (FOUR_PI * dist[:, None] ** 3),
+                                  axis=0)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_fields_and_potential(self, n):
@@ -138,13 +134,9 @@ class TestKernelAgainstFsumOracle:
                 for k, (w, field) in enumerate(((cfg.qs, displacement_field),
                                                 (cfg.gs, magnetic_field))):
                     ref = _coulomb_sum(cfg, w, x)
-                    tol = self.bound(cfg, w, x, 3)
+                    tol = self.bound(cfg, w, x)
                     assert np.all(np.abs(field(cfg, x) - ref) <= tol)
                     assert np.all(np.abs(stacked[k, i] - ref) <= tol)
-                for w, kind in ((cfg.qs, "electric"), (cfg.gs, "magnetic")):
-                    ref = _coulomb_potential_sum(cfg, w, x)
-                    got = scalar_potential(cfg, x, kind).value
-                    assert abs(got - ref) <= self.bound(cfg, w, x, 1)
 
 
 class TestStackedWeights:
@@ -197,7 +189,7 @@ class TestExclusion:
         with pytest.raises(SingularPoint):
             displacement_field(cfg, (0.0, 0.0, 1e-12))
         with pytest.raises(SingularPoint):
-            scalar_potential(cfg, (1.0, 1e-11, 0.0))
+            magnetic_field(cfg, (1.0, 1e-11, 0.0))
 
     def test_batched_singular_point_names_point_and_charge(self):
         cfg = two_center()
@@ -231,12 +223,14 @@ class TestExclusion:
         params = ModelParams.classical(beta=1.0)
         on, inside = np.array([0.5, 0.0, 0.0]), np.array([0.4999, 0.0, 0.0])
         for fn in (lambda x: displacement_field(cfg, x),
-                   lambda x: hamiltonian_at(params, cfg, x),
-                   lambda x: current_at(params, cfg, x).j_m,
+                   lambda x: hamiltonian_on_points(params, cfg, x),
                    lambda x: jm_classical_electrostatic(cfg, 1.0, x)):
             assert np.all(np.isfinite(fn(on)))
             with pytest.raises(SingularPoint):
                 fn(inside)
+        rows = current_rows(params, cfg, [on, inside])
+        assert rows.code[0] == 0 and np.all(np.isfinite(rows.j_m[0]))
+        assert isinstance(rows.errors[rows.code[1] - 1], SingularPoint)
 
 
 class TestFarField:

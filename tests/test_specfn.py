@@ -7,18 +7,15 @@ from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
 from bifield import specfn
-from bifield.errors import BracketFailure, NegativeArgument
+from bifield.errors import NegativeArgument
 from bifield.specfn import (
-    lambert_w,
-    lambert_w_from_log,
     lambert_w_from_log_rows,
     lambert_w_rows,
-    smallest_positive_cubic_root,
     smallest_positive_cubic_root_rows,
 )
 
 import scalar_inversions as scalar
-from scalar_inversions import invert_monotone
+from scalar_inversions import BracketFailure, invert_monotone
 
 # Newton iteration on w e^w = 1, run to convergence beforehand and frozen.
 W_OF_ONE = 0.5671432904097838
@@ -26,69 +23,69 @@ W_OF_ONE = 0.5671432904097838
 
 class TestLambertW:
     def test_known_value(self):
-        assert lambert_w(1.0) == pytest.approx(W_OF_ONE, abs=1e-15)
+        assert float(lambert_w_rows(1.0)) == pytest.approx(W_OF_ONE, abs=1e-15)
 
     def test_zero(self):
-        assert lambert_w(0.0) == 0.0
+        assert float(lambert_w_rows(0.0)) == 0.0
 
     def test_negative_raises(self):
         with pytest.raises(NegativeArgument):
-            lambert_w(-0.1)
+            lambert_w_rows(-0.1)
 
     @pytest.mark.parametrize(
         "x", [1e-12, 1e-8, 1e-3, 0.1, 0.25, 0.3, 0.9, 1.0, 2.9, 3.0, 3.1, 10.0, 1e3, 1e8, 1e12]
     )
     def test_residual_ladder(self, x):
-        w = lambert_w(x)
+        w = float(lambert_w_rows(x))
         assert abs(w * math.exp(w) - x) <= 1e-13 * max(1.0, x)
 
     @pytest.mark.parametrize("x", [0.05, 0.7, 4.0, 123.0, 1e6])
     def test_against_scipy(self, x):
-        assert lambert_w(x) == pytest.approx(float(scipy_lambertw(x).real), rel=1e-14)
+        assert float(lambert_w_rows(x)) == pytest.approx(float(scipy_lambertw(x).real), rel=1e-14)
 
     @given(st.floats(min_value=1e-10, max_value=1e9))
     @settings(max_examples=200, deadline=None)
     def test_residual_property(self, x):
-        w = lambert_w(x)
+        w = float(lambert_w_rows(x))
         assert w >= 0.0
         assert abs(w * math.exp(w) - x) <= 1e-13 * max(1.0, x)
 
     def test_log_form_matches_plain(self):
         x = 50.0
-        assert lambert_w_from_log(math.log(x)) == pytest.approx(lambert_w(x), rel=1e-14)
+        assert float(lambert_w_from_log_rows(math.log(x))) == pytest.approx(
+            float(lambert_w_rows(x)), rel=1e-14)
 
     def test_log_form_huge_argument(self):
         # residual of w + ln w = ln x is the relative residual of w e^w = x
-        for lx in (720.0, 1e4, 1e6):
-            w = lambert_w_from_log(lx)
-            assert abs(w + math.log(w) - lx) <= 1e-13 * lx
+        lx = np.array([720.0, 1e4, 1e6])
+        w = lambert_w_from_log_rows(lx)
+        assert np.all(np.abs(w + np.log(w) - lx) <= 1e-13 * lx)
 
 
 class TestCubicRoot:
     def test_frozen_simple(self):
         # (0 + a)^2 a = 1 -> a = 1;  (1 + a)^2 a = 4 -> a = 1
-        assert smallest_positive_cubic_root(0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-        assert smallest_positive_cubic_root(1.0, 4.0) == pytest.approx(1.0, rel=1e-12)
+        a = smallest_positive_cubic_root_rows([0.0, 1.0], [1.0, 4.0])
+        np.testing.assert_allclose(a, [1.0, 1.0], rtol=1e-12)
 
     def test_zero_sigma(self):
-        assert smallest_positive_cubic_root(5.0, 0.0) == 0.0
-        assert smallest_positive_cubic_root(-5.0, 0.0) == 0.0
+        assert np.array_equal(smallest_positive_cubic_root_rows([5.0, -5.0], 0.0), [0.0, 0.0])
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            smallest_positive_cubic_root(1.0, -1.0)
+            smallest_positive_cubic_root_rows(1.0, -1.0)
 
     def test_cancellation_regime(self):
         # root ~ sigma2/gamma^2 while the closed form loses every digit
         gamma, sigma2 = 2.0, 1e-20
-        a = smallest_positive_cubic_root(gamma, sigma2)
+        a = float(smallest_positive_cubic_root_rows(gamma, sigma2))
         assert a == pytest.approx(sigma2 / gamma**2, rel=1e-6)
         assert abs((gamma + a) ** 2 * a - sigma2) <= 1e-10 * max(1.0, sigma2)
 
     def test_three_real_roots_takes_smallest(self):
         # gamma < 0 with sigma2 < -4 gamma^3/27: smallest root left of -gamma/3
         gamma, sigma2 = -3.0, 1.0
-        a = smallest_positive_cubic_root(gamma, sigma2)
+        a = float(smallest_positive_cubic_root_rows(gamma, sigma2))
         assert 0.0 <= a <= -gamma / 3.0
         assert abs((gamma + a) ** 2 * a - sigma2) <= 1e-10
 
@@ -98,20 +95,19 @@ class TestCubicRoot:
     )
     @settings(max_examples=300, deadline=None)
     def test_residual_property(self, gamma, sigma2):
-        a = smallest_positive_cubic_root(gamma, sigma2)
+        a = float(smallest_positive_cubic_root_rows(gamma, sigma2))
         assert a >= 0.0
         assert abs((gamma + a) ** 2 * a - sigma2) <= 1e-10 * max(1.0, sigma2)
 
     def test_smallest_nonnegative(self):
         # scan phi on [0, a) for sign changes: none may occur before the root
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            gamma = rng.uniform(-5, 5)
-            sigma2 = rng.uniform(0, 20)
-            a = smallest_positive_cubic_root(gamma, sigma2)
+        gamma = rng.uniform(-5, 5, 50)
+        sigma2 = rng.uniform(0, 20, 50)
+        for g, s2, a in zip(gamma, sigma2, smallest_positive_cubic_root_rows(gamma, sigma2)):
             grid = np.linspace(0.0, a * (1.0 - 1e-9), 200)
-            phi = (gamma + grid) ** 2 * grid - sigma2
-            assert np.all(phi <= 1e-10 * max(1.0, sigma2))
+            phi = (g + grid) ** 2 * grid - s2
+            assert np.all(phi <= 1e-10 * max(1.0, s2))
 
 
 class TestInvertMonotone:
@@ -200,7 +196,7 @@ class TestArrayKernelsAgainstScalar:
         ("smallest_positive_cubic_root", (1.0, -1.0))])
     def test_one_element_failures_match_scalar(self, name, args):
         with pytest.raises(Exception) as got:
-            getattr(specfn, name)(*args)
+            getattr(specfn, f"{name}_rows")(*args)
         with pytest.raises(Exception) as ref:
             getattr(scalar, name)(*args)
         assert (type(got.value), str(got.value)) == (type(ref.value), str(ref.value))
