@@ -9,17 +9,14 @@ carry, and integrates field energies and fluxes.
 from .constitutive import (
     FieldState,
     dyonic_eh_rows,
-    electrostatic_e,
     forward_fields,
     invert_rows,
-    magnetostatic_h,
 )
 from .continuous import (
     ContinuousSource,
     RadialPart,
     bump_source,
     continuous_residual_suite,
-    curl_formula_continuous,
     gaussian_source,
     gridded_source,
     merge_sources,
@@ -36,14 +33,7 @@ from .errors import (
     QuadratureError,
     SingularPoint,
 )
-from .currents import (
-    CurrentRows,
-    current_rows,
-    fd_curl,
-    fd_div,
-    je_classical_magnetostatic,
-    jm_classical_electrostatic,
-)
+from .currents import CurrentRows, current_rows
 from .models import ModelParams
 from .observables import (
     EnergyReport,
@@ -55,12 +45,7 @@ from .observables import (
     residual_suite,
     total_energy,
 )
-from .sources import (
-    ChargeConfig,
-    PointCharge,
-    displacement_field,
-    magnetic_field,
-)
+from .sources import ChargeConfig, PointCharge
 
 __version__ = "0.1.0"
 
@@ -86,24 +71,15 @@ __all__ = [
     "__version__",
     "bump_source",
     "continuous_residual_suite",
-    "curl_formula_continuous",
     "current_rows",
-    "displacement_field",
     "divergence_exponent_probe",
     "dyonic_eh_rows",
-    "electrostatic_e",
-    "fd_curl",
-    "fd_div",
     "flux_charge",
     "forward_fields",
     "free_charge_with_inner_spheres",
     "gaussian_source",
     "gridded_source",
     "invert_rows",
-    "je_classical_magnetostatic",
-    "jm_classical_electrostatic",
-    "magnetic_field",
-    "magnetostatic_h",
     "merge_sources",
     "newton_potential",
     "residual_suite",

@@ -29,41 +29,21 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .constitutive import electrostatic_e, forward_fields, invert_rows, magnetostatic_h, rowdot
 from .continuous import (
     ContinuousSource,
     bump_source,
-    curl_formula_continuous,
     gaussian_source,
     gridded_source,
     jm_rows,
     merge_sources,
-    newton_potential,
     state_rows,
     two_gaussian_source,
 )
-from .currents import (
-    current_rows,
-    eh_field,
-    eh_rows,
-    fd_curl,
-    je_classical_magnetostatic,
-    jm_classical_electrostatic,
-    jm_classical_jacobi_term,
-)
-from .errors import (ConfigError, DomainViolation, FieldError, SingularPoint, fail_rows,
-                     merge_failures, raise_first)
+from .currents import current_rows, eh_rows
+from .errors import ConfigError, DomainViolation, FieldError, SingularPoint, fail_rows, merge_failures
 from .models import CLASSICAL, ModelParams
-from .observables import (
-    QuadratureSpec,
-    density_rows,
-    flux_charge,
-    free_charge_with_inner_spheres,
-    total_energy,
-)
-from .sources import (ChargeConfig, _batch_coulomb, _db_weights, displacement_field,
-                      magnetic_field)
-from .specfn import lambert_w_rows, smallest_positive_cubic_root_rows
+from .observables import QuadratureSpec, density_rows, free_charge_with_inner_spheres, total_energy
+from .sources import ChargeConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -85,10 +65,6 @@ CURRENT_COLUMNS = (
     "jm_x", "jm_y", "jm_z",
     "method",
 )
-
-# radial-quadrature reference for the total energy of a unit charge,
-# classical model with beta = 1 (the verify command checks against it)
-_UNIT_CHARGE_ENERGY = 0.34868320668436725
 
 _MODEL_KEYS = {
     "classical": ("beta", "kappa"),
@@ -681,255 +657,10 @@ def _cmd_energy(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-# -- verify suites -----------------------------------------------------------
-
-
-def _suite(name: str, tol: float, residuals) -> dict:
-    res = [float(r) for r in residuals]
-    # max() skips a NaN that is not first; a NaN residual fails the suite
-    worst = math.nan if any(map(math.isnan, res)) else max(res)
-    return {
-        "name": name,
-        "max_residual": _finite_or_none(worst),
-        "tolerance": tol,
-        "passed": bool(worst <= tol),
-        "n_checks": len(residuals),
-    }
-
-
-def _verify_lambert(rng) -> dict:
-    xs = np.concatenate([np.logspace(-12, 12, 200), rng.uniform(1e-6, 1e6, 200)])
-    w = lambert_w_rows(xs)
-    return _suite("lambert_identity", 1e-13, np.abs(w * np.exp(w) - xs) / xs)
-
-
-def _verify_cubic(rng) -> dict:
-    gamma, sigma2 = rng.uniform((-20.0, 0.0), (20.0, 50.0), size=(400, 2)).T
-    a = smallest_positive_cubic_root_rows(gamma, sigma2)
-    return _suite("cubic_residual", 1e-10,
-                  np.abs((gamma + a) ** 2 * a - sigma2) / np.maximum(1.0, sigma2))
-
-
-def _verify_round_trip(rng) -> dict:
-    cfg = ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.4), ((-1.0, 0.5, 0.0), -2.0, 1.0)])
-    kinds = [
-        ModelParams.classical(beta=1.3),
-        ModelParams.logarithmic(beta=0.8),
-        ModelParams.exponential(beta=0.5),
-        ModelParams.fractional_power(beta=1.1, p=1.7),
-        ModelParams.quadratic(alpha=0.05),
-    ]
-    res = []
-    pts = rng.uniform(-3.0, 3.0, size=(40, 3))
-    pts = pts[[cfg.min_distance(x) >= 0.3 for x in pts]]
-    d, b = _batch_coulomb(cfg, _db_weights(cfg), pts)
-    scale = np.maximum(np.sqrt(np.maximum(rowdot(d, d), rowdot(b, b))), 1e-30)
-    for base in kinds:
-        for kappa in (0.0, 0.5, 1.0):
-            params = dataclasses.replace(base, kappa=kappa)
-            e, h, _, code, errors = invert_rows(params, d, b)
-            for i, k in enumerate(code.tolist()):
-                if k:
-                    if isinstance(errors[k - 1], DomainViolation):
-                        continue  # quadratic domain holes are legitimate
-                    raise errors[k - 1]
-                # the scalar forward map checks the rows inversion
-                st = forward_fields(params, e[i], b[i])
-                res.append(max(float(np.linalg.norm(st.d - d[i])),
-                               float(np.linalg.norm(st.h - h[i]))) / scale[i])
-    return _suite("constitutive_round_trip", 1e-7, res)
-
-
-def _verify_jacobi(rng) -> dict:
-    res = []
-    for _ in range(20):
-        n = int(rng.integers(2, 5))
-        cfg = ChargeConfig.build([
-            (rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0), 0.0)
-            for _ in range(n)
-        ])
-        for _ in range(5):
-            x = rng.uniform(-4.0, 4.0, 3)
-            if cfg.min_distance(x) < 0.3:
-                continue
-            res.append(float(np.max(np.abs(
-                jm_classical_jacobi_term(cfg, 1.0, x)
-            ))))
-    return _suite("jacobi_partial_sum", 1e-12, res)
-
-
-def _electric_pair() -> ChargeConfig:
-    return ChargeConfig.build([
-        ((1.0, 0.0, 0.0), 1.0, 0.0),
-        ((-1.0, 0.0, 0.0), 2.0, 0.0),
-    ])
-
-
-def _verify_curl(rng, name: str, cfg: ChargeConfig, field, current, sign: float) -> dict:
-    """FD curl of a classical (beta = 1) field against sign * its closed-form
-    current at 12 random points clear of the charges."""
-    res = []
-    k = 0
-    while len(res) < 12 and k < 200:
-        k += 1
-        x = rng.uniform(-2.0, 2.0, 3)
-        if cfg.min_distance(x) < 0.4:
-            continue
-        j = current(cfg, 1.0, x)
-        curl = fd_curl(field, x, richardson=True)
-        res.append(float(np.max(np.abs(curl - sign * j)))
-                   / max(1.0, float(np.max(np.abs(j)))))
-    return _suite(name, 1e-5, res)
-
-
-def _verify_curl_electric(rng) -> dict:
-    cfg = _electric_pair()
-    params = ModelParams.classical(beta=1.0)
-    return _verify_curl(rng, "electrostatic_curl_match", cfg,
-                        lambda y: electrostatic_e(params, displacement_field(cfg, y)),
-                        jm_classical_electrostatic, -1.0)
-
-
-def _verify_curl_magnetic(rng) -> dict:
-    cfg = ChargeConfig.build([
-        ((1.0, 0.0, 0.0), 0.0, 1.0),
-        ((-1.0, 0.0, 0.0), 0.0, 2.0),
-    ])
-    params = ModelParams.classical(beta=1.0)
-    return _verify_curl(rng, "magnetostatic_curl_match", cfg,
-                        lambda y: magnetostatic_h(params, magnetic_field(cfg, y)),
-                        je_classical_magnetostatic, 1.0)
-
-
-def _verify_single_null(rng) -> dict:
-    cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 1.5, 0.0)])
-    res = []
-    for _ in range(5):
-        x = rng.uniform(0.5, 2.0, 3)
-        res.append(float(np.max(np.abs(jm_classical_electrostatic(cfg, 1.0, x)))))
-    return _suite("single_charge_null_current", 1e-12, res)
-
-
-def _verify_flux(rng) -> dict:
-    q, beta, R = 2.0, 1.0, 10.0
-    cfg = ChargeConfig.build([((0.0, 0.0, 0.0), q, 0.0)])
-    params = ModelParams.classical(beta=beta)
-    quad = QuadratureSpec.for_config(cfg)
-    eh = eh_field(params, cfg)
-    flux = flux_charge(lambda pts: eh(pts)[:, 0], R, quad)
-    exact = q / math.sqrt(1.0 + beta * q**2 / (16.0 * math.pi**2 * R**4))
-    return _suite("flux_closed_form", 1e-10, [abs(flux - exact) / abs(exact)])
-
-
-def _verify_free_charge(rng) -> dict:
-    cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 2.0, 1.0)])
-    params = ModelParams.classical(beta=1.0)
-    free = free_charge_with_inner_spheres(cfg, params, QuadratureSpec.for_config(cfg))
-    return _suite("dyon_free_charge", 1e-3,
-                  [abs(free["q_free"] - 1.0), abs(free["g_free"] + 1.0)])
-
-
-def _verify_energy(rng) -> dict:
-    cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 0.0)])
-    params = ModelParams.classical(beta=1.0)
-    quad = QuadratureSpec.for_config(cfg, rel_tol=1e-5)
-    report = total_energy(cfg, params, quad)
-    rel = abs(report.value - _UNIT_CHARGE_ENERGY) / _UNIT_CHARGE_ENERGY
-    if not report.converged:
-        rel = math.inf
-    return _suite("total_energy_reference", 1e-4, [rel])
-
-
-def _verify_saturation(rng) -> dict:
-    res = []
-    dirs = rng.standard_normal((5, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    d = (np.logspace(0.0, 8.0, 15)[:, None, None] * dirs).reshape(-1, 3)
-    for beta in (0.5, 2.0):
-        for params, bound in (
-            (ModelParams.classical(beta=beta), 1.0 / math.sqrt(beta)),
-            (ModelParams.logarithmic(beta=beta), math.sqrt(2.0 / beta)),
-        ):
-            e, _, _, code, errors = invert_rows(params, d, np.zeros_like(d))
-            raise_first(code, errors)
-            # float saturation may round onto the bound itself
-            res.extend((np.sqrt(rowdot(e, e)) - bound) / bound)
-    return _suite("saturation_bounds", 1e-15, res)
-
-
-def _verify_maxwell_fields(rng) -> dict:
-    params = ModelParams.fractional_power(beta=3.0, p=1.0)
-    d, b = np.split(rng.uniform(-5.0, 5.0, size=(30, 6)), 2, axis=1)
-    e, h, _, code, errors = invert_rows(params, d, b)
-    raise_first(code, errors)
-    return _suite("maxwell_limit_fields", 0.0,
-                  np.maximum(np.max(np.abs(e - d), axis=1), np.max(np.abs(h - b), axis=1)))
-
-
-def _verify_maxwell_currents(rng) -> dict:
-    params = ModelParams.fractional_power(beta=2.0, p=1.0)
-    cfg = _electric_pair()
-    pts = rng.uniform(-2.0, 2.0, size=(5, 3))
-    cur = current_rows(params, cfg, pts[[cfg.min_distance(x) >= 0.4 for x in pts]])
-    raise_first(cur.code, cur.errors)
-    return _suite("maxwell_limit_currents", 1e-12,
-                  np.maximum(np.max(np.abs(cur.j_e), axis=1), np.max(np.abs(cur.j_m), axis=1)))
-
-
-def _verify_newton(rng) -> dict:
-    from scipy.special import erf
-
-    total, sigma = 2.0, 0.8
-    src = gaussian_source(total=total, sigma=sigma)
-    res = []
-    for r in (0.5, 1.0, 2.0, 4.0):
-        u = newton_potential(src, (r, 0.0, 0.0))
-        exact = -total * float(erf(r / (math.sqrt(2.0) * sigma))) / (4.0 * math.pi * r)
-        res.append(abs(u - exact) / abs(exact))
-    return _suite("newton_potential_reference", 1e-5, res)
-
-
-def _verify_radial_curl(rng) -> dict:
-    params = ModelParams.classical(beta=1.5)
-    res = []
-    for src in (gaussian_source(total=2.0, sigma=0.8), bump_source(total=2.0, radius=1.5)):
-        for x in ((0.7, 0.2, -0.4), (1.5, -1.0, 0.3)):
-            res.append(float(np.max(np.abs(
-                curl_formula_continuous(src, params, np.array(x))
-            ))))
-    return _suite("radial_curl_free", 1e-6, res)
-
-
-_VERIFY_SUITES = (
-    _verify_lambert,
-    _verify_cubic,
-    _verify_round_trip,
-    _verify_jacobi,
-    _verify_curl_electric,
-    _verify_curl_magnetic,
-    _verify_single_null,
-    _verify_flux,
-    _verify_free_charge,
-    _verify_energy,
-    _verify_saturation,
-    _verify_maxwell_fields,
-    _verify_maxwell_currents,
-    _verify_newton,
-    _verify_radial_curl,
-)
-
-
 def _cmd_verify(cfg: Optional[RunConfig], args) -> int:
-    rng = np.random.default_rng(args.effective_seed)
-    suites = []
-    for fn in _VERIFY_SUITES:
-        suite = fn(rng)
-        suites.append(suite)
-        status = "ok  " if suite["passed"] else "FAIL"
-        worst = suite["max_residual"]
-        shown = "non-finite" if worst is None else f"{worst:.3e}"
-        print(f"{status} {suite['name']:<28} max {shown} "
-              f"tol {suite['tolerance']:.1e} ({suite['n_checks']} checks)")
+    from .verify import run_suites  # the suites load only when verify runs
+
+    suites = run_suites(np.random.default_rng(args.effective_seed))
     all_passed = all(s["passed"] for s in suites)
     payload = _report_head(cfg, args.effective_seed)
     payload.update({

@@ -27,8 +27,7 @@ only its electric and dyonic formulas (_ROW_KERNELS): array arithmetic
 whose branches are row masks, Lambert W and the cubic from specfn's array
 kernels, a masked Newton/bisection for the fractional power and custom
 models. invert_rows returns a failure code per row with the exceptions.
-dyonic_eh_rows is its raising form; electrostatic_e and magnetostatic_h
-are one-row calls of it.
+dyonic_eh_rows is its raising form.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainViolation, InversionFailure, fail_rows, merge_failures, raise_first
+from .errors import DomainViolation, InversionFailure, fail_rows, merge_failures
 from .models import (
     CLASSICAL,
     CUSTOM,
@@ -54,8 +53,6 @@ from .specfn import lambert_w_from_log_rows, lambert_w_rows, smallest_positive_c
 
 # inversions divide by f'(s); inside this band the state is rejected
 FPRIME_GUARD = 1e-8
-
-_ZERO3 = np.zeros(3)
 
 
 @dataclass(frozen=True)
@@ -80,37 +77,6 @@ def forward_fields(params: ModelParams, e, b) -> FieldState:
     d = fp * (e + k2 * eb * b)
     h = fp * (b - k2 * eb * e)
     return FieldState(e=e, b=b, d=d, h=h, s=s)
-
-
-# ---------------------------------------------------------------------------
-# one point: one-row calls of invert_rows
-# ---------------------------------------------------------------------------
-
-
-def _one_row(params: ModelParams, d: np.ndarray, b: np.ndarray):
-    """E and H at one point from invert_rows; raises the row's failure."""
-    e, h, _, code, errors = invert_rows(params, d[None, :], b[None, :])
-    raise_first(code, errors)
-    return e[0], h[0]
-
-
-def electrostatic_e(params: ModelParams, d) -> np.ndarray:
-    """Electric field for a purely electric state (B = 0): E parallel to D.
-
-    The classical and logarithmic forms are written to saturate cleanly as
-    |D| -> inf (a = E^2 approaches the bound and f'(a/2) the domain edge,
-    so E = D / f'(a/2) is not evaluated literally there).
-    """
-    return _one_row(params, as_vec3(d), _ZERO3)[0]
-
-
-def magnetostatic_h(params: ModelParams, b) -> np.ndarray:
-    """Magnetic field strength for a purely magnetic state (D = 0): H = f'(-B^2/2) B.
-
-    Forward evaluation only; a zero of f' (quadratic model at B^2 = 1/alpha)
-    legitimately returns H = 0 here.
-    """
-    return _one_row(params, _ZERO3, as_vec3(b))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +170,8 @@ def _eh_from_prime(params, fp, b, setup):
 
 
 def _classical_electric(params, d, d2, idx, code, errors):
-    """E = D/sqrt(1 + beta D^2)."""
+    """E = D/sqrt(1 + beta D^2), which saturates cleanly at |E| -> 1/sqrt(beta)
+    as |D| -> inf, where f'(E^2/2) reaches its domain edge."""
     return d / np.sqrt(1.0 + params.beta * d2)[:, None]
 
 
@@ -227,7 +194,8 @@ def _classical_dyonic(params, d, b, d2, b2, setup, idx, code, errors):
 
 
 def _logarithmic_electric(params, d, d2, idx, code, errors):
-    """E = 2D/(1 + sqrt(1 + 2 beta D^2))."""
+    """E = 2D/(1 + sqrt(1 + 2 beta D^2)), which saturates cleanly at
+    |E| -> sqrt(2/beta) as |D| -> inf."""
     return 2.0 * d / (1.0 + np.sqrt(1.0 + 2.0 * params.beta * d2))[:, None]
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "merge_sources",
     "newton_potential",
     "state_rows",
-    "curl_formula_continuous",
     "jm_rows",
     "continuous_residual_suite",
 ]
@@ -520,6 +519,7 @@ def state_rows(src: ContinuousSource, params: ModelParams, pts: np.ndarray,
     """D = grad u, B = grad v, then E, H and s from one invert_rows call, at
     points of shape (N, 3): (D, B, E, H, s, the Hessian of u or None, code,
     errors). A point fails with its first failure in the order D, B, E."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     code = np.zeros(len(pts), dtype=np.int64)
     errors: list = []
     d, b, hess = _db_rows(src, pts, quad, code, errors)
@@ -534,9 +534,12 @@ def jm_rows(src: ContinuousSource, params: ModelParams, pts: np.ndarray,
     """j_m = -curl E at the rows of pts that have not failed, from their
     state_rows fields; failures go into (code, errors). An electric source
     takes currents._generic_electric_curl with grad(D^2) = 2 H_u D
-    (_fd_hessian per row without radial parts), any other the Richardson FD
-    curl of E with step width/10 from currents._fd_rows, which inverts all
-    stencil nodes in one call."""
+    (_fd_hessian per row without radial parts): curl E is
+    f''(h/2) h'(|D|^2) / f'(h/2)^2 D x (H_u D), with h = E^2 and H_u the
+    Hessian of u, so it vanishes for a radial u (H_u D is parallel to D)
+    and in the Maxwell limit f'' = 0. Any other source takes the Richardson
+    FD curl of E with step width/10 from currents._fd_rows, which inverts
+    all stencil nodes in one call."""
     j_m = np.zeros_like(pts)
     rows = np.flatnonzero(code == 0)
     if src.rho_m is not None:
@@ -553,24 +556,6 @@ def jm_rows(src: ContinuousSource, params: ModelParams, pts: np.ndarray,
     grad = 2.0 * (hess[rows] @ g[:, :, None])[:, :, 0]
     j_m[rows] = _generic_electric_curl(params, g, e[rows], grad, code, errors, rows)
     return j_m
-
-
-def curl_formula_continuous(src: ContinuousSource, params: ModelParams, x,
-                            quad: QuadratureSpec = None) -> np.ndarray:
-    """Closed-form curl of E for an electrostatic continuous source.
-
-    curl E = (f''(h/2) h'(|grad u|^2) / f'(h/2)^2) grad u x (H_u grad u),
-    with h the squared electric field from the electrostatic inversion and
-    H_u the Hessian of the potential. For the square-root model this is
-    beta (grad u x grad|grad u|^2) / (2 (1 + beta |grad u|^2)^{3/2}).
-    Vanishes for radial u (the Hessian maps grad u to a parallel vector)
-    and in the Maxwell limit f'' = 0. A one-row call of jm_rows.
-    """
-    x = as_vec3(x)[None, :]
-    d, _, e, _, _, hess, code, errors = state_rows(src, params, x, quad)
-    j_m = jm_rows(src, params, x, quad, d, e, hess, code, errors)
-    raise_first(code, errors)
-    return -j_m[0]
 
 
 def continuous_residual_suite(src: ContinuousSource, params: ModelParams,

@@ -12,54 +12,39 @@ curl E = phi'(D^2) grad(D^2) x D, a scalar prefactor times one cross
 product. The module evaluates it for the classical square-root model, for
 an arbitrary response function, and for the kappa = 0 dyonic composition,
 taking D and grad(D^2) (or B and grad(B^2)) from one O(n) Coulomb kernel in
-sources. Finite-difference curl and divergence operators are provided as
-independent oracles; the test suite checks every analytic current against
-them and against the term-by-term triple sums over the charges.
+sources. The tests check every analytic current against finite-difference
+curls of the rows fields and against the term-by-term triple sums over the
+charges.
 
 current_rows is the module's one evaluation of the currents: N points at
 once, the closed forms as array arithmetic, and the finite-difference route
 by stacking the 12 stencil nodes of every point into one Coulomb pass and
-one constitutive rows call. jm_classical_electrostatic and
-je_classical_magnetostatic are one-point calls of the classical closed form,
-kept for the verify suites.
+one constitutive rows call.
 
 Every central difference in the package gets its nodes and Jacobians from
-_stencil: fd_curl and fd_div (which call a per-point field once per node),
-_fd_rows, and the residual suites of observables and continuous.
-
-jm_classical_jacobi_term alone keeps a math.fsum triple loop: it is the
-floating-point witness of the cyclic identity
-a x (b+c) + b x (c+a) + c x (a+b) = 0, which the factored form would hide.
+_stencil: _fd_rows here, and the residual suites of observables and
+continuous.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainViolation, SingularPoint, fail_rows, merge_failures, raise_first
 from .models import ModelParams, CLASSICAL
 from .sources import (ChargeConfig, _batch_coulomb, _coulomb_gradient, _coulomb_offsets,
-                      _db_weights, _superpose, as_vec3, mark_singular)
+                      _db_weights, _superpose, mark_singular)
 from .constitutive import invert_rows, rowdot
 
 __all__ = [
-    "jm_classical_electrostatic",
-    "jm_classical_jacobi_term",
-    "je_classical_magnetostatic",
     "eh_rows",
     "eh_field",
-    "fd_curl",
-    "fd_div",
-    "fd_step",
     "CurrentRows",
     "current_rows",
 ]
-
-_FOUR_PI = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -78,12 +63,6 @@ class CurrentRows:
     method: str
     code: np.ndarray
     errors: list
-
-
-def _field_and_gradient(cfg: ChargeConfig, weights: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
-    """F and grad(F^2) of one Coulomb superposition at the point x, as
-    one-row arrays; weights of shape (m, n) give m of each."""
-    return _coulomb_gradient(weights, *_coulomb_offsets(cfg, as_vec3(x)[None, :]))
 
 
 def _classical_curl(beta: float, f: np.ndarray, grad_f2: np.ndarray) -> np.ndarray:
@@ -161,59 +140,9 @@ def _generic_magnetic_curl(params: ModelParams, b: np.ndarray, grad: np.ndarray)
     return je, code, errors
 
 
-def jm_classical_electrostatic(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
-    """Magnetic current density of the classical multicentered electric field.
-
-    j_m = beta / (2 (1 + beta D^2)^{3/2}) grad(D^2) x D, and curl E = -j_m
-    for E = D / sqrt(1 + beta D^2). Uses the electric charges only; zero for
-    a single center, where grad(D^2) is parallel to D.
-    """
-    return _classical_curl(beta, *_field_and_gradient(cfg, cfg.qs, x))[0]
-
-
-def jm_classical_jacobi_term(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
-    """The partial triple sum that the vector identity kills.
-
-    j_m^1 = -beta / (2 (4 pi)^3 (1 + beta D^2)^{3/2})
-            * sum_{ijk} q_i q_j q_k r_i x (r_j + r_k) / (|r_i|^3 |r_j|^3 |r_k|^3)
-
-    Identically zero by a x (b+c) + b x (c+a) + c x (a+b) = 0; evaluated
-    term by term here as a floating-point witness of that cancellation.
-    """
-    rs, norms = _coulomb_offsets(cfg, as_vec3(x)[None, :])
-    d = _superpose(cfg.qs, rs, norms)[0]
-    rs, norms = rs[0], norms[0]
-    d2 = float(d @ d)
-    c = cfg.qs / norms**3
-    n = len(cfg)
-    parts = ([], [], [])
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                vec = c[i] * c[j] * c[k] * np.cross(rs[i], rs[j] + rs[k])
-                for comp in range(3):
-                    parts[comp].append(vec[comp])
-    pref = -beta / (2.0 * _FOUR_PI**3 * (1.0 + beta * d2) ** 1.5)
-    return pref * np.array([math.fsum(p) for p in parts])
-
-
-def je_classical_magnetostatic(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
-    """Electric current density of the classical multicentered magnetic field.
-
-    curl H = j_e for H = B / sqrt(1 + beta B^2); the electric formula with
-    B in place of D and the opposite overall sign.
-    """
-    return -_classical_curl(beta, *_field_and_gradient(cfg, cfg.gs, x))[0]
-
-
 def _fd_step_rows(pts: np.ndarray) -> np.ndarray:
-    """fd_step at each row of pts."""
+    """The stencil half-width at each row of pts: 1e-4 * max(1, |x|)."""
     return 1e-4 * np.maximum(1.0, np.sqrt(rowdot(pts, pts)))
-
-
-def fd_step(x) -> float:
-    """Default stencil half-width: 1e-4 * max(1, |x|)."""
-    return float(_fd_step_rows(as_vec3(x)[None, :])[0])
 
 
 def _stencil(pts: np.ndarray, hs: np.ndarray):
@@ -245,41 +174,6 @@ def _curl(j: np.ndarray) -> np.ndarray:
                      j[..., 1, 0] - j[..., 0, 1]], axis=-1)
 
 
-def _jacobians_at(field: Callable, x, step: Optional[float], richardson: bool) -> np.ndarray:
-    """The stencil Jacobians of field at x, shape (K, ..., 3, 3): one step,
-    or the steps h/2 and h with richardson. field is called once per node."""
-    x = as_vec3(x)
-    h = fd_step(x) if step is None else float(step)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"finite-difference step must be positive and finite, got {h!r}")
-    nodes, jacobian = _stencil(x[None, :], np.array([[0.5 * h, h] if richardson else [h]]))
-    return jacobian(np.stack([np.asarray(field(y), dtype=float) for y in nodes]))[0]
-
-
-def fd_curl(field: Callable, x, step: Optional[float] = None, richardson: bool = False) -> np.ndarray:
-    """Finite-difference curl of a vector field at x.
-
-    Second-order central differences with half-width step (default
-    1e-4 * max(1, |x|); a step that is not positive and finite raises
-    ValueError). With richardson=True the two-step extrapolation
-    (4 c(h/2) - c(h)) / 3 removes the leading error term. A field of shape
-    (..., 3) gives curls of the same shape, one per leading index. Raises
-    whatever the field raises on stencil nodes (e.g. SingularPoint near a
-    charge).
-    """
-    curl = _curl(_jacobians_at(field, x, step, richardson))
-    return (4.0 * curl[0] - curl[1]) / 3.0 if richardson else curl[0]
-
-
-def fd_div(field: Callable, x, step: Optional[float] = None, richardson: bool = False) -> float | np.ndarray:
-    """Finite-difference divergence of a vector field at x, on fd_curl's
-    stencil; a field of shape (..., 3) gives one divergence per leading
-    index, a (3,) field a float."""
-    div = np.trace(_jacobians_at(field, x, step, richardson), axis1=-2, axis2=-1)
-    div = (4.0 * div[0] - div[1]) / 3.0 if richardson else div[0]
-    return float(div) if np.ndim(div) == 0 else div
-
-
 def eh_rows(params: ModelParams, cfg: ChargeConfig, pts):
     """The inverted state of the multicentred solution at points of shape
     (N, 3): (D, B, E, H, s, code, errors), from one Coulomb pass (the
@@ -302,9 +196,9 @@ def eh_rows(params: ModelParams, cfg: ChargeConfig, pts):
 
 def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
     """The field y -> stack(E, H), (..., 3) -> (..., 2, 3), from one eh_rows
-    call; fd_curl of it gives curl E and curl H from the same stencil
-    nodes. Raises the failure eh_rows records for the first failing point
-    in row order (DomainViolation for a non-finite inversion).
+    call, so a quadrature takes the E and H fluxes from the same nodes.
+    Raises the failure eh_rows records for the first failing point in row
+    order (DomainViolation for a non-finite inversion).
     """
     def field(y):
         _, _, e, h, _, code, errors = eh_rows(params, cfg, y)
@@ -328,11 +222,12 @@ def _fd_rows(params: ModelParams, db_rows: Callable, pts: np.ndarray, h: np.ndar
     """Richardson FD curls of E and H at points of shape (N, 3) with stencil
     half-widths h of shape (N,): (curl E, curl H, code, errors).
 
-    Stacks the 12 stencil nodes of every point in fd_curl's order (h/2
+    Stacks the 12 stencil nodes of every point in _stencil's order (h/2
     first, then h; +x, -x, +y, -y, +z, -z), takes D and B there from one
     db_rows(nodes, code, errors) call, which fails nodes in (code, errors),
-    and E and H from one invert_rows call, and forms the curl with fd_curl's
-    arithmetic. A point takes the failure of its first failing node.
+    and E and H from one invert_rows call, and extrapolates the two curls
+    as (4 c(h/2) - c(h)) / 3. A point takes the failure of its first
+    failing node.
     """
     n = len(pts)
     nodes, jacobian = _stencil(pts, np.stack((0.5 * h, h), axis=1))

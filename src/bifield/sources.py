@@ -208,16 +208,6 @@ def _db_weights(cfg: ChargeConfig) -> np.ndarray:
     return np.stack((cfg.qs, cfg.gs))
 
 
-def displacement_field(cfg: ChargeConfig, x) -> np.ndarray:
-    """Prescribed electric displacement D(x)."""
-    return _batch_coulomb(cfg, cfg.qs, as_vec3(x)[None, :])[0]
-
-
-def magnetic_field(cfg: ChargeConfig, x) -> np.ndarray:
-    """Prescribed magnetic induction B(x)."""
-    return _batch_coulomb(cfg, cfg.gs, as_vec3(x)[None, :])[0]
-
-
 def _coulomb_gradient(weights: np.ndarray, rs: np.ndarray,
                       dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F and grad(F^2) from the offsets rs (N, n, 3) and dist (N, n) of

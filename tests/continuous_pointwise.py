@@ -12,7 +12,7 @@ keeps the per-point evaluation those replaced, one point at a time:
 * the scalar inversion (scalar_inversions.dyonic_eh) and the scalar
   energy_density;
 * the closed-form curl of E of an electric source, with the oracle's f'
-  and f'', and the nested per-point fd_curl of E otherwise.
+  and f'', and fd_oracle's curl of the per-point E otherwise.
 
 continuous_pointwise(src, params, x, quad) is the command's table row at x,
 or raises the point's failure. Like scalar_inversions it shares no code with
@@ -22,7 +22,7 @@ the rows path it checks; test_oracle_independence enforces that.
 import numpy as np
 
 from bifield.continuous import newton_potential
-from bifield.currents import fd_curl
+from fd_oracle import fd_curl
 from scalar_inversions import dyonic_eh, energy_density, f_double_prime, f_prime
 
 
@@ -115,6 +115,6 @@ def continuous_pointwise(src, params, x, quad=None) -> tuple:
     if src.rho_m is None:
         j_m = -curl_formula(src, params, x, quad, st.d, st.e)
     else:
-        j_m = -fd_curl(lambda y: State(src, params, y, quad).e, x,
-                       step=src.width / 10.0, richardson=True)
+        j_m = -fd_curl(lambda ys: np.array([State(src, params, y, quad).e for y in ys]), x,
+                       step=src.width / 10.0, richardson=True)[0]
     return (*x, *st.e, *st.h, *j_m, energy_density(params, st))

@@ -15,33 +15,27 @@ from bifield import (
     ChargeConfig,
     ModelParams,
     QuadratureSpec,
-    curl_formula_continuous,
     current_rows,
-    displacement_field,
     divergence_exponent_probe,
     dyonic_eh_rows,
-    electrostatic_e,
-    fd_curl,
     flux_charge,
     forward_fields,
     free_charge_with_inner_spheres,
     gaussian_source,
     invert_rows,
-    je_classical_magnetostatic,
-    jm_classical_electrostatic,
-    magnetic_field,
-    magnetostatic_h,
     newton_potential,
     total_energy,
     two_gaussian_source,
 )
-from bifield.continuous import state_rows
-from bifield.currents import jm_classical_jacobi_term
+from bifield.continuous import jm_rows, state_rows
+from bifield.currents import eh_field
 from bifield.errors import raise_first
 from bifield.observables import default_probe_radii, hamiltonian_on_points
+from bifield.sources import _batch_coulomb, _db_weights
 from bifield.specfn import lambert_w_rows, smallest_positive_cubic_root_rows
+from bifield.verify import jm_classical_jacobi_term
 
-from triple_sums import pointwise
+from fd_oracle import fd_curl
 
 # frozen references, shared with the module test files:
 # scipy radial quadrature of the single-unit-charge energy (beta = 1) and
@@ -77,17 +71,25 @@ def _sample_points(rng, cfg, n, box=2.0, clearance=0.4):
         x = rng.uniform(-box, box, 3)
         if cfg.min_distance(x) >= clearance:
             pts.append(x)
-    return pts
+    return np.array(pts)
+
+
+def _state_e(src, params):
+    """The rows field of E of a continuous source, raising a failure."""
+    def field(y):
+        _, _, e, _, _, _, code, errors = state_rows(src, params, y)
+        raise_first(code, errors)
+        return e
+
+    return field
 
 
 def test_01_constitutive_round_trip_all_models():
     rng = np.random.default_rng(101)
-    draws = []
-    for cfg in _dyonic_configs():
-        for x in _sample_points(rng, cfg, 334, box=3.0, clearance=0.25):
-            draws.append((displacement_field(cfg, x), magnetic_field(cfg, x)))
-    draws = draws[:1000]
-    d, b = (np.array(v) for v in zip(*draws))
+    d, b = np.concatenate([
+        _batch_coulomb(cfg, _db_weights(cfg), _sample_points(rng, cfg, 334, box=3.0, clearance=0.25))
+        for cfg in _dyonic_configs()], axis=1)[:, :1000]
+    draws = list(zip(d, b))
     scale = [max(float(np.linalg.norm(dd)), float(np.linalg.norm(bb)), 1e-30)
              for dd, bb in draws]
 
@@ -132,38 +134,25 @@ def test_02_currents_match_field_curls():
     beta = 1.0
     params = ModelParams.classical(beta=beta)
 
-    e_cfg = _electric_pair()
+    def worst_and_peak(cfg, field):
+        # curl E = -j_m (field 0) or curl H = j_e (field 1) at 200 points:
+        # the worst |curl - j| / max(1, |j|) and the largest |j|
+        pts = _sample_points(rng, cfg, 200, box=1.5)
+        cur = current_rows(params, cfg, pts)
+        raise_first(cur.code, cur.errors)
+        j = cur.j_e if field else -cur.j_m
+        curl = fd_curl(eh_field(params, cfg), pts, richardson=True)[:, field]
+        mag = np.max(np.abs(j), axis=1)
+        return float(np.max(np.max(np.abs(curl - j), axis=1) / np.maximum(1.0, mag))), float(mag.max())
 
-    def e_field(y):
-        return electrostatic_e(params, displacement_field(e_cfg, y))
-
-    worst_e = 0.0
-    peak_jm = 0.0
-    for x in _sample_points(rng, e_cfg, 200, box=1.5):
-        j_m = jm_classical_electrostatic(e_cfg, beta, x)
-        curl = fd_curl(e_field, x, richardson=True)
-        mag = float(np.max(np.abs(j_m)))
-        peak_jm = max(peak_jm, mag)
-        worst_e = max(worst_e, float(np.max(np.abs(curl + j_m))) / max(1.0, mag))
-
+    worst_e, peak_jm = worst_and_peak(_electric_pair(), 0)
     m_cfg = ChargeConfig.build([((1.0, 0.0, 0.0), 0.0, 1.0),
                                 ((-1.0, 0.0, 0.0), 0.0, 2.0)])
-
-    def h_field(y):
-        return magnetostatic_h(params, magnetic_field(m_cfg, y))
-
-    worst_m = 0.0
-    peak_je = 0.0
-    for x in _sample_points(rng, m_cfg, 200, box=1.5):
-        j_e = je_classical_magnetostatic(m_cfg, beta, x)
-        curl = fd_curl(h_field, x, richardson=True)
-        mag = float(np.max(np.abs(j_e)))
-        peak_je = max(peak_je, mag)
-        worst_m = max(worst_m, float(np.max(np.abs(curl - j_e))) / max(1.0, mag))
+    worst_m, peak_je = worst_and_peak(m_cfg, 1)
 
     single = ChargeConfig.build([((0.0, 0.0, 0.0), 1.5, 0.0)])
-    lone = max(float(np.max(np.abs(jm_classical_electrostatic(single, beta, x))))
-               for x in _sample_points(rng, single, 20, clearance=0.5))
+    lone = float(np.max(np.abs(
+        current_rows(params, single, _sample_points(rng, single, 20, clearance=0.5)).j_m)))
 
     ok = (worst_e <= 1e-5 and worst_m <= 1e-5
           and peak_jm > 1e-3 and peak_je > 1e-3 and lone <= 1e-12)
@@ -201,20 +190,16 @@ def test_04_flux_charges():
     ])
     quad = QuadratureSpec.for_config(triple)
 
-    def e_triple(y):
-        return electrostatic_e(params, displacement_field(triple, y))
-
-    got = flux_charge(pointwise(e_triple), 50.0, quad, center=triple.centroid)
+    eh = eh_field(params, triple)
+    got = flux_charge(lambda pts: eh(pts)[:, 0], 50.0, quad, center=triple.centroid)
     rel = abs(got - (-0.5)) / 0.5
 
     single = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 0.0)])
     squad = QuadratureSpec.for_config(single)
 
-    def e_single(y):
-        return electrostatic_e(params, displacement_field(single, y))
-
+    eh = eh_field(params, single)
     R = 10.0
-    flux = flux_charge(pointwise(e_single), R, squad)
+    flux = flux_charge(lambda pts: eh(pts)[:, 0], R, squad)
     exact = 1.0 / math.sqrt(1.0 + 1.0 / (16.0 * math.pi**2 * R**4))
     err = abs(flux - exact)
 
@@ -272,13 +257,11 @@ def test_07_saturation_bounds():
         (ModelParams.classical(beta=4.0), 1.0 / math.sqrt(4.0)),
         (ModelParams.logarithmic(beta=0.5), math.sqrt(2.0 / 0.5)),
     ):
-        for _ in range(1000):
-            d = rng.normal(size=3) * 10.0 ** rng.uniform(-2, 8)
-            en = float(np.linalg.norm(electrostatic_e(params, d)))
-            worst_frac = max(worst_frac, en / cap)
-            # float saturation may land on the bound itself, never above
-            if en > cap * (1.0 + 1e-15):
-                violations += 1
+        d = np.array([rng.normal(size=3) * 10.0 ** rng.uniform(-2, 8) for _ in range(1000)])
+        en = np.linalg.norm(dyonic_eh_rows(params, d, np.zeros_like(d))[0], axis=1)
+        worst_frac = max(worst_frac, float(en.max()) / cap)
+        # float saturation may land on the bound itself, never above
+        violations += int(np.count_nonzero(en > cap * (1.0 + 1e-15)))
     ok = violations == 0
     assert _line(ok, "07 field saturation",
                  f"{violations} violations in 2000 draws (closest approach "
@@ -367,31 +350,19 @@ def test_10_continuous_sources():
         exact = -total * float(erf(r / (math.sqrt(2.0) * sigma))) / (4.0 * math.pi * r)
         worst_u = max(worst_u, abs(u - exact) / abs(exact))
 
-    def e_radial(y):
-        _, _, e, _, _, _, code, errors = state_rows(radial, params, y[None])
-        raise_first(code, errors)
-        return e[0]
-
-    worst_curl = max(
-        float(np.max(np.abs(fd_curl(e_radial, np.array(pt), richardson=True))))
-        for pt in [(0.7, 0.2, -0.4), (1.5, -1.0, 0.3)]
-    )
+    worst_curl = float(np.max(np.abs(fd_curl(
+        _state_e(radial, params), [(0.7, 0.2, -0.4), (1.5, -1.0, 0.3)], richardson=True))))
 
     offset = two_gaussian_source(q1=8.0, sigma1=0.6, center1=(-1.0, 0.0, 0.0),
                                  q2=6.0, sigma2=0.8, center2=(1.2, 0.4, 0.0))
 
-    def e_offset(y):
-        _, _, e, _, _, _, code, errors = state_rows(offset, params, y[None])
-        raise_first(code, errors)
-        return e[0]
-
-    peak = 0.0
-    worst_match = 0.0
-    for pt in [(0.0, 0.8, 0.3), (0.5, -0.6, 0.2), (-0.2, 0.6, 0.0)]:
-        fd = fd_curl(e_offset, np.array(pt), richardson=True)
-        formula = curl_formula_continuous(offset, params, pt)
-        peak = max(peak, float(np.max(np.abs(fd))))
-        worst_match = max(worst_match, float(np.max(np.abs(formula - fd))))
+    pts = np.array([(0.0, 0.8, 0.3), (0.5, -0.6, 0.2), (-0.2, 0.6, 0.0)])
+    fd = fd_curl(_state_e(offset, params), pts, richardson=True)
+    d, _, e, _, _, hess, code, errors = state_rows(offset, params, pts)
+    formula = -jm_rows(offset, params, pts, None, d, e, hess, code, errors)
+    raise_first(code, errors)
+    peak = float(np.max(np.abs(fd)))
+    worst_match = float(np.max(np.abs(formula - fd)))
 
     ok = (worst_u <= 1e-5 and worst_curl <= 1e-6
           and peak > 1e-3 and worst_match <= 1e-4)
@@ -411,19 +382,11 @@ def test_11_maxwell_limit():
     worst_field = float(max(np.max(np.abs(e - d)), np.max(np.abs(h - b))))
 
     cfg = _electric_pair()
-
-    def e_field(y):
-        return dyonic_eh_rows(params, displacement_field(cfg, y),
-                              magnetic_field(cfg, y))[0][0]
-
     pts = _sample_points(rng, cfg, 10)
     currents = current_rows(params, cfg, pts)
     raise_first(currents.code, currents.errors)
     worst_j = float(max(np.max(np.abs(currents.j_e)), np.max(np.abs(currents.j_m))))
-    worst_fd = 0.0
-    for x in pts:
-        worst_fd = max(worst_fd,
-                       float(np.max(np.abs(fd_curl(e_field, x, richardson=True)))))
+    worst_fd = float(np.max(np.abs(fd_curl(eh_field(params, cfg), pts, richardson=True)[:, 0])))
 
     ok = worst_field == 0.0 and worst_j <= 1e-12 and worst_fd <= 1e-6
     assert _line(ok, "11 linear limit",

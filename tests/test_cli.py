@@ -18,15 +18,12 @@ from bifield import (
     ModelParams,
     ChargeConfig,
     currents,
-    displacement_field,
-    dyonic_eh_rows,
-    electrostatic_e,
     flux_charge,
-    magnetic_field,
 )
-from bifield import cli, continuous
+from bifield import cli, continuous, verify
 from bifield.constitutive import invert_rows
 from bifield.observables import density_rows, hamiltonian_on_points
+from bifield.sources import _batch_coulomb
 from bifield.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -42,7 +39,6 @@ from bifield.errors import ConfigError
 
 from argparse_cli import build_parser
 from continuous_pointwise import State, continuous_pointwise
-from triple_sums import pointwise
 
 SAMPLE_HEADER = "x,y,z,Ex,Ey,Ez,Hx,Hy,Hz,jm_x,jm_y,jm_z,energy_density"
 CURRENT_HEADER = "x,y,z,je_x,je_y,je_z,jm_x,jm_y,jm_z,method"
@@ -331,8 +327,8 @@ class TestSampleCommand:
         ])
         row = next(l for l in lines[1:] if l.startswith("0,0,0,"))
         cells = [float(v) for v in row.split(",")]
-        e = electrostatic_e(params, displacement_field(charges, np.zeros(3)))
-        assert np.allclose(cells[3:6], e, atol=1e-15)
+        d = _batch_coulomb(charges, charges.qs, np.zeros((1, 3)))[0]
+        assert np.allclose(cells[3:6], d / math.sqrt(1.0 + float(d @ d)), atol=1e-15)
         assert cells[12] == pytest.approx(
             hamiltonian_on_points(params, charges, np.zeros(3))[0], rel=1e-12)
 
@@ -624,7 +620,7 @@ class TestFieldRows:
                      "--format", "json"]) == EXIT_OK
         row = read_report(tmp_path / "sample.json")["rows"][0]
         cfg = load_config(path)
-        d = displacement_field(cfg.charges, np.array(row[:3]))
+        d = _batch_coulomb(cfg.charges, cfg.charges.qs, np.array([row[:3]]))[0]
         d2 = float(d @ d)
         assert abs(row[12] / (d2 / (1.0 + math.sqrt(1.0 + d2))) - 1.0) <= 4e-16
 
@@ -695,23 +691,16 @@ class TestChargeCommand:
         monkeypatch.undo()
         assert rc == EXIT_OK and calls == [768, 3072]
 
-        # reference: separate quadratures of E-only and H-only fields
+        # reference: separate quadratures of E-only and H-only fields, one
+        # sphere at a time
         cfg = parse_config(data)
-        params, charges = cfg.model, cfg.charges
-
-        def e_field(y):
-            return dyonic_eh_rows(params, displacement_field(charges, y),
-                                  magnetic_field(charges, y))[0][0]
-
-        def h_field(y):
-            return dyonic_eh_rows(params, displacement_field(charges, y),
-                                  magnetic_field(charges, y))[1][0]
-
+        eh = currents.eh_field(cfg.model, cfg.charges)
         report = read_report(tmp_path / "charge.json")
         for rung in report["flux_ladder"]:
-            r, center = rung["radius"], charges.centroid
-            assert rung["e_flux"] == flux_charge(pointwise(e_field), r, cfg.quadrature, center=center)
-            assert rung["h_flux"] == flux_charge(pointwise(h_field), r, cfg.quadrature, center=center)
+            r, center = rung["radius"], cfg.charges.centroid
+            for k, key in enumerate(("e_flux", "h_flux")):
+                assert rung[key] == flux_charge(lambda pts: eh(pts)[:, k], r, cfg.quadrature,
+                                                center=center)
 
     def test_bad_radius_rejected(self, tmp_path):
         path = write_config(tmp_path, pair_config())
@@ -822,16 +811,19 @@ class TestStrictJson:
             cli._write_json(tmp_path / "bad.json", {"x": float("nan")})
 
     def test_non_finite_suite_residual_is_null(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_VERIFY_SUITES", (
-            lambda rng: cli._suite("diverged", 1e-4, [0.5, math.inf]),
-            lambda rng: cli._suite("nan_last", 1e-4, [1e-5, math.nan]),
+        monkeypatch.setattr(verify, "SUITES", (
+            lambda rng: verify._suite("diverged", 1e-4, [0.5, math.inf]),
+            lambda rng: verify._suite("nan_last", 1e-4, [1e-5, math.nan]),
+            lambda rng: verify._suite("no_checks", 1e-4, []),
         ))
         rc = main(["verify", "--out-dir", str(tmp_path)])
         assert rc == EXIT_NUMERIC
-        for suite in read_report(tmp_path / "verify.json")["suites"]:
+        suites = read_report(tmp_path / "verify.json")["suites"]
+        assert [s["n_checks"] for s in suites] == [2, 2, 0]
+        for suite in suites:
             assert suite["max_residual"] is None and suite["passed"] is False
         out = capsys.readouterr().out
-        assert "FAIL diverged" in out and "FAIL nan_last" in out
+        assert "FAIL diverged" in out and "FAIL nan_last" in out and "FAIL no_checks" in out
 
 
 class TestCsvCells:
@@ -983,7 +975,7 @@ class TestVerifyCommand:
         assert rc == EXIT_OK
         report = read_report(tmp_path / "verify.json")
         assert report["all_passed"] is True
-        assert len(report["suites"]) == 15
+        assert len(report["suites"]) == len(verify.SUITES) == 16
         for suite in report["suites"]:
             assert suite["passed"] is True
             assert suite["max_residual"] <= suite["tolerance"]

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from bifield import constitutive, models, specfn
-from bifield.constitutive import (
-    dyonic_eh_rows,
-    electrostatic_e,
-    invert_rows,
-    forward_fields,
-    magnetostatic_h,
-)
+from bifield.constitutive import dyonic_eh_rows, invert_rows, forward_fields
 from bifield.errors import DomainViolation, FieldError, InversionFailure
 from bifield.models import ModelParams
 
@@ -24,6 +18,7 @@ from scalar_inversions import magnetostatic_h as scalar_h
 
 CLOSED_FORM_TOL = 1e-9
 ROOT_FOUND_TOL = 1e-7
+ZERO3 = np.zeros(3)
 
 
 def all_params(kappa):
@@ -49,46 +44,46 @@ def random_db(rng, cap=1.2):
 class TestElectrostatic:
     def test_classical(self):
         m = ModelParams.classical(beta=1.0)
-        e = electrostatic_e(m, (1.0, 0.0, 0.0))
+        e = dyonic_eh_rows(m, (1.0, 0.0, 0.0), ZERO3)[0][0]
         np.testing.assert_allclose(e, [1.0 / math.sqrt(2.0), 0, 0], rtol=1e-14)
 
     def test_logarithmic(self):
         m = ModelParams.logarithmic(beta=2.0)
-        e = electrostatic_e(m, (1.0, 0.0, 0.0))
+        e = dyonic_eh_rows(m, (1.0, 0.0, 0.0), ZERO3)[0][0]
         # 2 / (1 + sqrt(5)): the inverse golden ratio
         np.testing.assert_allclose(e, [2.0 / (1.0 + math.sqrt(5.0)), 0, 0], rtol=1e-14)
 
     def test_exponential(self):
         m = ModelParams.exponential(beta=1.0)
-        e = electrostatic_e(m, (1.0, 0.0, 0.0))
+        e = dyonic_eh_rows(m, (1.0, 0.0, 0.0), ZERO3)[0][0]
         assert np.linalg.norm(e) == pytest.approx(0.7530891649796748, rel=1e-12)
 
     def test_quadratic(self):
         m = ModelParams.quadratic(alpha=1.0)
-        e = electrostatic_e(m, (1.0, 0.0, 0.0))
+        e = dyonic_eh_rows(m, (1.0, 0.0, 0.0), ZERO3)[0][0]
         assert np.linalg.norm(e) ** 2 == pytest.approx(0.4655712318767679, rel=1e-10)
 
     def test_maxwell_identity(self):
         m = ModelParams.fractional_power(p=1.0)
         d = np.array([0.3, -0.7, 1.1])
-        np.testing.assert_allclose(electrostatic_e(m, d), d, rtol=1e-12)
+        np.testing.assert_allclose(dyonic_eh_rows(m, d, ZERO3)[0][0], d, rtol=1e-12)
 
     def test_fractional_root_found(self):
         m = ModelParams.fractional_power(beta=1.0, p=3.0)
         d = np.array([2.0, 1.0, -0.5])
-        e = electrostatic_e(m, d)
+        e = dyonic_eh_rows(m, d, ZERO3)[0][0]
         st = forward_fields(m, e, np.zeros(3))
         np.testing.assert_allclose(st.d, d, rtol=ROOT_FOUND_TOL)
 
     def test_zero(self):
         m = ModelParams.classical()
-        np.testing.assert_array_equal(electrostatic_e(m, np.zeros(3)), np.zeros(3))
+        np.testing.assert_array_equal(dyonic_eh_rows(m, np.zeros(3), ZERO3)[0][0], np.zeros(3))
 
     def test_parallel_to_d(self):
         rng = np.random.default_rng(5)
         for _, m, _ in all_params(0.0):
             d = rng.normal(size=3)
-            e = electrostatic_e(m, d)
+            e = dyonic_eh_rows(m, d, ZERO3)[0][0]
             cross = np.cross(e, d)
             assert np.linalg.norm(cross) <= 1e-12 * np.linalg.norm(d) ** 2
 
@@ -96,25 +91,25 @@ class TestElectrostatic:
 class TestMagnetostatic:
     def test_classical(self):
         m = ModelParams.classical(beta=1.0)
-        h = magnetostatic_h(m, (0.0, 2.0, 0.0))
+        h = dyonic_eh_rows(m, ZERO3, (0.0, 2.0, 0.0))[1][0]
         np.testing.assert_allclose(h, [0, 2.0 / math.sqrt(5.0), 0], rtol=1e-14)
 
     def test_logarithmic(self):
         m = ModelParams.logarithmic(beta=1.0)
-        h = magnetostatic_h(m, (0.0, 0.0, 1.0))
+        h = dyonic_eh_rows(m, ZERO3, (0.0, 0.0, 1.0))[1][0]
         np.testing.assert_allclose(h, [0, 0, 1.0 / 1.5], rtol=1e-14)
 
     def test_quadratic_zero_crossing(self):
         # f'(-B^2/2) = 1 - alpha B^2 vanishes at B^2 = 1/alpha: H = 0 exactly
         m = ModelParams.quadratic(alpha=1.0)
-        h = magnetostatic_h(m, (1.0, 0.0, 0.0))
+        h = dyonic_eh_rows(m, ZERO3, (1.0, 0.0, 0.0))[1][0]
         np.testing.assert_array_equal(h, np.zeros(3))
 
     def test_forward_consistency(self):
         rng = np.random.default_rng(6)
         for _, m, tol in all_params(0.0):
             b = rng.normal(size=3) * 0.8
-            h = magnetostatic_h(m, b)
+            h = dyonic_eh_rows(m, ZERO3, b)[1][0]
             st = forward_fields(m, np.zeros(3), b)
             np.testing.assert_allclose(st.h, h, rtol=1e-12, atol=1e-15)
 
@@ -132,7 +127,8 @@ class TestDyonicSpecialCases:
                 d = np.array([0.4, -0.2, 0.9])
                 (e,), (h,), _ = dyonic_eh_rows(m, d, np.zeros(3))
                 np.testing.assert_array_equal(h, np.zeros(3))
-                np.testing.assert_array_equal(e, electrostatic_e(m, d))
+                ref = scalar_e(m, d)
+                assert np.linalg.norm(e - ref) <= 1e-15 * np.linalg.norm(ref)
 
     def test_d_zero_reduces_to_magnetostatic(self):
         for kappa in (0.0, 1.0):
@@ -140,7 +136,8 @@ class TestDyonicSpecialCases:
                 b = np.array([0.4, 0.1, -0.6])
                 (e,), (h,), (s,) = dyonic_eh_rows(m, np.zeros(3), b)
                 np.testing.assert_array_equal(e, np.zeros(3))
-                np.testing.assert_array_equal(h, magnetostatic_h(m, b))
+                ref = scalar_h(m, b)
+                assert np.linalg.norm(h - ref) <= 1e-15 * np.linalg.norm(ref)
                 assert s == pytest.approx(-0.5 * float(b @ b))
 
     def test_both_zero(self):
@@ -258,7 +255,7 @@ class TestSaturation:
         cap = math.sqrt(2.0 / 0.5)
         for _ in range(200):
             d = rng.normal(size=3) * 10.0 ** rng.uniform(-2, 8)
-            en = np.linalg.norm(electrostatic_e(m, d))
+            en = np.linalg.norm(dyonic_eh_rows(m, d, ZERO3)[0][0])
             assert en <= cap * (1.0 + 1e-15)
             if float(d @ d) < 1e10:
                 assert en < cap
@@ -497,7 +494,7 @@ class TestRowKernelsAgainstScalar:
         e, h, s, code, errors = invert_rows(m, d, b)
         failed = {i: errors[code[i] - 1] for i in np.flatnonzero(code)}
         assert sorted(failed) == [2]
-        assert type(failed[2]) is DomainViolation  # D = 0: magnetostatic_h's f'
+        assert type(failed[2]) is DomainViolation  # D = 0: the magnetic branch's f'
         assert str(failed[2]) == "s=-1.805 outside domain of fractional_power model"
         for i in (0, 1, 3):
             # row 3's s lies 0.02 above the edge, where f' = (1 + s/p)^0.5
@@ -727,17 +724,15 @@ def test_continuous_oracle_independence():
     """continuous_pointwise, the per-point reference of the continuous
     command, reaches none of the rows code it checks (invert_rows,
     density_rows, currents._fd_rows, the continuous rows functions): from
-    bifield it imports only the Newton-potential quadrature and the
-    per-point fd_curl, and its inversion, density, f' and f'' are
-    scalar_inversions'. fd_curl shares currents._stencil with _fd_rows;
-    test_currents holds it bit-equal to a per-axis reference loop."""
+    bifield it imports only the Newton-potential quadrature, its finite
+    differences are fd_oracle's numpy ones, and its inversion, density, f'
+    and f'' are scalar_inversions'."""
     path = Path(scalar_inversions.__file__).with_name("continuous_pointwise.py")
     imported = _imports(path)
     package = [(module, name) for module, name in imported if module.startswith(("bifield", "."))]
-    assert sorted(package) == [("bifield.continuous", "newton_potential"),
-                               ("bifield.currents", "fd_curl")]
+    assert sorted(package) == [("bifield.continuous", "newton_potential")]
     local = {module for module, _ in imported} - {"numpy"} - {m for m, _ in package}
-    assert local == {"scalar_inversions"}
+    assert local == {"fd_oracle", "scalar_inversions"}
     rows_code = {"invert_rows", "dyonic_eh_rows", "density_rows", "_fd_rows", "_gauss_law",
                  "state_rows", "curl_rows", "jm_rows", "_gradient_rows", "_db_rows",
                  "f_prime", "f_double_prime", "derivative_rows"}

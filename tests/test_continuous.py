@@ -22,21 +22,24 @@ from bifield import continuous
 from bifield.errors import ConfigError, QuadratureError
 from bifield.models import ModelParams
 from bifield.observables import QuadratureSpec
-from bifield.currents import fd_curl
 from bifield.cli import main
+from bifield.constitutive import dyonic_eh_rows
 from bifield.continuous import (
     ContinuousSource,
     _gauss_law,
     bump_source,
     continuous_residual_suite,
-    curl_formula_continuous,
     gaussian_source,
     gridded_source,
+    jm_rows,
     merge_sources,
     newton_potential,
     state_rows,
     two_gaussian_source,
 )
+from bifield.errors import raise_first
+
+from fd_oracle import fd_curl
 
 # 1D radial quadrature of the bump density (total 2, radius 1.5): potential
 # at r = 0.5 and r = 1.0 from the center, via Q_enc(r)/(4 pi r) + outer shell
@@ -50,6 +53,16 @@ CLASSICAL = ModelParams.classical(1.0)
 
 def gaussian_potential(total, sigma, r):
     return -total * erf(r / (math.sqrt(2.0) * sigma)) / (4.0 * math.pi * r)
+
+
+def curl_e(src, params, pts) -> np.ndarray:
+    """curl E = -j_m at points of shape (N, 3), from one state_rows and one
+    jm_rows call; raises the first failure."""
+    pts = np.reshape(pts, (-1, 3))
+    d, _, e, _, _, hess, code, errors = state_rows(src, params, pts)
+    j_m = jm_rows(src, params, pts, None, d, e, hess, code, errors)
+    raise_first(code, errors)
+    return -j_m
 
 
 def bare(src):
@@ -446,6 +459,12 @@ class TestContinuousFields:
         assert np.all(b == 0.0)
         assert np.all(h == 0.0)
         assert np.linalg.norm(e) > 0.0
+        # a (3,) point is the one-row call; no points give empty rows
+        one = state_rows(src, CLASSICAL, np.array([0.7, 0.1, -0.3]))
+        assert np.array_equal(one[2], e) and one[6].tolist() == [0]
+        d, b, e, h, s, hess, code, errors = state_rows(src, CLASSICAL, [])
+        assert d.shape == b.shape == e.shape == h.shape == (0, 3) and hess.shape == (0, 3, 3)
+        assert s.shape == code.shape == (0,) and errors == []
 
     @pytest.mark.parametrize("params", [
         ModelParams.classical(1.0),
@@ -455,28 +474,17 @@ class TestContinuousFields:
     ])
     def test_radial_source_is_conservative(self, params):
         src = gaussian_source(total=3.0, sigma=1.0)
-
-        def e_field(y):
-            return state_rows(src, params, y[None])[2][0]
-
-        pts = [(0.8, 0.3, -0.2), (2.0, -1.0, 0.5)]
-        assert not state_rows(src, params, np.array(pts))[6].any()
-        for pt in pts:
-            curl = fd_curl(e_field, np.array(pt), richardson=True)
-            assert np.max(np.abs(curl)) <= 1e-8
+        pts = np.array([(0.8, 0.3, -0.2), (2.0, -1.0, 0.5)])
+        assert not state_rows(src, params, pts)[6].any()
+        curl = fd_curl(lambda y: state_rows(src, params, y)[2], pts, richardson=True)
+        assert np.max(np.abs(curl)) <= 1e-8
 
     def test_offset_source_is_not_conservative(self):
         src = offset_pair()
         params = ModelParams.classical(1.0)
-
-        def e_field(y):
-            return state_rows(src, params, y[None])[2][0]
-
-        worst = 0.0
-        for pt in [(0.0, 0.8, 0.3), (-0.2, 0.6, 0.0), (0.2, 0.3, -0.8)]:
-            curl = fd_curl(e_field, np.array(pt), richardson=True)
-            worst = max(worst, float(np.max(np.abs(curl))))
-        assert worst > 1e-3
+        pts = [(0.0, 0.8, 0.3), (-0.2, 0.6, 0.0), (0.2, 0.3, -0.8)]
+        curl = fd_curl(lambda y: state_rows(src, params, y)[2], pts, richardson=True)
+        assert float(np.max(np.abs(curl))) > 1e-3
 
     def test_radial_dyonic_source_conservative_both_fields(self):
         e_src = gaussian_source(total=2.0, sigma=1.0)
@@ -484,28 +492,17 @@ class TestContinuousFields:
         dy = merge_sources(e_src, m_src)
         for params in [ModelParams.classical(1.0, kappa=0.0),
                        ModelParams.logarithmic(0.5, kappa=0.7)]:
-            def e_field(y):
-                return state_rows(dy, params, y[None])[2][0]
-
-            def h_field(y):
-                return state_rows(dy, params, y[None])[3][0]
-
-            pts = [(0.7, 0.2, -0.4), (1.5, -0.8, 0.3)]
-            assert not state_rows(dy, params, np.array(pts))[6].any()
-            for pt in pts:
-                assert np.max(np.abs(fd_curl(e_field, np.array(pt)))) <= 1e-6
-                assert np.max(np.abs(fd_curl(h_field, np.array(pt)))) <= 1e-6
+            pts = np.array([(0.7, 0.2, -0.4), (1.5, -0.8, 0.3)])
+            assert not state_rows(dy, params, pts)[6].any()
+            eh = fd_curl(lambda y: np.stack(state_rows(dy, params, y)[2:4], axis=1), pts)
+            assert np.max(np.abs(eh)) <= 1e-6
 
     @staticmethod
     def _bump_curl(src):
         params = ModelParams.classical(1.0)
-
-        def e_field(y):
-            return state_rows(src, params, y[None])[2][0]
-
-        x = np.array([0.8, 0.4, -0.3])
-        assert not state_rows(src, params, x[None])[6].any()
-        return fd_curl(e_field, x, step=0.05)
+        x = np.array([[0.8, 0.4, -0.3]])
+        assert not state_rows(src, params, x)[6].any()
+        return fd_curl(lambda y: state_rows(src, params, y)[2], x, step=0.05)
 
     def test_bump_fd_route_stays_conservative(self):
         src = bump_source(total=2.0, radius=1.5, center=(0.2, 0.0, 0.0))
@@ -529,27 +526,21 @@ class TestCurlFormula:
     def test_matches_fd_curl_for_offset_source(self):
         src = offset_pair()
         params = ModelParams.classical(1.0)
-
-        def e_field(y):
-            return state_rows(src, params, y[None])[2][0]
-
-        for pt in [(0.0, 0.8, 0.3), (0.5, -0.6, 0.2), (-0.2, 0.6, 0.0)]:
-            fd = fd_curl(e_field, np.array(pt), richardson=True)
-            formula = curl_formula_continuous(src, params, pt)
-            assert np.max(np.abs(formula - fd)) <= 1e-4
-            assert np.max(np.abs(formula)) > 1e-3
+        pts = [(0.0, 0.8, 0.3), (0.5, -0.6, 0.2), (-0.2, 0.6, 0.0)]
+        fd = fd_curl(lambda y: state_rows(src, params, y)[2], pts, richardson=True)
+        formula = curl_e(src, params, pts)
+        assert np.all(np.max(np.abs(formula - fd), axis=1) <= 1e-4)
+        assert np.all(np.max(np.abs(formula), axis=1) > 1e-3)
 
     def test_classical_prefactor_equivalence(self):
         # the model-generic prefactor f'' h' / f'^2 reduces to
         # beta / (1 + beta |grad u|^2)^{3/2} for the square-root model
-        from bifield.constitutive import electrostatic_e
-
         src = offset_pair()
         beta = 1.0
         params = ModelParams.classical(beta)
         for x in [np.array([0.3, 0.5, -0.2]), np.array([-0.8, 0.1, 0.4])]:
             g = state_rows(src, params, x[None])[0][0]
-            e_vec = electrostatic_e(params, g)
+            e_vec = dyonic_eh_rows(params, g, np.zeros(3))[0][0]
             a = float(e_vec @ e_vec)
             fp = params.f_prime(0.5 * a)
             fpp = params.f_double_prime(0.5 * a)
@@ -559,12 +550,12 @@ class TestCurlFormula:
 
     def test_radial_source_gives_zero(self):
         src = gaussian_source(total=3.0, sigma=1.0)
-        formula = curl_formula_continuous(src, ModelParams.classical(1.0), (0.8, 0.3, -0.2))
+        formula = curl_e(src, ModelParams.classical(1.0), (0.8, 0.3, -0.2))
         assert np.max(np.abs(formula)) <= 1e-9
 
     def test_maxwell_limit_is_exactly_zero(self):
         src = offset_pair()
-        formula = curl_formula_continuous(src, ModelParams.fractional_power(1.0, 1), (0.0, 0.8, 0.3))
+        formula = curl_e(src, ModelParams.fractional_power(1.0, 1), (0.0, 0.8, 0.3))
         assert np.all(formula == 0.0)
 
     @pytest.mark.parametrize("params", [
@@ -574,13 +565,9 @@ class TestCurlFormula:
     ])
     def test_matches_fd_curl_across_models(self, params):
         src = offset_pair()
-
-        def e_field(y):
-            return state_rows(src, params, y[None])[2][0]
-
         pt = (0.0, 0.8, 0.3)
-        fd = fd_curl(e_field, np.array(pt), richardson=True)
-        formula = curl_formula_continuous(src, params, pt)
+        fd = fd_curl(lambda y: state_rows(src, params, y)[2], pt, richardson=True)
+        formula = curl_e(src, params, pt)
         assert np.max(np.abs(formula - fd)) <= 1e-4
 
 

@@ -1,4 +1,4 @@
-"""Tests for the induced current densities and the FD oracles."""
+"""Tests for the induced current densities and the FD stencil."""
 
 import ast
 import math
@@ -10,22 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from bifield import ChargeConfig, ModelParams
 from bifield import currents
-from bifield.constitutive import dyonic_eh_rows, electrostatic_e, magnetostatic_h
-from bifield.currents import (
-    current_rows,
-    eh_field,
-    fd_curl,
-    fd_div,
-    fd_step,
-    je_classical_magnetostatic,
-    jm_classical_electrostatic,
-    jm_classical_jacobi_term,
-)
+from bifield.currents import current_rows, eh_field
 from bifield.errors import DomainViolation, FieldError, SingularPoint
 from bifield.observables import hamiltonian_on_points
-from bifield.sources import displacement_field, magnetic_field
+from bifield.sources import _batch_coulomb, _coulomb_gradient, _coulomb_offsets
+from bifield.verify import jm_classical_jacobi_term
 
 import triple_sums
+from fd_oracle import fd_curl, fd_div, fd_jacobian
 from triple_sums import jm_classical_electrostatic_pair
 
 BETA = 1.0
@@ -74,42 +66,29 @@ def random_config(rng, n, electric=True, magnetic=False, spread=1.5):
             continue
 
 
-def reference_jacobian(field, x, h):
-    """J[..., i, j] = dF_i/dx_j by central differences, one axis at a time:
-    the reference of currents._stencil."""
-    cols = []
-    for axis in range(3):
-        step = np.zeros(3)
-        step[axis] = h
-        fp = np.asarray(field(x + step), dtype=float)
-        fm = np.asarray(field(x - step), dtype=float)
-        cols.append((fp - fm) / (2.0 * h))
-    return np.stack(cols, axis=-1)
-
-
-def reference_fd(field, x, step=None, richardson=False):
-    """(curl, div) of field at x from reference_jacobian, with fd_curl's
-    default step and Richardson extrapolation."""
-    x = np.asarray(x, dtype=float)
-    h = 1e-4 * max(1.0, float(np.linalg.norm(x))) if step is None else float(step)
-
-    def at(hh):
-        j = reference_jacobian(field, x, hh)
-        curl = np.stack([j[..., 2, 1] - j[..., 1, 2], j[..., 0, 2] - j[..., 2, 0],
-                         j[..., 1, 0] - j[..., 0, 1]], axis=-1)
-        return curl, np.trace(j, axis1=-2, axis2=-1)
-
-    if not richardson:
-        return at(h)
-    (c2, d2), (c1, d1) = at(0.5 * h), at(h)
-    return (4.0 * c2 - c1) / 3.0, (4.0 * d2 - d1) / 3.0
-
-
 def far_point(rng, cfg, min_dist=0.4):
     while True:
         x = rng.uniform(-3.0, 3.0, size=3)
         if cfg.min_distance(x) > min_dist:
             return x
+
+
+def far_points(rng, cfg, n, min_dist=0.4):
+    return np.array([far_point(rng, cfg, min_dist) for _ in range(n)])
+
+
+def field_and_gradient(cfg, weights, pts):
+    """F and grad(F^2) of the Coulomb kernel at points of shape (N, 3)."""
+    return _coulomb_gradient(weights, *_coulomb_offsets(cfg, np.reshape(pts, (-1, 3))))
+
+
+def assert_rows_close(got, ref, tol=FD_TOL):
+    """Every row of got is the row of ref to tol * max(1, max |ref|)."""
+    scale = np.maximum(1.0, np.max(np.abs(ref), axis=1))
+    assert np.all(np.max(np.abs(got - ref), axis=1) <= tol * scale)
+
+
+CLASSICAL = ModelParams.classical(beta=BETA)
 
 
 class TestVectorIdentity:
@@ -134,13 +113,13 @@ class TestVectorIdentity:
 class TestClassicalElectrostatic:
     def test_single_charge_is_conservative(self):
         cfg = ChargeConfig.build([((0.2, -0.1, 0.4), 3.0, 0.0)])
-        jm = jm_classical_electrostatic(cfg, BETA, (1.0, 1.0, 1.0))
+        jm = current_rows(CLASSICAL, cfg, (1.0, 1.0, 1.0)).j_m
         assert np.max(np.abs(jm)) <= 1e-12
 
     def test_pair_formula_matches_triple_sum(self):
         cfg = pair_config(q1=1.0, q2=2.0)
         x = np.array([0.0, 1.0, 0.0])
-        jt = jm_classical_electrostatic(cfg, BETA, x)
+        jt = current_rows(CLASSICAL, cfg, x).j_m[0]
         jp = jm_classical_electrostatic_pair(cfg, BETA, x)
         assert np.max(np.abs(jt - jp)) <= 1e-12
         assert np.linalg.norm(jt) > 0.0
@@ -148,9 +127,8 @@ class TestClassicalElectrostatic:
     def test_pair_formula_matches_on_random_points(self):
         rng = np.random.default_rng(7)
         cfg = pair_config(q1=-1.3, q2=0.8)
-        for _ in range(25):
-            x = far_point(rng, cfg)
-            jt = jm_classical_electrostatic(cfg, BETA, x)
+        pts = far_points(rng, cfg, 25)
+        for x, jt in zip(pts, current_rows(CLASSICAL, cfg, pts).j_m):
             jp = jm_classical_electrostatic_pair(cfg, BETA, x)
             assert np.max(np.abs(jt - jp)) <= 1e-12 * max(1.0, np.max(np.abs(jt)))
 
@@ -160,71 +138,48 @@ class TestClassicalElectrostatic:
             jm_classical_electrostatic_pair(cfg, BETA, (1.0, 1.0, 1.0))
 
     def test_matches_minus_fd_curl_of_e(self):
-        params = ModelParams.classical(beta=BETA)
         cfg = pair_config()
-        rng = np.random.default_rng(3)
-
-        def e_field(y):
-            return electrostatic_e(params, displacement_field(cfg, y))
-
-        for _ in range(12):
-            x = far_point(rng, cfg)
-            jm = jm_classical_electrostatic(cfg, BETA, x)
-            curl = fd_curl(e_field, x)
-            assert np.max(np.abs(jm + curl)) <= FD_TOL * max(1.0, np.max(np.abs(jm)))
+        pts = far_points(np.random.default_rng(3), cfg, 12)
+        jm = current_rows(CLASSICAL, cfg, pts).j_m
+        assert_rows_close(fd_curl(eh_field(CLASSICAL, cfg), pts)[:, 0], -jm)
 
     def test_collinear_geometry_gives_zero(self):
         cfg = pair_config()
-        jm = jm_classical_electrostatic(cfg, BETA, (3.0, 0.0, 0.0))
+        jm = current_rows(CLASSICAL, cfg, (3.0, 0.0, 0.0)).j_m
         assert np.max(np.abs(jm)) == 0.0
 
     def test_nonconservative_witness_on_grid(self):
         # a 5^3 sample grid sees a strictly positive current magnitude
         cfg = pair_config()
         ticks = np.linspace(-1.6, 1.6, 5)
-        best = 0.0
-        for gx in ticks:
-            for gy in ticks:
-                for gz in ticks:
-                    x = np.array([gx, gy, gz])
-                    if cfg.min_distance(x) < 0.3:
-                        continue
-                    best = max(best, float(np.max(np.abs(jm_classical_electrostatic(cfg, BETA, x)))))
-        assert best > 0.0
+        grid = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
+        grid = grid[[cfg.min_distance(x) >= 0.3 for x in grid]]
+        assert float(np.max(np.abs(current_rows(CLASSICAL, cfg, grid).j_m))) > 0.0
 
     def test_singular_point_rejected(self):
-        cfg = pair_config()
-        with pytest.raises(SingularPoint):
-            jm_classical_electrostatic(cfg, BETA, (1.0, 0.0, 0.0))
+        rows = current_rows(CLASSICAL, pair_config(), (1.0, 0.0, 0.0))
+        assert rows.code.tolist() == [1] and isinstance(rows.errors[0], SingularPoint)
 
 
 class TestClassicalMagnetostatic:
     def test_single_center_zero(self):
         cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 0.0, 2.0)])
-        je = je_classical_magnetostatic(cfg, BETA, (0.3, 0.4, 0.5))
+        je = current_rows(CLASSICAL, cfg, (0.3, 0.4, 0.5)).j_e
         assert np.max(np.abs(je)) <= 1e-12
 
     def test_matches_fd_curl_of_h(self):
-        params = ModelParams.classical(beta=BETA)
         cfg = pair_config(magnetic=True)
-        rng = np.random.default_rng(11)
-
-        def h_field(y):
-            return magnetostatic_h(params, magnetic_field(cfg, y))
-
-        for _ in range(12):
-            x = far_point(rng, cfg)
-            je = je_classical_magnetostatic(cfg, BETA, x)
-            curl = fd_curl(h_field, x)
-            assert np.max(np.abs(je - curl)) <= FD_TOL * max(1.0, np.max(np.abs(je)))
+        pts = far_points(np.random.default_rng(11), cfg, 12)
+        je = current_rows(CLASSICAL, cfg, pts).j_e
+        assert_rows_close(fd_curl(eh_field(CLASSICAL, cfg), pts)[:, 1], je)
 
     def test_mirror_of_electric_current(self):
         # same numbers as charges: j_e(g) = -j_m(q), only the overall sign flips
         cfg_e = pair_config(q1=1.1, q2=-0.7)
         cfg_m = pair_config(q1=1.1, q2=-0.7, magnetic=True)
         x = np.array([0.2, 0.9, -0.4])
-        jm = jm_classical_electrostatic(cfg_e, BETA, x)
-        je = je_classical_magnetostatic(cfg_m, BETA, x)
+        jm = current_rows(CLASSICAL, cfg_e, x).j_m
+        je = current_rows(CLASSICAL, cfg_m, x).j_e
         assert np.max(np.abs(je + jm)) <= 1e-15 * max(1.0, np.max(np.abs(jm)))
 
 
@@ -234,42 +189,38 @@ class TestDyonicKappaZero:
     def test_reduces_to_electrostatic_without_g(self):
         cfg = pair_config()
         x = np.array([0.0, 1.0, 0.0])
-        d, grad = currents._field_and_gradient(cfg, cfg.qs, x)
+        d, grad = field_and_gradient(cfg, cfg.qs, x)
         zero = np.zeros_like(d)
-        jm_d = currents._dyonic_k0_curl(BETA, d, grad, zero, zero)[0]
-        jm_e = jm_classical_electrostatic(cfg, BETA, x)
+        jm_d = currents._dyonic_k0_curl(BETA, d, grad, zero, zero)
+        jm_e = current_rows(CLASSICAL, cfg, x).j_m
         assert np.max(np.abs(jm_d - jm_e)) == 0.0
 
     def test_reduces_to_magnetostatic_without_q(self):
         cfg = pair_config(magnetic=True)
         x = np.array([0.0, 1.0, 0.0])
-        b, grad = currents._field_and_gradient(cfg, cfg.gs, x)
+        b, grad = field_and_gradient(cfg, cfg.gs, x)
         zero = np.zeros_like(b)
-        je_d = -currents._dyonic_k0_curl(BETA, b, grad, zero, zero)[0]
-        je_m = je_classical_magnetostatic(cfg, BETA, x)
+        je_d = -currents._dyonic_k0_curl(BETA, b, grad, zero, zero)
+        je_m = current_rows(CLASSICAL, cfg, x).j_e
         assert np.max(np.abs(je_d - je_m)) == 0.0
 
     def test_single_dyon_zero(self):
         cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 0.5)])
-        rows = current_rows(ModelParams.classical(beta=BETA), cfg, (0.3, 0.4, 0.5))
+        rows = current_rows(CLASSICAL, cfg, (0.3, 0.4, 0.5))
         assert rows.method == "analytic" and rows.code.tolist() == [0]
         assert np.max(np.abs(rows.j_m)) <= 1e-12
         assert np.max(np.abs(rows.j_e)) <= 1e-12
 
     def test_matches_fd_curls(self):
-        params = ModelParams.classical(beta=BETA)
         cfg = ChargeConfig.build(
             [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]
         )
-        rng = np.random.default_rng(19)
-        pts = np.array([far_point(rng, cfg) for _ in range(10)])
-        rows = current_rows(params, cfg, pts)
+        pts = far_points(np.random.default_rng(19), cfg, 10)
+        rows = current_rows(CLASSICAL, cfg, pts)
         assert rows.method == "analytic" and not rows.code.any()
-        eh = eh_field(params, cfg)
-        for x, jm, je in zip(pts, rows.j_m, rows.j_e):
-            curl_e, curl_h = fd_curl(eh, x)
-            assert np.max(np.abs(jm + curl_e)) <= FD_TOL * max(1.0, np.max(np.abs(jm)))
-            assert np.max(np.abs(je - curl_h)) <= FD_TOL * max(1.0, np.max(np.abs(je)))
+        curl = fd_curl(eh_field(CLASSICAL, cfg), pts)
+        assert_rows_close(curl[:, 0], -rows.j_m)
+        assert_rows_close(curl[:, 1], rows.j_e)
 
 
 class TestGenericElectrostatic:
@@ -281,15 +232,12 @@ class TestGenericElectrostatic:
         assert np.max(np.abs(rows.j_m)) == 0.0
 
     def test_classical_params_recover_dedicated_formula(self):
-        params = custom_classical(0.6)
         cfg = pair_config(q1=0.9, q2=-1.4)
-        rng = np.random.default_rng(23)
-        pts = np.array([far_point(rng, cfg) for _ in range(15)])
-        rows = current_rows(params, cfg, pts)
+        pts = far_points(np.random.default_rng(23), cfg, 15)
+        rows = current_rows(custom_classical(0.6), cfg, pts)
         assert not rows.code.any()
-        for x, jg in zip(pts, rows.j_m):
-            jc = jm_classical_electrostatic(cfg, 0.6, x)
-            assert np.max(np.abs(jg - jc)) <= 1e-9 * max(1.0, np.max(np.abs(jc)))
+        assert_rows_close(rows.j_m, current_rows(ModelParams.classical(beta=0.6), cfg, pts).j_m,
+                            tol=1e-9)
 
     @pytest.mark.parametrize(
         "params",
@@ -303,17 +251,10 @@ class TestGenericElectrostatic:
     )
     def test_matches_minus_fd_curl_across_models(self, params):
         cfg = pair_config()
-        rng = np.random.default_rng(29)
-
-        def e_field(y):
-            return electrostatic_e(params, displacement_field(cfg, y))
-
-        pts = np.array([far_point(rng, cfg) for _ in range(6)])
+        pts = far_points(np.random.default_rng(29), cfg, 6)
         rows = current_rows(params, cfg, pts)
         assert rows.method == "analytic" and not rows.code.any()
-        for x, jm in zip(pts, rows.j_m):
-            curl = fd_curl(e_field, x)
-            assert np.max(np.abs(jm + curl)) <= FD_TOL * max(1.0, np.max(np.abs(jm)))
+        assert_rows_close(fd_curl(eh_field(params, cfg), pts)[:, 0], -rows.j_m)
 
 
 class TestGenericMagnetostatic:
@@ -332,15 +273,11 @@ class TestGenericMagnetostatic:
         assert np.max(np.abs(rows.j_e)) == 0.0
 
     def test_classical_params_recover_dedicated_formula(self):
-        params = custom_classical(BETA)
         cfg = pair_config(magnetic=True)
-        rng = np.random.default_rng(31)
-        pts = np.array([far_point(rng, cfg) for _ in range(10)])
-        rows = current_rows(params, cfg, pts)
+        pts = far_points(np.random.default_rng(31), cfg, 10)
+        rows = current_rows(custom_classical(BETA), cfg, pts)
         assert not rows.code.any()
-        for x, jg in zip(pts, rows.j_e):
-            jc = je_classical_magnetostatic(cfg, BETA, x)
-            assert np.max(np.abs(jg - jc)) <= 1e-12 * max(1.0, np.max(np.abs(jc)))
+        assert_rows_close(rows.j_e, current_rows(CLASSICAL, cfg, pts).j_e, tol=1e-12)
 
     @pytest.mark.parametrize(
         "params",
@@ -353,34 +290,21 @@ class TestGenericMagnetostatic:
     )
     def test_matches_fd_curl_across_models(self, params):
         cfg = pair_config(magnetic=True)
-        rng = np.random.default_rng(37)
-
-        def h_field(y):
-            return magnetostatic_h(params, magnetic_field(cfg, y))
-
-        pts = np.array([far_point(rng, cfg) for _ in range(6)])
+        pts = far_points(np.random.default_rng(37), cfg, 6)
         rows = current_rows(params, cfg, pts)
         assert rows.method == "analytic" and not rows.code.any()
-        for x, je in zip(pts, rows.j_e):
-            curl = fd_curl(h_field, x)
-            assert np.max(np.abs(je - curl)) <= FD_TOL * max(1.0, np.max(np.abs(je)))
+        assert_rows_close(fd_curl(eh_field(params, cfg), pts)[:, 1], rows.j_e)
 
     def test_gradient_of_field_square_matches_fd(self):
         cfg = pair_config(magnetic=True)
         x = np.array([0.3, 0.8, -0.2])
 
         def b2(y):
-            b = magnetic_field(cfg, y)
-            return float(b @ b)
+            b = _batch_coulomb(cfg, cfg.gs, y)
+            return np.sum(b * b, axis=1)
 
-        h = 1e-5
-        fd = np.array(
-            [
-                (b2(x + h * e) - b2(x - h * e)) / (2 * h)
-                for e in np.eye(3)
-            ]
-        )
-        grad = currents._field_and_gradient(cfg, cfg.gs, x)[1][0]
+        fd = fd_jacobian(b2, x[None, :], np.array([1e-5]))[0]
+        grad = field_and_gradient(cfg, cfg.gs, x)[1][0]
         assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
 
 
@@ -402,10 +326,12 @@ class TestFactoredFormsMatchTripleSums:
             x = far_point(rng, cfg, min_dist=0.2)
             beta = float(rng.uniform(0.2, 2.0))
             params = self.MODELS[int(rng.integers(len(self.MODELS)))]
-            for name in ("jm_classical_electrostatic", "je_classical_magnetostatic"):
-                self.assert_close(getattr(currents, name)(cfg, beta, x),
-                                  getattr(triple_sums, name)(cfg, beta, x))
-            dyonic = current_rows(ModelParams.classical(beta=beta), cfg, x)
+            classical = ModelParams.classical(beta=beta)
+            self.assert_close(current_rows(classical, one_species(cfg), x).j_m[0],
+                              triple_sums.jm_classical_electrostatic(cfg, beta, x))
+            self.assert_close(current_rows(classical, one_species(cfg, electric=False), x).j_e[0],
+                              triple_sums.je_classical_magnetostatic(cfg, beta, x))
+            dyonic = current_rows(classical, cfg, x)
             self.assert_close(dyonic.j_m[0], triple_sums.jm_classical_dyonic_k0(cfg, beta, x))
             self.assert_close(dyonic.j_e[0], triple_sums.je_classical_dyonic_k0(cfg, beta, x))
             self.assert_close(current_rows(params, one_species(cfg), x).j_m[0],
@@ -413,7 +339,7 @@ class TestFactoredFormsMatchTripleSums:
             self.assert_close(current_rows(params, one_species(cfg, electric=False), x).j_e[0],
                               triple_sums.je_generic_magnetostatic(params, cfg, x))
             for which, weights in (("electric", cfg.qs), ("magnetic", cfg.gs)):
-                self.assert_close(currents._field_and_gradient(cfg, weights, x)[1][0],
+                self.assert_close(field_and_gradient(cfg, weights, x)[1][0],
                                   triple_sums.grad_field_square(cfg, x, which=which))
 
     def test_thirty_two_centres(self):
@@ -421,77 +347,95 @@ class TestFactoredFormsMatchTripleSums:
         cfg = random_config(rng, 32, electric=True, magnetic=True, spread=2.0)
         x = far_point(rng, cfg, min_dist=0.2)
         # the dyonic oracle runs both the single-species and the mixed triple sum
-        self.assert_close(current_rows(ModelParams.classical(beta=BETA), cfg, x).j_m[0],
+        self.assert_close(current_rows(CLASSICAL, cfg, x).j_m[0],
                           triple_sums.jm_classical_dyonic_k0(cfg, BETA, x))
-        self.assert_close(currents._field_and_gradient(cfg, cfg.qs, x)[1][0],
+        self.assert_close(field_and_gradient(cfg, cfg.qs, x)[1][0],
                           triple_sums.grad_field_square(cfg, x, which="electric"))
 
 
 class TestFiniteDifferenceOracles:
+    """The numpy oracle of tests/fd_oracle.py, and currents._stencil
+    against it."""
+
+    def test_oracle_imports_numpy_alone(self):
+        tree = ast.parse(Path(__file__).with_name("fd_oracle.py").read_text())
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert [(type(node).__name__, [a.name for a in node.names]) for node in imports] == [
+            ("Import", ["numpy"])]
+
     def test_constant_field(self):
-        f = lambda y: np.array([1.0, 2.0, 3.0])
-        x = np.array([0.3, 0.2, -0.1])
+        f = lambda y: np.broadcast_to([1.0, 2.0, 3.0], y.shape)
+        x = np.array([[0.3, 0.2, -0.1]])
         assert np.max(np.abs(fd_curl(f, x))) == 0.0
-        assert fd_div(f, x) == 0.0
+        assert fd_div(f, x).tolist() == [0.0]
 
     def test_rotation_field(self):
-        f = lambda y: np.array([-y[1], y[0], 0.0])
-        x = np.array([0.3, 0.2, -0.1])
+        f = lambda y: np.stack((-y[:, 1], y[:, 0], np.zeros(len(y))), axis=1)
+        x = np.array([[0.3, 0.2, -0.1]])
         curl = fd_curl(f, x)
         assert np.max(np.abs(curl - np.array([0.0, 0.0, 2.0]))) <= 1e-10
-        assert abs(fd_div(f, x)) <= 1e-10
+        assert abs(fd_div(f, x)[0]) <= 1e-10
 
     def test_gradient_field_has_no_curl(self):
         cfg = ChargeConfig.build(
             [((1.0, 0.0, 0.0), 1.0, 0.0), ((-0.5, 0.8, 0.0), -2.0, 0.0), ((0.0, -0.9, 0.6), 0.5, 0.0)]
         )
-        f = lambda y: displacement_field(cfg, y)
-        rng = np.random.default_rng(41)
-        for _ in range(8):
-            x = far_point(rng, cfg)
-            assert np.max(np.abs(fd_curl(f, x))) <= 1e-6
+        pts = far_points(np.random.default_rng(41), cfg, 8)
+        assert np.max(np.abs(fd_curl(lambda y: _batch_coulomb(cfg, cfg.qs, y), pts))) <= 1e-6
 
     def test_richardson_improves_cubic_field(self):
         # curl of (0, x^3, 0) is (0, 0, 3 x^2): plain central diff carries an
         # O(h^2) error, the two-step extrapolation kills it
-        f = lambda y: np.array([0.0, y[0] ** 3, 0.0])
-        x = np.array([1.0, 0.0, 0.0])
-        plain = fd_curl(f, x, step=1e-2)
-        extrap = fd_curl(f, x, step=1e-2, richardson=True)
+        f = lambda y: np.stack((np.zeros(len(y)), y[:, 0] ** 3, np.zeros(len(y))), axis=1)
+        x = np.array([[1.0, 0.0, 0.0]])
+        plain = fd_curl(f, x, step=1e-2)[0]
+        extrap = fd_curl(f, x, step=1e-2, richardson=True)[0]
         assert abs(plain[2] - 3.0) > 1e-7
         assert abs(extrap[2] - 3.0) <= 1e-9
 
     @pytest.mark.parametrize("richardson", [False, True])
     def test_stacked_field_matches_per_field_curls(self, richardson):
-        f = lambda y: np.array([y[1] * y[2] ** 2, np.sin(y[0]), y[0] * y[1]])
-        g = lambda y: np.array([np.exp(y[2]), y[0] ** 3, -y[1] * y[2]])
-        x = np.array([0.4, -0.7, 0.2])
-        stacked = fd_curl(lambda y: np.stack((f(y), g(y))), x, step=1e-3, richardson=richardson)
-        assert stacked.shape == (2, 3)
-        assert np.array_equal(stacked[0], fd_curl(f, x, step=1e-3, richardson=richardson))
-        assert np.array_equal(stacked[1], fd_curl(g, x, step=1e-3, richardson=richardson))
+        f = lambda y: np.stack((y[:, 1] * y[:, 2] ** 2, np.sin(y[:, 0]), y[:, 0] * y[:, 1]), axis=1)
+        g = lambda y: np.stack((np.exp(y[:, 2]), y[:, 0] ** 3, -y[:, 1] * y[:, 2]), axis=1)
+        x = np.array([[0.4, -0.7, 0.2], [1.1, 0.3, -0.5]])
+        stacked = fd_curl(lambda y: np.stack((f(y), g(y)), axis=1), x, step=1e-3,
+                          richardson=richardson)
+        assert stacked.shape == (2, 2, 3)
+        assert np.array_equal(stacked[:, 0], fd_curl(f, x, step=1e-3, richardson=richardson))
+        assert np.array_equal(stacked[:, 1], fd_curl(g, x, step=1e-3, richardson=richardson))
 
     def test_default_step_scales_with_position(self):
-        assert fd_step((0.0, 0.0, 0.0)) == 1e-4
-        assert fd_step((200.0, 0.0, 0.0)) == pytest.approx(2e-2)
+        steps = currents._fd_step_rows(np.array([[0.0, 0.0, 0.0], [200.0, 0.0, 0.0]]))
+        assert steps[0] == 1e-4 and steps[1] == pytest.approx(2e-2)
         rng = np.random.default_rng(7)
-        for x in rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-2.0, 2.0, (200, 1)):
-            assert fd_step(x) == 1e-4 * max(1.0, float(np.linalg.norm(x)))
+        pts = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-2.0, 2.0, (200, 1))
+        for x, h in zip(pts, currents._fd_step_rows(pts)):
+            assert h == 1e-4 * max(1.0, float(np.linalg.norm(x)))
 
     @pytest.mark.parametrize("richardson", [False, True])
     @pytest.mark.parametrize("step", [None, 3.7e-3])
     def test_stencil_matches_the_per_axis_reference(self, step, richardson):
-        f = lambda y: np.array([y[1] * y[2] ** 2, np.sin(y[0]), y[0] * y[1] * np.exp(y[2])])
-        g = lambda y: np.stack((f(y), np.array([np.exp(y[2]), y[0] ** 3, -y[1] * y[2]])))
-        rng = np.random.default_rng(8)
-        for x in rng.uniform(-3.0, 3.0, size=(10, 3)):
-            for field in (f, g):
-                curl, div = reference_fd(field, x, step, richardson)
-                got = fd_curl(field, x, step=step, richardson=richardson)
-                assert got.shape == curl.shape and np.array_equal(got, curl)
-                got = fd_div(field, x, step=step, richardson=richardson)
-                assert np.shape(got) == np.shape(div) and np.array_equal(got, div)
-                assert isinstance(got, float) == (field is f)
+        # currents._stencil's nodes and Jacobians against the oracle's per-axis
+        # differences, bit for bit, for a (3,) and a stacked (2, 3) field
+        f = lambda y: np.stack((y[:, 1] * y[:, 2] ** 2, np.sin(y[:, 0]),
+                                y[:, 0] * y[:, 1] * np.exp(y[:, 2])), axis=1)
+        g = lambda y: np.stack((f(y), np.stack((np.exp(y[:, 2]), y[:, 0] ** 3,
+                                                -y[:, 1] * y[:, 2]), axis=1)), axis=1)
+        pts = np.random.default_rng(8).uniform(-3.0, 3.0, size=(10, 3))
+        h = currents._fd_step_rows(pts) if step is None else np.full(len(pts), step)
+        hs = np.stack((0.5 * h, h), axis=1) if richardson else h[:, None]
+        nodes, jacobian = currents._stencil(pts, hs)
+        for field in (f, g):
+            jac = jacobian(field(nodes))
+            curl, div = currents._curl(jac), np.trace(jac, axis1=-2, axis2=-1)
+            if richardson:
+                curl, div = (4.0 * curl[:, 0] - curl[:, 1]) / 3.0, (4.0 * div[:, 0] - div[:, 1]) / 3.0
+            else:
+                curl, div = curl[:, 0], div[:, 0]
+            ref = fd_curl(field, pts, step=h, richardson=richardson)
+            assert curl.shape == ref.shape and np.array_equal(curl, ref)
+            ref = fd_div(field, pts, step=h, richardson=richardson)
+            assert div.shape == ref.shape and np.array_equal(div, ref)
 
     @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
     def test_step_must_be_positive_and_finite(self, step):
@@ -505,18 +449,16 @@ class TestFiniteDifferenceOracles:
         """Every central difference in src/ takes its nodes and Jacobians
         from currents._stencil (the gridded Newton route's corner stencils
         aside), so no FD user grows its own."""
-        callers = {}
+        callers = set()
         for path in Path(currents.__file__).parent.glob("*.py"):
             for node in ast.parse(path.read_text()).body:
                 for sub in ast.walk(node):
                     if isinstance(sub, ast.Call):
                         func = sub.func
                         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                        if name in ("_stencil", "_jacobians_at"):
-                            callers.setdefault(name, set()).add(getattr(node, "name", None))
-        assert callers == {"_stencil": {"_jacobians_at", "_fd_rows", "continuous_residual_suite",
-                                        "residual_suite"},
-                           "_jacobians_at": {"fd_curl", "fd_div"}}
+                        if name == "_stencil":
+                            callers.add(getattr(node, "name", None))
+        assert callers == {"_fd_rows", "continuous_residual_suite", "residual_suite"}
 
     def test_stencil_clearance(self):
         cfg = pair_config()
@@ -576,16 +518,11 @@ class TestDispatcher:
         # two Richardson steps, six stencil nodes each, one row per node, one call
         assert s.method == "fd" and s.code.tolist() == [0] and calls == [12]
 
-        # reference: separate curls of E-only and H-only fields
-        def e_field(y):
-            return dyonic_eh_rows(params, displacement_field(cfg, y), magnetic_field(cfg, y))[0][0]
-
-        def h_field(y):
-            return dyonic_eh_rows(params, displacement_field(cfg, y), magnetic_field(cfg, y))[1][0]
-
-        h = fd_step(x)
-        assert np.array_equal(s.j_m[0], -fd_curl(e_field, x, step=h, richardson=True))
-        assert np.array_equal(s.j_e[0], fd_curl(h_field, x, step=h, richardson=True))
+        # reference: the oracle's curls of E and H of the rows field
+        curl_e, curl_h = fd_curl(eh_field(params, cfg), x, step=currents._fd_step_rows(x[None, :]),
+                                 richardson=True)[0]
+        assert np.array_equal(s.j_m[0], -curl_e)
+        assert np.array_equal(s.j_e[0], curl_h)
 
     def test_fd_route_consistent_with_analytic_at_tiny_kappa(self):
         cfg = ChargeConfig.build(
@@ -640,19 +577,11 @@ class TestResidualIdentityAcrossModels:
     def test_curl_plus_current_vanishes_pointwise(self, params):
         cfg_e = pair_config(q1=1.0, q2=-1.5)
         cfg_m = pair_config(q1=1.0, q2=-1.5, magnetic=True)
-        points = [np.array([0.0, 1.0, 0.0]), np.array([0.5, -0.8, 0.9]), np.array([-1.2, 0.4, 1.5])]
-
-        def e_field(y):
-            return electrostatic_e(params, displacement_field(cfg_e, y))
-
-        def h_field(y):
-            return magnetostatic_h(params, magnetic_field(cfg_m, y))
-
-        jms = current_rows(params, cfg_e, points).j_m
-        jes = current_rows(params, cfg_m, points).j_e
-        for x, jm, je in zip(points, jms, jes):
-            assert np.max(np.abs(fd_curl(e_field, x) + jm)) <= FD_TOL
-            assert np.max(np.abs(fd_curl(h_field, x) - je)) <= FD_TOL
+        points = np.array([[0.0, 1.0, 0.0], [0.5, -0.8, 0.9], [-1.2, 0.4, 1.5]])
+        jm = current_rows(params, cfg_e, points).j_m
+        je = current_rows(params, cfg_m, points).j_e
+        assert np.max(np.abs(fd_curl(eh_field(params, cfg_e), points)[:, 0] + jm)) <= FD_TOL
+        assert np.max(np.abs(fd_curl(eh_field(params, cfg_m), points)[:, 1] - je)) <= FD_TOL
 
 
 class TestCurrentRows:
@@ -666,8 +595,8 @@ class TestCurrentRows:
         return pts
 
     def test_fd_rows_match_scalar_fd_curls(self):
-        # the 12 stacked stencil nodes of every point against fd_curl of the
-        # scalar inversion, bit for bit; near each centre the quadratic
+        # the 12 stacked stencil nodes of every point against the oracle's
+        # curls of eh_field at that point alone, bit for bit; near each centre the quadratic
         # model's cubic root has f' = 1 + 2 alpha s < 0 at some stencil
         # nodes, which fail; the first three points probe the exclusion rules
         params = ModelParams.quadratic(1.0, kappa=0.5)
@@ -678,14 +607,13 @@ class TestCurrentRows:
         assert rows.method == "fd"
         eh = eh_field(params, cfg)
         outcomes = set()
-        for i, x in enumerate(pts):
-            h = fd_step(x)
+        for i, (x, h) in enumerate(zip(pts, currents._fd_step_rows(pts))):
             if not cfg.min_distance(x) > h + cfg.exclusion_radius:
                 assert isinstance(rows.errors[rows.code[i] - 1], SingularPoint), i
                 outcomes.add("skip")
                 continue
             try:
-                curl_e, curl_h = fd_curl(eh, x, step=h, richardson=True)
+                curl_e, curl_h = fd_curl(eh, x, step=h, richardson=True)[0]
             except FieldError as exc:
                 got = rows.errors[rows.code[i] - 1]
                 assert (type(got), str(got)) == (type(exc), str(exc)), i

@@ -15,7 +15,8 @@ surface grows or shrinks only with that list.
 scipy stays out of the command line's import and its energy command: a
 fresh process pays ~0.7 s to import it, in set-up or in the run. argparse,
 gettext and locale stay out too: building argparse parsers cost a command
-~5 ms, more than some commands' own work.
+~5 ms, more than some commands' own work. The verify suites load only when
+verify runs, so no other command compiles or imports them.
 """
 
 import ast
@@ -55,24 +56,15 @@ PUBLIC_NAMES = (
     "__version__",
     "bump_source",
     "continuous_residual_suite",
-    "curl_formula_continuous",
     "current_rows",
-    "displacement_field",
     "divergence_exponent_probe",
     "dyonic_eh_rows",
-    "electrostatic_e",
-    "fd_curl",
-    "fd_div",
     "flux_charge",
     "forward_fields",
     "free_charge_with_inner_spheres",
     "gaussian_source",
     "gridded_source",
     "invert_rows",
-    "je_classical_magnetostatic",
-    "jm_classical_electrostatic",
-    "magnetic_field",
-    "magnetostatic_h",
     "merge_sources",
     "newton_potential",
     "residual_suite",
@@ -82,10 +74,6 @@ PUBLIC_NAMES = (
 
 # public functions that no code in src/ calls, each with the reason it stays
 UNCALLED_PUBLIC = {
-    "currents.py:fd_div": "finite-difference oracle, kept until the currents are exact",
-    "observables.py:residual_suite": "finite-difference oracle, kept until the currents are exact",
-    "continuous.py:continuous_residual_suite": "finite-difference oracle, kept until the "
-                                               "currents are exact",
     "cli.py:serialize_config": "writes a RunConfig back as JSON, the inverse of parse_config",
 }
 
@@ -215,8 +203,9 @@ def test_cli_import_and_rules_leave_numpy_polynomial_unloaded(tmp_path):
 
 def test_cli_leaves_scipy_unloaded(tmp_path):
     # scipy is imported by the gridded source only: not by the package, nor
-    # by loading a radial source, nor by the energy command; and the command
-    # line is parsed without argparse and the gettext and locale it loads
+    # by loading a radial source, nor by the energy command; the command
+    # line is parsed without argparse and the gettext and locale it loads;
+    # and neither the import nor a grid command loads the verify suites
     bump = tmp_path / "bump.json"
     bump.write_text(json.dumps({"model": {"kind": "classical"},
                                 "continuous": {"shape": "bump", "total": 2.0, "radius": 1.5}}))
@@ -230,8 +219,11 @@ def test_cli_leaves_scipy_unloaded(tmp_path):
             "print(scipy())\n"
             f"bifield.cli.main(['energy', '--config', {str(charge)!r}, '--out-dir', {str(tmp_path)!r}])\n"
             "print(scipy())\n"
-            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+            "print(sorted({'argparse', 'gettext', 'locale', 'bifield.verify'} & set(sys.modules)))\n"
+            f"bifield.cli.main(['continuous', '--config', {str(bump)!r}, '--out-dir', {str(tmp_path)!r}])\n"
+            "print(sorted({'bifield.verify'} & set(sys.modules)) + scipy())\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert [line for line in out.stdout.split() if line.startswith("[")] == ["[]"] * 4
+    assert [line for line in out.stdout.split() if line.startswith("[")] == ["[]"] * 5
+    assert (tmp_path / "continuous.csv").exists()

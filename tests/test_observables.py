@@ -16,15 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bifield import cli, constitutive, currents, observables
+from bifield import cli, currents, observables
 from bifield.errors import (
     ConfigError, DomainViolation, FieldError, InversionFailure, QuadratureError, SingularPoint,
     raise_first,
 )
 from bifield.models import ModelParams
-from bifield.sources import ChargeConfig, displacement_field, magnetic_field
+from bifield.sources import ChargeConfig, _batch_coulomb, _db_weights
 from bifield.constitutive import FieldState
-from bifield.currents import current_rows, eh_field, eh_rows, fd_curl, fd_div, fd_step
+from bifield.currents import current_rows, eh_field, eh_rows
 from bifield.observables import (
     EnergyReport,
     QuadratureSpec,
@@ -44,6 +44,7 @@ from bifield.observables import (
 from scalar_inversions import dyonic_eh as scalar_eh
 from scalar_inversions import energy_density
 from shell_energy import shell_total_energy
+from fd_oracle import fd_curl, fd_div
 from triple_sums import eh_pointwise, flux_charge_pointwise, pointwise
 
 # scipy.integrate.quad of 4 pi r^2 H(D(r)) over (0, inf), classical model,
@@ -272,8 +273,7 @@ class TestEnergyDensity:
             for kappa in (0.0, 0.5):
                 for kind, params in all_kinds(kappa).items():
                     batch = hamiltonian_on_points(params, cfg, pts)
-                    for i, x in enumerate(pts):
-                        d, b = displacement_field(cfg, x), magnetic_field(cfg, x)
+                    for i, (d, b) in enumerate(zip(*_batch_coulomb(cfg, _db_weights(cfg), pts))):
                         e, h, aux = scalar_eh(params, d, b)
                         ref = energy_density(params, FieldState(e=e, b=b, d=d, h=h, s=aux.s))
                         assert abs(batch[i] - ref) <= 1e-12 * max(1.0, abs(ref)), \
@@ -300,25 +300,23 @@ class TestEnergyDensity:
             hamiltonian_on_points(params, cfg, np.array([[bad, 0.0, 0.0], [2.0, 0.0, 0.0]]))
 
     def test_logarithmic_energy_makes_no_scalar_inversions(self, monkeypatch):
-        calls = []
-        one_row = constitutive._one_row
+        # every inversion of an energy run is a rows call over many nodes
+        rows = []
+        invert = observables.dyonic_eh_rows
 
-        def counting_one_row(*args):
-            calls.append(1)
-            return one_row(*args)
+        def counting(params, d, b):
+            rows.append(len(d))
+            return invert(params, d, b)
 
-        monkeypatch.setattr(constitutive, "_one_row", counting_one_row)
-        # the counter sees a point inversion
-        constitutive.electrostatic_e(ModelParams.exponential(1.0), np.ones(3))
-        assert len(calls) == 1
-        calls.clear()
+        monkeypatch.setattr(observables, "dyonic_eh_rows", counting)
         dyon = single_charge(q=1.0, g=0.5)
         # the quadratic dyon leaves the single-root branch next to its centre
         for cfg, params in ((dyon, ModelParams.logarithmic(1.0, kappa=0.5)),
                             (dyon, ModelParams.exponential(1.0, kappa=0.5)),
                             (single_charge(), ModelParams.quadratic(0.5, kappa=0.5))):
+            rows.clear()
             report = total_energy(cfg, params, coarse_quad(cfg, rel_tol=1e-3, max_subdivisions=2))
-            assert report.value > 0.0 and calls == [], params.kind
+            assert report.value > 0.0 and rows and min(rows) > 1, (params.kind, rows)
 
     def test_batch_rejects_singular_points(self):
         cfg = three_charges()
@@ -701,17 +699,20 @@ class TestGaussRule:
         assert not hasattr(observables._sphere_rule, "__wrapped__")
 
 
+def classical_e(cfg):
+    """The rows field E = D / sqrt(1 + D^2) of the classical beta = 1 model."""
+    def field(pts):
+        d = _batch_coulomb(cfg, cfg.qs, pts)
+        return d / np.sqrt(1.0 + np.sum(d * d, axis=1, keepdims=True))
+
+    return field
+
+
 class TestFluxCharge:
     def test_single_charge_flux_frozen_value(self):
         cfg = single_charge()
-        params = ModelParams.classical(1.0)
         quad = QuadratureSpec()
-
-        def e_field(y):
-            d = displacement_field(cfg, y)
-            return d / math.sqrt(1.0 + float(d @ d))
-
-        val = flux_charge(pointwise(e_field), 10.0, quad)
+        val = flux_charge(classical_e(cfg), 10.0, quad)
         assert abs(val - SINGLE_FLUX_R10) <= 1e-10
         # E is slightly below D in magnitude, so the flux undershoots the charge
         assert val < 1.0
@@ -720,37 +721,26 @@ class TestFluxCharge:
         cfg = three_charges()
         quad = QuadratureSpec(far_radius=100.0)
         for R in (10.0, 50.0):
-            val = flux_charge(pointwise(lambda y: displacement_field(cfg, y)), R, quad)
+            val = flux_charge(lambda pts: _batch_coulomb(cfg, cfg.qs, pts), R, quad)
             assert abs(val - cfg.total_q) <= 1e-10 * max(1.0, abs(cfg.total_q))
 
     def test_three_charge_e_flux_approaches_total(self):
         cfg = three_charges()
-        params = ModelParams.classical(1.0)
         quad = QuadratureSpec(far_radius=100.0)
-
-        def e_field(y):
-            d = displacement_field(cfg, y)
-            return d / math.sqrt(1.0 + float(d @ d))
-
-        val = flux_charge(pointwise(e_field), 50.0, quad)
+        val = flux_charge(classical_e(cfg), 50.0, quad)
         assert abs(val - (-0.5)) <= 1e-4
 
     def test_flux_ladder_monotone_toward_total_charge(self):
         cfg = three_charges()
         quad = QuadratureSpec.for_config(cfg)
-
-        def e_field(y):
-            d = displacement_field(cfg, y)
-            return d / math.sqrt(1.0 + float(d @ d))
-
-        errs = [abs(flux_charge(pointwise(e_field), R, quad) - cfg.total_q)
+        errs = [abs(flux_charge(classical_e(cfg), R, quad) - cfg.total_q)
                 for R in quad.flux_radii]
         assert all(b < a for a, b in zip(errs[:-1], errs[1:]))
 
     def test_off_center_sphere_same_charge(self):
         cfg = single_charge()
         quad = QuadratureSpec()
-        val = flux_charge(pointwise(lambda y: displacement_field(cfg, y)), 5.0, quad,
+        val = flux_charge(lambda pts: _batch_coulomb(cfg, cfg.qs, pts), 5.0, quad,
                           center=(1.0, -2.0, 0.5))
         assert abs(val - 1.0) <= 1e-9
 
@@ -768,17 +758,15 @@ class TestFluxCharge:
         quad = QuadratureSpec()
         calls = []
 
-        def stacked(y):
-            return np.stack((displacement_field(centred, y), displacement_field(off, y)))
-
         def counted(pts):
             calls.append(len(pts))
-            return pointwise(stacked)(pts)
+            return np.stack((_batch_coulomb(centred, centred.qs, pts),
+                             _batch_coulomb(off, off.qs, pts)), axis=1)
 
         flux = flux_charge(counted, 1.0, quad)
         assert flux.shape == (2,)
-        assert flux[0] == flux_charge(pointwise(lambda y: displacement_field(centred, y)), 1.0, quad)
-        assert flux[1] == flux_charge(pointwise(lambda y: displacement_field(off, y)), 1.0, quad)
+        assert flux[0] == flux_charge(lambda pts: _batch_coulomb(centred, centred.qs, pts), 1.0, quad)
+        assert flux[1] == flux_charge(lambda pts: _batch_coulomb(off, off.qs, pts), 1.0, quad)
         # the centred charge's flux is 1 to the rounding of the rule
         assert abs(flux[0] - 1.0) <= 4 * EPS and flux[1] != -2.0
         # levels of 8x16, 16x32 and 32x64 nodes, one rows call per level
@@ -868,13 +856,14 @@ class TestFluxRowsAgainstPointwise:
 
         def stacked(pts):
             levels.append(len(pts))
-            return np.concatenate((eh(pts), pointwise(
-                lambda y: displacement_field(centred, y))(pts)[:, None]), axis=1)
+            return np.concatenate((eh(pts), _batch_coulomb(centred, centred.qs, pts)[:, None]),
+                                  axis=1)
 
         flux = flux_charge(stacked, 3.0, quad)
         oracle = eh_pointwise(params, self.dyon)
         assert np.array_equal(flux[:2], flux_charge_pointwise(oracle, 3.0, quad))
-        assert flux[2] == flux_charge_pointwise(lambda y: displacement_field(centred, y), 3.0, quad)
+        assert flux[2] == flux_charge_pointwise(
+            lambda y: _batch_coulomb(centred, centred.qs, y[None, :])[0], 3.0, quad)
         assert abs(flux[2] - 1.0) <= 4 * EPS and len(levels) > 2
 
     def test_chunked_levels_keep_the_bits(self, monkeypatch):
@@ -1036,25 +1025,25 @@ class TestExponentProbe:
 
 
 def residual_pointwise(cfg, params, grid) -> ResidualReport:
-    """residual_suite point by point: fd_curl and fd_div of E, H and of D, B
-    at each point whose stencil is clear, against one-point current_rows
-    calls."""
-    def db(y):
-        return np.stack((displacement_field(cfg, y), magnetic_field(cfg, y)))
+    """residual_suite point by point: the oracle's curls and divergences of
+    E, H and of D, B at each point whose stencil is clear, against one-point
+    current_rows calls."""
+    def db(pts):
+        return np.moveaxis(_batch_coulomb(cfg, _db_weights(cfg), pts), 0, 1)
 
     eh = eh_field(params, cfg)
     details, method, skipped = [], None, 0
-    for x in np.asarray(grid, dtype=float):
-        h = fd_step(x)
+    pts = np.asarray(grid, dtype=float).reshape(-1, 3)
+    for x, h in zip(pts, currents._fd_step_rows(pts)):
         if not cfg.min_distance(x) > h + cfg.exclusion_radius:
             skipped += 1
             continue
         current = current_rows(params, cfg, x)
         raise_first(current.code, current.errors)
         method = current.method
-        curl_e, curl_h = fd_curl(eh, x, step=h)
-        div_d, div_b = fd_div(db, x, step=h)
-        curl_d, curl_b = fd_curl(db, x, step=h)
+        curl_e, curl_h = fd_curl(eh, x, step=h)[0]
+        div_d, div_b = fd_div(db, x, step=h)[0]
+        curl_d, curl_b = fd_curl(db, x, step=h)[0]
         details.append({
             "at": [float(v) for v in x],
             "div_d": abs(float(div_d)),
@@ -1102,9 +1091,7 @@ class TestResidualSuite:
         curls = [max(abs(v) for v in
                      (np.array(p["curl_e_jm"]),)) for p in report.details]
         assert any(c > 0.0 for c in curls)
-        from bifield.currents import jm_classical_electrostatic
-        assert max(np.max(np.abs(jm_classical_electrostatic(cfg, 1.0, np.array(p))))
-                   for p in self.grid_points()) > 1e-3
+        assert np.max(np.abs(current_rows(params, cfg, self.grid_points()).j_m)) > 1e-3
 
     def test_dyonic_kappa_positive_uses_fd_currents(self):
         cfg = single_charge(q=1.0, g=1.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bifield.currents import current_rows, jm_classical_electrostatic
+from bifield.currents import current_rows, eh_field
 from bifield.errors import SingularPoint
 from bifield.models import ModelParams
 from bifield.observables import hamiltonian_on_points
@@ -14,8 +14,6 @@ from bifield.sources import (
     _coulomb_gradient,
     _coulomb_offsets,
     _db_weights,
-    displacement_field,
-    magnetic_field,
 )
 
 from triple_sums import _coulomb_potential_sum, _coulomb_sum
@@ -40,7 +38,7 @@ def two_center():
 class TestSingleCharge:
     def test_coulomb_value(self):
         cfg = ChargeConfig.build([((0, 0, 0), 1.0, 0.0)])
-        d = displacement_field(cfg, (2.0, 0.0, 0.0))
+        d = _batch_coulomb(cfg, cfg.qs, np.array([[2.0, 0.0, 0.0]]))[0]
         np.testing.assert_allclose(d, [1.0 / (FOUR_PI * 4.0), 0.0, 0.0], rtol=1e-14)
 
     def test_potential_value(self):
@@ -53,7 +51,7 @@ class TestSingleCharge:
 
     def test_magnetic_uses_g(self):
         cfg = ChargeConfig.build([((0, 0, 0), 1.0, -4.0)])
-        b = magnetic_field(cfg, (0.0, 0.0, 1.0))
+        _, b = _batch_coulomb(cfg, _db_weights(cfg), np.array([[0.0, 0.0, 1.0]]))[:, 0]
         np.testing.assert_allclose(b, [0.0, 0.0, -4.0 / FOUR_PI], rtol=1e-14)
 
 
@@ -73,7 +71,7 @@ class TestGradientConsistency:
                 up = _coulomb_potential_sum(cfg, cfg.qs, x + e)
                 dn = _coulomb_potential_sum(cfg, cfg.qs, x - e)
                 grad[k] = (up - dn) / (2 * h)
-            d = displacement_field(cfg, x)
+            d = _batch_coulomb(cfg, cfg.qs, x[None, :])[0]
             np.testing.assert_allclose(-grad, d, rtol=1e-7, atol=1e-10)
 
     def test_b_is_minus_grad_magnetic_potential(self):
@@ -87,23 +85,24 @@ class TestGradientConsistency:
             up = _coulomb_potential_sum(cfg, cfg.gs, x + e)
             dn = _coulomb_potential_sum(cfg, cfg.gs, x - e)
             grad[k] = (up - dn) / (2 * h)
-        np.testing.assert_allclose(-grad, magnetic_field(cfg, x), rtol=1e-7, atol=1e-10)
+        b = _batch_coulomb(cfg, _db_weights(cfg), x[None, :])[1, 0]
+        np.testing.assert_allclose(-grad, b, rtol=1e-7, atol=1e-10)
 
 
 class TestExactCancellation:
     def test_mirror_pair_cancels_exactly(self):
         # fsum accumulation keeps the midpoint field at exactly zero
         cfg = ChargeConfig.build([((1, 0, 0), 2.0, 0.0), ((-1, 0, 0), 2.0, 0.0)])
-        d = displacement_field(cfg, (0.0, 0.0, 0.0))
+        d = _batch_coulomb(cfg, cfg.qs, np.zeros((1, 3)))[0]
         assert d[0] == 0.0
 
     def test_summation_in_config_order(self):
         cfg1 = ChargeConfig.build([((1, 2, 0), 1.0, 0.0), ((0, -1, 1), 2.0, 0.0)])
         cfg2 = ChargeConfig.build([((0, -1, 1), 2.0, 0.0), ((1, 2, 0), 1.0, 0.0)])
-        x = (0.3, 0.4, 0.5)
+        x = np.array([[0.3, 0.4, 0.5]])
         # fsum is order-independent up to the final rounding; values agree exactly
         np.testing.assert_array_equal(
-            displacement_field(cfg1, x), displacement_field(cfg2, x)
+            _batch_coulomb(cfg1, cfg1.qs, x), _batch_coulomb(cfg2, cfg2.qs, x)
         )
 
 
@@ -130,12 +129,12 @@ class TestKernelAgainstFsumOracle:
             cfg = random_config(rng, n)
             pts = rng.uniform(-3.0, 3.0, size=(8, 3))
             stacked = _batch_coulomb(cfg, _db_weights(cfg), pts)
+            single = [_batch_coulomb(cfg, w, pts) for w in (cfg.qs, cfg.gs)]
             for i, x in enumerate(pts):
-                for k, (w, field) in enumerate(((cfg.qs, displacement_field),
-                                                (cfg.gs, magnetic_field))):
+                for k, w in enumerate((cfg.qs, cfg.gs)):
                     ref = _coulomb_sum(cfg, w, x)
                     tol = self.bound(cfg, w, x)
-                    assert np.all(np.abs(field(cfg, x) - ref) <= tol)
+                    assert np.all(np.abs(single[k][i] - ref) <= tol)
                     assert np.all(np.abs(stacked[k, i] - ref) <= tol)
 
 
@@ -156,8 +155,7 @@ class TestStackedWeights:
             np.testing.assert_array_equal(f[k], f1)
             np.testing.assert_array_equal(grad[k], grad1)
         # a single point is the one-row batch
-        np.testing.assert_array_equal(displacement_field(cfg, pts[7]), fields[0, 7])
-        np.testing.assert_array_equal(magnetic_field(cfg, pts[7]), fields[1, 7])
+        np.testing.assert_array_equal(_batch_coulomb(cfg, weights, pts[7:8])[:, 0], fields[:, 7])
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_centre_sums_are_the_einsums_bits(self, n):
@@ -187,9 +185,9 @@ class TestExclusion:
     def test_singular_point_raises(self):
         cfg = two_center()
         with pytest.raises(SingularPoint):
-            displacement_field(cfg, (0.0, 0.0, 1e-12))
+            _batch_coulomb(cfg, cfg.qs, np.array([[0.0, 0.0, 1e-12]]))
         with pytest.raises(SingularPoint):
-            magnetic_field(cfg, (1.0, 1e-11, 0.0))
+            _batch_coulomb(cfg, cfg.gs, np.array([[1.0, 1e-11, 0.0]]))
 
     def test_batched_singular_point_names_point_and_charge(self):
         cfg = two_center()
@@ -212,19 +210,20 @@ class TestExclusion:
     def test_explicit_exclusion(self):
         cfg = ChargeConfig.build([((0, 0, 0), 1.0, 0.0)], exclusion_radius=0.1)
         with pytest.raises(SingularPoint):
-            displacement_field(cfg, (0.05, 0, 0))
-        displacement_field(cfg, (0.2, 0, 0))  # fine
+            _batch_coulomb(cfg, cfg.qs, np.array([[0.05, 0, 0]]))
+        _batch_coulomb(cfg, cfg.qs, np.array([[0.2, 0, 0]]))  # fine
 
     def test_exclusion_boundary_is_regular_everywhere(self):
         # strictly inside the ball is singular, the sphere itself is not, in
-        # the pointwise, batched and current paths alike
+        # the Coulomb kernel, the density, the inverted fields and the
+        # currents alike
         cfg = ChargeConfig.build([((0, 0, 0), 1.0, 0.0), ((2, 0, 0), -1.0, 0.0)],
                                  exclusion_radius=0.5)
         params = ModelParams.classical(beta=1.0)
         on, inside = np.array([0.5, 0.0, 0.0]), np.array([0.4999, 0.0, 0.0])
-        for fn in (lambda x: displacement_field(cfg, x),
+        for fn in (lambda x: _batch_coulomb(cfg, cfg.qs, x[None, :]),
                    lambda x: hamiltonian_on_points(params, cfg, x),
-                   lambda x: jm_classical_electrostatic(cfg, 1.0, x)):
+                   eh_field(params, cfg)):
             assert np.all(np.isfinite(fn(on)))
             with pytest.raises(SingularPoint):
                 fn(inside)
@@ -243,7 +242,7 @@ class TestFarField:
         ray = ray / np.linalg.norm(ray)
         errs = []
         for r in (1e2, 1e3):
-            d = displacement_field(cfg, r * ray)
+            d = _batch_coulomb(cfg, cfg.qs, r * ray[None, :])[0]
             ratio = np.linalg.norm(d) * r * r * FOUR_PI / abs(total)
             errs.append(abs(ratio - 1.0))
         assert errs[0] <= 1e-2
