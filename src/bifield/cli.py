@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import re
@@ -39,7 +38,7 @@ from .continuous import (
     state_rows,
     two_gaussian_source,
 )
-from .currents import current_rows, eh_rows
+from .currents import current_method, current_rows, eh_rows
 from .errors import ConfigError, DomainViolation, FieldError, SingularPoint, fail_rows, merge_failures
 from .models import CLASSICAL, ModelParams
 from .observables import QuadratureSpec, density_rows, free_charge_with_inner_spheres, total_energy
@@ -389,14 +388,13 @@ def config_digest(cfg: RunConfig) -> str:
 # -- output helpers ----------------------------------------------------------
 
 
-def grid_points(cfg: RunConfig) -> np.ndarray:
-    """Probe grid as an (N, 3) array, row-major with z fastest."""
-    axes = [
-        np.linspace(cfg.grid_lo[i], cfg.grid_hi[i], cfg.grid_shape[i])
-        for i in range(3)
-    ]
-    xs, ys, zs = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
+def grid_points(cfg: RunConfig, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """Rows start to stop (default: all) of the probe grid as an (M, 3)
+    array, row-major with z fastest, built from their flat indices."""
+    shape = cfg.grid_shape
+    idx = np.unravel_index(np.arange(start, math.prod(shape) if stop is None else stop), shape)
+    return np.column_stack([np.linspace(cfg.grid_lo[i], cfg.grid_hi[i], shape[i])[idx[i]]
+                            for i in range(3)])
 
 
 def _report_head(cfg: Optional[RunConfig], seed: int) -> dict:
@@ -407,16 +405,19 @@ def _report_head(cfg: Optional[RunConfig], seed: int) -> dict:
     }
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Numbers as '%.17g' (the bytes of format(float(v), '.17g')), text
-    columns as they are; the column kinds come from the first row, and the
-    whole body is formatted by one '%' over the flattened cells."""
+def _write_csv(path: Path, header, blocks, text=()) -> None:
+    """Write a table as its float blocks of shape (M, k) are drawn, each row
+    ending in the constant text cells; numbers are '%.17g' (the bytes of
+    format(float(v), '.17g')), one '%' per block."""
     # '.' decimal separator and '\n' line endings regardless of platform
-    body = ""
-    if rows:
-        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
-        body = (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
-    _write_text(path, ",".join(header) + "\n" + body)
+    line = ",".join(["%.17g"] * (len(header) - len(text)) + list(text))
+
+    def parts():
+        yield ",".join(header) + "\n"
+        for block in blocks:
+            yield ((line + "\n") * len(block)) % tuple(block.ravel().tolist())
+
+    _write_text(path, parts())
 
 
 def _finite_or_none(v) -> Optional[float]:
@@ -427,43 +428,28 @@ def _finite_or_none(v) -> Optional[float]:
 
 def _write_json(path: Path, payload: dict) -> None:
     # a non-finite number fails loudly instead of writing invalid JSON
-    _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    _write_text(path, [json.dumps(payload, indent=2, allow_nan=False) + "\n"])
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, parts) -> None:
+    """Write the strings of parts as they are drawn, opening the file before
+    the first; a write stopped by any exception removes the file."""
+    fh = None
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _cannot_write(path, exc) from None
+        fh = open(path, "w", newline="")
+        with fh:
+            for part in parts:
+                fh.write(part)
+    except BaseException as exc:
+        if fh is not None:
+            path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise _cannot_write(path, exc) from None
+        raise
 
 
 def _cannot_write(path: Path, exc: OSError) -> ConfigError:
     return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
-
-
-def _emit_table(out_dir: Path, name: str, fmt: str, header, rows,
-                head: dict, extra: dict) -> list:
-    """Write a field table plus its JSON report, return written paths."""
-    written = []
-    report = dict(head)
-    report.update(extra)
-    report["columns"] = list(header)
-    report["n_rows"] = len(rows)
-    if fmt == "csv":
-        table = out_dir / f"{name}.csv"
-        _write_csv(table, header, rows)
-        written.append(table)
-        report["table"] = table.name
-        report_path = out_dir / f"{name}.report.json"
-    else:
-        report["rows"] = [
-            [v if isinstance(v, str) else float(v) for v in row] for row in rows
-        ]
-        report_path = out_dir / f"{name}.json"
-    _write_json(report_path, report)
-    written.append(report_path)
-    return written
 
 
 def _emit_failures(out_dir: Path, name: str, head: dict, failures: list) -> Optional[Path]:
@@ -484,38 +470,50 @@ def _emit_failures(out_dir: Path, name: str, head: dict, failures: list) -> Opti
     return path
 
 
-def _grid_command(cfg: RunConfig, args, name: str, columns, rows_at) -> int:
-    """Evaluate the grid in chunks of GRID_CHUNK points and write the table,
-    its report and the errors file.
+def _grid_command(cfg: RunConfig, args, name: str, columns, rows_at, text=()) -> int:
+    """Evaluate the grid in chunks of GRID_CHUNK points, then write the
+    report and the errors file.
 
-    rows_at(pts) returns a row of cells per point, a failure code per point
-    and the list of exceptions the codes index (see errors.fail_rows). A
-    SingularPoint skips the point; any other failure is recorded with its
-    location and type, and the command exits 2 after writing the rows that
-    did evaluate. The report counts both, failures by error type.
+    rows_at(pts) returns its points' float cells as an (M, k) array, a
+    failure code per point and the exceptions the codes index (see
+    errors.fail_rows); text holds the constant text cells that end every
+    row. A SingularPoint skips the point; any other failure is recorded with
+    its location and type, and the command exits 2 after writing the rows
+    that did evaluate. The report counts both, failures by error type. A
+    csv table is opened before the first chunk and takes each chunk's rows
+    as they are evaluated, so memory stays flat in the grid size (the json
+    document holds every row); a run stopped by any exception leaves none.
     """
-    rows, skipped, failures = [], 0, []
-    pts = grid_points(cfg)
-    for start in range(0, len(pts), GRID_CHUNK):
-        chunk = pts[start:start + GRID_CHUNK]
-        cells, code, errors = rows_at(chunk)
-        for x, row, k in zip(chunk, cells, code.tolist()):
-            if not k:
-                rows.append(row)
-            elif isinstance(errors[k - 1], SingularPoint):
-                skipped += 1
-            else:
-                exc = errors[k - 1]
-                failures.append({"at": [float(v) for v in x],
-                                 "error": type(exc).__name__, "detail": str(exc)})
+    n_points, counts, failures = math.prod(cfg.grid_shape), Counter(), []
+
+    def blocks():
+        for start in range(0, n_points, GRID_CHUNK):
+            pts = grid_points(cfg, start, min(start + GRID_CHUNK, n_points))
+            cells, code, errors = rows_at(pts)
+            ok = code == 0
+            skip = np.array([False] + [isinstance(exc, SingularPoint) for exc in errors])[code]
+            bad = ~ok & ~skip
+            failures.extend({"at": x, "error": type(errors[k - 1]).__name__,
+                             "detail": str(errors[k - 1])}
+                            for x, k in zip(pts[bad].tolist(), code[bad].tolist()))
+            counts.update(rows=int(ok.sum()), skipped=int(skip.sum()))
+            yield cells[ok]
+
+    if args.effective_format == "csv":
+        table = args.out_dir / f"{name}.csv"
+        _write_csv(table, columns, blocks(), text)
+        print(f"wrote {table}")
+        out, report_path = {"table": table.name}, args.out_dir / f"{name}.report.json"
+    else:
+        rows = [row + list(text) for block in blocks() for row in block.tolist()]
+        out, report_path = {"rows": rows}, args.out_dir / f"{name}.json"
     head = _report_head(cfg, args.effective_seed)
     by_error = Counter(f["error"] for f in failures)
-    extra = {"command": name, "n_skipped": skipped, "n_failed": len(failures),
-             "failures_by_error": dict(sorted(by_error.items()))}
-    written = _emit_table(args.out_dir, name, args.effective_format,
-                          columns, rows, head, extra)
-    for path in written:
-        print(f"wrote {path}")
+    _write_json(report_path, dict(
+        head, command=name, n_skipped=counts["skipped"], n_failed=len(failures),
+        failures_by_error=dict(sorted(by_error.items())), columns=list(columns),
+        n_rows=counts["rows"], **out))
+    print(f"wrote {report_path}")
     path = _emit_failures(args.out_dir, name, head, failures)
     if failures:
         print(f"{len(failures)} grid point(s) failed, see {path}", file=sys.stderr)
@@ -539,7 +537,7 @@ def _field_rows(params: ModelParams, pts, d, b, e, h, s, j_m, code, errors):
     dens = np.zeros(len(pts))
     dens[ok] = density_rows(params, d[ok], b[ok], e[ok], s[ok])
     fail_rows(code, errors, ~np.isfinite(dens), DomainViolation("non-finite energy density"))
-    return np.column_stack((pts, e, h, j_m, dens)).tolist(), code, errors
+    return np.column_stack((pts, e, h, j_m, dens)), code, errors
 
 
 def _cmd_sample(cfg: RunConfig, args) -> int:
@@ -564,10 +562,10 @@ def _cmd_current(cfg: RunConfig, args) -> int:
 
     def rows_at(pts):
         cur = current_rows(params, charges, pts)
-        cells = np.column_stack((pts, cur.j_e, cur.j_m)).tolist()
-        return [row + [cur.method] for row in cells], cur.code, cur.errors
+        return np.column_stack((pts, cur.j_e, cur.j_m)), cur.code, cur.errors
 
-    return _grid_command(cfg, args, "current", CURRENT_COLUMNS, rows_at)
+    return _grid_command(cfg, args, "current", CURRENT_COLUMNS, rows_at,
+                         (current_method(params, charges),))
 
 
 def _cmd_continuous(cfg: RunConfig, args) -> int:
@@ -619,7 +617,7 @@ def _cmd_charge(cfg: RunConfig, args) -> int:
     if args.effective_format == "csv":
         table = args.out_dir / "flux_ladder.csv"
         _write_csv(table, ("radius", "e_flux", "h_flux"),
-                   [(e["radius"], e["e_flux"], e["h_flux"]) for e in ladder])
+                   [np.array([[e["radius"], e["e_flux"], e["h_flux"]] for e in ladder])])
         print(f"wrote {table}")
         report = args.out_dir / "charge.report.json"
     else:
@@ -710,7 +708,8 @@ _OPTIONS = {
     "--config": (Path, None, "JSON run configuration"),
     "--out-dir": (Path, Path("."), "directory for outputs (created if missing)"),
     "--seed": (int, None, "override the config seed"),
-    "--threads": (int, 1, "accepted for compatibility; grids are evaluated in one thread"),
+    "--threads": (int, 1, "ignored; bifield starts no threads, but numpy's OpenBLAS "
+                          "does: set OPENBLAS_NUM_THREADS"),
     "--format": (_output_format, None, "override the config output format: csv or json"),
     "--R": (float, None, "base radius of the flux ladder (R, 2R, 4R, 8R)"),
 }

@@ -43,6 +43,7 @@ __all__ = [
     "eh_rows",
     "eh_field",
     "CurrentRows",
+    "current_method",
     "current_rows",
 ]
 
@@ -243,9 +244,18 @@ def _fd_rows(params: ModelParams, db_rows: Callable, pts: np.ndarray, h: np.ndar
     return curl[:, 0], curl[:, 1], code, errors
 
 
+def current_method(params: ModelParams, cfg: ChargeConfig) -> str:
+    """The route current_rows takes for a configuration: "analytic" (the
+    closed forms) for electric-only and magnetic-only configurations and
+    the classical kappa = 0 dyonic case, else "fd"."""
+    if not cfg.gs.any() or not cfg.qs.any() or (params.kind == CLASSICAL and params.kappa == 0.0):
+        return "analytic"
+    return "fd"
+
+
 def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> CurrentRows:
-    """Evaluate (j_e, j_m) at points of shape (N, 3), choosing the best
-    available route; every row is what a one-point call gives there.
+    """Evaluate (j_e, j_m) at points of shape (N, 3) by the route that
+    current_method picks; every row is what a one-point call gives there.
 
     Electric-only and magnetic-only configurations and the classical
     kappa = 0 dyonic case use the closed forms, on all points at once.
@@ -265,12 +275,12 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> Current
     j_m = np.zeros((n, 3))
     code = np.zeros(n, dtype=np.int64)
     errors: list = []
-    electric_only = bool(np.all(cfg.gs == 0.0))
-    magnetic_only = bool(np.all(cfg.qs == 0.0))
+    electric_only = not cfg.gs.any()
+    magnetic_only = not cfg.qs.any()
     classical = params.kind == CLASSICAL
+    method = current_method(params, cfg)
     with np.errstate(all="ignore"):
-        if electric_only or magnetic_only or (classical and params.kappa == 0.0):
-            method = "analytic"
+        if method == "analytic":
             rs, dist, inside = _coulomb_offsets(cfg, pts, mask=True)
             idx = mark_singular(cfg, pts, code, errors, inside)
             rs, dist = rs[idx], dist[idx]
@@ -297,7 +307,6 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> Current
                 j_e[idx] = -_dyonic_k0_curl(params.beta, b, grad_b2, d, grad_d2)
         else:
             # a stencil entering an exclusion ball skips its point
-            method = "fd"
             h = _fd_step_rows(pts)
             clear = _stencil_clear(cfg, pts, h)
             fail_rows(code, errors, ~clear,

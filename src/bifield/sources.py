@@ -61,10 +61,17 @@ class ChargeConfig:
     The exclusion radius defaults to 1e-9 times the configuration diameter
     (or 1e-9 for a single center); field evaluation strictly inside any
     exclusion ball raises SingularPoint rather than returning huge numbers.
+    positions, qs and gs (read-only arrays), diameter and min_separation
+    are computed once, when the configuration is built.
     """
 
     charges: tuple
     exclusion_radius: float = field(default=None)  # type: ignore[assignment]
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
+    qs: np.ndarray = field(init=False, repr=False, compare=False)
+    gs: np.ndarray = field(init=False, repr=False, compare=False)
+    diameter: float = field(init=False, repr=False, compare=False)
+    min_separation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         chs = tuple(
@@ -74,10 +81,17 @@ class ChargeConfig:
             raise ValueError("configuration needs at least one charge")
         object.__setattr__(self, "charges", chs)
         pos = np.array([c.position for c in chs])
-        for i in range(len(chs)):
-            for j in range(i + 1, len(chs)):
-                if np.array_equal(pos[i], pos[j]):
-                    raise ValueError(f"charges {i} and {j} share a position")
+        same = np.argwhere(np.triu((pos[:, None] == pos[None, :]).all(axis=2), 1))
+        if len(same):
+            raise ValueError(f"charges {same[0][0]} and {same[0][1]} share a position")
+        for name, arr in (("positions", pos), ("qs", np.array([c.q for c in chs])),
+                          ("gs", np.array([c.g for c in chs]))):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        dists = [float(np.linalg.norm(pos[i] - pos[j]))
+                 for i in range(len(pos)) for j in range(i + 1, len(pos))]
+        object.__setattr__(self, "diameter", max(dists, default=0.0))
+        object.__setattr__(self, "min_separation", min(dists, default=math.inf))
         if self.exclusion_radius is None:
             object.__setattr__(self, "exclusion_radius", 1e-9 * max(self.diameter, 1.0))
         elif not (self.exclusion_radius > 0.0):
@@ -90,31 +104,6 @@ class ChargeConfig:
 
     def __len__(self) -> int:
         return len(self.charges)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([c.position for c in self.charges])
-
-    @property
-    def qs(self) -> np.ndarray:
-        return np.array([c.q for c in self.charges])
-
-    @property
-    def gs(self) -> np.ndarray:
-        return np.array([c.g for c in self.charges])
-
-    def _pair_distances(self) -> list:
-        pos = self.positions
-        return [float(np.linalg.norm(pos[i] - pos[j]))
-                for i in range(len(pos)) for j in range(i + 1, len(pos))]
-
-    @property
-    def diameter(self) -> float:
-        return max(self._pair_distances(), default=0.0)
-
-    @property
-    def min_separation(self) -> float:
-        return min(self._pair_distances(), default=math.inf)
 
     @property
     def centroid(self) -> np.ndarray:

@@ -33,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; grids are evaluated "
-                             "in one thread")
+                        help="ignored; bifield starts no threads, but numpy's "
+                             "OpenBLAS does: set OPENBLAS_NUM_THREADS")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="override the config output format")
     sub = parser.add_subparsers(dest="command", required=True)

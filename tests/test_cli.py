@@ -8,6 +8,7 @@ determinism across reruns and thread counts, and the verify command.
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -587,6 +588,53 @@ class TestGridChunks:
         assert (report["n_failed"], report["failures_by_error"]) == (0, {})
 
 
+class TestTableStream:
+    """A csv table is opened before the first chunk and written chunk by chunk."""
+
+    def test_csv_peak_memory_is_flat_in_the_grid_size(self, tmp_path, monkeypatch):
+        # a grid of 4913 points peaks where one of 512 does, at one chunk's
+        # memory; the first run fills the caches a command keeps
+        monkeypatch.setattr(cli, "GRID_CHUNK", 256)
+        peaks = []
+        for n in (8, 8, 17):
+            path = write_config(tmp_path, pair_config(shape=(n, n, n)), name=f"{n}.json")
+            tracemalloc.start()
+            try:
+                assert main(["sample", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= 1.25 * peaks[1]
+
+    @pytest.mark.parametrize("stop", [KeyboardInterrupt, RuntimeError])
+    def test_interrupted_run_leaves_no_table(self, tmp_path, monkeypatch, stop):
+        monkeypatch.setattr(cli, "GRID_CHUNK", 16)
+        calls = []
+
+        def second_chunk_stops(*args):
+            calls.append(len(args[2]))
+            if len(calls) == 2:
+                raise stop("stopped")
+            return currents.eh_rows(*args)
+
+        monkeypatch.setattr(cli, "eh_rows", second_chunk_stops)
+        path = write_config(tmp_path, pair_config())
+        with pytest.raises(stop):
+            main(["sample", "--config", str(path), "--out-dir", str(tmp_path)])
+        assert calls == [16, 16]
+        assert not (tmp_path / "sample.csv").exists()
+        assert not (tmp_path / "sample.report.json").exists()
+
+    def test_unwritable_table_fails_before_evaluation(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "eh_rows", lambda *args: calls.append(args))
+        path = write_config(tmp_path, pair_config(shape=(2, 2, 2)))
+        (tmp_path / "sample.csv").mkdir()
+        assert main(["sample", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {tmp_path / 'sample.csv'}: ")
+        assert calls == []
+
+
 class TestFieldRows:
     """sample and continuous build their rows in one place, cli._field_rows."""
 
@@ -830,13 +878,12 @@ class TestCsvCells:
     def test_bytes_match_per_cell_format(self, tmp_path):
         cells = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
                  0.1, -1.0 / 3.0, 2.0**53 + 2.0, 1e-310, 123456789.0]
-        rows = [[v, cells[-1 - k], np.float64(v), k, "closed_form" if k % 2 else "fd"]
-                for k, v in enumerate(cells)]
+        rows = [[v, cells[-1 - k], np.float64(v), k] for k, v in enumerate(cells)]
         header = ("a", "b", "c", "n", "method")
-        cli._write_csv(tmp_path / "t.csv", header, rows)
+        block = np.array(rows)
+        cli._write_csv(tmp_path / "t.csv", header, [block[:5], block[5:5], block[5:]], ("fd",))
         reference = ",".join(header) + "\n" + "".join(
-            ",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row) + "\n"
-            for row in rows)
+            ",".join([format(float(v), ".17g") for v in row] + ["fd"]) + "\n" for row in rows)
         assert (tmp_path / "t.csv").read_bytes() == reference.encode()
 
     def test_header_only_table(self, tmp_path):

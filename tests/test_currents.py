@@ -547,7 +547,7 @@ class TestDispatcher:
         # same rows (closed form and inverted), come out empty
         for pts in (np.empty((0, 3)), []):
             rows = current_rows(params, cfg, pts)
-            assert rows.method == method
+            assert rows.method == currents.current_method(params, cfg) == method
             assert rows.j_e.shape == rows.j_m.shape == (0, 3)
             assert rows.code.shape == (0,) and rows.errors == []
             assert hamiltonian_on_points(params, cfg, pts).shape == (0,)

@@ -268,3 +268,28 @@ class TestValidation:
         assert cfg.total_q == pytest.approx(-1.0)
         assert cfg.total_g == pytest.approx(0.75)
         assert len(cfg) == 2
+
+    def test_derived_values_are_computed_once_and_read_only(self):
+        # the arrays and pair distances of a configuration, bit for bit those
+        # of the per-charge and per-pair expressions, fixed when it is built
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7):
+            cfg = random_config(rng, n)
+            pos = np.array([c.position for c in cfg.charges])
+            dists = [float(np.linalg.norm(pos[i] - pos[j]))
+                     for i in range(n) for j in range(i + 1, n)]
+            assert np.array_equal(cfg.positions, pos)
+            assert np.array_equal(cfg.qs, [c.q for c in cfg.charges])
+            assert np.array_equal(cfg.gs, [c.g for c in cfg.charges])
+            assert cfg.diameter == max(dists, default=0.0)
+            assert cfg.min_separation == min(dists, default=math.inf)
+            assert cfg.positions is cfg.positions
+            for arr in (cfg.positions, cfg.qs, cfg.gs):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
+    def test_duplicate_position_names_the_first_pair(self):
+        entries = [((0, 0, 0), 1.0, 0.0), ((1, 0, 0), 1.0, 0.0), ((1, 0, 0), 2.0, 0.0),
+                   ((-0.0, 0, 0), -1.0, 0.0)]
+        with pytest.raises(ValueError, match="charges 0 and 3 share a position"):
+            ChargeConfig.build(entries)
