@@ -41,7 +41,8 @@ from .continuous import (
 from .currents import current_method, current_rows, eh_rows
 from .errors import ConfigError, DomainViolation, FieldError, SingularPoint, fail_rows, merge_failures
 from .models import CLASSICAL, ModelParams
-from .observables import QuadratureSpec, density_rows, free_charge_with_inner_spheres, total_energy
+from .observables import (QuadratureSpec, _far_radius, density_rows,
+                          free_charge_with_inner_spheres, total_energy)
 from .sources import ChargeConfig
 
 EXIT_OK = 0
@@ -256,29 +257,12 @@ def _source_from_norm(norm: dict, base_dir: Path, magnetic: bool = False) -> Con
     )
 
 
-def _quad_from_section(sec, charges: Optional[ChargeConfig]) -> QuadratureSpec:
-    base = QuadratureSpec.for_config(charges) if charges is not None else QuadratureSpec()
-    if sec is None:
-        return base
-    sec = _require_mapping(sec, "quadrature")
+def _quad_from_section(sec) -> QuadratureSpec:
+    sec = _require_mapping({} if sec is None else sec, "quadrature")
     _reject_unknown(sec, _QUAD_KEYS, "quadrature")
-    overrides = {}
-    for key in _QUAD_KEYS:
-        if key not in sec:
-            continue
-        if key == "flux_radii":
-            if not isinstance(sec[key], (list, tuple)):
-                raise ConfigError("quadrature.flux_radii must be a list")
-            overrides[key] = tuple(_as_float(v, "flux_radii entry") for v in sec[key])
-        elif key == "max_subdivisions":
-            overrides[key] = _as_int(sec[key], "quadrature.max_subdivisions")
-        else:
-            overrides[key] = _as_float(sec[key], f"quadrature.{key}")
-    return dataclasses.replace(base, **overrides)
-
-
-def _quad_section(quad: QuadratureSpec) -> dict:
-    return dict(dataclasses.asdict(quad), flux_radii=[float(r) for r in quad.flux_radii])
+    return QuadratureSpec(**{
+        key: (_as_int if key == "max_subdivisions" else _as_float)(sec[key], f"quadrature.{key}")
+        for key in _QUAD_KEYS if key in sec})
 
 
 def _grid_from_section(sec) -> tuple:
@@ -326,7 +310,7 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> RunConfig:
     if charges is None and source is None:
         raise ConfigError("config needs a charges section, a continuous section, or both")
 
-    quad = _quad_from_section(data.get("quadrature"), charges)
+    quad = _quad_from_section(data.get("quadrature"))
     grid_lo, grid_hi, grid_shape, grid_norm = _grid_from_section(data.get("grid"))
 
     out_sec = _require_mapping(data.get("output", {}), "output")
@@ -344,7 +328,7 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> RunConfig:
         norm["charges"] = charges_norm
     if source_norm is not None:
         norm["continuous"] = source_norm
-    norm["quadrature"] = _quad_section(quad)
+    norm["quadrature"] = dataclasses.asdict(quad)
     norm["grid"] = grid_norm
     norm["output"] = {"format": out_format}
     norm["seed"] = seed
@@ -452,15 +436,19 @@ def _cannot_write(path: Path, exc: OSError) -> ConfigError:
     return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _remove(path: Path) -> None:
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+
+
 def _emit_failures(out_dir: Path, name: str, head: dict, failures: list) -> Optional[Path]:
     """Write <name>.errors.json, or remove it when there are no failures so
     that a clean rerun leaves no errors file from an earlier run behind."""
     path = out_dir / f"{name}.errors.json"
     if not failures:
-        try:
-            path.unlink(missing_ok=True)
-        except OSError as exc:
-            raise _cannot_write(path, exc) from None
+        _remove(path)
         return None
     payload = dict(head)
     payload["command"] = name
@@ -482,9 +470,14 @@ def _grid_command(cfg: RunConfig, args, name: str, columns, rows_at, text=()) ->
     that did evaluate. The report counts both, failures by error type. A
     csv table is opened before the first chunk and takes each chunk's rows
     as they are evaluated, so memory stays flat in the grid size (the json
-    document holds every row); a run stopped by any exception leaves none.
+    document holds every row); a run stopped by any exception leaves none,
+    and no report or errors file of an earlier run either.
     """
     n_points, counts, failures = math.prod(cfg.grid_shape), Counter(), []
+    csv = args.effective_format == "csv"
+    report_path = args.out_dir / (f"{name}.report.json" if csv else f"{name}.json")
+    for path in (report_path, args.out_dir / f"{name}.errors.json"):
+        _remove(path)
 
     def blocks():
         for start in range(0, n_points, GRID_CHUNK):
@@ -499,14 +492,13 @@ def _grid_command(cfg: RunConfig, args, name: str, columns, rows_at, text=()) ->
             counts.update(rows=int(ok.sum()), skipped=int(skip.sum()))
             yield cells[ok]
 
-    if args.effective_format == "csv":
+    if csv:
         table = args.out_dir / f"{name}.csv"
         _write_csv(table, columns, blocks(), text)
         print(f"wrote {table}")
-        out, report_path = {"table": table.name}, args.out_dir / f"{name}.report.json"
+        out = {"table": table.name}
     else:
-        rows = [row + list(text) for block in blocks() for row in block.tolist()]
-        out, report_path = {"rows": rows}, args.out_dir / f"{name}.json"
+        out = {"rows": [row + list(text) for block in blocks() for row in block.tolist()]}
     head = _report_head(cfg, args.effective_seed)
     by_error = Counter(f["error"] for f in failures)
     _write_json(report_path, dict(
@@ -586,14 +578,10 @@ def _cmd_charge(cfg: RunConfig, args) -> int:
     if cfg.charges is None:
         raise ConfigError("charge requires a charges section")
     params, charges, quad = cfg.model, cfg.charges, cfg.quadrature
-    if args.R is not None:
-        if not (args.R > 0.0 and math.isfinite(args.R)):
-            raise ConfigError(f"--R must be a positive radius, got {args.R!r}")
-        radii = [args.R * 2.0**k for k in range(4)]
-    elif quad.flux_radii:
-        radii = [float(r) for r in quad.flux_radii]
-    else:
-        radii = [quad.far_radius * 2.0**k for k in range(4)]
+    if args.R is not None and not (args.R > 0.0 and math.isfinite(args.R)):
+        raise ConfigError(f"--R must be a positive radius, got {args.R!r}")
+    base = _far_radius(charges) if args.R is None else args.R
+    radii = [base * 2.0**k for k in range(4)]
 
     head = _report_head(cfg, args.effective_seed)
     try:

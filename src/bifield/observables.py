@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainViolation, QuadratureError, SingularPoint, raise_first
 from .models import ModelParams, CLASSICAL, QUADRATIC
-from .sources import ChargeConfig, _batch_coulomb, _db_weights, as_vec3
+from .sources import ChargeConfig, _batch_coulomb, _coulomb_offsets, _db_weights, as_vec3
 from .constitutive import cross_rows, dyonic_eh_rows, rowdot
 from .currents import (_curl, _fd_step_rows, _stencil, _stencil_clear, current_rows, eh_field,
                        eh_rows)
@@ -57,68 +57,30 @@ _FLUX_CHUNK = 32768            # quadrature nodes per field call, which bounds m
 _DIVERGENT_SLOPE = -2.95
 
 
-def _cell_scale(cfg: ChargeConfig) -> float:
-    """45% of the minimum pairwise separation, the scale at which the cells
-    of neighbouring charges meet, or 1 for one charge."""
-    sep = cfg.min_separation
-    return 1.0 if not math.isfinite(sep) else 0.45 * sep
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Geometry and tolerances for the energy and flux quadratures.
+    """Tolerances for the energy, flux and Newton-potential quadratures.
 
-    ball_radius r_b caps the scale of the near-charge probe radii,
-    exclusion is the radius of the ball around each centre that the energy
-    integral leaves out, far_radius R_far the radius of the outer flux
-    sphere. Invariants: 0 < exclusion < r_b < min pairwise charge distance / 2
-    and R_far > configuration diameter.
+    Their geometry comes from the charge configuration: the radial scale
+    ChargeConfig.cell_scale, the exclusion balls of radius
+    ChargeConfig.exclusion_radius, and the outer flux sphere _far_radius.
     """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-6
     max_subdivisions: int = 8
-    ball_radius: float = 1.0
-    far_radius: float = 10.0
-    exclusion: float = 1e-8
-    flux_radii: tuple = ()
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ConfigError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ConfigError("max_subdivisions must be at least 1")
-        if not (0.0 < self.exclusion < self.ball_radius < self.far_radius):
-            raise ConfigError("need 0 < exclusion < ball_radius < far_radius")
-        if not all(r > 0.0 and math.isfinite(r) for r in self.flux_radii):
-            raise ConfigError(f"flux_radii must be positive and finite, got {self.flux_radii!r}")
 
-    @classmethod
-    def for_config(cls, cfg: ChargeConfig, rel_tol: float = 1e-6,
-                   abs_tol: float = 1e-6, max_subdivisions: int = 8) -> "QuadratureSpec":
-        """Pick radii suited to a charge configuration.
 
-        The ball radius is _cell_scale(cfg), the radial scale of the
-        energy grid.
-        """
-        r_b = _cell_scale(cfg)
-        r_far = max(4.0 * (cfg.diameter + r_b), 10.0 * r_b)
-        return cls(
-            rel_tol=rel_tol,
-            abs_tol=abs_tol,
-            max_subdivisions=max_subdivisions,
-            ball_radius=r_b,
-            far_radius=r_far,
-            exclusion=1e-8 * r_b,
-            flux_radii=tuple(r_far * 2.0**k for k in range(4)),
-        )
-
-    def validate_for(self, cfg: ChargeConfig) -> None:
-        sep = cfg.min_separation
-        if math.isfinite(sep) and not (self.ball_radius < 0.5 * sep):
-            raise ConfigError("ball_radius must be below half the minimum charge separation")
-        if not (self.far_radius > cfg.diameter):
-            raise ConfigError("far_radius must exceed the configuration diameter")
+def _far_radius(cfg: ChargeConfig) -> float:
+    """The radius of the outer flux sphere about the centroid, beyond every
+    charge and its cell: max(4 (diameter + cell_scale), 10 cell_scale)."""
+    return max(4.0 * (cfg.diameter + cfg.cell_scale), 10.0 * cfg.cell_scale)
 
 
 @dataclass(frozen=True)
@@ -264,9 +226,9 @@ def _sphere_rule(n_mu: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     return dirs, weights
 
 
-def default_probe_radii(ball_radius: float) -> np.ndarray:
-    """Log-spaced radii between 1e-2 and 1e-4 ball radii, decreasing."""
-    return ball_radius * np.geomspace(1e-2, 1e-4, 7)
+def default_probe_radii(scale: float) -> np.ndarray:
+    """Log-spaced radii between 1e-2 and 1e-4 times scale, decreasing."""
+    return scale * np.geomspace(1e-2, 1e-4, 7)
 
 
 def divergence_exponent_probe(cfg: ChargeConfig, params: ModelParams,
@@ -314,19 +276,19 @@ def _radial_rule(n: int, r_m: float, exclusion: float) -> tuple[np.ndarray, np.n
     return r, w * r_m * g * (3.0 / (1.0 + x) + 1.0 / (1.0 - x)) * r * r
 
 
-def _becke_weights(cfg: ChargeConfig, index: int, pts: np.ndarray, exclusion: float) -> np.ndarray:
+def _becke_weights(cfg: ChargeConfig, index: int, pts: np.ndarray) -> np.ndarray:
     """Becke's fuzzy-cell weight of centre index at points of shape (N, 3).
 
     w_i = P_i / sum_j P_j with P_j = prod_{k != j} s(mu_jk), where
     mu_jk = (|x - x_j| - |x - x_k|) / |x_j - x_k| and s = (1 - p(p(p(mu))))/2,
     p(mu) = 1.5 mu - 0.5 mu^3. The weights of all centres sum to 1; for one
-    centre w is exactly 1. A point within exclusion of any centre lies
-    outside the domain and gets 0.
+    centre w is exactly 1. A point that _coulomb_offsets rejects, strictly
+    inside an exclusion ball, lies outside the domain and gets 0.
     """
     if len(cfg) == 1:
         return np.ones(len(pts))
     pos = cfg.positions
-    dist = np.linalg.norm(pts[:, None, :] - pos[None, :, :], axis=-1)
+    _, dist, inside = _coulomb_offsets(cfg, pts, mask=True)
     sep = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
     np.fill_diagonal(sep, 1.0)
     cell = np.ones_like(dist)
@@ -337,16 +299,16 @@ def _becke_weights(cfg: ChargeConfig, index: int, pts: np.ndarray, exclusion: fl
             mu = 1.5 * mu - 0.5 * mu**3
         cell *= 0.5 * (1.0 - mu)
     w = cell[:, index] / cell.sum(axis=1)
-    w[np.any(dist <= exclusion, axis=1)] = 0.0
+    w[inside.any(axis=1)] = 0.0
     return w
 
 
-def _becke_level(params, cfg: ChargeConfig, quad: QuadratureSpec, level: int) -> tuple[list, int]:
+def _becke_level(params, cfg: ChargeConfig, level: int) -> tuple[list, int]:
     """Each centre's integral of w_i H on its level grid, and the number of
     nodes evaluated. Nodes of zero weight are not evaluated; the others go
     to hamiltonian_on_points in chunks of at most _FLUX_CHUNK nodes."""
     n_r, n_mu, n_phi = _becke_orders(level)
-    r, w_r = _radial_rule(n_r, _cell_scale(cfg), quad.exclusion)
+    r, w_r = _radial_rule(n_r, cfg.cell_scale, cfg.exclusion_radius)
     dirs, w_ang = _sphere_rule(n_mu, n_phi)
     cells, nodes = [], 0
     for i, center in enumerate(cfg.positions):
@@ -354,7 +316,7 @@ def _becke_level(params, cfg: ChargeConfig, quad: QuadratureSpec, level: int) ->
         for lo in range(0, n_r * len(dirs), _FLUX_CHUNK):
             k_r, k_dir = np.divmod(np.arange(lo, min(lo + _FLUX_CHUNK, n_r * len(dirs))), len(dirs))
             pts = center + r[k_r, None] * dirs[k_dir]
-            w = w_r[k_r] * w_ang[k_dir] * _becke_weights(cfg, i, pts, quad.exclusion)
+            w = w_r[k_r] * w_ang[k_dir] * _becke_weights(cfg, i, pts)
             keep = w != 0.0
             nodes += int(np.count_nonzero(keep))
             cell += float(w[keep] @ hamiltonian_on_points(params, cfg, pts[keep]))
@@ -362,15 +324,15 @@ def _becke_level(params, cfg: ChargeConfig, quad: QuadratureSpec, level: int) ->
     return cells, nodes
 
 
-def _near_exponent(cfg: ChargeConfig, params: ModelParams, quad: QuadratureSpec, index: int) -> float:
+def _near_exponent(cfg: ChargeConfig, params: ModelParams, index: int) -> float:
     """divergence_exponent_probe at default_probe_radii(r) toward one centre,
-    or NaN if it fails, with r = min(ball_radius, (b (q^2 + g^2))^(1/4)) and
+    or NaN if it fails, with r = min(cell_scale, (b (q^2 + g^2))^(1/4)) and
     b the model's field scale (alpha for the quadratic model, else beta).
     The centre's own Coulomb field has b D^2 = 1/(16 pi^2) at that r, so
     the probe radii lie in its nonlinear core however far the neighbours."""
     b = params.alpha if params.kind == QUADRATIC else params.beta
     q, g = cfg.qs[index], cfg.gs[index]
-    r = min(quad.ball_radius, (b * (q * q + g * g)) ** 0.25)
+    r = min(cfg.cell_scale, (b * (q * q + g * g)) ** 0.25)
     try:
         return divergence_exponent_probe(cfg, params, index, default_probe_radii(r))
     except (QuadratureError, SingularPoint):
@@ -378,12 +340,12 @@ def _near_exponent(cfg: ChargeConfig, params: ModelParams, quad: QuadratureSpec,
 
 
 def total_energy(cfg: ChargeConfig, params: ModelParams, quad: QuadratureSpec) -> EnergyReport:
-    """Total field energy over r > exclusion from every centre, by Becke's
-    fuzzy-cell quadrature (J. Chem. Phys. 88, 2547 (1988)).
+    """Total field energy outside the exclusion balls (cfg.exclusion_radius),
+    by Becke's fuzzy-cell quadrature (J. Chem. Phys. 88, 2547 (1988)).
 
     The cell weights w_i sum to 1 (_becke_weights), so the energy is the sum
     over centres of the integral of w_i H on a grid around centre i:
-    _radial_rule with r_m = _cell_scale(cfg), which reaches infinity (there
+    _radial_rule with r_m = cfg.cell_scale, which reaches infinity (there
     is no far tail), times _sphere_rule. All orders refine together
     (_becke_orders) until two levels agree within rel_tol max(|E|, abs_tol);
     after max_subdivisions refinements without agreement the report has
@@ -397,18 +359,18 @@ def total_energy(cfg: ChargeConfig, params: ModelParams, quad: QuadratureSpec) -
     below, r^2 H is not integrable at that centre (the kappa = 0 dyon gives
     -4, a logarithmic divergence -3), so the energy of the field is infinite
     whatever the exclusion: the report has converged=False and level 0's
-    value, without refinement. A slope that cannot be fitted (NaN) decides
+    value, without refinement. A slope that cannot be fitted (NaN), as when
+    an exclusion ball wider than the default holds the probe radii, decides
     nothing.
     """
-    quad.validate_for(cfg)
-    exponents = tuple(_near_exponent(cfg, params, quad, i) for i in range(len(cfg)))
+    exponents = tuple(_near_exponent(cfg, params, i) for i in range(len(cfg)))
     diverges = any(slope <= _DIVERGENT_SLOPE for slope in exponents)
 
-    cells, nodes = _becke_level(params, cfg, quad, 0)
+    cells, nodes = _becke_level(params, cfg, 0)
     levels, converged = 1, False
     while not diverges and levels <= quad.max_subdivisions:
         prev = sum(cells)
-        cells, added = _becke_level(params, cfg, quad, levels)
+        cells, added = _becke_level(params, cfg, levels)
         nodes += added
         levels += 1
         if abs(sum(cells) - prev) <= quad.rel_tol * max(abs(sum(cells)), quad.abs_tol):
@@ -529,8 +491,9 @@ def flux_charge(field: Callable, R: float, quad: QuadratureSpec,
 
 def free_charge_with_inner_spheres(cfg: ChargeConfig, params: ModelParams,
                                    quad: QuadratureSpec, ladder_radii: Sequence[float] = ()) -> dict:
-    """Free charges as outer flux minus the sum of fluxes through small
-    spheres hugging each charge.
+    """Free charges as the flux through the outer sphere (_far_radius about
+    the centroid) minus the sum of fluxes through the spheres of twice the
+    exclusion radius about each charge.
 
     The inner spheres capture the point-like singular content of E and H
     (for classical kappa = 0 dyons, |g_i| sgn(q_i) and |q_i| sgn(g_i)), so
@@ -539,10 +502,9 @@ def free_charge_with_inner_spheres(cfg: ChargeConfig, params: ModelParams,
     come as "ladder", from the same flux_spheres call: the outer sphere,
     the inner spheres in charge order, then the ladder.
     """
-    quad.validate_for(cfg)
     inner = len(cfg)
     centres = [cfg.centroid, *cfg.positions] + [cfg.centroid] * len(ladder_radii)
-    radii = [quad.far_radius] + [2.0 * quad.exclusion] * inner + list(ladder_radii)
+    radii = [_far_radius(cfg)] + [2.0 * cfg.exclusion_radius] * inner + list(ladder_radii)
     fluxes = flux_spheres(eh_field(params, cfg), centres, radii, quad)
     free = fluxes[0]
     for flux in fluxes[1:1 + inner]:

@@ -58,11 +58,16 @@ class PointCharge:
 class ChargeConfig:
     """Immutable list of point charges with a shared exclusion radius.
 
-    The exclusion radius defaults to 1e-9 times the configuration diameter
-    (or 1e-9 for a single center); field evaluation strictly inside any
-    exclusion ball raises SingularPoint rather than returning huge numbers.
-    positions, qs and gs (read-only arrays), diameter and min_separation
-    are computed once, when the configuration is built.
+    cell_scale is 0.45 times the minimum pairwise separation (1 for a single
+    center), the radius at which the energy cells of neighbouring charges
+    meet. The exclusion radius defaults to the larger of 1e-9 times the
+    configuration diameter (at least 1e-9) and 1e-8 times cell_scale, and
+    must lie below cell_scale. It is the one radius of the balls that every
+    evaluation and quadrature leaves out: field evaluation strictly inside
+    any exclusion ball raises SingularPoint rather than returning huge
+    numbers. positions, qs and gs (read-only arrays), diameter,
+    min_separation and cell_scale are computed once, when the configuration
+    is built.
     """
 
     charges: tuple
@@ -72,6 +77,7 @@ class ChargeConfig:
     gs: np.ndarray = field(init=False, repr=False, compare=False)
     diameter: float = field(init=False, repr=False, compare=False)
     min_separation: float = field(init=False, repr=False, compare=False)
+    cell_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         chs = tuple(
@@ -84,18 +90,23 @@ class ChargeConfig:
         same = np.argwhere(np.triu((pos[:, None] == pos[None, :]).all(axis=2), 1))
         if len(same):
             raise ValueError(f"charges {same[0][0]} and {same[0][1]} share a position")
+        dists = _pair_distances(pos)
         for name, arr in (("positions", pos), ("qs", np.array([c.q for c in chs])),
                           ("gs", np.array([c.g for c in chs]))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        dists = [float(np.linalg.norm(pos[i] - pos[j]))
-                 for i in range(len(pos)) for j in range(i + 1, len(pos))]
-        object.__setattr__(self, "diameter", max(dists, default=0.0))
-        object.__setattr__(self, "min_separation", min(dists, default=math.inf))
+        object.__setattr__(self, "diameter", float(dists.max(initial=0.0)))
+        object.__setattr__(self, "min_separation", float(dists.min(initial=math.inf)))
+        object.__setattr__(self, "cell_scale",
+                           0.45 * self.min_separation if len(chs) > 1 else 1.0)
         if self.exclusion_radius is None:
-            object.__setattr__(self, "exclusion_radius", 1e-9 * max(self.diameter, 1.0))
+            object.__setattr__(self, "exclusion_radius", max(1e-9 * max(self.diameter, 1.0),
+                                                             1e-8 * self.cell_scale))
         elif not (self.exclusion_radius > 0.0):
             raise ValueError("exclusion_radius must be positive")
+        if not (self.exclusion_radius < self.cell_scale):
+            raise ValueError(f"exclusion_radius {self.exclusion_radius!r} must be below "
+                             f"the cell scale {self.cell_scale!r}")
 
     @classmethod
     def build(cls, entries: Iterable, exclusion_radius: float | None = None) -> "ChargeConfig":
@@ -126,6 +137,15 @@ class ChargeConfig:
         x = as_vec3(x)
         _coulomb_offsets(self, x[None, :])
         return x
+
+
+def _pair_distances(pos: np.ndarray) -> np.ndarray:
+    """|x_i - x_j| over the pairs i < j in np.triu_indices order, each
+    rounded as np.linalg.norm(x_i - x_j) rounds it: one (3,) @ (3,) dot per
+    pair (norm(axis=-1) and einsum sum in another order)."""
+    i, j = np.triu_indices(len(pos), 1)
+    r = pos[i] - pos[j]
+    return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
 
 
 def _coulomb_offsets(cfg: ChargeConfig, pts: np.ndarray, mask: bool = False):

@@ -184,7 +184,7 @@ def _verify_flux(rng) -> dict:
     q, beta, R = 2.0, 1.0, 10.0
     cfg = ChargeConfig.build([((0.0, 0.0, 0.0), q, 0.0)])
     params = ModelParams.classical(beta=beta)
-    quad = QuadratureSpec.for_config(cfg)
+    quad = QuadratureSpec()
     eh = eh_field(params, cfg)
     flux = flux_charge(lambda pts: eh(pts)[:, 0], R, quad)
     exact = q / math.sqrt(1.0 + beta * q**2 / (16.0 * math.pi**2 * R**4))
@@ -194,7 +194,7 @@ def _verify_flux(rng) -> dict:
 def _verify_free_charge(rng) -> dict:
     cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 2.0, 1.0)])
     params = ModelParams.classical(beta=1.0)
-    free = free_charge_with_inner_spheres(cfg, params, QuadratureSpec.for_config(cfg))
+    free = free_charge_with_inner_spheres(cfg, params, QuadratureSpec())
     return _suite("dyon_free_charge", 1e-3,
                   [abs(free["q_free"] - 1.0), abs(free["g_free"] + 1.0)])
 
@@ -202,7 +202,7 @@ def _verify_free_charge(rng) -> dict:
 def _verify_energy(rng) -> dict:
     cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 0.0)])
     params = ModelParams.classical(beta=1.0)
-    quad = QuadratureSpec.for_config(cfg, rel_tol=1e-5)
+    quad = QuadratureSpec(rel_tol=1e-5)
     report = total_energy(cfg, params, quad)
     rel = abs(report.value - _UNIT_CHARGE_ENERGY) / _UNIT_CHARGE_ENERGY
     if not report.converged:

@@ -2,8 +2,9 @@
 integrator it replaced.
 
 The energy is a ball integral around each charge, marched decade by decade
-from ball_radius down to the exclusion radius on log-spaced Gauss nodes; a
-shell around the centroid out to far_radius with the balls masked out; and
+from the cell scale down to the exclusion radius on log-spaced Gauss nodes;
+a shell around the centroid out to the outer flux sphere's radius with the
+balls masked out; and
 shell doublings [R, 2R] until a doubling agrees with the monopole's share
 (Q^2 + G^2)/(16 pi R), after which the monopole tail (Q^2 + G^2)/(8 pi 2R)
 takes over. The masked shell's integrand is discontinuous in angle, so two
@@ -19,6 +20,7 @@ import numpy as np
 from bifield.observables import (
     EnergyReport,
     QuadratureSpec,
+    _far_radius,
     _panel_nodes,
     _sphere_rule,
     hamiltonian_on_points,
@@ -52,8 +54,8 @@ def _ball_energy(params, cfg: ChargeConfig, index: int, quad: QuadratureSpec) ->
     three decades keep growing (the kappa = 0 dyon)."""
     center = cfg.positions[index]
     dirs, w_ang = _sphere_rule(*_BALL_ANGULAR)
-    n_dec = max(1, math.ceil(math.log10(quad.ball_radius / quad.exclusion)))
-    edges = np.geomspace(quad.ball_radius, quad.exclusion, n_dec + 1)
+    n_dec = max(1, math.ceil(math.log10(cfg.cell_scale / cfg.exclusion_radius)))
+    edges = np.geomspace(cfg.cell_scale, cfg.exclusion_radius, n_dec + 1)
     acc = 0.0
     contribs = []
     for r_hi, r_lo in zip(edges[:-1], edges[1:]):
@@ -71,28 +73,28 @@ def _ball_energy(params, cfg: ChargeConfig, index: int, quad: QuadratureSpec) ->
     return acc, True
 
 
-def _shell_segments(cfg: ChargeConfig, quad: QuadratureSpec, r_lo: float, r_hi: float) -> list:
+def _shell_segments(cfg: ChargeConfig, r_lo: float, r_hi: float) -> list:
     """Radial segments of [r_lo, r_hi] around the centroid, split where
     spheres start or stop intersecting the per-charge balls."""
     center = cfg.centroid
     cuts = {r_lo, r_hi}
     for pos in cfg.positions:
         d = float(np.linalg.norm(pos - center))
-        for c in (d - quad.ball_radius, d + quad.ball_radius):
+        for c in (d - cfg.cell_scale, d + cfg.cell_scale):
             if r_lo < c < r_hi:
                 cuts.add(c)
     edges = sorted(cuts)
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _shell_energy_once(params, cfg, quad, r_lo, r_hi, n_mu, n_phi, radial_factor) -> float:
+def _shell_energy_once(params, cfg, r_lo, r_hi, n_mu, n_phi, radial_factor) -> float:
     """One level of the shell quadrature over [r_lo, r_hi], the nodes inside
     a ball left out."""
     center = cfg.centroid
     dirs, w_ang = _sphere_rule(n_mu, n_phi)
     total = 0.0
     nodes = _RADIAL_NODES_PER_DECADE * radial_factor
-    for a, b in _shell_segments(cfg, quad, r_lo, r_hi):
+    for a, b in _shell_segments(cfg, r_lo, r_hi):
         if b - a <= 0.0:
             continue
         if a <= 1e-12 * r_hi:
@@ -101,7 +103,7 @@ def _shell_energy_once(params, cfg, quad, r_lo, r_hi, n_mu, n_phi, radial_factor
             rs, wr = _log_radial_rule(a, b, nodes)
         flat = (center + rs[:, None, None] * dirs).reshape(-1, 3)
         dist = np.linalg.norm(flat[:, None, :] - cfg.positions[None, :, :], axis=-1)
-        outside = np.all(dist > quad.ball_radius, axis=1)
+        outside = np.all(dist > cfg.cell_scale, axis=1)
         h = np.zeros(len(flat))
         if np.any(outside):
             h[outside] = hamiltonian_on_points(params, cfg, flat[outside])
@@ -113,10 +115,10 @@ def _shell_energy(params, cfg, quad, r_lo, r_hi, rest: float) -> tuple[float, bo
     """The shell refined (orders times 2, 3, ...) until two levels agree
     within rel_tol of rest plus the shell; else the last level and False."""
     n_mu, n_phi = _SHELL_ANGULAR
-    prev = _shell_energy_once(params, cfg, quad, r_lo, r_hi, n_mu, n_phi, 1)
+    prev = _shell_energy_once(params, cfg, r_lo, r_hi, n_mu, n_phi, 1)
     for level in range(1, quad.max_subdivisions + 1):
         scale = level + 1
-        cur = _shell_energy_once(params, cfg, quad, r_lo, r_hi, scale * n_mu, scale * n_phi, scale)
+        cur = _shell_energy_once(params, cfg, r_lo, r_hi, scale * n_mu, scale * n_phi, scale)
         if abs(cur - prev) <= quad.rel_tol * max(abs(rest + cur), quad.abs_tol):
             return cur, True
         prev = cur
@@ -127,17 +129,16 @@ def shell_total_energy(cfg: ChargeConfig, params, quad: QuadratureSpec) -> Energ
     """Balls + masked shell + doublings + monopole tail, with parts
     "balls", "shell", "tail" and "far_radius_used". The near-charge
     exponents are not probed (NaN)."""
-    quad.validate_for(cfg)
     balls, converged = [], True
     for i in range(len(cfg)):
         val, ok = _ball_energy(params, cfg, i, quad)
         balls.append(val)
         converged = converged and ok
-    r_start = quad.ball_radius if len(cfg) == 1 else 0.0
-    shell, ok = _shell_energy(params, cfg, quad, r_start, quad.far_radius, sum(balls))
+    r_start = cfg.cell_scale if len(cfg) == 1 else 0.0
+    shell, ok = _shell_energy(params, cfg, quad, r_start, _far_radius(cfg), sum(balls))
     converged = converged and ok
     monopole = (cfg.total_q**2 + cfg.total_g**2) / (8.0 * math.pi)
-    r_far = quad.far_radius
+    r_far = _far_radius(cfg)
     extensions = 0.0
     for _ in range(_MAX_TAIL_DOUBLINGS):
         extension, ok = _shell_energy(params, cfg, quad, r_far, 2.0 * r_far,

@@ -188,18 +188,16 @@ def test_04_flux_charges():
         ((-1.0, 0.5, 0.0), -2.0, 0.0),
         ((0.0, -1.0, 0.3), 0.5, 0.0),
     ])
-    quad = QuadratureSpec.for_config(triple)
+    quad = QuadratureSpec()
 
     eh = eh_field(params, triple)
     got = flux_charge(lambda pts: eh(pts)[:, 0], 50.0, quad, center=triple.centroid)
     rel = abs(got - (-0.5)) / 0.5
 
     single = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 0.0)])
-    squad = QuadratureSpec.for_config(single)
-
     eh = eh_field(params, single)
     R = 10.0
-    flux = flux_charge(lambda pts: eh(pts)[:, 0], R, squad)
+    flux = flux_charge(lambda pts: eh(pts)[:, 0], R, quad)
     exact = 1.0 / math.sqrt(1.0 + 1.0 / (16.0 * math.pi**2 * R**4))
     err = abs(flux - exact)
 
@@ -212,7 +210,7 @@ def test_04_flux_charges():
 def test_05_dyon_free_charges():
     cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 2.0, 1.0)])
     params = ModelParams.classical(beta=1.0, kappa=0.0)
-    free = free_charge_with_inner_spheres(cfg, params, QuadratureSpec.for_config(cfg))
+    free = free_charge_with_inner_spheres(cfg, params, QuadratureSpec())
     dq = abs(free["q_free"] - 1.0)
     dg = abs(free["g_free"] + 1.0)
     ok = dq <= 1e-3 and dg <= 1e-3
@@ -224,7 +222,7 @@ def test_05_dyon_free_charges():
 def test_06_energy_oracle_and_near_field():
     single = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 0.0)])
     params = ModelParams.classical(beta=1.0)
-    quad = QuadratureSpec.for_config(single, rel_tol=1e-5, max_subdivisions=4)
+    quad = QuadratureSpec(rel_tol=1e-5, max_subdivisions=4)
     report = total_energy(single, params, quad)
     rel = abs(report.value - SINGLE_ELECTRIC_ENERGY) / SINGLE_ELECTRIC_ENERGY
     ok_electric = report.converged and rel <= 1e-4
@@ -237,8 +235,7 @@ def test_06_energy_oracle_and_near_field():
     ok_plateau = plateau_rel <= 1e-2
 
     k0 = ModelParams.classical(beta=1.0, kappa=0.0)
-    k0_report = total_energy(dyon, k0, QuadratureSpec.for_config(
-        dyon, rel_tol=1e-5, max_subdivisions=4))
+    k0_report = total_energy(dyon, k0, QuadratureSpec(rel_tol=1e-5, max_subdivisions=4))
     slope = divergence_exponent_probe(dyon, k0, 0, default_probe_radii(1.0))
     ok_dyon = (not k0_report.converged) and abs(slope + 4.0) <= 0.1
 

@@ -21,9 +21,9 @@ from bifield import (
     currents,
     flux_charge,
 )
-from bifield import cli, continuous, verify
+from bifield import cli, continuous, observables, verify
 from bifield.constitutive import invert_rows
-from bifield.observables import density_rows, hamiltonian_on_points
+from bifield.observables import _far_radius, density_rows, hamiltonian_on_points
 from bifield.sources import _batch_coulomb
 from bifield.cli import (
     EXIT_CONFIG,
@@ -36,7 +36,7 @@ from bifield.cli import (
     parse_config,
     serialize_config,
 )
-from bifield.errors import ConfigError
+from bifield.errors import ConfigError, SingularPoint
 
 from argparse_cli import build_parser
 from continuous_pointwise import State, continuous_pointwise
@@ -155,19 +155,23 @@ class TestConfigParsing:
         assert cfg.data["output"] == {"format": "csv"}
         assert cfg.data["seed"] == 0
         assert cfg.data["grid"]["shape"] == [9, 9, 9]
-        # quadrature geometry comes from the charge layout: min separation 2
-        quad = cfg.data["quadrature"]
-        assert quad["ball_radius"] == pytest.approx(0.9)
-        assert quad["far_radius"] == pytest.approx(11.6)
-        assert len(quad["flux_radii"]) == 4
+        assert cfg.data["quadrature"] == {"rel_tol": 1e-6, "abs_tol": 1e-6, "max_subdivisions": 8}
+        # the quadrature geometry comes from the charge layout: min separation 2
+        assert cfg.charges.cell_scale == pytest.approx(0.9)
+        assert cfg.charges.exclusion_radius == pytest.approx(9e-9)
 
-    def test_quadrature_overrides_keep_geometry(self):
+    def test_quadrature_overrides_keep_geometry(self, tmp_path):
+        # the geometry is the charge configuration's: a config that still
+        # sets one of the former quadrature radii is an unknown-key error
         data = pair_config()
-        data["quadrature"] = {"rel_tol": 1e-4, "far_radius": 50.0}
-        cfg = parse_config(data)
-        assert cfg.quadrature.rel_tol == 1e-4
-        assert cfg.quadrature.far_radius == 50.0
-        assert cfg.quadrature.ball_radius == pytest.approx(0.9)
+        data["quadrature"] = {"rel_tol": 1e-4}
+        assert parse_config(data).quadrature.rel_tol == 1e-4
+        for key in ("ball_radius", "far_radius", "exclusion", "flux_radii"):
+            data["quadrature"] = {"rel_tol": 1e-4, key: [50.0] if key == "flux_radii" else 0.5}
+            with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+                parse_config(data)
+            path = write_config(tmp_path, data)
+            assert main(["energy", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 
     def test_round_trip_with_all_sections(self, tmp_path):
         data = pair_config()
@@ -625,6 +629,23 @@ class TestTableStream:
         assert not (tmp_path / "sample.csv").exists()
         assert not (tmp_path / "sample.report.json").exists()
 
+    @pytest.mark.parametrize("fmt, report", [("csv", "sample.report.json"), ("json", "sample.json")])
+    def test_interrupted_rerun_leaves_no_earlier_report(self, tmp_path, monkeypatch, fmt, report):
+        # the first run writes its report and errors file; a rerun stopped
+        # in its first chunk leaves neither behind to name a missing table
+        path = write_config(tmp_path, failing_config())
+        argv = ["sample", "--config", str(path), "--out-dir", str(tmp_path), "--format", fmt]
+        assert main(argv) == EXIT_NUMERIC
+        assert (tmp_path / report).exists() and (tmp_path / "sample.errors.json").exists()
+
+        def stop(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "eh_rows", stop)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
     def test_unwritable_table_fails_before_evaluation(self, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(cli, "eh_rows", lambda *args: calls.append(args))
@@ -773,15 +794,17 @@ class TestEnergyCommand:
         assert set(report["parts"]) == {"cells", "levels", "nodes"}
         assert report["value"] == sum(report["parts"]["cells"])
 
-    def test_failed_probe_writes_null(self, tmp_path):
-        # the near-charge probe radii of a 1e-6 ball fall inside the exclusion
-        # ball, so the exponent is NaN; the report must stay valid JSON. The
-        # energy grid takes its scale from the charges, not from ball_radius,
-        # so the energy is the single charge's as with the default ball
+    def test_failed_probe_writes_null(self, tmp_path, monkeypatch):
+        # a probe that fails gives a NaN exponent, which decides nothing; the
+        # report must stay valid JSON, with the single charge's energy
+        def probe_in_the_ball(*args):
+            raise SingularPoint("probe radius inside the exclusion ball")
+
+        monkeypatch.setattr(observables, "divergence_exponent_probe", probe_in_the_ball)
         data = {
             "model": {"kind": "classical", "beta": 1.0},
             "charges": [{"pos": [0.0, 0.0, 0.0], "q": 1.0}],
-            "quadrature": {"ball_radius": 1e-6, "rel_tol": 1e-4},
+            "quadrature": {"rel_tol": 1e-4},
         }
         path = write_config(tmp_path, data)
         rc = main(["energy", "--config", str(path), "--out-dir", str(tmp_path)])
@@ -793,6 +816,31 @@ class TestEnergyCommand:
         assert abs(report["value"] - 0.34868320668436725) <= 1e-4 * 0.34868320668436725
 
 
+# diameter / min separation either side of 4.5, and min separation either
+# side of 2/9: where a charge ball of 1e-9 max(diameter, 1) and a quadrature
+# ball of 1e-8 (0.45 min separation) once disagreed, and energy or charge
+# raised SingularPoint
+@pytest.mark.parametrize("xs", [
+    (0.0, 1.0, 4.4), (0.0, 1.0, 4.6), (0.0, 1.0, 10.0), (0.0, 0.3), (0.0, 0.2), (0.0, 0.1),
+], ids=lambda xs: "x=" + ",".join(map(str, xs)))
+def test_energy_and_charge_either_side_of_the_ball_edges(tmp_path, xs):
+    data = {"model": {"kind": "classical"},
+            "charges": [{"pos": [x, 0.0, 0.0], "q": (-1.0) ** k} for k, x in enumerate(xs)]}
+    path = write_config(tmp_path, data)
+    argv = ["--config", str(path), "--out-dir", str(tmp_path)]
+    assert main(["energy", *argv]) == EXIT_OK
+    assert main(["charge", *argv]) == EXIT_OK
+    energy = read_report(tmp_path / "energy.json")
+    assert energy["converged"] is True and energy["value"] > 0.0
+    charge = read_report(tmp_path / "charge.report.json")
+    charges = parse_config(data).charges
+    assert charge["q_free"] == pytest.approx(charges.total_q, abs=1e-6)
+    assert charge["g_free"] == 0.0
+    assert [rung["radius"] for rung in charge["flux_ladder"]] == [
+        _far_radius(charges) * 2.0**k for k in range(4)]
+    assert not any(tmp_path.glob("*.errors.json"))
+
+
 # energy.json of two runs, pinned byte for byte: any change to the
 # arithmetic of the energy integrand or of its Gauss-Legendre rules shows
 # here, not only in the benchmark
@@ -802,14 +850,14 @@ GOLDEN_ENERGY = [
         "charges": [{"pos": [0.5622351776349419, 0.21169405914193606, 0.4196023808168503],
                      "q": 1.0}],
         "quadrature": {"rel_tol": 1e-05},
-    }, "4c2e0389be70c2a954338f4e9e4fe75bf4a0821abcbe68f80ad6bd1194690c2b", id="energy-log-seed21"),
+    }, "0671d7d0b8e6d57f586a4a2dfdf5f1ecdac1079c2b85b83e8805c676b4aa9eb2", id="energy-log-seed21"),
     pytest.param({
         "model": {"kind": "classical", "beta": 1.0, "kappa": 0.6},
         "charges": [{"pos": [1.0, 0.0, 0.0], "q": 1.0, "g": 0.5},
                     {"pos": [-1.0, 0.5, 0.0], "q": -2.0, "g": 1.0},
                     {"pos": [0.0, -1.0, 0.3], "q": 0.5, "g": -0.7}],
         "quadrature": {"rel_tol": 1e-2, "max_subdivisions": 3},
-    }, "49fc8c3774c4b72b1cfa0a36b381709e0e3390bc7a9b17fe0b78f208bfe2e8f3",
+    }, "ab7905a07b94ce66dc82947785eccde9b0d5a2c5346b975fe7a123e55ebe9b05",
         id="three-centre-classical-dyon-k0.6"),
 ]
 

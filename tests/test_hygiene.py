@@ -10,7 +10,8 @@ __init__.py, or named in UNCALLED_PUBLIC with its reason. A refactor that
 moves work elsewhere fails here if it leaves the old import or helper
 behind, an export of a deleted function, or a public function that only the
 tests call. The package's public names are pinned in PUBLIC_NAMES, so the
-surface grows or shrinks only with that list.
+surface grows or shrinks only with that list. QuadratureSpec holds only its
+three tolerances, and they are the quadrature config keys.
 
 scipy stays out of the command line's import and its energy command: a
 fresh process pays ~0.7 s to import it, in set-up or in the run. argparse,
@@ -20,6 +21,7 @@ verify runs, so no other command compiles or imports them.
 """
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -29,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import bifield
+from bifield import cli
 
 PACKAGE = Path(bifield.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -178,6 +181,15 @@ def test_public_functions_are_referenced_in_src():
 
 def test_public_surface_is_pinned():
     assert tuple(bifield.__all__) == PUBLIC_NAMES == tuple(sorted(PUBLIC_NAMES))
+
+
+def test_quadrature_spec_holds_only_tolerances():
+    # the quadrature geometry is the charge configuration's (cell_scale,
+    # exclusion_radius and the outer flux sphere derived from them): no
+    # radius comes back as a QuadratureSpec field or a config key
+    fields = tuple(f.name for f in dataclasses.fields(bifield.QuadratureSpec))
+    assert fields == ("rel_tol", "abs_tol", "max_subdivisions")
+    assert cli._QUAD_KEYS == fields
 
 
 def test_cli_import_and_rules_leave_numpy_polynomial_unloaded(tmp_path):

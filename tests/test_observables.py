@@ -29,6 +29,7 @@ from bifield.observables import (
     EnergyReport,
     QuadratureSpec,
     ResidualReport,
+    _far_radius,
     classical_energy_density,
     default_probe_radii,
     density_rows,
@@ -93,51 +94,23 @@ def all_kinds(kappa):
     }
 
 
-def coarse_quad(cfg, rel_tol=1e-5, max_subdivisions=4):
-    return QuadratureSpec.for_config(cfg, rel_tol=rel_tol, max_subdivisions=max_subdivisions)
+def coarse_quad(rel_tol=1e-5, max_subdivisions=4):
+    return QuadratureSpec(rel_tol=rel_tol, max_subdivisions=max_subdivisions)
 
 
 class TestQuadratureSpec:
     def test_defaults_are_consistent(self):
         quad = QuadratureSpec()
-        assert 0.0 < quad.exclusion < quad.ball_radius < quad.far_radius
-        assert quad.flux_radii == ()
+        assert (quad.rel_tol, quad.abs_tol, quad.max_subdivisions) == (1e-6, 1e-6, 8)
 
     @pytest.mark.parametrize("kwargs", [
         dict(rel_tol=0.0),
         dict(abs_tol=-1.0),
         dict(max_subdivisions=0),
-        dict(exclusion=2.0, ball_radius=1.0),
-        dict(ball_radius=20.0, far_radius=10.0),
     ])
     def test_invalid_geometry_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             QuadratureSpec(**kwargs)
-
-    def test_for_config_invariants(self):
-        cfg = three_charges()
-        quad = QuadratureSpec.for_config(cfg)
-        assert quad.ball_radius < 0.5 * cfg.min_separation
-        assert quad.far_radius > cfg.diameter
-        assert quad.exclusion < quad.ball_radius
-        assert len(quad.flux_radii) == 4
-        assert quad.flux_radii[0] == quad.far_radius
-        quad.validate_for(cfg)
-
-    def test_for_config_single_charge(self):
-        quad = QuadratureSpec.for_config(single_charge())
-        assert quad.ball_radius == 1.0
-        assert quad.far_radius >= 10.0 * quad.ball_radius
-
-    def test_validate_for_rejects_fat_balls(self):
-        cfg = pair_config(sep=1.0)
-        with pytest.raises(ConfigError):
-            QuadratureSpec(ball_radius=0.6, far_radius=50.0).validate_for(cfg)
-
-    def test_validate_for_rejects_small_far_radius(self):
-        cfg = pair_config(sep=30.0)
-        with pytest.raises(ConfigError):
-            QuadratureSpec(ball_radius=1.0, far_radius=10.0).validate_for(cfg)
 
 
 class TestEnergyDensity:
@@ -315,7 +288,7 @@ class TestEnergyDensity:
                             (dyon, ModelParams.exponential(1.0, kappa=0.5)),
                             (single_charge(), ModelParams.quadratic(0.5, kappa=0.5))):
             rows.clear()
-            report = total_energy(cfg, params, coarse_quad(cfg, rel_tol=1e-3, max_subdivisions=2))
+            report = total_energy(cfg, params, coarse_quad(rel_tol=1e-3, max_subdivisions=2))
             assert report.value > 0.0 and rows and min(rows) > 1, (params.kind, rows)
 
     def test_batch_rejects_singular_points(self):
@@ -392,9 +365,9 @@ class TestTotalEnergy:
         # sqrt(ln 1/r) (exponential, electric) and r^-2/3 (quadratic and
         # fractional p = 2, electric): the radial map must resolve all of them
         cfg = single_charge(q=q, g=g)
-        quad = QuadratureSpec.for_config(cfg, rel_tol=1e-5)
+        quad = QuadratureSpec(rel_tol=1e-5)
         report = total_energy(cfg, params, quad)
-        ref = radial_energy_oracle(params, q, g, quad.exclusion)
+        ref = radial_energy_oracle(params, q, g, cfg.exclusion_radius)
         assert report.converged
         assert abs(report.value - ref) <= quad.rel_tol * ref
         assert report.value == sum(report.parts["cells"])
@@ -406,7 +379,7 @@ class TestTotalEnergy:
         # with level 0's value, for a slope a rounding error either side of -3
         cfg = single_charge(q=q)
         params = ModelParams.fractional_power(beta, 1.5)
-        report = total_energy(cfg, params, coarse_quad(cfg))
+        report = total_energy(cfg, params, coarse_quad())
         assert not report.converged
         assert report.parts["levels"] == 1
         assert abs(report.near_charge_exponents[0] + 3.0) < 1e-3
@@ -416,49 +389,38 @@ class TestTotalEnergy:
         # r^2 H ~ r^-0.909 is resolved only slowly, hence the coarse rel_tol
         cfg = single_charge()
         report = total_energy(cfg, ModelParams.fractional_power(1.0, 1.6),
-                              coarse_quad(cfg, rel_tol=1e-2))
+                              coarse_quad(rel_tol=1e-2))
         assert report.converged
         assert report.parts["levels"] > 1
         assert abs(report.near_charge_exponents[0] + 32.0 / 11.0) < 1e-2
 
     @pytest.mark.parametrize("exclusion", [1e-2, 1e-1, 0.5])
     def test_wide_exclusion_converges_to_the_radial_integral(self, exclusion):
-        # the divergence probe reads the charge's core wherever the
-        # exclusion is: a finite charge stays finite
-        cfg = single_charge()
+        # the probe radii (1e-2 to 1e-4 of the core) lie inside a wide ball,
+        # so the exponent is NaN and decides nothing: the energy outside the
+        # ball is the radial integral from its surface
+        cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 0.0)], exclusion_radius=exclusion)
         params = ModelParams.classical(1.0)
-        quad = dataclasses.replace(QuadratureSpec.for_config(cfg, rel_tol=1e-5), exclusion=exclusion)
+        quad = QuadratureSpec(rel_tol=1e-5)
         report = total_energy(cfg, params, quad)
         ref = radial_energy_oracle(params, 1.0, 0.0, exclusion)
         assert report.converged
+        assert math.isnan(report.near_charge_exponents[0])
         assert abs(report.value - ref) <= quad.rel_tol * ref
 
     @pytest.mark.parametrize("q", [1e-4, 1e4])
     def test_probe_sits_in_the_core_of_any_charge(self, q):
         # the core of a unit charge ends near r = 1; the probe scales with it
         cfg = single_charge(q=q)
-        report = total_energy(cfg, ModelParams.classical(1.0), coarse_quad(cfg, rel_tol=1e-4))
+        report = total_energy(cfg, ModelParams.classical(1.0), coarse_quad(rel_tol=1e-4))
         assert report.converged
         assert abs(report.near_charge_exponents[0] + 2.0) < 1e-3
-
-    def test_grid_scale_ignores_ball_radius(self):
-        # ball_radius moves the probe radii only; the grid scale comes from
-        # the charges, so the energy keeps its bits
-        cfg = single_charge()
-        params = ModelParams.classical(1.0)
-        base = QuadratureSpec.for_config(cfg, rel_tol=1e-5)
-        ref = total_energy(cfg, params, base)
-        for ball in (1e-6, 10.0):
-            quad = dataclasses.replace(base, ball_radius=ball, far_radius=100.0)
-            report = total_energy(cfg, params, quad)
-            assert report.converged
-            assert (report.value, report.parts) == (ref.value, ref.parts)
 
     def test_nodes_reach_the_density_in_bounded_chunks(self, monkeypatch):
         # a chunk smaller than one shell's directions splits the shell
         cfg = pair_config(sep=2.0, q2=-1.0)
         params = ModelParams.classical(1.0)
-        quad = QuadratureSpec.for_config(cfg, rel_tol=1e-3, max_subdivisions=2)
+        quad = QuadratureSpec(rel_tol=1e-3, max_subdivisions=2)
         ref = total_energy(cfg, params, quad)
         rows = []
         density = observables.hamiltonian_on_points
@@ -478,7 +440,7 @@ class TestTotalEnergy:
     def test_unconverged_levels_are_reported(self):
         # no two levels agree to 1e-13; the report keeps the last of the three
         cfg = single_charge()
-        quad = QuadratureSpec.for_config(cfg, rel_tol=1e-13, abs_tol=1e-13, max_subdivisions=2)
+        quad = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-13, max_subdivisions=2)
         report = total_energy(cfg, ModelParams.classical(1.0), quad)
         assert report.converged is False
         assert report.parts["levels"] == 3
@@ -490,7 +452,7 @@ class TestTotalEnergy:
     def test_single_electric_matches_radial_oracle(self):
         cfg = single_charge()
         params = ModelParams.classical(1.0)
-        report = total_energy(cfg, params, coarse_quad(cfg))
+        report = total_energy(cfg, params, coarse_quad())
         assert report.converged
         assert abs(report.value - SINGLE_ELECTRIC_ENERGY) <= 1e-4 * SINGLE_ELECTRIC_ENERGY
         assert abs(report.near_charge_exponents[0] + 2.0) < 0.05
@@ -498,18 +460,18 @@ class TestTotalEnergy:
     def test_single_dyon_kappa_one_finite(self):
         cfg = single_charge(q=1.0, g=1.0)
         params = ModelParams.classical(1.0, kappa=1.0)
-        report = total_energy(cfg, params, coarse_quad(cfg))
+        report = total_energy(cfg, params, coarse_quad())
         assert report.converged
         assert abs(report.value - SINGLE_DYON_K1_ENERGY) <= 1e-4 * SINGLE_DYON_K1_ENERGY
         assert abs(report.near_charge_exponents[0] + 2.0) < 0.1
 
-    @pytest.mark.parametrize("exclusion", [1e-8, 1e-2])
+    @pytest.mark.parametrize("exclusion", [1e-8, 1e-6])
     def test_single_dyon_kappa_zero_diverges(self, exclusion):
-        # the dyon's energy is infinite whatever the exclusion, though the
-        # integral over r > exclusion is finite
-        cfg = single_charge(q=1.0, g=1.0)
+        # the dyon's energy is infinite whatever the exclusion below the
+        # probe radii, though the integral over r > exclusion is finite
+        cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 1.0)], exclusion_radius=exclusion)
         params = ModelParams.classical(1.0, kappa=0.0)
-        report = total_energy(cfg, params, dataclasses.replace(coarse_quad(cfg), exclusion=exclusion))
+        report = total_energy(cfg, params, coarse_quad())
         assert not report.converged
         assert report.parts["levels"] == 1
         assert abs(report.near_charge_exponents[0] + 4.0) < 0.1
@@ -518,7 +480,7 @@ class TestTotalEnergy:
         # two unit charges 1000 apart: interaction energy ~ 1/(4 pi 1000)
         cfg = pair_config(sep=1000.0)
         params = ModelParams.classical(1.0)
-        quad = QuadratureSpec.for_config(cfg, rel_tol=1e-5, max_subdivisions=4)
+        quad = QuadratureSpec(rel_tol=1e-5, max_subdivisions=4)
         report = total_energy(cfg, params, quad)
         assert report.converged
         expected = 2.0 * SINGLE_ELECTRIC_ENERGY
@@ -527,7 +489,7 @@ class TestTotalEnergy:
     def test_three_charge_energy_positive_and_converged(self):
         cfg = three_charges()
         params = ModelParams.classical(1.0)
-        quad = QuadratureSpec.for_config(cfg, rel_tol=1e-4, max_subdivisions=3)
+        quad = QuadratureSpec(rel_tol=1e-4, max_subdivisions=3)
         report = total_energy(cfg, params, quad)
         assert report.converged
         assert report.value > 0.0
@@ -539,8 +501,7 @@ class TestTotalEnergy:
     def test_logarithmic_dyon_kappa_one_finite(self):
         cfg = single_charge(q=1.0, g=1.0)
         params = ModelParams.logarithmic(1.0, kappa=1.0)
-        quad = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6, max_subdivisions=3,
-                              ball_radius=1.0, far_radius=40.0, exclusion=1e-8)
+        quad = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6, max_subdivisions=3)
         report = total_energy(cfg, params, quad)
         assert report.converged
         assert report.value > 0.0
@@ -552,9 +513,9 @@ class TestTotalEnergy:
         # rel_tol 5e-5 agrees with one at 1e-8
         cfg = pair_config(sep=2.0, q2=-1.0)
         coarse = total_energy(cfg, ModelParams.classical(1.0),
-                              QuadratureSpec.for_config(cfg, rel_tol=5e-5))
+                              QuadratureSpec(rel_tol=5e-5))
         fine = total_energy(cfg, ModelParams.classical(1.0),
-                            QuadratureSpec.for_config(cfg, rel_tol=1e-8, max_subdivisions=6))
+                            QuadratureSpec(rel_tol=1e-8, max_subdivisions=6))
         assert coarse.converged
         assert abs(coarse.value - fine.value) <= 5e-5 * fine.value
 
@@ -564,34 +525,33 @@ class TestTotalEnergy:
         # 0.6574825896 (the exclusion balls hold 1.8e-8 of it)
         cfg = pair_config(sep=2.0, q2=-1.0)
         report = total_energy(cfg, ModelParams.classical(1.0),
-                              QuadratureSpec.for_config(cfg, rel_tol=1e-5))
+                              QuadratureSpec(rel_tol=1e-5))
         assert report.converged
         assert abs(report.value - 0.6574825896) <= 1e-5 * 0.6574825896
-
-    def test_validate_runs_before_integration(self):
-        cfg = pair_config(sep=1.0)
-        params = ModelParams.classical(1.0)
-        with pytest.raises(ConfigError):
-            total_energy(cfg, params, QuadratureSpec(ball_radius=0.9, far_radius=50.0))
 
 
 class TestBeckeWeights:
     def test_partition_of_unity(self):
         cfg = three_charges()
         pts = np.random.default_rng(3).normal(size=(500, 3)) * 2.0
-        total = sum(observables._becke_weights(cfg, i, pts, 1e-8) for i in range(3))
+        total = sum(observables._becke_weights(cfg, i, pts) for i in range(3))
         assert np.max(np.abs(total - 1.0)) <= 1e-14
 
     def test_one_centre_weight_is_exactly_one(self):
         pts = np.random.default_rng(4).normal(size=(50, 3))
-        assert np.all(observables._becke_weights(single_charge(), 0, pts, 1e-8) == 1.0)
+        assert np.all(observables._becke_weights(single_charge(), 0, pts) == 1.0)
 
     def test_exclusion_balls_lie_outside_the_domain(self):
+        # zero weight exactly where _coulomb_offsets rejects a point: strictly
+        # inside a ball (radius 9e-9 here); the sphere itself is regular
         cfg = pair_config(sep=2.0)
-        pts = np.array([[1.0 + 5e-9, 0.0, 0.0], [-1.0, 5e-9, 0.0], [0.0, 0.0, 0.0]])
-        w = [observables._becke_weights(cfg, i, pts, 1e-8) for i in range(2)]
+        pts = np.array([[1.0 + 5e-9, 0.0, 0.0], [-1.0, 5e-9, 0.0], [0.0, 0.0, 0.0],
+                        [-1.0, 0.0, cfg.exclusion_radius]])
+        w = [observables._becke_weights(cfg, i, pts) for i in range(2)]
         assert w[0][0] == w[1][0] == w[0][1] == w[1][1] == 0.0
         assert w[0][2] == w[1][2] == 0.5
+        assert w[1][3] > 0.0 and np.isfinite(hamiltonian_on_points(ModelParams.classical(1.0),
+                                                                   cfg, pts[3]))
 
 
 SHELL_CASES = [
@@ -615,7 +575,7 @@ class TestAgainstShellReference:
 
     @pytest.mark.parametrize("cfg, params, rel_tol, gap", SHELL_CASES)
     def test_energy_within_the_reference_error(self, cfg, params, rel_tol, gap):
-        quad = QuadratureSpec.for_config(cfg, rel_tol=rel_tol, max_subdivisions=3)
+        quad = QuadratureSpec(rel_tol=rel_tol, max_subdivisions=3)
         ref = shell_total_energy(cfg, params, quad)
         got = total_energy(cfg, params, quad)
         assert got.converged
@@ -630,7 +590,7 @@ class TestAgainstShellReference:
         # projection cancels there)
         cfg = ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.5, 0.0), -2.0, 1.0),
                                   ((0.0, -1.0, 0.3), 0.5, -0.7)])
-        quad = QuadratureSpec.for_config(cfg, rel_tol=1e-2, max_subdivisions=3)
+        quad = QuadratureSpec(rel_tol=1e-2, max_subdivisions=3)
         assert not shell_total_energy(cfg, params, quad).converged
         assert not total_energy(cfg, params, quad).converged
 
@@ -719,22 +679,22 @@ class TestFluxCharge:
 
     def test_displacement_flux_is_gauss_exact(self):
         cfg = three_charges()
-        quad = QuadratureSpec(far_radius=100.0)
+        quad = QuadratureSpec()
         for R in (10.0, 50.0):
             val = flux_charge(lambda pts: _batch_coulomb(cfg, cfg.qs, pts), R, quad)
             assert abs(val - cfg.total_q) <= 1e-10 * max(1.0, abs(cfg.total_q))
 
     def test_three_charge_e_flux_approaches_total(self):
         cfg = three_charges()
-        quad = QuadratureSpec(far_radius=100.0)
+        quad = QuadratureSpec()
         val = flux_charge(classical_e(cfg), 50.0, quad)
         assert abs(val - (-0.5)) <= 1e-4
 
     def test_flux_ladder_monotone_toward_total_charge(self):
         cfg = three_charges()
-        quad = QuadratureSpec.for_config(cfg)
-        errs = [abs(flux_charge(classical_e(cfg), R, quad) - cfg.total_q)
-                for R in quad.flux_radii]
+        quad = QuadratureSpec()
+        errs = [abs(flux_charge(classical_e(cfg), _far_radius(cfg) * 2.0**k, quad) - cfg.total_q)
+                for k in range(4)]
         assert all(b < a for a, b in zip(errs[:-1], errs[1:]))
 
     def test_off_center_sphere_same_charge(self):
@@ -811,7 +771,7 @@ class TestFluxRowsAgainstPointwise:
     ], ids=["classical-k0.6", "logarithmic", "fractional", "exponential"])
     def test_three_centre_dyon(self, params):
         cfg = self.dyon
-        quad = QuadratureSpec.for_config(cfg)
+        quad = QuadratureSpec()
         eh, oracle = eh_field(params, cfg), eh_pointwise(params, cfg)
         spheres = [(50.0, cfg.centroid), (2.0, cfg.centroid),
                    (0.05, cfg.positions[0]), (4.0, (0.5, 0.2, -0.3))]
@@ -868,7 +828,7 @@ class TestFluxRowsAgainstPointwise:
 
     def test_chunked_levels_keep_the_bits(self, monkeypatch):
         eh = eh_field(ModelParams.logarithmic(beta=1.0), self.dyon)
-        quad = QuadratureSpec.for_config(self.dyon)
+        quad = QuadratureSpec()
         whole = flux_charge(eh, 2.0, quad)
         calls = []
 
@@ -886,7 +846,7 @@ class TestFluxRowsAgainstPointwise:
         # chunks; the one sphere left after that refines alone, its
         # 2048-node level in three chunks
         eh = eh_field(ModelParams.logarithmic(beta=1.0), self.dyon)
-        quad = QuadratureSpec.for_config(self.dyon)
+        quad = QuadratureSpec()
         spheres = [(2.0, self.dyon.centroid), (0.05, self.dyon.positions[1]),
                    (4.0, (0.5, 0.2, -0.3))]
         alone = [flux_charge(eh, R, quad, center=c) for R, c in spheres]
@@ -907,10 +867,10 @@ class TestFluxRowsAgainstPointwise:
         # alone (the outer sphere before it converges), and no sphere after
         # it evaluates a level of _FLUX_CHUNK nodes
         params = ModelParams.classical(beta=1.0, kappa=0.6)
-        quad = dataclasses.replace(QuadratureSpec.for_config(self.dyon), max_subdivisions=5)
+        quad = QuadratureSpec(max_subdivisions=5)
         eh = eh_field(params, self.dyon)
-        R, first = 2.0 * quad.exclusion, self.dyon.positions[0]
-        assert isinstance(flux_charge(eh, quad.far_radius, quad, center=self.dyon.centroid),
+        R, first = 2.0 * self.dyon.exclusion_radius, self.dyon.positions[0]
+        assert isinstance(flux_charge(eh, _far_radius(self.dyon), quad, center=self.dyon.centroid),
                           np.ndarray)
         want = flux_outcome(flux_charge, eh, R, quad, first)
         assert want[0] is QuadratureError
@@ -936,8 +896,8 @@ class TestFluxRowsAgainstPointwise:
         # electrostatic target is unreachable inside the model domain
         params = ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5)
         cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 1.0), ((2.0, 0.0, 0.0), -1.0, 0.0)])
-        quad = QuadratureSpec.for_config(cfg)
-        R, center = 2.0 * quad.exclusion, cfg.positions[0]
+        quad = QuadratureSpec()
+        R, center = 2.0 * cfg.exclusion_radius, cfg.positions[0]
         got = flux_outcome(flux_charge, eh_field(params, cfg), R, quad, center)
         want = flux_outcome(flux_charge_pointwise, eh_pointwise(params, cfg), R, quad, center)
         assert got == want and want[0] is InversionFailure
@@ -963,7 +923,7 @@ class TestFreeCharge:
     def test_electric_only_charge_unchanged(self):
         cfg = three_charges()
         params = ModelParams.classical(1.0)
-        quad = coarse_quad(cfg)
+        quad = coarse_quad()
         out = free_charge_with_inner_spheres(cfg, params, quad)
         assert abs(out["q_free"] - cfg.total_q) <= 1e-3
         assert abs(out["g_free"]) <= 1e-3
@@ -972,7 +932,7 @@ class TestFreeCharge:
         # q_free = q - |g| sgn(q), g_free = g - |q| sgn(g) for kappa = 0
         cfg = single_charge(q=2.0, g=1.0)
         params = ModelParams.classical(1.0, kappa=0.0)
-        quad = coarse_quad(cfg)
+        quad = coarse_quad()
         out = free_charge_with_inner_spheres(cfg, params, quad)
         assert abs(out["q_free"] - 1.0) <= 1e-3
         assert abs(out["g_free"] - (-1.0)) <= 1e-3
@@ -983,7 +943,7 @@ class TestFreeCharge:
             ((-1.0, 0.0, 0.0), -1.0, 1.0),
         ])
         params = ModelParams.classical(1.0, kappa=0.0)
-        quad = coarse_quad(cfg)
+        quad = coarse_quad()
         out = free_charge_with_inner_spheres(cfg, params, quad)
         # q_free = (1 - 0.5) + (-1 + 1) = 0.5; g_free = (0.5 - 1) + (1 - 1) = -0.5
         assert abs(out["q_free"] - 0.5) <= 1e-3

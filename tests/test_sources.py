@@ -6,7 +6,7 @@ import pytest
 from bifield.currents import current_rows, eh_field
 from bifield.errors import SingularPoint
 from bifield.models import ModelParams
-from bifield.observables import hamiltonian_on_points
+from bifield.observables import _far_radius, hamiltonian_on_points
 from bifield.sources import (
     ChargeConfig,
     PointCharge,
@@ -14,6 +14,7 @@ from bifield.sources import (
     _coulomb_gradient,
     _coulomb_offsets,
     _db_weights,
+    _pair_distances,
 )
 
 from triple_sums import _coulomb_potential_sum, _coulomb_sum
@@ -200,12 +201,46 @@ class TestExclusion:
             cfg.check_regular(pts[2])
 
     def test_default_exclusion_radius(self):
-        cfg = two_center()
-        assert cfg.exclusion_radius == pytest.approx(1e-9 * 1.0)
+        # max(1e-9 max(diameter, 1), 1e-8 cell_scale), with the bits of
+        # 1e-8 (0.45 min_separation) where the cell term wins
+        assert two_center().exclusion_radius == 1e-8 * (0.45 * 1.0)
         single = ChargeConfig.build([((0, 0, 0), 1.0, 0.0)])
-        assert single.exclusion_radius == pytest.approx(1e-9)
+        assert single.exclusion_radius == 1e-8
         wide = ChargeConfig.build([((0, 0, 0), 1.0, 0.0), ((0, 5.0, 0), 1.0, 0.0)])
-        assert wide.exclusion_radius == pytest.approx(5e-9)
+        assert wide.exclusion_radius == 1e-8 * (0.45 * 5.0)
+        spread = ChargeConfig.build([((0, 0, 0), 1.0, 0.0), ((1, 0, 0), -1.0, 0.0),
+                                     ((10, 0, 0), 1.0, 0.0)])
+        assert spread.exclusion_radius == 1e-9 * 10.0
+
+    def test_derived_geometry_invariants(self):
+        # the quadrature geometry of a configuration: cells that stop short
+        # of half the closest pair, an outer flux sphere beyond every charge
+        # and its cell, and balls inside the cells
+        rng = np.random.default_rng(5)
+        configs = [two_center(), random_config(rng, 3), random_config(rng, 6),
+                   ChargeConfig.build([((0, 0, 0), 1.0, 0.0), ((30, 0, 0), 1.0, 0.0)])]
+        for cfg in configs:
+            assert cfg.cell_scale == 0.45 * cfg.min_separation < 0.5 * cfg.min_separation
+            assert _far_radius(cfg) > cfg.diameter + cfg.cell_scale
+            assert _far_radius(cfg) >= 10.0 * cfg.cell_scale
+            assert 0.0 < cfg.exclusion_radius < cfg.cell_scale
+
+    def test_single_charge_geometry(self):
+        cfg = ChargeConfig.build([((3, -1, 2), 1.0, 0.0)])
+        assert (cfg.cell_scale, _far_radius(cfg), cfg.exclusion_radius) == (1.0, 10.0, 1e-8)
+
+    def test_exclusion_radius_below_cell_scale(self):
+        pair = [((0, 0, 0), 1.0, 0.0), ((1, 0, 0), -1.0, 0.0)]
+        assert ChargeConfig.build(pair, exclusion_radius=0.44).exclusion_radius == 0.44
+        for radius in (0.45, 0.6):
+            with pytest.raises(ValueError, match="below the cell scale"):
+                ChargeConfig.build(pair, exclusion_radius=radius)
+        with pytest.raises(ValueError, match="below the cell scale"):
+            ChargeConfig.build([((0, 0, 0), 1.0, 0.0)], exclusion_radius=1.0)
+        # a pair 1e-9 apart in a unit-wide layout: the default ball, 1e-9
+        # of the diameter, would hold the pair's cells
+        with pytest.raises(ValueError, match="below the cell scale"):
+            ChargeConfig.build(pair + [((1e-9, 0, 0), 1.0, 0.0)])
 
     def test_explicit_exclusion(self):
         cfg = ChargeConfig.build([((0, 0, 0), 1.0, 0.0)], exclusion_radius=0.1)
@@ -287,6 +322,17 @@ class TestValidation:
             for arr in (cfg.positions, cfg.qs, cfg.gs):
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_pair_distances_match_the_norm_loop(self, offset):
+        # the per-pair np.linalg.norm loop is the oracle, bit for bit
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(2, 10))
+            pos = offset + rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            loop = [float(np.linalg.norm(pos[i] - pos[j]))
+                    for i in range(n) for j in range(i + 1, n)]
+            assert np.array_equal(_pair_distances(pos), loop)
 
     def test_duplicate_position_names_the_first_pair(self):
         entries = [((0, 0, 0), 1.0, 0.0), ((1, 0, 0), 1.0, 0.0), ((1, 0, 0), 2.0, 0.0),
