@@ -107,10 +107,42 @@ class TestQuadratureSpec:
         dict(rel_tol=0.0),
         dict(abs_tol=-1.0),
         dict(max_subdivisions=0),
+        dict(exclusion=2.0, ball_radius=1.0),
+        dict(ball_radius=20.0, far_radius=10.0),
     ])
     def test_invalid_geometry_rejected(self, kwargs):
+        # bad tolerances fail in QuadratureSpec; the former geometry
+        # settings are unknown quadrature keys, as the geometry is the
+        # charge configuration's
         with pytest.raises(ConfigError):
-            QuadratureSpec(**kwargs)
+            cli._quad_from_section(kwargs)
+
+    def test_for_config_invariants(self):
+        # the quadrature geometry of a configuration: cells that stop short
+        # of half the closest pair, an outer flux sphere beyond every charge
+        # and its cell, and balls inside the cells
+        rng = np.random.default_rng(5)
+        configs = [pair_config(), three_charges(), pair_config(sep=30.0),
+                   ChargeConfig.build([(rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0), 0.0)
+                                       for _ in range(6)])]
+        for cfg in configs:
+            assert cfg.cell_scale == 0.45 * cfg.min_separation < 0.5 * cfg.min_separation
+            assert _far_radius(cfg) > cfg.diameter + cfg.cell_scale
+            assert _far_radius(cfg) >= 10.0 * cfg.cell_scale
+            assert 0.0 < cfg.exclusion_radius < cfg.cell_scale
+
+    def test_validate_for_rejects_fat_balls(self):
+        # a ball that reaches the cells (0.45 of the separation) cannot be built
+        entries = [((0.5, 0.0, 0.0), 1.0, 0.0), ((-0.5, 0.0, 0.0), 1.0, 0.0)]
+        with pytest.raises(ValueError, match="below the cell scale"):
+            ChargeConfig.build(entries, exclusion_radius=0.6)
+
+    def test_validate_for_rejects_small_far_radius(self):
+        # a pair 30 apart: a fixed outer sphere of 10 would lie between the
+        # charges; the derived one encloses both charges and their cells
+        cfg = pair_config(sep=30.0)
+        assert _far_radius(cfg) == 4.0 * (cfg.diameter + cfg.cell_scale)
+        assert _far_radius(cfg) > cfg.diameter + cfg.cell_scale
 
 
 class TestEnergyDensity:
@@ -528,6 +560,22 @@ class TestTotalEnergy:
                               QuadratureSpec(rel_tol=1e-5))
         assert report.converged
         assert abs(report.value - 0.6574825896) <= 1e-5 * 0.6574825896
+
+
+    def test_validate_runs_before_integration(self, tmp_path, monkeypatch):
+        # a layout whose default ball would hold a pair's cells is a config
+        # error (exit 1) before any integration starts
+        def integrate(*args):
+            raise AssertionError("total_energy ran")
+
+        monkeypatch.setattr(cli, "total_energy", integrate)
+        data = {"model": {"kind": "classical", "beta": 1.0},
+                "charges": [{"pos": [0.0, 0.0, 0.0], "q": 1.0}, {"pos": [1.0, 0.0, 0.0], "q": -1.0},
+                            {"pos": [1e-9, 0.0, 0.0], "q": 1.0}]}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        argv = ["energy", "--config", str(path), "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
 
 
 class TestBeckeWeights:

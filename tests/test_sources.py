@@ -212,19 +212,6 @@ class TestExclusion:
                                      ((10, 0, 0), 1.0, 0.0)])
         assert spread.exclusion_radius == 1e-9 * 10.0
 
-    def test_derived_geometry_invariants(self):
-        # the quadrature geometry of a configuration: cells that stop short
-        # of half the closest pair, an outer flux sphere beyond every charge
-        # and its cell, and balls inside the cells
-        rng = np.random.default_rng(5)
-        configs = [two_center(), random_config(rng, 3), random_config(rng, 6),
-                   ChargeConfig.build([((0, 0, 0), 1.0, 0.0), ((30, 0, 0), 1.0, 0.0)])]
-        for cfg in configs:
-            assert cfg.cell_scale == 0.45 * cfg.min_separation < 0.5 * cfg.min_separation
-            assert _far_radius(cfg) > cfg.diameter + cfg.cell_scale
-            assert _far_radius(cfg) >= 10.0 * cfg.cell_scale
-            assert 0.0 < cfg.exclusion_radius < cfg.cell_scale
-
     def test_single_charge_geometry(self):
         cfg = ChargeConfig.build([((3, -1, 2), 1.0, 0.0)])
         assert (cfg.cell_scale, _far_radius(cfg), cfg.exclusion_radius) == (1.0, 10.0, 1e-8)
