@@ -6,17 +6,11 @@ E and H, evaluates the induced electric/magnetic currents those fields
 carry, and integrates field energies and fluxes.
 """
 
-from .constitutive import (
-    FieldState,
-    dyonic_eh_rows,
-    forward_fields,
-    invert_rows,
-)
+from .constitutive import dyonic_eh_rows, invert_rows
 from .continuous import (
     ContinuousSource,
     RadialPart,
     bump_source,
-    continuous_residual_suite,
     gaussian_source,
     gridded_source,
     merge_sources,
@@ -38,11 +32,9 @@ from .models import ModelParams
 from .observables import (
     EnergyReport,
     QuadratureSpec,
-    ResidualReport,
     divergence_exponent_probe,
     flux_charge,
     free_charge_with_inner_spheres,
-    residual_suite,
     total_energy,
 )
 from .sources import ChargeConfig, PointCharge
@@ -57,7 +49,6 @@ __all__ = [
     "DomainViolation",
     "EnergyReport",
     "FieldError",
-    "FieldState",
     "InversionFailure",
     "ModelParams",
     "NegativeArgument",
@@ -66,23 +57,19 @@ __all__ = [
     "QuadratureError",
     "QuadratureSpec",
     "RadialPart",
-    "ResidualReport",
     "SingularPoint",
     "__version__",
     "bump_source",
-    "continuous_residual_suite",
     "current_rows",
     "divergence_exponent_probe",
     "dyonic_eh_rows",
     "flux_charge",
-    "forward_fields",
     "free_charge_with_inner_spheres",
     "gaussian_source",
     "gridded_source",
     "invert_rows",
     "merge_sources",
     "newton_potential",
-    "residual_suite",
     "total_energy",
     "two_gaussian_source",
 ]

@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from collections import Counter
@@ -436,25 +437,23 @@ def _cannot_write(path: Path, exc: OSError) -> ConfigError:
     return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _remove(path: Path) -> None:
-    try:
-        path.unlink(missing_ok=True)
-    except OSError as exc:
-        raise _cannot_write(path, exc) from None
+def _remove_outputs(out_dir: Path, name: str, files) -> None:
+    """Remove the files a command writes and <name>.errors.json before it
+    computes, those one listing finds, so that a failed run leaves no
+    output of an earlier run and a fresh --out-dir costs no failed unlink."""
+    present = set(os.listdir(out_dir))
+    for path in (out_dir / f for f in (*files, f"{name}.errors.json") if f in present):
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise _cannot_write(path, exc) from None
 
 
-def _emit_failures(out_dir: Path, name: str, head: dict, failures: list) -> Optional[Path]:
-    """Write <name>.errors.json, or remove it when there are no failures so
-    that a clean rerun leaves no errors file from an earlier run behind."""
+def _emit_failures(out_dir: Path, name: str, head: dict, failures: list) -> Path:
+    """Write <name>.errors.json; the command removed any earlier one before
+    it computed (_remove_outputs)."""
     path = out_dir / f"{name}.errors.json"
-    if not failures:
-        _remove(path)
-        return None
-    payload = dict(head)
-    payload["command"] = name
-    payload["n_failures"] = len(failures)
-    payload["failures"] = failures
-    _write_json(path, payload)
+    _write_json(path, dict(head, command=name, n_failures=len(failures), failures=failures))
     return path
 
 
@@ -476,8 +475,7 @@ def _grid_command(cfg: RunConfig, args, name: str, columns, rows_at, text=()) ->
     n_points, counts, failures = math.prod(cfg.grid_shape), Counter(), []
     csv = args.effective_format == "csv"
     report_path = args.out_dir / (f"{name}.report.json" if csv else f"{name}.json")
-    for path in (report_path, args.out_dir / f"{name}.errors.json"):
-        _remove(path)
+    _remove_outputs(args.out_dir, name, (report_path.name,))
 
     def blocks():
         for start in range(0, n_points, GRID_CHUNK):
@@ -506,8 +504,8 @@ def _grid_command(cfg: RunConfig, args, name: str, columns, rows_at, text=()) ->
         failures_by_error=dict(sorted(by_error.items())), columns=list(columns),
         n_rows=counts["rows"], **out))
     print(f"wrote {report_path}")
-    path = _emit_failures(args.out_dir, name, head, failures)
     if failures:
+        path = _emit_failures(args.out_dir, name, head, failures)
         print(f"{len(failures)} grid point(s) failed, see {path}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
@@ -582,6 +580,9 @@ def _cmd_charge(cfg: RunConfig, args) -> int:
         raise ConfigError(f"--R must be a positive radius, got {args.R!r}")
     base = _far_radius(charges) if args.R is None else args.R
     radii = [base * 2.0**k for k in range(4)]
+    csv = args.effective_format == "csv"
+    outputs = ("charge.report.json", "flux_ladder.csv") if csv else ("charge.json",)
+    _remove_outputs(args.out_dir, "charge", outputs)
 
     head = _report_head(cfg, args.effective_seed)
     try:
@@ -591,7 +592,6 @@ def _cmd_charge(cfg: RunConfig, args) -> int:
                               [{"error": type(exc).__name__, "detail": str(exc)}])
         print(f"charge computation failed, see {path}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit_failures(args.out_dir, "charge", head, [])
     ladder = [{"radius": float(r), "e_flux": e, "h_flux": h}
               for r, (e, h) in zip(radii, free["ladder"])]
 
@@ -602,7 +602,7 @@ def _cmd_charge(cfg: RunConfig, args) -> int:
         "g_free": free["g_free"],
         "flux_ladder": ladder,
     })
-    if args.effective_format == "csv":
+    if csv:
         table = args.out_dir / "flux_ladder.csv"
         _write_csv(table, ("radius", "e_flux", "h_flux"),
                    [np.array([[e["radius"], e["e_flux"], e["h_flux"]] for e in ladder])])
@@ -619,6 +619,7 @@ def _cmd_charge(cfg: RunConfig, args) -> int:
 def _cmd_energy(cfg: RunConfig, args) -> int:
     if cfg.charges is None:
         raise ConfigError("energy requires a charges section")
+    _remove_outputs(args.out_dir, "energy", ("energy.json",))
     head = _report_head(cfg, args.effective_seed)
     try:
         report = total_energy(cfg.charges, cfg.model, cfg.quadrature)
@@ -627,7 +628,6 @@ def _cmd_energy(cfg: RunConfig, args) -> int:
                               [{"error": type(exc).__name__, "detail": str(exc)}])
         print(f"energy integration failed, see {path}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit_failures(args.out_dir, "energy", head, [])
     payload = dict(head)
     payload.update({
         "command": "energy",

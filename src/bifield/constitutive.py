@@ -27,13 +27,13 @@ only its electric and dyonic formulas (_ROW_KERNELS): array arithmetic
 whose branches are row masks, Lambert W and the cubic from specfn's array
 kernels, a masked Newton/bisection for the fractional power and custom
 models. invert_rows returns a failure code per row with the exceptions.
-dyonic_eh_rows is its raising form.
+dyonic_eh_rows is its raising form, and forward_rows evaluates the
+forward map on rows, the check of the inversion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -48,35 +48,10 @@ from .models import (
     QUADRATIC,
     ModelParams,
 )
-from .sources import as_vec3
 from .specfn import lambert_w_from_log_rows, lambert_w_rows, smallest_positive_cubic_root_rows
 
 # inversions divide by f'(s); inside this band the state is rejected
 FPRIME_GUARD = 1e-8
-
-
-@dataclass(frozen=True)
-class FieldState:
-    """All four fields at one point, plus the invariant s."""
-
-    e: np.ndarray
-    b: np.ndarray
-    d: np.ndarray
-    h: np.ndarray
-    s: float
-
-
-def forward_fields(params: ModelParams, e, b) -> FieldState:
-    """Evaluate the forward constitutive map at prescribed (E, B)."""
-    e = as_vec3(e)
-    b = as_vec3(b)
-    k2 = params.kappa**2
-    eb = float(e @ b)
-    s = 0.5 * (float(e @ e) - float(b @ b)) + 0.5 * k2 * eb * eb
-    fp = params.f_prime(s)  # raises DomainViolation outside the model domain
-    d = fp * (e + k2 * eb * b)
-    h = fp * (b - k2 * eb * e)
-    return FieldState(e=e, b=b, d=d, h=h, s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +303,33 @@ def _monotone_rows(params, t, one_pk, b2):
 
 def _domain_floor(params, one_pk, b2):
     """The least a >= 0, to a float, whose s_a = (one_pk a - b2)/2 lies in
-    the model domain: 0 where s_0 = -b2/2 does, else the in-domain end of
-    at most 200 bisections of [0, b2/one_pk] on the domain test. The
-    domain is an interval around s = 0, which s_a reaches at b2/one_pk, and
-    s_a increases with a, so s_a lies below the domain left of the floor."""
+    the model domain: 0 where s_0 = -b2/2 does, else at most b2/one_pk.
+    s_a increases with a, so the domain test flips once, a few ulps from
+    (2 s_lo + b2)/one_pk at the domain's lower edge s_lo, or further where
+    s_a is flat in a (b2 near -2 s_lo): probes 1, 2, 4, ... ulps from there
+    bracket the flip and halving the bracket in ulps finds it."""
     lo = np.zeros(len(b2))
     rows = np.flatnonzero(~params.domain_rows(0.5 * (one_pk * lo - b2)))
-    below, inside = lo[rows], b2[rows] / one_pk[rows]
-    for _ in range(200):
-        if not np.any(np.nextafter(below, inside) < inside):
-            break
-        mid = 0.5 * (below + inside)
-        ok = params.domain_rows(0.5 * (one_pk[rows] * mid - b2[rows]))
-        inside = np.where(ok, mid, inside)
-        below = np.where(ok, below, mid)
-    lo[rows] = inside
+    if not len(rows):
+        return lo
+    opk, b2 = one_pk[rows], b2[rows]
+
+    def inside(k, at):
+        return params.domain_rows(0.5 * (opk[at] * k.view(np.float64) - b2[at]))
+
+    out, ins = np.zeros(len(rows), dtype=np.int64), (b2 / opk).view(np.int64)
+    k0 = np.clip(((2.0 * params.lower_edge() + b2) / opk).view(np.int64), 1, ins)
+    up = ~inside(k0, slice(None))  # the flip lies above k0
+    out[up], ins[~up] = k0[up], k0[~up]
+    step, live = np.where(up, 1, -1), np.arange(len(rows))
+    while len(live := live[ins[live] - out[live] > 1]):
+        k = np.where(step[live] != 0, k0[live] + step[live],
+                     out[live] + (ins[live] - out[live]) // 2)
+        k = np.clip(k, out[live] + 1, ins[live] - 1)
+        ok = inside(k, live)
+        ins[live[ok]], out[live[~ok]] = k[ok], k[~ok]
+        step[live] = np.where(ok == up[live], 0, 2 * step[live])  # 0 once bracketed
+    lo[rows] = ins.view(np.float64)
     return lo
 
 
@@ -484,6 +471,28 @@ def invert_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.n
         finite = np.isfinite(e).all(axis=1) & np.isfinite(h).all(axis=1) & np.isfinite(s)
         fail_rows(code, errors, ~finite, DomainViolation("inversion gave a non-finite field"))
     return e, h, s, code, errors
+
+
+def forward_rows(params: ModelParams, e, b) -> tuple:
+    """The forward map of the module docstring on rows: E, B of shape
+    (N, 3) -> D, H, s, code, errors, code and errors as invert_rows. A row
+    whose s lies outside the model domain fails with domain_error(s) and
+    has NaN D and H; past overflow f'(s) is inf. Each row has the bits of
+    the one-point map with 3-vector dots and ModelParams.f_prime."""
+    e = np.asarray(e, dtype=float).reshape(-1, 3)
+    b = np.asarray(b, dtype=float).reshape(-1, 3)
+    code = np.zeros(len(e), dtype=np.int64)
+    errors: list = []
+    k2 = params.kappa**2
+    eb = rowdot(e, b)
+    s = 0.5 * (rowdot(e, e) - rowdot(b, b)) + 0.5 * k2 * eb * eb
+    ok = params.domain_rows(s)
+    fail_rows(code, errors, ~ok, lambda j: params.domain_error(s[j]))
+    fp = np.full(len(s), np.nan)
+    with np.errstate(over="ignore"):
+        fp[ok] = params.derivative_rows(s[ok], 1)
+    fp, keb = fp[:, None], (k2 * eb)[:, None]
+    return fp * (e + keb * b), fp * (b - keb * e), s, code, errors
 
 
 def dyonic_eh_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -30,8 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constitutive import invert_rows, rowdot
-from .currents import _fd_rows, _generic_electric_curl, _stencil
-from .errors import ConfigError, QuadratureError, merge_failures, raise_first
+from .currents import _fd_rows, _generic_electric_curl
+from .errors import ConfigError, QuadratureError, merge_failures
 from .models import ModelParams
 from .observables import QuadratureSpec, _gauss, _panel_nodes, _sphere_rule
 from .sources import as_vec3
@@ -47,7 +47,6 @@ __all__ = [
     "newton_potential",
     "state_rows",
     "jm_rows",
-    "continuous_residual_suite",
 ]
 
 _FOUR_PI = 4.0 * math.pi
@@ -556,30 +555,3 @@ def jm_rows(src: ContinuousSource, params: ModelParams, pts: np.ndarray,
     grad = 2.0 * (hess[rows] @ g[:, :, None])[:, :, 0]
     j_m[rows] = _generic_electric_curl(params, g, e[rows], grad, code, errors, rows)
     return j_m
-
-
-def continuous_residual_suite(src: ContinuousSource, params: ModelParams,
-                              grid, quad: QuadratureSpec = None) -> dict:
-    """FD residuals of the dyonic source equations on a probe grid.
-
-    The flux fields D = f'(s)(E + kappa^2 (E.B) B) and B = H/f'(s) +
-    kappa^2 (E.B) E, from one state_rows call at the 12 Richardson stencil
-    nodes (step width/10) of every point, have FD divergences compared
-    against rho_e and rho_m. Intended for sources with radial parts; with FD
-    gradients the quadrature noise in u dominates the budget.
-    """
-    pts = np.asarray(grid, dtype=float).reshape(-1, 3)
-    hs = np.array([0.5, 1.0]) * (src.width / 10.0)
-    nodes, jacobian = _stencil(pts, np.broadcast_to(hs, (len(pts), 2)))
-    _, b, e, h, s, _, code, errors = state_rows(src, params, nodes, quad)
-    raise_first(code, errors)
-    fp = params.f_and_prime_rows(s)[1][:, None]
-    keb = (params.kappa**2 * rowdot(e, b))[:, None]
-    flux = np.stack((fp * (e + keb * b), h / fp + keb * e), axis=1)
-    div = np.trace(jacobian(flux), axis1=-2, axis2=-1)  # point, step, flux
-    div = (4.0 * div[:, 0] - div[:, 1]) / 3.0
-    rho = np.stack([np.zeros(len(pts)) if r is None else np.asarray(r(pts), dtype=float)
-                    for r in (src.rho_e, src.rho_m)], axis=1)
-    res, peak = np.abs(div - rho).max(axis=0, initial=0.0), np.abs(rho).max(axis=0, initial=0.0)
-    return {"max_residual_e": float(res[0]), "max_residual_m": float(res[1]),
-            "max_rho_e": float(peak[0]), "max_rho_m": float(peak[1]), "n_points": len(pts)}

@@ -22,8 +22,7 @@ by stacking the 12 stencil nodes of every point into one Coulomb pass and
 one constitutive rows call.
 
 Every central difference in the package gets its nodes and Jacobians from
-_stencil: _fd_rows here, and the residual suites of observables and
-continuous.
+_stencil: _fd_rows here, and the residual suites of verify.
 """
 
 from __future__ import annotations

@@ -194,6 +194,12 @@ class ModelParams:
             ok &= (self.s_min < s) & (s < self.s_max)
         return ok
 
+    def lower_edge(self) -> float:
+        """domain_rows' lower bound on s, to rounding (-inf without one)."""
+        if self.kind == FRACTIONAL_POWER and not _is_integral(self.p):
+            return -self.p / self.beta
+        return self.s_min if self.kind == CUSTOM else -math.inf
+
     def domain_error(self, s: float) -> DomainViolation:
         """The DomainViolation that f, f' and f'' raise at s."""
         return DomainViolation(f"s={float(s)!r} outside domain of {self.kind} model")

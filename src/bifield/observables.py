@@ -9,9 +9,8 @@ Three families of quantities live here:
 * the total energy by one multicentre rule, Becke's fuzzy cells: each
   centre integrates its smooth share of H on a mapped radial rule that
   reaches infinity, with divergence detected rather than extrapolated;
-* flux-defined free charges on spheres, the near-charge divergence-exponent
-  probe, and a finite-difference residual suite for the static field
-  equations.
+* flux-defined free charges on spheres and the near-charge
+  divergence-exponent probe.
 """
 
 from __future__ import annotations
@@ -23,17 +22,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainViolation, QuadratureError, SingularPoint, raise_first
+from .errors import ConfigError, DomainViolation, QuadratureError, SingularPoint
 from .models import ModelParams, CLASSICAL, QUADRATIC
 from .sources import ChargeConfig, _batch_coulomb, _coulomb_offsets, _db_weights, as_vec3
 from .constitutive import cross_rows, dyonic_eh_rows, rowdot
-from .currents import (_curl, _fd_step_rows, _stencil, _stencil_clear, current_rows, eh_field,
-                       eh_rows)
+from .currents import eh_field
 
 __all__ = [
     "QuadratureSpec",
     "EnergyReport",
-    "ResidualReport",
     "classical_energy_density",
     "hamiltonian_on_points",
     "density_rows",
@@ -43,7 +40,6 @@ __all__ = [
     "free_charge_with_inner_spheres",
     "divergence_exponent_probe",
     "default_probe_radii",
-    "residual_suite",
 ]
 
 # generic ray direction for near-charge probes; avoids the coordinate axes
@@ -94,20 +90,6 @@ class EnergyReport:
     converged: bool
     near_charge_exponents: tuple
     parts: dict = dataclass_field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    max_div_d: float
-    max_curl_d: float
-    max_div_b: float
-    max_curl_b: float
-    max_curl_e_plus_jm: float
-    max_curl_h_minus_je: float
-    current_method: str
-    n_evaluated: int
-    n_skipped: int
-    details: tuple = ()
 
 
 # -- energy densities --------------------------------------------------------
@@ -213,12 +195,14 @@ def _panel_nodes(r_lo: float, r_hi: float, n_panels: int, nodes: int):
     return np.concatenate(rs), np.concatenate(ws)
 
 
-def _sphere_rule(n_mu: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit directions and weights with sum(weights) = 4 pi."""
-    mu, w_mu = _gauss(n_mu)
+def _sphere_rule(n_mu: int, n_phi: int, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions and weights with sum(weights) = 4 pi, cos(theta)
+    major. With rows, only the nodes of those cos(theta) nodes of the
+    n_mu-point rule, with the bits the whole rule gives them."""
+    mu, w_mu = (v[rows] for v in _gauss(n_mu))
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     sin_th = np.sqrt(np.maximum(1.0 - mu**2, 0.0))
-    dirs = np.empty((n_mu * n_phi, 3))
+    dirs = np.empty((len(mu) * n_phi, 3))
     dirs[:, 0] = np.outer(sin_th, np.cos(phi)).ravel()
     dirs[:, 1] = np.outer(sin_th, np.sin(phi)).ravel()
     dirs[:, 2] = np.outer(mu, np.ones(n_phi)).ravel()
@@ -399,18 +383,19 @@ class _FluxSphere:
     def nodes(self, dirs: np.ndarray) -> np.ndarray:
         return self.center + self.R * dirs
 
-    def take(self, vals: np.ndarray, dirs: np.ndarray, w_ang: np.ndarray,
-             quad: QuadratureSpec) -> bool:
-        """Add one level's field values at nodes(dirs); True once every
-        component has converged."""
+    def sums(self, vals: np.ndarray, dirs: np.ndarray, w_ang: np.ndarray) -> np.ndarray:
+        """sum w (F.n) per stacked component of vals at nodes(dirs)."""
+        self.shape = vals.shape[1:-1]
         rows = vals.reshape(len(dirs), -1, 3)
         # rowdot rounds each normal component like a scalar 3-term dot, so a
         # stacked field keeps the bits of separate ones
-        normal = np.array([rowdot(rows[:, m], dirs) for m in range(rows.shape[1])])
-        cur = np.array([self.R**2 * float(w_ang @ row) for row in normal])
+        return np.array([float(w_ang @ rowdot(rows[:, m], dirs)) for m in range(rows.shape[1])])
+
+    def take(self, sums: np.ndarray, quad: QuadratureSpec) -> bool:
+        """Add one level's sums; True once every component has converged."""
+        cur = self.R**2 * sums
         if self.prev is None:
             self.flux, self.done = cur.copy(), np.zeros(len(cur), dtype=bool)
-            self.shape = vals.shape[1:-1]
         else:
             fresh = ~self.done & (np.abs(cur - self.prev)
                                   <= quad.rel_tol * np.maximum(np.abs(cur), quad.abs_tol))
@@ -425,17 +410,17 @@ class _FluxSphere:
         return float(self.flux[0]) if self.shape == () else self.flux.reshape(self.shape)
 
 
-def _field_on(field: Callable, spheres: list, dirs: np.ndarray) -> np.ndarray:
-    """field at the nodes of each sphere in directions dirs, sphere-major,
-    in chunks of at most _FLUX_CHUNK nodes. A lone sphere's nodes are formed
-    chunk by chunk: its level may hold millions."""
-    if len(spheres) > 1:
-        pts = np.concatenate([s.nodes(dirs) for s in spheres])
-        chunks = (pts[lo:lo + _FLUX_CHUNK] for lo in range(0, len(pts), _FLUX_CHUNK))
-    else:
-        chunks = (spheres[0].nodes(dirs[lo:lo + _FLUX_CHUNK])
-                  for lo in range(0, len(dirs), _FLUX_CHUNK))
-    return np.concatenate([np.asarray(field(c), dtype=float) for c in chunks])
+def _level_sums(field: Callable, sphere: _FluxSphere, n_mu: int, n_phi: int) -> np.ndarray:
+    """sphere.sums over the n_mu x n_phi level, formed whole cos(theta) rows
+    at a time, at most _FLUX_CHUNK nodes (or one row) each: a level may hold
+    millions. A level of one chunk has the bits of one sums call."""
+    step = max(1, _FLUX_CHUNK // n_phi)
+    sums = None
+    for lo in range(0, n_mu, step):
+        dirs, w_ang = _sphere_rule(n_mu, n_phi, slice(lo, lo + step))
+        part = sphere.sums(np.asarray(field(sphere.nodes(dirs)), dtype=float), dirs, w_ang)
+        sums = part if sums is None else sums + part
+    return sums
 
 
 def flux_spheres(field: Callable, centres, radii, quad: QuadratureSpec) -> list:
@@ -448,25 +433,27 @@ def flux_spheres(field: Callable, centres, radii, quad: QuadratureSpec) -> list:
     sphere leaves once all its components have converged. From the first
     level that fills a chunk, the spheres left refine one at a time in
     order, so a sphere that cannot converge raises before any later sphere
-    evaluates a chunk-sized level. Returns one flux (float or array) per
-    sphere. Raises what field raises (at a shared level, for the first
-    failing node in sphere order), or QuadratureError naming the first
-    sphere in order that did not converge within max_subdivisions
-    doublings.
+    evaluates a chunk-sized level; such a level is summed chunk by chunk
+    (_level_sums), so memory stays flat in its size. Returns one flux
+    (float or array) per sphere. Raises what field raises (at a shared
+    level, for the first failing node in sphere order), or QuadratureError
+    naming the first sphere in order that did not converge within
+    max_subdivisions doublings.
     """
     spheres = [_FluxSphere(c, R) for c, R in zip(centres, radii)]
     live, n_mu, n_phi, level = spheres, 8, 16, 0
     while live and level <= quad.max_subdivisions and n_mu * n_phi < _FLUX_CHUNK:
         dirs, w_ang = _sphere_rule(n_mu, n_phi)
-        vals = _field_on(field, live, dirs)
+        pts = np.concatenate([s.nodes(dirs) for s in live])
+        vals = np.concatenate([np.asarray(field(pts[lo:lo + _FLUX_CHUNK]), dtype=float)
+                               for lo in range(0, len(pts), _FLUX_CHUNK)])
         live = [s for s, v in zip(live, np.split(vals, len(live)))
-                if not s.take(v, dirs, w_ang, quad)]
+                if not s.take(s.sums(v, dirs, w_ang), quad)]
         level, n_mu, n_phi = level + 1, 2 * n_mu, 2 * n_phi
     for s in live:
         m, n = n_mu, n_phi
         for _ in range(level, quad.max_subdivisions + 1):
-            dirs, w_ang = _sphere_rule(m, n)
-            if s.take(_field_on(field, [s], dirs), dirs, w_ang, quad):
+            if s.take(_level_sums(field, s, m, n), quad):
                 break
             m, n = 2 * m, 2 * n
         else:
@@ -511,40 +498,3 @@ def free_charge_with_inner_spheres(cfg: ChargeConfig, params: ModelParams,
         free = free - flux
     return {"q_free": float(free[0]), "g_free": float(free[1]),
             "ladder": [(float(e), float(h)) for e, h in fluxes[1 + inner:]]}
-
-
-# -- residual suite ------------------------------------------------------------
-
-
-def residual_suite(cfg: ChargeConfig, params: ModelParams, grid) -> ResidualReport:
-    """Finite-difference residuals of the static field equations on a grid.
-
-    Reports the max over usable grid points of |div D|, |curl D|, |div B|,
-    |curl B|, |curl E + j_m| and |curl H - j_e|, using analytic currents
-    where closed forms exist. Points whose FD stencil would enter a charge
-    exclusion ball are skipped and counted. The currents come from one
-    current_rows call and D, B, E and H at the stencil nodes of every point
-    from one eh_rows call; a failing current raises before a failing node.
-    """
-    pts = np.asarray(grid, dtype=float).reshape(-1, 3)
-    steps = _fd_step_rows(pts)
-    clear = _stencil_clear(cfg, pts, steps)
-    x = pts[clear]
-    currents = current_rows(params, cfg, x)
-    raise_first(currents.code, currents.errors)
-    nodes, jacobian = _stencil(x, steps[clear][:, None])
-    d, b, e, h, _, code, errors = eh_rows(params, cfg, nodes)
-    raise_first(code, errors)
-    jac = jacobian(np.stack((d, b, e, h), axis=1))[:, 0]  # point, D B E H, i, j
-    div = np.abs(np.trace(jac[:, :2], axis1=-2, axis2=-1))
-    curl = _curl(jac)
-    curl[:, 2] += currents.j_m
-    curl[:, 3] -= currents.j_e
-    peak = np.abs(curl).max(axis=2)  # curl D, curl B, curl E + j_m, curl H - j_e
-    cols = np.column_stack((div[:, 0], peak[:, 0], div[:, 1], peak[:, 1:]))
-    keys = ("div_d", "curl_d", "div_b", "curl_b", "curl_e_jm", "curl_h_je")
-    details = tuple({"at": p.tolist(), **dict(zip(keys, map(float, row)))}
-                    for p, row in zip(x, cols))
-    return ResidualReport(*map(float, cols.max(axis=0, initial=0.0)),
-                          current_method=currents.method, n_evaluated=len(x),
-                          n_skipped=int(np.count_nonzero(~clear)), details=details)

@@ -132,12 +132,6 @@ class ChargeConfig:
         x = as_vec3(x)
         return float(min(np.linalg.norm(x - c.position) for c in self.charges))
 
-    def check_regular(self, x) -> np.ndarray:
-        """Return x as a vec3, raising SingularPoint inside an exclusion ball."""
-        x = as_vec3(x)
-        _coulomb_offsets(self, x[None, :])
-        return x
-
 
 def _pair_distances(pos: np.ndarray) -> np.ndarray:
     """|x_i - x_j| over the pairs i < j in np.triu_indices order, each

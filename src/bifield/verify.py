@@ -6,8 +6,9 @@ and reports its worst residual against a tolerance. The currents are
 checked where the paper states them: curl E = -j_m and curl H = j_e by
 residual_suite's finite differences of eh_rows against current_rows, and
 Gauss's law div D = rho_e for continuous sources by
-continuous_residual_suite on state_rows. The command line imports this
-module only when verify runs.
+continuous_residual_suite on state_rows; both take their central
+differences from currents._stencil. The command line imports this module
+only when verify runs.
 """
 
 from __future__ import annotations
@@ -17,19 +18,21 @@ import math
 
 import numpy as np
 
-from .constitutive import forward_fields, invert_rows, rowdot
-from .continuous import (bump_source, continuous_residual_suite, gaussian_source, jm_rows,
+from .constitutive import forward_rows, invert_rows, rowdot
+from .continuous import (ContinuousSource, bump_source, gaussian_source, jm_rows,
                          newton_potential, state_rows)
-from .currents import current_rows, eh_field
+from .currents import (_curl, _fd_step_rows, _stencil, _stencil_clear, current_rows, eh_field,
+                       eh_rows)
 from .errors import DomainViolation, raise_first
 from .models import ModelParams
 from .observables import (QuadratureSpec, flux_charge, free_charge_with_inner_spheres,
-                          residual_suite, total_energy)
+                          total_energy)
 from .sources import (ChargeConfig, _batch_coulomb, _coulomb_offsets, _db_weights, _superpose,
                       as_vec3)
 from .specfn import lambert_w_rows, smallest_positive_cubic_root_rows
 
-__all__ = ["SUITES", "jm_classical_jacobi_term", "run_suites"]
+__all__ = ["SUITES", "continuous_residual_suite", "jm_classical_jacobi_term", "residual_suite",
+           "run_suites"]
 
 # radial-quadrature reference for the total energy of a unit charge,
 # classical model with beta = 1
@@ -78,6 +81,65 @@ def jm_classical_jacobi_term(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
     return pref * np.array([math.fsum(p) for p in parts])
 
 
+def residual_suite(cfg: ChargeConfig, params: ModelParams, grid) -> tuple:
+    """Finite-difference residuals of the static field equations on a grid.
+
+    One dict per usable grid point: its location "at" and |div D|,
+    |curl D|, |div B|, |curl B|, |curl E + j_m| and |curl H - j_e| there,
+    using analytic currents where closed forms exist. Points whose FD
+    stencil would enter a charge exclusion ball are skipped. The currents
+    come from one current_rows call and D, B, E and H at the stencil nodes
+    of every point from one eh_rows call; a failing current raises before a
+    failing node.
+    """
+    pts = np.asarray(grid, dtype=float).reshape(-1, 3)
+    steps = _fd_step_rows(pts)
+    clear = _stencil_clear(cfg, pts, steps)
+    x = pts[clear]
+    currents = current_rows(params, cfg, x)
+    raise_first(currents.code, currents.errors)
+    nodes, jacobian = _stencil(x, steps[clear][:, None])
+    d, b, e, h, _, code, errors = eh_rows(params, cfg, nodes)
+    raise_first(code, errors)
+    jac = jacobian(np.stack((d, b, e, h), axis=1))[:, 0]  # point, D B E H, i, j
+    div = np.abs(np.trace(jac[:, :2], axis1=-2, axis2=-1))
+    curl = _curl(jac)
+    curl[:, 2] += currents.j_m
+    curl[:, 3] -= currents.j_e
+    peak = np.abs(curl).max(axis=2)  # curl D, curl B, curl E + j_m, curl H - j_e
+    cols = np.column_stack((div[:, 0], peak[:, 0], div[:, 1], peak[:, 1:]))
+    keys = ("div_d", "curl_d", "div_b", "curl_b", "curl_e_jm", "curl_h_je")
+    return tuple({"at": p.tolist(), **dict(zip(keys, map(float, row)))}
+                 for p, row in zip(x, cols))
+
+
+def continuous_residual_suite(src: ContinuousSource, params: ModelParams,
+                              grid, quad: QuadratureSpec = None) -> dict:
+    """FD residuals of the dyonic source equations on a probe grid.
+
+    The flux fields D = f'(s)(E + kappa^2 (E.B) B) and B = H/f'(s) +
+    kappa^2 (E.B) E, from one state_rows call at the 12 Richardson stencil
+    nodes (step width/10) of every point, have FD divergences compared
+    against rho_e and rho_m. Intended for sources with radial parts; with FD
+    gradients the quadrature noise in u dominates the budget.
+    """
+    pts = np.asarray(grid, dtype=float).reshape(-1, 3)
+    hs = np.array([0.5, 1.0]) * (src.width / 10.0)
+    nodes, jacobian = _stencil(pts, np.broadcast_to(hs, (len(pts), 2)))
+    _, b, e, h, s, _, code, errors = state_rows(src, params, nodes, quad)
+    raise_first(code, errors)
+    fp = params.f_and_prime_rows(s)[1][:, None]
+    keb = (params.kappa**2 * rowdot(e, b))[:, None]
+    flux = np.stack((fp * (e + keb * b), h / fp + keb * e), axis=1)
+    div = np.trace(jacobian(flux), axis1=-2, axis2=-1)  # point, step, flux
+    div = (4.0 * div[:, 0] - div[:, 1]) / 3.0
+    rho = np.stack([np.zeros(len(pts)) if r is None else np.asarray(r(pts), dtype=float)
+                    for r in (src.rho_e, src.rho_m)], axis=1)
+    res, peak = np.abs(div - rho).max(axis=0, initial=0.0), np.abs(rho).max(axis=0, initial=0.0)
+    return {"max_residual_e": float(res[0]), "max_residual_m": float(res[1]),
+            "max_rho_e": float(peak[0]), "max_rho_m": float(peak[1]), "n_points": len(pts)}
+
+
 def _verify_lambert(rng) -> dict:
     xs = np.concatenate([np.logspace(-12, 12, 200), rng.uniform(1e-6, 1e6, 200)])
     w = lambert_w_rows(xs)
@@ -109,15 +171,15 @@ def _verify_round_trip(rng) -> dict:
         for kappa in (0.0, 0.5, 1.0):
             params = dataclasses.replace(base, kappa=kappa)
             e, h, _, code, errors = invert_rows(params, d, b)
-            for i, k in enumerate(code.tolist()):
-                if k:
-                    if isinstance(errors[k - 1], DomainViolation):
-                        continue  # quadratic domain holes are legitimate
-                    raise errors[k - 1]
-                # the scalar forward map checks the rows inversion
-                st = forward_fields(params, e[i], b[i])
-                res.append(max(float(np.linalg.norm(st.d - d[i])),
-                               float(np.linalg.norm(st.h - h[i]))) / scale[i])
+            for k in code[code != 0].tolist():
+                if not isinstance(errors[k - 1], DomainViolation):
+                    raise errors[k - 1]  # quadratic domain holes are legitimate
+            ok = code == 0
+            # the forward map checks the rows inversion
+            fd, fh, _, fcode, ferrors = forward_rows(params, e[ok], b[ok])
+            raise_first(fcode, ferrors)
+            fd, fh = fd - d[ok], fh - h[ok]
+            res.extend(np.maximum(np.sqrt(rowdot(fd, fd)), np.sqrt(rowdot(fh, fh))) / scale[ok])
     return _suite("constitutive_round_trip", 1e-7, res)
 
 
@@ -157,8 +219,8 @@ def _verify_curl(rng, name: str, cfg: ChargeConfig, key: str) -> dict:
         x = rng.uniform(-2.0, 2.0, 3)
         if cfg.min_distance(x) >= 0.4:
             pts.append(x)
-    report = residual_suite(cfg, ModelParams.classical(beta=1.0), np.reshape(pts, (-1, 3)))
-    return _suite(name, 1e-5, [p[key] for p in report.details])
+    details = residual_suite(cfg, ModelParams.classical(beta=1.0), np.reshape(pts, (-1, 3)))
+    return _suite(name, 1e-5, [p[key] for p in details])
 
 
 def _verify_curl_electric(rng) -> dict:

@@ -13,6 +13,8 @@ module, as the oracle the tests hold the kernels against:
   the models without a closed form, and the BracketFailure it raises;
 * energy_density, the model-generic Hamiltonian density of one state, the
   reference for bifield.observables.density_rows;
+* forward_fields and the FieldState it returns, the forward map at one
+  point, the reference for bifield.constitutive.forward_rows;
 * in_domain, f, f_prime and f_double_prime, the model table one s at a
   time, the reference for ModelParams.domain_rows and derivative_rows.
 
@@ -682,6 +684,30 @@ def dyonic_eh(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, AuxSca
             f"direction match violated: E.(D - k^2 (B.D) B/(1+k^2 B^2)) = {dot!r}"
         )
     return e, h, aux
+
+
+@dataclass(frozen=True)
+class FieldState:
+    """All four fields at one point, plus the invariant s."""
+
+    e: np.ndarray
+    b: np.ndarray
+    d: np.ndarray
+    h: np.ndarray
+    s: float
+
+
+def forward_fields(params: ModelParams, e, b) -> FieldState:
+    """Evaluate the forward constitutive map at prescribed (E, B)."""
+    e = as_vec3(e)
+    b = as_vec3(b)
+    k2 = params.kappa**2
+    eb = float(e @ b)
+    s = 0.5 * (float(e @ e) - float(b @ b)) + 0.5 * k2 * eb * eb
+    fp = f_prime(params, s)  # raises DomainViolation outside the model domain
+    d = fp * (e + k2 * eb * b)
+    h = fp * (b - k2 * eb * e)
+    return FieldState(e=e, b=b, d=d, h=h, s=s)
 
 
 def energy_density(params: ModelParams, state) -> float:

@@ -19,7 +19,6 @@ from bifield import (
     divergence_exponent_probe,
     dyonic_eh_rows,
     flux_charge,
-    forward_fields,
     free_charge_with_inner_spheres,
     gaussian_source,
     invert_rows,
@@ -36,6 +35,7 @@ from bifield.specfn import lambert_w_rows, smallest_positive_cubic_root_rows
 from bifield.verify import jm_classical_jacobi_term
 
 from fd_oracle import fd_curl
+from scalar_inversions import forward_fields
 
 # frozen references, shared with the module test files:
 # scipy radial quadrature of the single-unit-charge energy (beta = 1) and

@@ -386,6 +386,22 @@ class TestSampleCommand:
         report = read_report(out / "sample.report.json")
         assert report["config_sha256"] == config_digest(load_config(clean))
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_energy_and_charge_leave_no_earlier_outputs(self, tmp_path, fmt):
+        # a failed rerun leaves its errors file and nothing of the run before
+        # it that a reader could take for its result
+        out = tmp_path / "out"
+        unit = write_config(tmp_path, {"model": {"kind": "classical"},
+                                       "charges": [{"pos": [0.0, 0.0, 0.0], "q": 1.0}]},
+                            name="unit.json")
+        failing = write_config(tmp_path, failing_config(), name="fail.json")
+        for command in ("energy", "charge"):
+            argv = [command, "--out-dir", str(out), "--format", fmt, "--config"]
+            assert main(argv + [str(unit)]) == EXIT_OK
+            assert main(argv + [str(failing)]) == EXIT_NUMERIC
+            assert sorted(p.name for p in out.iterdir()) == [f"{command}.errors.json"]
+            (out / f"{command}.errors.json").unlink()
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["sample", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
         assert main(["sample"]) == EXIT_CONFIG

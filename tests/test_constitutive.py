@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -7,13 +8,14 @@ import numpy as np
 import pytest
 
 from bifield import constitutive, models, specfn
-from bifield.constitutive import dyonic_eh_rows, invert_rows, forward_fields
+from bifield.constitutive import dyonic_eh_rows, forward_rows, invert_rows
 from bifield.errors import DomainViolation, FieldError, InversionFailure
 from bifield.models import ModelParams
 
 import scalar_inversions
 from scalar_inversions import dyonic_eh as scalar_eh
 from scalar_inversions import electrostatic_e as scalar_e
+from scalar_inversions import forward_fields
 from scalar_inversions import magnetostatic_h as scalar_h
 
 CLOSED_FORM_TOL = 1e-9
@@ -279,6 +281,10 @@ class TestGuards:
         m = ModelParams.classical(beta=1.0)
         with pytest.raises(DomainViolation):
             forward_fields(m, (2.0, 0.0, 0.0), np.zeros(3))
+        e = [(0.1, 0.0, 0.0), (2.0, 0.0, 0.0)]
+        d, h, _, code, errors = forward_rows(m, e, np.zeros((2, 3)))
+        assert code.tolist() == [0, 1] and isinstance(errors[0], DomainViolation)
+        assert np.isnan(d[1]).all() and np.isnan(h[1]).all() and np.isfinite(d[0]).all()
 
 
 class TestFieldState:
@@ -286,6 +292,77 @@ class TestFieldState:
         m = ModelParams.exponential(beta=0.5)
         st = forward_fields(m, (0.1, 0.0, 0.0), (0.0, 0.2, 0.0))
         assert st.s == pytest.approx(0.5 * (0.01 - 0.04))
+        d, h, s, code, _ = forward_rows(m, [(0.1, 0.0, 0.0)], [(0.0, 0.2, 0.0)])
+        assert d.shape == h.shape == (1, 3) and s.shape == code.shape == (1,)
+        assert s[0] == st.s
+
+
+class TestForwardRows:
+    """forward_rows against the one-point forward map of the oracle."""
+
+    KINDS = [
+        ModelParams.classical(beta=1.3),
+        ModelParams.logarithmic(beta=0.8),
+        ModelParams.exponential(beta=0.5),
+        ModelParams.fractional_power(beta=1.1, p=1.7),
+        ModelParams.fractional_power(beta=1.1, p=3.0),
+        ModelParams.quadratic(alpha=0.05),
+        ModelParams.custom(lambda s: s + 0.1 * s * s, lambda s: 1.0 + 0.2 * s, lambda s: 0.2,
+                           s_min=-2.0, s_max=2.0),
+    ]
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("base", KINDS, ids=lambda m: m.kind)
+    def test_rows_match_the_one_point_map(self, base, kappa):
+        # every row, in domain or not, is what forward_fields gives there:
+        # the same bits, except the exponential's f' = exp(beta s), which
+        # numpy rounds unlike the math module in the last bit; a failing
+        # row carries the oracle's exception
+        m = dataclasses.replace(base, kappa=kappa)
+        rng = np.random.default_rng(5)
+        e, b = rng.normal(size=(2, 200, 3)) * 0.6
+        d, h, s, code, errors = forward_rows(m, e, b)
+        failed = 0
+        for i in range(len(e)):
+            try:
+                st = forward_fields(m, e[i], b[i])
+            except DomainViolation as exc:
+                failed += 1
+                assert code[i] and str(errors[code[i] - 1]) == str(exc)
+                continue
+            assert code[i] == 0
+            if m.kind == "exponential":
+                np.testing.assert_allclose(d[i], st.d, rtol=4e-16, atol=0.0)
+                np.testing.assert_allclose(h[i], st.h, rtol=4e-16, atol=0.0)
+                assert s[i] == st.s
+            else:
+                assert np.array_equal(d[i], st.d) and np.array_equal(h[i], st.h) and s[i] == st.s
+        assert failed == np.count_nonzero(code)
+
+    def test_row_is_independent_of_its_batch(self):
+        m = ModelParams.fractional_power(beta=1.1, p=1.7, kappa=0.5)
+        rng = np.random.default_rng(6)
+        e, b = rng.normal(size=(2, 50, 3))
+        d, h, s, code, _ = forward_rows(m, e, b)
+        for i in range(len(e)):
+            one = forward_rows(m, e[i], b[i])
+            assert bool(one[3][0]) == bool(code[i])
+            if not code[i]:
+                assert np.array_equal(one[0][0], d[i]) and np.array_equal(one[1][0], h[i])
+                assert one[2][0] == s[i]
+
+    def test_round_trip_of_the_rows_inversion(self):
+        # the forward map undoes invert_rows on every kind that inverted
+        rng = np.random.default_rng(8)
+        d, b = rng.normal(size=(2, 60, 3))
+        for base in self.KINDS:
+            m = dataclasses.replace(base, kappa=0.5)
+            e, h, _, code, _ = invert_rows(m, d, b)
+            ok = code == 0
+            fd, fh, _, fcode, _ = forward_rows(m, e[ok], b[ok])
+            assert not fcode.any()
+            np.testing.assert_allclose(fd, d[ok], rtol=0.0, atol=1e-7)
+            np.testing.assert_allclose(fh, h[ok], rtol=0.0, atol=1e-7)
 
 
 class TestRows:
@@ -616,6 +693,58 @@ VIEW_MODELS = [
     pytest.param(ModelParams.quadratic(alpha=0.5, kappa=0.2), id="quadratic-k0.2"),
     pytest.param(custom_classical(kappa=0.5), id="custom-k0.5"),
 ]
+
+
+def domain_floor_bisection(params, one_pk, b2):
+    """The reference of constitutive._domain_floor: at most 200 bisections
+    of [0, b2/one_pk] on the domain test, for the rows whose s_0 = -b2/2
+    lies below the domain, keeping the in-domain end."""
+    lo = np.zeros(len(b2))
+    rows = np.flatnonzero(~params.domain_rows(0.5 * (one_pk * lo - b2)))
+    below, inside = lo[rows], b2[rows] / one_pk[rows]
+    for _ in range(200):
+        if not np.any(np.nextafter(below, inside) < inside):
+            break
+        mid = 0.5 * (below + inside)
+        ok = params.domain_rows(0.5 * (one_pk[rows] * mid - b2[rows]))
+        inside = np.where(ok, mid, inside)
+        below = np.where(ok, below, mid)
+    lo[rows] = inside
+    return lo
+
+
+class TestDomainFloor:
+    """_domain_floor's walk from the domain edge against the bisection."""
+
+    @pytest.mark.parametrize("m", [
+        ModelParams.fractional_power(beta=0.3, p=1.5),
+        ModelParams.fractional_power(beta=1.0, p=1.7),
+        ModelParams.fractional_power(beta=2.7, p=2.5),
+        ModelParams.fractional_power(beta=1.1, p=3.3),
+        ModelParams.custom(lambda s: s, lambda s: 1.0, lambda s: 0.0, s_min=-0.37),
+        ModelParams.custom(lambda s: s, lambda s: 1.0, lambda s: 0.0, s_min=-123.456),
+    ], ids=["frac-0.3-1.5", "frac-1-1.7", "frac-2.7-2.5", "frac-1.1-3.3", "custom-0.37",
+            "custom-123"])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 2.0])
+    def test_equals_the_bisection(self, m, kappa):
+        # b2 log-uniform up to 1e16, and rows within 40 ulps and within
+        # 1e-6 of -2 s_lo, where s_a is flat over millions of ulps of a
+        rng = np.random.default_rng(17)
+        n = 40_000
+        b2 = 10.0 ** rng.uniform(-3.0, 16.0, n)
+        edge = -2.0 * m.lower_edge()
+        b2[:4000] = edge * (1.0 + rng.integers(-40, 41, 4000) * 2.0**-52)
+        b2[4000:8000] = edge * (1.0 + rng.uniform(-1e-6, 1e-6, 4000))
+        one_pk = 1.0 + kappa**2 * 10.0 ** rng.uniform(-8.0, 2.0, n)
+        want = domain_floor_bisection(m, one_pk, b2)
+        got = constitutive._domain_floor(m, one_pk, b2)
+        assert np.count_nonzero(want) > n // 2
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_no_lower_edge_keeps_zero(self):
+        m = ModelParams.fractional_power(beta=1.0, p=2.0)  # integer p: no edge
+        b2 = np.array([0.0, 1.0, 1e12])
+        assert constitutive._domain_floor(m, np.ones(3), b2).tolist() == [0.0] * 3
 
 
 def scalar_outcome(m, d, b):

@@ -28,7 +28,6 @@ from bifield.continuous import (
     ContinuousSource,
     _gauss_law,
     bump_source,
-    continuous_residual_suite,
     gaussian_source,
     gridded_source,
     jm_rows,
@@ -38,6 +37,7 @@ from bifield.continuous import (
     two_gaussian_source,
 )
 from bifield.errors import raise_first
+from bifield.verify import continuous_residual_suite
 
 from fd_oracle import fd_curl
 

@@ -17,7 +17,10 @@ scipy stays out of the command line's import and its energy command: a
 fresh process pays ~0.7 s to import it, in set-up or in the run. argparse,
 gettext and locale stay out too: building argparse parsers cost a command
 ~5 ms, more than some commands' own work. The verify suites load only when
-verify runs, so no other command compiles or imports them.
+verify runs, so no other command compiles or imports them: only
+cli._cmd_verify imports bifield.verify, and the integrators observables
+and continuous import from currents only the fields and curls they
+evaluate, none of the stencil helpers of the suites.
 """
 
 import ast
@@ -45,7 +48,6 @@ PUBLIC_NAMES = (
     "DomainViolation",
     "EnergyReport",
     "FieldError",
-    "FieldState",
     "InversionFailure",
     "ModelParams",
     "NegativeArgument",
@@ -54,23 +56,19 @@ PUBLIC_NAMES = (
     "QuadratureError",
     "QuadratureSpec",
     "RadialPart",
-    "ResidualReport",
     "SingularPoint",
     "__version__",
     "bump_source",
-    "continuous_residual_suite",
     "current_rows",
     "divergence_exponent_probe",
     "dyonic_eh_rows",
     "flux_charge",
-    "forward_fields",
     "free_charge_with_inner_spheres",
     "gaussian_source",
     "gridded_source",
     "invert_rows",
     "merge_sources",
     "newton_potential",
-    "residual_suite",
     "total_energy",
     "two_gaussian_source",
 )
@@ -177,6 +175,43 @@ def test_public_functions_are_referenced_in_src():
     uncalled = [f"{module}:{name}" for module, name in _definitions(public=True)
                 if name not in refs]
     assert sorted(uncalled) == sorted(UNCALLED_PUBLIC)
+
+
+# what each integrator module takes from currents: its fields and the curls
+# it evaluates, none of the stencil helpers the verify suites use
+INTEGRATOR_CURRENTS = {
+    "observables.py": {"eh_field"},
+    "continuous.py": {"_fd_rows", "_generic_electric_curl"},
+}
+
+
+def _imported_from(tree: ast.AST, module: str) -> set:
+    """The names imported from a sibling module, by `from .module import`
+    or `from bifield.module import` anywhere in tree."""
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) in ((1, module), (0, f"bifield.{module}"))
+            for alias in node.names}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRATOR_CURRENTS))
+def test_integrators_take_only_their_currents(name):
+    assert _imported_from(_tree(PACKAGE / name), "currents") == INTEGRATOR_CURRENTS[name]
+
+
+def test_only_the_verify_command_imports_the_suites():
+    importers = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.ImportFrom) and (
+                        (sub.level, sub.module) in ((1, "verify"), (0, "bifield.verify"))
+                        or (sub.module in (None, "bifield") and any(
+                            alias.name == "verify" for alias in sub.names))):
+                    importers.append(f"{path.name}:{getattr(node, 'name', None)}")
+                elif isinstance(sub, ast.Import) and any(
+                        alias.name == "bifield.verify" for alias in sub.names):
+                    importers.append(f"{path.name}:{getattr(node, 'name', None)}")
+    assert importers == ["cli.py:_cmd_verify"]
 
 
 def test_public_surface_is_pinned():

@@ -198,7 +198,7 @@ class TestExclusion:
         msg = str(info.value)
         assert str(pts[1].tolist()) in msg and "charge 1" in msg
         with pytest.raises(SingularPoint, match="charge 0"):
-            cfg.check_regular(pts[2])
+            _coulomb_offsets(cfg, pts[2][None, :])
 
     def test_default_exclusion_radius(self):
         # max(1e-9 max(diameter, 1), 1e-8 cell_scale), with the bits of

@@ -28,15 +28,23 @@ from bifield.constitutive import rowdot
 from bifield.errors import QuadratureError
 from bifield.models import ModelParams
 from bifield.observables import QuadratureSpec, _sphere_rule
-from bifield.sources import FOUR_PI, ChargeConfig, _batch_coulomb, _db_weights, as_vec3
+from bifield.sources import (FOUR_PI, ChargeConfig, _batch_coulomb, _coulomb_offsets, _db_weights,
+                             as_vec3)
 from scalar_inversions import dyonic_eh, electrostatic_e
 
 _FOUR_PI = 4.0 * math.pi
 
 
+def _check_regular(cfg: ChargeConfig, x) -> np.ndarray:
+    """x as a vec3, raising SingularPoint inside an exclusion ball."""
+    x = as_vec3(x)
+    _coulomb_offsets(cfg, x[None, :])
+    return x
+
+
 def _coulomb_sum(cfg: ChargeConfig, weights: Sequence[float], x) -> np.ndarray:
     """sum_i w_i (x - x_i) / (4 pi |x - x_i|^3), fsum-accumulated per component."""
-    x = cfg.check_regular(x)
+    x = _check_regular(cfg, x)
     terms = []
     for c, w in zip(cfg.charges, weights):
         r = x - c.position
@@ -49,7 +57,7 @@ def _coulomb_sum(cfg: ChargeConfig, weights: Sequence[float], x) -> np.ndarray:
 
 def _coulomb_potential_sum(cfg: ChargeConfig, weights: Sequence[float], x) -> float:
     """sum_i w_i / (4 pi |x - x_i|), fsum-accumulated."""
-    x = cfg.check_regular(x)
+    x = _check_regular(cfg, x)
     return math.fsum(
         w / (FOUR_PI * float(np.linalg.norm(x - c.position)))
         for c, w in zip(cfg.charges, weights)
@@ -66,7 +74,7 @@ def magnetic_field(cfg: ChargeConfig, x) -> np.ndarray:
 
 def _offsets(cfg: ChargeConfig, x) -> tuple[np.ndarray, np.ndarray]:
     """Displacements r_i = x - x_i and their norms, singularity-checked."""
-    x = cfg.check_regular(x)
+    x = _check_regular(cfg, x)
     rs = x[None, :] - cfg.positions
     norms = np.linalg.norm(rs, axis=1)
     return rs, norms
@@ -265,7 +273,7 @@ def je_generic_magnetostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.nd
     Vanishes for a single center (B parallel to grad B^2) and for linear
     electrodynamics.
     """
-    x = cfg.check_regular(x)
+    x = _check_regular(cfg, x)
     b = magnetic_field(cfg, x)
     b2 = float(b @ b)
     fpp = params.f_double_prime(-0.5 * b2)
