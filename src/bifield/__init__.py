@@ -6,7 +6,7 @@ E and H, evaluates the induced electric/magnetic currents those fields
 carry, and integrates field energies and fluxes.
 """
 
-from .constitutive import dyonic_eh_rows, invert_rows
+from .constitutive import invert_rows
 from .continuous import (
     ContinuousSource,
     RadialPart,
@@ -62,7 +62,6 @@ __all__ = [
     "bump_source",
     "current_rows",
     "divergence_exponent_probe",
-    "dyonic_eh_rows",
     "flux_charge",
     "free_charge_with_inner_spheres",
     "gaussian_source",

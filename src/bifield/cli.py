@@ -40,8 +40,8 @@ from .continuous import (
     two_gaussian_source,
 )
 from .currents import current_method, current_rows, eh_rows
-from .errors import ConfigError, DomainViolation, FieldError, SingularPoint, fail_rows, merge_failures
-from .models import CLASSICAL, ModelParams
+from .errors import ConfigError, FieldError, SingularPoint, merge_failures
+from .models import ModelParams
 from .observables import (QuadratureSpec, _far_radius, density_rows,
                           free_charge_with_inner_spheres, total_energy)
 from .sources import ChargeConfig
@@ -514,22 +514,6 @@ def _grid_command(cfg: RunConfig, args, name: str, columns, rows_at, text=()) ->
 # -- subcommands -------------------------------------------------------------
 
 
-def _field_rows(params: ModelParams, pts, d, b, e, h, s, j_m, code, errors):
-    """The SAMPLE_COLUMNS cells of rows_at from the inverted state and j_m
-    at points of shape (N, 3), failing the rows whose density fails: a
-    non-classical s outside the model domain, or a non-finite density. The
-    classical density is the closed form in (D, B), which stays accurate
-    next to a charge, where 2 beta s from the inversion rounds onto 1."""
-    if params.kind != CLASSICAL:
-        fail_rows(code, errors, (code == 0) & ~params.domain_rows(s),
-                  lambda j: params.domain_error(s[j]))
-    ok = code == 0
-    dens = np.zeros(len(pts))
-    dens[ok] = density_rows(params, d[ok], b[ok], e[ok], s[ok])
-    fail_rows(code, errors, ~np.isfinite(dens), DomainViolation("non-finite energy density"))
-    return np.column_stack((pts, e, h, j_m, dens)), code, errors
-
-
 def _cmd_sample(cfg: RunConfig, args) -> int:
     if cfg.charges is None:
         raise ConfigError("sample requires a charges section")
@@ -540,7 +524,8 @@ def _cmd_sample(cfg: RunConfig, args) -> int:
         d, b, e, h, s, code, errors = eh_rows(params, charges, pts)
         cur = current_rows(params, charges, pts, e)
         merge_failures(code, errors, np.arange(len(pts)), cur.code, cur.errors)
-        return _field_rows(params, pts, d, b, e, h, s, cur.j_m, code, errors)
+        dens = density_rows(params, d, b, e, s, code, errors)
+        return np.column_stack((pts, e, h, cur.j_m, dens)), code, errors
 
     return _grid_command(cfg, args, "sample", SAMPLE_COLUMNS, rows_at)
 
@@ -567,7 +552,8 @@ def _cmd_continuous(cfg: RunConfig, args) -> int:
         # a point fails with its first failure: fields, current, density
         d, b, e, h, s, hess, code, errors = state_rows(src, params, pts, quad)
         j_m = jm_rows(src, params, pts, quad, d, e, hess, code, errors)
-        return _field_rows(params, pts, d, b, e, h, s, j_m, code, errors)
+        dens = density_rows(params, d, b, e, s, code, errors)
+        return np.column_stack((pts, e, h, j_m, dens)), code, errors
 
     return _grid_command(cfg, args, "continuous", SAMPLE_COLUMNS, rows_at)
 

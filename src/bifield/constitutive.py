@@ -26,8 +26,8 @@ model), the direction check and the non-finite check. A model kind owns
 only its electric and dyonic formulas (_ROW_KERNELS): array arithmetic
 whose branches are row masks, Lambert W and the cubic from specfn's array
 kernels, a masked Newton/bisection for the fractional power and custom
-models. invert_rows returns a failure code per row with the exceptions.
-dyonic_eh_rows is its raising form, and forward_rows evaluates the
+models. invert_rows returns a failure code per row with the exceptions
+(errors.raise_first raises the first), and forward_rows evaluates the
 forward map on rows, the check of the inversion.
 """
 
@@ -82,9 +82,9 @@ def _branch(mask):
 
 
 def _prime_rows(params, s, idx, code, errors, label):
-    """f'(s) on the rows idx as f_prime gives it, failing a row outside the
-    model domain or, with DomainViolation "<label> = f' inside guard band",
-    inside the FPRIME_GUARD band. Failed rows get NaN."""
+    """f'(s) on the rows idx, failing a row outside the model domain with
+    domain_error(s) or, with DomainViolation "<label> = f' inside guard
+    band", inside the FPRIME_GUARD band. Failed rows get NaN."""
     ok = params.domain_rows(s)
     fail_rows(code, errors, ~ok, lambda j: params.domain_error(s[j]), idx)
     fp = np.full(len(s), np.nan)
@@ -96,8 +96,8 @@ def _prime_rows(params, s, idx, code, errors, label):
 
 def _magnetostatic_rows(params, b, b2, idx, h, s, code, errors):
     """The magnetic branch on the rows idx: H = f'(-B^2/2) B, failing
-    outside the model domain as f_prime does. A zero of f' (quadratic model
-    at B^2 = 1/alpha) legitimately gives H = 0."""
+    outside the model domain with domain_error(s). A zero of f' (quadratic
+    model at B^2 = 1/alpha) legitimately gives H = 0."""
     sm = -0.5 * b2[idx]
     s[idx] = sm
     ok = params.domain_rows(sm)
@@ -426,7 +426,8 @@ _ROW_KERNELS = {
 
 def invert_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                                      np.ndarray, list]:
-    """The non-raising core of dyonic_eh_rows: E, H, s, code, errors.
+    """Invert the constitutive map on rows: D, B of shape (N, 3) -> E, H
+    of shape (N, 3), the invariant s of shape (N,), code and errors.
 
     The model kind supplies its electric and dyonic formulas; this owns the
     rest: the split into branches, the magnetic branch H = f'(-B^2/2) B,
@@ -478,7 +479,8 @@ def forward_rows(params: ModelParams, e, b) -> tuple:
     (N, 3) -> D, H, s, code, errors, code and errors as invert_rows. A row
     whose s lies outside the model domain fails with domain_error(s) and
     has NaN D and H; past overflow f'(s) is inf. Each row has the bits of
-    the one-point map with 3-vector dots and ModelParams.f_prime."""
+    the one-point map with 3-vector dots and a one-element derivative_rows
+    call for f'(s)."""
     e = np.asarray(e, dtype=float).reshape(-1, 3)
     b = np.asarray(b, dtype=float).reshape(-1, 3)
     code = np.zeros(len(e), dtype=np.int64)
@@ -494,23 +496,3 @@ def forward_rows(params: ModelParams, e, b) -> tuple:
     fp, keb = fp[:, None], (k2 * eb)[:, None]
     return fp * (e + keb * b), fp * (b - keb * e), s, code, errors
 
-
-def dyonic_eh_rows(params: ModelParams, d, b) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Invert the constitutive map on rows: D, B of shape (N, 3) -> E, H, s.
-
-    Returns E and H of shape (N, 3) and the invariant s of shape (N,).
-    Fails loudly: if any row fails or yields a non-finite value, raises the
-    class of the first such row's failure (DomainViolation for a non-finite
-    one), naming that row and the number of failing rows.
-    """
-    d = np.asarray(d, dtype=float).reshape(-1, 3)
-    b = np.asarray(b, dtype=float).reshape(-1, 3)
-    e, h, s, code, errors = invert_rows(params, d, b)
-    bad = np.flatnonzero(code)
-    if len(bad):
-        i = int(bad[0])
-        first = errors[code[i] - 1]
-        raise type(first)(
-            f"{len(bad)} of {len(d)} rows failed; first row {i} "
-            f"(D={d[i].tolist()}, B={b[i].tolist()}): {first}") from first
-    return e, h, s

@@ -51,16 +51,14 @@ __all__ = [
 class CurrentRows:
     """Current densities at N points.
 
-    j_e and j_m have shape (N, 3); method is the route every point took
-    ("analytic" or "fd"). code[i] = 0 when point i evaluated, else k > 0
-    with errors[k - 1] the exception a one-point current_rows call records
-    there (a SingularPoint marks a point to skip). A failed point's currents
-    are meaningless.
+    j_e and j_m have shape (N, 3), by the route current_method picks.
+    code[i] = 0 when point i evaluated, else k > 0 with errors[k - 1] the
+    exception a one-point current_rows call records there (a SingularPoint
+    marks a point to skip). A failed point's currents are meaningless.
     """
 
     j_e: np.ndarray
     j_m: np.ndarray
-    method: str
     code: np.ndarray
     errors: list
 
@@ -102,9 +100,9 @@ def _generic_electric_curl(params: ModelParams, d: np.ndarray, e: np.ndarray,
     where h' comes from differentiating the inversion identity implicitly:
     h' = 1 / (f'(h/2) [f''(h/2) h + f'(h/2)]). Differencing the root finder
     instead would be noise-dominated. Linear electrodynamics (f'' = 0) gives
-    zero identically. f' and f'' at h/2 fail outside the model domain as
-    f_prime does; the failures go into (code, errors) at the rows idx (see
-    errors.fail_rows).
+    zero identically. A row whose h/2 lies outside the model domain fails
+    with domain_error(h/2); the failures go into (code, errors) at the rows
+    idx (see errors.fail_rows).
     """
     with np.errstate(all="ignore"):
         h = rowdot(e, e)
@@ -125,8 +123,8 @@ def _generic_electric_curl(params: ModelParams, d: np.ndarray, e: np.ndarray,
 def _generic_magnetic_curl(params: ModelParams, b: np.ndarray, grad: np.ndarray):
     """The electric current density of the magnetostatic solution for any
     model, on rows: j_e = (1/2) f''(-B^2/2) B x grad(B^2), the curl of
-    H = f'(-B^2/2) B. Returns (j_e, code, errors), with f'' at -B^2/2
-    failing outside the model domain as f_double_prime does."""
+    H = f'(-B^2/2) B. Returns (j_e, code, errors), a row whose -B^2/2 lies
+    outside the model domain failing with domain_error(-B^2/2)."""
     code = np.zeros(len(b), dtype=np.int64)
     errors: list = []
     s = -0.5 * rowdot(b, b)
@@ -210,8 +208,8 @@ def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
 
 def _stencil_clear(cfg: ChargeConfig, pts: np.ndarray, step) -> np.ndarray:
     """True at each row of pts whose 6-point stencil of half-width step stays
-    outside the charge exclusion balls, distances rounded like the scalar
-    min_distance. Sweeps skip the other points, so the FD curls are never
+    outside the charge exclusion balls, each distance the square root of a
+    3-term rowdot. Sweeps skip the other points, so the FD curls are never
     contaminated by near-singular values."""
     r = (pts[:, None, :] - cfg.positions[None, :, :]).reshape(-1, 3)
     dist = np.sqrt(rowdot(r, r)).reshape(len(pts), len(cfg))
@@ -277,9 +275,8 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> Current
     electric_only = not cfg.gs.any()
     magnetic_only = not cfg.qs.any()
     classical = params.kind == CLASSICAL
-    method = current_method(params, cfg)
     with np.errstate(all="ignore"):
-        if method == "analytic":
+        if current_method(params, cfg) == "analytic":
             rs, dist, inside = _coulomb_offsets(cfg, pts, mask=True)
             idx = mark_singular(cfg, pts, code, errors, inside)
             rs, dist = rs[idx], dist[idx]
@@ -319,4 +316,4 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> Current
             j_m[idx] = -curl_e
         finite = np.isfinite(j_e).all(axis=1) & np.isfinite(j_m).all(axis=1)
     fail_rows(code, errors, ~finite, DomainViolation("current has non-finite components"))
-    return CurrentRows(j_e=j_e, j_m=j_m, method=method, code=code, errors=errors)
+    return CurrentRows(j_e=j_e, j_m=j_m, code=code, errors=errors)

@@ -8,8 +8,10 @@ cannot silently produce plausible-looking numbers.
 Batched kernels keep that contract per row: they return a code array (0 for
 a row that evaluated, k for errors[k - 1]) next to the list of exceptions,
 each exception the one a one-row call records for that row alone.
-fail_rows and merge_failures build and combine such pairs; raise_first
-turns one back into the raising contract.
+fail_rows and merge_failures build and combine such pairs. raise_first is
+the one place a pair turns back into the raising contract: it raises the
+first failed row's own exception unchanged, so a failure reads the same
+whichever command or function meets it.
 """
 
 import numpy as np
@@ -77,6 +79,7 @@ def merge_failures(code: np.ndarray, errors: list, rows: np.ndarray,
 
 
 def raise_first(code: np.ndarray, errors: list) -> None:
-    """Raise the failure of the first failed row, if any row failed."""
+    """Raise the exception of the first failed row, as recorded, if any row
+    failed."""
     if code.any():
         raise errors[code[np.argmax(code != 0)] - 1]

@@ -157,28 +157,6 @@ class ModelParams:
 
     # -- domain and model functions ---------------------------------------
 
-    def in_domain(self, s: float) -> bool:
-        return bool(self.domain_rows(float(s)))
-
-    def f(self, s: float) -> float:
-        return self._one_row(s, 0)
-
-    def f_prime(self, s: float) -> float:
-        return self._one_row(s, 1)
-
-    def f_double_prime(self, s: float) -> float:
-        return self._one_row(s, 2)
-
-    def _one_row(self, s: float, order: int) -> float:
-        """derivative_rows on the one-element array [s], so a scalar call
-        gives the bits of a rows call (a 0-d array does not: numpy's 0-d
-        x ** 2 rounds unlike the array's). Raises domain_error(s) outside
-        the domain; past overflow the value is inf."""
-        if not self.in_domain(s):
-            raise self.domain_error(s)
-        with np.errstate(over="ignore"):
-            return float(self.derivative_rows(np.array([float(s)]), order)[0])
-
     def domain_rows(self, s) -> np.ndarray:
         """The domain test on an array of invariants, element by element."""
         s = np.asarray(s, dtype=float)
@@ -201,27 +179,16 @@ class ModelParams:
         return self.s_min if self.kind == CUSTOM else -math.inf
 
     def domain_error(self, s: float) -> DomainViolation:
-        """The DomainViolation that f, f' and f'' raise at s."""
+        """The DomainViolation that a rows kernel records for a row whose
+        invariant s lies outside the model domain."""
         return DomainViolation(f"s={float(s)!r} outside domain of {self.kind} model")
-
-    def f_and_prime_rows(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """f(s) and f'(s) for an array of invariants, element by element,
-        from derivative_rows. Raises DomainViolation, naming the first
-        offending row and the number of them, if any s is non-finite or
-        outside the model domain.
-        """
-        s = np.asarray(s, dtype=float)
-        ok = self.domain_rows(s)
-        if not ok.all():
-            bad = np.flatnonzero(~ok)
-            raise DomainViolation(
-                f"s outside domain of {self.kind} model in {len(bad)} of {s.size} "
-                f"rows; first row {int(bad[0])}: s={float(s.flat[bad[0]])!r}")
-        return self.derivative_rows(s, 0), self.derivative_rows(s, 1)
 
     def derivative_rows(self, s, order: int) -> np.ndarray:
         """f (order 0), f' (1) or f'' (2) on an array of invariants, with no
-        domain check: callers pass rows that domain_rows accepts."""
+        domain check: callers pass rows that domain_rows accepts. One s is
+        the one-element call derivative_rows(np.array([s]), order)[0], with
+        the bits of a rows call (a 0-d array does not give them: numpy's 0-d
+        x ** 2 rounds unlike the array's)."""
         s = np.asarray(s, dtype=float)
         b = self.beta
         if self.kind == CLASSICAL:

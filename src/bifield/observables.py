@@ -22,10 +22,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainViolation, QuadratureError, SingularPoint
+from .errors import (ConfigError, DomainViolation, QuadratureError, SingularPoint, fail_rows,
+                     raise_first)
 from .models import ModelParams, CLASSICAL, QUADRATIC
 from .sources import ChargeConfig, _batch_coulomb, _coulomb_offsets, _db_weights, as_vec3
-from .constitutive import cross_rows, dyonic_eh_rows, rowdot
+from .constitutive import _branch, cross_rows, invert_rows, rowdot
 from .currents import eh_field
 
 __all__ = [
@@ -116,41 +117,54 @@ def classical_energy_density(beta: float, kappa: float, d, b) -> np.ndarray:
     return (b2 * r1 * r2 + (1.0 + beta * b2) * (d2 + k2 * bxd2)) / (r1 * (r1 + r2))
 
 
-def density_rows(params: ModelParams, d: np.ndarray, b: np.ndarray,
-                 e: Optional[np.ndarray], s: Optional[np.ndarray]) -> np.ndarray:
+def density_rows(params: ModelParams, d: np.ndarray, b: np.ndarray, e: Optional[np.ndarray],
+                 s: Optional[np.ndarray], code: np.ndarray, errors: list) -> np.ndarray:
     """Energy density of inverted rows: the classical closed form in (D, B)
-    (e and s unused), else H = f'(s)(E^2 + kappa^2 (E.B)^2) - f(s) as arrays.
-    Non-finite where it overflows; raises DomainViolation, as
-    f_and_prime_rows does, if an s lies outside the model domain."""
+    (e and s unused), else H = f'(s)(E^2 + kappa^2 (E.B)^2) - f(s) as
+    arrays. The closed form stays accurate next to a charge, where 2 beta s
+    from the inversion rounds onto 1. A row that failed before (code != 0)
+    gets 0; a non-classical row whose s lies outside the model domain fails
+    with domain_error(s), and a row whose density is non-finite with
+    DomainViolation("non-finite energy density"), in (code, errors) (see
+    errors.fail_rows)."""
+    if params.kind != CLASSICAL:
+        fail_rows(code, errors, (code == 0) & ~params.domain_rows(s),
+                  lambda j: params.domain_error(s[j]))
+    ok = _branch(code == 0)
+    dens = np.zeros(len(d))
+    if ok is None:
+        return dens
     if params.kind == CLASSICAL:
-        return classical_energy_density(params.beta, params.kappa, d, b)
-    eb = rowdot(e, b)
-    # an overflow surfaces as a non-finite density, which callers reject
-    with np.errstate(over="ignore", invalid="ignore"):
-        f, fp = params.f_and_prime_rows(s)
-        return fp * (rowdot(e, e) + params.kappa**2 * eb * eb) - f
+        dens[ok] = classical_energy_density(params.beta, params.kappa, d[ok], b[ok])
+    else:
+        e, b, s = e[ok], b[ok], s[ok]
+        eb = rowdot(e, b)
+        # an overflow surfaces as a non-finite density, which fails below
+        with np.errstate(over="ignore", invalid="ignore"):
+            dens[ok] = (params.derivative_rows(s, 1) * (rowdot(e, e) + params.kappa**2 * eb * eb)
+                        - params.derivative_rows(s, 0))
+    if not np.isfinite(dens).all():
+        fail_rows(code, errors, ~np.isfinite(dens), DomainViolation("non-finite energy density"))
+    return dens
 
 
 def hamiltonian_on_points(params: ModelParams, cfg: ChargeConfig, pts) -> np.ndarray:
     """Energy density of the multicentered solution at points of shape (N, 3).
 
-    The classical model goes through the vectorized closed form. Every other
-    model inverts all N rows in one dyonic_eh_rows call and evaluates
-    H = f'(s)(E^2 + kappa^2 (E.B)^2) - f(s) as arrays. A row that fails to
-    invert, leaves the model domain or gives a non-finite density raises
-    (InversionFailure or DomainViolation), never a NaN.
+    One Coulomb pass gives D and B; every model but the classical one (whose
+    density is a closed form in them) inverts all N rows in one invert_rows
+    call; density_rows gives the densities. Raises the failure of the first
+    failing row (errors.raise_first): SingularPoint inside an exclusion
+    ball, InversionFailure or DomainViolation, never a NaN.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     d, b = _batch_coulomb(cfg, _db_weights(cfg), pts)
     e = s = None
+    code, errors = np.zeros(len(pts), dtype=np.int64), []
     if params.kind != CLASSICAL:
-        e, _, s = dyonic_eh_rows(params, d, b)
-    out = density_rows(params, d, b, e, s)
-    if not np.isfinite(out).all():
-        bad = np.flatnonzero(~np.isfinite(out))
-        raise DomainViolation(
-            f"non-finite energy density at {len(bad)} of {len(out)} points; "
-            f"first at x={pts[bad[0]].tolist()}")
+        e, _, s, code, errors = invert_rows(params, d, b)
+    out = density_rows(params, d, b, e, s, code, errors)
+    raise_first(code, errors)
     return out
 
 

@@ -120,18 +120,6 @@ class ChargeConfig:
     def centroid(self) -> np.ndarray:
         return self.positions.mean(axis=0)
 
-    @property
-    def total_q(self) -> float:
-        return math.fsum(c.q for c in self.charges)
-
-    @property
-    def total_g(self) -> float:
-        return math.fsum(c.g for c in self.charges)
-
-    def min_distance(self, x) -> float:
-        x = as_vec3(x)
-        return float(min(np.linalg.norm(x - c.position) for c in self.charges))
-
 
 def _pair_distances(pos: np.ndarray) -> np.ndarray:
     """|x_i - x_j| over the pairs i < j in np.triu_indices order, each

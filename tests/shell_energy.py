@@ -137,7 +137,7 @@ def shell_total_energy(cfg: ChargeConfig, params, quad: QuadratureSpec) -> Energ
     r_start = cfg.cell_scale if len(cfg) == 1 else 0.0
     shell, ok = _shell_energy(params, cfg, quad, r_start, _far_radius(cfg), sum(balls))
     converged = converged and ok
-    monopole = (cfg.total_q**2 + cfg.total_g**2) / (8.0 * math.pi)
+    monopole = (math.fsum(cfg.qs)**2 + math.fsum(cfg.gs)**2) / (8.0 * math.pi)
     r_far = _far_radius(cfg)
     extensions = 0.0
     for _ in range(_MAX_TAIL_DOUBLINGS):

@@ -17,7 +17,6 @@ from bifield import (
     QuadratureSpec,
     current_rows,
     divergence_exponent_probe,
-    dyonic_eh_rows,
     flux_charge,
     free_charge_with_inner_spheres,
     gaussian_source,
@@ -69,9 +68,16 @@ def _sample_points(rng, cfg, n, box=2.0, clearance=0.4):
     pts = []
     while len(pts) < n:
         x = rng.uniform(-box, box, 3)
-        if cfg.min_distance(x) >= clearance:
+        if min(np.linalg.norm(x - p) for p in cfg.positions) >= clearance:
             pts.append(x)
     return np.array(pts)
+
+
+def _inverted(params, d, b):
+    """E, H and s of the rows D, B, raising the first row's failure."""
+    e, h, s, code, errors = invert_rows(params, d, b)
+    raise_first(code, errors)
+    return e, h, s
 
 
 def _state_e(src, params):
@@ -255,7 +261,7 @@ def test_07_saturation_bounds():
         (ModelParams.logarithmic(beta=0.5), math.sqrt(2.0 / 0.5)),
     ):
         d = np.array([rng.normal(size=3) * 10.0 ** rng.uniform(-2, 8) for _ in range(1000)])
-        en = np.linalg.norm(dyonic_eh_rows(params, d, np.zeros_like(d))[0], axis=1)
+        en = np.linalg.norm(_inverted(params, d, np.zeros_like(d))[0], axis=1)
         worst_frac = max(worst_frac, float(en.max()) / cap)
         # float saturation may land on the bound itself, never above
         violations += int(np.count_nonzero(en > cap * (1.0 + 1e-15)))
@@ -314,7 +320,8 @@ def _medium_coefficients(params, e, b):
     (E, H) to (D, B), each block a coefficient times the identity."""
     k2 = params.kappa**2
     eb = float(e @ b)
-    fp = params.f_prime(0.5 * (float(e @ e) - float(b @ b)) + 0.5 * k2 * eb * eb)
+    s = 0.5 * (float(e @ e) - float(b @ b)) + 0.5 * k2 * eb * eb
+    fp = params.derivative_rows(np.array([s]), 1)[0]
     return fp * (1.0 + k2 * k2 * eb * eb), k2 * eb, k2 * eb, 1.0 / fp
 
 
@@ -375,7 +382,7 @@ def test_11_maxwell_limit():
     draws = np.array([(rng.uniform(-5.0, 5.0, 3), rng.uniform(-5.0, 5.0, 3))
                       for _ in range(50)])
     d, b = draws[:, 0], draws[:, 1]
-    e, h, _ = dyonic_eh_rows(params, d, b)
+    e, h, _ = _inverted(params, d, b)
     worst_field = float(max(np.max(np.abs(e - d)), np.max(np.abs(h - b))))
 
     cfg = _electric_pair()

@@ -36,7 +36,7 @@ from bifield.cli import (
     parse_config,
     serialize_config,
 )
-from bifield.errors import ConfigError, SingularPoint
+from bifield.errors import ConfigError, DomainViolation, SingularPoint
 
 from argparse_cli import build_parser
 from continuous_pointwise import State, continuous_pointwise
@@ -386,6 +386,21 @@ class TestSampleCommand:
         report = read_report(out / "sample.report.json")
         assert report["config_sha256"] == config_digest(load_config(clean))
 
+    def test_energy_and_charge_report_a_failure_alike(self, tmp_path):
+        # both commands meet the same inversion failure, each at its own
+        # first failing point, and write that row's own exception: the same
+        # type and message, the number quoted after " = " aside
+        path = write_config(tmp_path, failing_config())
+        got = []
+        for command in ("energy", "charge"):
+            assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_NUMERIC
+            (failure,) = read_report(tmp_path / f"{command}.errors.json")["failures"]
+            message, _, number = failure["detail"].rpartition(" = ")
+            assert float(number) < 0.0, command
+            got.append((failure["error"], message))
+        assert got == [("InversionFailure",
+                        "direction match violated: E.(D - k^2 (B.D) B/(1+k^2 B^2))")] * 2
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failed_energy_and_charge_leave_no_earlier_outputs(self, tmp_path, fmt):
         # a failed rerun leaves its errors file and nothing of the run before
@@ -673,27 +688,40 @@ class TestTableStream:
 
 
 class TestFieldRows:
-    """sample and continuous build their rows in one place, cli._field_rows."""
+    """sample and continuous take their densities and the density's
+    failures from one rows kernel, observables.density_rows, and so does
+    the energy density of the quadratures, hamiltonian_on_points."""
 
     @pytest.mark.parametrize("command, data", [
         ("sample", pair_config(shape=(2, 2, 2))),
         ("continuous", continuous_config("bump", total=2.0, radius=1.0,
                                          grid=((-2, -2, -2), (2, 2, 2), (2, 2, 2)))),
+        ("hamiltonian_on_points", pair_config(shape=(2, 2, 2))),
     ])
     def test_one_density_failure_rule(self, tmp_path, monkeypatch, command, data):
-        density = cli.density_rows
+        # the formula gives inf on the first row of every call: a grid
+        # command's errors file and the energy density's exception carry the
+        # same DomainViolation for it
+        formula = observables.classical_energy_density
 
         def first_row_infinite(*args):
-            out = density(*args)
+            out = formula(*args)
             out[0] = np.inf
             return out
 
-        monkeypatch.setattr(cli, "density_rows", first_row_infinite)
+        monkeypatch.setattr(observables, "classical_energy_density", first_row_infinite)
         path = write_config(tmp_path, data)
-        assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_NUMERIC
-        failures = read_report(tmp_path / f"{command}.errors.json")["failures"]
-        assert [(f["at"], f["error"], f["detail"]) for f in failures] == [
-            ([-2.0, -2.0, -2.0], "DomainViolation", "non-finite energy density")]
+        if command == "hamiltonian_on_points":
+            cfg = load_config(path)
+            with pytest.raises(DomainViolation) as info:
+                hamiltonian_on_points(cfg.model, cfg.charges, grid_points(cfg))
+            got = [(type(info.value).__name__, str(info.value))]
+        else:
+            assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_NUMERIC
+            failures = read_report(tmp_path / f"{command}.errors.json")["failures"]
+            assert [f["at"] for f in failures] == [[-2.0, -2.0, -2.0]]
+            got = [(f["error"], f["detail"]) for f in failures]
+        assert got == [("DomainViolation", "non-finite energy density")]
 
     def test_classical_density_next_to_a_centre(self, tmp_path):
         # 2 beta s rounds onto 1 here, so a domain test on s would fail the
@@ -850,7 +878,7 @@ def test_energy_and_charge_either_side_of_the_ball_edges(tmp_path, xs):
     assert energy["converged"] is True and energy["value"] > 0.0
     charge = read_report(tmp_path / "charge.report.json")
     charges = parse_config(data).charges
-    assert charge["q_free"] == pytest.approx(charges.total_q, abs=1e-6)
+    assert charge["q_free"] == pytest.approx(math.fsum(charges.qs), abs=1e-6)
     assert charge["g_free"] == 0.0
     assert [rung["radius"] for rung in charge["flux_ladder"]] == [
         _far_radius(charges) * 2.0**k for k in range(4)]
@@ -1034,7 +1062,9 @@ class TestContinuousCommand:
         states = [State(src, params, x, quad) for x in grid_points(cfg)]
         d, b, e = (np.array([getattr(st, k) for st in states]) for k in "dbe")
         s = np.array([st.s for st in states])
-        assert np.array_equal(got[:, 12], density_rows(params, d, b, e, s))
+        code = np.zeros(len(d), dtype=np.int64)
+        assert np.array_equal(got[:, 12], density_rows(params, d, b, e, s, code, []))
+        assert not code.any()
         assert np.max(np.abs(got[:, 12] - want[:, 12])) <= 1e-12 * np.max(np.abs(want[:, 12]))
 
     def test_failing_points_are_recorded(self, tmp_path):

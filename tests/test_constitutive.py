@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from bifield import constitutive, models, specfn
-from bifield.constitutive import dyonic_eh_rows, forward_rows, invert_rows
-from bifield.errors import DomainViolation, FieldError, InversionFailure
+from bifield.constitutive import forward_rows, invert_rows
+from bifield.errors import DomainViolation, FieldError, InversionFailure, raise_first
 from bifield.models import ModelParams
 
 import scalar_inversions
@@ -33,6 +33,14 @@ def all_params(kappa):
     ]
 
 
+def inverted(m, d, b):
+    """E, H and s of the rows D, B (one point or (N, 3)), raising the
+    failure of the first failing row as invert_rows records it."""
+    e, h, s, code, errors = invert_rows(m, d, b)
+    raise_first(code, errors)
+    return e, h, s
+
+
 def random_db(rng, cap=1.2):
     # moderate field strengths (|d|, |b| <= cap), inside every model's
     # comfortable regime; alpha B^2 < 1 keeps the quadratic kind single-rooted
@@ -46,46 +54,46 @@ def random_db(rng, cap=1.2):
 class TestElectrostatic:
     def test_classical(self):
         m = ModelParams.classical(beta=1.0)
-        e = dyonic_eh_rows(m, (1.0, 0.0, 0.0), ZERO3)[0][0]
+        e = inverted(m, (1.0, 0.0, 0.0), ZERO3)[0][0]
         np.testing.assert_allclose(e, [1.0 / math.sqrt(2.0), 0, 0], rtol=1e-14)
 
     def test_logarithmic(self):
         m = ModelParams.logarithmic(beta=2.0)
-        e = dyonic_eh_rows(m, (1.0, 0.0, 0.0), ZERO3)[0][0]
+        e = inverted(m, (1.0, 0.0, 0.0), ZERO3)[0][0]
         # 2 / (1 + sqrt(5)): the inverse golden ratio
         np.testing.assert_allclose(e, [2.0 / (1.0 + math.sqrt(5.0)), 0, 0], rtol=1e-14)
 
     def test_exponential(self):
         m = ModelParams.exponential(beta=1.0)
-        e = dyonic_eh_rows(m, (1.0, 0.0, 0.0), ZERO3)[0][0]
+        e = inverted(m, (1.0, 0.0, 0.0), ZERO3)[0][0]
         assert np.linalg.norm(e) == pytest.approx(0.7530891649796748, rel=1e-12)
 
     def test_quadratic(self):
         m = ModelParams.quadratic(alpha=1.0)
-        e = dyonic_eh_rows(m, (1.0, 0.0, 0.0), ZERO3)[0][0]
+        e = inverted(m, (1.0, 0.0, 0.0), ZERO3)[0][0]
         assert np.linalg.norm(e) ** 2 == pytest.approx(0.4655712318767679, rel=1e-10)
 
     def test_maxwell_identity(self):
         m = ModelParams.fractional_power(p=1.0)
         d = np.array([0.3, -0.7, 1.1])
-        np.testing.assert_allclose(dyonic_eh_rows(m, d, ZERO3)[0][0], d, rtol=1e-12)
+        np.testing.assert_allclose(inverted(m, d, ZERO3)[0][0], d, rtol=1e-12)
 
     def test_fractional_root_found(self):
         m = ModelParams.fractional_power(beta=1.0, p=3.0)
         d = np.array([2.0, 1.0, -0.5])
-        e = dyonic_eh_rows(m, d, ZERO3)[0][0]
+        e = inverted(m, d, ZERO3)[0][0]
         st = forward_fields(m, e, np.zeros(3))
         np.testing.assert_allclose(st.d, d, rtol=ROOT_FOUND_TOL)
 
     def test_zero(self):
         m = ModelParams.classical()
-        np.testing.assert_array_equal(dyonic_eh_rows(m, np.zeros(3), ZERO3)[0][0], np.zeros(3))
+        np.testing.assert_array_equal(inverted(m, np.zeros(3), ZERO3)[0][0], np.zeros(3))
 
     def test_parallel_to_d(self):
         rng = np.random.default_rng(5)
         for _, m, _ in all_params(0.0):
             d = rng.normal(size=3)
-            e = dyonic_eh_rows(m, d, ZERO3)[0][0]
+            e = inverted(m, d, ZERO3)[0][0]
             cross = np.cross(e, d)
             assert np.linalg.norm(cross) <= 1e-12 * np.linalg.norm(d) ** 2
 
@@ -93,25 +101,25 @@ class TestElectrostatic:
 class TestMagnetostatic:
     def test_classical(self):
         m = ModelParams.classical(beta=1.0)
-        h = dyonic_eh_rows(m, ZERO3, (0.0, 2.0, 0.0))[1][0]
+        h = inverted(m, ZERO3, (0.0, 2.0, 0.0))[1][0]
         np.testing.assert_allclose(h, [0, 2.0 / math.sqrt(5.0), 0], rtol=1e-14)
 
     def test_logarithmic(self):
         m = ModelParams.logarithmic(beta=1.0)
-        h = dyonic_eh_rows(m, ZERO3, (0.0, 0.0, 1.0))[1][0]
+        h = inverted(m, ZERO3, (0.0, 0.0, 1.0))[1][0]
         np.testing.assert_allclose(h, [0, 0, 1.0 / 1.5], rtol=1e-14)
 
     def test_quadratic_zero_crossing(self):
         # f'(-B^2/2) = 1 - alpha B^2 vanishes at B^2 = 1/alpha: H = 0 exactly
         m = ModelParams.quadratic(alpha=1.0)
-        h = dyonic_eh_rows(m, ZERO3, (1.0, 0.0, 0.0))[1][0]
+        h = inverted(m, ZERO3, (1.0, 0.0, 0.0))[1][0]
         np.testing.assert_array_equal(h, np.zeros(3))
 
     def test_forward_consistency(self):
         rng = np.random.default_rng(6)
         for _, m, tol in all_params(0.0):
             b = rng.normal(size=3) * 0.8
-            h = dyonic_eh_rows(m, ZERO3, b)[1][0]
+            h = inverted(m, ZERO3, b)[1][0]
             st = forward_fields(m, np.zeros(3), b)
             np.testing.assert_allclose(st.h, h, rtol=1e-12, atol=1e-15)
 
@@ -119,7 +127,7 @@ class TestMagnetostatic:
 class TestDyonicSpecialCases:
     def test_classical_k0_example(self):
         m = ModelParams.classical(beta=1.0)
-        (e,), (h,), _ = dyonic_eh_rows(m, (1.0, 0.0, 0.0), (0.0, 2.0, 0.0))
+        (e,), (h,), _ = inverted(m, (1.0, 0.0, 0.0), (0.0, 2.0, 0.0))
         np.testing.assert_allclose(e, [math.sqrt(2.5), 0, 0], rtol=1e-14)
         np.testing.assert_allclose(h, [0, 2.0 * math.sqrt(0.4), 0], rtol=1e-14)
 
@@ -127,7 +135,7 @@ class TestDyonicSpecialCases:
         for kappa in (0.0, 1.0):
             for _, m, _ in all_params(kappa):
                 d = np.array([0.4, -0.2, 0.9])
-                (e,), (h,), _ = dyonic_eh_rows(m, d, np.zeros(3))
+                (e,), (h,), _ = inverted(m, d, np.zeros(3))
                 np.testing.assert_array_equal(h, np.zeros(3))
                 ref = scalar_e(m, d)
                 assert np.linalg.norm(e - ref) <= 1e-15 * np.linalg.norm(ref)
@@ -136,7 +144,7 @@ class TestDyonicSpecialCases:
         for kappa in (0.0, 1.0):
             for _, m, _ in all_params(kappa):
                 b = np.array([0.4, 0.1, -0.6])
-                (e,), (h,), (s,) = dyonic_eh_rows(m, np.zeros(3), b)
+                (e,), (h,), (s,) = inverted(m, np.zeros(3), b)
                 np.testing.assert_array_equal(e, np.zeros(3))
                 ref = scalar_h(m, b)
                 assert np.linalg.norm(h - ref) <= 1e-15 * np.linalg.norm(ref)
@@ -144,7 +152,7 @@ class TestDyonicSpecialCases:
 
     def test_both_zero(self):
         m = ModelParams.classical()
-        (e,), (h,), (s,) = dyonic_eh_rows(m, np.zeros(3), np.zeros(3))
+        (e,), (h,), (s,) = inverted(m, np.zeros(3), np.zeros(3))
         np.testing.assert_array_equal(e, np.zeros(3))
         np.testing.assert_array_equal(h, np.zeros(3))
         assert s == 0.0
@@ -158,7 +166,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(int(kappa * 10) + 1)
         for name, m, tol in all_params(kappa):
             d, b = map(np.array, zip(*(random_db(rng) for _ in range(250))))
-            e, h, _ = dyonic_eh_rows(m, d, b)
+            e, h, _ = inverted(m, d, b)
             for i in range(len(d)):
                 st = forward_fields(m, e[i], b[i])
                 res = (max(np.linalg.norm(st.d - d[i]), np.linalg.norm(st.h - h[i]))
@@ -176,7 +184,7 @@ class TestRoundTrip:
             b = rng.normal(size=3) * 10.0 ** rng.uniform(0, 2.5)
             rows.append((d, b))
         d, b = map(np.array, zip(*rows))
-        e, h, _ = dyonic_eh_rows(m, d, b)
+        e, h, _ = inverted(m, d, b)
         for i in range(len(d)):
             st = forward_fields(m, e[i], b[i])
             res = (max(np.linalg.norm(st.d - d[i]), np.linalg.norm(st.h - h[i]))
@@ -188,7 +196,7 @@ class TestRoundTrip:
         m = ModelParams.exponential(beta=1.0, kappa=0.5)
         d = np.array([5.0, 1.0, 0.0])
         b = np.array([0.0, 30.0, 2.0])  # B^2 = 904
-        (e,), (h,), _ = dyonic_eh_rows(m, d, b)
+        (e,), (h,), _ = inverted(m, d, b)
         st = forward_fields(m, e, b)
         res = max(np.linalg.norm(st.d - d), np.linalg.norm(st.h - h)) / np.linalg.norm(b)
         assert res <= 1e-9
@@ -198,7 +206,7 @@ class TestRoundTrip:
         for kappa in (0.0, 0.7):
             for name, m, tol in all_params(kappa):
                 d, b = random_db(rng)
-                (e,), _, (s,) = dyonic_eh_rows(m, d, b)
+                (e,), _, (s,) = inverted(m, d, b)
                 eb = float(e @ b)
                 s_ref = 0.5 * (float(e @ e) - float(b @ b)) + 0.5 * kappa**2 * eb * eb
                 assert s == pytest.approx(s_ref, rel=1e-9, abs=1e-12), name
@@ -210,7 +218,7 @@ class TestRoundTrip:
         for name, m, _ in all_params(0.8):
             for _ in range(20):
                 d, b = random_db(rng)
-                (e,), _, _ = dyonic_eh_rows(m, d, b)
+                (e,), _, _ = inverted(m, d, b)
                 bxd = np.cross(b, d)
                 eta = float(b @ d) ** 2 / (float(d @ d) + k2 * (2.0 + k2 * float(b @ b))
                                            * float(bxd @ bxd))
@@ -226,8 +234,8 @@ class TestKappaContinuity:
         rng = np.random.default_rng(21)
         for _ in range(50):
             d, b = random_db(rng)
-            (e0,), (h0,), _ = dyonic_eh_rows(m0, d, b)
-            (e1,), (h1,), _ = dyonic_eh_rows(m1, d, b)
+            (e0,), (h0,), _ = inverted(m0, d, b)
+            (e1,), (h1,), _ = inverted(m1, d, b)
             scale = max(np.linalg.norm(e0), np.linalg.norm(h0), 1e-12)
             assert np.linalg.norm(e1 - e0) / scale <= 1e-4
             assert np.linalg.norm(h1 - h0) / scale <= 1e-4
@@ -244,7 +252,7 @@ class TestSaturation:
         cap = 1.0 / math.sqrt(4.0)
         for _ in range(200):
             d = rng.normal(size=3) * 10.0 ** rng.uniform(-2, 8)
-            (e,), _, _ = dyonic_eh_rows(m, d, np.zeros(3))
+            (e,), _, _ = inverted(m, d, np.zeros(3))
             en = np.linalg.norm(e)
             # strict below the bound; float saturation may round onto it
             assert en <= cap * (1.0 + 1e-15)
@@ -257,7 +265,7 @@ class TestSaturation:
         cap = math.sqrt(2.0 / 0.5)
         for _ in range(200):
             d = rng.normal(size=3) * 10.0 ** rng.uniform(-2, 8)
-            en = np.linalg.norm(dyonic_eh_rows(m, d, ZERO3)[0][0])
+            en = np.linalg.norm(inverted(m, d, ZERO3)[0][0])
             assert en <= cap * (1.0 + 1e-15)
             if float(d @ d) < 1e10:
                 assert en < cap
@@ -268,14 +276,14 @@ class TestGuards:
         # B^2 = 1/alpha makes f' ~ 0; a tiny D lands inside the guard band
         m = ModelParams.quadratic(alpha=1.0)
         with pytest.raises(DomainViolation):
-            dyonic_eh_rows(m, (1e-15, 0.0, 0.0), (1.0, 0.0, 0.0))
+            inverted(m, (1e-15, 0.0, 0.0), (1.0, 0.0, 0.0))
 
     def test_quadratic_negative_branch_rejected(self):
         # alpha B^2 > 1 with small D: the smallest-root branch has f' < 0,
         # which flips E against D and must be refused
         m = ModelParams.quadratic(alpha=1.0)
         with pytest.raises((InversionFailure, DomainViolation)):
-            dyonic_eh_rows(m, (0.1, 0.0, 0.0), (2.0, 0.0, 0.0))
+            inverted(m, (0.1, 0.0, 0.0), (2.0, 0.0, 0.0))
 
     def test_forward_domain_violation(self):
         m = ModelParams.classical(beta=1.0)
@@ -366,7 +374,7 @@ class TestForwardRows:
 
 
 class TestRows:
-    """dyonic_eh_rows against the scalar branches of the oracle."""
+    """invert_rows against the scalar branches of the oracle."""
 
     def test_matches_scalar_on_mixed_rows(self):
         rng = np.random.default_rng(8)
@@ -378,7 +386,7 @@ class TestRows:
         d[10] = b[10] = 0.0
         for kappa in (0.0, 0.5):
             for name, m, _ in all_params(kappa):
-                e, h, s = dyonic_eh_rows(m, d, b)
+                e, h, s = inverted(m, d, b)
                 for i in range(len(d)):
                     e_ref, h_ref, aux = scalar_eh(m, d[i], b[i])
                     np.testing.assert_allclose(e[i], e_ref, rtol=1e-12, atol=1e-15, err_msg=name)
@@ -391,11 +399,11 @@ class TestRows:
         v = rng.normal(size=(40, 3)) * 10.0 ** rng.uniform(-3, 3, size=(40, 1))
         zero = np.zeros_like(v)
         for name, m, _ in all_params(kappa):
-            e, h, _ = dyonic_eh_rows(m, v, zero)
+            e, h, _ = inverted(m, v, zero)
             for row, ref in zip(e, (scalar_e(m, x) for x in v)):
                 assert np.linalg.norm(row - ref) <= 1e-15 * np.linalg.norm(ref), name
             assert not np.any(h)
-            e, h, _ = dyonic_eh_rows(m, zero, v)
+            e, h, _ = inverted(m, zero, v)
             for row, ref in zip(h, (scalar_h(m, x) for x in v)):
                 assert np.linalg.norm(row - ref) <= 1e-15 * np.linalg.norm(ref), name
             assert not np.any(e)
@@ -406,7 +414,7 @@ class TestRows:
         m = ModelParams.logarithmic(beta=0.5)
         cap = math.sqrt(2.0 / 0.5)
         d = rng.normal(size=(1000, 3)) * 10.0 ** rng.uniform(-2, 8, size=(1000, 1))
-        e, _, _ = dyonic_eh_rows(m, d, np.zeros_like(d))
+        e, _, _ = inverted(m, d, np.zeros_like(d))
         norms = np.linalg.norm(e, axis=1)
         assert np.max(np.linalg.norm(d, axis=1)) > 1e8
         assert np.all(norms <= cap * (1.0 + 1e-15))
@@ -419,13 +427,16 @@ class TestRows:
         m = ModelParams.custom(lambda s: s, lambda s: 1.0, lambda s: 0.0, kappa=0.5, s_min=-0.5)
         d = np.array([[0.1, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0]])
         b = np.array([[0.0, 0.1, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-        with pytest.raises(InversionFailure, match=r" unreachable inside the model domain$"):
-            dyonic_eh_rows(m, d[1], b[1])
-        with pytest.raises(InversionFailure, match=r"2 of 3 rows failed; first row 1"):
-            dyonic_eh_rows(m, d, b)
+        with pytest.raises(InversionFailure, match=r" unreachable inside the model domain$") as one:
+            inverted(m, d[1], b[1])
+        # the batch raises the failure of its first failing row, row 1, as
+        # that row records it alone: no count, no location
+        with pytest.raises(InversionFailure) as batch:
+            inverted(m, d, b)
+        assert str(batch.value) == str(one.value)
         for m in (ModelParams.logarithmic(beta=1.0), ModelParams.logarithmic(beta=1.0, kappa=0.5)):
-            with pytest.raises(DomainViolation, match=r"1 of 2 rows failed; first row 1"):
-                dyonic_eh_rows(m, d[:2], np.array([[0.0, 0.1, 0.0], [math.nan, 0.0, 1.0]]))
+            with pytest.raises(DomainViolation, match=r"^non-finite D or B "):
+                inverted(m, d[:2], np.array([[0.0, 0.1, 0.0], [math.nan, 0.0, 1.0]]))
 
 
 def oracle_rows(rng, n=240):
@@ -530,7 +541,7 @@ ARRAY_KERNEL_MODELS = [
 
 
 class TestRowKernelsAgainstScalar:
-    """invert_rows and dyonic_eh_rows against the scalar oracle's
+    """invert_rows, and raise_first on its codes, against the scalar oracle's
     dyonic_eh, row by row: the array kernels round like it (bit for bit, or
     to ROUNDING) and fail each row with its class and message."""
 
@@ -552,14 +563,12 @@ class TestRowKernelsAgainstScalar:
             assert code[i] == 0, (i, errors[code[i] - 1])
             assert same_row(m, (e[i], h[i], s[i]), (e_ref, h_ref, aux.s), b[i]), i
         if first is None:
-            dyonic_eh_rows(m, d, b)
+            inverted(m, d, b)
             return
         i, exc = first
         with pytest.raises(type(exc)) as info:
-            dyonic_eh_rows(m, d, b)
-        assert str(info.value).startswith(
-            f"{np.count_nonzero(code)} of {len(d)} rows failed; first row {i} ")
-        assert same_failure(m, info.value.__cause__, exc)
+            inverted(m, d, b)
+        assert same_failure(m, info.value, exc)
 
     def test_fractional_domain_edge_failures_are_pinned(self):
         # p = 1.5: |B|^2 >= 2p/beta puts s = -B^2/2 outside the domain
@@ -583,13 +592,13 @@ class TestRowKernelsAgainstScalar:
             e_ref, h_ref, aux = scalar_eh(m, d[i], b[i])
             assert np.array_equal(e[i], e_ref) and np.array_equal(h[i], h_ref)
             assert s[i] == aux.s
-            assert m.in_domain(-0.5 * float(b[i] @ b[i])) == (i == 0)
-        with pytest.raises(DomainViolation, match=r"^1 of 4 rows failed; first row 2 "):
-            dyonic_eh_rows(m, d, b)
+            assert bool(m.domain_rows(-0.5 * float(b[i] @ b[i]))) == (i == 0)
+        with pytest.raises(DomainViolation, match=r"^s=-1.805 outside domain of fractional_power model$"):
+            inverted(m, d, b)
 
     def test_maxwell_limit_is_exact(self):
         d, b = oracle_rows(np.random.default_rng(32))
-        e, h, _ = dyonic_eh_rows(ModelParams.fractional_power(beta=3.0, p=1.0), d, b)
+        e, h, _ = inverted(ModelParams.fractional_power(beta=3.0, p=1.0), d, b)
         assert np.array_equal(e, d) and np.array_equal(h, b)
 
     def test_solver_exits_follow_invert_monotone(self, monkeypatch):
@@ -809,8 +818,10 @@ class TestBranchViews:
             if name != "electric":
                 assert code[7], name
                 first = int(np.flatnonzero(code)[0])
-                with pytest.raises(FieldError, match=rf"rows failed; first row {first} "):
-                    dyonic_eh_rows(m, d, b)
+                with pytest.raises(FieldError) as info:
+                    inverted(m, d, b)
+                ref = errors[code[first] - 1]
+                assert (type(info.value), str(info.value)) == (type(ref), str(ref)), name
 
 
 def _imports(path) -> list:

@@ -66,10 +66,15 @@ def random_config(rng, n, electric=True, magnetic=False, spread=1.5):
             continue
 
 
+def nearest(cfg, x):
+    """The distance from the point x to the nearest charge, one norm per charge."""
+    return min(np.linalg.norm(x - p) for p in cfg.positions)
+
+
 def far_point(rng, cfg, min_dist=0.4):
     while True:
         x = rng.uniform(-3.0, 3.0, size=3)
-        if cfg.min_distance(x) > min_dist:
+        if nearest(cfg, x) > min_dist:
             return x
 
 
@@ -153,7 +158,7 @@ class TestClassicalElectrostatic:
         cfg = pair_config()
         ticks = np.linspace(-1.6, 1.6, 5)
         grid = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
-        grid = grid[[cfg.min_distance(x) >= 0.3 for x in grid]]
+        grid = grid[[nearest(cfg, x) >= 0.3 for x in grid]]
         assert float(np.max(np.abs(current_rows(CLASSICAL, cfg, grid).j_m))) > 0.0
 
     def test_singular_point_rejected(self):
@@ -207,7 +212,7 @@ class TestDyonicKappaZero:
     def test_single_dyon_zero(self):
         cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 0.5)])
         rows = current_rows(CLASSICAL, cfg, (0.3, 0.4, 0.5))
-        assert rows.method == "analytic" and rows.code.tolist() == [0]
+        assert currents.current_method(CLASSICAL, cfg) == "analytic" and rows.code.tolist() == [0]
         assert np.max(np.abs(rows.j_m)) <= 1e-12
         assert np.max(np.abs(rows.j_e)) <= 1e-12
 
@@ -217,7 +222,7 @@ class TestDyonicKappaZero:
         )
         pts = far_points(np.random.default_rng(19), cfg, 10)
         rows = current_rows(CLASSICAL, cfg, pts)
-        assert rows.method == "analytic" and not rows.code.any()
+        assert currents.current_method(CLASSICAL, cfg) == "analytic" and not rows.code.any()
         curl = fd_curl(eh_field(CLASSICAL, cfg), pts)
         assert_rows_close(curl[:, 0], -rows.j_m)
         assert_rows_close(curl[:, 1], rows.j_e)
@@ -253,7 +258,7 @@ class TestGenericElectrostatic:
         cfg = pair_config()
         pts = far_points(np.random.default_rng(29), cfg, 6)
         rows = current_rows(params, cfg, pts)
-        assert rows.method == "analytic" and not rows.code.any()
+        assert currents.current_method(params, cfg) == "analytic" and not rows.code.any()
         assert_rows_close(fd_curl(eh_field(params, cfg), pts)[:, 0], -rows.j_m)
 
 
@@ -292,7 +297,7 @@ class TestGenericMagnetostatic:
         cfg = pair_config(magnetic=True)
         pts = far_points(np.random.default_rng(37), cfg, 6)
         rows = current_rows(params, cfg, pts)
-        assert rows.method == "analytic" and not rows.code.any()
+        assert currents.current_method(params, cfg) == "analytic" and not rows.code.any()
         assert_rows_close(fd_curl(eh_field(params, cfg), pts)[:, 1], rows.j_e)
 
     def test_gradient_of_field_square_matches_fd(self):
@@ -471,14 +476,15 @@ class TestDispatcher:
         cfg = pair_config()
         for params in (ModelParams.classical(beta=BETA), ModelParams.logarithmic(beta=0.5)):
             s = current_rows(params, cfg, (0.0, 1.0, 0.0))
-            assert s.method == "analytic" and s.code.tolist() == [0]
+            assert currents.current_method(params, cfg) == "analytic" and s.code.tolist() == [0]
             assert np.max(np.abs(s.j_e)) == 0.0
             assert np.max(np.abs(s.j_m)) > 0.0
 
     def test_magnetic_only_routes(self):
         cfg = pair_config(magnetic=True)
-        s = current_rows(ModelParams.exponential(beta=0.7), cfg, (0.0, 1.0, 0.0))
-        assert s.method == "analytic" and s.code.tolist() == [0]
+        params = ModelParams.exponential(beta=0.7)
+        s = current_rows(params, cfg, (0.0, 1.0, 0.0))
+        assert currents.current_method(params, cfg) == "analytic" and s.code.tolist() == [0]
         assert np.max(np.abs(s.j_m)) == 0.0
         assert np.max(np.abs(s.j_e)) > 0.0
 
@@ -486,8 +492,9 @@ class TestDispatcher:
         cfg = ChargeConfig.build(
             [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]
         )
-        s = current_rows(ModelParams.classical(beta=BETA), cfg, (0.0, 1.0, 0.0))
-        assert s.method == "analytic" and s.code.tolist() == [0]
+        params = ModelParams.classical(beta=BETA)
+        s = current_rows(params, cfg, (0.0, 1.0, 0.0))
+        assert currents.current_method(params, cfg) == "analytic" and s.code.tolist() == [0]
         assert np.max(np.abs(s.j_m)) > 0.0
         assert np.max(np.abs(s.j_e)) > 0.0
 
@@ -495,8 +502,9 @@ class TestDispatcher:
         cfg = ChargeConfig.build(
             [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]
         )
-        s = current_rows(ModelParams.classical(beta=BETA, kappa=0.8), cfg, (0.0, 1.0, 0.0))
-        assert s.method == "fd" and s.code.tolist() == [0]
+        params = ModelParams.classical(beta=BETA, kappa=0.8)
+        s = current_rows(params, cfg, (0.0, 1.0, 0.0))
+        assert currents.current_method(params, cfg) == "fd" and s.code.tolist() == [0]
         assert np.all(np.isfinite(s.j_m)) and np.all(np.isfinite(s.j_e))
 
     def test_fd_route_inverts_once_per_stencil_node(self, monkeypatch):
@@ -516,7 +524,7 @@ class TestDispatcher:
         s = current_rows(params, cfg, x)
         monkeypatch.undo()
         # two Richardson steps, six stencil nodes each, one row per node, one call
-        assert s.method == "fd" and s.code.tolist() == [0] and calls == [12]
+        assert currents.current_method(params, cfg) == "fd" and s.code.tolist() == [0] and calls == [12]
 
         # reference: the oracle's curls of E and H of the rows field
         curl_e, curl_h = fd_curl(eh_field(params, cfg), x, step=currents._fd_step_rows(x[None, :]),
@@ -529,9 +537,10 @@ class TestDispatcher:
             [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]
         )
         x = np.array([0.0, 1.0, 0.0])
-        s = current_rows(ModelParams.classical(beta=BETA, kappa=1e-5), cfg, x)
-        k0 = current_rows(ModelParams.classical(beta=BETA), cfg, x)
-        assert s.method == "fd" and k0.method == "analytic"
+        tiny, k0_params = ModelParams.classical(beta=BETA, kappa=1e-5), ModelParams.classical(beta=BETA)
+        s = current_rows(tiny, cfg, x)
+        k0 = current_rows(k0_params, cfg, x)
+        assert currents.current_method(tiny, cfg) == "fd" and currents.current_method(k0_params, cfg) == "analytic"
         assert np.max(np.abs(s.j_m - k0.j_m)) <= 1e-8
         assert np.max(np.abs(s.j_e - k0.j_e)) <= 1e-8
 
@@ -547,7 +556,7 @@ class TestDispatcher:
         # same rows (closed form and inverted), come out empty
         for pts in (np.empty((0, 3)), []):
             rows = current_rows(params, cfg, pts)
-            assert rows.method == currents.current_method(params, cfg) == method
+            assert currents.current_method(params, cfg) == method
             assert rows.j_e.shape == rows.j_m.shape == (0, 3)
             assert rows.code.shape == (0,) and rows.errors == []
             assert hamiltonian_on_points(params, cfg, pts).shape == (0,)
@@ -604,11 +613,11 @@ class TestCurrentRows:
         pts = self.points(cfg, np.random.default_rng(41))
         pts[3:6] = cfg.positions[1] + np.array([[0.0, 0.1, 0.0], [0.15, 0.0, 0.0], [0.0, 0.0, -0.2]])
         rows = current_rows(params, cfg, pts)
-        assert rows.method == "fd"
+        assert currents.current_method(params, cfg) == "fd"
         eh = eh_field(params, cfg)
         outcomes = set()
         for i, (x, h) in enumerate(zip(pts, currents._fd_step_rows(pts))):
-            if not cfg.min_distance(x) > h + cfg.exclusion_radius:
+            if not nearest(cfg, x) > h + cfg.exclusion_radius:
                 assert isinstance(rows.errors[rows.code[i] - 1], SingularPoint), i
                 outcomes.add("skip")
                 continue
@@ -636,7 +645,7 @@ class TestCurrentRows:
     def test_closed_form_rows_match_pointwise_calls(self, params, cfg):
         pts = self.points(cfg, np.random.default_rng(42))
         rows = current_rows(params, cfg, pts)
-        assert rows.method == "analytic"
+        assert currents.current_method(params, cfg) == "analytic"
         assert isinstance(rows.errors[rows.code[0] - 1], SingularPoint)
         for i, x in enumerate(pts):
             s = current_rows(params, cfg, x)

@@ -4,11 +4,13 @@ No module in src/bifield imports a name it never uses (a name listed in the
 module's __all__ counts as used: it is re-exported), every name in a
 module's __all__ is defined or imported at module level, every
 module-level private function is referenced somewhere in src/ or tests/
-outside its own body, and every module-level public function and class is
-referenced somewhere in src/ outside its own body, the __all__ lists and
-__init__.py, or named in UNCALLED_PUBLIC with its reason. A refactor that
-moves work elsewhere fails here if it leaves the old import or helper
-behind, an export of a deleted function, or a public function that only the
+outside its own body, and every module-level public function and class,
+and every public method and property of a module-level class, is
+referenced by name somewhere in src/ outside its own body, the __all__
+lists and __init__.py (a method or property as an attribute, obj.name),
+or named in UNCALLED_PUBLIC with its reason. A refactor that moves work
+elsewhere fails here if it leaves the old import or helper behind, an
+export of a deleted function, or a public function or method that only the
 tests call. The package's public names are pinned in PUBLIC_NAMES, so the
 surface grows or shrinks only with that list. QuadratureSpec holds only its
 three tolerances, and they are the quadrature config keys.
@@ -61,7 +63,6 @@ PUBLIC_NAMES = (
     "bump_source",
     "current_rows",
     "divergence_exponent_probe",
-    "dyonic_eh_rows",
     "flux_charge",
     "free_charge_with_inner_spheres",
     "gaussian_source",
@@ -73,9 +74,12 @@ PUBLIC_NAMES = (
     "two_gaussian_source",
 )
 
-# public functions that no code in src/ calls, each with the reason it stays
+# public functions and methods that no code in src/ calls, each with the
+# reason it stays
 UNCALLED_PUBLIC = {
     "cli.py:serialize_config": "writes a RunConfig back as JSON, the inverse of parse_config",
+    "models.py:ModelParams.custom": "the library-only constructor of a custom model, "
+                                    "which a config file cannot describe",
 }
 
 
@@ -96,11 +100,12 @@ def _exported(tree: ast.Module) -> set:
     return set()
 
 
-def _used_names(node: ast.AST) -> set:
-    """Every identifier read or written in node, and every attribute name."""
+def _used_names(node: ast.AST, attributes_only: bool = False) -> set:
+    """Every identifier read or written in node, and every attribute name;
+    with attributes_only, the attribute names alone."""
     used = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not attributes_only:
             used.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             used.add(sub.attr)
@@ -137,29 +142,47 @@ def test_exports_are_defined(path):
 
 def _definitions(public: bool):
     """(module, name) of every module-level function, and with public every
-    module-level class too, whose name is public or private as asked."""
+    module-level class too, whose name is public or private as asked; with
+    public also (module, "Class.method") of every public method and
+    property of a module-level class."""
     kinds = (ast.FunctionDef, ast.ClassDef) if public else ast.FunctionDef
     for path in MODULES:
         for node in _tree(path).body:
             if isinstance(node, kinds) and node.name.startswith("_") != public:
                 yield path.name, node.name
+            if public and isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield path.name, f"{node.name}.{sub.name}"
 
 
-def _references(paths) -> set:
+def _own_references(node: ast.AST, attributes_only: bool = False) -> set:
+    """The names node references (_used_names), leaving out a function's or
+    class's references to itself; in a class, each method's to itself."""
+    if isinstance(node, ast.ClassDef):
+        names = set().union(*(_used_names(sub, attributes_only)
+                              for sub in node.bases + node.keywords + node.decorator_list))
+        names = names.union(*(_own_references(sub, attributes_only) for sub in node.body))
+    else:
+        names = _used_names(node, attributes_only)
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names.discard(node.name)
+    return names
+
+
+def _references(paths, attributes_only: bool = False) -> set:
     """Names referenced in the files at paths, leaving out a top-level
-    function's or class's references to itself and the __all__ lists;
-    imported names count."""
+    function's, class's or method's references to itself and the __all__
+    lists; imported names count. With attributes_only, the names read as
+    attributes (obj.name) alone: the only way a method is referenced."""
     refs = set()
     for path in paths:
         for node in _tree(path).body:
             if _is_all(node):
                 continue
-            names = _used_names(node)
-            if isinstance(node, ast.ImportFrom):
-                names |= {alias.name for alias in node.names}
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names.discard(node.name)
-            refs |= names
+            refs |= _own_references(node, attributes_only)
+            if isinstance(node, ast.ImportFrom) and not attributes_only:
+                refs |= {alias.name for alias in node.names}
     return refs
 
 
@@ -171,9 +194,12 @@ def test_private_functions_are_referenced():
 
 
 def test_public_functions_are_referenced_in_src():
-    refs = _references([path for path in MODULES if path.name != "__init__.py"])
+    src = [path for path in MODULES if path.name != "__init__.py"]
+    refs, attributes = _references(src), _references(src, attributes_only=True)
+    # a method or property counts only as an attribute: a local variable f
+    # is no call of ModelParams.f
     uncalled = [f"{module}:{name}" for module, name in _definitions(public=True)
-                if name not in refs]
+                if (name.partition(".")[2] not in attributes if "." in name else name not in refs)]
     assert sorted(uncalled) == sorted(UNCALLED_PUBLIC)
 
 
@@ -212,6 +238,22 @@ def test_only_the_verify_command_imports_the_suites():
                         alias.name == "bifield.verify" for alias in sub.names):
                     importers.append(f"{path.name}:{getattr(node, 'name', None)}")
     assert importers == ["cli.py:_cmd_verify"]
+
+
+def test_only_raise_first_raises_a_recorded_failure():
+    # a code array turns into an exception in one place, errors.raise_first,
+    # which raises the first failed row's exception as recorded: no other
+    # function raises errors[...] or rewraps a failure as type(exc)(...)
+    raisers = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Raise) and (
+                        isinstance(sub.exc, ast.Subscript)
+                        or (isinstance(sub.exc, ast.Call) and isinstance(sub.exc.func, ast.Call)
+                            and getattr(sub.exc.func.func, "id", None) == "type")):
+                    raisers.append(f"{path.name}:{getattr(node, 'name', None)}")
+    assert raisers == ["errors.py:raise_first"]
 
 
 def test_public_surface_is_pinned():

@@ -214,7 +214,8 @@ class TestEnergyDensity:
         assert not code.any()
         d2 = np.sum(d * d, axis=1)
         ref = d2 / (1.0 + np.sqrt(1.0 + d2))
-        assert np.max(np.abs(density_rows(params, d, b, e, s) / ref - 1.0)) <= 4e-16
+        dens = density_rows(params, d, b, e, s, code, [])
+        assert not code.any() and np.max(np.abs(dens / ref - 1.0)) <= 4e-16
         assert np.array_equal(2.0 * s, np.ones(4))
 
     def test_logarithmic_electrostatic_closed_form(self):
@@ -282,15 +283,18 @@ class TestEnergyDensity:
                         assert abs(batch[i] - ref) <= 1e-12 * max(1.0, abs(ref)), \
                             (kind, kappa, charges, i)
 
-    def test_batch_failure_names_first_row_and_count(self):
+    def test_batch_failure_is_the_first_rows_own(self):
         # the dyon pair of current-dyon-fd in the quadratic model: next to
         # each centre |B|^2 > 1/alpha, where the cubic's smallest positive
-        # root has f' = 1 + 2 alpha s < 0 and fails the direction check
+        # root has f' = 1 + 2 alpha s < 0 and fails the direction check.
+        # The batch raises row 1's failure as that row records it alone
         cfg = ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.4), ((-1.0, 0.5, 0.0), -2.0, 1.0)])
         params = ModelParams.quadratic(1.0, kappa=0.5)
         pts = np.array([[3.0, 0.0, 0.0], [1.05, 0.0, 0.0], [-1.0, 0.55, 0.0]])
-        with pytest.raises(InversionFailure, match=r"2 of 3 rows failed; first row 1"):
+        with pytest.raises(InversionFailure, match=r"^direction match violated: ") as info:
             hamiltonian_on_points(params, cfg, pts)
+        *_, code, errors = eh_rows(params, cfg, pts[1:2])
+        assert code.tolist() == [1] and str(info.value) == str(errors[0])
         assert np.all(np.isfinite(hamiltonian_on_points(params, cfg, pts[:1])))
 
     @pytest.mark.parametrize("params", [ModelParams.logarithmic(1.0),
@@ -305,13 +309,13 @@ class TestEnergyDensity:
     def test_logarithmic_energy_makes_no_scalar_inversions(self, monkeypatch):
         # every inversion of an energy run is a rows call over many nodes
         rows = []
-        invert = observables.dyonic_eh_rows
+        invert = observables.invert_rows
 
         def counting(params, d, b):
             rows.append(len(d))
             return invert(params, d, b)
 
-        monkeypatch.setattr(observables, "dyonic_eh_rows", counting)
+        monkeypatch.setattr(observables, "invert_rows", counting)
         dyon = single_charge(q=1.0, g=0.5)
         # the quadratic dyon leaves the single-root branch next to its centre
         for cfg, params in ((dyon, ModelParams.logarithmic(1.0, kappa=0.5)),
@@ -348,7 +352,7 @@ class TestEnergyDensity:
         e2, b2 = float(e @ e), float(b @ b)
         eb = float(e @ b)
         s = 0.5 * (e2 - b2) + 0.5 * params.kappa**2 * eb * eb
-        if not params.in_domain(s) or params.f_prime(s) <= 1e-9:
+        if not params.domain_rows(s) or params.derivative_rows(np.array([s]), 1)[0] <= 1e-9:
             return
         state = FieldState(e=e, b=b, d=np.zeros(3), h=np.zeros(3), s=s)
         assert energy_density(params, state) >= -1e-12
@@ -728,7 +732,8 @@ class TestFluxCharge:
         quad = QuadratureSpec()
         for R in (10.0, 50.0):
             val = flux_charge(lambda pts: _batch_coulomb(cfg, cfg.qs, pts), R, quad)
-            assert abs(val - cfg.total_q) <= 1e-10 * max(1.0, abs(cfg.total_q))
+            total = math.fsum(cfg.qs)
+            assert abs(val - total) <= 1e-10 * max(1.0, abs(total))
 
     def test_three_charge_e_flux_approaches_total(self):
         cfg = three_charges()
@@ -739,7 +744,7 @@ class TestFluxCharge:
     def test_flux_ladder_monotone_toward_total_charge(self):
         cfg = three_charges()
         quad = QuadratureSpec()
-        errs = [abs(flux_charge(classical_e(cfg), _far_radius(cfg) * 2.0**k, quad) - cfg.total_q)
+        errs = [abs(flux_charge(classical_e(cfg), _far_radius(cfg) * 2.0**k, quad) - math.fsum(cfg.qs))
                 for k in range(4)]
         assert all(b < a for a, b in zip(errs[:-1], errs[1:]))
 
@@ -1009,7 +1014,7 @@ class TestFreeCharge:
         params = ModelParams.classical(1.0)
         quad = coarse_quad()
         out = free_charge_with_inner_spheres(cfg, params, quad)
-        assert abs(out["q_free"] - cfg.total_q) <= 1e-3
+        assert abs(out["q_free"] - math.fsum(cfg.qs)) <= 1e-3
         assert abs(out["g_free"]) <= 1e-3
 
     def test_single_dyon_screening(self):
@@ -1079,7 +1084,7 @@ def residual_pointwise(cfg, params, grid) -> tuple:
     details = []
     pts = np.asarray(grid, dtype=float).reshape(-1, 3)
     for x, h in zip(pts, currents._fd_step_rows(pts)):
-        if not cfg.min_distance(x) > h + cfg.exclusion_radius:
+        if not min(np.linalg.norm(x - p) for p in cfg.positions) > h + cfg.exclusion_radius:
             continue
         current = current_rows(params, cfg, x)
         raise_first(current.code, current.errors)

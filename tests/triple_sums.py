@@ -30,7 +30,7 @@ from bifield.models import ModelParams
 from bifield.observables import QuadratureSpec, _sphere_rule
 from bifield.sources import (FOUR_PI, ChargeConfig, _batch_coulomb, _coulomb_offsets, _db_weights,
                              as_vec3)
-from scalar_inversions import dyonic_eh, electrostatic_e
+from scalar_inversions import dyonic_eh, electrostatic_e, f_double_prime, f_prime
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -237,8 +237,8 @@ def jm_generic_electrostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.nd
     d = displacement_field(cfg, x)
     e = electrostatic_e(params, d)
     h = float(e @ e)
-    fp = params.f_prime(0.5 * h)
-    fpp = params.f_double_prime(0.5 * h)
+    fp = f_prime(params, 0.5 * h)
+    fpp = f_double_prime(params, 0.5 * h)
     if fpp == 0.0:
         return np.zeros(3)
     hprime = 1.0 / (fp * (fpp * h + fp))
@@ -276,7 +276,7 @@ def je_generic_magnetostatic(params: ModelParams, cfg: ChargeConfig, x) -> np.nd
     x = _check_regular(cfg, x)
     b = magnetic_field(cfg, x)
     b2 = float(b @ b)
-    fpp = params.f_double_prime(-0.5 * b2)
+    fpp = f_double_prime(params, -0.5 * b2)
     if fpp == 0.0:
         return np.zeros(3)
     return 0.5 * fpp * np.cross(b, grad_field_square(cfg, x, which="magnetic"))
