@@ -503,13 +503,6 @@ def _gradient_rows(src: ContinuousSource, pts: np.ndarray, quad: QuadratureSpec,
     return _each_row(lambda x: _fd_gradient(src, x, quad, which), pts, rows, code, errors, (3,)), None
 
 
-def _db_rows(src: ContinuousSource, pts: np.ndarray, quad: QuadratureSpec,
-             code: np.ndarray, errors: list):
-    """D, B and the Hessian of u (or None); D's failures come first."""
-    d, hess = _gradient_rows(src, pts, quad, "electric", code, errors)
-    return d, _gradient_rows(src, pts, quad, "magnetic", code, errors)[0], hess
-
-
 # -- fields and currents -------------------------------------------------------
 
 
@@ -521,7 +514,8 @@ def state_rows(src: ContinuousSource, params: ModelParams, pts: np.ndarray,
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     code = np.zeros(len(pts), dtype=np.int64)
     errors: list = []
-    d, b, hess = _db_rows(src, pts, quad, code, errors)
+    d, hess = _gradient_rows(src, pts, quad, "electric", code, errors)
+    b = _gradient_rows(src, pts, quad, "magnetic", code, errors)[0]
     e, h, s, inv_code, inv_errors = invert_rows(params, d, b)
     merge_failures(code, errors, np.arange(len(pts)), inv_code, inv_errors)
     return d, b, e, h, s, hess, code, errors
@@ -531,19 +525,22 @@ def jm_rows(src: ContinuousSource, params: ModelParams, pts: np.ndarray,
             quad: QuadratureSpec, d: np.ndarray, e: np.ndarray, hess,
             code: np.ndarray, errors: list) -> np.ndarray:
     """j_m = -curl E at the rows of pts that have not failed, from their
-    state_rows fields; failures go into (code, errors). An electric source
-    takes currents._generic_electric_curl with grad(D^2) = 2 H_u D
-    (_fd_hessian per row without radial parts): curl E is
-    f''(h/2) h'(|D|^2) / f'(h/2)^2 D x (H_u D), with h = E^2 and H_u the
+    state_rows fields; failures go into (code, errors). A source with no
+    electric density has D = 0, so E = 0 and j_m = 0 by construction. An
+    electric source takes currents._generic_electric_curl with
+    grad(D^2) = 2 H_u D (_fd_hessian per row without radial parts): curl E
+    is f''(h/2) h'(|D|^2) / f'(h/2)^2 D x (H_u D), with h = E^2 and H_u the
     Hessian of u, so it vanishes for a radial u (H_u D is parallel to D)
-    and in the Maxwell limit f'' = 0. Any other source takes the Richardson
-    FD curl of E with step width/10 from currents._fd_rows, which inverts
-    all stencil nodes in one call."""
+    and in the Maxwell limit f'' = 0. A dyonic source takes the Richardson
+    FD curl of E with step width/10 from currents._fd_rows, which takes the
+    state at all stencil nodes from one state_rows call."""
     j_m = np.zeros_like(pts)
+    if src.rho_e is None:
+        return j_m
     rows = np.flatnonzero(code == 0)
     if src.rho_m is not None:
         curl_e, _, sub_code, sub_errors = _fd_rows(
-            params, lambda y, *fails: _db_rows(src, y, quad, *fails)[:2], pts[rows],
+            partial(state_rows, src, params, quad=quad), pts[rows],
             np.full(len(rows), src.width / 10.0))
         merge_failures(code, errors, rows, sub_code, sub_errors)
         j_m[rows] = -curl_e

@@ -16,10 +16,14 @@ sources. The tests check every analytic current against finite-difference
 curls of the rows fields and against the term-by-term triple sums over the
 charges.
 
-current_rows is the module's one evaluation of the currents: N points at
-once, the closed forms as array arithmetic, and the finite-difference route
-by stacking the 12 stencil nodes of every point into one Coulomb pass and
-one constitutive rows call.
+eh_rows is the one function that turns points into the state of a
+point-charge configuration: D, B, E, H, s and a failure code per point,
+from one Coulomb pass and one constitutive rows call (continuous.state_rows
+is its twin for continuous sources). current_rows is the module's one
+evaluation of the currents: N points at once, the closed forms as array
+arithmetic, and the finite-difference route by stacking the 12 stencil
+nodes of every point into one eh_rows call. Like every rows kernel, these
+record failures instead of raising them.
 
 Every central difference in the package gets its nodes and Jacobians from
 _stencil: _fd_rows here, and the residual suites of verify.
@@ -28,14 +32,15 @@ _stencil: _fd_rows here, and the residual suites of verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainViolation, SingularPoint, fail_rows, merge_failures, raise_first
 from .models import ModelParams, CLASSICAL
-from .sources import (ChargeConfig, _batch_coulomb, _coulomb_gradient, _coulomb_offsets,
-                      _db_weights, _superpose, mark_singular)
+from .sources import (ChargeConfig, _coulomb_gradient, _coulomb_offsets, _db_weights, _superpose,
+                      mark_singular)
 from .constitutive import invert_rows, rowdot
 
 __all__ = [
@@ -178,14 +183,16 @@ def eh_rows(params: ModelParams, cfg: ChargeConfig, pts):
     offsets that decide the exclusion balls also give D and B on the
     regular rows) and one invert_rows call over all rows. A row inside an
     exclusion ball carries D = B = 0 and keeps its SingularPoint; a point
-    fails with its first failure in the order singular, inversion.
+    fails with its first failure in the order singular, inversion. Never
+    raises for a point.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     code = np.zeros(len(pts), dtype=np.int64)
     errors: list = []
-    rs, dist, inside = _coulomb_offsets(cfg, pts, mask=True)
+    rs, dist, inside = _coulomb_offsets(cfg, pts)
     idx = mark_singular(cfg, pts, code, errors, inside)
-    d, b = np.zeros_like(pts), np.zeros_like(pts)
+    idx = slice(None) if len(idx) == len(pts) else idx  # views when no row is singular
+    d, b = np.zeros((2,) + pts.shape)
     d[idx], b[idx] = _superpose(_db_weights(cfg), rs[idx], dist[idx])
     e, h, s, inv_code, inv_errors = invert_rows(params, d, b)
     merge_failures(code, errors, np.arange(len(pts)), inv_code, inv_errors)
@@ -208,32 +215,26 @@ def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
 
 def _stencil_clear(cfg: ChargeConfig, pts: np.ndarray, step) -> np.ndarray:
     """True at each row of pts whose 6-point stencil of half-width step stays
-    outside the charge exclusion balls, each distance the square root of a
-    3-term rowdot. Sweeps skip the other points, so the FD curls are never
-    contaminated by near-singular values."""
-    r = (pts[:, None, :] - cfg.positions[None, :, :]).reshape(-1, 3)
-    dist = np.sqrt(rowdot(r, r)).reshape(len(pts), len(cfg))
-    return dist.min(axis=1) > step + cfg.exclusion_radius
+    outside the charge exclusion balls, by the distances of
+    _coulomb_offsets. Sweeps skip the other points, so the FD curls are
+    never contaminated by near-singular values."""
+    return _coulomb_offsets(cfg, pts)[1].min(axis=1) > step + cfg.exclusion_radius
 
 
-def _fd_rows(params: ModelParams, db_rows: Callable, pts: np.ndarray, h: np.ndarray):
+def _fd_rows(state_at: Callable, pts: np.ndarray, h: np.ndarray):
     """Richardson FD curls of E and H at points of shape (N, 3) with stencil
     half-widths h of shape (N,): (curl E, curl H, code, errors).
 
     Stacks the 12 stencil nodes of every point in _stencil's order (h/2
-    first, then h; +x, -x, +y, -y, +z, -z), takes D and B there from one
-    db_rows(nodes, code, errors) call, which fails nodes in (code, errors),
-    and E and H from one invert_rows call, and extrapolates the two curls
-    as (4 c(h/2) - c(h)) / 3. A point takes the failure of its first
+    first, then h; +x, -x, +y, -y, +z, -z), takes E, H and the node
+    failures from one state_at(nodes) call (eh_rows or
+    continuous.state_rows bound to its source), and extrapolates the two
+    curls as (4 c(h/2) - c(h)) / 3. A point takes the failure of its first
     failing node.
     """
     n = len(pts)
     nodes, jacobian = _stencil(pts, np.stack((0.5 * h, h), axis=1))
-    node_code = np.zeros(len(nodes), dtype=np.int64)
-    errors: list = []
-    d, b = db_rows(nodes, node_code, errors)
-    e, h_node, _, inv_code, inv_errors = invert_rows(params, d, b)
-    merge_failures(node_code, errors, np.arange(len(nodes)), inv_code, inv_errors)
+    _, _, e, h_node, *_, node_code, errors = state_at(nodes)
     node_code = node_code.reshape(n, 12)
     code = node_code[np.arange(n), np.argmax(node_code != 0, axis=1)]
     curl = _curl(jacobian(np.stack((e, h_node), axis=1)))  # point, step, E or H, component
@@ -258,8 +259,8 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> Current
     kappa = 0 dyonic case use the closed forms, on all points at once.
     Mixed configurations in any other model (or kappa > 0) have no derived
     closed form, so the currents are measured as Richardson FD curls of the
-    inverted E and H (method "fd"): the stencil nodes of all points are
-    inverted in one rows call, and a point whose stencil would enter an
+    inverted E and H (method "fd"): the stencil nodes of all points go
+    through one eh_rows call, and a point whose stencil would enter an
     exclusion ball fails with SingularPoint. Never raises
     for a point: failures and points to skip come back as codes. e, the E
     of eh_rows at the same points, spares a non-classical electric-only
@@ -277,7 +278,7 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> Current
     classical = params.kind == CLASSICAL
     with np.errstate(all="ignore"):
         if current_method(params, cfg) == "analytic":
-            rs, dist, inside = _coulomb_offsets(cfg, pts, mask=True)
+            rs, dist, inside = _coulomb_offsets(cfg, pts)
             idx = mark_singular(cfg, pts, code, errors, inside)
             rs, dist = rs[idx], dist[idx]
             if electric_only:
@@ -308,9 +309,8 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> Current
             fail_rows(code, errors, ~clear,
                       SingularPoint("finite-difference stencil enters a charge exclusion ball"))
             idx = np.flatnonzero(clear)
-            weights = _db_weights(cfg)
             curl_e, curl_h, sub_code, sub_errors = _fd_rows(
-                params, lambda nodes, *_: _batch_coulomb(cfg, weights, nodes), pts[idx], h[idx])
+                partial(eh_rows, params, cfg), pts[idx], h[idx])
             merge_failures(code, errors, idx, sub_code, sub_errors)
             j_e[idx] = curl_h
             j_m[idx] = -curl_e

@@ -4,8 +4,8 @@ Three families of quantities live here:
 
 * the Hamiltonian energy density of a field state, in the model-generic form
   H = f'(s)(E^2 + kappa^2 (E.B)^2) - f(s), evaluated over point arrays from
-  one batched inversion, with a vectorized closed form for the classical
-  square-root model;
+  the state of currents.eh_rows, with a vectorized closed form in D and B
+  for the classical square-root model;
 * the total energy by one multicentre rule, Becke's fuzzy cells: each
   centre integrates its smooth share of H on a mapped radial rule that
   reaches infinity, with divergence detected rather than extrapolated;
@@ -25,9 +25,9 @@ import numpy as np
 from .errors import (ConfigError, DomainViolation, QuadratureError, SingularPoint, fail_rows,
                      raise_first)
 from .models import ModelParams, CLASSICAL, QUADRATIC
-from .sources import ChargeConfig, _batch_coulomb, _coulomb_offsets, _db_weights, as_vec3
-from .constitutive import _branch, cross_rows, invert_rows, rowdot
-from .currents import eh_field
+from .sources import ChargeConfig, _coulomb_offsets, as_vec3
+from .constitutive import _branch, cross_rows, rowdot
+from .currents import eh_field, eh_rows
 
 __all__ = [
     "QuadratureSpec",
@@ -151,18 +151,13 @@ def density_rows(params: ModelParams, d: np.ndarray, b: np.ndarray, e: Optional[
 def hamiltonian_on_points(params: ModelParams, cfg: ChargeConfig, pts) -> np.ndarray:
     """Energy density of the multicentered solution at points of shape (N, 3).
 
-    One Coulomb pass gives D and B; every model but the classical one (whose
-    density is a closed form in them) inverts all N rows in one invert_rows
-    call; density_rows gives the densities. Raises the failure of the first
-    failing row (errors.raise_first): SingularPoint inside an exclusion
-    ball, InversionFailure or DomainViolation, never a NaN.
+    The state comes from one eh_rows call and the densities from
+    density_rows, as in the sample command, so the two agree bit for bit.
+    Raises the failure of the first failing row (errors.raise_first):
+    SingularPoint inside an exclusion ball, InversionFailure or
+    DomainViolation, never a NaN.
     """
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    d, b = _batch_coulomb(cfg, _db_weights(cfg), pts)
-    e = s = None
-    code, errors = np.zeros(len(pts), dtype=np.int64), []
-    if params.kind != CLASSICAL:
-        e, _, s, code, errors = invert_rows(params, d, b)
+    d, b, e, _, s, code, errors = eh_rows(params, cfg, pts)
     out = density_rows(params, d, b, e, s, code, errors)
     raise_first(code, errors)
     return out
@@ -286,7 +281,7 @@ def _becke_weights(cfg: ChargeConfig, index: int, pts: np.ndarray) -> np.ndarray
     if len(cfg) == 1:
         return np.ones(len(pts))
     pos = cfg.positions
-    _, dist, inside = _coulomb_offsets(cfg, pts, mask=True)
+    _, dist, inside = _coulomb_offsets(cfg, pts)
     sep = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
     np.fill_diagonal(sep, 1.0)
     cell = np.ones_like(dist)

@@ -8,7 +8,9 @@ The multicenter ansatz prescribes
 both gradients of superposed Coulomb potentials, hence curl-free away from
 the centers with delta-function divergences q_i, g_i. One kernel serves one
 point and N points alike: _coulomb_offsets forms r_i = x - x_i and |r_i| and
-applies the exclusion rule, and _superpose adds the centers one by one
+masks the points inside an exclusion ball, which mark_singular fails as
+rows (nothing here raises a field error; currents.eh_rows turns points into
+D and B and the inverted fields), and _superpose adds the centers one by one
 (_centre_sum); weights of shape (m, n) give m fields (D and B) from one
 offsets pass, each bit-equal to its own call. The sum is not correctly
 rounded: against the math.fsum sums kept in the tests it stays within
@@ -64,7 +66,7 @@ class ChargeConfig:
     configuration diameter (at least 1e-9) and 1e-8 times cell_scale, and
     must lie below cell_scale. It is the one radius of the balls that every
     evaluation and quadrature leaves out: field evaluation strictly inside
-    any exclusion ball raises SingularPoint rather than returning huge
+    any exclusion ball fails with SingularPoint rather than returning huge
     numbers. positions, qs and gs (read-only arrays), diameter,
     min_separation and cell_scale are computed once, when the configuration
     is built.
@@ -130,39 +132,26 @@ def _pair_distances(pos: np.ndarray) -> np.ndarray:
     return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
 
 
-def _coulomb_offsets(cfg: ChargeConfig, pts: np.ndarray, mask: bool = False):
-    """r_ij = pts_i - x_j and |r_ij| for points of shape (N, 3).
-
-    The one exclusion rule: a point strictly inside a ball raises
-    SingularPoint naming the point and the charge; the sphere is regular.
-    With mask=True nothing is raised and the (N, n) mask of points inside
-    balls comes third.
-    """
+def _coulomb_offsets(cfg: ChargeConfig, pts: np.ndarray):
+    """r_ij = pts_i - x_j, |r_ij| and the (N, n) mask of points strictly
+    inside an exclusion ball, for points of shape (N, 3): the one exclusion
+    rule, under which the sphere is regular. Nothing is raised;
+    mark_singular fails the masked points."""
     rs = pts[:, None, :] - cfg.positions[None, :, :]
     dist = np.linalg.norm(rs, axis=-1)
-    inside = dist < cfg.exclusion_radius
-    if mask:
-        return rs, dist, inside
-    if np.any(inside):
-        i, j = np.argwhere(inside)[0]
-        raise _singular(cfg, pts[i], j)
-    return rs, dist
-
-
-def _singular(cfg: ChargeConfig, x: np.ndarray, j) -> SingularPoint:
-    return SingularPoint(
-        f"point {x.tolist()} within exclusion radius {cfg.exclusion_radius!r} of charge {j}"
-    )
+    return rs, dist, dist < cfg.exclusion_radius
 
 
 def mark_singular(cfg: ChargeConfig, pts: np.ndarray, code: np.ndarray, errors: list,
                   inside: np.ndarray) -> np.ndarray:
-    """Fail each point strictly inside an exclusion ball with the
-    SingularPoint _coulomb_offsets raises for it alone (see errors.fail_rows
-    for code and errors); returns the indices of the other points. inside
-    is the (N, n) mask of _coulomb_offsets(cfg, pts, mask=True)."""
+    """Fail each point strictly inside an exclusion ball with a
+    SingularPoint naming the point and its first such charge (see
+    errors.fail_rows for code and errors); returns the indices of the
+    other points. inside is the mask of _coulomb_offsets(cfg, pts)."""
     bad = inside.any(axis=1)
-    fail_rows(code, errors, bad, lambda i: _singular(cfg, pts[i], int(np.argmax(inside[i]))))
+    fail_rows(code, errors, bad, lambda i: SingularPoint(
+        f"point {pts[i].tolist()} within exclusion radius {cfg.exclusion_radius!r} "
+        f"of charge {int(np.argmax(inside[i]))}"))
     return np.flatnonzero(~bad)
 
 
@@ -187,11 +176,6 @@ def _superpose(weights: np.ndarray, rs: np.ndarray, dist: np.ndarray) -> np.ndar
     w, inv3 = weights[..., None, :] / FOUR_PI, dist**-3
     with np.errstate(over="ignore", invalid="ignore"):
         return _centre_sum(w * inv3, rs)
-
-
-def _batch_coulomb(cfg: ChargeConfig, weights: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """F = sum_j w_j r_j / (4 pi |r_j|^3) at points of shape (N, 3)."""
-    return _superpose(weights, *_coulomb_offsets(cfg, pts))
 
 
 def _db_weights(cfg: ChargeConfig) -> np.ndarray:

@@ -27,8 +27,8 @@ from .errors import DomainViolation, raise_first
 from .models import ModelParams
 from .observables import (QuadratureSpec, flux_charge, free_charge_with_inner_spheres,
                           total_energy)
-from .sources import (ChargeConfig, _batch_coulomb, _coulomb_offsets, _db_weights, _superpose,
-                      as_vec3)
+from .sources import (ChargeConfig, _coulomb_offsets, _db_weights, _superpose, as_vec3,
+                      mark_singular)
 from .specfn import lambert_w_rows, smallest_positive_cubic_root_rows
 
 __all__ = ["SUITES", "continuous_residual_suite", "jm_classical_jacobi_term", "residual_suite",
@@ -57,7 +57,7 @@ def _suite(name: str, tol: float, residuals) -> dict:
 def _charge_distance(cfg: ChargeConfig, pts) -> np.ndarray:
     """The distance from each row of pts (one point or (N, 3)) to its
     nearest charge."""
-    return _coulomb_offsets(cfg, np.reshape(pts, (-1, 3)), mask=True)[1].min(axis=1)
+    return _coulomb_offsets(cfg, np.reshape(pts, (-1, 3)))[1].min(axis=1)
 
 
 def jm_classical_jacobi_term(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
@@ -68,9 +68,14 @@ def jm_classical_jacobi_term(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
 
     Identically zero by a x (b+c) + b x (c+a) + c x (a+b) = 0; evaluated
     term by term with math.fsum as a floating-point witness of that
-    cancellation, which a factored sum would hide.
+    cancellation, which a factored sum would hide. Raises SingularPoint
+    inside an exclusion ball.
     """
-    rs, norms = _coulomb_offsets(cfg, as_vec3(x)[None, :])
+    x = as_vec3(x)[None, :]
+    rs, norms, inside = _coulomb_offsets(cfg, x)
+    code, errors = np.zeros(1, dtype=np.int64), []
+    mark_singular(cfg, x, code, errors, inside)
+    raise_first(code, errors)
     d = _superpose(cfg.qs, rs, norms)[0]
     rs, norms = rs[0], norms[0]
     d2 = float(d @ d)
@@ -171,7 +176,7 @@ def _verify_round_trip(rng) -> dict:
     res = []
     pts = rng.uniform(-3.0, 3.0, size=(40, 3))
     pts = pts[_charge_distance(cfg, pts) >= 0.3]
-    d, b = _batch_coulomb(cfg, _db_weights(cfg), pts)
+    d, b = _superpose(_db_weights(cfg), *_coulomb_offsets(cfg, pts)[:2])
     scale = np.maximum(np.sqrt(np.maximum(rowdot(d, d), rowdot(b, b))), 1e-30)
     for base in kinds:
         for kappa in (0.0, 0.5, 1.0):

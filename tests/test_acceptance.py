@@ -29,12 +29,13 @@ from bifield.continuous import jm_rows, state_rows
 from bifield.currents import eh_field
 from bifield.errors import raise_first
 from bifield.observables import default_probe_radii, hamiltonian_on_points
-from bifield.sources import _batch_coulomb, _db_weights
+from bifield.sources import _db_weights
 from bifield.specfn import lambert_w_rows, smallest_positive_cubic_root_rows
 from bifield.verify import jm_classical_jacobi_term
 
 from fd_oracle import fd_curl
 from scalar_inversions import forward_fields
+from triple_sums import coulomb_rows
 
 # frozen references, shared with the module test files:
 # scipy radial quadrature of the single-unit-charge energy (beta = 1) and
@@ -93,7 +94,7 @@ def _state_e(src, params):
 def test_01_constitutive_round_trip_all_models():
     rng = np.random.default_rng(101)
     d, b = np.concatenate([
-        _batch_coulomb(cfg, _db_weights(cfg), _sample_points(rng, cfg, 334, box=3.0, clearance=0.25))
+        coulomb_rows(cfg, _db_weights(cfg), _sample_points(rng, cfg, 334, box=3.0, clearance=0.25))
         for cfg in _dyonic_configs()], axis=1)[:, :1000]
     draws = list(zip(d, b))
     scale = [max(float(np.linalg.norm(dd)), float(np.linalg.norm(bb)), 1e-30)

@@ -24,7 +24,6 @@ from bifield import (
 from bifield import cli, continuous, observables, verify
 from bifield.constitutive import invert_rows
 from bifield.observables import _far_radius, density_rows, hamiltonian_on_points
-from bifield.sources import _batch_coulomb
 from bifield.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -40,6 +39,7 @@ from bifield.errors import ConfigError, DomainViolation, SingularPoint
 
 from argparse_cli import build_parser
 from continuous_pointwise import State, continuous_pointwise
+from triple_sums import coulomb_rows
 
 SAMPLE_HEADER = "x,y,z,Ex,Ey,Ez,Hx,Hy,Hz,jm_x,jm_y,jm_z,energy_density"
 CURRENT_HEADER = "x,y,z,je_x,je_y,je_z,jm_x,jm_y,jm_z,method"
@@ -332,7 +332,7 @@ class TestSampleCommand:
         ])
         row = next(l for l in lines[1:] if l.startswith("0,0,0,"))
         cells = [float(v) for v in row.split(",")]
-        d = _batch_coulomb(charges, charges.qs, np.zeros((1, 3)))[0]
+        d = coulomb_rows(charges, charges.qs, np.zeros((1, 3)))[0]
         assert np.allclose(cells[3:6], d / math.sqrt(1.0 + float(d @ d)), atol=1e-15)
         assert cells[12] == pytest.approx(
             hamiltonian_on_points(params, charges, np.zeros(3))[0], rel=1e-12)
@@ -723,6 +723,25 @@ class TestFieldRows:
             got = [(f["error"], f["detail"]) for f in failures]
         assert got == [("DomainViolation", "non-finite energy density")]
 
+    @pytest.mark.parametrize("model", [
+        {"kind": "classical", "beta": 1.0, "kappa": 0.6},
+        {"kind": "logarithmic", "beta": 1.0, "kappa": 0.5},
+    ], ids=["classical", "logarithmic"])
+    def test_pointwise_density_is_the_sample_column(self, tmp_path, model):
+        # both read the state of an eh_rows call through density_rows, so
+        # they agree bit for bit at the same grid points
+        data = {"model": model, "charges": [{"pos": [0.3, 0.1, -0.2], "q": 1.0, "g": 0.6}],
+                "grid": {"lo": [-2, -2, -2], "hi": [2, 2, 2], "shape": [4, 4, 4]}}
+        path = write_config(tmp_path, data)
+        assert main(["sample", "--config", str(path), "--out-dir", str(tmp_path),
+                     "--format", "json"]) == EXIT_OK
+        rows = np.array(read_report(tmp_path / "sample.json")["rows"])
+        cfg = load_config(path)
+        pts = grid_points(cfg)
+        np.testing.assert_array_equal(rows[:, :3], pts)
+        dens = hamiltonian_on_points(cfg.model, cfg.charges, pts)
+        assert dens.tobytes() == rows[:, 12].tobytes()
+
     def test_classical_density_next_to_a_centre(self, tmp_path):
         # 2 beta s rounds onto 1 here, so a domain test on s would fail the
         # point; the classical closed form in D gives its density
@@ -733,7 +752,7 @@ class TestFieldRows:
                      "--format", "json"]) == EXIT_OK
         row = read_report(tmp_path / "sample.json")["rows"][0]
         cfg = load_config(path)
-        d = _batch_coulomb(cfg.charges, cfg.charges.qs, np.array([row[:3]]))[0]
+        d = coulomb_rows(cfg.charges, cfg.charges.qs, np.array([row[:3]]))[0]
         d2 = float(d @ d)
         assert abs(row[12] / (d2 / (1.0 + math.sqrt(1.0 + d2))) - 1.0) <= 4e-16
 
@@ -1094,8 +1113,9 @@ class TestContinuousCommand:
         (dyonic_source_config(), True),
     ], ids=["electric", "dyonic"])
     def test_one_inversion_per_chunk(self, tmp_path, monkeypatch, data, stencil):
-        # the points of a chunk invert in one call, and a dyonic source's
-        # 12 stencil nodes per point in one more
+        # the points of a chunk invert in one state_rows call, and a dyonic
+        # source's 12 stencil nodes per point in one more; the FD curl has
+        # no inversion of its own
         calls = {continuous: [], currents: []}
         for module in calls:
             def counting(params, d, b, module=module, rows=module.invert_rows):
@@ -1106,8 +1126,8 @@ class TestContinuousCommand:
         monkeypatch.setattr(cli, "GRID_CHUNK", 7)
         path = write_config(tmp_path, data)
         assert main(["continuous", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
-        assert calls[continuous] == [7, 7, 4]
-        assert calls[currents] == ([12 * 7, 12 * 7, 12 * 4] if stencil else [])
+        assert calls[continuous] == ([7, 12 * 7, 7, 12 * 7, 4, 12 * 4] if stencil else [7, 7, 4])
+        assert calls[currents] == []
 
 
 class TestVerifyCommand:

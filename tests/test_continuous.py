@@ -558,6 +558,23 @@ class TestCurlFormula:
         formula = curl_e(src, ModelParams.fractional_power(1.0, 1), (0.0, 0.8, 0.3))
         assert np.all(formula == 0.0)
 
+    def test_magnetic_only_source_takes_no_fd_curl(self, monkeypatch):
+        # without an electric density D = 0, so E = 0 and j_m = 0 by
+        # construction: no FD curl, no Hessian, and unsigned zeros
+        def unexpected(*args, **kwargs):
+            raise AssertionError("j_m of a magnetic-only source is not computed")
+
+        monkeypatch.setattr(continuous, "_fd_rows", unexpected)
+        monkeypatch.setattr(continuous, "_fd_hessian", unexpected)
+        src = gaussian_source(total=1.0, sigma=0.8, magnetic=True)
+        params = ModelParams.logarithmic(1.0, kappa=0.5)
+        pts = np.array([(x, y, z) for x in (-1.5, 0.0, 1.5) for y in (-0.5, 0.5)
+                        for z in (-0.5, 0.5)])
+        d, _, e, _, _, hess, code, errors = state_rows(src, params, pts)
+        j_m = jm_rows(src, params, pts, None, d, e, hess, code, errors)
+        assert not code.any() and not d.any() and not e.any()
+        assert j_m.shape == pts.shape and not j_m.any() and not np.signbit(j_m).any()
+
     @pytest.mark.parametrize("params", [
         ModelParams.logarithmic(0.7),
         ModelParams.exponential(0.5),

@@ -204,9 +204,11 @@ def test_public_functions_are_referenced_in_src():
 
 
 # what each integrator module takes from currents: its fields and the curls
-# it evaluates, none of the stencil helpers the verify suites use
+# it evaluates, none of the stencil helpers the verify suites use;
+# observables takes eh_rows because its pointwise density reads the state
+# the sample command reads, from the same call
 INTEGRATOR_CURRENTS = {
-    "observables.py": {"eh_field"},
+    "observables.py": {"eh_field", "eh_rows"},
     "continuous.py": {"_fd_rows", "_generic_electric_curl"},
 }
 
@@ -254,6 +256,16 @@ def test_only_raise_first_raises_a_recorded_failure():
                             and getattr(sub.exc.func.func, "id", None) == "type")):
                     raisers.append(f"{path.name}:{getattr(node, 'name', None)}")
     assert raisers == ["errors.py:raise_first"]
+
+
+@pytest.mark.parametrize("name", ["sources.py", "constitutive.py", "currents.py"])
+def test_rows_modules_raise_only_config_errors(name):
+    # the rows modules record a field error against its row and never raise
+    # one: every raise there is config validation, a ValueError
+    raised = [f"{name}:{node.lineno}" for node in ast.walk(_tree(PACKAGE / name))
+              if isinstance(node, ast.Raise) and not (
+                  isinstance(node.exc, ast.Call) and getattr(node.exc.func, "id", None) == "ValueError")]
+    assert raised == []
 
 
 def test_public_surface_is_pinned():

@@ -22,7 +22,7 @@ from bifield.errors import (
     raise_first,
 )
 from bifield.models import ModelParams
-from bifield.sources import ChargeConfig, _batch_coulomb, _db_weights
+from bifield.sources import ChargeConfig, _db_weights
 from bifield.currents import current_rows, eh_field, eh_rows
 from bifield.observables import (
     EnergyReport,
@@ -44,7 +44,7 @@ from scalar_inversions import dyonic_eh as scalar_eh
 from scalar_inversions import FieldState, energy_density
 from shell_energy import shell_total_energy
 from fd_oracle import fd_curl, fd_div
-from triple_sums import eh_pointwise, flux_charge_pointwise, pointwise
+from triple_sums import coulomb_rows, eh_pointwise, flux_charge_pointwise, pointwise
 
 # scipy.integrate.quad of 4 pi r^2 H(D(r)) over (0, inf), classical model,
 # beta = 1, single unit charge: H = D^2 / (1 + sqrt(1 + D^2))
@@ -277,7 +277,7 @@ class TestEnergyDensity:
             for kappa in (0.0, 0.5):
                 for kind, params in all_kinds(kappa).items():
                     batch = hamiltonian_on_points(params, cfg, pts)
-                    for i, (d, b) in enumerate(zip(*_batch_coulomb(cfg, _db_weights(cfg), pts))):
+                    for i, (d, b) in enumerate(zip(*coulomb_rows(cfg, _db_weights(cfg), pts))):
                         e, h, aux = scalar_eh(params, d, b)
                         ref = energy_density(params, FieldState(e=e, b=b, d=d, h=h, s=aux.s))
                         assert abs(batch[i] - ref) <= 1e-12 * max(1.0, abs(ref)), \
@@ -309,13 +309,13 @@ class TestEnergyDensity:
     def test_logarithmic_energy_makes_no_scalar_inversions(self, monkeypatch):
         # every inversion of an energy run is a rows call over many nodes
         rows = []
-        invert = observables.invert_rows
+        invert = currents.invert_rows
 
         def counting(params, d, b):
             rows.append(len(d))
             return invert(params, d, b)
 
-        monkeypatch.setattr(observables, "invert_rows", counting)
+        monkeypatch.setattr(currents, "invert_rows", counting)
         dyon = single_charge(q=1.0, g=0.5)
         # the quadratic dyon leaves the single-root branch next to its centre
         for cfg, params in ((dyon, ModelParams.logarithmic(1.0, kappa=0.5)),
@@ -712,7 +712,7 @@ class TestGaussRule:
 def classical_e(cfg):
     """The rows field E = D / sqrt(1 + D^2) of the classical beta = 1 model."""
     def field(pts):
-        d = _batch_coulomb(cfg, cfg.qs, pts)
+        d = coulomb_rows(cfg, cfg.qs, pts)
         return d / np.sqrt(1.0 + np.sum(d * d, axis=1, keepdims=True))
 
     return field
@@ -731,7 +731,7 @@ class TestFluxCharge:
         cfg = three_charges()
         quad = QuadratureSpec()
         for R in (10.0, 50.0):
-            val = flux_charge(lambda pts: _batch_coulomb(cfg, cfg.qs, pts), R, quad)
+            val = flux_charge(lambda pts: coulomb_rows(cfg, cfg.qs, pts), R, quad)
             total = math.fsum(cfg.qs)
             assert abs(val - total) <= 1e-10 * max(1.0, abs(total))
 
@@ -751,7 +751,7 @@ class TestFluxCharge:
     def test_off_center_sphere_same_charge(self):
         cfg = single_charge()
         quad = QuadratureSpec()
-        val = flux_charge(lambda pts: _batch_coulomb(cfg, cfg.qs, pts), 5.0, quad,
+        val = flux_charge(lambda pts: coulomb_rows(cfg, cfg.qs, pts), 5.0, quad,
                           center=(1.0, -2.0, 0.5))
         assert abs(val - 1.0) <= 1e-9
 
@@ -771,13 +771,13 @@ class TestFluxCharge:
 
         def counted(pts):
             calls.append(len(pts))
-            return np.stack((_batch_coulomb(centred, centred.qs, pts),
-                             _batch_coulomb(off, off.qs, pts)), axis=1)
+            return np.stack((coulomb_rows(centred, centred.qs, pts),
+                             coulomb_rows(off, off.qs, pts)), axis=1)
 
         flux = flux_charge(counted, 1.0, quad)
         assert flux.shape == (2,)
-        assert flux[0] == flux_charge(lambda pts: _batch_coulomb(centred, centred.qs, pts), 1.0, quad)
-        assert flux[1] == flux_charge(lambda pts: _batch_coulomb(off, off.qs, pts), 1.0, quad)
+        assert flux[0] == flux_charge(lambda pts: coulomb_rows(centred, centred.qs, pts), 1.0, quad)
+        assert flux[1] == flux_charge(lambda pts: coulomb_rows(off, off.qs, pts), 1.0, quad)
         # the centred charge's flux is 1 to the rounding of the rule
         assert abs(flux[0] - 1.0) <= 4 * EPS and flux[1] != -2.0
         # levels of 8x16, 16x32 and 32x64 nodes, one rows call per level
@@ -867,14 +867,14 @@ class TestFluxRowsAgainstPointwise:
 
         def stacked(pts):
             levels.append(len(pts))
-            return np.concatenate((eh(pts), _batch_coulomb(centred, centred.qs, pts)[:, None]),
+            return np.concatenate((eh(pts), coulomb_rows(centred, centred.qs, pts)[:, None]),
                                   axis=1)
 
         flux = flux_charge(stacked, 3.0, quad)
         oracle = eh_pointwise(params, self.dyon)
         assert np.array_equal(flux[:2], flux_charge_pointwise(oracle, 3.0, quad))
         assert flux[2] == flux_charge_pointwise(
-            lambda y: _batch_coulomb(centred, centred.qs, y[None, :])[0], 3.0, quad)
+            lambda y: coulomb_rows(centred, centred.qs, y[None, :])[0], 3.0, quad)
         assert abs(flux[2] - 1.0) <= 4 * EPS and len(levels) > 2
 
     def test_chunked_levels_keep_the_bits(self, monkeypatch):
@@ -1078,7 +1078,7 @@ def residual_pointwise(cfg, params, grid) -> tuple:
     E, H and of D, B at each point whose stencil is clear, against one-point
     current_rows calls."""
     def db(pts):
-        return np.moveaxis(_batch_coulomb(cfg, _db_weights(cfg), pts), 0, 1)
+        return np.moveaxis(coulomb_rows(cfg, _db_weights(cfg), pts), 0, 1)
 
     eh = eh_field(params, cfg)
     details = []

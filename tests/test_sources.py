@@ -3,21 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from bifield.currents import current_rows, eh_field
-from bifield.errors import SingularPoint
+from bifield.currents import current_rows, eh_field, eh_rows
+from bifield.errors import SingularPoint, raise_first
 from bifield.models import ModelParams
 from bifield.observables import _far_radius, hamiltonian_on_points
 from bifield.sources import (
     ChargeConfig,
     PointCharge,
-    _batch_coulomb,
     _coulomb_gradient,
     _coulomb_offsets,
     _db_weights,
     _pair_distances,
 )
+from bifield.verify import jm_classical_jacobi_term
 
-from triple_sums import _coulomb_potential_sum, _coulomb_sum
+from triple_sums import _coulomb_potential_sum, _coulomb_sum, coulomb_rows
 
 FOUR_PI = 4.0 * math.pi
 EPS = np.finfo(float).eps
@@ -30,6 +30,14 @@ def random_config(rng, n):
     ])
 
 
+def checked_d(cfg, pts):
+    """D from eh_rows at points of shape (N, 3), raising the first failing
+    point's recorded failure."""
+    d, *_, code, errors = eh_rows(ModelParams.classical(beta=1.0), cfg, pts)
+    raise_first(code, errors)
+    return d
+
+
 def two_center():
     return ChargeConfig.build(
         [((0.0, 0.0, 0.0), 1.0, 0.5), ((1.0, 0.0, 0.0), -2.0, 0.25)]
@@ -39,7 +47,7 @@ def two_center():
 class TestSingleCharge:
     def test_coulomb_value(self):
         cfg = ChargeConfig.build([((0, 0, 0), 1.0, 0.0)])
-        d = _batch_coulomb(cfg, cfg.qs, np.array([[2.0, 0.0, 0.0]]))[0]
+        d = coulomb_rows(cfg, cfg.qs, np.array([[2.0, 0.0, 0.0]]))[0]
         np.testing.assert_allclose(d, [1.0 / (FOUR_PI * 4.0), 0.0, 0.0], rtol=1e-14)
 
     def test_potential_value(self):
@@ -52,7 +60,7 @@ class TestSingleCharge:
 
     def test_magnetic_uses_g(self):
         cfg = ChargeConfig.build([((0, 0, 0), 1.0, -4.0)])
-        _, b = _batch_coulomb(cfg, _db_weights(cfg), np.array([[0.0, 0.0, 1.0]]))[:, 0]
+        _, b = coulomb_rows(cfg, _db_weights(cfg), np.array([[0.0, 0.0, 1.0]]))[:, 0]
         np.testing.assert_allclose(b, [0.0, 0.0, -4.0 / FOUR_PI], rtol=1e-14)
 
 
@@ -72,7 +80,7 @@ class TestGradientConsistency:
                 up = _coulomb_potential_sum(cfg, cfg.qs, x + e)
                 dn = _coulomb_potential_sum(cfg, cfg.qs, x - e)
                 grad[k] = (up - dn) / (2 * h)
-            d = _batch_coulomb(cfg, cfg.qs, x[None, :])[0]
+            d = coulomb_rows(cfg, cfg.qs, x[None, :])[0]
             np.testing.assert_allclose(-grad, d, rtol=1e-7, atol=1e-10)
 
     def test_b_is_minus_grad_magnetic_potential(self):
@@ -86,7 +94,7 @@ class TestGradientConsistency:
             up = _coulomb_potential_sum(cfg, cfg.gs, x + e)
             dn = _coulomb_potential_sum(cfg, cfg.gs, x - e)
             grad[k] = (up - dn) / (2 * h)
-        b = _batch_coulomb(cfg, _db_weights(cfg), x[None, :])[1, 0]
+        b = coulomb_rows(cfg, _db_weights(cfg), x[None, :])[1, 0]
         np.testing.assert_allclose(-grad, b, rtol=1e-7, atol=1e-10)
 
 
@@ -94,7 +102,7 @@ class TestExactCancellation:
     def test_mirror_pair_cancels_exactly(self):
         # fsum accumulation keeps the midpoint field at exactly zero
         cfg = ChargeConfig.build([((1, 0, 0), 2.0, 0.0), ((-1, 0, 0), 2.0, 0.0)])
-        d = _batch_coulomb(cfg, cfg.qs, np.zeros((1, 3)))[0]
+        d = coulomb_rows(cfg, cfg.qs, np.zeros((1, 3)))[0]
         assert d[0] == 0.0
 
     def test_summation_in_config_order(self):
@@ -103,7 +111,7 @@ class TestExactCancellation:
         x = np.array([[0.3, 0.4, 0.5]])
         # fsum is order-independent up to the final rounding; values agree exactly
         np.testing.assert_array_equal(
-            _batch_coulomb(cfg1, cfg1.qs, x), _batch_coulomb(cfg2, cfg2.qs, x)
+            coulomb_rows(cfg1, cfg1.qs, x), coulomb_rows(cfg2, cfg2.qs, x)
         )
 
 
@@ -129,8 +137,8 @@ class TestKernelAgainstFsumOracle:
         for _ in range(40):
             cfg = random_config(rng, n)
             pts = rng.uniform(-3.0, 3.0, size=(8, 3))
-            stacked = _batch_coulomb(cfg, _db_weights(cfg), pts)
-            single = [_batch_coulomb(cfg, w, pts) for w in (cfg.qs, cfg.gs)]
+            stacked = coulomb_rows(cfg, _db_weights(cfg), pts)
+            single = [coulomb_rows(cfg, w, pts) for w in (cfg.qs, cfg.gs)]
             for i, x in enumerate(pts):
                 for k, w in enumerate((cfg.qs, cfg.gs)):
                     ref = _coulomb_sum(cfg, w, x)
@@ -146,17 +154,17 @@ class TestStackedWeights:
         cfg = random_config(rng, n)
         pts = rng.uniform(-3.0, 3.0, size=(500, 3))
         weights = np.stack((cfg.qs, cfg.gs, rng.uniform(-2.0, 2.0, n)))
-        fields = _batch_coulomb(cfg, weights, pts)
-        offsets = _coulomb_offsets(cfg, pts)
+        fields = coulomb_rows(cfg, weights, pts)
+        offsets = _coulomb_offsets(cfg, pts)[:2]
         f, grad = _coulomb_gradient(weights, *offsets)
         assert fields.shape == f.shape == grad.shape == (3, 500, 3)
         for k, w in enumerate(weights):
-            np.testing.assert_array_equal(fields[k], _batch_coulomb(cfg, w, pts))
+            np.testing.assert_array_equal(fields[k], coulomb_rows(cfg, w, pts))
             f1, grad1 = _coulomb_gradient(w, *offsets)
             np.testing.assert_array_equal(f[k], f1)
             np.testing.assert_array_equal(grad[k], grad1)
         # a single point is the one-row batch
-        np.testing.assert_array_equal(_batch_coulomb(cfg, weights, pts[7:8])[:, 0], fields[:, 7])
+        np.testing.assert_array_equal(coulomb_rows(cfg, weights, pts[7:8])[:, 0], fields[:, 7])
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_centre_sums_are_the_einsums_bits(self, n):
@@ -169,7 +177,7 @@ class TestStackedWeights:
         pts = np.concatenate((rng.uniform(-3.0, 3.0, size=(400, 3)), 0.5 * (pos + pos[::-1])[:n // 2],
                               np.where(rng.random((40, 3)) < 0.5, 0.0, rng.normal(size=(40, 3)))))
         weights = np.stack((cfg.qs, cfg.gs, np.where(rng.random(n) < 0.3, 0.0, -cfg.qs)))
-        rs, dist = _coulomb_offsets(cfg, pts)
+        rs, dist, _ = _coulomb_offsets(cfg, pts)
         for w in (weights, weights[0], weights[2]):
             f, grad = _coulomb_gradient(w, rs, dist)
             ref = np.einsum("...j,ij,ijk->...ik", w / FOUR_PI, dist**-3, rs)
@@ -177,7 +185,7 @@ class TestStackedWeights:
             proj = c * np.einsum("ijk,...ik->...ij", rs, ref) / dist**2
             ref_grad = 2.0 * np.sum(c, axis=-1)[..., None] * ref - 6.0 * np.einsum(
                 "...ij,ijk->...ik", proj, rs)
-            for got, want in ((_batch_coulomb(cfg, w, pts), ref), (f, ref), (grad, ref_grad)):
+            for got, want in ((coulomb_rows(cfg, w, pts), ref), (f, ref), (grad, ref_grad)):
                 np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
@@ -186,19 +194,22 @@ class TestExclusion:
     def test_singular_point_raises(self):
         cfg = two_center()
         with pytest.raises(SingularPoint):
-            _batch_coulomb(cfg, cfg.qs, np.array([[0.0, 0.0, 1e-12]]))
+            checked_d(cfg, np.array([[0.0, 0.0, 1e-12]]))
         with pytest.raises(SingularPoint):
-            _batch_coulomb(cfg, cfg.gs, np.array([[1.0, 1e-11, 0.0]]))
+            checked_d(cfg, np.array([[1.0, 1e-11, 0.0]]))
 
     def test_batched_singular_point_names_point_and_charge(self):
         cfg = two_center()
         pts = np.array([[0.5, 0.5, 0.0], [1.0, 2e-10, 0.0], [0.0, 1e-10, 0.0]])
         with pytest.raises(SingularPoint) as info:
-            _batch_coulomb(cfg, cfg.qs, pts)
-        msg = str(info.value)
-        assert str(pts[1].tolist()) in msg and "charge 1" in msg
+            checked_d(cfg, pts)
+        assert str(info.value) == (f"point {pts[1].tolist()} within exclusion radius "
+                                   f"{cfg.exclusion_radius!r} of charge 1")
         with pytest.raises(SingularPoint, match="charge 0"):
-            _coulomb_offsets(cfg, pts[2][None, :])
+            checked_d(cfg, pts[2][None, :])
+        # the offsets only mark the points inside a ball
+        inside = _coulomb_offsets(cfg, pts)[2]
+        np.testing.assert_array_equal(inside, [[False, False], [False, True], [True, False]])
 
     def test_default_exclusion_radius(self):
         # max(1e-9 max(diameter, 1), 1e-8 cell_scale), with the bits of
@@ -232,8 +243,8 @@ class TestExclusion:
     def test_explicit_exclusion(self):
         cfg = ChargeConfig.build([((0, 0, 0), 1.0, 0.0)], exclusion_radius=0.1)
         with pytest.raises(SingularPoint):
-            _batch_coulomb(cfg, cfg.qs, np.array([[0.05, 0, 0]]))
-        _batch_coulomb(cfg, cfg.qs, np.array([[0.2, 0, 0]]))  # fine
+            checked_d(cfg, np.array([[0.05, 0, 0]]))
+        checked_d(cfg, np.array([[0.2, 0, 0]]))  # fine
 
     def test_exclusion_boundary_is_regular_everywhere(self):
         # strictly inside the ball is singular, the sphere itself is not, in
@@ -243,9 +254,10 @@ class TestExclusion:
                                  exclusion_radius=0.5)
         params = ModelParams.classical(beta=1.0)
         on, inside = np.array([0.5, 0.0, 0.0]), np.array([0.4999, 0.0, 0.0])
-        for fn in (lambda x: _batch_coulomb(cfg, cfg.qs, x[None, :]),
+        for fn in (lambda x: checked_d(cfg, x[None, :]),
                    lambda x: hamiltonian_on_points(params, cfg, x),
-                   eh_field(params, cfg)):
+                   eh_field(params, cfg),
+                   lambda x: jm_classical_jacobi_term(cfg, 1.0, x)):
             assert np.all(np.isfinite(fn(on)))
             with pytest.raises(SingularPoint):
                 fn(inside)
@@ -264,7 +276,7 @@ class TestFarField:
         ray = ray / np.linalg.norm(ray)
         errs = []
         for r in (1e2, 1e3):
-            d = _batch_coulomb(cfg, cfg.qs, r * ray[None, :])[0]
+            d = coulomb_rows(cfg, cfg.qs, r * ray[None, :])[0]
             ratio = np.linalg.norm(d) * r * r * FOUR_PI / abs(total)
             errs.append(abs(ratio - 1.0))
         assert errs[0] <= 1e-2

@@ -10,6 +10,8 @@ explicit reference.
 The Coulomb fields themselves are fsum-accumulated too (_coulomb_sum and
 _coulomb_potential_sum): the correctly rounded reference for the einsum
 kernel in bifield.sources, and the D and B every sum here is built from.
+coulomb_rows is that kernel on its own, the rows field the tests feed to
+the quadratures and compare against.
 
 flux_charge_pointwise is the sphere-flux quadrature calling its field once
 per node, the reference for bifield.observables.flux_charge, which calls a
@@ -25,20 +27,28 @@ from typing import Callable, Sequence
 import numpy as np
 
 from bifield.constitutive import rowdot
-from bifield.errors import QuadratureError
+from bifield.errors import QuadratureError, raise_first
 from bifield.models import ModelParams
 from bifield.observables import QuadratureSpec, _sphere_rule
-from bifield.sources import (FOUR_PI, ChargeConfig, _batch_coulomb, _coulomb_offsets, _db_weights,
-                             as_vec3)
+from bifield.sources import (FOUR_PI, ChargeConfig, _coulomb_offsets, _db_weights, _superpose,
+                             as_vec3, mark_singular)
 from scalar_inversions import dyonic_eh, electrostatic_e, f_double_prime, f_prime
 
 _FOUR_PI = 4.0 * math.pi
 
 
+def coulomb_rows(cfg: ChargeConfig, weights: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """F = sum_j w_j r_j / (4 pi |r_j|^3) at points of shape (N, 3), from the
+    kernel in bifield.sources; no exclusion ball is checked."""
+    return _superpose(weights, *_coulomb_offsets(cfg, pts)[:2])
+
+
 def _check_regular(cfg: ChargeConfig, x) -> np.ndarray:
     """x as a vec3, raising SingularPoint inside an exclusion ball."""
     x = as_vec3(x)
-    _coulomb_offsets(cfg, x[None, :])
+    code, errors = np.zeros(1, dtype=np.int64), []
+    mark_singular(cfg, x[None, :], code, errors, _coulomb_offsets(cfg, x[None, :])[2])
+    raise_first(code, errors)
     return x
 
 
@@ -288,7 +298,7 @@ def eh_pointwise(params: ModelParams, cfg: ChargeConfig) -> Callable:
     weights = _db_weights(cfg)
 
     def field(y):
-        d, b = _batch_coulomb(cfg, weights, as_vec3(y)[None, :])[:, 0]
+        d, b = coulomb_rows(cfg, weights, as_vec3(y)[None, :])[:, 0]
         e, h, _ = dyonic_eh(params, d, b)
         return np.stack((e, h))
 
