@@ -522,7 +522,7 @@ def _cmd_sample(cfg: RunConfig, args) -> int:
     def rows_at(pts):
         # a point fails with its first failure: fields, current, density
         d, b, e, h, s, code, errors = eh_rows(params, charges, pts)
-        cur = current_rows(params, charges, pts, e)
+        cur = current_rows(params, charges, pts, s)
         merge_failures(code, errors, np.arange(len(pts)), cur.code, cur.errors)
         dens = density_rows(params, d, b, e, s, code, errors)
         return np.column_stack((pts, e, h, cur.j_m, dens)), code, errors
@@ -551,7 +551,7 @@ def _cmd_continuous(cfg: RunConfig, args) -> int:
     def rows_at(pts):
         # a point fails with its first failure: fields, current, density
         d, b, e, h, s, hess, code, errors = state_rows(src, params, pts, quad)
-        j_m = jm_rows(src, params, pts, quad, d, e, hess, code, errors)
+        j_m = jm_rows(src, params, pts, quad, d, b, s, hess, code, errors)
         dens = density_rows(params, d, b, e, s, code, errors)
         return np.column_stack((pts, e, h, j_m, dens)), code, errors
 

@@ -5,7 +5,7 @@ through the Newton potential u = Gamma * rho (Gamma(x) = -1/(4 pi |x|)), so
 D = grad u, B = grad v, and the same pointwise constitutive inversion as in
 the point-charge case produces E and H exactly. Radially symmetric sources
 give conservative E and H; offset sources do not, and the induced curl of E
-has a closed form in the Hessian of u.
+has a closed form in the Hessians of u and v.
 
 Built-in shapes: a Gaussian, an offset two-Gaussian mixture, a compactly
 supported bump, and a gridded density ingested from a lattice file. The
@@ -30,8 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constitutive import invert_rows, rowdot
-from .currents import _fd_rows, _generic_electric_curl
-from .errors import ConfigError, QuadratureError, merge_failures
+from .currents import _fd_rows, _k0_currents
+from .errors import ConfigError, DomainViolation, QuadratureError, fail_rows, merge_failures
 from .models import ModelParams
 from .observables import QuadratureSpec, _gauss, _panel_nodes, _sphere_rule
 from .sources import as_vec3
@@ -462,10 +462,11 @@ def _fd_gradient(src: ContinuousSource, x: np.ndarray, quad: QuadratureSpec,
     return grad
 
 
-def _fd_hessian(src: ContinuousSource, x: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
-    """Second differences of u with step width/10: a larger step than the
-    gradient's keeps the quadrature noise down."""
-    u = partial(newton_potential, src, quad=quad)
+def _fd_hessian(src: ContinuousSource, x: np.ndarray, quad: QuadratureSpec,
+                which: str) -> np.ndarray:
+    """Second differences of newton_potential with step width/10: a larger
+    step than the gradient's keeps the quadrature noise down."""
+    u = partial(newton_potential, src, quad=quad, which=which)
     h = src.width / 10.0
     e = np.eye(3) * h
     u0 = u(x)
@@ -493,13 +494,14 @@ def _each_row(fn, pts: np.ndarray, rows, code: np.ndarray, errors: list, shape) 
 def _gradient_rows(src: ContinuousSource, pts: np.ndarray, quad: QuadratureSpec,
                    which: str, code: np.ndarray, errors: list):
     """D (which='electric') or B (which='magnetic') at points of shape (N, 3)
-    and the Hessian of u by Gauss's law; else _fd_gradient at each row that
-    has not failed (zero without a density) and None."""
+    and the Hessian of its potential: by Gauss's law, zeros without a
+    density, else _fd_gradient at each row that has not failed and None."""
     parts = src.radial_e if which == "electric" else src.radial_m
     if parts:
         return _gauss_law(parts, pts)
-    rho = src.rho_e if which == "electric" else src.rho_m
-    rows = np.flatnonzero(code == 0) if rho is not None else []
+    if (src.rho_e if which == "electric" else src.rho_m) is None:
+        return np.zeros((len(pts), 3)), np.zeros((len(pts), 3, 3))
+    rows = np.flatnonzero(code == 0)
     return _each_row(lambda x: _fd_gradient(src, x, quad, which), pts, rows, code, errors, (3,)), None
 
 
@@ -509,46 +511,50 @@ def _gradient_rows(src: ContinuousSource, pts: np.ndarray, quad: QuadratureSpec,
 def state_rows(src: ContinuousSource, params: ModelParams, pts: np.ndarray,
                quad: QuadratureSpec = None):
     """D = grad u, B = grad v, then E, H and s from one invert_rows call, at
-    points of shape (N, 3): (D, B, E, H, s, the Hessian of u or None, code,
-    errors). A point fails with its first failure in the order D, B, E."""
+    points of shape (N, 3): (D, B, E, H, s, (H_u, H_v), code, errors), with
+    H_u and H_v the Hessians of u and v, None for a gridded density. A
+    point fails with its first failure in the order D, B, E."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     code = np.zeros(len(pts), dtype=np.int64)
     errors: list = []
-    d, hess = _gradient_rows(src, pts, quad, "electric", code, errors)
-    b = _gradient_rows(src, pts, quad, "magnetic", code, errors)[0]
+    d, hess_u = _gradient_rows(src, pts, quad, "electric", code, errors)
+    b, hess_v = _gradient_rows(src, pts, quad, "magnetic", code, errors)
     e, h, s, inv_code, inv_errors = invert_rows(params, d, b)
     merge_failures(code, errors, np.arange(len(pts)), inv_code, inv_errors)
-    return d, b, e, h, s, hess, code, errors
+    return d, b, e, h, s, (hess_u, hess_v), code, errors
 
 
 def jm_rows(src: ContinuousSource, params: ModelParams, pts: np.ndarray,
-            quad: QuadratureSpec, d: np.ndarray, e: np.ndarray, hess,
+            quad: QuadratureSpec, d: np.ndarray, b: np.ndarray, s: np.ndarray, hess,
             code: np.ndarray, errors: list) -> np.ndarray:
     """j_m = -curl E at the rows of pts that have not failed, from their
-    state_rows fields; failures go into (code, errors). A source with no
-    electric density has D = 0, so E = 0 and j_m = 0 by construction. An
-    electric source takes currents._generic_electric_curl with
-    grad(D^2) = 2 H_u D (_fd_hessian per row without radial parts): curl E
-    is f''(h/2) h'(|D|^2) / f'(h/2)^2 D x (H_u D), with h = E^2 and H_u the
-    Hessian of u, so it vanishes for a radial u (H_u D is parallel to D)
-    and in the Maxwell limit f'' = 0. A dyonic source takes the Richardson
-    FD curl of E with step width/10 from currents._fd_rows, which takes the
-    state at all stencil nodes from one state_rows call."""
+    state_rows fields; failures go into (code, errors). Without an electric
+    density D = E = 0, so j_m = 0. A kappa > 0 source with both densities
+    takes the Richardson FD curl of E, step width/10, from currents._fd_rows,
+    which takes the state at all stencil nodes from one state_rows call.
+    Every other source takes currents._k0_currents with grad(D^2) = 2 H_u D
+    and grad(B^2) = 2 H_v B (_fd_hessian per row for a gridded density), so
+    j_m vanishes for a radial source without B (H_u D is parallel to D).
+    A non-finite current fails its row."""
     j_m = np.zeros_like(pts)
     if src.rho_e is None:
         return j_m
     rows = np.flatnonzero(code == 0)
-    if src.rho_m is not None:
+    if params.kappa > 0.0 and src.rho_m is not None:
         curl_e, _, sub_code, sub_errors = _fd_rows(
             partial(state_rows, src, params, quad=quad), pts[rows],
             np.full(len(rows), src.width / 10.0))
         merge_failures(code, errors, rows, sub_code, sub_errors)
         j_m[rows] = -curl_e
         return j_m
-    if hess is None:
-        hess = _each_row(lambda x: _fd_hessian(src, x, quad), pts, rows, code, errors, (3, 3))
-        rows = np.flatnonzero(code == 0)
-    g = d[rows]
-    grad = 2.0 * (hess[rows] @ g[:, :, None])[:, :, 0]
-    j_m[rows] = _generic_electric_curl(params, g, e[rows], grad, code, errors, rows)
+    # in order, so the magnetic pass skips the rows the electric one failed
+    hess_u, hess_v = (h if h is not None else _each_row(
+        lambda x: _fd_hessian(src, x, quad, which), pts, np.flatnonzero(code == 0), code, errors,
+        (3, 3)) for h, which in zip(hess, ("electric", "magnetic")))
+    rows = np.flatnonzero(code == 0)
+    grad_a = 2.0 * (hess_u[rows] @ d[rows][:, :, None])[:, :, 0]
+    grad_b = 2.0 * (hess_v[rows] @ b[rows][:, :, None])[:, :, 0]
+    j_m[rows] = _k0_currents(params, d[rows], b[rows], s[rows], grad_a, grad_b)[1]
+    fail_rows(code, errors, ~np.isfinite(j_m).all(axis=1),
+              DomainViolation("current has non-finite components"))
     return j_m

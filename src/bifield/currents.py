@@ -7,23 +7,22 @@ the Coulomb terms and static current densities appear:
     curl E = -j_m        (induced magnetic current density)
     curl H = +j_e        (induced electric current density)
 
-Every closed form here follows from E = phi(D^2) D with curl D = 0:
-curl E = phi'(D^2) grad(D^2) x D, a scalar prefactor times one cross
-product. The module evaluates it for the classical square-root model, for
-an arbitrary response function, and for the kappa = 0 dyonic composition,
-taking D and grad(D^2) (or B and grad(B^2)) from one O(n) Coulomb kernel in
-sources. The tests check every analytic current against finite-difference
-curls of the rows fields and against the term-by-term triple sums over the
-charges.
+At kappa = 0 the inverse map is E = D / phi, H = phi B with phi = f'(s),
+and curl D = curl B = 0, so every closed form here is a scalar prefactor
+times one cross product: _k0_currents for any model, from s and grad(D^2),
+grad(B^2); the classical model keeps its D-based _classical_curl and
+_dyonic_k0_curl. D, B and the gradients come from one O(n) Coulomb kernel
+in sources. The tests check every analytic current against FD curls of the
+rows fields, the triple sums over the charges and a 50-digit reference.
 
 eh_rows is the one function that turns points into the state of a
 point-charge configuration: D, B, E, H, s and a failure code per point,
 from one Coulomb pass and one constitutive rows call (continuous.state_rows
 is its twin for continuous sources). current_rows is the module's one
 evaluation of the currents: N points at once, the closed forms as array
-arithmetic, and the finite-difference route by stacking the 12 stencil
-nodes of every point into one eh_rows call. Like every rows kernel, these
-record failures instead of raising them.
+arithmetic, and for kappa > 0 dyons the finite-difference route, which
+stacks the 12 stencil nodes of every point into one eh_rows call. Like
+every rows kernel, these record failures instead of raising them.
 
 Every central difference in the package gets its nodes and Jacobians from
 _stencil: _fd_rows here, and the residual suites of verify.
@@ -93,54 +92,32 @@ def _dyonic_k0_curl(beta: float, a: np.ndarray, grad_a2: np.ndarray,
     return root_b[:, None] * _classical_curl(beta, a, grad_a2) + mixed
 
 
-def _generic_electric_curl(params: ModelParams, d: np.ndarray, e: np.ndarray,
-                           grad: np.ndarray, code: np.ndarray, errors: list, idx) -> np.ndarray:
-    """The magnetic current density of the electrostatic solution for any
-    model, on rows: j_m from D, the caller's E and grad(D^2).
+def _k0_currents(params: ModelParams, d: np.ndarray, b: np.ndarray, s: np.ndarray,
+                 grad_a: np.ndarray, grad_b: np.ndarray):
+    """(j_e, j_m) of the kappa = 0 solution of any model on rows, from D, B,
+    the invariant s of their inversion and the gradients of a = D^2, b = B^2.
 
-    With h = h(D^2) the solution of (f'(h/2))^2 h = D^2 (so h = E^2),
-
-        j_m = f''(h/2) h'(D^2) / (2 f'(h/2)^2) grad(D^2) x D
-
-    where h' comes from differentiating the inversion identity implicitly:
-    h' = 1 / (f'(h/2) [f''(h/2) h + f'(h/2)]). Differencing the root finder
-    instead would be noise-dominated. Linear electrodynamics (f'' = 0) gives
-    zero identically. A row whose h/2 lies outside the model domain fails
-    with domain_error(h/2); the failures go into (code, errors) at the rows
-    idx (see errors.fail_rows).
+    At kappa = 0, E = D / phi and H = phi B with phi = f'(s) solving
+    phi = f'((a / phi^2 - b) / 2). Differentiating that one equation, with
+    h = E^2 = 2 s + b and h' = 1 / (phi (f'' h + phi)) = dh/da at fixed b,
+    gives grad phi = phi^2 P v with P = f'' h' / (2 phi^2) and
+    v = grad a - phi^2 grad b; as curl D = curl B = 0, j_e = curl H =
+    phi^2 P v x B and j_m = -curl E = P v x D. At B = 0 this is the
+    electrostatic curl, at D = 0 the magnetostatic one; f'' = 0 gives exact
+    zeros. A row whose s lies outside the model domain gets NaN currents:
+    the kernel records no failures.
     """
-    with np.errstate(all="ignore"):
-        h = rowdot(e, e)
-        s = 0.5 * h
-        ok = params.domain_rows(s)
-        fail_rows(code, errors, ~ok, lambda j: params.domain_error(s[j]), idx)
-        fp = params.derivative_rows(s[ok], 1)
-        fpp = params.derivative_rows(s[ok], 2)
-        hprime = 1.0 / (fp * (fpp * h[ok] + fp))
-        pref = fpp * hprime / (2.0 * fp * fp)
-        # linear electrodynamics (f'' = 0) gives exactly zero
-        rows = np.flatnonzero(ok)[fpp != 0.0]
-        jm = np.zeros_like(d)
-        jm[rows] = pref[fpp != 0.0, None] * np.cross(grad[rows], d[rows])
-    return jm
-
-
-def _generic_magnetic_curl(params: ModelParams, b: np.ndarray, grad: np.ndarray):
-    """The electric current density of the magnetostatic solution for any
-    model, on rows: j_e = (1/2) f''(-B^2/2) B x grad(B^2), the curl of
-    H = f'(-B^2/2) B. Returns (j_e, code, errors), a row whose -B^2/2 lies
-    outside the model domain failing with domain_error(-B^2/2)."""
-    code = np.zeros(len(b), dtype=np.int64)
-    errors: list = []
-    s = -0.5 * rowdot(b, b)
     ok = params.domain_rows(s)
-    fail_rows(code, errors, ~ok, lambda j: params.domain_error(s[j]))
+    s = np.where(ok, s, 0.0)
     with np.errstate(all="ignore"):
-        fpp = params.derivative_rows(s[ok], 2)
-        rows = np.flatnonzero(ok)[fpp != 0.0]
-        je = np.zeros_like(b)
-        je[rows] = (0.5 * fpp[fpp != 0.0])[:, None] * np.cross(b[rows], grad[rows])
-    return je, code, errors
+        phi = np.where(ok, params.derivative_rows(s, 1), np.nan)
+        fpp = params.derivative_rows(s, 2)
+        phi2 = phi * phi
+        pref = fpp * (1.0 / (phi * (fpp * (2.0 * s + rowdot(b, b)) + phi))) / (2.0 * phi2)
+        v = grad_a - phi2[:, None] * grad_b
+        linear = (fpp == 0.0)[:, None]
+        return (np.where(linear, 0.0, (pref * phi2)[:, None] * np.cross(v, b)),
+                np.where(linear, 0.0, pref[:, None] * np.cross(v, d)))
 
 
 def _fd_step_rows(pts: np.ndarray) -> np.ndarray:
@@ -243,29 +220,26 @@ def _fd_rows(state_at: Callable, pts: np.ndarray, h: np.ndarray):
 
 
 def current_method(params: ModelParams, cfg: ChargeConfig) -> str:
-    """The route current_rows takes for a configuration: "analytic" (the
-    closed forms) for electric-only and magnetic-only configurations and
-    the classical kappa = 0 dyonic case, else "fd"."""
-    if not cfg.gs.any() or not cfg.qs.any() or (params.kind == CLASSICAL and params.kappa == 0.0):
-        return "analytic"
-    return "fd"
+    """The route current_rows takes for a configuration: "fd" for a
+    kappa > 0 configuration with both electric and magnetic charges, else
+    "analytic" (the closed forms)."""
+    return "fd" if params.kappa > 0.0 and cfg.qs.any() and cfg.gs.any() else "analytic"
 
 
-def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> CurrentRows:
+def current_rows(params: ModelParams, cfg: ChargeConfig, pts, s=None) -> CurrentRows:
     """Evaluate (j_e, j_m) at points of shape (N, 3) by the route that
     current_method picks; every row is what a one-point call gives there.
 
-    Electric-only and magnetic-only configurations and the classical
-    kappa = 0 dyonic case use the closed forms, on all points at once.
-    Mixed configurations in any other model (or kappa > 0) have no derived
+    kappa = 0 and single-kind configurations use the closed forms, on all
+    points at once: the classical model its D-based curls, every other
+    model one inversion and _k0_currents. kappa > 0 dyons have no derived
     closed form, so the currents are measured as Richardson FD curls of the
     inverted E and H (method "fd"): the stencil nodes of all points go
     through one eh_rows call, and a point whose stencil would enter an
-    exclusion ball fails with SingularPoint. Never raises
-    for a point: failures and points to skip come back as codes. e, the E
-    of eh_rows at the same points, spares a non-classical electric-only
-    configuration its inversion; the failures of that inversion are then
-    the caller's.
+    exclusion ball fails with SingularPoint. Never raises for a point:
+    failures and points to skip come back as codes. s, the invariant of
+    eh_rows at the same points, spares a non-classical closed form its
+    inversion; the failures of that inversion are then the caller's.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     n = len(pts)
@@ -275,33 +249,33 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts, e=None) -> Current
     errors: list = []
     electric_only = not cfg.gs.any()
     magnetic_only = not cfg.qs.any()
-    classical = params.kind == CLASSICAL
     with np.errstate(all="ignore"):
         if current_method(params, cfg) == "analytic":
             rs, dist, inside = _coulomb_offsets(cfg, pts)
             idx = mark_singular(cfg, pts, code, errors, inside)
-            rs, dist = rs[idx], dist[idx]
+            rs, dist, zero = rs[idx], dist[idx], np.zeros((len(idx), 3))
             if electric_only:
-                d, grad = _coulomb_gradient(cfg.qs, rs, dist)
-                if classical:
-                    j_m[idx] = _classical_curl(params.beta, d, grad)
-                elif e is not None:
-                    j_m[idx] = _generic_electric_curl(params, d, e[idx], grad, code, errors, idx)
-                else:
-                    e, _, _, sub_code, sub_errors = invert_rows(params, d, np.zeros_like(d))
-                    merge_failures(code, errors, idx, sub_code, sub_errors)
-                    j_m[idx] = _generic_electric_curl(params, d, e, grad, code, errors, idx)
+                (d, grad_a), b, grad_b = _coulomb_gradient(cfg.qs, rs, dist), zero, zero
             elif magnetic_only:
-                b, grad = _coulomb_gradient(cfg.gs, rs, dist)
-                if classical:
-                    j_e[idx] = -_classical_curl(params.beta, b, grad)
-                else:
-                    j_e[idx], sub_code, sub_errors = _generic_magnetic_curl(params, b, grad)
-                    merge_failures(code, errors, idx, sub_code, sub_errors)
+                d, grad_a, (b, grad_b) = zero, zero, _coulomb_gradient(cfg.gs, rs, dist)
             else:
-                (d, b), (grad_d2, grad_b2) = _coulomb_gradient(_db_weights(cfg), rs, dist)
-                j_m[idx] = _dyonic_k0_curl(params.beta, d, grad_d2, b, grad_b2)
-                j_e[idx] = -_dyonic_k0_curl(params.beta, b, grad_b2, d, grad_d2)
+                (d, b), (grad_a, grad_b) = _coulomb_gradient(_db_weights(cfg), rs, dist)
+            if params.kind != CLASSICAL:
+                if s is None:
+                    s = np.zeros(n)
+                    _, _, s[idx], sub_code, sub_errors = invert_rows(params, d, b)
+                    merge_failures(code, errors, idx, sub_code, sub_errors)
+                je, jm = _k0_currents(params, d, b, s[idx], grad_a, grad_b)
+                # the absent kind's current stays exactly zero
+                j_e[idx] = 0.0 if electric_only else je
+                j_m[idx] = 0.0 if magnetic_only else jm
+            elif electric_only:
+                j_m[idx] = _classical_curl(params.beta, d, grad_a)
+            elif magnetic_only:
+                j_e[idx] = -_classical_curl(params.beta, b, grad_b)
+            else:
+                j_m[idx] = _dyonic_k0_curl(params.beta, d, grad_a, b, grad_b)
+                j_e[idx] = -_dyonic_k0_curl(params.beta, b, grad_b, d, grad_a)
         else:
             # a stencil entering an exclusion ball skips its point
             h = _fd_step_rows(pts)

@@ -217,10 +217,12 @@ def _electric_pair() -> ChargeConfig:
     ])
 
 
-def _verify_curl(rng, name: str, cfg: ChargeConfig, key: str) -> dict:
-    """residual_suite's curl residual key of the classical (beta = 1) pair
-    cfg at up to 12 random points at least 0.4 from its charges, one check
-    per point that residual_suite evaluates."""
+def _verify_curl(rng, name: str, cfg: ChargeConfig, keys: tuple,
+                 params: ModelParams = ModelParams.classical(beta=1.0)) -> dict:
+    """The worst of residual_suite's curl residuals keys for the pair cfg
+    (classical, beta = 1, unless params is given) at up to 12 random points
+    at least 0.4 from its charges, one check per point that residual_suite
+    evaluates."""
     pts = []
     for _ in range(200):
         if len(pts) == 12:
@@ -228,12 +230,12 @@ def _verify_curl(rng, name: str, cfg: ChargeConfig, key: str) -> dict:
         x = rng.uniform(-2.0, 2.0, 3)
         if _charge_distance(cfg, x)[0] >= 0.4:
             pts.append(x)
-    details = residual_suite(cfg, ModelParams.classical(beta=1.0), np.reshape(pts, (-1, 3)))
-    return _suite(name, 1e-5, [p[key] for p in details])
+    details = residual_suite(cfg, params, np.reshape(pts, (-1, 3)))
+    return _suite(name, 1e-5, [max(p[key] for key in keys) for p in details])
 
 
 def _verify_curl_electric(rng) -> dict:
-    return _verify_curl(rng, "electrostatic_curl_match", _electric_pair(), "curl_e_jm")
+    return _verify_curl(rng, "electrostatic_curl_match", _electric_pair(), ("curl_e_jm",))
 
 
 def _verify_curl_magnetic(rng) -> dict:
@@ -241,7 +243,18 @@ def _verify_curl_magnetic(rng) -> dict:
         ((1.0, 0.0, 0.0), 0.0, 1.0),
         ((-1.0, 0.0, 0.0), 0.0, 2.0),
     ])
-    return _verify_curl(rng, "magnetostatic_curl_match", cfg, "curl_h_je")
+    return _verify_curl(rng, "magnetostatic_curl_match", cfg, ("curl_h_je",))
+
+
+def _verify_curl_k0_dyon(rng) -> dict:
+    """Both curls of the logarithmic (beta = 1) kappa = 0 dyon pair against
+    the closed form of currents._k0_currents."""
+    cfg = ChargeConfig.build([
+        ((1.0, 0.0, 0.0), 1.0, 0.5),
+        ((-1.0, 0.0, 0.0), 2.0, -1.0),
+    ])
+    return _verify_curl(rng, "k0_dyon_curl_match", cfg, ("curl_e_jm", "curl_h_je"),
+                        ModelParams.logarithmic(beta=1.0))
 
 
 def _verify_single_null(rng) -> dict:
@@ -318,14 +331,12 @@ def _verify_maxwell_currents(rng) -> dict:
 
 
 def _verify_newton(rng) -> dict:
-    from scipy.special import erf
-
     total, sigma = 2.0, 0.8
     src = gaussian_source(total=total, sigma=sigma)
     res = []
     for r in (0.5, 1.0, 2.0, 4.0):
         u = newton_potential(src, (r, 0.0, 0.0))
-        exact = -total * float(erf(r / (math.sqrt(2.0) * sigma))) / (4.0 * math.pi * r)
+        exact = -total * math.erf(r / (math.sqrt(2.0) * sigma)) / (4.0 * math.pi * r)
         res.append(abs(u - exact) / abs(exact))
     return _suite("newton_potential_reference", 1e-5, res)
 
@@ -342,8 +353,8 @@ def _radial_sources() -> tuple:
 def _verify_radial_curl(rng) -> dict:
     res = []
     for src in _radial_sources():
-        d, _, e, _, _, hess, code, errors = state_rows(src, _RADIAL_PARAMS, _RADIAL_POINTS)
-        j_m = jm_rows(src, _RADIAL_PARAMS, _RADIAL_POINTS, None, d, e, hess, code, errors)
+        d, b, _, _, s, hess, code, errors = state_rows(src, _RADIAL_PARAMS, _RADIAL_POINTS)
+        j_m = jm_rows(src, _RADIAL_PARAMS, _RADIAL_POINTS, None, d, b, s, hess, code, errors)
         raise_first(code, errors)
         res.extend(np.max(np.abs(j_m), axis=1))
     return _suite("radial_curl_free", 1e-6, res)
@@ -376,6 +387,7 @@ SUITES = (
     _verify_newton,
     _verify_radial_curl,
     _verify_gauss_law,
+    _verify_curl_k0_dyon,
 )
 
 

@@ -1,18 +1,20 @@
 """Per-point reference for the `continuous` command.
 
 bifield.continuous evaluates a continuous source on rows: D, B and the
-Hessian of u for a whole chunk from one Gauss's-law pass, E and H from one
-invert_rows call, the density from density_rows, and j_m from the rows curl
-formula or from the stacked FD stencil of currents._fd_rows. This module
-keeps the per-point evaluation those replaced, one point at a time:
+Hessians of u and v for a whole chunk from one Gauss's-law pass, E and H
+from one invert_rows call, the density from density_rows, and j_m from
+the kappa = 0 kernel or from the stacked FD stencil of currents._fd_rows.
+This module keeps the per-point evaluation those replaced, one point at a
+time:
 
 * _gauss_law, D and the Hessian of one point from the radial parts, and
   the fourth-order finite differences of newton_potential for a source
   without them;
 * the scalar inversion (scalar_inversions.dyonic_eh) and the scalar
   energy_density;
-* the closed-form curl of E of an electric source, with the oracle's f'
-  and f'', and fd_oracle's curl of the per-point E otherwise.
+* the kappa = 0 closed form of j_m (any source without B included), with
+  the oracle's f' and f'', and fd_oracle's curl of the per-point E
+  otherwise.
 
 continuous_pointwise(src, params, x, quad) is the command's table row at x,
 or raises the point's failure. Like scalar_inversions it shares no code with
@@ -65,25 +67,30 @@ def potential_gradient(src, x, quad, which):
     return grad
 
 
-def potential_hessian(src, x, quad):
-    """Hessian of u at x: Gauss's law, else second differences of u."""
-    if src.radial_e:
-        return _gauss_law(src.radial_e, x)[1]
+def potential_hessian(src, x, quad, which):
+    """Hessian of u (which='electric') or v at x: Gauss's law, zero without
+    a density, else second differences of the potential."""
+    parts = src.radial_e if which == "electric" else src.radial_m
+    if parts:
+        return _gauss_law(parts, x)[1]
+    if (src.rho_e if which == "electric" else src.rho_m) is None:
+        return np.zeros((3, 3))
     h = src.width / 10.0
-    u0 = newton_potential(src, x, quad)
+    u0 = newton_potential(src, x, quad, which)
     hess = np.empty((3, 3))
     for i in range(3):
         ei = np.zeros(3)
         ei[i] = h
-        hess[i, i] = (newton_potential(src, x + ei, quad) - 2.0 * u0
-                      + newton_potential(src, x - ei, quad)) / (h * h)
+        hess[i, i] = (newton_potential(src, x + ei, quad, which) - 2.0 * u0
+                      + newton_potential(src, x - ei, quad, which)) / (h * h)
         for j in range(i + 1, 3):
             ej = np.zeros(3)
             ej[j] = h
             hess[i, j] = hess[j, i] = (
-                newton_potential(src, x + ei + ej, quad) - newton_potential(src, x + ei - ej, quad)
-                - newton_potential(src, x - ei + ej, quad)
-                + newton_potential(src, x - ei - ej, quad)) / (4.0 * h * h)
+                newton_potential(src, x + ei + ej, quad, which)
+                - newton_potential(src, x + ei - ej, quad, which)
+                - newton_potential(src, x - ei + ej, quad, which)
+                + newton_potential(src, x - ei - ej, quad, which)) / (4.0 * h * h)
     return hess
 
 
@@ -97,23 +104,28 @@ class State:
         self.s = aux.s
 
 
-def curl_formula(src, params, x, quad, g, e) -> np.ndarray:
-    """curl E of an electric source at x, where grad u = g and E = e."""
-    a = float(e @ e)
-    fp = f_prime(params, 0.5 * a)
-    fpp = f_double_prime(params, 0.5 * a)
+def k0_current(src, params, x, quad, st) -> np.ndarray:
+    """j_m = -curl E at x of a kappa = 0 source, by the implicit derivative
+    of phi = f'(s) = f'((a / phi^2 - b) / 2), with a = D^2 and b = B^2:
+    j_m = P (grad a - phi^2 grad b) x D, P = f'' h' / (2 phi^2) with
+    h = E^2 = 2 s + b and h' = 1 / (phi (f'' h + phi)), grad a = 2 H_u D
+    and grad b = 2 H_v B."""
+    phi, fpp = f_prime(params, st.s), f_double_prime(params, st.s)
     if fpp == 0.0:
         return np.zeros(3)
-    hprime = 1.0 / (fp * (fpp * a + fp))
-    return (fpp * hprime / fp**2) * np.cross(g, potential_hessian(src, x, quad) @ g)
+    hprime = 1.0 / (phi * (fpp * (2.0 * st.s + float(st.b @ st.b)) + phi))
+    pref = fpp * hprime / (2.0 * phi * phi)
+    grad_a = 2.0 * (potential_hessian(src, x, quad, "electric") @ st.d)
+    grad_b = 2.0 * (potential_hessian(src, x, quad, "magnetic") @ st.b)
+    return pref * np.cross(grad_a - phi * phi * grad_b, st.d)
 
 
 def continuous_pointwise(src, params, x, quad=None) -> tuple:
     """The `continuous` table row at x: (*x, *E, *H, *j_m, density)."""
     x = np.asarray(x, dtype=float)
     st = State(src, params, x, quad)
-    if src.rho_m is None:
-        j_m = -curl_formula(src, params, x, quad, st.d, st.e)
+    if params.kappa == 0.0 or src.rho_m is None:
+        j_m = k0_current(src, params, x, quad, st)
     else:
         j_m = -fd_curl(lambda ys: np.array([State(src, params, y, quad).e for y in ys]), x,
                        step=src.width / 10.0, richardson=True)[0]

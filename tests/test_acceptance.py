@@ -363,8 +363,8 @@ def test_10_continuous_sources():
 
     pts = np.array([(0.0, 0.8, 0.3), (0.5, -0.6, 0.2), (-0.2, 0.6, 0.0)])
     fd = fd_curl(_state_e(offset, params), pts, richardson=True)
-    d, _, e, _, _, hess, code, errors = state_rows(offset, params, pts)
-    formula = -jm_rows(offset, params, pts, None, d, e, hess, code, errors)
+    d, b, _, _, s, hess, code, errors = state_rows(offset, params, pts)
+    formula = -jm_rows(offset, params, pts, None, d, b, s, hess, code, errors)
     raise_first(code, errors)
     peak = float(np.max(np.abs(fd)))
     worst_match = float(np.max(np.abs(formula - fd)))

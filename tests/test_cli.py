@@ -67,11 +67,12 @@ def pair_config(shape=(5, 5, 5)):
 
 
 def failing_config():
-    # quadratic model with |B| = 1 = 1/sqrt(alpha) at the single probe point:
-    # f' vanishes there and the inversion gives up
+    # quadratic model with |B| = 1.025 > 1/sqrt(alpha) at the single probe
+    # point: the cubic's root there has f' = 1 + 2 alpha s < 0, and the
+    # inversion fails its direction check
     return {
         "model": {"kind": "quadratic", "alpha": 1.0},
-        "charges": [{"pos": [0.0, 0.0, 0.0], "q": 1e-5, "g": 4.0 * math.pi}],
+        "charges": [{"pos": [0.0, 0.0, 0.0], "q": 1e-5, "g": 4.1 * math.pi}],
         "grid": {"lo": [1.0, 0.0, 0.0], "hi": [1.0, 0.0, 0.0], "shape": [1, 1, 1]},
     }
 
@@ -1136,7 +1137,7 @@ class TestVerifyCommand:
         assert rc == EXIT_OK
         report = read_report(tmp_path / "verify.json")
         assert report["all_passed"] is True
-        assert len(report["suites"]) == len(verify.SUITES) == 16
+        assert len(report["suites"]) == len(verify.SUITES) == 17
         for suite in report["suites"]:
             assert suite["passed"] is True
             assert suite["max_residual"] <= suite["tolerance"]
@@ -1144,7 +1145,7 @@ class TestVerifyCommand:
         names = {s["name"] for s in report["suites"]}
         assert {"lambert_identity", "constitutive_round_trip",
                 "jacobi_partial_sum", "saturation_bounds",
-                "maxwell_limit_fields"} <= names
+                "maxwell_limit_fields", "k0_dyon_curl_match"} <= names
 
     def test_verify_needs_no_config(self, tmp_path):
         # smoke: seed comes from the flag, hash is null without a config

@@ -59,8 +59,8 @@ def curl_e(src, params, pts) -> np.ndarray:
     """curl E = -j_m at points of shape (N, 3), from one state_rows and one
     jm_rows call; raises the first failure."""
     pts = np.reshape(pts, (-1, 3))
-    d, _, e, _, _, hess, code, errors = state_rows(src, params, pts)
-    j_m = jm_rows(src, params, pts, None, d, e, hess, code, errors)
+    d, b, _, _, s, hess, code, errors = state_rows(src, params, pts)
+    j_m = jm_rows(src, params, pts, None, d, b, s, hess, code, errors)
     raise_first(code, errors)
     return -j_m
 
@@ -463,7 +463,8 @@ class TestContinuousFields:
         one = state_rows(src, CLASSICAL, np.array([0.7, 0.1, -0.3]))
         assert np.array_equal(one[2], e) and one[6].tolist() == [0]
         d, b, e, h, s, hess, code, errors = state_rows(src, CLASSICAL, [])
-        assert d.shape == b.shape == e.shape == h.shape == (0, 3) and hess.shape == (0, 3, 3)
+        assert d.shape == b.shape == e.shape == h.shape == (0, 3)
+        assert hess[0].shape == hess[1].shape == (0, 3, 3)
         assert s.shape == code.shape == (0,) and errors == []
 
     @pytest.mark.parametrize("params", [
@@ -570,8 +571,8 @@ class TestCurlFormula:
         params = ModelParams.logarithmic(1.0, kappa=0.5)
         pts = np.array([(x, y, z) for x in (-1.5, 0.0, 1.5) for y in (-0.5, 0.5)
                         for z in (-0.5, 0.5)])
-        d, _, e, _, _, hess, code, errors = state_rows(src, params, pts)
-        j_m = jm_rows(src, params, pts, None, d, e, hess, code, errors)
+        d, b, e, _, s, hess, code, errors = state_rows(src, params, pts)
+        j_m = jm_rows(src, params, pts, None, d, b, s, hess, code, errors)
         assert not code.any() and not d.any() and not e.any()
         assert j_m.shape == pts.shape and not j_m.any() and not np.signbit(j_m).any()
 
@@ -586,6 +587,71 @@ class TestCurlFormula:
         fd = fd_curl(lambda y: state_rows(src, params, y)[2], pt, richardson=True)
         formula = curl_e(src, params, pt)
         assert np.max(np.abs(formula - fd)) <= 1e-4
+
+
+def dyonic_pair():
+    # the offset electric mixture and a magnetic Gaussian beside it
+    return merge_sources(offset_pair(), gaussian_source(total=3.0, sigma=0.7,
+                                                        center=(0.2, -0.3, 0.1), magnetic=True))
+
+
+class TestKappaZeroKernel:
+    """j_m of every source that is kappa = 0 or single-kind comes from
+    currents._k0_currents; only kappa > 0 dyonic sources take FD curls."""
+
+    PTS = np.array([(0.0, 0.8, 0.3), (0.5, -0.6, 0.2), (-0.2, 0.6, 0.0), (1.1, 0.2, -0.4)])
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    @pytest.mark.parametrize("kind", ["electric", "magnetic", "dyonic"])
+    def test_fd_route_only_for_kappa_positive_dyonic_sources(self, monkeypatch, kind, kappa):
+        calls = []
+        fd_rows = continuous._fd_rows
+        monkeypatch.setattr(continuous, "_fd_rows", lambda *args: calls.append(1) or fd_rows(*args))
+        src = {"electric": offset_pair(), "dyonic": dyonic_pair(),
+               "magnetic": gaussian_source(total=3.0, sigma=0.7, magnetic=True)}[kind]
+        j_m = curl_e(src, ModelParams.logarithmic(0.8, kappa=kappa), self.PTS)
+        assert len(calls) == (kind == "dyonic" and kappa > 0.0)
+        assert (np.max(np.abs(j_m)) > 1e-3) == (kind != "magnetic")
+
+    @pytest.mark.parametrize("params", [
+        ModelParams.classical(1.0),
+        ModelParams.logarithmic(0.8),
+        ModelParams.exponential(0.5),
+        ModelParams.fractional_power(0.8, p=1.7),
+        ModelParams.quadratic(0.3),
+    ], ids=["classical", "logarithmic", "exponential", "fractional", "quadratic"])
+    def test_dyonic_source_matches_fd_curl(self, params):
+        src = dyonic_pair()
+        fd = fd_curl(lambda y: state_rows(src, params, y)[2], self.PTS, richardson=True)
+        formula = curl_e(src, params, self.PTS)
+        assert np.max(np.abs(formula)) > 1e-3
+        assert np.max(np.abs(formula - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
+
+    def test_fd_hessian_of_a_gridded_magnetic_density(self):
+        # the magnetic density without its radial parts: B and H_v come from
+        # finite differences of the Newton potential
+        src = dyonic_pair()
+        gridded = ContinuousSource(rho_e=src.rho_e, rho_m=src.rho_m, total_q=src.total_q,
+                                   total_g=src.total_g, support_radius=src.support_radius,
+                                   center=src.center, width=src.width, radial_e=src.radial_e)
+        params = ModelParams.logarithmic(0.8)
+        x = self.PTS[:1]
+        assert state_rows(gridded, params, x)[5][1] is None
+        assert np.max(np.abs(curl_e(gridded, params, x) - curl_e(src, params, x))) <= 1e-5
+
+    def test_failed_gridded_hessian_fails_its_row_once(self, monkeypatch):
+        # a row whose electric Hessian fails keeps that failure: the magnetic
+        # pass skips it
+        def failing_hessian(src, x, quad, which):
+            raise QuadratureError(which)
+
+        monkeypatch.setattr(continuous, "_fd_hessian", failing_hessian)
+        src = dyonic_pair()
+        params = ModelParams.logarithmic(0.8)
+        d, b, _, _, s, _, code, errors = state_rows(src, params, self.PTS)
+        j_m = jm_rows(src, params, self.PTS, None, d, b, s, (None, None), code, errors)
+        assert [str(errors[k - 1]) for k in code] == ["electric"] * len(self.PTS)
+        assert len(errors) == len(self.PTS) and not j_m.any()
 
 
 class TestResidualSuite:

@@ -4,6 +4,7 @@ import ast
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -549,8 +550,10 @@ class TestDispatcher:
         (ModelParams.classical(beta=BETA), ChargeConfig.build(
             [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]), "analytic"),
         (ModelParams.logarithmic(beta=1.0), ChargeConfig.build(
+            [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]), "analytic"),
+        (ModelParams.logarithmic(beta=1.0, kappa=0.5), ChargeConfig.build(
             [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]), "fd"),
-    ], ids=["electric", "classical-dyonic-k0", "fd"])
+    ], ids=["electric", "classical-dyonic-k0", "log-dyonic-k0", "fd"])
     def test_zero_points(self, params, cfg, method):
         # an empty array or list: the currents, and the energy density on the
         # same rows (closed form and inverted), come out empty
@@ -569,6 +572,117 @@ class TestDispatcher:
         assert rows.code.tolist() == [1]
         assert isinstance(rows.errors[0], DomainViolation)
         assert str(rows.errors[0]) == "current has non-finite components"
+
+
+def three_centre_dyon(magnetic=True):
+    """q = 1, -2, 0.7 and g = 0.4, 1, -0.3 (g = 0 unless magnetic)."""
+    return ChargeConfig.build([(pos, q, g if magnetic else 0.0) for pos, q, g in (
+        ((0.1, -0.2, 0.3), 1.0, 0.4), ((1.3, 0.2, -0.1), -2.0, 1.0), ((-0.6, 1.1, 0.4), 0.7, -0.3))])
+
+
+def log_k0_reference(cfg, beta, x):
+    """(j_e, j_m) of the kappa = 0 logarithmic model at x, to 50 digits:
+    mpmath derivatives of E = D / phi and H = phi B, with the closed form
+    phi = (1 + sqrt(1 + 2 beta a c)) / (2 c), c = 1 + beta b / 2, of
+    phi = f'(s) = 1 / (1 - beta s), a = D^2 and b = B^2."""
+    with mpmath.workdps(50):
+        charges = [([mpmath.mpf(v) for v in c.position], c.q, c.g) for c in cfg.charges]
+
+        def fields(y):
+            d, b = [mpmath.mpf(0)] * 3, [mpmath.mpf(0)] * 3
+            for pos, q, g in charges:
+                r = [y[i] - pos[i] for i in range(3)]
+                w = 1 / (4 * mpmath.pi * mpmath.sqrt(sum(v * v for v in r)) ** 3)
+                d = [d[i] + q * w * r[i] for i in range(3)]
+                b = [b[i] + g * w * r[i] for i in range(3)]
+            c = 1 + beta * sum(v * v for v in b) / 2
+            phi = (1 + mpmath.sqrt(1 + 2 * beta * sum(v * v for v in d) * c)) / (2 * c)
+            return [v / phi for v in d] + [phi * v for v in b]
+
+        y0 = [mpmath.mpf(v) for v in x]
+        # jac[k][j] = d field_k / d x_j, E in k = 0..2, H in k = 3..5
+        jac = [[mpmath.diff(lambda t: fields(y0[:j] + [t] + y0[j + 1:])[k], y0[j])
+                for j in range(3)] for k in range(6)]
+        curl = [[jac[o + 2][1] - jac[o + 1][2], jac[o][2] - jac[o + 2][0],
+                 jac[o + 1][0] - jac[o][1]] for o in (0, 3)]
+        return (np.array([float(v) for v in curl[1]]), np.array([-float(v) for v in curl[0]]))
+
+
+class TestKappaZeroKernel:
+    """Every kappa = 0 or single-kind configuration outside the classical
+    model takes currents._k0_currents; FD serves only kappa > 0 dyons."""
+
+    NON_CLASSICAL = [
+        ModelParams.logarithmic(beta=0.8),
+        ModelParams.exponential(beta=0.5),
+        ModelParams.fractional_power(beta=0.4, p=1.7),
+        ModelParams.fractional_power(beta=0.4, p=3.0),
+        ModelParams.quadratic(alpha=0.05),
+        custom_classical(0.6),
+    ]
+    IDS = ["logarithmic", "exponential", "fractional-1.7", "fractional-3", "quadratic", "custom"]
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    @pytest.mark.parametrize("species", ["electric", "magnetic", "dyonic"])
+    @pytest.mark.parametrize("kind", ["classical", "logarithmic"])
+    def test_fd_exactly_for_kappa_positive_dyons(self, monkeypatch, kind, species, kappa):
+        params = ModelParams(kind=kind, beta=0.8, kappa=kappa)
+        cfg = three_centre_dyon()
+        if species != "dyonic":
+            cfg = one_species(cfg, electric=species == "electric")
+        calls = []
+        fd_rows = currents._fd_rows
+        monkeypatch.setattr(currents, "_fd_rows", lambda *args: calls.append(1) or fd_rows(*args))
+        rows = current_rows(params, cfg, np.array([[0.4, 0.9, -0.7], [-1.0, -0.5, 0.8]]))
+        fd = kappa > 0.0 and species == "dyonic"
+        assert currents.current_method(params, cfg) == ("fd" if fd else "analytic")
+        assert len(calls) == fd and not rows.code.any()
+
+    def test_dyon_inverts_once(self, monkeypatch):
+        params = ModelParams.logarithmic(beta=0.8)
+        cfg = three_centre_dyon()
+        pts = far_points(np.random.default_rng(5), cfg, 7)
+        calls = []
+        invert_rows = currents.invert_rows
+
+        def counting_rows(params, d, b):
+            calls.append(len(d))
+            return invert_rows(params, d, b)
+
+        monkeypatch.setattr(currents, "invert_rows", counting_rows)
+        rows = current_rows(params, cfg, pts)
+        assert calls == [7] and not rows.code.any()
+        # the invariant of eh_rows spares the inversion
+        s = currents.eh_rows(params, cfg, pts)[4]
+        calls.clear()
+        again = current_rows(params, cfg, pts, s)
+        assert calls == [] and np.array_equal(again.j_e, rows.j_e) and np.array_equal(again.j_m, rows.j_m)
+
+    @pytest.mark.parametrize("params", NON_CLASSICAL, ids=IDS)
+    def test_dyon_matches_fd_oracle(self, params):
+        cfg = three_centre_dyon()
+        pts = far_points(np.random.default_rng(13), cfg, 40, min_dist=0.2)
+        rows = current_rows(params, cfg, pts)
+        assert currents.current_method(params, cfg) == "analytic" and not rows.code.any()
+        curl = fd_curl(eh_field(params, cfg), pts, richardson=True)
+        assert_rows_close(rows.j_m, -curl[:, 0], tol=1e-8)
+        assert_rows_close(rows.j_e, curl[:, 1], tol=1e-8)
+
+    @pytest.mark.parametrize("magnetic, r, bound", [
+        (False, 1e-2, 1e-10), (False, 1e-3, 1e-8), (True, 1e-2, 1e-10), (True, 1e-3, 1e-7),
+    ], ids=["electric-1e-2", "electric-1e-3", "dyon-1e-2", "dyon-1e-3"])
+    def test_near_charge_against_50_digits(self, magnetic, r, bound):
+        # an FD curl of half-width 1e-4 is 3e-5 off here at r = 1e-2, 33 at 1e-3
+        beta = 0.8
+        params = ModelParams.logarithmic(beta=beta)
+        cfg = three_centre_dyon(magnetic)
+        dirs = np.array([[1.0, 2.0, -2.0], [-0.6, 0.0, 0.8], [0.0, -1.0, 0.0]])
+        pts = cfg.positions[0] + r * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        rows = current_rows(params, cfg, pts)
+        assert not rows.code.any()
+        for i, x in enumerate(pts):
+            for got, want in zip((rows.j_e[i], rows.j_m[i]), log_k0_reference(cfg, beta, x)):
+                assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
 class TestResidualIdentityAcrossModels:

@@ -209,7 +209,7 @@ def test_public_functions_are_referenced_in_src():
 # the sample command reads, from the same call
 INTEGRATOR_CURRENTS = {
     "observables.py": {"eh_field", "eh_rows"},
-    "continuous.py": {"_fd_rows", "_generic_electric_curl"},
+    "continuous.py": {"_fd_rows", "_k0_currents"},
 }
 
 
@@ -328,3 +328,15 @@ def test_cli_leaves_scipy_unloaded(tmp_path):
                          text=True, check=True, timeout=120)
     assert [line for line in out.stdout.split() if line.startswith("[")] == ["[]"] * 5
     assert (tmp_path / "continuous.csv").exists()
+
+
+def test_verify_suites_leave_scipy_unloaded():
+    # every verify suite runs without scipy, which only gridded sources need
+    code = ("import sys, numpy as np\n"
+            "from bifield.verify import run_suites\n"
+            "assert all(s['passed'] for s in run_suites(np.random.default_rng(0)))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[]"
