@@ -39,7 +39,7 @@ from .continuous import (
     state_rows,
     two_gaussian_source,
 )
-from .currents import current_method, current_rows, eh_rows
+from .currents import current_rows, eh_rows
 from .errors import ConfigError, FieldError, SingularPoint, merge_failures
 from .models import ModelParams
 from .observables import (QuadratureSpec, _far_radius, density_rows,
@@ -64,7 +64,6 @@ CURRENT_COLUMNS = (
     "x", "y", "z",
     "je_x", "je_y", "je_z",
     "jm_x", "jm_y", "jm_z",
-    "method",
 )
 
 _MODEL_KEYS = {
@@ -390,12 +389,12 @@ def _report_head(cfg: Optional[RunConfig], seed: int) -> dict:
     }
 
 
-def _write_csv(path: Path, header, blocks, text=()) -> None:
-    """Write a table as its float blocks of shape (M, k) are drawn, each row
-    ending in the constant text cells; numbers are '%.17g' (the bytes of
-    format(float(v), '.17g')), one '%' per block."""
+def _write_csv(path: Path, header, blocks) -> None:
+    """Write a table as its float blocks of shape (M, k) are drawn; numbers
+    are '%.17g' (the bytes of format(float(v), '.17g')), one '%' per
+    block."""
     # '.' decimal separator and '\n' line endings regardless of platform
-    line = ",".join(["%.17g"] * (len(header) - len(text)) + list(text))
+    line = ",".join(["%.17g"] * len(header))
 
     def parts():
         yield ",".join(header) + "\n"
@@ -457,20 +456,20 @@ def _emit_failures(out_dir: Path, name: str, head: dict, failures: list) -> Path
     return path
 
 
-def _grid_command(cfg: RunConfig, args, name: str, columns, rows_at, text=()) -> int:
+def _grid_command(cfg: RunConfig, args, name: str, columns, rows_at) -> int:
     """Evaluate the grid in chunks of GRID_CHUNK points, then write the
     report and the errors file.
 
     rows_at(pts) returns its points' float cells as an (M, k) array, a
     failure code per point and the exceptions the codes index (see
-    errors.fail_rows); text holds the constant text cells that end every
-    row. A SingularPoint skips the point; any other failure is recorded with
-    its location and type, and the command exits 2 after writing the rows
-    that did evaluate. The report counts both, failures by error type. A
-    csv table is opened before the first chunk and takes each chunk's rows
-    as they are evaluated, so memory stays flat in the grid size (the json
-    document holds every row); a run stopped by any exception leaves none,
-    and no report or errors file of an earlier run either.
+    errors.fail_rows). A SingularPoint skips the point; any other failure
+    is recorded with its location and type, and the command exits 2 after
+    writing the rows that did evaluate. The report counts both, failures by
+    error type. A csv table is opened before the first chunk and takes each
+    chunk's rows as they are evaluated, so memory stays flat in the grid
+    size (the json document holds every row); a run stopped by any
+    exception leaves none, and no report or errors file of an earlier run
+    either.
     """
     n_points, counts, failures = math.prod(cfg.grid_shape), Counter(), []
     csv = args.effective_format == "csv"
@@ -492,11 +491,11 @@ def _grid_command(cfg: RunConfig, args, name: str, columns, rows_at, text=()) ->
 
     if csv:
         table = args.out_dir / f"{name}.csv"
-        _write_csv(table, columns, blocks(), text)
+        _write_csv(table, columns, blocks())
         print(f"wrote {table}")
         out = {"table": table.name}
     else:
-        out = {"rows": [row + list(text) for block in blocks() for row in block.tolist()]}
+        out = {"rows": [row for block in blocks() for row in block.tolist()]}
     head = _report_head(cfg, args.effective_seed)
     by_error = Counter(f["error"] for f in failures)
     _write_json(report_path, dict(
@@ -539,8 +538,7 @@ def _cmd_current(cfg: RunConfig, args) -> int:
         cur = current_rows(params, charges, pts)
         return np.column_stack((pts, cur.j_e, cur.j_m)), cur.code, cur.errors
 
-    return _grid_command(cfg, args, "current", CURRENT_COLUMNS, rows_at,
-                         (current_method(params, charges),))
+    return _grid_command(cfg, args, "current", CURRENT_COLUMNS, rows_at)
 
 
 def _cmd_continuous(cfg: RunConfig, args) -> int:

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constitutive import invert_rows, rowdot
-from .currents import _fd_rows, _k0_currents
+from .currents import _implicit_currents
 from .errors import ConfigError, DomainViolation, QuadratureError, fail_rows, merge_failures
 from .models import ModelParams
 from .observables import QuadratureSpec, _gauss, _panel_nodes, _sphere_rule
@@ -529,32 +529,20 @@ def jm_rows(src: ContinuousSource, params: ModelParams, pts: np.ndarray,
             code: np.ndarray, errors: list) -> np.ndarray:
     """j_m = -curl E at the rows of pts that have not failed, from their
     state_rows fields; failures go into (code, errors). Without an electric
-    density D = E = 0, so j_m = 0. A kappa > 0 source with both densities
-    takes the Richardson FD curl of E, step width/10, from currents._fd_rows,
-    which takes the state at all stencil nodes from one state_rows call.
-    Every other source takes currents._k0_currents with grad(D^2) = 2 H_u D
-    and grad(B^2) = 2 H_v B (_fd_hessian per row for a gridded density), so
-    j_m vanishes for a radial source without B (H_u D is parallel to D).
-    A non-finite current fails its row."""
+    density D = E = 0, so j_m = 0. Every other source, at any kappa, takes
+    currents._implicit_currents with J_D = H_u and J_B = H_v, the Hessians
+    of u and v (_fd_hessian per row for a gridded density), so j_m
+    vanishes for a radial source without B (H_u D is parallel to D). A
+    non-finite current fails its row."""
     j_m = np.zeros_like(pts)
     if src.rho_e is None:
-        return j_m
-    rows = np.flatnonzero(code == 0)
-    if params.kappa > 0.0 and src.rho_m is not None:
-        curl_e, _, sub_code, sub_errors = _fd_rows(
-            partial(state_rows, src, params, quad=quad), pts[rows],
-            np.full(len(rows), src.width / 10.0))
-        merge_failures(code, errors, rows, sub_code, sub_errors)
-        j_m[rows] = -curl_e
         return j_m
     # in order, so the magnetic pass skips the rows the electric one failed
     hess_u, hess_v = (h if h is not None else _each_row(
         lambda x: _fd_hessian(src, x, quad, which), pts, np.flatnonzero(code == 0), code, errors,
         (3, 3)) for h, which in zip(hess, ("electric", "magnetic")))
     rows = np.flatnonzero(code == 0)
-    grad_a = 2.0 * (hess_u[rows] @ d[rows][:, :, None])[:, :, 0]
-    grad_b = 2.0 * (hess_v[rows] @ b[rows][:, :, None])[:, :, 0]
-    j_m[rows] = _k0_currents(params, d[rows], b[rows], s[rows], grad_a, grad_b)[1]
+    j_m[rows] = _implicit_currents(params, d[rows], b[rows], hess_u[rows], hess_v[rows], s[rows])[1]
     fail_rows(code, errors, ~np.isfinite(j_m).all(axis=1),
               DomainViolation("current has non-finite components"))
     return j_m

@@ -200,3 +200,24 @@ def _coulomb_gradient(weights: np.ndarray, rs: np.ndarray,
     proj = c * np.einsum("ijk,...ik->...ij", rs, f) / dist**2
     grad = 2.0 * np.sum(c, axis=-1)[..., None] * f - 6.0 * _centre_sum(proj, rs)
     return f, grad
+
+
+def _coulomb_jacobian(weights: np.ndarray, rs: np.ndarray,
+                      dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and its Jacobian J[..., i, j] = dF_i/dx_j from the offsets rs
+    (N, n, 3) and dist (N, n) of _coulomb_offsets, in O(n) per point:
+
+        J = sum_j c_j (I - 3 r_j r_j^T / |r_j|^2),  c_j = w_j / (4 pi |r_j|^3),
+
+    exactly symmetric (each outer product is), so grad(F^2) = 2 J F.
+    Weights of shape (m, n) give F of shape (m, N, 3) and J (m, N, 3, 3).
+    """
+    c = weights[..., None, :] / FOUR_PI * dist**-3
+    f = _centre_sum(c, rs)
+    k = -3.0 * c / dist**2
+    jac = np.zeros(c.shape[:-1] + (3, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(rs.shape[1]):
+            jac += k[..., j, None, None] * (rs[:, j, :, None] * rs[:, j, None, :])
+        jac[..., [0, 1, 2], [0, 1, 2]] += np.sum(c, axis=-1)[..., None]
+    return f, jac

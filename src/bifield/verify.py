@@ -7,8 +7,8 @@ checked where the paper states them: curl E = -j_m and curl H = j_e by
 residual_suite's finite differences of eh_rows against current_rows, and
 Gauss's law div D = rho_e for continuous sources by
 continuous_residual_suite on state_rows; both take their central
-differences from currents._stencil. The command line imports this module
-only when verify runs.
+differences from _stencil, and no other code in the package takes an FD
+curl. The command line imports this module only when verify runs.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import numpy as np
 from .constitutive import forward_rows, invert_rows, rowdot
 from .continuous import (ContinuousSource, bump_source, gaussian_source, jm_rows,
                          newton_potential, state_rows)
-from .currents import (_curl, _fd_step_rows, _stencil, _stencil_clear, current_rows, eh_field,
-                       eh_rows)
+from .currents import current_rows, eh_field, eh_rows
 from .errors import DomainViolation, raise_first
 from .models import ModelParams
 from .observables import (QuadratureSpec, flux_charge, free_charge_with_inner_spheres,
@@ -58,6 +57,48 @@ def _charge_distance(cfg: ChargeConfig, pts) -> np.ndarray:
     """The distance from each row of pts (one point or (N, 3)) to its
     nearest charge."""
     return _coulomb_offsets(cfg, np.reshape(pts, (-1, 3)))[1].min(axis=1)
+
+
+def _fd_step_rows(pts: np.ndarray) -> np.ndarray:
+    """The stencil half-width at each row of pts: 1e-4 * max(1, |x|)."""
+    return 1e-4 * np.maximum(1.0, np.sqrt(rowdot(pts, pts)))
+
+
+def _stencil(pts: np.ndarray, hs: np.ndarray):
+    """The central-difference stencil of points of shape (N, 3) at
+    half-widths of shape (N, K): (nodes, jacobian).
+
+    nodes, of shape (6KN, 3), run point, step, axis (x, y, z), sign (+, -).
+    jacobian maps field values at the nodes, of shape (6KN, ..., 3), to
+    J[p, k, ..., i, j] = (F(x + h e_j) - F(x - h e_j))_i / 2h.
+    """
+    n, k = hs.shape
+    steps = np.zeros((n, k, 3, 3))
+    steps[:, :, [0, 1, 2], [0, 1, 2]] = hs[:, :, None]
+    x = pts[:, None, None, :]
+    nodes = np.stack((x + steps, x - steps), axis=3).reshape(-1, 3)
+
+    def jacobian(values) -> np.ndarray:
+        f = np.asarray(values, dtype=float)
+        f = f.reshape((n, k, 3, 2) + f.shape[1:])
+        width = (2.0 * hs).reshape((n, k) + (1,) * (f.ndim - 3))
+        return np.moveaxis((f[:, :, :, 0] - f[:, :, :, 1]) / width, 2, -1)
+
+    return nodes, jacobian
+
+
+def _curl(j: np.ndarray) -> np.ndarray:
+    """The curl (..., 3) of Jacobians J[..., i, j] = dF_i/dx_j."""
+    return np.stack([j[..., 2, 1] - j[..., 1, 2], j[..., 0, 2] - j[..., 2, 0],
+                     j[..., 1, 0] - j[..., 0, 1]], axis=-1)
+
+
+def _stencil_clear(cfg: ChargeConfig, pts: np.ndarray, step) -> np.ndarray:
+    """True at each row of pts whose 6-point stencil of half-width step stays
+    outside the charge exclusion balls, by the distances of
+    _coulomb_offsets. residual_suite skips the other points, so its FD
+    curls are never contaminated by near-singular values."""
+    return _coulomb_offsets(cfg, pts)[1].min(axis=1) > step + cfg.exclusion_radius
 
 
 def jm_classical_jacobi_term(cfg: ChargeConfig, beta: float, x) -> np.ndarray:
@@ -97,11 +138,11 @@ def residual_suite(cfg: ChargeConfig, params: ModelParams, grid) -> tuple:
 
     One dict per usable grid point: its location "at" and |div D|,
     |curl D|, |div B|, |curl B|, |curl E + j_m| and |curl H - j_e| there,
-    using analytic currents where closed forms exist. Points whose FD
-    stencil would enter a charge exclusion ball are skipped. The currents
-    come from one current_rows call and D, B, E and H at the stencil nodes
-    of every point from one eh_rows call; a failing current raises before a
-    failing node.
+    with the closed-form currents. Points whose FD stencil (half-width
+    _fd_step_rows) would enter a charge exclusion ball are skipped. The
+    currents come from one current_rows call and D, B, E and H at the
+    stencil nodes of every point from one eh_rows call; a failing current
+    raises before a failing node.
     """
     pts = np.asarray(grid, dtype=float).reshape(-1, 3)
     steps = _fd_step_rows(pts)
@@ -246,15 +287,25 @@ def _verify_curl_magnetic(rng) -> dict:
     return _verify_curl(rng, "magnetostatic_curl_match", cfg, ("curl_h_je",))
 
 
-def _verify_curl_k0_dyon(rng) -> dict:
-    """Both curls of the logarithmic (beta = 1) kappa = 0 dyon pair against
-    the closed form of currents._k0_currents."""
-    cfg = ChargeConfig.build([
+def _dyon_pair() -> ChargeConfig:
+    return ChargeConfig.build([
         ((1.0, 0.0, 0.0), 1.0, 0.5),
         ((-1.0, 0.0, 0.0), 2.0, -1.0),
     ])
-    return _verify_curl(rng, "k0_dyon_curl_match", cfg, ("curl_e_jm", "curl_h_je"),
+
+
+def _verify_curl_k0_dyon(rng) -> dict:
+    """Both curls of the logarithmic (beta = 1) kappa = 0 dyon pair against
+    currents._implicit_currents."""
+    return _verify_curl(rng, "k0_dyon_curl_match", _dyon_pair(), ("curl_e_jm", "curl_h_je"),
                         ModelParams.logarithmic(beta=1.0))
+
+
+def _verify_curl_dyon(rng) -> dict:
+    """Both curls of the logarithmic (beta = 1) kappa = 0.5 dyon pair against
+    currents._implicit_currents."""
+    return _verify_curl(rng, "dyon_curl_match", _dyon_pair(), ("curl_e_jm", "curl_h_je"),
+                        ModelParams.logarithmic(beta=1.0, kappa=0.5))
 
 
 def _verify_single_null(rng) -> dict:
@@ -388,6 +439,7 @@ SUITES = (
     _verify_radial_curl,
     _verify_gauss_law,
     _verify_curl_k0_dyon,
+    _verify_curl_dyon,
 )
 
 

@@ -3,7 +3,7 @@
 bifield.continuous evaluates a continuous source on rows: D, B and the
 Hessians of u and v for a whole chunk from one Gauss's-law pass, E and H
 from one invert_rows call, the density from density_rows, and j_m from
-the kappa = 0 kernel or from the stacked FD stencil of currents._fd_rows.
+the implicit kernel of currents at any kappa.
 This module keeps the per-point evaluation those replaced, one point at a
 time:
 
@@ -13,8 +13,9 @@ time:
 * the scalar inversion (scalar_inversions.dyonic_eh) and the scalar
   energy_density;
 * the kappa = 0 closed form of j_m (any source without B included), with
-  the oracle's f' and f'', and fd_oracle's curl of the per-point E
-  otherwise.
+  the oracle's f' and f'', and otherwise the curl of grad E from the 3 x 3
+  implicit derivative of the forward map D(E, B), a route the rows code
+  does not take.
 
 continuous_pointwise(src, params, x, quad) is the command's table row at x,
 or raises the point's failure. Like scalar_inversions it shares no code with
@@ -24,7 +25,6 @@ the rows path it checks; test_oracle_independence enforces that.
 import numpy as np
 
 from bifield.continuous import newton_potential
-from fd_oracle import fd_curl
 from scalar_inversions import dyonic_eh, energy_density, f_double_prime, f_prime
 
 
@@ -120,13 +120,30 @@ def k0_current(src, params, x, quad, st) -> np.ndarray:
     return pref * np.cross(grad_a - phi * phi * grad_b, st.d)
 
 
+def implicit_current(src, params, x, quad, st) -> np.ndarray:
+    """j_m = -curl E at x of any source, from the forward map
+    D = f'(s) u with u = E + kappa^2 (E.B) B = ds/dE: its Jacobian
+    J_D = A J_E + C J_B with A = dD/dE = f' (I + kappa^2 B B^T) + f'' u u^T
+    and C = dD/dB = f' kappa^2 (B E^T + (E.B) I) + f'' u (ds/dB)^T,
+    ds/dB = -B + kappa^2 (E.B) E, solved for J_E = A^-1 (H_u - C H_v)."""
+    phi, fpp = f_prime(params, st.s), f_double_prime(params, st.s)
+    k2 = params.kappa**2
+    e, b = st.e, st.b
+    eb = float(e @ b)
+    u = e + k2 * eb * b
+    a = phi * (np.eye(3) + k2 * np.outer(b, b)) + fpp * np.outer(u, u)
+    c = phi * k2 * (np.outer(b, e) + eb * np.eye(3)) + fpp * np.outer(u, -b + k2 * eb * e)
+    jac = np.linalg.solve(a, potential_hessian(src, x, quad, "electric")
+                          - c @ potential_hessian(src, x, quad, "magnetic"))
+    return -np.array([jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]])
+
+
 def continuous_pointwise(src, params, x, quad=None) -> tuple:
     """The `continuous` table row at x: (*x, *E, *H, *j_m, density)."""
     x = np.asarray(x, dtype=float)
     st = State(src, params, x, quad)
-    if params.kappa == 0.0 or src.rho_m is None:
+    if params.kappa == 0.0 or src.rho_m is None or src.rho_e is None:
         j_m = k0_current(src, params, x, quad, st)
     else:
-        j_m = -fd_curl(lambda ys: np.array([State(src, params, y, quad).e for y in ys]), x,
-                       step=src.width / 10.0, richardson=True)[0]
+        j_m = implicit_current(src, params, x, quad, st)
     return (*x, *st.e, *st.h, *j_m, energy_density(params, st))

@@ -42,7 +42,7 @@ from continuous_pointwise import State, continuous_pointwise
 from triple_sums import coulomb_rows
 
 SAMPLE_HEADER = "x,y,z,Ex,Ey,Ez,Hx,Hy,Hz,jm_x,jm_y,jm_z,energy_density"
-CURRENT_HEADER = "x,y,z,je_x,je_y,je_z,jm_x,jm_y,jm_z,method"
+CURRENT_HEADER = "x,y,z,je_x,je_y,je_z,jm_x,jm_y,jm_z"
 
 
 def _reject_constant(name):
@@ -590,7 +590,9 @@ class TestGridChunks:
         assert calls == [729]
         assert read_report(tmp_path / "sample.report.json")["n_rows"] == 727
 
-    def test_fd_current_makes_one_rows_call_per_chunk(self, tmp_path, monkeypatch):
+    def test_dyon_current_makes_one_rows_call_per_chunk(self, tmp_path, monkeypatch):
+        # kappa > 0: the regular points of a chunk invert in one call, the
+        # point on a centre is skipped before it
         path = write_config(tmp_path, fd_dyon_config(shape=(9, 9, 9)))
         calls = []
         invert_rows = currents.invert_rows
@@ -602,8 +604,7 @@ class TestGridChunks:
         monkeypatch.setattr(currents, "invert_rows", counting_rows)
         assert main(["current", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_NUMERIC
         report = read_report(tmp_path / "current.report.json")
-        assert len(calls) == 1
-        assert calls[0] == 12 * (report["n_rows"] + report["n_failed"])
+        assert calls == [report["n_rows"] + report["n_failed"]] == [729 - report["n_skipped"]]
         calls.clear()
         monkeypatch.setattr(cli, "GRID_CHUNK", 100)
         assert main(["current", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_NUMERIC
@@ -765,10 +766,9 @@ class TestCurrentCommand:
         assert rc == EXIT_OK
         lines = (tmp_path / "current.csv").read_text().splitlines()
         assert lines[0] == CURRENT_HEADER
-        assert all(line.endswith("analytic") for line in lines[1:])
         # electrostatic classical: j_e vanishes, j_m does not
-        cells = np.array([[float(v) for v in line.split(",")[:9]]
-                          for line in lines[1:]])
+        cells = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert cells.shape == (27, 9)
         assert np.max(np.abs(cells[:, 3:6])) == 0.0
         assert np.max(np.abs(cells[:, 6:9])) > 1e-6
 
@@ -991,11 +991,11 @@ class TestCsvCells:
         cells = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
                  0.1, -1.0 / 3.0, 2.0**53 + 2.0, 1e-310, 123456789.0]
         rows = [[v, cells[-1 - k], np.float64(v), k] for k, v in enumerate(cells)]
-        header = ("a", "b", "c", "n", "method")
+        header = ("a", "b", "c", "n")
         block = np.array(rows)
-        cli._write_csv(tmp_path / "t.csv", header, [block[:5], block[5:5], block[5:]], ("fd",))
+        cli._write_csv(tmp_path / "t.csv", header, [block[:5], block[5:5], block[5:]])
         reference = ",".join(header) + "\n" + "".join(
-            ",".join([format(float(v), ".17g") for v in row] + ["fd"]) + "\n" for row in rows)
+            ",".join([format(float(v), ".17g") for v in row]) + "\n" for row in rows)
         assert (tmp_path / "t.csv").read_bytes() == reference.encode()
 
     def test_header_only_table(self, tmp_path):
@@ -1063,8 +1063,9 @@ class TestContinuousCommand:
         gridded_config(),
     ], ids=["gaussian", "two-gaussian", "bump", "log-dyonic-pair", "gridded"])
     def test_rows_match_pointwise_reference(self, tmp_path, data):
-        # E, H and a dyonic source's FD j_m bit for bit; an electric
-        # source's j_m to the last bit of f'' (Python's pow against numpy's)
+        # E and H bit for bit; an electric source's j_m to the last bit of
+        # f'' (Python's pow against numpy's), a kappa > 0 dyonic source's
+        # against the oracle's 3 x 3 implicit derivative
         write_lattice(tmp_path)
         path = write_config(tmp_path, data)
         assert main(["continuous", "--config", str(path), "--out-dir", str(tmp_path),
@@ -1075,10 +1076,8 @@ class TestContinuousCommand:
         want = np.array([continuous_pointwise(src, params, x, quad) for x in grid_points(cfg)])
         assert np.array_equal(got[:, :9], want[:, :9])
         jm_got, jm_want = got[:, 9:12], want[:, 9:12]
-        if src.rho_m is None:
-            assert np.max(np.abs(jm_got - jm_want)) <= 1e-15 * np.max(np.abs(jm_want))
-        else:
-            assert np.array_equal(jm_got, jm_want)
+        tol = 1e-15 if src.rho_m is None else 1e-12
+        assert np.max(np.abs(jm_got - jm_want)) <= tol * np.max(np.abs(jm_want))
         states = [State(src, params, x, quad) for x in grid_points(cfg)]
         d, b, e = (np.array([getattr(st, k) for st in states]) for k in "dbe")
         s = np.array([st.s for st in states])
@@ -1108,15 +1107,14 @@ class TestContinuousCommand:
         rows = (tmp_path / "continuous.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith("6,0.20000000000000001,0.10000000000000001,")
 
-    @pytest.mark.parametrize("data, stencil", [
-        (continuous_config("two_gaussian", q1=8.0, center1=[-1.0, 0.0, 0.0],
-                           grid=((-1, -1, -1), (1, 1, 1), (3, 3, 2))), False),
-        (dyonic_source_config(), True),
+    @pytest.mark.parametrize("data", [
+        continuous_config("two_gaussian", q1=8.0, center1=[-1.0, 0.0, 0.0],
+                          grid=((-1, -1, -1), (1, 1, 1), (3, 3, 2))),
+        dyonic_source_config(),
     ], ids=["electric", "dyonic"])
-    def test_one_inversion_per_chunk(self, tmp_path, monkeypatch, data, stencil):
-        # the points of a chunk invert in one state_rows call, and a dyonic
-        # source's 12 stencil nodes per point in one more; the FD curl has
-        # no inversion of its own
+    def test_one_inversion_per_chunk(self, tmp_path, monkeypatch, data):
+        # the points of a chunk invert in one state_rows call, a kappa > 0
+        # dyonic source's included: j_m has no inversion of its own
         calls = {continuous: [], currents: []}
         for module in calls:
             def counting(params, d, b, module=module, rows=module.invert_rows):
@@ -1127,7 +1125,7 @@ class TestContinuousCommand:
         monkeypatch.setattr(cli, "GRID_CHUNK", 7)
         path = write_config(tmp_path, data)
         assert main(["continuous", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
-        assert calls[continuous] == ([7, 12 * 7, 7, 12 * 7, 4, 12 * 4] if stencil else [7, 7, 4])
+        assert calls[continuous] == [7, 7, 4]
         assert calls[currents] == []
 
 
@@ -1137,7 +1135,7 @@ class TestVerifyCommand:
         assert rc == EXIT_OK
         report = read_report(tmp_path / "verify.json")
         assert report["all_passed"] is True
-        assert len(report["suites"]) == len(verify.SUITES) == 17
+        assert len(report["suites"]) == len(verify.SUITES) == 18
         for suite in report["suites"]:
             assert suite["passed"] is True
             assert suite["max_residual"] <= suite["tolerance"]
@@ -1145,7 +1143,7 @@ class TestVerifyCommand:
         names = {s["name"] for s in report["suites"]}
         assert {"lambert_identity", "constitutive_round_trip",
                 "jacobi_partial_sum", "saturation_bounds",
-                "maxwell_limit_fields", "k0_dyon_curl_match"} <= names
+                "maxwell_limit_fields", "k0_dyon_curl_match", "dyon_curl_match"} <= names
 
     def test_verify_needs_no_config(self, tmp_path):
         # smoke: seed comes from the flag, hash is null without a config

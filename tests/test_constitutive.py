@@ -863,17 +863,17 @@ def test_oracle_independence():
 def test_continuous_oracle_independence():
     """continuous_pointwise, the per-point reference of the continuous
     command, reaches none of the rows code it checks (invert_rows,
-    density_rows, currents._fd_rows, the continuous rows functions): from
-    bifield it imports only the Newton-potential quadrature, its finite
-    differences are fd_oracle's numpy ones, and its inversion, density, f'
-    and f'' are scalar_inversions'."""
+    density_rows, currents._implicit_currents, the continuous rows
+    functions): from bifield it imports only the Newton-potential
+    quadrature, and its inversion, density, f' and f'' are
+    scalar_inversions'."""
     path = Path(scalar_inversions.__file__).with_name("continuous_pointwise.py")
     imported = _imports(path)
     package = [(module, name) for module, name in imported if module.startswith(("bifield", "."))]
     assert sorted(package) == [("bifield.continuous", "newton_potential")]
     local = {module for module, _ in imported} - {"numpy"} - {m for m, _ in package}
-    assert local == {"fd_oracle", "scalar_inversions"}
-    rows_code = {"invert_rows", "dyonic_eh_rows", "density_rows", "_fd_rows", "_gauss_law",
+    assert local == {"scalar_inversions"}
+    rows_code = {"invert_rows", "dyonic_eh_rows", "density_rows", "_implicit_currents", "_gauss_law",
                  "state_rows", "curl_rows", "jm_rows", "_gradient_rows", "_db_rows",
                  "f_prime", "f_double_prime", "derivative_rows"}
     attributes = {node.attr for node in ast.walk(ast.parse(path.read_text()))

@@ -8,6 +8,7 @@ of radial sources are checked against finite differences of the spherical
 Newton-potential quadrature, the route gridded sources take.
 """
 
+import dataclasses
 import gc
 import json
 import math
@@ -559,13 +560,13 @@ class TestCurlFormula:
         formula = curl_e(src, ModelParams.fractional_power(1.0, 1), (0.0, 0.8, 0.3))
         assert np.all(formula == 0.0)
 
-    def test_magnetic_only_source_takes_no_fd_curl(self, monkeypatch):
+    def test_magnetic_only_source_takes_no_current_kernel(self, monkeypatch):
         # without an electric density D = 0, so E = 0 and j_m = 0 by
-        # construction: no FD curl, no Hessian, and unsigned zeros
+        # construction: no kernel call, no Hessian, and unsigned zeros
         def unexpected(*args, **kwargs):
             raise AssertionError("j_m of a magnetic-only source is not computed")
 
-        monkeypatch.setattr(continuous, "_fd_rows", unexpected)
+        monkeypatch.setattr(continuous, "_implicit_currents", unexpected)
         monkeypatch.setattr(continuous, "_fd_hessian", unexpected)
         src = gaussian_source(total=1.0, sigma=0.8, magnetic=True)
         params = ModelParams.logarithmic(1.0, kappa=0.5)
@@ -595,24 +596,26 @@ def dyonic_pair():
                                                         center=(0.2, -0.3, 0.1), magnetic=True))
 
 
-class TestKappaZeroKernel:
-    """j_m of every source that is kappa = 0 or single-kind comes from
-    currents._k0_currents; only kappa > 0 dyonic sources take FD curls."""
+class TestImplicitKernel:
+    """j_m of every source with an electric density, at any kappa, comes
+    from one currents._implicit_currents call on the Hessians of u and v."""
 
     PTS = np.array([(0.0, 0.8, 0.3), (0.5, -0.6, 0.2), (-0.2, 0.6, 0.0), (1.1, 0.2, -0.4)])
 
     @pytest.mark.parametrize("kappa", [0.0, 0.5])
     @pytest.mark.parametrize("kind", ["electric", "magnetic", "dyonic"])
-    def test_fd_route_only_for_kappa_positive_dyonic_sources(self, monkeypatch, kind, kappa):
+    def test_one_kernel_call_for_every_electric_source(self, monkeypatch, kind, kappa):
         calls = []
-        fd_rows = continuous._fd_rows
-        monkeypatch.setattr(continuous, "_fd_rows", lambda *args: calls.append(1) or fd_rows(*args))
+        kernel = continuous._implicit_currents
+        monkeypatch.setattr(continuous, "_implicit_currents",
+                            lambda *args: calls.append(len(args[1])) or kernel(*args))
         src = {"electric": offset_pair(), "dyonic": dyonic_pair(),
                "magnetic": gaussian_source(total=3.0, sigma=0.7, magnetic=True)}[kind]
         j_m = curl_e(src, ModelParams.logarithmic(0.8, kappa=kappa), self.PTS)
-        assert len(calls) == (kind == "dyonic" and kappa > 0.0)
+        assert calls == ([] if kind == "magnetic" else [len(self.PTS)])
         assert (np.max(np.abs(j_m)) > 1e-3) == (kind != "magnetic")
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
     @pytest.mark.parametrize("params", [
         ModelParams.classical(1.0),
         ModelParams.logarithmic(0.8),
@@ -620,21 +623,23 @@ class TestKappaZeroKernel:
         ModelParams.fractional_power(0.8, p=1.7),
         ModelParams.quadratic(0.3),
     ], ids=["classical", "logarithmic", "exponential", "fractional", "quadratic"])
-    def test_dyonic_source_matches_fd_curl(self, params):
+    def test_dyonic_source_matches_fd_curl(self, params, kappa):
+        params = dataclasses.replace(params, kappa=kappa)
         src = dyonic_pair()
         fd = fd_curl(lambda y: state_rows(src, params, y)[2], self.PTS, richardson=True)
         formula = curl_e(src, params, self.PTS)
         assert np.max(np.abs(formula)) > 1e-3
         assert np.max(np.abs(formula - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
 
-    def test_fd_hessian_of_a_gridded_magnetic_density(self):
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_fd_hessian_of_a_gridded_magnetic_density(self, kappa):
         # the magnetic density without its radial parts: B and H_v come from
         # finite differences of the Newton potential
         src = dyonic_pair()
         gridded = ContinuousSource(rho_e=src.rho_e, rho_m=src.rho_m, total_q=src.total_q,
                                    total_g=src.total_g, support_radius=src.support_radius,
                                    center=src.center, width=src.width, radial_e=src.radial_e)
-        params = ModelParams.logarithmic(0.8)
+        params = ModelParams.logarithmic(0.8, kappa=kappa)
         x = self.PTS[:1]
         assert state_rows(gridded, params, x)[5][1] is None
         assert np.max(np.abs(curl_e(gridded, params, x) - curl_e(src, params, x))) <= 1e-5
@@ -673,7 +678,8 @@ class TestResidualSuite:
 
     def test_stencil_nodes_invert_once(self, monkeypatch):
         # D and B's flux fields are one stacked field: the two Richardson
-        # stencils have 12 nodes per point, all inverted in one call
+        # stencils of verify._stencil have 12 nodes per point, all inverted
+        # in one state_rows call
         src = offset_pair()
         params = ModelParams.classical(1.0)
         expected = continuous_residual_suite(src, params, self.GRID[:2])

@@ -1,6 +1,7 @@
 """Tests for the induced current densities and the FD stencil."""
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bifield import ChargeConfig, ModelParams
-from bifield import currents
+from bifield import currents, verify
 from bifield.currents import current_rows, eh_field
-from bifield.errors import DomainViolation, FieldError, SingularPoint
+from bifield.errors import DomainViolation, SingularPoint
 from bifield.observables import hamiltonian_on_points
 from bifield.sources import _coulomb_gradient, _coulomb_offsets
 from bifield.verify import jm_classical_jacobi_term
@@ -213,7 +214,7 @@ class TestDyonicKappaZero:
     def test_single_dyon_zero(self):
         cfg = ChargeConfig.build([((0.0, 0.0, 0.0), 1.0, 0.5)])
         rows = current_rows(CLASSICAL, cfg, (0.3, 0.4, 0.5))
-        assert currents.current_method(CLASSICAL, cfg) == "analytic" and rows.code.tolist() == [0]
+        assert rows.code.tolist() == [0]
         assert np.max(np.abs(rows.j_m)) <= 1e-12
         assert np.max(np.abs(rows.j_e)) <= 1e-12
 
@@ -223,7 +224,7 @@ class TestDyonicKappaZero:
         )
         pts = far_points(np.random.default_rng(19), cfg, 10)
         rows = current_rows(CLASSICAL, cfg, pts)
-        assert currents.current_method(CLASSICAL, cfg) == "analytic" and not rows.code.any()
+        assert not rows.code.any()
         curl = fd_curl(eh_field(CLASSICAL, cfg), pts)
         assert_rows_close(curl[:, 0], -rows.j_m)
         assert_rows_close(curl[:, 1], rows.j_e)
@@ -259,7 +260,7 @@ class TestGenericElectrostatic:
         cfg = pair_config()
         pts = far_points(np.random.default_rng(29), cfg, 6)
         rows = current_rows(params, cfg, pts)
-        assert currents.current_method(params, cfg) == "analytic" and not rows.code.any()
+        assert not rows.code.any()
         assert_rows_close(fd_curl(eh_field(params, cfg), pts)[:, 0], -rows.j_m)
 
 
@@ -298,7 +299,7 @@ class TestGenericMagnetostatic:
         cfg = pair_config(magnetic=True)
         pts = far_points(np.random.default_rng(37), cfg, 6)
         rows = current_rows(params, cfg, pts)
-        assert currents.current_method(params, cfg) == "analytic" and not rows.code.any()
+        assert not rows.code.any()
         assert_rows_close(fd_curl(eh_field(params, cfg), pts)[:, 1], rows.j_e)
 
     def test_gradient_of_field_square_matches_fd(self):
@@ -360,8 +361,8 @@ class TestFactoredFormsMatchTripleSums:
 
 
 class TestFiniteDifferenceOracles:
-    """The numpy oracle of tests/fd_oracle.py, and currents._stencil
-    against it."""
+    """The numpy oracle of tests/fd_oracle.py, and verify._stencil against
+    it."""
 
     def test_oracle_imports_numpy_alone(self):
         tree = ast.parse(Path(__file__).with_name("fd_oracle.py").read_text())
@@ -411,29 +412,29 @@ class TestFiniteDifferenceOracles:
         assert np.array_equal(stacked[:, 1], fd_curl(g, x, step=1e-3, richardson=richardson))
 
     def test_default_step_scales_with_position(self):
-        steps = currents._fd_step_rows(np.array([[0.0, 0.0, 0.0], [200.0, 0.0, 0.0]]))
+        steps = verify._fd_step_rows(np.array([[0.0, 0.0, 0.0], [200.0, 0.0, 0.0]]))
         assert steps[0] == 1e-4 and steps[1] == pytest.approx(2e-2)
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-2.0, 2.0, (200, 1))
-        for x, h in zip(pts, currents._fd_step_rows(pts)):
+        for x, h in zip(pts, verify._fd_step_rows(pts)):
             assert h == 1e-4 * max(1.0, float(np.linalg.norm(x)))
 
     @pytest.mark.parametrize("richardson", [False, True])
     @pytest.mark.parametrize("step", [None, 3.7e-3])
     def test_stencil_matches_the_per_axis_reference(self, step, richardson):
-        # currents._stencil's nodes and Jacobians against the oracle's per-axis
+        # verify._stencil's nodes and Jacobians against the oracle's per-axis
         # differences, bit for bit, for a (3,) and a stacked (2, 3) field
         f = lambda y: np.stack((y[:, 1] * y[:, 2] ** 2, np.sin(y[:, 0]),
                                 y[:, 0] * y[:, 1] * np.exp(y[:, 2])), axis=1)
         g = lambda y: np.stack((f(y), np.stack((np.exp(y[:, 2]), y[:, 0] ** 3,
                                                 -y[:, 1] * y[:, 2]), axis=1)), axis=1)
         pts = np.random.default_rng(8).uniform(-3.0, 3.0, size=(10, 3))
-        h = currents._fd_step_rows(pts) if step is None else np.full(len(pts), step)
+        h = verify._fd_step_rows(pts) if step is None else np.full(len(pts), step)
         hs = np.stack((0.5 * h, h), axis=1) if richardson else h[:, None]
-        nodes, jacobian = currents._stencil(pts, hs)
+        nodes, jacobian = verify._stencil(pts, hs)
         for field in (f, g):
             jac = jacobian(field(nodes))
-            curl, div = currents._curl(jac), np.trace(jac, axis1=-2, axis2=-1)
+            curl, div = verify._curl(jac), np.trace(jac, axis1=-2, axis2=-1)
             if richardson:
                 curl, div = (4.0 * curl[:, 0] - curl[:, 1]) / 3.0, (4.0 * div[:, 0] - div[:, 1]) / 3.0
             else:
@@ -453,22 +454,28 @@ class TestFiniteDifferenceOracles:
 
     def test_only_the_fd_users_build_a_stencil(self):
         """Every central difference in src/ takes its nodes and Jacobians
-        from currents._stencil (the gridded Newton route's corner stencils
-        aside), so no FD user grows its own."""
-        callers = set()
+        from verify._stencil (the gridded Newton route's corner stencils
+        aside), so no FD user grows its own, and only the residual suites
+        of verify take FD curls: no current comes from one."""
+        callers, defined = set(), set()
         for path in Path(currents.__file__).parent.glob("*.py"):
             for node in ast.parse(path.read_text()).body:
+                if getattr(node, "name", None) in ("_stencil", "_curl", "_stencil_clear",
+                                                   "_fd_step_rows"):
+                    defined.add(f"{path.name}:{node.name}")
                 for sub in ast.walk(node):
                     if isinstance(sub, ast.Call):
                         func = sub.func
                         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                        if name == "_stencil":
+                        if name in ("_stencil", "_curl"):
                             callers.add(getattr(node, "name", None))
-        assert callers == {"_fd_rows", "continuous_residual_suite", "residual_suite"}
+        assert callers == {"continuous_residual_suite", "residual_suite"}
+        assert defined == {"verify.py:_stencil", "verify.py:_curl", "verify.py:_stencil_clear",
+                           "verify.py:_fd_step_rows"}
 
     def test_stencil_clearance(self):
         cfg = pair_config()
-        clear = currents._stencil_clear(cfg, np.array([[0.0, 1.0, 0.0], [1.05, 0.0, 0.0]]), 0.1)
+        clear = verify._stencil_clear(cfg, np.array([[0.0, 1.0, 0.0], [1.05, 0.0, 0.0]]), 0.1)
         assert clear.tolist() == [True, False]
 
 
@@ -477,7 +484,7 @@ class TestDispatcher:
         cfg = pair_config()
         for params in (ModelParams.classical(beta=BETA), ModelParams.logarithmic(beta=0.5)):
             s = current_rows(params, cfg, (0.0, 1.0, 0.0))
-            assert currents.current_method(params, cfg) == "analytic" and s.code.tolist() == [0]
+            assert s.code.tolist() == [0]
             assert np.max(np.abs(s.j_e)) == 0.0
             assert np.max(np.abs(s.j_m)) > 0.0
 
@@ -485,7 +492,7 @@ class TestDispatcher:
         cfg = pair_config(magnetic=True)
         params = ModelParams.exponential(beta=0.7)
         s = current_rows(params, cfg, (0.0, 1.0, 0.0))
-        assert currents.current_method(params, cfg) == "analytic" and s.code.tolist() == [0]
+        assert s.code.tolist() == [0]
         assert np.max(np.abs(s.j_m)) == 0.0
         assert np.max(np.abs(s.j_e)) > 0.0
 
@@ -495,25 +502,30 @@ class TestDispatcher:
         )
         params = ModelParams.classical(beta=BETA)
         s = current_rows(params, cfg, (0.0, 1.0, 0.0))
-        assert currents.current_method(params, cfg) == "analytic" and s.code.tolist() == [0]
+        assert s.code.tolist() == [0]
         assert np.max(np.abs(s.j_m)) > 0.0
         assert np.max(np.abs(s.j_e)) > 0.0
 
-    def test_mixed_kappa_positive_falls_back_to_fd(self):
+    def test_mixed_kappa_positive_takes_the_implicit_kernel(self, monkeypatch):
         cfg = ChargeConfig.build(
             [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]
         )
         params = ModelParams.classical(beta=BETA, kappa=0.8)
+        calls = []
+        kernel = currents._implicit_currents
+        monkeypatch.setattr(currents, "_implicit_currents",
+                            lambda *args: calls.append(len(args[1])) or kernel(*args))
         s = current_rows(params, cfg, (0.0, 1.0, 0.0))
-        assert currents.current_method(params, cfg) == "fd" and s.code.tolist() == [0]
+        assert calls == [1] and s.code.tolist() == [0]
         assert np.all(np.isfinite(s.j_m)) and np.all(np.isfinite(s.j_e))
 
-    def test_fd_route_inverts_once_per_stencil_node(self, monkeypatch):
+    def test_kappa_positive_dyon_inverts_once(self, monkeypatch):
+        # the points themselves invert, in one call: no stencil nodes
         params = ModelParams.fractional_power(beta=1.0, p=1.5, kappa=0.5)
         cfg = ChargeConfig.build(
             [((1.0, 0.0, 0.0), 1.0, 0.4), ((-1.0, 0.5, 0.0), -2.0, 1.0)]
         )
-        x = np.array([0.2, 1.1, -0.3])
+        pts = np.array([[0.2, 1.1, -0.3], [-0.4, 0.1, 0.9], [1.5, -0.7, 0.2]])
         calls = []
         invert_rows = currents.invert_rows
 
@@ -522,18 +534,15 @@ class TestDispatcher:
             return invert_rows(params, d, b)
 
         monkeypatch.setattr(currents, "invert_rows", counting_rows)
-        s = current_rows(params, cfg, x)
+        s = current_rows(params, cfg, pts)
         monkeypatch.undo()
-        # two Richardson steps, six stencil nodes each, one row per node, one call
-        assert currents.current_method(params, cfg) == "fd" and s.code.tolist() == [0] and calls == [12]
+        assert calls == [3] and not s.code.any()
+        # reference: the oracle's Richardson curls of E and H of the rows field
+        curl = fd_curl(eh_field(params, cfg), pts, richardson=True)
+        assert_rows_close(s.j_m, -curl[:, 0], tol=1e-8)
+        assert_rows_close(s.j_e, curl[:, 1], tol=1e-8)
 
-        # reference: the oracle's curls of E and H of the rows field
-        curl_e, curl_h = fd_curl(eh_field(params, cfg), x, step=currents._fd_step_rows(x[None, :]),
-                                 richardson=True)[0]
-        assert np.array_equal(s.j_m[0], -curl_e)
-        assert np.array_equal(s.j_e[0], curl_h)
-
-    def test_fd_route_consistent_with_analytic_at_tiny_kappa(self):
+    def test_tiny_kappa_approaches_the_k0_closed_form(self):
         cfg = ChargeConfig.build(
             [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]
         )
@@ -541,25 +550,23 @@ class TestDispatcher:
         tiny, k0_params = ModelParams.classical(beta=BETA, kappa=1e-5), ModelParams.classical(beta=BETA)
         s = current_rows(tiny, cfg, x)
         k0 = current_rows(k0_params, cfg, x)
-        assert currents.current_method(tiny, cfg) == "fd" and currents.current_method(k0_params, cfg) == "analytic"
         assert np.max(np.abs(s.j_m - k0.j_m)) <= 1e-8
         assert np.max(np.abs(s.j_e - k0.j_e)) <= 1e-8
 
-    @pytest.mark.parametrize("params, cfg, method", [
-        (ModelParams.logarithmic(beta=1.0), pair_config(), "analytic"),
+    @pytest.mark.parametrize("params, cfg", [
+        (ModelParams.logarithmic(beta=1.0), pair_config()),
         (ModelParams.classical(beta=BETA), ChargeConfig.build(
-            [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]), "analytic"),
+            [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)])),
         (ModelParams.logarithmic(beta=1.0), ChargeConfig.build(
-            [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]), "analytic"),
+            [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)])),
         (ModelParams.logarithmic(beta=1.0, kappa=0.5), ChargeConfig.build(
-            [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)]), "fd"),
-    ], ids=["electric", "classical-dyonic-k0", "log-dyonic-k0", "fd"])
-    def test_zero_points(self, params, cfg, method):
+            [((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.0, 0.0), 2.0, -1.0)])),
+    ], ids=["electric", "classical-dyonic-k0", "log-dyonic-k0", "log-dyonic-k0.5"])
+    def test_zero_points(self, params, cfg):
         # an empty array or list: the currents, and the energy density on the
         # same rows (closed form and inverted), come out empty
         for pts in (np.empty((0, 3)), []):
             rows = current_rows(params, cfg, pts)
-            assert currents.current_method(params, cfg) == method
             assert rows.j_e.shape == rows.j_m.shape == (0, 3)
             assert rows.code.shape == (0,) and rows.errors == []
             assert hamiltonian_on_points(params, cfg, pts).shape == (0,)
@@ -580,24 +587,46 @@ def three_centre_dyon(magnetic=True):
         ((0.1, -0.2, 0.3), 1.0, 0.4), ((1.3, 0.2, -0.1), -2.0, 1.0), ((-0.6, 1.1, 0.4), 0.7, -0.3))])
 
 
-def log_k0_reference(cfg, beta, x):
-    """(j_e, j_m) of the kappa = 0 logarithmic model at x, to 50 digits:
-    mpmath derivatives of E = D / phi and H = phi B, with the closed form
-    phi = (1 + sqrt(1 + 2 beta a c)) / (2 c), c = 1 + beta b / 2, of
-    phi = f'(s) = 1 / (1 - beta s), a = D^2 and b = B^2."""
+def classical_k06_dyon():
+    """The three-centre dyon whose classical kappa = 0.6 fluxes
+    test_observables integrates: q = 1, -2, 0.5 and g = 0.5, 1, -0.7."""
+    return ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.5), ((-1.0, 0.5, 0.0), -2.0, 1.0),
+                               ((0.0, -1.0, 0.3), 0.5, -0.7)])
+
+
+def reference_currents(cfg, params, x):
+    """(j_e, j_m) at x of the logarithmic or classical model at any kappa,
+    to 50 digits: mpmath derivatives of E = P / phi and
+    H = phi B - (c / phi) P, with P = D - c B, c = kappa^2 (B.D) /
+    (1 + kappa^2 B^2) and phi = f'(s) solving f'(s)^2 (2 s + B^2) = t,
+    t = (D^2 + kappa^2 |B x D|^2) / (1 + kappa^2 B^2), in closed form:
+    phi = (1 + sqrt(1 + beta t (2 + beta B^2))) / (2 + beta B^2) for
+    f' = 1 / (1 - beta s), phi^2 = (1 + beta t) / (1 + beta B^2) for
+    f' = 1 / sqrt(1 - 2 beta s)."""
+    assert params.kind in ("logarithmic", "classical")
     with mpmath.workdps(50):
         charges = [([mpmath.mpf(v) for v in c.position], c.q, c.g) for c in cfg.charges]
+        beta, k2 = mpmath.mpf(params.beta), mpmath.mpf(params.kappa) ** 2
+
+        def dot(u, v):
+            return sum(a * b for a, b in zip(u, v))
 
         def fields(y):
             d, b = [mpmath.mpf(0)] * 3, [mpmath.mpf(0)] * 3
             for pos, q, g in charges:
                 r = [y[i] - pos[i] for i in range(3)]
-                w = 1 / (4 * mpmath.pi * mpmath.sqrt(sum(v * v for v in r)) ** 3)
+                w = 1 / (4 * mpmath.pi * mpmath.sqrt(dot(r, r)) ** 3)
                 d = [d[i] + q * w * r[i] for i in range(3)]
                 b = [b[i] + g * w * r[i] for i in range(3)]
-            c = 1 + beta * sum(v * v for v in b) / 2
-            phi = (1 + mpmath.sqrt(1 + 2 * beta * sum(v * v for v in d) * c)) / (2 * c)
-            return [v / phi for v in d] + [phi * v for v in b]
+            b2, d2, bd = dot(b, b), dot(d, d), dot(b, d)
+            c = k2 * bd / (1 + k2 * b2)
+            p = [d[i] - c * b[i] for i in range(3)]
+            t = (d2 + k2 * (b2 * d2 - bd * bd)) / (1 + k2 * b2)
+            if params.kind == "logarithmic":
+                phi = (1 + mpmath.sqrt(1 + beta * t * (2 + beta * b2))) / (2 + beta * b2)
+            else:
+                phi = mpmath.sqrt((1 + beta * t) / (1 + beta * b2))
+            return [v / phi for v in p] + [phi * b[i] - c / phi * p[i] for i in range(3)]
 
         y0 = [mpmath.mpf(v) for v in x]
         # jac[k][j] = d field_k / d x_j, E in k = 0..2, H in k = 3..5
@@ -608,9 +637,24 @@ def log_k0_reference(cfg, beta, x):
         return (np.array([float(v) for v in curl[1]]), np.array([-float(v) for v in curl[0]]))
 
 
-class TestKappaZeroKernel:
-    """Every kappa = 0 or single-kind configuration outside the classical
-    model takes currents._k0_currents; FD serves only kappa > 0 dyons."""
+def k0_reference(params, cfg, pts):
+    """(j_e, j_m) of the kappa = 0 closed form as the package evaluated it
+    before the implicit kernel: one inversion for s, grad(D^2) and grad(B^2)
+    from the factored Coulomb gradient, grad phi = phi^2 P v with
+    v = grad(D^2) - phi^2 grad(B^2), P = f'' / (2 phi^3 (f'' (2 s + B^2) + phi)),
+    j_e = phi^2 P v x B and j_m = P v x D."""
+    (d, b), (grad_a, grad_b) = field_and_gradient(cfg, np.stack((cfg.qs, cfg.gs)), pts)
+    s = currents.invert_rows(params, d, b)[2]
+    phi, fpp = params.derivative_rows(s, 1), params.derivative_rows(s, 2)
+    pref = fpp / (phi * (fpp * (2.0 * s + np.sum(b * b, axis=1)) + phi)) / (2.0 * phi**2)
+    v = grad_a - (phi**2)[:, None] * grad_b
+    return (pref * phi**2)[:, None] * np.cross(v, b), pref[:, None] * np.cross(v, d)
+
+
+class TestImplicitKernel:
+    """Every configuration outside the classical model, and every classical
+    kappa > 0 dyon, takes currents._implicit_currents; the classical model
+    keeps its closed forms wherever kappa does not enter."""
 
     NON_CLASSICAL = [
         ModelParams.logarithmic(beta=0.8),
@@ -625,21 +669,22 @@ class TestKappaZeroKernel:
     @pytest.mark.parametrize("kappa", [0.0, 0.5])
     @pytest.mark.parametrize("species", ["electric", "magnetic", "dyonic"])
     @pytest.mark.parametrize("kind", ["classical", "logarithmic"])
-    def test_fd_exactly_for_kappa_positive_dyons(self, monkeypatch, kind, species, kappa):
+    def test_kernel_serves_all_but_the_classical_closed_forms(self, monkeypatch, kind, species,
+                                                              kappa):
         params = ModelParams(kind=kind, beta=0.8, kappa=kappa)
         cfg = three_centre_dyon()
         if species != "dyonic":
             cfg = one_species(cfg, electric=species == "electric")
         calls = []
-        fd_rows = currents._fd_rows
-        monkeypatch.setattr(currents, "_fd_rows", lambda *args: calls.append(1) or fd_rows(*args))
+        kernel = currents._implicit_currents
+        monkeypatch.setattr(currents, "_implicit_currents",
+                            lambda *args: calls.append(len(args[1])) or kernel(*args))
         rows = current_rows(params, cfg, np.array([[0.4, 0.9, -0.7], [-1.0, -0.5, 0.8]]))
-        fd = kappa > 0.0 and species == "dyonic"
-        assert currents.current_method(params, cfg) == ("fd" if fd else "analytic")
-        assert len(calls) == fd and not rows.code.any()
+        closed = kind == "classical" and (kappa == 0.0 or species != "dyonic")
+        assert calls == ([] if closed else [2]) and not rows.code.any()
 
     def test_dyon_inverts_once(self, monkeypatch):
-        params = ModelParams.logarithmic(beta=0.8)
+        params = ModelParams.logarithmic(beta=0.8, kappa=0.5)
         cfg = three_centre_dyon()
         pts = far_points(np.random.default_rng(5), cfg, 7)
         calls = []
@@ -658,30 +703,59 @@ class TestKappaZeroKernel:
         again = current_rows(params, cfg, pts, s)
         assert calls == [] and np.array_equal(again.j_e, rows.j_e) and np.array_equal(again.j_m, rows.j_m)
 
-    @pytest.mark.parametrize("params", NON_CLASSICAL, ids=IDS)
-    def test_dyon_matches_fd_oracle(self, params):
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("params", NON_CLASSICAL + [ModelParams.classical(beta=0.6)],
+                             ids=IDS + ["classical"])
+    def test_dyon_matches_fd_oracle(self, params, kappa):
+        params = dataclasses.replace(params, kappa=kappa)
         cfg = three_centre_dyon()
         pts = far_points(np.random.default_rng(13), cfg, 40, min_dist=0.2)
         rows = current_rows(params, cfg, pts)
-        assert currents.current_method(params, cfg) == "analytic" and not rows.code.any()
+        assert not rows.code.any()
         curl = fd_curl(eh_field(params, cfg), pts, richardson=True)
         assert_rows_close(rows.j_m, -curl[:, 0], tol=1e-8)
         assert_rows_close(rows.j_e, curl[:, 1], tol=1e-8)
 
-    @pytest.mark.parametrize("magnetic, r, bound", [
-        (False, 1e-2, 1e-10), (False, 1e-3, 1e-8), (True, 1e-2, 1e-10), (True, 1e-3, 1e-7),
-    ], ids=["electric-1e-2", "electric-1e-3", "dyon-1e-2", "dyon-1e-3"])
-    def test_near_charge_against_50_digits(self, magnetic, r, bound):
-        # an FD curl of half-width 1e-4 is 3e-5 off here at r = 1e-2, 33 at 1e-3
-        beta = 0.8
-        params = ModelParams.logarithmic(beta=beta)
-        cfg = three_centre_dyon(magnetic)
+    @pytest.mark.parametrize("params", NON_CLASSICAL, ids=IDS)
+    def test_kappa_zero_keeps_the_closed_form(self, params):
+        # the kernel at kappa = 0 against the closed form it replaced, to
+        # rounding: only the order of the operations differs
+        cfg = three_centre_dyon()
+        pts = far_points(np.random.default_rng(17), cfg, 500, min_dist=0.05)
+        rows = current_rows(params, cfg, pts)
+        assert not rows.code.any()
+        j_e, j_m = k0_reference(params, cfg, pts)
+        assert_rows_close(rows.j_e, j_e, tol=1e-13)
+        assert_rows_close(rows.j_m, j_m, tol=1e-13)
+
+    @pytest.mark.parametrize("params, cfg, centre, r, bound", [
+        (ModelParams.logarithmic(beta=0.8), three_centre_dyon(False), 0, 1e-2, 1e-10),
+        (ModelParams.logarithmic(beta=0.8), three_centre_dyon(False), 0, 1e-3, 1e-8),
+        (ModelParams.logarithmic(beta=0.8), three_centre_dyon(), 0, 1e-2, 1e-10),
+        (ModelParams.logarithmic(beta=0.8), three_centre_dyon(), 0, 1e-3, 1e-7),
+        (ModelParams.logarithmic(beta=0.8, kappa=0.5), three_centre_dyon(), 0, 1e-2, 1e-10),
+        (ModelParams.logarithmic(beta=0.8, kappa=0.5), three_centre_dyon(), 0, 1e-3, 1e-8),
+        (ModelParams.logarithmic(beta=0.8, kappa=0.5), three_centre_dyon(), 1, 1e-2, 1e-10),
+        (ModelParams.logarithmic(beta=0.8, kappa=0.5), three_centre_dyon(), 1, 1e-3, 1e-8),
+        (ModelParams.classical(beta=1.0, kappa=0.6), classical_k06_dyon(), 0, 1e-2, 1e-10),
+        (ModelParams.classical(beta=1.0, kappa=0.6), classical_k06_dyon(), 0, 1e-3, 1e-8),
+        (ModelParams.classical(beta=1.0, kappa=0.6), classical_k06_dyon(), 1, 1e-2, 1e-10),
+        (ModelParams.classical(beta=1.0, kappa=0.6), classical_k06_dyon(), 1, 1e-3, 1e-8),
+    ], ids=["electric-1e-2", "electric-1e-3", "dyon-1e-2", "dyon-1e-3",
+            "log-k0.5-c0-1e-2", "log-k0.5-c0-1e-3", "log-k0.5-c1-1e-2", "log-k0.5-c1-1e-3",
+            "classical-k0.6-c0-1e-2", "classical-k0.6-c0-1e-3", "classical-k0.6-c1-1e-2",
+            "classical-k0.6-c1-1e-3"])
+    def test_near_charge_against_50_digits(self, params, cfg, centre, r, bound):
+        # Richardson FD curls of half-width 1e-4 max(1, |x|) are 7e-9 to 3e-8
+        # off the kappa > 0 references at r = 1e-2 and 8e-5 to 3e-4 at 1e-3
+        # (plain ones 3e-5 and 33 at kappa = 0); the kernel 3e-12 to 3e-11
+        # and 5e-11 to 1.4e-9
         dirs = np.array([[1.0, 2.0, -2.0], [-0.6, 0.0, 0.8], [0.0, -1.0, 0.0]])
-        pts = cfg.positions[0] + r * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        pts = cfg.positions[centre] + r * dirs / np.linalg.norm(dirs, axis=1)[:, None]
         rows = current_rows(params, cfg, pts)
         assert not rows.code.any()
         for i, x in enumerate(pts):
-            for got, want in zip((rows.j_e[i], rows.j_m[i]), log_k0_reference(cfg, beta, x)):
+            for got, want in zip((rows.j_e[i], rows.j_m[i]), reference_currents(cfg, params, x)):
                 assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
@@ -717,35 +791,32 @@ class TestCurrentRows:
         pts[:3] = cfg.positions[0] + np.array([[0.0, 0.0, 0.0], [5e-5, 0.0, 0.0], [0.02, 0.0, 0.0]])
         return pts
 
-    def test_fd_rows_match_scalar_fd_curls(self):
-        # the 12 stacked stencil nodes of every point against the oracle's
-        # curls of eh_field at that point alone, bit for bit; near each centre the quadratic
-        # model's cubic root has f' = 1 + 2 alpha s < 0 at some stencil
-        # nodes, which fail; the first three points probe the exclusion rules
+    def test_kappa_positive_rows_match_pointwise_calls(self):
+        # near each centre the quadratic model's cubic root has
+        # f' = 1 + 2 alpha s < 0, and the inversion fails its direction check;
+        # the first point lies inside an exclusion ball
         params = ModelParams.quadratic(1.0, kappa=0.5)
         cfg = ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.4), ((-1.0, 0.5, 0.0), -2.0, 1.0)])
         pts = self.points(cfg, np.random.default_rng(41))
         pts[3:6] = cfg.positions[1] + np.array([[0.0, 0.1, 0.0], [0.15, 0.0, 0.0], [0.0, 0.0, -0.2]])
         rows = current_rows(params, cfg, pts)
-        assert currents.current_method(params, cfg) == "fd"
-        eh = eh_field(params, cfg)
         outcomes = set()
-        for i, (x, h) in enumerate(zip(pts, currents._fd_step_rows(pts))):
-            if not nearest(cfg, x) > h + cfg.exclusion_radius:
-                assert isinstance(rows.errors[rows.code[i] - 1], SingularPoint), i
-                outcomes.add("skip")
-                continue
-            try:
-                curl_e, curl_h = fd_curl(eh, x, step=h, richardson=True)[0]
-            except FieldError as exc:
-                got = rows.errors[rows.code[i] - 1]
+        for i, x in enumerate(pts):
+            s = current_rows(params, cfg, x)
+            if s.code[0]:
+                got, exc = rows.errors[rows.code[i] - 1], s.errors[s.code[0] - 1]
                 assert (type(got), str(got)) == (type(exc), str(exc)), i
-                outcomes.add("fail")
+                outcomes.add("skip" if isinstance(exc, SingularPoint) else "fail")
                 continue
             assert rows.code[i] == 0, i
-            assert np.array_equal(rows.j_m[i], -curl_e) and np.array_equal(rows.j_e[i], curl_h), i
+            assert np.array_equal(rows.j_e[i], s.j_e[0]) and np.array_equal(rows.j_m[i], s.j_m[0]), i
             outcomes.add("ok")
         assert outcomes == {"skip", "fail", "ok"}
+        # the regular rows against the oracle's Richardson curls of eh_field
+        ok = rows.code == 0
+        curl = fd_curl(eh_field(params, cfg), pts[ok], richardson=True)
+        assert_rows_close(rows.j_m[ok], -curl[:, 0], tol=1e-8)
+        assert_rows_close(rows.j_e[ok], curl[:, 1], tol=1e-8)
 
     @pytest.mark.parametrize("params, cfg", [
         (ModelParams.classical(beta=BETA), pair_config()),
@@ -759,7 +830,6 @@ class TestCurrentRows:
     def test_closed_form_rows_match_pointwise_calls(self, params, cfg):
         pts = self.points(cfg, np.random.default_rng(42))
         rows = current_rows(params, cfg, pts)
-        assert currents.current_method(params, cfg) == "analytic"
         assert isinstance(rows.errors[rows.code[0] - 1], SingularPoint)
         for i, x in enumerate(pts):
             s = current_rows(params, cfg, x)

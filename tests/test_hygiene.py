@@ -203,13 +203,12 @@ def test_public_functions_are_referenced_in_src():
     assert sorted(uncalled) == sorted(UNCALLED_PUBLIC)
 
 
-# what each integrator module takes from currents: its fields and the curls
-# it evaluates, none of the stencil helpers the verify suites use;
-# observables takes eh_rows because its pointwise density reads the state
+# what each integrator module takes from currents: its fields and the
+# current kernel it evaluates; observables takes eh_rows because its pointwise density reads the state
 # the sample command reads, from the same call
 INTEGRATOR_CURRENTS = {
     "observables.py": {"eh_field", "eh_rows"},
-    "continuous.py": {"_fd_rows", "_k0_currents"},
+    "continuous.py": {"_implicit_currents"},
 }
 
 

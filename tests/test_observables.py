@@ -1083,7 +1083,7 @@ def residual_pointwise(cfg, params, grid) -> tuple:
     eh = eh_field(params, cfg)
     details = []
     pts = np.asarray(grid, dtype=float).reshape(-1, 3)
-    for x, h in zip(pts, currents._fd_step_rows(pts)):
+    for x, h in zip(pts, verify._fd_step_rows(pts)):
         if not min(np.linalg.norm(x - p) for p in cfg.positions) > h + cfg.exclusion_radius:
             continue
         current = current_rows(params, cfg, x)
@@ -1131,7 +1131,6 @@ class TestResidualSuite:
         cfg = pair_config(sep=2.0, q1=1.0, q2=2.0)
         params = ModelParams.classical(1.0)
         details = residual_suite(cfg, params, self.grid_points())
-        assert currents.current_method(params, cfg) == "analytic"
         assert peak(details, "curl_e_jm") <= 1e-5
         assert peak(details, "curl_d") <= 1e-6
         assert peak(details, "div_d") <= 1e-6
@@ -1139,14 +1138,19 @@ class TestResidualSuite:
         assert any(p["curl_e_jm"] > 0.0 for p in details)
         assert np.max(np.abs(current_rows(params, cfg, self.grid_points()).j_m)) > 1e-3
 
-    def test_dyonic_kappa_positive_uses_fd_currents(self):
-        cfg = single_charge(q=1.0, g=1.0)
+    @pytest.mark.parametrize("cfg", [single_charge(q=1.0, g=1.0),
+                                     pair_config(sep=2.0, q1=1.0, q2=-0.5, g1=0.5, g2=1.0)],
+                             ids=["single", "pair"])
+    def test_dyonic_kappa_positive_currents_match_fd_curls(self, cfg):
+        # the implicit kernel's currents against the suite's FD curls of the
+        # inverted fields; a lone dyon's currents vanish
         params = ModelParams.classical(1.0, kappa=1.0)
         details = residual_suite(cfg, params, [[1.0, 0.5, 0.3], [-0.8, 1.1, 0.2]])
-        assert currents.current_method(params, cfg) == "fd"
         assert len(details) == 2
         assert peak(details, "curl_e_jm") <= 1e-6
         assert peak(details, "curl_h_je") <= 1e-6
+        rows = current_rows(params, cfg, [[1.0, 0.5, 0.3], [-0.8, 1.1, 0.2]])
+        assert (np.max(np.abs(rows.j_e)) > 1e-3) == (len(cfg) > 1)
 
     @pytest.mark.parametrize("params, cfg", [
         (ModelParams.classical(1.0), pair_config(sep=2.0, q1=1.0, q2=2.0)),

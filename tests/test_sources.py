@@ -11,6 +11,7 @@ from bifield.sources import (
     ChargeConfig,
     PointCharge,
     _coulomb_gradient,
+    _coulomb_jacobian,
     _coulomb_offsets,
     _db_weights,
     _pair_distances,
@@ -145,6 +146,49 @@ class TestKernelAgainstFsumOracle:
                     tol = self.bound(cfg, w, x)
                     assert np.all(np.abs(single[k][i] - ref) <= tol)
                     assert np.all(np.abs(stacked[k, i] - ref) <= tol)
+
+
+class TestCoulombJacobian:
+    """sources._coulomb_jacobian, the J_D and J_B of the current kernel."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_against_the_term_by_term_sum(self, n):
+        # J = sum_j c_j (I - 3 r_j r_j^T / |r_j|^2) against its fsum, within
+        # 8 eps of sum_j |c_j| (I + 3 |r_j r_j^T| / |r_j|^2); exactly symmetric, and
+        # traceless to rounding (F is divergence-free off the centres)
+        rng = np.random.default_rng(400 + n)
+        cfg = random_config(rng, n)
+        pts = rng.uniform(-3.0, 3.0, size=(50, 3))
+        weights = _db_weights(cfg)
+        f, jac = _coulomb_jacobian(weights, *_coulomb_offsets(cfg, pts)[:2])
+        assert f.shape == (2, 50, 3) and jac.shape == (2, 50, 3, 3)
+        np.testing.assert_array_equal(f, coulomb_rows(cfg, weights, pts))
+        np.testing.assert_array_equal(jac, np.swapaxes(jac, -1, -2))
+        for k, w in enumerate(weights):
+            for i, x in enumerate(pts):
+                terms, scale = [], 0.0
+                for pos, wj in zip(cfg.positions, w):
+                    r = x - pos
+                    rn = float(np.linalg.norm(r))
+                    c, rr = wj / (FOUR_PI * rn**3), np.outer(r, r) / rn**2
+                    terms.append(c * (np.eye(3) - 3.0 * rr))
+                    scale = scale + abs(c) * (np.eye(3) + 3.0 * np.abs(rr))
+                ref = np.array([[math.fsum(t[a, b] for t in terms) for b in range(3)]
+                                for a in range(3)])
+                assert np.all(np.abs(jac[k, i] - ref) <= 8.0 * EPS * scale + 1e-300)
+                assert abs(np.trace(jac[k, i])) <= 8.0 * EPS * np.trace(scale)
+
+    def test_gradient_of_the_square_is_twice_j_f(self):
+        rng = np.random.default_rng(5)
+        cfg = random_config(rng, 4)
+        pts = rng.uniform(-3.0, 3.0, size=(200, 3))
+        offsets = _coulomb_offsets(cfg, pts)[:2]
+        f, jac = _coulomb_jacobian(cfg.qs, *offsets)
+        f1, grad = _coulomb_gradient(cfg.qs, *offsets)
+        np.testing.assert_array_equal(f, f1)
+        twice = 2.0 * (jac @ f[:, :, None])[:, :, 0]
+        scale = np.max(np.abs(grad), axis=1, keepdims=True)
+        assert np.all(np.abs(twice - grad) <= 1e-13 * scale)
 
 
 class TestStackedWeights:
