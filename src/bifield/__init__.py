@@ -27,7 +27,7 @@ from .errors import (
     QuadratureError,
     SingularPoint,
 )
-from .currents import CurrentRows, current_rows
+from .currents import CurrentRows, StateRows, current_rows
 from .models import ModelParams
 from .observables import (
     EnergyReport,
@@ -58,6 +58,7 @@ __all__ = [
     "QuadratureSpec",
     "RadialPart",
     "SingularPoint",
+    "StateRows",
     "__version__",
     "bump_source",
     "current_rows",

@@ -39,7 +39,7 @@ from .continuous import (
     state_rows,
     two_gaussian_source,
 )
-from .currents import current_rows, eh_rows
+from .currents import StateRows, current_rows, eh_rows
 from .errors import ConfigError, FieldError, SingularPoint, merge_failures
 from .models import ModelParams
 from .observables import (QuadratureSpec, _far_radius, density_rows,
@@ -513,18 +513,24 @@ def _grid_command(cfg: RunConfig, args, name: str, columns, rows_at) -> int:
 # -- subcommands -------------------------------------------------------------
 
 
+def _field_cells(params: ModelParams, pts, state: StateRows, j_m):
+    """The SAMPLE_COLUMNS cells of sample and continuous, from the state of
+    the points and j_m, with the density of density_rows: a point fails
+    with its first failure, in the order fields, current, density."""
+    dens = density_rows(params, state)
+    return np.column_stack((pts, state.e, state.h, j_m, dens)), state.code, state.errors
+
+
 def _cmd_sample(cfg: RunConfig, args) -> int:
     if cfg.charges is None:
         raise ConfigError("sample requires a charges section")
     params, charges = cfg.model, cfg.charges
 
     def rows_at(pts):
-        # a point fails with its first failure: fields, current, density
-        d, b, e, h, s, code, errors = eh_rows(params, charges, pts)
-        cur = current_rows(params, charges, pts, s)
-        merge_failures(code, errors, np.arange(len(pts)), cur.code, cur.errors)
-        dens = density_rows(params, d, b, e, s, code, errors)
-        return np.column_stack((pts, e, h, cur.j_m, dens)), code, errors
+        state = eh_rows(params, charges, pts)
+        cur = current_rows(params, charges, pts, state)
+        merge_failures(state.code, state.errors, np.arange(len(pts)), cur.code, cur.errors)
+        return _field_cells(params, pts, state, cur.j_m)
 
     return _grid_command(cfg, args, "sample", SAMPLE_COLUMNS, rows_at)
 
@@ -547,11 +553,8 @@ def _cmd_continuous(cfg: RunConfig, args) -> int:
     params, src, quad = cfg.model, cfg.source, cfg.quadrature
 
     def rows_at(pts):
-        # a point fails with its first failure: fields, current, density
-        d, b, e, h, s, hess, code, errors = state_rows(src, params, pts, quad)
-        j_m = jm_rows(src, params, pts, quad, d, b, s, hess, code, errors)
-        dens = density_rows(params, d, b, e, s, code, errors)
-        return np.column_stack((pts, e, h, j_m, dens)), code, errors
+        state = state_rows(src, params, pts, quad)
+        return _field_cells(params, pts, state, jm_rows(src, params, pts, quad, state))
 
     return _grid_command(cfg, args, "continuous", SAMPLE_COLUMNS, rows_at)
 

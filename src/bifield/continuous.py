@@ -15,6 +15,10 @@ enclosed by the sphere of radius r. A gridded density goes through
 fourth-order finite differences of the quadrature potential with a step
 tied to the source width, since quadrature noise in u, not truncation,
 dominates there.
+
+state_rows returns the state of a source as a currents.StateRows record,
+the twin of currents.eh_rows, with the Hessians of u and v as its
+Jacobians of D and B; jm_rows and observables.density_rows read it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constitutive import invert_rows, rowdot
-from .currents import _implicit_currents
+from .currents import StateRows, _implicit_currents
 from .errors import ConfigError, DomainViolation, QuadratureError, fail_rows, merge_failures
 from .models import ModelParams
 from .observables import QuadratureSpec, _gauss, _panel_nodes, _sphere_rule
@@ -509,40 +513,41 @@ def _gradient_rows(src: ContinuousSource, pts: np.ndarray, quad: QuadratureSpec,
 
 
 def state_rows(src: ContinuousSource, params: ModelParams, pts: np.ndarray,
-               quad: QuadratureSpec = None):
+               quad: QuadratureSpec = None) -> StateRows:
     """D = grad u, B = grad v, then E, H and s from one invert_rows call, at
-    points of shape (N, 3): (D, B, E, H, s, (H_u, H_v), code, errors), with
-    H_u and H_v the Hessians of u and v, None for a gridded density. A
-    point fails with its first failure in the order D, B, E."""
+    points of shape (N, 3), with jac_d and jac_b the Hessians of u and v,
+    None for a gridded density. A point fails with its first failure in
+    the order D, B, E."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     code = np.zeros(len(pts), dtype=np.int64)
     errors: list = []
-    d, hess_u = _gradient_rows(src, pts, quad, "electric", code, errors)
-    b, hess_v = _gradient_rows(src, pts, quad, "magnetic", code, errors)
+    d, jac_d = _gradient_rows(src, pts, quad, "electric", code, errors)
+    b, jac_b = _gradient_rows(src, pts, quad, "magnetic", code, errors)
     e, h, s, inv_code, inv_errors = invert_rows(params, d, b)
     merge_failures(code, errors, np.arange(len(pts)), inv_code, inv_errors)
-    return d, b, e, h, s, (hess_u, hess_v), code, errors
+    return StateRows(d, b, e, h, s, code, errors, jac_d, jac_b)
 
 
 def jm_rows(src: ContinuousSource, params: ModelParams, pts: np.ndarray,
-            quad: QuadratureSpec, d: np.ndarray, b: np.ndarray, s: np.ndarray, hess,
-            code: np.ndarray, errors: list) -> np.ndarray:
+            quad: QuadratureSpec, state: StateRows) -> np.ndarray:
     """j_m = -curl E at the rows of pts that have not failed, from their
-    state_rows fields; failures go into (code, errors). Without an electric
-    density D = E = 0, so j_m = 0. Every other source, at any kappa, takes
-    currents._implicit_currents with J_D = H_u and J_B = H_v, the Hessians
-    of u and v (_fd_hessian per row for a gridded density), so j_m
-    vanishes for a radial source without B (H_u D is parallel to D). A
-    non-finite current fails its row."""
+    state_rows record; failures go into its (code, errors). Without an
+    electric density D = E = 0, so j_m = 0. Every other source, at any
+    kappa, takes currents._implicit_currents with J_D = H_u and J_B = H_v,
+    the Hessians of u and v (_fd_hessian per row for a gridded density),
+    so j_m vanishes for a radial source without B (H_u D is parallel to
+    D). A non-finite current fails its row."""
     j_m = np.zeros_like(pts)
     if src.rho_e is None:
         return j_m
+    code, errors = state.code, state.errors
     # in order, so the magnetic pass skips the rows the electric one failed
-    hess_u, hess_v = (h if h is not None else _each_row(
+    jac_d, jac_b = (jac if jac is not None else _each_row(
         lambda x: _fd_hessian(src, x, quad, which), pts, np.flatnonzero(code == 0), code, errors,
-        (3, 3)) for h, which in zip(hess, ("electric", "magnetic")))
+        (3, 3)) for jac, which in ((state.jac_d, "electric"), (state.jac_b, "magnetic")))
     rows = np.flatnonzero(code == 0)
-    j_m[rows] = _implicit_currents(params, d[rows], b[rows], hess_u[rows], hess_v[rows], s[rows])[1]
+    j_m[rows] = _implicit_currents(params, state.d[rows], state.b[rows], jac_d[rows], jac_b[rows],
+                                   state.s[rows])[1]
     fail_rows(code, errors, ~np.isfinite(j_m).all(axis=1),
               DomainViolation("current has non-finite components"))
     return j_m

@@ -17,18 +17,20 @@ not enter. D, B and their Jacobians come from one O(n) Coulomb kernel in
 sources. The tests check every current against FD curls of the rows
 fields, the triple sums over the charges and 50-digit references.
 
-eh_rows is the one function that turns points into the state of a
-point-charge configuration: D, B, E, H, s and a failure code per point,
-from one Coulomb pass and one constitutive rows call (continuous.state_rows
-is its twin for continuous sources). current_rows is the module's one
-evaluation of the currents: N points at once, as array arithmetic. Like
-every rows kernel, these record failures instead of raising them.
+StateRows is the one record of a solution's state at N points: D, B, E,
+H, s, the failure code of each point and, where the source gives them, the
+Jacobians of D and B. eh_rows is the one function that turns points into
+the state of a point-charge configuration, from one Coulomb pass and one
+constitutive rows call (continuous.state_rows is its twin for continuous
+sources). current_rows is the module's one evaluation of the currents: N
+points at once, as array arithmetic. Like every rows kernel, these record
+failures instead of raising them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,11 +41,34 @@ from .sources import (ChargeConfig, _coulomb_gradient, _coulomb_jacobian, _coulo
 from .constitutive import cross_rows, invert_rows, rowdot
 
 __all__ = [
+    "StateRows",
     "eh_rows",
     "eh_field",
     "CurrentRows",
     "current_rows",
 ]
+
+
+@dataclass(frozen=True)
+class StateRows:
+    """The state of a solution at N points: d, b, e and h of shape (N, 3),
+    s of shape (N,), and code[i] = 0 when point i evaluated, else k > 0
+    with errors[k - 1] its first failure (see errors.fail_rows); a reader
+    that fails more rows adds them to the same code and errors. jac_d and
+    jac_b, of shape (N, 3, 3), are the Jacobians of D and B, or None where
+    the record does not carry them: eh_rows forms none, and
+    continuous.state_rows none for a gridded density. A failed point's
+    values are meaningless."""
+
+    d: np.ndarray
+    b: np.ndarray
+    e: np.ndarray
+    h: np.ndarray
+    s: np.ndarray
+    code: np.ndarray
+    errors: list
+    jac_d: Optional[np.ndarray] = None
+    jac_b: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -143,14 +168,14 @@ def _implicit_currents(params: ModelParams, d: np.ndarray, b: np.ndarray, jac_d:
         return j_e, j_m
 
 
-def eh_rows(params: ModelParams, cfg: ChargeConfig, pts):
+def eh_rows(params: ModelParams, cfg: ChargeConfig, pts) -> StateRows:
     """The inverted state of the multicentred solution at points of shape
-    (N, 3): (D, B, E, H, s, code, errors), from one Coulomb pass (the
-    offsets that decide the exclusion balls also give D and B on the
-    regular rows) and one invert_rows call over all rows. A row inside an
-    exclusion ball carries D = B = 0 and keeps its SingularPoint; a point
-    fails with its first failure in the order singular, inversion. Never
-    raises for a point.
+    (N, 3), without Jacobians, from one Coulomb pass (the offsets that
+    decide the exclusion balls also give D and B on the regular rows) and
+    one invert_rows call over all rows. A row inside an exclusion ball
+    carries D = B = 0 and keeps its SingularPoint; a point fails with its
+    first failure in the order singular, inversion. Never raises for a
+    point.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     code = np.zeros(len(pts), dtype=np.int64)
@@ -162,7 +187,7 @@ def eh_rows(params: ModelParams, cfg: ChargeConfig, pts):
     d[idx], b[idx] = _superpose(_db_weights(cfg), rs[idx], dist[idx])
     e, h, s, inv_code, inv_errors = invert_rows(params, d, b)
     merge_failures(code, errors, np.arange(len(pts)), inv_code, inv_errors)
-    return d, b, e, h, s, code, errors
+    return StateRows(d, b, e, h, s, code, errors)
 
 
 def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
@@ -172,14 +197,15 @@ def eh_field(params: ModelParams, cfg: ChargeConfig) -> Callable:
     order (DomainViolation for a non-finite inversion).
     """
     def field(y):
-        _, _, e, h, _, code, errors = eh_rows(params, cfg, y)
-        raise_first(code, errors)
-        return np.stack((e, h), axis=1).reshape(np.shape(y)[:-1] + (2, 3))
+        state = eh_rows(params, cfg, y)
+        raise_first(state.code, state.errors)
+        return np.stack((state.e, state.h), axis=1).reshape(np.shape(y)[:-1] + (2, 3))
 
     return field
 
 
-def current_rows(params: ModelParams, cfg: ChargeConfig, pts, s=None) -> CurrentRows:
+def current_rows(params: ModelParams, cfg: ChargeConfig, pts,
+                 state: StateRows = None) -> CurrentRows:
     """Evaluate (j_e, j_m) at points of shape (N, 3), all at once; every
     row is what a one-point call gives there.
 
@@ -189,8 +215,8 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts, s=None) -> Current
     and one _implicit_currents call, on J_D and J_B from
     _coulomb_jacobian. A point inside an exclusion ball fails with
     SingularPoint. Never raises for a point: failures and points to skip
-    come back as codes. s, the invariant of eh_rows at the same points,
-    spares the inversion; the failures of that inversion are then the
+    come back as codes. state, the eh_rows record of the same points,
+    spares the inversion: its s is taken, and its failures stay the
     caller's.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
@@ -208,10 +234,12 @@ def current_rows(params: ModelParams, cfg: ChargeConfig, pts, s=None) -> Current
         one_kind = electric_only or magnetic_only
         if params.kind != CLASSICAL or (params.kappa > 0.0 and not one_kind):
             (d, b), (jac_d, jac_b) = _coulomb_jacobian(_db_weights(cfg), rs, dist)
-            if s is None:
+            if state is None:
                 s = np.zeros(n)
                 _, _, s[idx], sub_code, sub_errors = invert_rows(params, d, b)
                 merge_failures(code, errors, idx, sub_code, sub_errors)
+            else:
+                s = state.s
             je, jm = _implicit_currents(params, d, b, jac_d, jac_b, s[idx])
             # the absent kind's current stays exactly zero
             j_e[idx] = 0.0 if electric_only else je

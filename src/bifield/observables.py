@@ -4,8 +4,9 @@ Three families of quantities live here:
 
 * the Hamiltonian energy density of a field state, in the model-generic form
   H = f'(s)(E^2 + kappa^2 (E.B)^2) - f(s), evaluated over point arrays from
-  the state of currents.eh_rows, with a vectorized closed form in D and B
-  for the classical square-root model;
+  one currents.StateRows record (of currents.eh_rows or
+  continuous.state_rows), with a vectorized closed form in D and B for the
+  classical square-root model;
 * the total energy by one multicentre rule, Becke's fuzzy cells: each
   centre integrates its smooth share of H on a mapped radial rule that
   reaches infinity, with divergence detected rather than extrapolated;
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (ConfigError, DomainViolation, QuadratureError, SingularPoin
 from .models import ModelParams, CLASSICAL, QUADRATIC
 from .sources import ChargeConfig, _coulomb_offsets, as_vec3
 from .constitutive import _branch, cross_rows, rowdot
-from .currents import eh_field, eh_rows
+from .currents import StateRows, eh_field, eh_rows
 
 __all__ = [
     "QuadratureSpec",
@@ -117,27 +118,28 @@ def classical_energy_density(beta: float, kappa: float, d, b) -> np.ndarray:
     return (b2 * r1 * r2 + (1.0 + beta * b2) * (d2 + k2 * bxd2)) / (r1 * (r1 + r2))
 
 
-def density_rows(params: ModelParams, d: np.ndarray, b: np.ndarray, e: Optional[np.ndarray],
-                 s: Optional[np.ndarray], code: np.ndarray, errors: list) -> np.ndarray:
-    """Energy density of inverted rows: the classical closed form in (D, B)
-    (e and s unused), else H = f'(s)(E^2 + kappa^2 (E.B)^2) - f(s) as
-    arrays. The closed form stays accurate next to a charge, where 2 beta s
-    from the inversion rounds onto 1. A row that failed before (code != 0)
-    gets 0; a non-classical row whose s lies outside the model domain fails
-    with domain_error(s), and a row whose density is non-finite with
-    DomainViolation("non-finite energy density"), in (code, errors) (see
-    errors.fail_rows)."""
+def density_rows(params: ModelParams, state: StateRows) -> np.ndarray:
+    """Energy density of the rows of an inverted state: the classical closed
+    form in (D, B) (E and s unused), else
+    H = f'(s)(E^2 + kappa^2 (E.B)^2) - f(s) as arrays. The closed form
+    stays accurate next to a charge, where 2 beta s from the inversion
+    rounds onto 1. A row that failed before (code != 0) gets 0; a
+    non-classical row whose s lies outside the model domain fails with
+    domain_error(s), and a row whose density is non-finite with
+    DomainViolation("non-finite energy density"), in the state's
+    (code, errors) (see errors.fail_rows)."""
+    code, errors = state.code, state.errors
     if params.kind != CLASSICAL:
-        fail_rows(code, errors, (code == 0) & ~params.domain_rows(s),
-                  lambda j: params.domain_error(s[j]))
+        fail_rows(code, errors, (code == 0) & ~params.domain_rows(state.s),
+                  lambda j: params.domain_error(state.s[j]))
     ok = _branch(code == 0)
-    dens = np.zeros(len(d))
+    dens = np.zeros(len(code))
     if ok is None:
         return dens
     if params.kind == CLASSICAL:
-        dens[ok] = classical_energy_density(params.beta, params.kappa, d[ok], b[ok])
+        dens[ok] = classical_energy_density(params.beta, params.kappa, state.d[ok], state.b[ok])
     else:
-        e, b, s = e[ok], b[ok], s[ok]
+        e, b, s = state.e[ok], state.b[ok], state.s[ok]
         eb = rowdot(e, b)
         # an overflow surfaces as a non-finite density, which fails below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -157,9 +159,9 @@ def hamiltonian_on_points(params: ModelParams, cfg: ChargeConfig, pts) -> np.nda
     SingularPoint inside an exclusion ball, InversionFailure or
     DomainViolation, never a NaN.
     """
-    d, b, e, _, s, code, errors = eh_rows(params, cfg, pts)
-    out = density_rows(params, d, b, e, s, code, errors)
-    raise_first(code, errors)
+    state = eh_rows(params, cfg, pts)
+    out = density_rows(params, state)
+    raise_first(state.code, state.errors)
     return out
 
 
@@ -176,7 +178,13 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     null field depends on it), and the weights are scaled to sum to 2 (a
     centred charge's flux is then 1 to rounding). One eigh per rule; at
     n = 2048, a flux sphere's eighth level, it takes longer than numpy's
-    leggauss (1.4 s against 0.7 s on a 2-core x86-64 VM).
+    leggauss (1.4 s against 0.7 s on a 2-core x86-64 VM). For n > 25
+    LAPACK's eigh takes its divide-and-conquer path, which OpenBLAS runs on
+    threads: on a 2-vCPU x86-64 VM a fresh process's first rule sometimes
+    took 13-16 ms at n = 36, 24-48 ms at n = 64 and 228 ms at n = 128,
+    against 0.2-1.7 ms with OPENBLAS_NUM_THREADS=1. A bump source builds
+    _gauss(64) when it is made, so a continuous bump run's set-up time
+    carries this spread.
 
     Built once per process and shared read-only. Only 1-D rules are kept:
     sphere rules reach millions of nodes on flux levels."""

@@ -151,9 +151,10 @@ def residual_suite(cfg: ChargeConfig, params: ModelParams, grid) -> tuple:
     currents = current_rows(params, cfg, x)
     raise_first(currents.code, currents.errors)
     nodes, jacobian = _stencil(x, steps[clear][:, None])
-    d, b, e, h, _, code, errors = eh_rows(params, cfg, nodes)
-    raise_first(code, errors)
-    jac = jacobian(np.stack((d, b, e, h), axis=1))[:, 0]  # point, D B E H, i, j
+    state = eh_rows(params, cfg, nodes)
+    raise_first(state.code, state.errors)
+    # axes: point, field (D B E H), i, j
+    jac = jacobian(np.stack((state.d, state.b, state.e, state.h), axis=1))[:, 0]
     div = np.abs(np.trace(jac[:, :2], axis1=-2, axis2=-1))
     curl = _curl(jac)
     curl[:, 2] += currents.j_m
@@ -178,11 +179,11 @@ def continuous_residual_suite(src: ContinuousSource, params: ModelParams,
     pts = np.asarray(grid, dtype=float).reshape(-1, 3)
     hs = np.array([0.5, 1.0]) * (src.width / 10.0)
     nodes, jacobian = _stencil(pts, np.broadcast_to(hs, (len(pts), 2)))
-    _, b, e, h, s, _, code, errors = state_rows(src, params, nodes, quad)
-    raise_first(code, errors)
-    fp = params.derivative_rows(s, 1)[:, None]
-    keb = (params.kappa**2 * rowdot(e, b))[:, None]
-    flux = np.stack((fp * (e + keb * b), h / fp + keb * e), axis=1)
+    state = state_rows(src, params, nodes, quad)
+    raise_first(state.code, state.errors)
+    fp = params.derivative_rows(state.s, 1)[:, None]
+    keb = (params.kappa**2 * rowdot(state.e, state.b))[:, None]
+    flux = np.stack((fp * (state.e + keb * state.b), state.h / fp + keb * state.e), axis=1)
     div = np.trace(jacobian(flux), axis1=-2, axis2=-1)  # point, step, flux
     div = (4.0 * div[:, 0] - div[:, 1]) / 3.0
     rho = np.stack([np.zeros(len(pts)) if r is None else np.asarray(r(pts), dtype=float)
@@ -404,9 +405,9 @@ def _radial_sources() -> tuple:
 def _verify_radial_curl(rng) -> dict:
     res = []
     for src in _radial_sources():
-        d, b, _, _, s, hess, code, errors = state_rows(src, _RADIAL_PARAMS, _RADIAL_POINTS)
-        j_m = jm_rows(src, _RADIAL_PARAMS, _RADIAL_POINTS, None, d, b, s, hess, code, errors)
-        raise_first(code, errors)
+        state = state_rows(src, _RADIAL_PARAMS, _RADIAL_POINTS)
+        j_m = jm_rows(src, _RADIAL_PARAMS, _RADIAL_POINTS, None, state)
+        raise_first(state.code, state.errors)
         res.extend(np.max(np.abs(j_m), axis=1))
     return _suite("radial_curl_free", 1e-6, res)
 

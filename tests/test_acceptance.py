@@ -84,9 +84,9 @@ def _inverted(params, d, b):
 def _state_e(src, params):
     """The rows field of E of a continuous source, raising a failure."""
     def field(y):
-        _, _, e, _, _, _, code, errors = state_rows(src, params, y)
-        raise_first(code, errors)
-        return e
+        state = state_rows(src, params, y)
+        raise_first(state.code, state.errors)
+        return state.e
 
     return field
 
@@ -363,9 +363,9 @@ def test_10_continuous_sources():
 
     pts = np.array([(0.0, 0.8, 0.3), (0.5, -0.6, 0.2), (-0.2, 0.6, 0.0)])
     fd = fd_curl(_state_e(offset, params), pts, richardson=True)
-    d, b, _, _, s, hess, code, errors = state_rows(offset, params, pts)
-    formula = -jm_rows(offset, params, pts, None, d, b, s, hess, code, errors)
-    raise_first(code, errors)
+    state = state_rows(offset, params, pts)
+    formula = -jm_rows(offset, params, pts, None, state)
+    raise_first(state.code, state.errors)
     peak = float(np.max(np.abs(fd)))
     worst_match = float(np.max(np.abs(formula - fd)))
 

@@ -18,6 +18,7 @@ import bifield
 from bifield import (
     ModelParams,
     ChargeConfig,
+    StateRows,
     currents,
     flux_charge,
 )
@@ -933,6 +934,55 @@ def test_energy_json_bytes_are_pinned(tmp_path, data, sha256):
     assert hashlib.sha256((tmp_path / "energy.json").read_bytes()).hexdigest() == sha256
 
 
+# the grid commands' tables and reports of four small runs, pinned byte for
+# byte as {command: (sha256 of <command>.csv, of <command>.report.json)}:
+# any change to the arithmetic or the order of a grid command's fields,
+# currents, densities or failure records shows here
+GOLDEN_GRID = [
+    pytest.param({  # one charge on a grid node, which is skipped
+        "model": {"kind": "classical", "beta": 1.0, "kappa": 0.0},
+        "charges": [{"pos": [1.0, 0.0, 0.0], "q": 1.0},
+                    {"pos": [-0.9, 0.3, 0.1], "q": -1.5},
+                    {"pos": [0.2, -1.1, 0.4], "q": 0.7},
+                    {"pos": [0.4, 0.8, -0.7], "q": -0.6}],
+        "grid": {"lo": [-2, -2, -2], "hi": [2, 2, 2], "shape": [5, 5, 5]},
+    }, {"sample": ("3023dd986aa3e9c68c4d4519868f67a3d967b87e3fa2f2b95b764f3da135e61c",
+                   "a7467adb08f7c52202137e7a0d6eea77977ce11cb6dbdd054338aa386ee89591"),
+        "current": ("438f7589876c57862abab6a74ae3c247ee914cc8079fcf664e0afb57aeb421bc",
+                    "00cdd2afa08e293aa8004623ce992a8a6fce254849702a8c1b0abd9f950af787")},
+        id="classical-multicentre"),
+    pytest.param({
+        "model": {"kind": "fractional_power", "beta": 1.0, "p": 1.5, "kappa": 0.5},
+        "charges": [{"pos": [1.07, 0.03, -0.02], "q": 1.0, "g": 0.4},
+                    {"pos": [-0.95, 0.04, 0.02], "q": -2.0, "g": 1.0}],
+        "grid": {"lo": [-2, -2, -2], "hi": [2, 2, 2], "shape": [5, 5, 5]},
+    }, {"sample": ("6d217c26f7aba5fb1f153c1b10068ef3e1295a99a8b1efff641fcf8712000da8",
+                   "d664dfb6c80c364cde7ba94d2dc5fdc502c7b4cc043c1c0afc5cecdb36909af3"),
+        "current": ("be58182f66bd92753931168adc9e40e2613e31ac2891df243476028a24769a23",
+                    "5365a10d653ab37421fd42d5da9385ab51505f5aa4522289a44ada1c128af692")},
+        id="fractional-dyon-pair-k0.5"),
+    pytest.param(continuous_config("bump", total=2.0, radius=1.0), {
+        "continuous": ("9287a6b8d16591e11fa245ffe9979dcc2f33e69736e6490b429961b18df3bf73",
+                       "628265052644001d940651ab9f8096a70a2c9a8f8d7035041d58d755b06318e7")},
+        id="radial-bump"),
+    pytest.param(dyonic_source_config(), {
+        "continuous": ("73c99996f71e5127169341f19c997a23cb7b671c8aee6e2d076982141692eb85",
+                       "41db03ccc03d0d8d6c330b491b8caae7ded9089fdceb0e0081112c7f9056553d")},
+        id="log-dyonic-source-k0.5"),
+]
+
+
+@pytest.mark.parametrize("data, pinned", GOLDEN_GRID)
+def test_grid_outputs_are_pinned(tmp_path, data, pinned):
+    path = write_config(tmp_path, data)
+    got = {}
+    for command in pinned:
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
+        got[command] = tuple(hashlib.sha256((tmp_path / f"{command}{ext}").read_bytes()).hexdigest()
+                             for ext in (".csv", ".report.json"))
+    assert got == pinned
+
+
 def log_charge_energy(q: float, beta: float) -> float:
     """1-D radial integral of the logarithmic density of one charge,
     H = 2 D^2 / (1 + R) - log1p((R - 1) / 2) / beta, R = sqrt(1 + 2 beta D^2)."""
@@ -1020,10 +1070,10 @@ class TestContinuousCommand:
         row = report["rows"][0]
         from bifield import gaussian_source
         src = gaussian_source(total=2.0, sigma=0.8)
-        _, _, e, _, _, _, code, _ = continuous.state_rows(
+        state = continuous.state_rows(
             src, ModelParams.classical(beta=1.5), np.array([[0.9, 0.0, 0.0]]))
-        assert code.tolist() == [0]
-        assert row[3:6] == pytest.approx(list(e[0]), rel=1e-12)
+        assert state.code.tolist() == [0]
+        assert row[3:6] == pytest.approx(list(state.e[0]), rel=1e-12)
         # radial gaussian: the induced magnetic current vanishes
         assert max(abs(v) for v in row[9:12]) < 1e-9
 
@@ -1079,11 +1129,10 @@ class TestContinuousCommand:
         tol = 1e-15 if src.rho_m is None else 1e-12
         assert np.max(np.abs(jm_got - jm_want)) <= tol * np.max(np.abs(jm_want))
         states = [State(src, params, x, quad) for x in grid_points(cfg)]
-        d, b, e = (np.array([getattr(st, k) for st in states]) for k in "dbe")
-        s = np.array([st.s for st in states])
-        code = np.zeros(len(d), dtype=np.int64)
-        assert np.array_equal(got[:, 12], density_rows(params, d, b, e, s, code, []))
-        assert not code.any()
+        state = StateRows(*(np.array([getattr(st, k) for st in states]) for k in "dbehs"),
+                          code=np.zeros(len(states), dtype=np.int64), errors=[])
+        assert np.array_equal(got[:, 12], density_rows(params, state))
+        assert not state.code.any()
         assert np.max(np.abs(got[:, 12] - want[:, 12])) <= 1e-12 * np.max(np.abs(want[:, 12]))
 
     def test_failing_points_are_recorded(self, tmp_path):

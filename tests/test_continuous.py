@@ -19,12 +19,13 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.special import erf
 
-from bifield import continuous
+from bifield import ChargeConfig, StateRows, continuous
 from bifield.errors import ConfigError, QuadratureError
 from bifield.models import ModelParams
 from bifield.observables import QuadratureSpec
 from bifield.cli import main
 from bifield.constitutive import invert_rows
+from bifield.currents import eh_rows
 from bifield.continuous import (
     ContinuousSource,
     _gauss_law,
@@ -60,9 +61,9 @@ def curl_e(src, params, pts) -> np.ndarray:
     """curl E = -j_m at points of shape (N, 3), from one state_rows and one
     jm_rows call; raises the first failure."""
     pts = np.reshape(pts, (-1, 3))
-    d, b, _, _, s, hess, code, errors = state_rows(src, params, pts)
-    j_m = jm_rows(src, params, pts, None, d, b, s, hess, code, errors)
-    raise_first(code, errors)
+    state = state_rows(src, params, pts)
+    j_m = jm_rows(src, params, pts, None, state)
+    raise_first(state.code, state.errors)
     return -j_m
 
 
@@ -267,7 +268,7 @@ class TestPotentialGradient:
     def test_analytic_matches_finite_differences(self):
         src = gaussian_source(total=1.0, sigma=1.0)
         x = np.array([1.2, -0.5, 0.8])
-        g = state_rows(src, CLASSICAL, x[None])[0][0]
+        g = state_rows(src, CLASSICAL, x[None]).d[0]
         h = 1e-5
         for k in range(3):
             step = np.zeros(3)
@@ -283,7 +284,7 @@ class TestPotentialGradient:
         enclosed = 3.0 * (math.erf(r / math.sqrt(2.0))
                           - math.sqrt(2.0 / math.pi) * r * math.exp(-0.5 * r * r))
         expected = enclosed / (4.0 * math.pi * r**2)
-        g, g0 = state_rows(src, CLASSICAL, np.array([[r, 0.0, 0.0], [0.0, 0.0, 0.0]]))[0]
+        g, g0 = state_rows(src, CLASSICAL, np.array([[r, 0.0, 0.0], [0.0, 0.0, 0.0]])).d
         assert abs(g[0] - expected) <= 1e-9 * abs(expected)
         assert abs(g[1]) == 0.0 and abs(g[2]) == 0.0
         assert np.all(g0 == 0.0)
@@ -292,14 +293,14 @@ class TestPotentialGradient:
         # same density with the analytic gradient stripped off
         src = gaussian_source(total=1.0, sigma=1.0)
         x = np.array([[0.8, -0.3, 0.5]])
-        g_fd = state_rows(bare(src), CLASSICAL, x)[0]
-        g_an = state_rows(src, CLASSICAL, x)[0]
+        g_fd = state_rows(bare(src), CLASSICAL, x).d
+        g_an = state_rows(src, CLASSICAL, x).d
         # quadrature noise at rel_tol 1e-6 bounds the FD route near 1e-7
         assert np.max(np.abs(g_fd - g_an)) <= 1e-7
 
     def test_missing_density_gradient_is_zero(self):
         src = gaussian_source()
-        assert np.all(state_rows(src, CLASSICAL, np.array([[1.0, 1.0, 1.0]]))[1] == 0.0)
+        assert np.all(state_rows(src, CLASSICAL, np.array([[1.0, 1.0, 1.0]])).b == 0.0)
 
 
 class TestGaussLaw:
@@ -317,12 +318,12 @@ class TestGaussLaw:
         x = np.array(self.BUMP["center"]) + np.array(offset)
         d, hess = gauss_law(src.radial_e, x)
         ref = bare(src)
-        d_fd = state_rows(ref, CLASSICAL, x[None])[0][0]
+        d_fd = state_rows(ref, CLASSICAL, x[None]).d[0]
         h_fd = fd_hessian(lambda y: newton_potential(ref, y), x, h)
         assert np.max(np.abs(d_fd - d)) <= 1e-6 * np.max(np.abs(d))
         assert np.max(np.abs(h_fd - hess)) <= 1e-4 * np.max(np.abs(hess))
         # the public routes read the kernel
-        assert np.array_equal(state_rows(src, CLASSICAL, x[None])[0][0], d)
+        assert np.array_equal(state_rows(src, CLASSICAL, x[None]).d[0], d)
 
     def test_bump_enclosed_charge_matches_adaptive_quadrature(self):
         total, R = 2.0, 1.5
@@ -380,7 +381,7 @@ class TestGaussLaw:
         for x in [(0.0, 0.8, 0.3), (-1.0, 0.05, 0.0), (2.5, -0.7, 1.1)]:
             x = np.array(x)
             _, hess = gauss_law(src.radial_e, x)
-            jac = fd_jacobian(lambda y: state_rows(src, CLASSICAL, y[None])[0][0], x, 1e-3)
+            jac = fd_jacobian(lambda y: state_rows(src, CLASSICAL, y[None]).d[0], x, 1e-3)
             assert np.max(np.abs(jac - hess)) <= 1e-10 * np.max(np.abs(hess))
 
     @pytest.mark.parametrize("shape", ["bump", "two_gaussian"])
@@ -452,21 +453,56 @@ class TestNewtonMemo:
         assert len(calls) == 2 * 25
 
 
+class TestStateRecord:
+    """eh_rows and state_rows return one StateRows record, which carries the
+    Jacobians of D and B where the source gives them: the Gauss-law
+    Hessians of a radial source, none from eh_rows or a gridded source."""
+
+    PTS = np.array([(0.7, 0.2, -0.4), (1.5, -1.0, 0.3), (-0.3, 0.6, 0.1)])
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("kind", ["charges", "radial", "gridded"])
+    def test_one_record_for_both_source_kinds(self, kind, n):
+        pts = self.PTS[:n]
+        params = ModelParams.logarithmic(0.8, kappa=0.5)
+        src = merge_sources(gaussian_source(2.0, 0.8), gaussian_source(1.5, 1.0, magnetic=True))
+        if kind == "charges":
+            cfg = ChargeConfig.build([((1.0, 0.0, 0.0), 1.0, 0.4), ((-1.0, 0.5, 0.0), -2.0, 1.0)])
+            state = eh_rows(params, cfg, pts)
+        elif kind == "radial":
+            state = state_rows(src, params, pts)
+        else:
+            src = dataclasses.replace(src, radial_e=(), radial_m=())
+            state = state_rows(src, params, pts, QuadratureSpec(rel_tol=1e-4))
+        assert type(state) is StateRows
+        assert state.d.shape == state.b.shape == state.e.shape == state.h.shape == (n, 3)
+        assert state.s.shape == state.code.shape == (n,)
+        assert not state.code.any() and state.errors == []
+        if kind == "radial":
+            assert state.jac_d.shape == state.jac_b.shape == (n, 3, 3)
+            # div D = rho_e and div B = rho_m: the traces are the densities
+            for jac, rho in ((state.jac_d, src.rho_e), (state.jac_b, src.rho_m)):
+                trace = np.trace(jac, axis1=1, axis2=2)
+                assert np.allclose(trace, rho(pts), rtol=1e-12, atol=0.0)
+        else:
+            assert state.jac_d is None and state.jac_b is None
+
+
 class TestContinuousFields:
     def test_electric_only_has_no_magnetic_part(self):
         src = gaussian_source(total=1.0, sigma=1.0)
-        _, b, e, h, _, _, code, _ = state_rows(src, CLASSICAL, np.array([[0.7, 0.1, -0.3]]))
-        assert code.tolist() == [0]
-        assert np.all(b == 0.0)
-        assert np.all(h == 0.0)
-        assert np.linalg.norm(e) > 0.0
+        state = state_rows(src, CLASSICAL, np.array([[0.7, 0.1, -0.3]]))
+        assert state.code.tolist() == [0]
+        assert np.all(state.b == 0.0)
+        assert np.all(state.h == 0.0)
+        assert np.linalg.norm(state.e) > 0.0
         # a (3,) point is the one-row call; no points give empty rows
         one = state_rows(src, CLASSICAL, np.array([0.7, 0.1, -0.3]))
-        assert np.array_equal(one[2], e) and one[6].tolist() == [0]
-        d, b, e, h, s, hess, code, errors = state_rows(src, CLASSICAL, [])
-        assert d.shape == b.shape == e.shape == h.shape == (0, 3)
-        assert hess[0].shape == hess[1].shape == (0, 3, 3)
-        assert s.shape == code.shape == (0,) and errors == []
+        assert np.array_equal(one.e, state.e) and one.code.tolist() == [0]
+        empty = state_rows(src, CLASSICAL, [])
+        assert empty.d.shape == empty.b.shape == empty.e.shape == empty.h.shape == (0, 3)
+        assert empty.jac_d.shape == empty.jac_b.shape == (0, 3, 3)
+        assert empty.s.shape == empty.code.shape == (0,) and empty.errors == []
 
     @pytest.mark.parametrize("params", [
         ModelParams.classical(1.0),
@@ -477,15 +513,15 @@ class TestContinuousFields:
     def test_radial_source_is_conservative(self, params):
         src = gaussian_source(total=3.0, sigma=1.0)
         pts = np.array([(0.8, 0.3, -0.2), (2.0, -1.0, 0.5)])
-        assert not state_rows(src, params, pts)[6].any()
-        curl = fd_curl(lambda y: state_rows(src, params, y)[2], pts, richardson=True)
+        assert not state_rows(src, params, pts).code.any()
+        curl = fd_curl(lambda y: state_rows(src, params, y).e, pts, richardson=True)
         assert np.max(np.abs(curl)) <= 1e-8
 
     def test_offset_source_is_not_conservative(self):
         src = offset_pair()
         params = ModelParams.classical(1.0)
         pts = [(0.0, 0.8, 0.3), (-0.2, 0.6, 0.0), (0.2, 0.3, -0.8)]
-        curl = fd_curl(lambda y: state_rows(src, params, y)[2], pts, richardson=True)
+        curl = fd_curl(lambda y: state_rows(src, params, y).e, pts, richardson=True)
         assert float(np.max(np.abs(curl))) > 1e-3
 
     def test_radial_dyonic_source_conservative_both_fields(self):
@@ -495,16 +531,20 @@ class TestContinuousFields:
         for params in [ModelParams.classical(1.0, kappa=0.0),
                        ModelParams.logarithmic(0.5, kappa=0.7)]:
             pts = np.array([(0.7, 0.2, -0.4), (1.5, -0.8, 0.3)])
-            assert not state_rows(dy, params, pts)[6].any()
-            eh = fd_curl(lambda y: np.stack(state_rows(dy, params, y)[2:4], axis=1), pts)
-            assert np.max(np.abs(eh)) <= 1e-6
+            assert not state_rows(dy, params, pts).code.any()
+
+            def eh(y, params=params):
+                state = state_rows(dy, params, y)
+                return np.stack((state.e, state.h), axis=1)
+
+            assert np.max(np.abs(fd_curl(eh, pts))) <= 1e-6
 
     @staticmethod
     def _bump_curl(src):
         params = ModelParams.classical(1.0)
         x = np.array([[0.8, 0.4, -0.3]])
-        assert not state_rows(src, params, x)[6].any()
-        return fd_curl(lambda y: state_rows(src, params, y)[2], x, step=0.05)
+        assert not state_rows(src, params, x).code.any()
+        return fd_curl(lambda y: state_rows(src, params, y).e, x, step=0.05)
 
     def test_bump_fd_route_stays_conservative(self):
         src = bump_source(total=2.0, radius=1.5, center=(0.2, 0.0, 0.0))
@@ -519,7 +559,7 @@ class TestContinuousFields:
         src = offset_pair()
         target = src.total_q / (4.0 * math.pi)
         for R in (30.0, 100.0):
-            g = state_rows(src, CLASSICAL, np.array([[R, 0.1, 0.0]]))[0][0]
+            g = state_rows(src, CLASSICAL, np.array([[R, 0.1, 0.0]])).d[0]
             ratio = float(np.linalg.norm(g)) * R * R / target
             assert abs(ratio - 1.0) <= 0.02
 
@@ -529,7 +569,7 @@ class TestCurlFormula:
         src = offset_pair()
         params = ModelParams.classical(1.0)
         pts = [(0.0, 0.8, 0.3), (0.5, -0.6, 0.2), (-0.2, 0.6, 0.0)]
-        fd = fd_curl(lambda y: state_rows(src, params, y)[2], pts, richardson=True)
+        fd = fd_curl(lambda y: state_rows(src, params, y).e, pts, richardson=True)
         formula = curl_e(src, params, pts)
         assert np.all(np.max(np.abs(formula - fd), axis=1) <= 1e-4)
         assert np.all(np.max(np.abs(formula), axis=1) > 1e-3)
@@ -541,7 +581,7 @@ class TestCurlFormula:
         beta = 1.0
         params = ModelParams.classical(beta)
         for x in [np.array([0.3, 0.5, -0.2]), np.array([-0.8, 0.1, 0.4])]:
-            g = state_rows(src, params, x[None])[0][0]
+            g = state_rows(src, params, x[None]).d[0]
             e, _, _, code, _ = invert_rows(params, g, np.zeros(3))
             assert not code.any()
             a = float(e[0] @ e[0])
@@ -572,9 +612,9 @@ class TestCurlFormula:
         params = ModelParams.logarithmic(1.0, kappa=0.5)
         pts = np.array([(x, y, z) for x in (-1.5, 0.0, 1.5) for y in (-0.5, 0.5)
                         for z in (-0.5, 0.5)])
-        d, b, e, _, s, hess, code, errors = state_rows(src, params, pts)
-        j_m = jm_rows(src, params, pts, None, d, b, s, hess, code, errors)
-        assert not code.any() and not d.any() and not e.any()
+        state = state_rows(src, params, pts)
+        j_m = jm_rows(src, params, pts, None, state)
+        assert not state.code.any() and not state.d.any() and not state.e.any()
         assert j_m.shape == pts.shape and not j_m.any() and not np.signbit(j_m).any()
 
     @pytest.mark.parametrize("params", [
@@ -585,7 +625,7 @@ class TestCurlFormula:
     def test_matches_fd_curl_across_models(self, params):
         src = offset_pair()
         pt = (0.0, 0.8, 0.3)
-        fd = fd_curl(lambda y: state_rows(src, params, y)[2], pt, richardson=True)
+        fd = fd_curl(lambda y: state_rows(src, params, y).e, pt, richardson=True)
         formula = curl_e(src, params, pt)
         assert np.max(np.abs(formula - fd)) <= 1e-4
 
@@ -626,7 +666,7 @@ class TestImplicitKernel:
     def test_dyonic_source_matches_fd_curl(self, params, kappa):
         params = dataclasses.replace(params, kappa=kappa)
         src = dyonic_pair()
-        fd = fd_curl(lambda y: state_rows(src, params, y)[2], self.PTS, richardson=True)
+        fd = fd_curl(lambda y: state_rows(src, params, y).e, self.PTS, richardson=True)
         formula = curl_e(src, params, self.PTS)
         assert np.max(np.abs(formula)) > 1e-3
         assert np.max(np.abs(formula - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
@@ -641,7 +681,7 @@ class TestImplicitKernel:
                                    center=src.center, width=src.width, radial_e=src.radial_e)
         params = ModelParams.logarithmic(0.8, kappa=kappa)
         x = self.PTS[:1]
-        assert state_rows(gridded, params, x)[5][1] is None
+        assert state_rows(gridded, params, x).jac_b is None
         assert np.max(np.abs(curl_e(gridded, params, x) - curl_e(src, params, x))) <= 1e-5
 
     def test_failed_gridded_hessian_fails_its_row_once(self, monkeypatch):
@@ -653,10 +693,12 @@ class TestImplicitKernel:
         monkeypatch.setattr(continuous, "_fd_hessian", failing_hessian)
         src = dyonic_pair()
         params = ModelParams.logarithmic(0.8)
-        d, b, _, _, s, _, code, errors = state_rows(src, params, self.PTS)
-        j_m = jm_rows(src, params, self.PTS, None, d, b, s, (None, None), code, errors)
-        assert [str(errors[k - 1]) for k in code] == ["electric"] * len(self.PTS)
-        assert len(errors) == len(self.PTS) and not j_m.any()
+        state = state_rows(src, params, self.PTS)
+        # without the Hessians of the record, both come from _fd_hessian
+        j_m = jm_rows(src, params, self.PTS, None,
+                      dataclasses.replace(state, jac_d=None, jac_b=None))
+        assert [str(state.errors[k - 1]) for k in state.code] == ["electric"] * len(self.PTS)
+        assert len(state.errors) == len(self.PTS) and not j_m.any()
 
 
 class TestResidualSuite:

@@ -697,10 +697,10 @@ class TestImplicitKernel:
         monkeypatch.setattr(currents, "invert_rows", counting_rows)
         rows = current_rows(params, cfg, pts)
         assert calls == [7] and not rows.code.any()
-        # the invariant of eh_rows spares the inversion
-        s = currents.eh_rows(params, cfg, pts)[4]
+        # the state of eh_rows spares the inversion
+        state = currents.eh_rows(params, cfg, pts)
         calls.clear()
-        again = current_rows(params, cfg, pts, s)
+        again = current_rows(params, cfg, pts, state)
         assert calls == [] and np.array_equal(again.j_e, rows.j_e) and np.array_equal(again.j_m, rows.j_m)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.3, 0.5])

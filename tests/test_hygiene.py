@@ -13,7 +13,8 @@ elsewhere fails here if it leaves the old import or helper behind, an
 export of a deleted function, or a public function or method that only the
 tests call. The package's public names are pinned in PUBLIC_NAMES, so the
 surface grows or shrinks only with that list. QuadratureSpec holds only its
-three tolerances, and they are the quadrature config keys.
+three tolerances, and they are the quadrature config keys; StateRows's
+fields are pinned too.
 
 scipy stays out of the command line's import and its energy command: a
 fresh process pays ~0.7 s to import it, in set-up or in the run. argparse,
@@ -59,6 +60,7 @@ PUBLIC_NAMES = (
     "QuadratureSpec",
     "RadialPart",
     "SingularPoint",
+    "StateRows",
     "__version__",
     "bump_source",
     "current_rows",
@@ -203,12 +205,13 @@ def test_public_functions_are_referenced_in_src():
     assert sorted(uncalled) == sorted(UNCALLED_PUBLIC)
 
 
-# what each integrator module takes from currents: its fields and the
-# current kernel it evaluates; observables takes eh_rows because its pointwise density reads the state
-# the sample command reads, from the same call
+# what each integrator module takes from currents: the state record, its
+# fields and the current kernel it evaluates; observables takes eh_rows
+# because its pointwise density reads the state the sample command reads,
+# from the same call
 INTEGRATOR_CURRENTS = {
-    "observables.py": {"eh_field", "eh_rows"},
-    "continuous.py": {"_implicit_currents"},
+    "observables.py": {"StateRows", "eh_field", "eh_rows"},
+    "continuous.py": {"StateRows", "_implicit_currents"},
 }
 
 
@@ -278,6 +281,15 @@ def test_quadrature_spec_holds_only_tolerances():
     fields = tuple(f.name for f in dataclasses.fields(bifield.QuadratureSpec))
     assert fields == ("rel_tol", "abs_tol", "max_subdivisions")
     assert cli._QUAD_KEYS == fields
+
+
+def test_state_rows_fields_are_pinned():
+    # the one state contract of both source kinds: currents.eh_rows and
+    # continuous.state_rows return it, and density_rows, jm_rows and
+    # current_rows read it by field
+    fields = tuple(f.name for f in dataclasses.fields(bifield.StateRows))
+    assert fields == ("d", "b", "e", "h", "s", "code", "errors", "jac_d", "jac_b")
+    assert bifield.StateRows.__dataclass_params__.frozen
 
 
 def test_cli_import_and_rules_leave_numpy_polynomial_unloaded(tmp_path):

@@ -210,13 +210,13 @@ class TestEnergyDensity:
         params = ModelParams.classical(1.0)
         r = np.array([1e-5, 1e-6, 1e-7, 1e-8])
         pts = np.column_stack((r, np.zeros(4), np.zeros(4)))
-        d, b, e, _, s, code, _ = eh_rows(params, single_charge(), pts)
-        assert not code.any()
-        d2 = np.sum(d * d, axis=1)
+        state = eh_rows(params, single_charge(), pts)
+        assert not state.code.any()
+        d2 = np.sum(state.d * state.d, axis=1)
         ref = d2 / (1.0 + np.sqrt(1.0 + d2))
-        dens = density_rows(params, d, b, e, s, code, [])
-        assert not code.any() and np.max(np.abs(dens / ref - 1.0)) <= 4e-16
-        assert np.array_equal(2.0 * s, np.ones(4))
+        dens = density_rows(params, state)
+        assert not state.code.any() and np.max(np.abs(dens / ref - 1.0)) <= 4e-16
+        assert np.array_equal(2.0 * state.s, np.ones(4))
 
     def test_logarithmic_electrostatic_closed_form(self):
         # H = E^2 / (1 - beta E^2 / 2) + ln(1 - beta E^2 / 2) / beta
@@ -293,8 +293,8 @@ class TestEnergyDensity:
         pts = np.array([[3.0, 0.0, 0.0], [1.05, 0.0, 0.0], [-1.0, 0.55, 0.0]])
         with pytest.raises(InversionFailure, match=r"^direction match violated: ") as info:
             hamiltonian_on_points(params, cfg, pts)
-        *_, code, errors = eh_rows(params, cfg, pts[1:2])
-        assert code.tolist() == [1] and str(info.value) == str(errors[0])
+        state = eh_rows(params, cfg, pts[1:2])
+        assert state.code.tolist() == [1] and str(info.value) == str(state.errors[0])
         assert np.all(np.isfinite(hamiltonian_on_points(params, cfg, pts[:1])))
 
     @pytest.mark.parametrize("params", [ModelParams.logarithmic(1.0),

@@ -34,9 +34,9 @@ def random_config(rng, n):
 def checked_d(cfg, pts):
     """D from eh_rows at points of shape (N, 3), raising the first failing
     point's recorded failure."""
-    d, *_, code, errors = eh_rows(ModelParams.classical(beta=1.0), cfg, pts)
-    raise_first(code, errors)
-    return d
+    state = eh_rows(ModelParams.classical(beta=1.0), cfg, pts)
+    raise_first(state.code, state.errors)
+    return state.d
 
 
 def two_center():
